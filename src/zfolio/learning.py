@@ -4,25 +4,35 @@ A model maps the 48 raw features through a selected quadratic basis into a
 ridge regression on log runtime or per-instance score. Basis selection is
 greedy forward selection on cross-validated RMSE, run once over the raw
 features and once more to add pairwise products of the selected features.
+Each greedy step scores every remaining candidate at once: the selected
+block of every fold's training Gram matrix is solved once (all folds in one
+batched solve), and each candidate's fit is read off the bordered system
+through its Schur complement instead of being solved afresh.
 Censored runtimes (runs cut off at the time limit) are handled with the
 Schmee-Hahn iteration: censored targets are repeatedly replaced by the mean
 of the predictive normal truncated at the cutoff and the model is refit.
+The basis is expanded and the ridge system Cholesky-factored once per fit;
+each iteration imputes every censored row in one array call and re-solves
+only for the new targets.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, special, stats
+from scipy import linalg, special
 
 TARGET_LOG_RUNTIME = "log_runtime"
 TARGET_SCORE = "score"
 
 DEFAULT_DELTA = 1e-3
 MIN_RUNTIME = 0.005  # zero runtimes are clamped here before the log transform
+
+log = logging.getLogger(__name__)
 
 
 class DimensionMismatch(ValueError):
@@ -114,21 +124,29 @@ def full_product_pairs(m: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(m) for k in range(j, m)]
 
 
-def ridge_fit(phi: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
-    """Solve w = (delta*I + Phi^T Phi)^-1 Phi^T y via Cholesky."""
+def _ridge_factor(phi: np.ndarray, delta: float):
+    """Cholesky factor of delta*I + Phi^T Phi, or None for an empty basis."""
     if delta <= 0:
         raise ValueError("delta must be positive")
+    d = phi.shape[1]
+    if d == 0:
+        return None
+    return linalg.cho_factor(phi.T @ phi + delta * np.eye(d))
+
+
+def _ridge_solve(factor, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if factor is None:
+        return np.zeros(0)
+    return linalg.cho_solve(factor, phi.T @ y)
+
+
+def ridge_fit(phi: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
+    """Solve w = (delta*I + Phi^T Phi)^-1 Phi^T y via Cholesky."""
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != y.shape[0]:
         raise DimensionMismatch("design matrix and targets disagree")
-    d = phi.shape[1]
-    if d == 0:
-        return np.zeros(0)
-    gram = phi.T @ phi + delta * np.eye(d)
-    rhs = phi.T @ y
-    c, low = linalg.cho_factor(gram)
-    return linalg.cho_solve((c, low), rhs)
+    return _ridge_solve(_ridge_factor(phi, delta), phi, y)
 
 
 @dataclass
@@ -235,7 +253,9 @@ def _greedy_cv_select(C: np.ndarray, y: np.ndarray, folds: int, max_terms: int,
 
     `base` columns are pinned into every fit but not reported. Columns are
     standardized and y centered before use; fold membership depends only on
-    row content, so results do not change under row permutation.
+    row content, so results do not change under row permutation. Candidates
+    are scanned in column order and one is taken when it beats the best CV
+    RMSE so far by more than 1e-12.
     """
     n, m = C.shape
     if m == 0:
@@ -247,36 +267,55 @@ def _greedy_cv_select(C: np.ndarray, y: np.ndarray, folds: int, max_terms: int,
     Z = (C - means) / scales
     yc = y - y.mean()
 
-    fold_idx = _fold_indices(C, y, folds)
-    masks = []
-    for k in range(folds):
+    # Per-fold training Gram matrices and test blocks, stacked along axis 0.
+    # Test blocks are zero-padded to a common length; a zero row adds an
+    # exact 0 to every residual sum.
+    fold_rows = _fold_indices(C, y, folds)
+    G = np.empty((folds, m, m))
+    b = np.empty((folds, m))
+    Zte = np.zeros((folds, max(map(len, fold_rows)), m))
+    yte = np.zeros(Zte.shape[:2])
+    for f, rows in enumerate(fold_rows):
         test = np.zeros(n, dtype=bool)
-        test[fold_idx[k]] = True
-        masks.append(test)
-    grams = []
-    for test in masks:
+        test[rows] = True
         Zt, yt = Z[~test], yc[~test]
-        grams.append((Zt.T @ Zt, Zt.T @ yt))
+        G[f], b[f] = Zt.T @ Zt, Zt.T @ yt
+        Zte[f, :len(rows)], yte[f, :len(rows)] = Z[test], yc[test]
 
-    def cv_rmse(cols: tuple[int, ...]) -> float:
-        idx = np.array(cols, dtype=int)
-        sq = 0.0
-        for (G, b), test in zip(grams, masks):
-            A = G[np.ix_(idx, idx)] + delta * np.eye(len(idx))
-            w = np.linalg.solve(A, b[idx])
-            resid = yc[test] - Z[np.ix_(test, idx)] @ w
-            sq += float(resid @ resid)
-        return math.sqrt(sq / n)
+    def cv_sq(S: list[int], cand: list[int]):
+        """Summed squared CV test residuals of the fit on S and on S + [j], j in cand.
+
+        Adding column j borders A = G[S,S] + delta*I with g = G[S,j]; with
+        w0 = A^-1 b[S] and u = A^-1 g, the new weight is
+        w_j = (b[j] - g.w0) / (G[j,j] + delta - g.u), the selected weights
+        become w0 - u*w_j, and the test residual is r0 - w_j*(z_j - Z_S u).
+        One solve per fold gives w0 and u for every candidate; an empty S
+        gives empty solves and zero corrections.
+        """
+        GS = G[:, S]
+        GSc = GS[:, :, cand]
+        A = GS[:, :, S] + delta * np.eye(len(S))
+        sol = np.linalg.solve(A, np.concatenate([b[:, S, None], GSc], axis=2))
+        w0, U = sol[:, :, 0], sol[:, :, 1:]
+        ZS = Zte[:, :, S]
+        r0 = yte - np.einsum("fts,fs->ft", ZS, w0)
+        D = Zte[:, :, cand] - ZS @ U
+        schur = G[:, cand, cand] + delta - np.einsum("fsj,fsj->fj", GSc, U)
+        wj = (b[:, cand] - np.einsum("fsj,fs->fj", GSc, w0)) / schur
+        R = r0[:, :, None] - D * wj[:, None, :]
+        return float(np.sum(r0 * r0)), np.einsum("ftj,ftj->j", R, R)
 
     selected: list[int] = []
-    current = math.sqrt(float(yc @ yc) / n) if not base else cv_rmse(base)
+    current = math.sqrt(float(yc @ yc) / n) if not base else None
     available = [j for j in range(m) if j not in base]
     while len(selected) < max_terms and available:
+        sq0, sq = cv_sq(list(base) + selected, available)
+        if current is None:
+            current = math.sqrt(sq0 / n)
         best_j, best_rmse = None, current
-        for j in available:
-            r = cv_rmse(base + tuple(selected) + (j,))
+        for j, r in zip(available, np.sqrt(sq / n)):
             if r < best_rmse - 1e-12:
-                best_j, best_rmse = j, r
+                best_j, best_rmse = j, float(r)
         if best_j is None:
             break
         selected.append(best_j)
@@ -321,7 +360,8 @@ def select_basis(X: np.ndarray, y: np.ndarray, folds: int = 10,
     y = np.asarray(y, dtype=float)
     raw = forward_select(X, y, folds=folds, max_terms=max_raw_terms, delta=delta)
     if not raw:
-        # no informative feature; fall back to the single best-scoring column
+        # no raw feature lowers CV RMSE; fall back to raw column 0 so the
+        # model still has a basis (a fixed choice, not the best-scoring one)
         raw = [0]
     candidates = [(j, k) for idx, j in enumerate(raw) for k in raw[idx:]]
     candidates = [(min(j, k), max(j, k)) for j, k in candidates]
@@ -338,15 +378,11 @@ def select_basis(X: np.ndarray, y: np.ndarray, folds: int = 10,
     return make_basis(X, raw, pairs)
 
 
-def fit_ridge_model(X: np.ndarray, y: np.ndarray, basis: BasisSpec,
-                    delta: float = DEFAULT_DELTA, target: str = TARGET_LOG_RUNTIME,
-                    residual_rows=None) -> RidgeModel:
-    """Fit a RidgeModel: standardized basis columns, centered target."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    phi = basis.expand_matrix(X)
+def _ridge_model(phi: np.ndarray, y: np.ndarray, basis: BasisSpec, factor,
+                 delta: float, target: str, residual_rows=None) -> RidgeModel:
+    """RidgeModel on an expanded, factored design: centered target, residual sigma."""
     intercept = float(y.mean())
-    w = ridge_fit(phi, y - intercept, delta)
+    w = _ridge_solve(factor, phi, y - intercept)
     resid = y - (intercept + phi @ w)
     if residual_rows is not None:
         resid = resid[residual_rows]
@@ -354,22 +390,36 @@ def fit_ridge_model(X: np.ndarray, y: np.ndarray, basis: BasisSpec,
     return RidgeModel(basis, w, delta, sigma, target, intercept)
 
 
-def truncated_normal_mean(mu: float, sigma: float, lower: float) -> float:
+def fit_ridge_model(X: np.ndarray, y: np.ndarray, basis: BasisSpec,
+                    delta: float = DEFAULT_DELTA, target: str = TARGET_LOG_RUNTIME,
+                    residual_rows=None) -> RidgeModel:
+    """Fit a RidgeModel: standardized basis columns, centered target."""
+    phi = basis.expand_matrix(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    return _ridge_model(phi, y, basis, _ridge_factor(phi, delta), delta, target,
+                        residual_rows)
+
+
+def truncated_normal_mean(mu, sigma, lower):
     """E[Y | Y >= lower] for Y ~ Normal(mu, sigma); always >= lower.
 
-    The upper tail uses the scaled complementary error function, which stays
-    accurate far beyond 8 sigma where pdf/cdf ratios would degrade.
+    Arguments broadcast as numpy arrays; scalar arguments give a float. Below
+    the mean the inverse Mills ratio is pdf/sf (the erfcx form overflows far
+    below it); at or above it the scaled complementary error function keeps
+    the upper tail accurate far beyond 8 sigma, where pdf/sf would degrade.
     """
-    if sigma <= 0:
+    mu, sigma, lower = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                             for v in (mu, sigma, lower)))
+    if np.any(sigma <= 0):
         raise ValueError("sigma must be positive")
-    if lower == -np.inf:
-        return float(mu)
     a = (lower - mu) / sigma
-    if a < 0:
-        lam = stats.norm.pdf(a) / stats.norm.sf(a)
-    else:
-        lam = math.sqrt(2 / math.pi) / special.erfcx(a / math.sqrt(2))
-    return max(float(mu + sigma * lam), float(lower))
+    lam = np.empty_like(a)
+    below = a < 0
+    ab = a[below]
+    lam[below] = np.exp(-ab**2 / 2.0) / math.sqrt(2 * math.pi) / special.ndtr(-ab)
+    lam[~below] = math.sqrt(2 / math.pi) / special.erfcx(a[~below] / math.sqrt(2))
+    out = np.maximum(mu + sigma * lam, lower)
+    return float(out) if out.ndim == 0 else out
 
 
 def censored_fit(data: LabeledDataset, delta: float = DEFAULT_DELTA,
@@ -380,7 +430,8 @@ def censored_fit(data: LabeledDataset, delta: float = DEFAULT_DELTA,
     The initial fit treats censored targets as observed at the cutoff; each
     iteration replaces them with the truncated-normal conditional mean of
     the current predictive distribution and refits, until the largest
-    weight change drops below tol or max_iter is reached.
+    weight change drops below tol or max_iter is reached. The design and its
+    ridge factor do not change between iterations, so both are built once.
     """
     censored = data.censored
     uncensored = ~censored
@@ -389,24 +440,22 @@ def censored_fit(data: LabeledDataset, delta: float = DEFAULT_DELTA,
     if basis is None:
         basis = make_basis(data.features, list(range(data.features.shape[1])))
 
+    phi = basis.expand_matrix(data.features)
+    factor = _ridge_factor(phi, delta)
     y_work = data.targets.astype(float).copy()
-    model = fit_ridge_model(data.features, y_work, basis, delta, target,
-                            residual_rows=uncensored)
+    model = _ridge_model(phi, y_work, basis, factor, delta, target, uncensored)
     if not censored.any():
         return model
 
-    phi_c = basis.expand_matrix(data.features[censored])
+    phi_c = phi[censored]
+    change = math.inf
     for _ in range(max_iter):
         preds = model.intercept + phi_c @ model.weights
         if model.sigma > 0:
-            imputed = np.array([
-                truncated_normal_mean(p, model.sigma, data.cutoff_log) for p in preds
-            ])
+            y_work[censored] = truncated_normal_mean(preds, model.sigma, data.cutoff_log)
         else:
-            imputed = np.maximum(preds, data.cutoff_log)
-        y_work[censored] = imputed
-        new_model = fit_ridge_model(data.features, y_work, basis, delta, target,
-                                    residual_rows=uncensored)
+            y_work[censored] = np.maximum(preds, data.cutoff_log)
+        new_model = _ridge_model(phi, y_work, basis, factor, delta, target, uncensored)
         change = max(
             float(np.max(np.abs(new_model.weights - model.weights), initial=0.0)),
             abs(new_model.intercept - model.intercept),
@@ -414,6 +463,9 @@ def censored_fit(data: LabeledDataset, delta: float = DEFAULT_DELTA,
         model = new_model
         if change < tol:
             break
+    else:
+        log.debug("Schmee-Hahn stopped at max_iter=%d without converging: "
+                  "last change %.3g >= tol %.3g", max_iter, change, tol)
     return model
 
 

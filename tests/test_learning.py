@@ -1,9 +1,13 @@
+import logging
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special, stats
 
+from zfolio import learning
 from zfolio.learning import (
     BasisSpec,
     DimensionMismatch,
@@ -134,6 +138,103 @@ class TestRidgePredict:
             assert math.exp(model.predict(x)) > 0
 
 
+def reference_greedy_cv_select(C, y, folds, max_terms, delta, base=()):
+    """The per-candidate loop: one fresh solve per candidate per fold."""
+    n, m = C.shape
+    folds = min(folds, n)
+    means, scales = learning._standardize_columns(C)
+    Z = (C - means) / scales
+    yc = y - y.mean()
+    masks = []
+    for rows in learning._fold_indices(C, y, folds):
+        test = np.zeros(n, dtype=bool)
+        test[rows] = True
+        masks.append(test)
+    grams = [(Z[~t].T @ Z[~t], Z[~t].T @ yc[~t]) for t in masks]
+
+    def cv_rmse(cols):
+        idx = np.array(cols, dtype=int)
+        sq = 0.0
+        for (G, b), test in zip(grams, masks):
+            A = G[np.ix_(idx, idx)] + delta * np.eye(len(idx))
+            w = np.linalg.solve(A, b[idx])
+            resid = yc[test] - Z[np.ix_(test, idx)] @ w
+            sq += float(resid @ resid)
+        return math.sqrt(sq / n)
+
+    selected = []
+    current = math.sqrt(float(yc @ yc) / n) if not base else cv_rmse(base)
+    available = [j for j in range(m) if j not in base]
+    while len(selected) < max_terms and available:
+        best_j, best_rmse = None, current
+        for j in available:
+            r = cv_rmse(base + tuple(selected) + (j,))
+            if r < best_rmse - 1e-12:
+                best_j, best_rmse = j, r
+        if best_j is None:
+            break
+        selected.append(best_j)
+        available.remove(best_j)
+        current = best_rmse
+    return selected
+
+
+def random_design(rng, case):
+    """Random regression design; some cases add a near-collinear or constant column."""
+    n, m = int(rng.integers(10, 121)), int(rng.integers(3, 49))
+    X = rng.normal(size=(n, m))
+    if case == 1:
+        X[:, 1] = X[:, 0] + 1e-9 * rng.normal(size=n)
+    elif case == 2:
+        X[:, 2] = 0.1
+    elif case == 3:
+        X = np.round(X)  # few distinct values, many tied rows
+    w = rng.normal(size=m) * (rng.random(m) < 0.3)
+    y = X @ w + rng.choice([0.01, 0.5, 2.0]) * rng.normal(size=n) + 5 * rng.normal()
+    return X, y
+
+
+class TestBatchedSelection:
+    """The batched greedy step picks exactly what the per-candidate loop picks."""
+
+    def test_forward_select_and_select_basis_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for trial in range(48):
+            X, y = random_design(rng, trial % 4)
+            folds = (2, 5, 10)[trial % 3]
+            raw_terms = min(X.shape[1], 8)
+            got_fs = forward_select(X, y, folds=folds, max_terms=raw_terms)
+            got = select_basis(X, y, folds=folds, max_raw_terms=raw_terms,
+                               max_expanded_terms=12)
+            with monkeypatch.context() as mp_ctx:
+                mp_ctx.setattr(learning, "_greedy_cv_select", reference_greedy_cv_select)
+                want_fs = forward_select(X, y, folds=folds, max_terms=raw_terms)
+                want = select_basis(X, y, folds=folds, max_raw_terms=raw_terms,
+                                    max_expanded_terms=12)
+            assert got_fs == want_fs, trial
+            assert got.raw_indices == want.raw_indices, trial
+            assert got.product_pairs == want.product_pairs, trial
+
+    def test_pinned_base_matches_reference(self):
+        rng = np.random.default_rng(77)
+        for trial in range(24):
+            X, y = random_design(rng, trial % 4)
+            k = min(4, X.shape[1] - 1)
+            base = tuple(range(k))
+            folds = (2, 5, 10)[trial % 3]
+            got = learning._greedy_cv_select(X, y, folds, 6, 1e-3, base=base)
+            want = reference_greedy_cv_select(X, y, folds, 6, 1e-3, base=base)
+            assert got == want, trial
+
+    def test_constant_target_falls_back_to_column_zero(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(40, 6))
+        basis = select_basis(X, np.full(40, 3.0), folds=5, max_raw_terms=4,
+                             max_expanded_terms=6)
+        assert basis.raw_indices == [0]
+        assert basis.product_pairs == []
+
+
 class TestForwardSelect:
     def test_recovers_known_support(self):
         rng = np.random.default_rng(42)
@@ -211,6 +312,72 @@ class TestTruncatedNormalMean:
     def test_requires_positive_sigma(self):
         with pytest.raises(ValueError):
             truncated_normal_mean(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            truncated_normal_mean(np.zeros(3), np.array([1.0, -1.0, 1.0]), 0.0)
+
+    def test_scalar_call_returns_float(self):
+        got = truncated_normal_mean(0.0, 1.0, 0.0)
+        assert type(got) is float
+
+    def test_array_equals_elementwise_scalar_calls(self):
+        grid = [(mu, sigma, mu + a * sigma)
+                for mu in (-2.0, 0.0, 3.0)
+                for sigma in (0.5, 1.0, 2.0)
+                for a in (-5.0, -1.0, 0.0, 1.0, 4.0, 8.0)]
+        mus, sigmas, lowers = (np.array(col) for col in zip(*grid))
+        got = truncated_normal_mean(mus, sigmas, lowers)
+        assert isinstance(got, np.ndarray) and got.shape == (len(grid),)
+        for value, args in zip(got, grid):
+            assert abs(value - truncated_normal_mean(*args)) < 1e-12
+            assert abs(value - reference_truncated_normal_mean(*args)) < 1e-12
+
+    def test_far_below_mean_returns_mu_without_warning(self):
+        mus = np.array([1.0, -3.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert truncated_normal_mean(1.0, 1.0, 1.0 - 40.0) == 1.0
+            got = truncated_normal_mean(mus, 2.0, np.array([mus[0] - 80.0, 97.0, -np.inf]))
+        assert got[0] == mus[0] and got[2] == mus[2]
+        assert 97.0 < got[1] < 97.1
+
+
+def reference_truncated_normal_mean(mu, sigma, lower):
+    """The scalar form: scipy.stats pdf/sf below the mean, erfcx above."""
+    if lower == -np.inf:
+        return float(mu)
+    a = (lower - mu) / sigma
+    if a < 0:
+        lam = stats.norm.pdf(a) / stats.norm.sf(a)
+    else:
+        lam = math.sqrt(2 / math.pi) / special.erfcx(a / math.sqrt(2))
+    return max(float(mu + sigma * lam), float(lower))
+
+
+def reference_censored_fit(data, delta, basis, tol=1e-6, max_iter=50):
+    """Schmee-Hahn with one refit per iteration and one scalar call per censored row."""
+    censored = data.censored
+    y_work = data.targets.astype(float).copy()
+    model = fit_ridge_model(data.features, y_work, basis, delta,
+                            residual_rows=~censored)
+    phi_c = basis.expand_matrix(data.features[censored])
+    for _ in range(max_iter):
+        preds = model.intercept + phi_c @ model.weights
+        if model.sigma > 0:
+            imputed = np.array([
+                reference_truncated_normal_mean(p, model.sigma, data.cutoff_log)
+                for p in preds
+            ])
+        else:
+            imputed = np.maximum(preds, data.cutoff_log)
+        y_work[censored] = imputed
+        new_model = fit_ridge_model(data.features, y_work, basis, delta,
+                                    residual_rows=~censored)
+        change = max(float(np.max(np.abs(new_model.weights - model.weights))),
+                     abs(new_model.intercept - model.intercept))
+        model = new_model
+        if change < tol:
+            break
+    return model
 
 
 def synthetic_censored_dataset(rng, n=300, m=5, noise=0.5, censor_q=70):
@@ -256,6 +423,32 @@ class TestCensoredFit:
         data = LabeledDataset(X, np.full(3, 1.0), np.ones(3, dtype=bool), 1.0)
         with pytest.raises(NoUncensoredData):
             censored_fit(data)
+
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(55)
+        for censor_q in (30, 50, 70, 90, 97):
+            X, _, targets, censored, cutoff, _, _ = synthetic_censored_dataset(
+                rng, n=120, m=4, censor_q=censor_q)
+            basis = make_basis(X, [0, 1, 3], [(0, 1), (2, 2)])
+            data = LabeledDataset(X, targets, censored, cutoff)
+            got = censored_fit(data, 1e-3, basis)
+            want = reference_censored_fit(data, 1e-3, basis)
+            probe = rng.normal(size=(200, 4))
+            assert np.max(np.abs(got.predict_matrix(probe)
+                                 - want.predict_matrix(probe))) < 1e-9
+            assert abs(got.sigma - want.sigma) < 1e-9
+
+    def test_logs_when_max_iter_reached(self, caplog):
+        rng = np.random.default_rng(56)
+        X, _, targets, censored, cutoff, _, _ = synthetic_censored_dataset(rng, n=80)
+        data = LabeledDataset(X, targets, censored, cutoff)
+        caplog.set_level(logging.DEBUG, logger="zfolio.learning")
+        censored_fit(data, max_iter=2, tol=1e-15)
+        assert any("max_iter=2" in r.getMessage() and r.levelno == logging.DEBUG
+                   for r in caplog.records)
+        caplog.clear()
+        censored_fit(data)
+        assert not caplog.records
 
     def test_beats_naive_on_synthetic_lognormal(self):
         # 20 seeded replications; censored handling must win a clear majority
