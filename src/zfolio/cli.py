@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -34,13 +35,22 @@ def _instance_seed(seed: int, instance_id: str) -> int:
 
 
 def _extract_one(args):
+    """Features of one CNF file as (instance id, vector, error message).
+
+    A file that fails to parse or whose extraction raises yields an error
+    message instead of a vector, so one bad instance costs only itself.
+    """
     path, budget, seed = args
+    iid = Path(path).stem
     try:
         formula = read_dimacs_file(path)
     except DimacsError as exc:
-        return Path(path).stem, None, str(exc)
-    fv = features_mod.extract_all(formula, budget, _instance_seed(seed, Path(path).stem))
-    return Path(path).stem, fv, None
+        return iid, None, str(exc)
+    try:
+        fv = features_mod.extract_all(formula, budget, _instance_seed(seed, iid))
+    except Exception:
+        return iid, None, "feature extraction failed\n" + traceback.format_exc()
+    return iid, fv, None
 
 
 def cmd_features(args) -> int:
@@ -284,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--total-seconds", type=float, default=60.0)
     p.add_argument("--max-ls-steps", type=int, default=300_000)
     p.add_argument("--deterministic", action="store_true",
-                   help="gate probes by step counts only (reproducible)")
+                   help="end probe groups by step counts, not --per-probe-seconds "
+                        "(reproducible; --total-seconds still times out)")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("collect", help="run external solvers over CNF files")

@@ -259,23 +259,25 @@ def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
     """Run all feature groups under the total time budget.
 
     Probe groups run in the order SAPS, GSAT, DPLL after the static
-    features. When the total budget runs out between groups, the result has
-    timed_out=True and no values (callers then fall back to the backup
-    solver); the elapsed time is still recorded.
+    features. When the total budget runs out, between groups or inside one
+    (in deterministic mode too), the result has timed_out=True and no
+    values (callers then fall back to the backup solver); the elapsed time
+    is still recorded.
     """
     budget = budget or ProbeBudget()
     start = time.perf_counter()
+    deadline = start + budget.total_seconds
     rng = random.Random(seed)
     sub_seeds = [rng.randrange(2**32) for _ in range(3)]
 
     def out_of_time() -> bool:
-        return time.perf_counter() - start > budget.total_seconds
+        return time.perf_counter() > deadline
 
     values: dict[str, float] = base_features(formula)
     phases = (
-        lambda: saps_probe(formula, budget, sub_seeds[0]),
-        lambda: gsat_probe(formula, budget, sub_seeds[1]),
-        lambda: dpll_probe(formula, budget, sub_seeds[2]),
+        lambda: saps_probe(formula, budget, sub_seeds[0], deadline=deadline),
+        lambda: gsat_probe(formula, budget, sub_seeds[1], deadline=deadline),
+        lambda: dpll_probe(formula, budget, sub_seeds[2], deadline=deadline),
     )
     for phase in phases:
         if out_of_time():

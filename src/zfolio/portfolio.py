@@ -17,7 +17,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -837,17 +837,6 @@ def solve(portfolio: PortfolioConfig, instance, runner) -> SolveOutcome:
     return SolveOutcome("crash_exhausted", ranked[-1] if ranked else "", elapsed, trace)
 
 
-def _budget_to_doc(budget: ProbeBudget) -> dict:
-    return {
-        "per_probe_seconds": budget.per_probe_seconds,
-        "total_seconds": budget.total_seconds,
-        "max_ls_steps": budget.max_ls_steps,
-        "ls_runs": budget.ls_runs,
-        "dpll_runs": budget.dpll_runs,
-        "deterministic": budget.deterministic,
-    }
-
-
 def portfolio_to_doc(portfolio: PortfolioConfig) -> dict:
     models = {}
     for sid, model in portfolio.models.items():
@@ -860,7 +849,7 @@ def portfolio_to_doc(portfolio: PortfolioConfig) -> dict:
         "objective": portfolio.objective,
         "cutoff_seconds": portfolio.cutoff_seconds,
         "seed": portfolio.seed,
-        "feature_budget": _budget_to_doc(portfolio.feature_budget),
+        "feature_budget": asdict(portfolio.feature_budget),
         "presolvers": [
             {"solver_id": e.solver_id, "kind": e.kind, "cutoff": e.cutoff_seconds}
             for e in portfolio.presolvers.entries

@@ -29,8 +29,10 @@ class ProbeBudget:
 
     `per_probe_seconds` caps each probe group (DPLL, SAPS, GSAT) and
     `total_seconds` caps the whole extraction. `max_ls_steps` is shared by
-    the runs of one local-search group. In deterministic mode wall-clock
-    checks inside probe groups are skipped so extraction is reproducible.
+    the runs of one local-search group. In deterministic mode step counts
+    alone end each group and `per_probe_seconds` is not enforced, so the
+    values are reproducible; `total_seconds` still applies in both modes,
+    as a backstop that interrupts a group and times the extraction out.
     """
 
     per_probe_seconds: float = 1.0
@@ -80,6 +82,20 @@ class Assignment:
         return isinstance(other, Assignment) and self.states == other.states
 
 
+def _occurrence_lists(clauses, num_vars: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Per variable, the indices of the clauses it occurs in positively and
+    negatively; a duplicated literal lists its clause once per occurrence."""
+    pos_occ: list[list[int]] = [[] for _ in range(num_vars + 1)]
+    neg_occ: list[list[int]] = [[] for _ in range(num_vars + 1)]
+    for ci, clause in enumerate(clauses):
+        for lit in clause:
+            if lit > 0:
+                pos_occ[lit].append(ci)
+            else:
+                neg_occ[-lit].append(ci)
+    return pos_occ, neg_occ
+
+
 class PropagationEngine:
     """Counter-based unit propagation over a fixed formula.
 
@@ -91,15 +107,7 @@ class PropagationEngine:
     def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
         self.clauses = [list(c) for c in formula.clauses]
-        n = self.num_vars
-        self.pos_occ: list[list[int]] = [[] for _ in range(n + 1)]
-        self.neg_occ: list[list[int]] = [[] for _ in range(n + 1)]
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                if lit > 0:
-                    self.pos_occ[lit].append(ci)
-                else:
-                    self.neg_occ[-lit].append(ci)
+        self.pos_occ, self.neg_occ = _occurrence_lists(self.clauses, self.num_vars)
         self._initial_free = [len(c) for c in self.clauses]
         self.reset()
 
@@ -187,7 +195,8 @@ def unit_propagate(formula: CnfFormula, assignment: Assignment):
     return out, count, engine.conflict
 
 
-def dpll_probe(formula: CnfFormula, budget: ProbeBudget, seed: int) -> dict[str, float]:
+def dpll_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
+               deadline: float | None = None) -> dict[str, float]:
     """Randomized DPLL dives; features 34-40.
 
     Each probe assigns a uniformly random unassigned variable to a random
@@ -196,17 +205,22 @@ def dpll_probe(formula: CnfFormula, budget: ProbeBudget, seed: int) -> dict[str,
     probe first reaches decision depths 1, 4, 16, 64 and 256 (a probe ending
     earlier contributes its final count); 39 is the mean termination depth;
     40 averages log2 of the product of branching factors (2 per decision).
+
+    `deadline` is a `time.perf_counter()` value, such as the end of the
+    caller's total budget; once it has passed the probe stops at its next
+    check (here between dives), in deterministic mode too, and reports what
+    it measured so far.
     """
     rng = random.Random(seed)
     engine = PropagationEngine(formula)
-    start = time.perf_counter()
+    deadline = _group_deadline(budget, deadline)
 
     depth_counts = [[] for _ in DPLL_DEPTHS]
     end_depths: list[float] = []
     log_estimates: list[float] = []
 
     for _ in range(budget.dpll_runs):
-        if not budget.deterministic and time.perf_counter() - start > budget.per_probe_seconds:
+        if deadline is not None and time.perf_counter() > deadline:
             break
         engine.reset()
         props = engine.propagate()
@@ -293,45 +307,64 @@ class SapsParams:
 
 
 class _SlsState:
-    """Shared clause bookkeeping for the local-search probes."""
+    """Clause bookkeeping and flip-score cache shared by the local-search probes.
+
+    The occurrence lists and each clause's distinct variables are built once
+    per probe call. `score` caches one flip score per variable for the
+    current run and `stale` holds the variables whose cached score may be
+    out of date. A variable's score reads only its own value, the weights
+    of its clauses (`weights`, set by a SAPS run; None in a GSAT run) and
+    whether each clause's true count is 0 or 1. So `flip` marks the flipped
+    variable and the variables of each clause whose true count moves to or
+    from 0 or 1, and a SAPS run marks the variables of each clause whose
+    weight it changes. Stale scores are recomputed with `flip_delta` /
+    `weighted_flip_delta` before use, so a cached score equals a fresh one
+    bit for bit.
+    """
 
     def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
         self.clauses = [list(c) for c in formula.clauses]
-        n = self.num_vars
-        self.pos_occ: list[list[int]] = [[] for _ in range(n + 1)]
-        self.neg_occ: list[list[int]] = [[] for _ in range(n + 1)]
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                if lit > 0:
-                    self.pos_occ[lit].append(ci)
-                else:
-                    self.neg_occ[-lit].append(ci)
+        self.pos_occ, self.neg_occ = _occurrence_lists(self.clauses, self.num_vars)
+        self.clause_vars = [sorted({abs(lit) for lit in c}) for c in self.clauses]
 
     def random_init(self, rng: random.Random) -> None:
-        self.assign = [False] + [rng.random() < 0.5 for _ in range(self.num_vars)]
-        self.true_count = [0] * len(self.clauses)
-        for ci, clause in enumerate(self.clauses):
-            tc = 0
-            for lit in clause:
-                if (lit > 0) == self.assign[abs(lit)]:
-                    tc += 1
-            self.true_count[ci] = tc
-        self.unsat = {ci for ci, tc in enumerate(self.true_count) if tc == 0}
+        n = self.num_vars
+        self.assign = [False] + [rng.random() < 0.5 for _ in range(n)]
+        true_count = [0] * len(self.clauses)
+        for v in range(1, n + 1):
+            for ci in self.pos_occ[v] if self.assign[v] else self.neg_occ[v]:
+                true_count[ci] += 1
+        self.true_count = true_count
+        self.unsat = {ci for ci, tc in enumerate(true_count) if tc == 0}
+        self.score: list = [0] * (n + 1)
+        self.stale = set(range(1, n + 1))
+        self.weights: list[float] | None = None
 
     def flip(self, var: int) -> None:
         new_value = not self.assign[var]
         self.assign[var] = new_value
         sat_side = self.pos_occ[var] if new_value else self.neg_occ[var]
         false_side = self.neg_occ[var] if new_value else self.pos_occ[var]
+        true_count = self.true_count
+        unsat = self.unsat
+        stale = self.stale
+        clause_vars = self.clause_vars
         for ci in sat_side:
-            if self.true_count[ci] == 0:
-                self.unsat.discard(ci)
-            self.true_count[ci] += 1
+            tc = true_count[ci]
+            if tc == 0:
+                unsat.discard(ci)
+            if tc <= 1:
+                stale.update(clause_vars[ci])
+            true_count[ci] = tc + 1
         for ci in false_side:
-            self.true_count[ci] -= 1
-            if self.true_count[ci] == 0:
-                self.unsat.add(ci)
+            tc = true_count[ci] - 1
+            true_count[ci] = tc
+            if tc == 0:
+                unsat.add(ci)
+            if tc <= 1:
+                stale.update(clause_vars[ci])
+        stale.add(var)
 
     def flip_delta(self, var: int) -> int:
         """Change in unsatisfied-clause count if var were flipped."""
@@ -396,44 +429,65 @@ def _finish_run(init_unsat, best_unsat, best_step, lm_counts, first_lm_best):
     return _RunStats(init_unsat, best_unsat, best_step, frac, cv)
 
 
+def _pick_tied(values: list, best, rng: random.Random) -> int:
+    """Index of a uniformly drawn entry equal to `best`.
+
+    Makes the one draw that `ties[rng.randrange(len(ties))]` makes over the
+    tied entries in list order, without building the list of ties.
+    """
+    i = values.index(best)
+    for _ in range(rng.randrange(values.count(best))):
+        i = values.index(best, i + 1)
+    return i
+
+
 def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
               params: SapsParams, deadline) -> _RunStats | None:
     state.random_init(rng)
-    weights = [1.0] * len(state.clauses)
-    init_unsat = len(state.unsat)
+    weights = state.weights = [1.0] * len(state.clauses)
+    score = state.score
+    stale = state.stale
+    unsat = state.unsat
+    clause_vars = state.clause_vars
+    init_unsat = len(unsat)
     best_unsat = init_unsat
     best_step = 0
     lm_counts: list[int] = []
     first_lm_best = None
 
     for step in range(1, max_steps + 1):
-        if not state.unsat:
+        if not unsat:
             break
         if deadline is not None and step % 256 == 0 and time.perf_counter() > deadline:
             return None
-        cand = sorted({abs(lit) for ci in state.unsat for lit in state.clauses[ci]})
-        deltas = [state.weighted_flip_delta(v, weights) for v in cand]
+        cand = {v for ci in unsat for v in clause_vars[ci]}
+        for v in stale & cand:
+            score[v] = state.weighted_flip_delta(v, weights)
+        stale -= cand
+        cand = sorted(cand)
+        deltas = [score[v] for v in cand]
         best_delta = min(deltas)
         if best_delta < -1e-12:
-            choices = [v for v, d in zip(cand, deltas) if d == best_delta]
-            state.flip(choices[rng.randrange(len(choices))])
+            state.flip(cand[_pick_tied(deltas, best_delta, rng)])
         else:
             # local minimum under the current weights
-            lm_counts.append(len(state.unsat))
+            lm_counts.append(len(unsat))
             if first_lm_best is None:
                 first_lm_best = best_unsat
             if rng.random() < params.p_walk:
-                clause = state.clauses[rng.choice(tuple(state.unsat))]
+                clause = state.clauses[rng.choice(tuple(unsat))]
                 state.flip(abs(clause[rng.randrange(len(clause))]))
             else:
-                for ci in state.unsat:
+                for ci in unsat:
                     weights[ci] *= params.alpha
+                    stale.update(clause_vars[ci])
                 if rng.random() < params.p_smooth:
                     mean_w = sum(weights) / len(weights)
                     for ci in range(len(weights)):
                         weights[ci] = weights[ci] * params.rho + (1 - params.rho) * mean_w
-        if len(state.unsat) < best_unsat:
-            best_unsat = len(state.unsat)
+                    stale.update(range(1, state.num_vars + 1))
+        if len(unsat) < best_unsat:
+            best_unsat = len(unsat)
             best_step = step
     return _finish_run(init_unsat, best_unsat, best_step, lm_counts, first_lm_best)
 
@@ -442,7 +496,14 @@ GSAT_STALL_LIMIT = 100
 
 
 def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) -> _RunStats | None:
+    def rescore():
+        score = state.score
+        for v in state.stale:
+            score[v] = state.flip_delta(v)
+        state.stale.clear()
+
     state.random_init(rng)
+    rescore()
     init_unsat = len(state.unsat)
     best_unsat = init_unsat
     best_step = 0
@@ -457,20 +518,21 @@ def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) ->
             return None
         if stall >= GSAT_STALL_LIMIT:
             state.random_init(rng)
+            rescore()
             stall = 0
             if not state.unsat:
                 if len(state.unsat) < best_unsat:
                     best_unsat = 0
                     best_step = step
                 break
-        deltas = [state.flip_delta(v) for v in range(1, state.num_vars + 1)]
+        deltas = state.score[1:]
         best_delta = min(deltas)
         if best_delta >= 0:
             lm_counts.append(len(state.unsat))
             if first_lm_best is None:
                 first_lm_best = best_unsat
-        choices = [v + 1 for v, d in enumerate(deltas) if d == best_delta]
-        state.flip(choices[rng.randrange(len(choices))])
+        state.flip(_pick_tied(deltas, best_delta, rng) + 1)
+        rescore()
         if len(state.unsat) < best_unsat:
             best_unsat = len(state.unsat)
             best_step = step
@@ -480,31 +542,44 @@ def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) ->
     return _finish_run(init_unsat, best_unsat, best_step, lm_counts, first_lm_best)
 
 
-def _ls_runs(formula, budget, seed, run_fn) -> list[_RunStats]:
+def _group_deadline(budget: ProbeBudget, deadline: float | None) -> float | None:
+    """The earlier of the caller's deadline and, in wall-clock mode, the
+    end of this probe group's own `per_probe_seconds`."""
+    if budget.deterministic:
+        return deadline
+    own = time.perf_counter() + budget.per_probe_seconds
+    return own if deadline is None else min(deadline, own)
+
+
+def _ls_runs(formula, budget, seed, run_fn, deadline) -> list[_RunStats]:
     rng = random.Random(seed)
     state = _SlsState(formula)
     max_steps = max(1, budget.max_ls_steps // budget.ls_runs)
-    deadline = None
-    if not budget.deterministic:
-        deadline = time.perf_counter() + budget.per_probe_seconds
+    deadline = _group_deadline(budget, deadline)
     stats = []
     for _ in range(budget.ls_runs):
         if deadline is not None and time.perf_counter() > deadline:
             break
         run = run_fn(state, rng, max_steps, deadline)
-        if run is None:  # interrupted mid-run by the group deadline
+        if run is None:  # interrupted mid-run by the deadline
             break
         stats.append(run)
     return stats
 
 
 def saps_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
-               params: SapsParams | None = None) -> dict[str, float]:
-    """SAPS local-search probe; features 41-46 and 48."""
+               params: SapsParams | None = None,
+               deadline: float | None = None) -> dict[str, float]:
+    """SAPS local-search probe; features 41-46 and 48.
+
+    `deadline` (a `time.perf_counter()` value) stops the runs in either
+    mode, as `dpll_probe` describes.
+    """
     params = params or SapsParams()
     stats = _ls_runs(
         formula, budget, seed,
         lambda st, rng, steps, dl: _saps_run(st, rng, steps, params, dl),
+        deadline,
     )
     if not stats:
         return {
@@ -528,9 +603,10 @@ def saps_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
     }
 
 
-def gsat_probe(formula: CnfFormula, budget: ProbeBudget, seed: int) -> dict[str, float]:
-    """GSAT local-search probe; feature 47."""
-    stats = _ls_runs(formula, budget, seed, lambda st, rng, steps, dl: _gsat_run(st, rng, steps, dl))
+def gsat_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
+               deadline: float | None = None) -> dict[str, float]:
+    """GSAT local-search probe; feature 47. `deadline` as in `dpll_probe`."""
+    stats = _ls_runs(formula, budget, seed, _gsat_run, deadline)
     if not stats:
         return {"f47_gsat_first_lm_frac": 0.0}
     return {

@@ -28,3 +28,28 @@ def random_3cnf(num_vars: int, num_clauses: int, rng: random.Random) -> CnfFormu
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def mixed_cnf(num_vars: int, num_clauses: int, rng: random.Random) -> CnfFormula:
+    """Mixed 1/2/3-CNF with unit clauses, duplicate literals and tautologies."""
+
+    def lit(v):
+        return v if rng.random() < 0.5 else -v
+
+    clauses = []
+    for i in range(num_clauses):
+        kind = i % 10
+        if kind == 0:
+            clauses.append([lit(rng.randrange(1, num_vars + 1))])
+        elif kind == 1:
+            v, w = rng.sample(range(1, num_vars + 1), 2)
+            x = lit(v)
+            clauses.append([x, x, lit(w)])
+        elif kind == 2:
+            v, w = rng.sample(range(1, num_vars + 1), 2)
+            clauses.append([v, -v, lit(w)])
+        elif kind < 6:
+            clauses.append([lit(v) for v in rng.sample(range(1, num_vars + 1), 2)])
+        else:
+            clauses.append([lit(v) for v in rng.sample(range(1, num_vars + 1), 3)])
+    return CnfFormula(num_vars=num_vars, clauses=clauses)

@@ -48,6 +48,28 @@ def test_features_command(tmp_path, cnf_dir, monkeypatch):
         assert fv.values is not None and len(fv.values) == 48
 
 
+def test_features_command_skips_a_failing_instance(tmp_path, cnf_dir, monkeypatch, capsys):
+    monkeypatch.setenv("ZF_WORKERS", "1")
+    import zfolio.features as features_mod
+
+    real_probe = features_mod.saps_probe
+    failing = (cnf_dir / "inst2.cnf").read_text()
+
+    def probe(formula, *args, **kwargs):
+        if write_dimacs(formula) == failing:
+            raise RuntimeError("probe exploded")
+        return real_probe(formula, *args, **kwargs)
+
+    monkeypatch.setattr(features_mod, "saps_probe", probe)
+    out = tmp_path / "features.csv"
+    rc = main(["features", str(cnf_dir), "-o", str(out),
+               "--deterministic", "--max-ls-steps", "400", "--seed", "7"])
+    assert rc == 0
+    assert sorted(load_feature_csv(out)) == ["inst0", "inst1", "inst3", "inst4", "inst5"]
+    err = capsys.readouterr().err
+    assert "skipping inst2" in err and "RuntimeError: probe exploded" in err
+
+
 def test_collect_command(tmp_path, cnf_dir, monkeypatch):
     monkeypatch.setenv("ZF_WORKERS", "2")
     a = script_solver(tmp_path, "sat-solver", 'echo "s SATISFIABLE"\nexit 10\n')

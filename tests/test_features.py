@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +148,16 @@ class TestExtractAll:
         assert fv.timed_out is True
         assert fv.values is None
         assert fv.feature_time_seconds > 0
+
+    def test_total_budget_interrupts_a_deterministic_probe_group(self, rng):
+        # 2 000 000 local-search steps would take minutes; the 0.2 s total
+        # budget must stop SAPS inside its first run
+        budget = ProbeBudget(total_seconds=0.2, max_ls_steps=2_000_000, deterministic=True)
+        start = time.perf_counter()
+        fv = extract_all(random_3cnf(100, 600, rng), budget, seed=0)
+        assert time.perf_counter() - start < 5.0
+        assert fv.timed_out is True
+        assert fv.values is None
 
     def test_seed_determinism(self, rng):
         f = random_3cnf(18, 60, rng)

@@ -1,17 +1,30 @@
+import json
 import math
 import random
+import time
+from pathlib import Path
+
+import pytest
 
 from zfolio.cnf import CnfFormula
+from zfolio.features import extract_all
 from zfolio.probes import (
+    GSAT_STALL_LIMIT,
     Assignment,
     ProbeBudget,
+    PropagationEngine,
+    SapsParams,
+    _finish_run,
+    _gsat_run,
+    _saps_run,
+    _SlsState,
     dpll_probe,
     dpll_tree_size,
     gsat_probe,
     saps_probe,
     unit_propagate,
 )
-from conftest import random_3cnf
+from conftest import mixed_cnf, random_3cnf
 
 
 def make(num_vars, clauses):
@@ -164,3 +177,202 @@ class TestGsatProbe:
         f = random_3cnf(15, 60, rng)
         feats = gsat_probe(f, small_budget(), seed=4)
         assert 0.0 <= feats["f47_gsat_first_lm_frac"] <= 1.0
+
+
+class TestPassedDeadline:
+    @pytest.mark.parametrize("probe", [saps_probe, gsat_probe, dpll_probe])
+    def test_stops_the_group_in_deterministic_mode(self, probe, rng):
+        f = random_3cnf(30, 180, rng)
+        feats = probe(f, small_budget(), seed=3, deadline=time.perf_counter())
+        assert all(v == 0.0 for v in feats.values())
+
+
+def test_occurrence_lists_shared_by_both_engines():
+    f = make(3, [[1, 1, -2], [2, -2], [-3], [3, -1, 2]])
+    engine, sls = PropagationEngine(f), _SlsState(f)
+    assert engine.pos_occ == sls.pos_occ == [[], [0, 0], [1, 3], [3]]
+    assert engine.neg_occ == sls.neg_occ == [[], [3], [0, 1], [2]]
+    assert sls.clause_vars == [[1, 2], [2], [3], [1, 2, 3]]
+
+
+# -- flip-score cache ---------------------------------------------------
+#
+# The two loops below are the local-search runs as they were before the
+# score cache: every step rescores every candidate from scratch. They are
+# the reference the cached runs must reproduce exactly.
+
+def _saps_run_reference(state, rng, max_steps, params, deadline):
+    state.random_init(rng)
+    weights = [1.0] * len(state.clauses)
+    init_unsat = len(state.unsat)
+    best_unsat = init_unsat
+    best_step = 0
+    lm_counts = []
+    first_lm_best = None
+    for step in range(1, max_steps + 1):
+        if not state.unsat:
+            break
+        cand = sorted({abs(lit) for ci in state.unsat for lit in state.clauses[ci]})
+        deltas = [state.weighted_flip_delta(v, weights) for v in cand]
+        best_delta = min(deltas)
+        if best_delta < -1e-12:
+            choices = [v for v, d in zip(cand, deltas) if d == best_delta]
+            state.flip(choices[rng.randrange(len(choices))])
+        else:
+            lm_counts.append(len(state.unsat))
+            if first_lm_best is None:
+                first_lm_best = best_unsat
+            if rng.random() < params.p_walk:
+                clause = state.clauses[rng.choice(tuple(state.unsat))]
+                state.flip(abs(clause[rng.randrange(len(clause))]))
+            else:
+                for ci in state.unsat:
+                    weights[ci] *= params.alpha
+                if rng.random() < params.p_smooth:
+                    mean_w = sum(weights) / len(weights)
+                    for ci in range(len(weights)):
+                        weights[ci] = weights[ci] * params.rho + (1 - params.rho) * mean_w
+        if len(state.unsat) < best_unsat:
+            best_unsat = len(state.unsat)
+            best_step = step
+    return _finish_run(init_unsat, best_unsat, best_step, lm_counts, first_lm_best)
+
+
+def _gsat_run_reference(state, rng, max_steps, deadline):
+    state.random_init(rng)
+    init_unsat = len(state.unsat)
+    best_unsat = init_unsat
+    best_step = 0
+    lm_counts = []
+    first_lm_best = None
+    stall = 0
+    for step in range(1, max_steps + 1):
+        if not state.unsat:
+            break
+        if stall >= GSAT_STALL_LIMIT:
+            state.random_init(rng)
+            stall = 0
+            if not state.unsat:
+                if len(state.unsat) < best_unsat:
+                    best_unsat = 0
+                    best_step = step
+                break
+        deltas = [state.flip_delta(v) for v in range(1, state.num_vars + 1)]
+        best_delta = min(deltas)
+        if best_delta >= 0:
+            lm_counts.append(len(state.unsat))
+            if first_lm_best is None:
+                first_lm_best = best_unsat
+        choices = [v + 1 for v, d in enumerate(deltas) if d == best_delta]
+        state.flip(choices[rng.randrange(len(choices))])
+        if len(state.unsat) < best_unsat:
+            best_unsat = len(state.unsat)
+            best_step = step
+            stall = 0
+        else:
+            stall += 1
+    return _finish_run(init_unsat, best_unsat, best_step, lm_counts, first_lm_best)
+
+
+def _cache_formulas():
+    out = [
+        make(3, [[1, 1, 2], [1, -1], [-2], [2, 3], [-1, -3, 3], [-3, -3]]),
+        make(4, [[1], [-1], [2, -3], [3, 4, 4], [-4, 2, -2], [-2, -3, 1]]),
+    ]
+    for k in range(4):
+        rng = random.Random(100 + k)
+        out.append(random_3cnf(rng.randint(10, 40), rng.randint(30, 200), rng))
+        out.append(mixed_cnf(rng.randint(8, 30), rng.randint(20, 150), rng))
+    return out
+
+
+CACHE_FORMULAS = _cache_formulas()
+# the default parameters and one setting that walks and smooths often
+SAPS_SETTINGS = [SapsParams(), SapsParams(p_walk=0.3, p_smooth=0.5)]
+
+
+def _ls_trace(run, formula, seed, runs=5, steps=300):
+    """Per run: its stats, the final assignment and the next RNG draw."""
+    state = _SlsState(formula)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(runs):
+        stats = run(state, rng, steps)
+        out.append((stats, list(state.assign), rng.random()))
+    return out
+
+
+def _check_cache(state):
+    """Every score not marked stale equals a fresh recomputation."""
+    weights = state.weights
+    for v in range(1, state.num_vars + 1):
+        if v in state.stale:
+            continue
+        fresh = state.flip_delta(v) if weights is None else state.weighted_flip_delta(v, weights)
+        assert state.score[v] == fresh, v
+
+
+@pytest.fixture
+def checked_flips(monkeypatch):
+    """Check the score cache before and after every flip; counts the flips."""
+    flips = [0]
+    original = _SlsState.flip
+
+    def flip(self, var):
+        _check_cache(self)
+        original(self, var)
+        _check_cache(self)
+        flips[0] += 1
+
+    monkeypatch.setattr(_SlsState, "flip", flip)
+    return flips
+
+
+class TestScoreCache:
+    @pytest.mark.parametrize("fi", range(len(CACHE_FORMULAS)))
+    @pytest.mark.parametrize("params", SAPS_SETTINGS)
+    def test_saps_cache_matches_fresh_scores_and_reference(self, fi, params, checked_flips):
+        f = CACHE_FORMULAS[fi]
+        cached = _ls_trace(lambda st, rng, n: _saps_run(st, rng, n, params, None), f, seed=fi)
+        assert checked_flips[0] > 0
+        reference = _ls_trace(lambda st, rng, n: _saps_run_reference(st, rng, n, params, None),
+                              f, seed=fi)
+        assert cached == reference
+
+    @pytest.mark.parametrize("fi", range(len(CACHE_FORMULAS)))
+    def test_gsat_cache_matches_fresh_scores_and_reference(self, fi, checked_flips):
+        f = CACHE_FORMULAS[fi]
+        cached = _ls_trace(lambda st, rng, n: _gsat_run(st, rng, n, None), f, seed=fi)
+        assert checked_flips[0] > 0
+        reference = _ls_trace(lambda st, rng, n: _gsat_run_reference(st, rng, n, None),
+                              f, seed=fi)
+        assert cached == reference
+
+    def test_probes_match_reference_loops(self, monkeypatch):
+        f = random_3cnf(60, 300, random.Random(7))
+        budget = small_budget(max_ls_steps=2000, ls_runs=5)
+        cached = (saps_probe(f, budget, seed=4), gsat_probe(f, budget, seed=4))
+        monkeypatch.setattr("zfolio.probes._saps_run", _saps_run_reference)
+        monkeypatch.setattr("zfolio.probes._gsat_run", _gsat_run_reference)
+        assert (saps_probe(f, budget, seed=4), gsat_probe(f, budget, seed=4)) == cached
+
+
+# All 48 features of four formulas, recorded with the from-scratch probe
+# loops above; exact float equality, stored as float.hex().
+GOLDEN_PATH = Path(__file__).parent / "data" / "extract_all_golden.json"
+GOLDEN_BUDGET = ProbeBudget(max_ls_steps=3000, ls_runs=6, dpll_runs=8)
+GOLDEN_CASES = {
+    "random3_60": (lambda: random_3cnf(60, 256, random.Random(1)), 11),
+    "random3_40_unsat": (lambda: random_3cnf(40, 240, random.Random(2)), 12),
+    "mixed_50": (lambda: mixed_cnf(50, 160, random.Random(3)), 13),
+    "mixed_30_dense": (lambda: mixed_cnf(30, 150, random.Random(4)), 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_extract_all_matches_recorded_values(name):
+    expected = [float.fromhex(h) for h in json.loads(GOLDEN_PATH.read_text())[name]]
+    make_formula, seed = GOLDEN_CASES[name]
+    fv = extract_all(make_formula(), GOLDEN_BUDGET, seed)
+    assert fv.timed_out is False
+    assert fv.values.tolist() == expected
