@@ -12,7 +12,6 @@ import numpy as np
 from zfolio import (
     confusion_matrix,
     fit_ridge_model,
-    predict_hier,
     train_classifier,
     train_hierarchical,
 )
@@ -50,5 +49,5 @@ print(f"hierarchical model RMSE: {rmse(model.predict_matrix(X)):.3f}")
 
 x = np.array([2.5, 1.0])  # deep in the sat cluster
 print(f"\ngate on a clearly-sat point: {np.round(model.gate_probs(x), 3)}")
-print(f"mixture prediction: {predict_hier(model, x):.3f} "
+print(f"mixture prediction: {model.predict(x):.3f} "
       f"(experts predict {[round(m.predict(x), 3) for m in model.conditional_models]})")

@@ -23,7 +23,6 @@ from .hierarchy import (
     confusion_matrix,
     fit_gating,
     gate,
-    predict_hier,
     train_classifier,
     train_hierarchical,
 )
@@ -34,11 +33,7 @@ from .learning import (
     censored_fit,
     fit_ridge_model,
     forward_select,
-    load_model,
-    quadratic_expand,
     ridge_fit,
-    ridge_predict,
-    save_model,
     select_basis,
     truncated_normal_mean,
 )
@@ -73,7 +68,6 @@ from .scoring import (
     ScoreBreakdown,
     competition_score,
     independent_series_share,
-    instance_scores,
     score_labels,
     series_scores,
     speed_factor,

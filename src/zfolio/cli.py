@@ -154,8 +154,9 @@ def cmd_train(args) -> int:
     if args.split:
         with open(args.split) as fh:
             doc = json.load(fh)
-        train = [i for i in doc["train"] if i in set(kept)]
-        valid = [i for i in doc["validation"] if i in set(kept)]
+        kept_ids = set(kept)
+        train = [i for i in doc["train"] if i in kept_ids]
+        valid = [i for i in doc["validation"] if i in kept_ids]
     else:
         ratios = tuple(float(r) for r in args.ratios.split(","))
         train, valid, _ = evaluation.split_data(kept, ratios, args.seed)

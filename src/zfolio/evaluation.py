@@ -11,6 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .runtimes import RuntimeMatrix
 from .scoring import PurseConfig, ScoreBreakdown, ScoreContext, SeriesMap, competition_score
 
@@ -45,13 +47,11 @@ def split_data(instance_ids, ratios=(0.4, 0.3, 0.3), seed: int = 0):
 def drop_unsolvable(matrix: RuntimeMatrix):
     """Instances solved by no solver are removed from consideration.
 
-    Returns (kept instance ids, retained fraction).
+    Returns (kept instance ids, retained fraction). A cell without a
+    record counts as unsolved.
     """
-    kept = [
-        iid
-        for iid in matrix.instances
-        if any(matrix.solved(s, iid) for s in matrix.solvers)
-    ]
+    runs = matrix.dense()
+    kept = [iid for iid, ok in zip(runs.instances, runs.solved.any(axis=0).tolist()) if ok]
     fraction = len(kept) / len(matrix.instances) if matrix.instances else 0.0
     return kept, fraction
 
@@ -115,35 +115,28 @@ def evaluate(matrix: RuntimeMatrix, purse: PurseConfig | None = None,
     """Per-solver average runtime, percent solved, score and CDF, plus the
     oracle over the same solver subset."""
     solvers = list(solvers) if solvers is not None else matrix.solvers
-    instances = matrix.instances
+    # sorted rows: scores then sum across solvers in the same order whatever
+    # order `solvers` comes in
+    runs = matrix.dense().block(solver_ids=sorted(set(solvers)))
+    instances = runs.instances
     n = len(instances)
     cutoff = matrix.cutoff_seconds
+    oracle_solved = runs.solved.any(axis=0)
+    oracle_time = np.where(runs.solved, runs.runtime, np.inf).min(axis=0, initial=np.inf)
 
     scores = {}
     oracle_score = None
     if purse is not None and series is not None:
-        sub = matrix.restrict(solvers=solvers)
-        scores = competition_score(sub, purse, series)
-        ctx = ScoreContext(sub, purse, series)
-        oracle_solved = {}
-        oracle_runtime = {}
-        for iid in instances:
-            times = [matrix.runtime(s, iid) for s in solvers if matrix.solved(s, iid)]
-            oracle_solved[iid] = bool(times)
-            oracle_runtime[iid] = min(times) if times else cutoff
-        oracle_score = ctx.virtual_total(oracle_solved, oracle_runtime)
+        scores = competition_score(runs, purse, series)
+        oracle_score = ScoreContext(runs, purse, series).virtual_total(
+            dict(zip(instances, oracle_solved.tolist())),
+            dict(zip(instances, np.where(oracle_solved, oracle_time, cutoff).tolist())),
+        )
 
     rows = []
     for s in solvers:
-        solved_times = [
-            matrix.runtime(s, iid) for iid in instances if matrix.solved(s, iid)
-        ]
-        rows.append(_summary(s, solved_times, n, cutoff, scores.get(s)))
-
-    oracle_times = []
-    for iid in instances:
-        times = [matrix.runtime(s, iid) for s in solvers if matrix.solved(s, iid)]
-        if times:
-            oracle_times.append(min(times))
-    oracle = _summary("oracle", oracle_times, n, cutoff, oracle_score)
+        k = runs.solver_index[s]
+        rows.append(_summary(s, runs.runtime[k][runs.solved[k]].tolist(), n, cutoff,
+                             scores.get(s)))
+    oracle = _summary("oracle", oracle_time[oracle_solved].tolist(), n, cutoff, oracle_score)
     return EvaluationReport(cutoff, rows, oracle)

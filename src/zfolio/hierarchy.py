@@ -10,7 +10,6 @@ satisfiable/unsatisfiable split and for the general K-class form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,18 +59,19 @@ class ClassifierModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return (X - self.means) / self.scales
 
-    def predict_proba_matrix(self, X) -> np.ndarray:
+    def gate_inputs(self, X) -> np.ndarray:
+        """The gate's input rows [standardized x, class probabilities]."""
         Z = self.standardize(X)
+        return np.hstack([Z, self._proba(Z)])
+
+    def predict_proba_matrix(self, X) -> np.ndarray:
+        return self._proba(self.standardize(X))
+
+    def _proba(self, Z: np.ndarray) -> np.ndarray:
         ones = np.ones((Z.shape[0], 1))
         scores = np.hstack([ones, Z]) @ self.weights.T
         scores = np.hstack([scores, np.zeros((Z.shape[0], 1))])
         return _softmax_rows(scores)
-
-    def predict_proba(self, x) -> np.ndarray:
-        return self.predict_proba_matrix(np.asarray(x)[None, :])[0]
-
-    def predict(self, x) -> str:
-        return self.classes[int(np.argmax(self.predict_proba(x)))]
 
 
 def train_classifier(features: np.ndarray, class_labels, penalty: float = 1e-2) -> ClassifierModel:
@@ -127,20 +127,13 @@ def gate(v: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     logistic of v . [x; s]; a zero score gives exactly 0.5. For K > 2 the
     last class is pinned to zero scores for identifiability.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    s = np.asarray(s, dtype=float).ravel()
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = v[None, :]
-    aug = np.concatenate([x, s])
+    aug = np.concatenate([np.ravel(x), np.ravel(s)]).astype(float)
+    v = np.atleast_2d(np.asarray(v, dtype=float))
     if v.shape[1] != aug.shape[0]:
         raise DimensionMismatch(
             f"gating weights expect input of length {v.shape[1]}, got {aug.shape[0]}"
         )
-    scores = np.concatenate([v @ aug, [0.0]])
-    z = scores - scores.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return _gate_matrix(v, aug[None, :])[0]
 
 
 def _gate_matrix(v: np.ndarray, aug: np.ndarray) -> np.ndarray:
@@ -174,8 +167,7 @@ def fit_gating(conditional_models, classifier: ClassifierModel,
     n = X.shape[0]
     k = len(conditional_models)
     E = np.column_stack([m.predict_matrix(X) for m in conditional_models])
-    S = classifier.predict_proba_matrix(X)
-    aug = np.hstack([classifier.standardize(X), S])
+    aug = classifier.gate_inputs(X)
     p = aug.shape[1]
 
     # initialization: zero on the feature part, a positive pull toward the
@@ -211,19 +203,6 @@ def fit_gating(conditional_models, classifier: ClassifierModel,
     return best_v
 
 
-def gating_loss(v, conditional_models, classifier, features, targets) -> float:
-    """Squared-error loss of the gated mixture; exposed for testing."""
-    X = np.asarray(features, dtype=float)
-    E = np.column_stack([m.predict_matrix(X) for m in conditional_models])
-    S = classifier.predict_proba_matrix(X)
-    aug = np.hstack([classifier.standardize(X), S])
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        v = v[None, :]
-    loss, _ = _gating_loss_grad(v, aug, E, np.asarray(targets, dtype=float))
-    return loss
-
-
 @dataclass
 class HierarchicalModel:
     """Gated mixture of per-class ridge models over shared raw features."""
@@ -234,9 +213,7 @@ class HierarchicalModel:
     gating_weights: np.ndarray
 
     def __post_init__(self):
-        self.gating_weights = np.asarray(self.gating_weights, dtype=float)
-        if self.gating_weights.ndim == 1:
-            self.gating_weights = self.gating_weights[None, :]
+        self.gating_weights = np.atleast_2d(np.asarray(self.gating_weights, dtype=float))
         if len(self.conditional_models) != len(self.classes):
             raise DimensionMismatch("one conditional model per class required")
         targets = {m.target for m in self.conditional_models}
@@ -244,44 +221,43 @@ class HierarchicalModel:
             raise ValueError("conditional models must share a target type")
         if self.classes != self.classifier.classes:
             raise ValueError("class order must match the classifier")
+        k, width = len(self.classes), self.classifier.num_features + len(self.classes)
+        if self.gating_weights.shape != (k - 1, width):
+            raise DimensionMismatch(
+                f"gating weights of shape {self.gating_weights.shape}, expected "
+                f"{(k - 1, width)} for {k} classes"
+            )
 
     @property
     def target(self) -> str:
         return self.conditional_models[0].target
 
     def gate_probs(self, x) -> np.ndarray:
-        s = self.classifier.predict_proba(x)
-        xs = self.classifier.standardize(np.asarray(x)[None, :])[0]
-        return gate(self.gating_weights, xs, s)
+        return self._gate_probs_matrix(np.asarray(x, dtype=float)[None, :])[0]
 
     def predict(self, x) -> float:
-        g = self.gate_probs(x)
-        preds = np.array([m.predict(x) for m in self.conditional_models])
-        return float(g @ preds)
+        """Expected target under the gated mixture; a convex combination of
+        the conditional predictions."""
+        return float(self.predict_matrix(np.asarray(x, dtype=float)[None, :])[0])
+
+    def _gate_probs_matrix(self, X: np.ndarray) -> np.ndarray:
+        return _gate_matrix(self.gating_weights, self.classifier.gate_inputs(X))
 
     def predict_matrix(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        S = self.classifier.predict_proba_matrix(X)
-        aug = np.hstack([self.classifier.standardize(X), S])
-        G = _gate_matrix(self.gating_weights, aug)
         E = np.column_stack([m.predict_matrix(X) for m in self.conditional_models])
-        return (G * E).sum(axis=1)
-
-
-def predict_hier(model: HierarchicalModel, x) -> float:
-    """Expected target under the gated mixture; a convex combination of
-    the conditional predictions."""
-    return model.predict(x)
+        return (self._gate_probs_matrix(X) * E).sum(axis=1)
 
 
 def train_hierarchical(features, targets, class_labels, fit_conditional,
                        classifier: ClassifierModel | None = None,
-                       penalty: float = 1e-2) -> HierarchicalModel:
-    """Train conditional models per class and fit the gate on all rows.
+                       penalty: float = 1e-2, gate_rows=None) -> HierarchicalModel:
+    """Train conditional models per class and fit the gate.
 
     `fit_conditional(rows)` must return a RidgeModel trained on that row
-    subset; rows with too little data for a class fall back to a model
-    trained on all rows.
+    subset; a class with fewer than two rows gets `fit_conditional` of all
+    rows. The gate is fit on the rows `gate_rows` indexes (all by default),
+    e.g. only those whose target was observed.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -294,6 +270,8 @@ def train_hierarchical(features, targets, class_labels, fit_conditional,
         if rows.size < 2:
             rows = np.arange(X.shape[0])
         conditionals.append(fit_conditional(rows))
+    if gate_rows is not None:
+        X, y = X[gate_rows], y[gate_rows]
     v = fit_gating(conditionals, classifier, X, y)
     return HierarchicalModel(list(classifier.classes), conditionals, classifier, v)
 
@@ -347,13 +325,3 @@ def hier_from_doc(doc: dict) -> HierarchicalModel:
         list(doc["classes"]), conditionals, classifier,
         np.array(doc["gating_weights"], dtype=float),
     )
-
-
-def save_hierarchical(model: HierarchicalModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(hier_to_doc(model), fh, indent=1)
-
-
-def load_hierarchical(path) -> HierarchicalModel:
-    with open(path) as fh:
-        return hier_from_doc(json.load(fh))

@@ -18,7 +18,6 @@ only for the new targets.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -82,6 +81,10 @@ class BasisSpec:
             raise ValueError("normalization length must equal basis dimension")
         if np.any(self.scales <= 0):
             raise ValueError("scales must be positive")
+        # raw features a row must have; pairs have j <= k
+        self._width = 1 + max([*self.raw_indices, *(k for _, k in pairs)], default=-1)
+        self._columns = np.array([*self.raw_indices, *(j for j, _ in pairs)], dtype=int)
+        self._factors = np.array(pairs, dtype=int).reshape(-1, 2)[:, 1]
 
     @property
     def dim(self) -> int:
@@ -94,29 +97,15 @@ class BasisSpec:
 
     def expand_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        cols = [X[:, i] for i in self.raw_indices]
-        cols += [X[:, j] * X[:, k] for j, k in self.product_pairs]
-        if not cols:
-            return np.zeros((X.shape[0], 0))
-        phi = np.column_stack(cols)
+        if X.ndim != 2 or X.shape[1] < self._width:
+            raise DimensionMismatch(
+                f"raw rows of shape {X.shape[1:]} do not fit a basis over "
+                f"{self._width} raw features"
+            )
+        # raw columns, then the first factor of each product times the second
+        phi = X.take(self._columns, axis=1)
+        phi[:, len(self.raw_indices):] *= X.take(self._factors, axis=1)
         return (phi - self.means) / self.scales
-
-
-def quadratic_expand(x, basis: BasisSpec) -> np.ndarray:
-    """Expand one raw feature vector through the basis."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatch("expected a 1-d raw feature vector")
-    needed = max(
-        [i + 1 for i in basis.raw_indices]
-        + [k + 1 for _, k in basis.product_pairs]
-        + [0]
-    )
-    if x.shape[0] < needed:
-        raise DimensionMismatch(
-            f"raw vector of length {x.shape[0]} too short for basis (needs {needed})"
-        )
-    return basis.expand_matrix(x[None, :])[0]
 
 
 def full_product_pairs(m: int) -> list[tuple[int, int]]:
@@ -178,16 +167,10 @@ class RidgeModel:
             raise ValueError(f"unknown target {self.target!r}")
 
     def predict(self, x) -> float:
-        return float(self.intercept + quadratic_expand(x, self.basis) @ self.weights)
+        return float(self.predict_matrix(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict_matrix(self, X) -> np.ndarray:
         return self.intercept + self.basis.expand_matrix(X) @ self.weights
-
-
-def ridge_predict(model: RidgeModel, x):
-    """Point prediction plus the predictive normal (mean, sigma)."""
-    mean = model.predict(x)
-    return mean, model.sigma
 
 
 @dataclass
@@ -501,13 +484,3 @@ def model_from_doc(doc: dict) -> RidgeModel:
         raise DimensionMismatch("weight length disagrees with basis dimension")
     return RidgeModel(basis, weights, float(doc["delta"]), float(doc["sigma"]),
                       doc["target"], float(doc["intercept"]))
-
-
-def save_model(model: RidgeModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_doc(model), fh, indent=1)
-
-
-def load_model(path) -> RidgeModel:
-    with open(path) as fh:
-        return model_from_doc(json.load(fh))

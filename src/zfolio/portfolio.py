@@ -13,6 +13,7 @@ run the predicted best, moving to the next best if a solver crashes.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .features import FeatureVector
+from .features import FEATURE_NAMES, FeatureVector
 from .hierarchy import (
     HierarchicalModel,
     hier_from_doc,
@@ -41,7 +42,14 @@ from .learning import (
     select_basis,
 )
 from .probes import ProbeBudget
-from .runtimes import RunRecord, RuntimeMatrix, SolverDescriptor
+from .runtimes import (
+    STATUS_CODES,
+    STATUSES,
+    DenseRuns,
+    RunRecord,
+    RuntimeMatrix,
+    SolverDescriptor,
+)
 from .scoring import (
     PurseConfig,
     ScoreContext,
@@ -121,17 +129,11 @@ def select_presolver_candidates(matrix: RuntimeMatrix, descriptors,
     """
     purse = purse or PurseConfig()
     series = series or singleton_series(matrix.instances)
-    capped = RuntimeMatrix(cap)
-    for sid in matrix.solvers:
-        for iid in matrix.instances:
-            rec = matrix.get(sid, iid)
-            if rec.solved and rec.runtime_seconds <= cap:
-                capped.add(RunRecord(sid, iid, rec.runtime_seconds, rec.status))
-            else:
-                capped.add(RunRecord(sid, iid, cap, "timeout"))
-    capped_purse = PurseConfig(
-        purse.solution_purse, purse.speed_purse, purse.series_purse, time_limit=cap
-    )
+    runs = matrix.dense().block()
+    within = runs.solved & (runs.runtime <= cap)
+    capped = DenseRuns(runs.solvers, runs.instances, np.where(within, runs.runtime, cap),
+                       np.where(within, runs.status, STATUS_CODES["timeout"]))
+    capped_purse = dataclasses.replace(purse, time_limit=cap)
     totals = competition_score(capped, capped_purse, series)
     kinds = {d.id: d.kind for d in descriptors}
     out = {}
@@ -187,6 +189,12 @@ class PortfolioConfig:
                 raise ValueError(f"subset member {sid!r} has no model")
         if self.backup_solver not in self.descriptors:
             raise ValueError("backup solver must come from the candidate set")
+        unknown = sorted(
+            {*self.subset, *(e.solver_id for e in self.presolvers.entries)}
+            - set(self.descriptors)
+        )
+        if unknown:
+            raise ValueError(f"solvers {unknown} have no descriptor")
         self.subset = sorted(self.subset)
 
 
@@ -198,12 +206,29 @@ class SolveOutcome:
     trace: list[dict] = field(default_factory=list)
 
 
-def _prediction(model, values: np.ndarray) -> float:
-    return float(model.predict(values))
+def simulate_presolving(runs: DenseRuns, schedule: PresolverSchedule, cutoff: float):
+    """Replays the schedule's active pre-solvers on every instance of `runs`.
 
-
-def _prediction_matrix(model, X: np.ndarray) -> np.ndarray:
-    return np.asarray(model.predict_matrix(X), dtype=float)
+    Entries run in order, each up to its own cutoff and within the instance
+    cutoff. Returns per instance: whether a pre-solver solved it, the time
+    it finished, that pre-solver's id (None if unsolved) and the time spent
+    on instances left unsolved.
+    """
+    n = len(runs.instances)
+    solved = np.zeros(n, dtype=bool)
+    finish = np.zeros(n)
+    solver = np.full(n, None, dtype=object)
+    elapsed = np.zeros(n)
+    for entry in schedule.active():
+        row = runs.solver_index[entry.solver_id]
+        rt = runs.runtime[row]
+        end = elapsed + rt
+        win = ~solved & runs.solved[row] & (rt <= entry.cutoff_seconds) & (end <= cutoff)
+        finish[win] = end[win]
+        solver[win] = entry.solver_id
+        solved |= win
+        elapsed[~solved] += entry.cutoff_seconds
+    return solved, finish, solver, elapsed
 
 
 class PortfolioSimulator:
@@ -225,60 +250,35 @@ class PortfolioSimulator:
         self.backup = backup
         self.schedule = schedule
         n = len(self.ids)
-
-        self.runtime = {}
-        self.solved_flag = {}
-        self.crashed = {}
-        for sid in matrix.solvers:
-            self.runtime[sid] = np.array([matrix.runtime(sid, i) for i in self.ids])
-            self.solved_flag[sid] = np.array([matrix.solved(sid, i) for i in self.ids])
-            self.crashed[sid] = np.array(
-                [matrix.get(sid, i).status == "crash" for i in self.ids]
-            )
-        self.status = {
-            sid: [matrix.get(sid, i).status for i in self.ids] for sid in matrix.solvers
-        }
+        self.runs = matrix.dense().block(instance_ids=self.ids)
+        self.crashed = self.runs.status == STATUS_CODES["crash"]
 
         self.feature_ok = np.zeros(n, dtype=bool)
         self.feature_time = np.zeros(n)
+        missing = np.full(len(FEATURE_NAMES), np.nan)
         rows = []
         for j, iid in enumerate(self.ids):
             fv = features.get(iid)
             if fv is None:
-                rows.append(np.full(48, np.nan))
+                rows.append(missing)
                 continue
             self.feature_time[j] = fv.feature_time_seconds
             if fv.values is not None and not fv.timed_out:
                 self.feature_ok[j] = True
                 rows.append(fv.values)
             else:
-                rows.append(np.full(48, np.nan))
-        self.X = np.vstack(rows) if rows else np.zeros((0, 48))
+                rows.append(missing)
+        self.X = np.vstack(rows) if rows else np.zeros((0, len(FEATURE_NAMES)))
 
-        # pre-solving: time accrues entry by entry for unsolved instances
-        pre_solved = np.zeros(n, dtype=bool)
-        pre_time = np.zeros(n)
-        pre_solver = np.full(n, None, dtype=object)
-        elapsed = np.zeros(n)
-        for entry in schedule.active():
-            rt = self.runtime[entry.solver_id]
-            ok = self.solved_flag[entry.solver_id]
-            win = (~pre_solved) & ok & (rt <= entry.cutoff_seconds) & (elapsed + rt <= cutoff)
-            pre_time[win] = (elapsed + rt)[win]
-            pre_solver[win] = entry.solver_id
-            pre_solved |= win
-            elapsed[~pre_solved] += entry.cutoff_seconds
-        self.pre_solved = pre_solved
-        self.pre_time = pre_time
-        self.pre_solver = pre_solver
-        self.pre_elapsed = elapsed
+        (self.pre_solved, self.pre_time, self.pre_solver,
+         self.pre_elapsed) = simulate_presolving(self.runs, schedule, cutoff)
 
         self.predictions = {}
         ok = self.feature_ok
         for sid, model in models.items():
             col = np.full(n, np.nan)
             if ok.any():
-                col[ok] = _prediction_matrix(model, self.X[ok])
+                col[ok] = model.predict_matrix(self.X[ok])
             self.predictions[sid] = col
 
         self.score_ctx = None
@@ -286,9 +286,7 @@ class PortfolioSimulator:
             if purse is None:
                 raise ValueError("score objective needs a purse configuration")
             series = series or singleton_series(self.ids)
-            self.score_ctx = ScoreContext(
-                matrix.restrict(instances=self.ids), purse, series
-            )
+            self.score_ctx = ScoreContext(self.runs, purse, series)
 
     def simulate(self, subset):
         """Returns (solved mask, total time, chosen (kind, solver) pairs)."""
@@ -301,10 +299,11 @@ class PortfolioSimulator:
         remaining = ~solved
         elapsed = self.pre_elapsed + self.feature_time
 
+        runs = self.runs
         backup_rows = remaining & ~self.feature_ok
         if backup_rows.any():
-            rt = self.runtime[self.backup]
-            ok = self.solved_flag[self.backup]
+            rt = runs.runtime[runs.solver_index[self.backup]]
+            ok = runs.solved[runs.solver_index[self.backup]]
             win = backup_rows & ok & (elapsed + rt <= self.cutoff)
             total[win] = (elapsed + rt)[win]
             solved |= win
@@ -318,9 +317,10 @@ class PortfolioSimulator:
             order = np.argsort(key, axis=1, kind="stable")
             active = model_rows.copy()
             el = elapsed.copy()
-            rt_cols = np.column_stack([self.runtime[sid] for sid in subset])
-            ok_cols = np.column_stack([self.solved_flag[sid] for sid in subset])
-            crash_cols = np.column_stack([self.crashed[sid] for sid in subset])
+            members = [runs.solver_index[sid] for sid in subset]
+            rt_cols = runs.runtime[members].T
+            ok_cols = runs.solved[members].T
+            crash_cols = self.crashed[members].T
             idx = np.arange(n)
             sid_arr = np.array(subset, dtype=object)
             for rank in range(len(subset)):
@@ -359,7 +359,8 @@ class PortfolioSimulator:
         for j, iid in enumerate(self.ids):
             if solved[j]:
                 _, sid = chosen[j]
-                out[iid] = RunRecord(solver_id, iid, float(total[j]), self.status[sid][j])
+                status = STATUSES[self.runs.status[self.runs.solver_index[sid], j]]
+                out[iid] = RunRecord(solver_id, iid, float(total[j]), status)
             else:
                 out[iid] = RunRecord(solver_id, iid, self.cutoff, "timeout")
         return out
@@ -448,21 +449,6 @@ def subset_search_local(solver_ids, simulator: PortfolioSimulator, seed: int = 0
     return sorted(best_subset), best_perf
 
 
-def _presolve_solved_ids(matrix: RuntimeMatrix, instance_ids, schedule: PresolverSchedule,
-                         cutoff: float) -> set[str]:
-    solved = set()
-    for iid in instance_ids:
-        elapsed = 0.0
-        for entry in schedule.active():
-            rec = matrix.get(entry.solver_id, iid)
-            if rec.solved and rec.runtime_seconds <= entry.cutoff_seconds \
-                    and elapsed + rec.runtime_seconds <= cutoff:
-                solved.add(iid)
-                break
-            elapsed += entry.cutoff_seconds
-    return solved
-
-
 def choose_backup(matrix: RuntimeMatrix, schedule: PresolverSchedule,
                   feature_timed_out: dict[str, bool], objective: str,
                   candidate_ids, cutoff: float,
@@ -474,28 +460,21 @@ def choose_backup(matrix: RuntimeMatrix, schedule: PresolverSchedule,
     over the whole validation set is used.
     """
     candidate_ids = sorted(candidate_ids)
-    pre_solved = _presolve_solved_ids(matrix, matrix.instances, schedule, cutoff)
+    runs = matrix.dense().block()
+    pre_solved = simulate_presolving(runs, schedule, cutoff)[0]
     pool = [
-        iid for iid in matrix.instances
-        if iid not in pre_solved and feature_timed_out.get(iid, True)
-    ]
-    if not pool:
-        pool = matrix.instances
+        iid for iid, done in zip(runs.instances, pre_solved.tolist())
+        if not done and feature_timed_out.get(iid, True)
+    ] or runs.instances
+    pool_runs = runs.block(candidate_ids, pool)
 
     if objective == OBJECTIVE_SCORE and purse is not None:
-        sub = matrix.restrict(instances=pool, solvers=candidate_ids)
-        series = series or singleton_series(pool)
-        totals = competition_score(sub, purse, {i: series[i] for i in pool})
+        totals = competition_score(pool_runs, purse, series or singleton_series(pool))
         return min(candidate_ids, key=lambda sid: (-totals[sid].total, sid))
 
-    def avg_runtime(sid):
-        times = [
-            matrix.runtime(sid, iid) if matrix.solved(sid, iid) else cutoff
-            for iid in pool
-        ]
-        return sum(times) / len(times)
-
-    return min(candidate_ids, key=lambda sid: (avg_runtime(sid), sid))
+    times = np.where(pool_runs.solved, pool_runs.runtime, cutoff).tolist()
+    avg_runtime = {sid: sum(row) / len(pool) for sid, row in zip(candidate_ids, times)}
+    return min(candidate_ids, key=lambda sid: (avg_runtime[sid], sid))
 
 
 @dataclass
@@ -532,7 +511,7 @@ class _ModelTrainer:
     """
 
     def __init__(self, matrix, features, settings, purse, series,
-                 sat_labels, category_labels, classifier):
+                 sat_labels, category_labels, classifier_rows):
         self.matrix = matrix
         self.features = features
         self.settings = settings
@@ -540,7 +519,13 @@ class _ModelTrainer:
         self.series = series
         self.sat_labels = sat_labels
         self.category_labels = category_labels
-        self.classifier = classifier
+        self.classifier = None
+        if settings.hierarchy != "none":
+            self.classifier = train_classifier(
+                np.vstack([features[iid].values for iid in classifier_rows]),
+                [self.hierarchy_label(iid) for iid in classifier_rows],
+                settings.classifier_penalty,
+            )
         self.cutoff_log = float(np.log(matrix.cutoff_seconds))
         self._cache: dict[tuple, object] = {}
         self._score_label_cache: dict[str, dict[str, float]] = {}
@@ -608,33 +593,22 @@ class _ModelTrainer:
             return fit_ridge_model(Xs, ys, basis, s.delta, target)
 
         everything = np.arange(len(rows))
-        if s.hierarchy == "none" or self.classifier is None:
+        if self.classifier is None:
             return fit_flat(everything)
-
-        labels = [self.hierarchy_label(iid) for iid in rows]
-        # the gate is fit against observed targets, so censored rows are
-        # dropped from it when a true runtime is unknown
-        gate_rows = everything if not censored.any() else np.flatnonzero(~censored)
-        if gate_rows.size < s.min_training_rows:
-            gate_rows = everything
 
         def fit_conditional(sub_rows):
             if len(sub_rows) < s.min_training_rows or not (~censored[sub_rows]).any():
                 return fit_flat(everything)
             return fit_flat(np.asarray(sub_rows))
 
-        label_arr = np.asarray(labels)
-        conditionals = []
-        for cls in self.classifier.classes:
-            cls_rows = np.flatnonzero(label_arr == cls)
-            conditionals.append(fit_conditional(cls_rows))
-        from .hierarchy import fit_gating
-
-        v = fit_gating(
-            conditionals, self.classifier, X[gate_rows], y[gate_rows]
-        )
-        return HierarchicalModel(
-            list(self.classifier.classes), conditionals, self.classifier, v
+        # the gate is fit against observed targets, so censored rows are
+        # dropped from it when a true runtime is unknown
+        gate_rows = np.flatnonzero(~censored)
+        if gate_rows.size < s.min_training_rows:
+            gate_rows = everything
+        return train_hierarchical(
+            X, y, [self.hierarchy_label(iid) for iid in rows], fit_conditional,
+            self.classifier, gate_rows=gate_rows,
         )
 
 
@@ -677,26 +651,18 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     schedules = enumerate_presolver_configs(complete_cands, local_cands)
 
     sat_labels = {iid: matrix.sat_label(iid) or "sat" for iid in matrix.instances}
-    classifier = None
-    if s.hierarchy != "none":
-        clf_rows = [iid for iid in train_ids if not feature_timed_out[iid]]
-        Xc = np.vstack([features[iid].values for iid in clf_rows])
-        if s.hierarchy == "sat2":
-            labels = [sat_labels[iid] for iid in clf_rows]
-        else:
-            labels = [f"{category_labels[iid]}:{sat_labels[iid]}" for iid in clf_rows]
-        classifier = train_classifier(Xc, labels, s.classifier_penalty)
-
     trainer = _ModelTrainer(
-        matrix, features, s, purse, series, sat_labels, category_labels, classifier
+        matrix, features, s, purse, series, sat_labels, category_labels,
+        classifier_rows=[iid for iid in train_ids if not feature_timed_out[iid]],
     )
+    train_runs = matrix.dense().block(complete_cands + local_cands, train_ids)
 
     best = None  # (perf, schedule, backup, subset, models)
     for schedule in schedules:
-        pre_solved = _presolve_solved_ids(matrix, train_ids, schedule, s.cutoff_seconds)
+        pre_solved = simulate_presolving(train_runs, schedule, s.cutoff_seconds)[0]
         remaining = tuple(
-            iid for iid in train_ids
-            if iid not in pre_solved and not feature_timed_out[iid]
+            iid for iid, done in zip(train_ids, pre_solved.tolist())
+            if not done and not feature_timed_out[iid]
         )
         if not remaining:
             log.warning("schedule %s solves every training instance; skipped",
@@ -773,14 +739,9 @@ def solve(portfolio: PortfolioConfig, instance, runner) -> SolveOutcome:
         if rec.solved:
             return SolveOutcome(rec.status, f"presolver:{entry.solver_id}", elapsed, trace)
 
-    budget = ProbeBudget(
-        per_probe_seconds=portfolio.feature_budget.per_probe_seconds,
-        total_seconds=max(min(portfolio.feature_budget.total_seconds,
-                              cutoff - elapsed), 1e-9),
-        max_ls_steps=portfolio.feature_budget.max_ls_steps,
-        ls_runs=portfolio.feature_budget.ls_runs,
-        dpll_runs=portfolio.feature_budget.dpll_runs,
-        deterministic=portfolio.feature_budget.deterministic,
+    budget = dataclasses.replace(
+        portfolio.feature_budget,
+        total_seconds=max(min(portfolio.feature_budget.total_seconds, cutoff - elapsed), 1e-9),
     )
     feature_error = None
     try:
@@ -811,10 +772,7 @@ def solve(portfolio: PortfolioConfig, instance, runner) -> SolveOutcome:
         status = rec.status if rec.solved else "timeout"
         return SolveOutcome(status, chosen, elapsed if rec.solved else cutoff, trace)
 
-    preds = {
-        sid: _prediction(portfolio.models[sid], fv.values)
-        for sid in portfolio.subset
-    }
+    preds = {sid: portfolio.models[sid].predict(fv.values) for sid in portfolio.subset}
     trace.append({"phase": "predict", "predictions": dict(preds)})
     reverse = portfolio.objective == OBJECTIVE_SCORE
     ranked = sorted(preds, key=lambda sid: (-preds[sid] if reverse else preds[sid], sid))

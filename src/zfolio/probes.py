@@ -64,9 +64,6 @@ class Assignment:
         s = self.states[var]
         return None if s == UNASSIGNED else s == TRUE
 
-    def is_assigned(self, var: int) -> bool:
-        return self.states[var] != UNASSIGNED
-
     def set(self, var: int, value: bool) -> None:
         self.states[var] = TRUE if value else FALSE
 

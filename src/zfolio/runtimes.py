@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 STATUSES = ("sat", "unsat", "timeout", "crash")
 SOLVED_STATUSES = ("sat", "unsat")
+STATUS_CODES = {status: code for code, status in enumerate(STATUSES)}
+MISSING = -1  # status code of a (solver, instance) cell without a record
 
 
 class DataConsistencyError(ValueError):
@@ -53,11 +58,53 @@ class RunRecord:
         return self.status in SOLVED_STATUSES
 
 
+class DenseRuns:
+    """Runs as arrays: one row per solver, one column per instance.
+
+    `runtime` is float64 (NaN where a cell has no record); `status` is int8,
+    the index of the run's status in STATUSES or MISSING.
+    """
+
+    def __init__(self, solvers, instances, runtime: np.ndarray, status: np.ndarray):
+        self.solvers = list(solvers)
+        self.instances = list(instances)
+        self.solver_index = {sid: k for k, sid in enumerate(self.solvers)}
+        self.instance_index = {iid: k for k, iid in enumerate(self.instances)}
+        self.runtime = runtime
+        self.status = status
+
+    @cached_property
+    def complete(self) -> bool:
+        return not (self.status == MISSING).any()
+
+    @cached_property
+    def solved(self) -> np.ndarray:
+        return (self.status == STATUS_CODES["sat"]) | (self.status == STATUS_CODES["unsat"])
+
+    def block(self, solver_ids=None, instance_ids=None) -> "DenseRuns":
+        """The cells of these solvers and instances (all by default), in the
+        order given. Raises KeyError for an unknown id or a cell without a
+        record, as RuntimeMatrix.get does."""
+        if solver_ids is None and instance_ids is None and self.complete:
+            return self
+        solvers = self.solvers if solver_ids is None else list(solver_ids)
+        instances = self.instances if instance_ids is None else list(instance_ids)
+        cells = np.ix_([self.solver_index[s] for s in solvers],
+                       [self.instance_index[i] for i in instances])
+        status = self.status[cells]
+        if (status == MISSING).any():
+            row, col = np.argwhere(status == MISSING)[0]
+            raise KeyError((solvers[row], instances[col]))
+        return DenseRuns(solvers, instances, self.runtime[cells], status)
+
+
 class RuntimeMatrix:
     """Records over solvers x instances with a shared cutoff.
 
     Ingestion enforces the status invariants and the sat/unsat consensus:
     no instance may carry both a sat and an unsat status across solvers.
+    Consumers that replay many cells read the arrays of dense() instead of
+    calling get() cell by cell.
     """
 
     def __init__(self, cutoff_seconds: float):
@@ -68,6 +115,7 @@ class RuntimeMatrix:
         self._solvers: set[str] = set()
         self._instances: set[str] = set()
         self._sat_label: dict[str, str] = {}
+        self._dense: DenseRuns | None = None
 
     def add(self, record: RunRecord) -> None:
         if record.status == "timeout" and record.runtime_seconds != self.cutoff_seconds:
@@ -84,6 +132,22 @@ class RuntimeMatrix:
         self._records[(record.solver_id, record.instance_id)] = record
         self._solvers.add(record.solver_id)
         self._instances.add(record.instance_id)
+        self._dense = None
+
+    def dense(self) -> DenseRuns:
+        """Every cell as arrays over the sorted solvers and instances, built
+        on the first call after a change."""
+        if self._dense is None:
+            shape = (len(self._solvers), len(self._instances))
+            view = DenseRuns(self.solvers, self.instances, np.full(shape, np.nan),
+                             np.full(shape, MISSING, dtype=np.int8))
+            for (s, i), rec in self._records.items():
+                cell = view.solver_index[s], view.instance_index[i]
+                view.runtime[cell] = rec.runtime_seconds
+                view.status[cell] = STATUS_CODES[rec.status]
+            view.runtime.flags.writeable = view.status.flags.writeable = False
+            self._dense = view
+        return self._dense
 
     @property
     def solvers(self) -> list[str]:
@@ -102,17 +166,12 @@ class RuntimeMatrix:
     def solved(self, solver_id: str, instance_id: str) -> bool:
         return self.get(solver_id, instance_id).solved
 
-    def runtime(self, solver_id: str, instance_id: str) -> float:
-        return self.get(solver_id, instance_id).runtime_seconds
-
     def sat_label(self, instance_id: str) -> str | None:
         """Consensus satisfiability ('sat'/'unsat') or None if never solved."""
         return self._sat_label.get(instance_id)
 
     def is_complete(self) -> bool:
-        return all(
-            (s, i) in self._records for s in self._solvers for i in self._instances
-        )
+        return len(self._records) == len(self._solvers) * len(self._instances)
 
     def restrict(self, instances=None, solvers=None) -> "RuntimeMatrix":
         instances = set(self._instances if instances is None else instances)

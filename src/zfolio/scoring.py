@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .runtimes import RunRecord, RuntimeMatrix
+import numpy as np
+
+from .runtimes import DenseRuns, RuntimeMatrix
 
 
 class MissingReferenceRuns(ValueError):
@@ -80,29 +82,6 @@ def speed_factor(time_limit: float, time_used: float) -> float:
     return time_limit / (1.0 + time_used)
 
 
-def _solved(record: RunRecord) -> bool:
-    return record.status in ("sat", "unsat")
-
-
-def instance_scores(records: dict[str, RunRecord], purse: PurseConfig) -> dict[str, tuple[float, float]]:
-    """Solution and speed purse shares for one instance.
-
-    `records` maps solver id to its run on this instance. Solvers that do
-    not solve it (timeout or crash) receive exactly zero for both purses.
-    """
-    solvers = sorted(records)
-    solving = [s for s in solvers if _solved(records[s])]
-    out = {s: (0.0, 0.0) for s in solvers}
-    if not solving:
-        return out
-    solution_share = purse.solution_purse / len(solving)
-    sfs = {s: speed_factor(purse.time_limit, records[s].runtime_seconds) for s in solving}
-    sf_sum = sum(sfs.values())
-    for s in solving:
-        out[s] = (solution_share, purse.speed_purse * sfs[s] / sf_sum)
-    return out
-
-
 def series_scores(solved: dict[str, set], series: SeriesMap, purse: PurseConfig,
                   instance_ids=None) -> dict[str, float]:
     """Exact series purse totals: each series splits equally among the
@@ -119,10 +98,6 @@ def series_scores(solved: dict[str, set], series: SeriesMap, purse: PurseConfig,
         for s in winners:
             totals[s] += share
     return totals
-
-
-class UndefinedShare(ValueError):
-    pass
 
 
 def independent_series_share(series: SeriesMap, solvable_counts: dict[str, int],
@@ -146,6 +121,39 @@ def independent_series_share(series: SeriesMap, solvable_counts: dict[str, int],
     return shares
 
 
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sums along `axis` term by term in index order, as a Python loop adds;
+    numpy's pairwise sum can move the last bits of a score."""
+    if a.shape[axis] == 0:
+        return np.zeros(a.shape[1 - axis])
+    return np.cumsum(a, axis=axis).take(-1, axis=axis)
+
+
+def _speed_factors(runs: DenseRuns, purse: PurseConfig) -> np.ndarray:
+    """Each solving run's speed factor; 0 where the run did not solve."""
+    return np.where(runs.solved, speed_factor(purse.time_limit, runs.runtime), 0.0)
+
+
+def _purse_shares(runs: DenseRuns, purse: PurseConfig):
+    """Per-cell purse shares: each instance's solution purse splits equally
+    among the solvers solving it, its speed purse in proportion to their
+    speed factors. Runs that time out or crash get exactly zero."""
+    solved = runs.solved
+    sf = _speed_factors(runs, purse)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        solution = np.where(solved, purse.solution_purse / solved.sum(axis=0), 0.0)
+        speed = np.where(solved, purse.speed_purse * sf / _ordered_sum(sf, 0), 0.0)
+    return solution, speed
+
+
+def _series_blocks(runs: DenseRuns, series: SeriesMap) -> dict[str, np.ndarray]:
+    """Per series, the solved flags of its instance columns."""
+    return {
+        sid: runs.solved[:, [runs.instance_index[i] for i in members]]
+        for sid, members in series_groups(series, runs.instances).items()
+    }
+
+
 def score_labels(matrix: RuntimeMatrix, candidate_id: str, purse: PurseConfig,
                  series: SeriesMap) -> dict[str, float]:
     """Per-instance independent score for one solver against the others.
@@ -159,45 +167,36 @@ def score_labels(matrix: RuntimeMatrix, candidate_id: str, purse: PurseConfig,
     if not matrix.is_complete():
         raise MissingReferenceRuns("reference runtimes must cover all (solver, instance) pairs")
 
-    groups = series_groups(series, matrix.instances)
-    solvable_counts = {}
-    solver_counts = {}
-    for sid, members in groups.items():
-        solvable_counts[sid] = sum(
-            1 for iid in members if any(_solved(matrix.get(s, iid)) for s in matrix.solvers)
-        )
-        solver_counts[sid] = sum(
-            1 for s in matrix.solvers if any(_solved(matrix.get(s, iid)) for iid in members)
-        )
+    runs = matrix.dense()
+    blocks = _series_blocks(runs, series)
+    solvable_counts = {sid: int(b.any(axis=0).sum()) for sid, b in blocks.items()}
+    solver_counts = {sid: int(b.any(axis=1).sum()) for sid, b in blocks.items()}
     shares = independent_series_share(series, solvable_counts, solver_counts, purse)
 
-    labels = {}
-    for iid in matrix.instances:
-        rec = matrix.get(candidate_id, iid)
-        if not _solved(rec):
-            labels[iid] = 0.0
-            continue
-        per_solver = instance_scores({s: matrix.get(s, iid) for s in matrix.solvers}, purse)
-        solution, speed = per_solver[candidate_id]
-        labels[iid] = solution + speed + shares[series[iid]]
-    return labels
-
-
-def competition_score(matrix: RuntimeMatrix, purse: PurseConfig,
-                      series: SeriesMap) -> dict[str, ScoreBreakdown]:
-    """Exact totals over a complete matrix (simulated competition)."""
-    totals = {s: ScoreBreakdown() for s in matrix.solvers}
-    for iid in matrix.instances:
-        per_solver = instance_scores({s: matrix.get(s, iid) for s in matrix.solvers}, purse)
-        for s, (solution, speed) in per_solver.items():
-            totals[s] = totals[s] + ScoreBreakdown(solution, speed, 0.0)
-    solved_sets = {
-        s: {iid for iid in matrix.instances if _solved(matrix.get(s, iid))}
-        for s in matrix.solvers
+    row = runs.solver_index[candidate_id]
+    solution, speed = (a[row].tolist() for a in _purse_shares(runs, purse))
+    return {
+        iid: solution[j] + speed[j] + shares[series[iid]] if ok else 0.0
+        for j, (iid, ok) in enumerate(zip(runs.instances, runs.solved[row].tolist()))
     }
-    for s, val in series_scores(solved_sets, series, purse, matrix.instances).items():
-        totals[s] = totals[s] + ScoreBreakdown(0.0, 0.0, val)
-    return totals
+
+
+def competition_score(runs: DenseRuns | RuntimeMatrix, purse: PurseConfig,
+                      series: SeriesMap) -> dict[str, ScoreBreakdown]:
+    """Exact totals over complete runs (simulated competition); a matrix
+    stands for all of its cells."""
+    if isinstance(runs, RuntimeMatrix):
+        runs = runs.dense().block()
+    solution, speed = (_ordered_sum(a, 1).tolist() for a in _purse_shares(runs, purse))
+    solved_sets = {
+        s: {iid for iid, ok in zip(runs.instances, row) if ok}
+        for s, row in zip(runs.solvers, runs.solved.tolist())
+    }
+    series_totals = series_scores(solved_sets, series, purse, runs.instances)
+    return {
+        s: ScoreBreakdown(solution[k], speed[k], series_totals[s])
+        for k, s in enumerate(runs.solvers)
+    }
 
 
 class ScoreContext:
@@ -206,29 +205,20 @@ class ScoreContext:
     Scoring a portfolio as if it had entered the competition alongside the
     reference solvers only needs, per instance, how many references solved
     it and their speed-factor mass, and per series the reference winner
-    count. virtual_total() then runs in O(instances).
+    count. virtual_total() then runs in O(instances), visiting instances in
+    sorted order.
     """
 
-    def __init__(self, matrix: RuntimeMatrix, purse: PurseConfig, series: SeriesMap):
+    def __init__(self, runs: DenseRuns, purse: PurseConfig, series: SeriesMap):
         self.purse = purse
         self.series = series
-        self.instances = list(matrix.instances)
-        self.n_solving = {}
-        self.sf_sum = {}
-        for iid in self.instances:
-            solving = [s for s in matrix.solvers if _solved(matrix.get(s, iid))]
-            self.n_solving[iid] = len(solving)
-            self.sf_sum[iid] = sum(
-                speed_factor(purse.time_limit, matrix.get(s, iid).runtime_seconds)
-                for s in solving
-            )
-        groups = series_groups(series, self.instances)
-        self.series_winner_counts = {}
-        for sid, members in groups.items():
-            self.series_winner_counts[sid] = sum(
-                1 for s in matrix.solvers
-                if any(_solved(matrix.get(s, iid)) for iid in members)
-            )
+        self.instances = sorted(runs.instances)
+        self.n_solving = dict(zip(runs.instances, runs.solved.sum(axis=0).tolist()))
+        self.sf_sum = dict(zip(runs.instances,
+                               _ordered_sum(_speed_factors(runs, purse), 0).tolist()))
+        self.series_winner_counts = {
+            sid: int(b.any(axis=1).sum()) for sid, b in _series_blocks(runs, series).items()
+        }
 
     def virtual_total(self, solved: dict[str, bool], runtime: dict[str, float]) -> ScoreBreakdown:
         purse = self.purse

@@ -83,9 +83,6 @@ class SyntheticBenchmark:
     def category_labels(self) -> dict[str, str]:
         return {i.id: i.category for i in self.instances}
 
-    def instance_by_id(self, iid: str) -> SyntheticInstance:
-        return next(i for i in self.instances if i.id == iid)
-
 
 def default_solver_models(clusters: int, seed: int) -> tuple[list[SolverDescriptor], dict[str, SyntheticSolverModel]]:
     """Three complete solvers (one dominant per cluster, cycling when there

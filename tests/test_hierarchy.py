@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,21 +10,30 @@ from zfolio.hierarchy import (
     confusion_matrix,
     fit_gating,
     gate,
-    gating_loss,
     hier_from_doc,
     hier_to_doc,
-    load_hierarchical,
-    predict_hier,
-    save_hierarchical,
     train_classifier,
     train_hierarchical,
 )
-from zfolio.learning import BasisSpec, RidgeModel, fit_ridge_model, make_basis
+from zfolio.learning import (
+    BasisSpec,
+    DimensionMismatch,
+    RidgeModel,
+    fit_ridge_model,
+    make_basis,
+)
 
 
 def linear_model(weights, intercept, sigma=0.1, target="log_runtime"):
     basis = BasisSpec.identity(list(range(len(weights))))
     return RidgeModel(basis, np.array(weights, float), 1e-3, sigma, target, intercept)
+
+
+def gating_loss(v, experts, classifier, X, y) -> float:
+    """Squared error of the gated mixture with gating weights v."""
+    model = HierarchicalModel(list(classifier.classes), experts, classifier, v)
+    r = y - model.predict_matrix(X)
+    return float(r @ r)
 
 
 def separable_data(rng, n=200, gap=3.0):
@@ -39,7 +50,7 @@ class TestClassifier:
         rng = np.random.default_rng(0)
         X, labels = separable_data(rng)
         clf = train_classifier(X, labels)
-        preds = [clf.predict(x) for x in X]
+        preds = [clf.classes[k] for k in clf.predict_proba_matrix(X).argmax(axis=1)]
         acc = np.mean([p == t for p, t in zip(preds, labels)])
         assert acc >= 0.99
 
@@ -47,7 +58,7 @@ class TestClassifier:
         X = np.zeros((100, 3))
         labels = ["sat"] * 75 + ["unsat"] * 25
         clf = train_classifier(X, labels)
-        probs = clf.predict_proba(np.zeros(3))
+        probs = clf.predict_proba_matrix(np.zeros(3))[0]
         assert abs(probs[clf.classes.index("sat")] - 0.75) < 1e-3
 
     def test_large_penalty_shrinks_to_priors(self):
@@ -114,8 +125,6 @@ class TestGate:
             assert np.all(out >= 0) and np.all(out <= 1)
 
     def test_dimension_mismatch(self):
-        from zfolio.learning import DimensionMismatch
-
         with pytest.raises(DimensionMismatch):
             gate(np.zeros(3), np.array([1.0]), np.array([0.5, 0.5, 0.5]))
 
@@ -199,7 +208,7 @@ class TestPredictHier:
         model = self.make_model(0.0)  # zero gate weights: (0.5, 0.5)
         x = np.array([2.0, 4.0])
         expected = 0.5 * 2.0 + 0.5 * 4.0
-        assert abs(predict_hier(model, x) - expected) < 1e-12
+        assert abs(model.predict(x) - expected) < 1e-12
 
     def test_convex_combination_property(self):
         rng = np.random.default_rng(8)
@@ -277,7 +286,7 @@ class TestTrainHierarchical:
 
 
 class TestHierPersistence:
-    def test_round_trip_bit_identical(self, tmp_path):
+    def test_round_trip_bit_identical(self):
         rng = np.random.default_rng(13)
         X, y, labels, _ = two_cluster_fixture(rng, n=120)
 
@@ -285,9 +294,7 @@ class TestHierPersistence:
             return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
         model = train_hierarchical(X, y, labels.tolist(), fit_conditional)
-        path = tmp_path / "hier.json"
-        save_hierarchical(model, path)
-        loaded = load_hierarchical(path)
+        loaded = hier_from_doc(json.loads(json.dumps(hier_to_doc(model))))
         probe = rng.normal(size=(100, 2))
         assert np.array_equal(model.predict_matrix(probe), loaded.predict_matrix(probe))
 
@@ -302,3 +309,17 @@ class TestHierPersistence:
         again = hier_from_doc(hier_to_doc(model))
         assert again.classes == model.classes
         assert np.array_equal(again.gating_weights, model.gating_weights)
+
+    def test_gating_shape_checked_on_load(self):
+        rng = np.random.default_rng(15)
+        X, y, labels, _ = two_cluster_fixture(rng, n=80)
+
+        def fit_conditional(rows):
+            return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
+
+        doc = hier_to_doc(train_hierarchical(X, y, labels.tolist(), fit_conditional))
+        assert np.shape(doc["gating_weights"]) == (1, 4)  # (k-1, m+k)
+        for bad in ([row[:-1] for row in doc["gating_weights"]],
+                    doc["gating_weights"] * 2, [[0.0] * 5]):
+            with pytest.raises(DimensionMismatch):
+                hier_from_doc({**doc, "gating_weights": bad})

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import warnings
@@ -14,19 +15,16 @@ from zfolio.learning import (
     EmptyCandidates,
     LabeledDataset,
     NoUncensoredData,
+    RidgeModel,
     censored_fit,
     fit_ridge_model,
     forward_select,
     full_product_pairs,
-    load_model,
     log_runtime,
     make_basis,
     model_from_doc,
     model_to_doc,
-    quadratic_expand,
     ridge_fit,
-    ridge_predict,
-    save_model,
     select_basis,
     truncated_normal_mean,
 )
@@ -44,13 +42,13 @@ def brute_force_ridge(phi, y, delta):
 class TestQuadraticExpand:
     def test_direct_products(self):
         basis = BasisSpec.identity([0, 1], [(0, 0), (0, 1), (1, 1)])
-        out = quadratic_expand(np.array([2.0, 3.0]), basis)
-        assert np.allclose(out, [2, 3, 4, 6, 9])
+        out = basis.expand_matrix(np.array([[2.0, 3.0]]))
+        assert np.allclose(out, [[2, 3, 4, 6, 9]])
 
     def test_no_products(self):
         basis = BasisSpec.identity([1, 0])
-        out = quadratic_expand(np.array([2.0, 3.0]), basis)
-        assert np.allclose(out, [3, 2])
+        out = basis.expand_matrix(np.array([[2.0, 3.0], [5.0, 7.0]]))
+        assert np.allclose(out, [[3, 2], [7, 5]])
 
     def test_full_expansion_dimension(self):
         m = 7
@@ -58,13 +56,41 @@ class TestQuadraticExpand:
         assert basis.dim == m + m * (m + 1) // 2
 
     def test_dimension_mismatch(self):
-        basis = BasisSpec.identity([0, 3])
-        with pytest.raises(DimensionMismatch):
-            quadratic_expand(np.array([1.0, 2.0]), basis)
+        # rows too short for the basis, through a raw term or a product term,
+        # as rows and through both predict paths
+        for basis, width in ((BasisSpec.identity([0, 3]), 4),
+                             (BasisSpec.identity([0], [(0, 3)]), 4)):
+            model = RidgeModel(basis, np.ones(basis.dim), 1e-3, 0.1, "log_runtime")
+            short = width - 1
+            for call in (lambda: basis.expand_matrix(np.ones((1, 2))),
+                         lambda: basis.expand_matrix(np.ones((4, short))),
+                         lambda: model.predict_matrix(np.ones((4, short))),
+                         lambda: model.predict(np.ones(short)),
+                         lambda: model.predict(np.ones((1, width)))):
+                with pytest.raises(DimensionMismatch):
+                    call()
+            assert model.predict(np.ones(width)) == 2.0
 
     def test_standardization_applied(self):
         basis = BasisSpec([0], [], np.array([1.0]), np.array([2.0]))
-        assert quadratic_expand(np.array([5.0]), basis)[0] == 2.0
+        assert basis.expand_matrix(np.array([[5.0]]))[0, 0] == 2.0
+
+    def test_matches_column_reference_bit_for_bit(self):
+        # a design's memory layout changes the BLAS summation order of every
+        # later product, so the expansion must stay row-major like the
+        # column-by-column reference
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(40, 12)) * 10
+        raw, pairs = [5, 0, 11, 3], [(0, 5), (3, 3), (2, 11)]
+        basis = BasisSpec(raw, pairs, rng.normal(size=7), rng.uniform(1, 3, size=7))
+        cols = [X[:, i] for i in raw] + [X[:, j] * X[:, k] for j, k in pairs]
+        want = (np.column_stack(cols) - basis.means) / basis.scales
+        got = basis.expand_matrix(X)
+        assert got.flags["C_CONTIGUOUS"] and np.array_equal(got, want)
+        model = RidgeModel(basis, rng.normal(size=7), 1e-3, 0.1, "log_runtime", 0.5)
+        assert np.array_equal(model.predict_matrix(X), 0.5 + want @ model.weights)
+        assert all(model.predict(x) == model.predict_matrix(x[None, :])[0] for x in X)
+        assert BasisSpec.identity([]).expand_matrix(X).shape == (40, 0)
 
 
 class TestRidgeFit:
@@ -113,12 +139,9 @@ class TestRidgeFit:
 class TestRidgePredict:
     def test_zero_weights(self):
         basis = BasisSpec.identity([0, 1])
-        from zfolio.learning import RidgeModel
-
         model = RidgeModel(basis, np.zeros(2), 1e-3, 1.0, "log_runtime")
-        mean, sigma = ridge_predict(model, np.array([4.0, 5.0]))
-        assert mean == 0.0
-        assert sigma == 1.0
+        assert model.predict(np.array([4.0, 5.0])) == 0.0
+        assert model.sigma == 1.0
 
     def test_recovers_noiseless_linear_target(self):
         rng = np.random.default_rng(5)
@@ -491,15 +514,13 @@ class TestSelectBasis:
 
 
 class TestPersistence:
-    def test_round_trip_bit_identical_predictions(self, tmp_path):
+    def test_round_trip_bit_identical_predictions(self):
         rng = np.random.default_rng(33)
         X = rng.normal(size=(120, 6))
         y = X @ rng.normal(size=6) + 0.2 * rng.normal(size=120)
         basis = select_basis(X, y, folds=5, max_raw_terms=4, max_expanded_terms=7)
         model = fit_ridge_model(X, y, basis)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = model_from_doc(json.loads(json.dumps(model_to_doc(model))))
         probe = rng.normal(size=(100, 6))
         assert np.array_equal(model.predict_matrix(probe), loaded.predict_matrix(probe))
 

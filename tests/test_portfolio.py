@@ -13,6 +13,8 @@ from zfolio.portfolio import (
     choose_backup,
     enumerate_presolver_configs,
     load_portfolio,
+    portfolio_from_doc,
+    portfolio_to_doc,
     save_portfolio,
     select_presolver_candidates,
     solve,
@@ -188,7 +190,7 @@ def perfect_models(matrix, features):
     X = np.vstack([features[iid].values for iid in ids])
     models = {}
     for sid in matrix.solvers:
-        y = log_runtime([matrix.runtime(sid, iid) for iid in ids])
+        y = log_runtime([matrix.get(sid, iid).runtime_seconds for iid in ids])
         models[sid] = fit_ridge_model(X, y, make_basis(X, [0]), delta=1e-6)
     return models
 
@@ -272,7 +274,7 @@ def six_solver_fixture(seed):
     X = np.vstack([features[iid].values for iid in ids])
     models = {}
     for sid in solver_ids:
-        y = log_runtime([matrix.runtime(sid, iid) for iid in ids])
+        y = log_runtime([matrix.get(sid, iid).runtime_seconds for iid in ids])
         y += nprng.normal(scale=0.3, size=len(y))  # imperfect predictions
         models[sid] = fit_ridge_model(X, y, make_basis(X, [0, 1, 2]), delta=1e-3)
     sim = PortfolioSimulator(
@@ -360,7 +362,7 @@ class TestSimulatorProperties:
             backup="fast-a", models=models, objective="min_runtime", cutoff=CUTOFF,
         )
         _, total, _ = sim.simulate(["fast-a"])
-        member = np.array([matrix.runtime("fast-a", iid) for iid in matrix.instances])
+        member = np.array([matrix.get("fast-a", iid).runtime_seconds for iid in matrix.instances])
         ftime = np.array([features[iid].feature_time_seconds for iid in matrix.instances])
         assert np.allclose(total, member + ftime)
 
@@ -391,7 +393,7 @@ class TestSolve:
         target = next(
             iid for iid in matrix.instances
             if matrix.solved(entry.solver_id, iid)
-            and matrix.runtime(entry.solver_id, iid) <= entry.cutoff_seconds
+            and matrix.get(entry.solver_id, iid).runtime_seconds <= entry.cutoff_seconds
         )
         calls = []
 
@@ -497,3 +499,16 @@ class TestPortfolioPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_portfolio(path)
+
+    def test_unknown_solvers_rejected_on_load(self, built):
+        doc = portfolio_to_doc(built[0])
+        sid = doc["subset"][0]
+        ghost_member = {**doc, "subset": [*doc["subset"], "ghost"],
+                        "models": {**doc["models"], "ghost": doc["models"][sid]}}
+        entries = [dict(e) for e in doc["presolvers"]]
+        entries[0]["solver_id"] = "ghost"
+        ghost_presolver = {**doc, "presolvers": entries}
+        for bad in (ghost_member, ghost_presolver):
+            with pytest.raises(ValueError, match="no descriptor"):
+                portfolio_from_doc(bad)
+        portfolio_from_doc(doc)

@@ -10,7 +10,6 @@ from zfolio.scoring import (
     ScoreContext,
     competition_score,
     independent_series_share,
-    instance_scores,
     load_purse_config,
     save_purse_config,
     score_labels,
@@ -66,29 +65,38 @@ class TestSpeedFactor:
         assert speed_factor(1200, 599) == 2.0
 
 
+def one_instance(*records):
+    matrix = RuntimeMatrix(CUTOFF)
+    for r in records:
+        matrix.add(r)
+    return matrix
+
+
 class TestInstanceScores:
+    """The per-instance purse split, read off a one-instance competition."""
+
     def test_equal_solution_split(self):
-        purse = PurseConfig(solution_purse=1000, speed_purse=0)
-        records = {"a": rec("a", "i", 0.0, "sat"), "b": rec("b", "i", 1199.0, "sat")}
-        out = instance_scores(records, purse)
-        assert out["a"][0] == 500.0
-        assert out["b"][0] == 500.0
+        purse = PurseConfig(solution_purse=1000, speed_purse=0, series_purse=0)
+        matrix = one_instance(rec("a", "i", 0.0, "sat"), rec("b", "i", 1199.0, "sat"))
+        out = competition_score(matrix, purse, singleton_series(["i"]))
+        assert out["a"].solution == 500.0
+        assert out["b"].solution == 500.0
 
     def test_speed_split_formula(self):
-        purse = PurseConfig(solution_purse=0, speed_purse=1000)
-        records = {"a": rec("a", "i", 0.0, "sat"), "b": rec("b", "i", 1199.0, "sat")}
-        out = instance_scores(records, purse)
-        assert abs(out["a"][1] - 1000 * 1200 / 1201) < 1e-9
-        assert abs(out["b"][1] - 1000 * 1.0 / 1201) < 1e-9
+        purse = PurseConfig(solution_purse=0, speed_purse=1000, series_purse=0)
+        matrix = one_instance(rec("a", "i", 0.0, "sat"), rec("b", "i", 1199.0, "sat"))
+        out = competition_score(matrix, purse, singleton_series(["i"]))
+        assert abs(out["a"].speed - 1000 * 1200 / 1201) < 1e-9
+        assert abs(out["b"].speed - 1000 * 1.0 / 1201) < 1e-9
 
     def test_no_solver_solves(self):
         purse = PurseConfig()
-        records = {
-            "a": rec("a", "i", CUTOFF, "timeout"),
-            "b": RunRecord("b", "i", 3.0, "crash", censored=False),
-        }
-        out = instance_scores(records, purse)
-        assert out == {"a": (0.0, 0.0), "b": (0.0, 0.0)}
+        matrix = one_instance(
+            rec("a", "i", CUTOFF, "timeout"),
+            RunRecord("b", "i", 3.0, "crash", censored=False),
+        )
+        out = competition_score(matrix, purse, singleton_series(["i"]))
+        assert out == {"a": ScoreBreakdown(), "b": ScoreBreakdown()}
 
 
 class TestSeriesScores:
@@ -346,7 +354,7 @@ class TestScoreContext:
             matrix = random_matrix(rng, n_solvers=3, n_instances=8)
             series = random_series(rng, matrix)
             purse = PurseConfig()
-            ctx = ScoreContext(matrix, purse, series)
+            ctx = ScoreContext(matrix.dense(), purse, series)
             solved = {iid: rng.random() < 0.6 for iid in matrix.instances}
             runtime = {iid: rng.uniform(0, CUTOFF) for iid in matrix.instances}
             got = ctx.virtual_total(solved, runtime)
