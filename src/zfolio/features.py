@@ -104,10 +104,11 @@ class FeatureVector:
         if self.feature_time_seconds < 0:
             raise ValueError("feature_time_seconds must be nonnegative")
 
-    def as_dict(self) -> dict[str, float]:
-        if self.values is None:
-            return {}
-        return {name: float(v) for name, v in zip(FEATURE_NAMES, self.values)}
+    @property
+    def usable(self) -> bool:
+        """Values present and extraction not timed out: the only vectors
+        a model reads; the others go to the backup solver."""
+        return self.values is not None and not self.timed_out
 
     def get(self, name: str) -> float:
         if self.values is None:

@@ -18,6 +18,10 @@ from scipy import optimize
 from .learning import DimensionMismatch, RidgeModel, model_from_doc, model_to_doc
 
 
+GATING_TOL = 1e-6
+GATING_MAX_ITER = 200
+
+
 class SingleClassData(ValueError):
     pass
 
@@ -153,14 +157,14 @@ def _gating_loss_grad(v, aug, expert_preds, y):
 
 
 def fit_gating(conditional_models, classifier: ClassifierModel,
-               features: np.ndarray, targets: np.ndarray,
-               tol: float = 1e-6, max_iter: int = 200) -> np.ndarray:
+               features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Fit gating weights with the experts held fixed.
 
     Minimizes the squared error of the gated mixture by gradient descent
     with backtracking line search, starting from weights that lean on the
-    classifier output. The returned weights never do worse than that
-    initialization.
+    classifier output, for at most GATING_MAX_ITER steps or until a step
+    gains less than GATING_TOL. The returned weights never do worse than
+    that initialization.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -181,7 +185,7 @@ def fit_gating(conditional_models, classifier: ClassifierModel,
     loss, grad = _gating_loss_grad(v, aug, E, y)
     best_v, best_loss = v.copy(), loss
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(GATING_MAX_ITER):
         improved = False
         trial_step = step
         while trial_step > 1e-12:
@@ -198,7 +202,7 @@ def fit_gating(conditional_models, classifier: ClassifierModel,
         step = trial_step * 2.0
         if loss < best_loss:
             best_v, best_loss = v.copy(), loss
-        if change < tol:
+        if change < GATING_TOL:
             break
     return best_v
 
@@ -251,19 +255,21 @@ class HierarchicalModel:
 
 def train_hierarchical(features, targets, class_labels, fit_conditional,
                        classifier: ClassifierModel | None = None,
-                       penalty: float = 1e-2, gate_rows=None) -> HierarchicalModel:
+                       gate_rows=None) -> HierarchicalModel:
     """Train conditional models per class and fit the gate.
 
     `fit_conditional(rows)` must return a RidgeModel trained on that row
     subset; a class with fewer than two rows gets `fit_conditional` of all
-    rows. The gate is fit on the rows `gate_rows` indexes (all by default),
-    e.g. only those whose target was observed.
+    rows. Without a `classifier`, one is trained on these rows with
+    `train_classifier`'s default penalty. The gate is fit on the rows
+    `gate_rows` indexes (all by default), e.g. only those whose target was
+    observed.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     labels = np.asarray(list(class_labels))
     if classifier is None:
-        classifier = train_classifier(X, labels, penalty)
+        classifier = train_classifier(X, labels)
     conditionals = []
     for cls in classifier.classes:
         rows = np.flatnonzero(labels == cls)

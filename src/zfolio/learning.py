@@ -108,11 +108,6 @@ class BasisSpec:
         return (phi - self.means) / self.scales
 
 
-def full_product_pairs(m: int) -> list[tuple[int, int]]:
-    """All pairs (j, k) with j <= k; the full expansion has m + m(m+1)/2 terms."""
-    return [(j, k) for j in range(m) for k in range(j, m)]
-
-
 def _ridge_factor(phi: np.ndarray, delta: float):
     """Cholesky factor of delta*I + Phi^T Phi, or None for an empty basis."""
     if delta <= 0:

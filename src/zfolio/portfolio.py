@@ -31,7 +31,6 @@ from .hierarchy import (
     train_hierarchical,
 )
 from .learning import (
-    DEFAULT_DELTA,
     LabeledDataset,
     RidgeModel,
     censored_fit,
@@ -65,6 +64,10 @@ OBJECTIVE_SCORE = "max_score"
 
 PRESOLVER_CUTOFFS = (0.0, 2.0, 5.0, 10.0)
 PRESOLVER_CANDIDATE_CAP = 10.0
+EXHAUSTIVE_LIMIT = 12  # larger candidate sets get the local subset search
+LOCAL_ACCEPT_PROB = 0.05
+LOCAL_STALL_STEPS = 100
+LOCAL_RUNS = 10
 
 FORMAT_TAG = "zfolio-portfolio/1"
 
@@ -119,16 +122,16 @@ class PresolverSchedule:
 
 def select_presolver_candidates(matrix: RuntimeMatrix, descriptors,
                                 purse: PurseConfig | None = None,
-                                series=None, cap: float = PRESOLVER_CANDIDATE_CAP,
-                                top: int = 3):
+                                series=None, top: int = 3):
     """Top pre-solver candidates per kind by validation score at a 10 s cap.
 
-    Every run is truncated at `cap` seconds, scores are computed as if that
-    were the competition, and the best `top` solvers of each kind are
-    returned (ties broken by solver id).
+    Every run is truncated at PRESOLVER_CANDIDATE_CAP seconds, scores are
+    computed as if that were the competition, and the best `top` solvers of
+    each kind are returned (ties broken by solver id).
     """
     purse = purse or PurseConfig()
     series = series or singleton_series(matrix.instances)
+    cap = PRESOLVER_CANDIDATE_CAP
     runs = matrix.dense().block()
     within = runs.solved & (runs.runtime <= cap)
     capped = DenseRuns(runs.solvers, runs.instances, np.where(within, runs.runtime, cap),
@@ -263,7 +266,7 @@ class PortfolioSimulator:
                 rows.append(missing)
                 continue
             self.feature_time[j] = fv.feature_time_seconds
-            if fv.values is not None and not fv.timed_out:
+            if fv.usable:
                 self.feature_ok[j] = True
                 rows.append(fv.values)
             else:
@@ -372,14 +375,14 @@ def _iter_subsets(solver_ids):
         yield from itertools.combinations(solver_ids, size)
 
 
-def subset_search_exhaustive(solver_ids, simulator: PortfolioSimulator,
-                             max_solvers: int = 12):
-    """Best subset by simulated validation performance, trying all of them.
+def subset_search_exhaustive(solver_ids, simulator: PortfolioSimulator):
+    """Best subset by simulated validation performance, trying all of them
+    (at most EXHAUSTIVE_LIMIT solvers).
 
     Ties go to smaller subsets, then lexicographically smaller ones.
     """
     solver_ids = sorted(solver_ids)
-    if len(solver_ids) > max_solvers:
+    if len(solver_ids) > EXHAUSTIVE_LIMIT:
         raise TooManySolvers(f"{len(solver_ids)} solvers exceed the exhaustive guard")
     if not solver_ids:
         raise ValueError("need at least one solver")
@@ -391,9 +394,7 @@ def subset_search_exhaustive(solver_ids, simulator: PortfolioSimulator,
     return best_subset, best_perf
 
 
-def subset_search_local(solver_ids, simulator: PortfolioSimulator, seed: int = 0,
-                        accept_prob: float = 0.05, stall_steps: int = 100,
-                        runs: int = 10):
+def subset_search_local(solver_ids, simulator: PortfolioSimulator, seed: int = 0):
     """Randomized iterative improvement over solver subsets.
 
     From a random nonempty subset, each step proposes a uniformly random
@@ -424,13 +425,13 @@ def subset_search_local(solver_ids, simulator: PortfolioSimulator, seed: int = 0
                 return s
 
     best_subset, best_perf = None, -math.inf
-    for _ in range(runs):
+    for _ in range(LOCAL_RUNS):
         current = random_subset()
         current_perf = perf(current)
         if current_perf > best_perf:
             best_subset, best_perf = current, current_perf
         since_improvement = 0
-        while since_improvement < stall_steps:
+        while since_improvement < LOCAL_STALL_STEPS:
             sid = solver_ids[rng.randrange(len(solver_ids))]
             neighbour = current ^ {sid}
             if not neighbour:
@@ -443,7 +444,7 @@ def subset_search_local(solver_ids, simulator: PortfolioSimulator, seed: int = 0
                 if current_perf > best_perf:
                     best_subset, best_perf = current, current_perf
                 continue
-            if rng.random() < accept_prob:
+            if rng.random() < LOCAL_ACCEPT_PROB:
                 current, current_perf = neighbour, neighbour_perf
             since_improvement += 1
     return sorted(best_subset), best_perf
@@ -485,14 +486,11 @@ class BuildSettings:
     objective: str = OBJECTIVE_RUNTIME
     hierarchy: str = "none"  # none | sat2 | general6
     cutoff_seconds: float = 1200.0
-    delta: float = DEFAULT_DELTA
     cv_folds: int = 10
     max_raw_terms: int = 30
     max_expanded_terms: int = 40
     presolver_top: int = 3
-    exhaustive_limit: int = 12
     min_training_rows: int = 10
-    classifier_penalty: float = 1e-2
     seed: int = 0
     feature_budget: ProbeBudget = field(default_factory=ProbeBudget)
 
@@ -506,93 +504,78 @@ class BuildSettings:
 class _ModelTrainer:
     """Per-solver model fitting with caching across schedules.
 
+    The candidates' runs on the training instances with usable features,
+    those instances' feature rows and, under max_score, every candidate's
+    score labels are gathered once; each fit reads its rows from them.
     Schedules that leave the same training instances unsolved reuse the
     same fitted models, which collapses most of the enumeration's cost.
     """
 
-    def __init__(self, matrix, features, settings, purse, series,
-                 sat_labels, category_labels, classifier_rows):
-        self.matrix = matrix
-        self.features = features
-        self.settings = settings
-        self.purse = purse
-        self.series = series
-        self.sat_labels = sat_labels
-        self.category_labels = category_labels
-        self.classifier = None
-        if settings.hierarchy != "none":
-            self.classifier = train_classifier(
-                np.vstack([features[iid].values for iid in classifier_rows]),
-                [self.hierarchy_label(iid) for iid in classifier_rows],
-                settings.classifier_penalty,
-            )
+    def __init__(self, matrix, features, settings, candidate_ids, train_ids, usable,
+                 purse, series, category_labels):
+        s = self.settings = settings
+        rows = [iid for iid in train_ids if iid in usable]
+        if not rows:
+            raise InsufficientData("no training instance has usable features")
+        self.runs = matrix.dense().block(candidate_ids, rows)
+        self.X = np.vstack([features[iid].values for iid in rows])
         self.cutoff_log = float(np.log(matrix.cutoff_seconds))
+        if s.objective == OBJECTIVE_SCORE:
+            # labels score each instance against every solver on all the
+            # training instances, whether their features are usable or not
+            sub = matrix.restrict(instances=train_ids)
+            train_series = {i: series[i] for i in train_ids}
+            labels = [score_labels(sub, sid, purse, train_series) for sid in candidate_ids]
+            self.labels = np.array([[by_id[iid] for iid in rows] for by_id in labels])
+        self.classifier = None
+        if s.hierarchy != "none":
+            self.classes = [matrix.sat_label(iid) or "sat" for iid in rows]
+            if s.hierarchy == "general6":
+                self.classes = [f"{category_labels[iid]}:{sat}"
+                                for iid, sat in zip(rows, self.classes)]
+            self.classifier = train_classifier(self.X, self.classes)
         self._cache: dict[tuple, object] = {}
-        self._score_label_cache: dict[str, dict[str, float]] = {}
 
-    def _labels_for(self, sid, train_ids) -> dict[str, float]:
-        if sid not in self._score_label_cache:
-            sub = self.matrix.restrict(instances=train_ids)
-            self._score_label_cache[sid] = score_labels(
-                sub, sid, self.purse, {i: self.series[i] for i in train_ids}
-            )
-        return self._score_label_cache[sid]
-
-    def hierarchy_label(self, iid) -> str:
-        sat = self.sat_labels.get(iid, "sat")
-        if self.settings.hierarchy == "general6":
-            return f"{self.category_labels[iid]}:{sat}"
-        return sat
-
-    def fit(self, sid: str, row_ids: tuple[str, ...], all_train_ids):
+    def fit(self, sid: str, row_ids: tuple[str, ...]):
         key = (sid, row_ids)
-        if key in self._cache:
-            return self._cache[key]
-        model = self._fit(sid, list(row_ids), all_train_ids)
-        self._cache[key] = model
-        return model
+        if key not in self._cache:
+            self._cache[key] = self._fit(sid, row_ids)
+        return self._cache[key]
 
-    def _fit(self, sid, rows, all_train_ids):
+    def _fit(self, sid, row_ids):
         s = self.settings
-        X = np.vstack([self.features[iid].values for iid in rows])
+        runs = self.runs
+        k = runs.solver_index[sid]
+        cols = np.array([runs.instance_index[iid] for iid in row_ids])
 
         if s.objective == OBJECTIVE_SCORE:
-            labels = self._labels_for(sid, sorted(all_train_ids))
-            y = np.array([labels[iid] for iid in rows])
-            censored = np.zeros(len(rows), dtype=bool)
-            cutoff_log = None
-            target = "score"
+            y = self.labels[k, cols]
+            censored = np.zeros(len(cols), dtype=bool)
+            cutoff_log, target = None, "score"
         else:
-            recs = [self.matrix.get(sid, iid) for iid in rows]
-            keep = [j for j, r in enumerate(recs) if r.status != "crash"]
-            if len(keep) < len(rows):
-                rows = [rows[j] for j in keep]
-                recs = [recs[j] for j in keep]
-                X = X[keep]
-            if len(rows) < s.min_training_rows:
-                raise InsufficientData(f"{sid}: {len(rows)} usable rows")
-            runtimes = np.array([r.runtime_seconds for r in recs])
-            censored = np.array([r.censored for r in recs])
-            y = log_runtime(runtimes)
-            y[censored] = self.cutoff_log
-            cutoff_log = self.cutoff_log
-            target = "log_runtime"
-            if not (~censored).any():
+            cols = cols[runs.status[k, cols] != STATUS_CODES["crash"]]
+            if len(cols) < s.min_training_rows:
+                raise InsufficientData(f"{sid}: {len(cols)} usable rows")
+            censored = runs.status[k, cols] == STATUS_CODES["timeout"]
+            if censored.all():
                 raise InsufficientData(f"{sid}: every training run censored")
+            y = log_runtime(runs.runtime[k, cols])
+            y[censored] = self.cutoff_log
+            cutoff_log, target = self.cutoff_log, "log_runtime"
+        X = self.X[cols]
 
         def fit_flat(sub_rows: np.ndarray):
             Xs, ys, cs = X[sub_rows], y[sub_rows], censored[sub_rows]
             basis = select_basis(
                 Xs, ys, folds=min(s.cv_folds, max(2, len(sub_rows))),
-                max_raw_terms=s.max_raw_terms,
-                max_expanded_terms=s.max_expanded_terms, delta=s.delta,
+                max_raw_terms=s.max_raw_terms, max_expanded_terms=s.max_expanded_terms,
             )
             if cs.any():
-                data = LabeledDataset(Xs, ys, cs, cutoff_log)
-                return censored_fit(data, s.delta, basis, target=target)
-            return fit_ridge_model(Xs, ys, basis, s.delta, target)
+                return censored_fit(LabeledDataset(Xs, ys, cs, cutoff_log), basis=basis,
+                                    target=target)
+            return fit_ridge_model(Xs, ys, basis, target=target)
 
-        everything = np.arange(len(rows))
+        everything = np.arange(len(cols))
         if self.classifier is None:
             return fit_flat(everything)
 
@@ -607,7 +590,7 @@ class _ModelTrainer:
         if gate_rows.size < s.min_training_rows:
             gate_rows = everything
         return train_hierarchical(
-            X, y, [self.hierarchy_label(iid) for iid in rows], fit_conditional,
+            X, y, [self.classes[c] for c in cols], fit_conditional,
             self.classifier, gate_rows=gate_rows,
         )
 
@@ -640,21 +623,16 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     train_ids = sorted(train_ids)
     valid_ids = sorted(valid_ids)
     valid_matrix = matrix.restrict(instances=valid_ids)
-    feature_timed_out = {
-        iid: (features.get(iid) is None or features[iid].timed_out)
-        for iid in matrix.instances
-    }
+    usable = {iid for iid, fv in features.items() if fv.usable}
+    feature_timed_out = {iid: iid not in usable for iid in matrix.instances}
 
     complete_cands, local_cands = select_presolver_candidates(
         valid_matrix, descriptors.values(), purse, series, top=s.presolver_top
     )
     schedules = enumerate_presolver_configs(complete_cands, local_cands)
 
-    sat_labels = {iid: matrix.sat_label(iid) or "sat" for iid in matrix.instances}
-    trainer = _ModelTrainer(
-        matrix, features, s, purse, series, sat_labels, category_labels,
-        classifier_rows=[iid for iid in train_ids if not feature_timed_out[iid]],
-    )
+    trainer = _ModelTrainer(matrix, features, s, candidate_ids, train_ids, usable,
+                            purse, series, category_labels)
     train_runs = matrix.dense().block(complete_cands + local_cands, train_ids)
 
     best = None  # (perf, schedule, backup, subset, models)
@@ -662,7 +640,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
         pre_solved = simulate_presolving(train_runs, schedule, s.cutoff_seconds)[0]
         remaining = tuple(
             iid for iid, done in zip(train_ids, pre_solved.tolist())
-            if not done and not feature_timed_out[iid]
+            if not done and iid in usable
         )
         if not remaining:
             log.warning("schedule %s solves every training instance; skipped",
@@ -676,7 +654,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
                          schedule.describe(), len(remaining), sid)
                 continue
             try:
-                models[sid] = trainer.fit(sid, remaining, train_ids)
+                models[sid] = trainer.fit(sid, remaining)
             except InsufficientData as exc:
                 log.info("schedule %s: %s", schedule.describe(), exc)
         if not models:
@@ -690,9 +668,8 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
             valid_matrix, features, valid_ids, schedule, backup, models,
             s.objective, s.cutoff_seconds, purse, series,
         )
-        if len(models) <= s.exhaustive_limit:
-            subset, perf = subset_search_exhaustive(models.keys(), simulator,
-                                                    s.exhaustive_limit)
+        if len(models) <= EXHAUSTIVE_LIMIT:
+            subset, perf = subset_search_exhaustive(models.keys(), simulator)
         else:
             subset, perf = subset_search_local(models.keys(), simulator, seed=s.seed)
         if best is None or perf > best[0]:
@@ -747,7 +724,7 @@ def solve(portfolio: PortfolioConfig, instance, runner) -> SolveOutcome:
     try:
         fv = runner.features(instance, budget, portfolio.seed)
         elapsed += fv.feature_time_seconds
-        timed_out = fv.timed_out or fv.values is None
+        timed_out = not fv.usable
     except Exception as exc:  # extraction error routes to the backup solver
         fv = None
         timed_out = True

@@ -67,9 +67,6 @@ class Assignment:
     def set(self, var: int, value: bool) -> None:
         self.states[var] = TRUE if value else FALSE
 
-    def assigned_count(self) -> int:
-        return sum(1 for s in self.states[1:] if s != UNASSIGNED)
-
     def copy(self) -> "Assignment":
         out = Assignment(self.num_vars)
         out.states = list(self.states)

@@ -16,6 +16,8 @@ from .features import FeatureVector, extract_all
 from .probes import ProbeBudget
 from .runtimes import RunRecord, RuntimeMatrix, SolverDescriptor
 
+CRASH_SECONDS = 1.0  # time an injected crash takes, within the time limit
+
 
 @dataclass
 class SimulatedRunner:
@@ -30,7 +32,6 @@ class SimulatedRunner:
     matrix: RuntimeMatrix
     crashes: set = field(default_factory=set)
     feature_timeouts: set = field(default_factory=set)
-    crash_time: float = 1.0
 
     def features(self, instance_id: str, budget: ProbeBudget, seed: int) -> FeatureVector:
         if instance_id in self.feature_timeouts:
@@ -42,7 +43,7 @@ class SimulatedRunner:
 
     def run(self, solver_id: str, instance_id: str, time_limit: float) -> RunRecord:
         if (solver_id, instance_id) in self.crashes:
-            t = min(self.crash_time, time_limit)
+            t = min(CRASH_SECONDS, time_limit)
             return RunRecord(solver_id, instance_id, t, "crash", censored=False)
         rec = self.matrix.get(solver_id, instance_id)
         if rec.solved and rec.runtime_seconds <= time_limit:

@@ -35,7 +35,8 @@ class SolverDescriptor:
 @dataclass(frozen=True)
 class RunRecord:
     """One (solver, instance) run. Timeouts sit exactly at the cutoff and
-    are censored (the true runtime is only known to exceed it)."""
+    are censored (the true runtime is only known to exceed it); no other
+    run is censored."""
 
     solver_id: str
     instance_id: str
@@ -48,8 +49,8 @@ class RunRecord:
             raise ValueError(f"unknown status {self.status!r}")
         if self.censored is None:
             object.__setattr__(self, "censored", self.status == "timeout")
-        if self.status == "timeout" and not self.censored:
-            raise ValueError("timeout records must be censored")
+        if self.censored != (self.status == "timeout"):
+            raise ValueError("exactly the timeout records are censored")
         if self.runtime_seconds < 0:
             raise ValueError("runtime must be nonnegative")
 

@@ -206,7 +206,8 @@ class ScoreContext:
     reference solvers only needs, per instance, how many references solved
     it and their speed-factor mass, and per series the reference winner
     count. virtual_total() then runs in O(instances), visiting instances in
-    sorted order.
+    sorted order and adding each series' share when it is first hit, so the
+    sum does not depend on string hashing.
     """
 
     def __init__(self, runs: DenseRuns, purse: PurseConfig, series: SeriesMap):
@@ -223,17 +224,17 @@ class ScoreContext:
     def virtual_total(self, solved: dict[str, bool], runtime: dict[str, float]) -> ScoreBreakdown:
         purse = self.purse
         solution = speed = 0.0
-        series_hit = set()
+        series_hit = []
         for iid in self.instances:
             if not solved.get(iid, False):
                 continue
             solution += purse.solution_purse / (self.n_solving[iid] + 1)
             sf = speed_factor(purse.time_limit, runtime[iid])
             speed += purse.speed_purse * sf / (self.sf_sum[iid] + sf)
-            series_hit.add(self.series[iid])
+            series_hit.append(self.series[iid])
         series_total = sum(
             purse.series_purse / (self.series_winner_counts[sid] + 1)
-            for sid in series_hit
+            for sid in dict.fromkeys(series_hit)
         )
         return ScoreBreakdown(solution, speed, series_total)
 

@@ -21,6 +21,8 @@ from .runtimes import RunRecord, RuntimeMatrix, SolverDescriptor
 from .scoring import PurseConfig
 
 CATEGORY_NAMES = ("random", "handmade", "industrial")
+SERIES_SIZE = 10  # instances of one cluster per series
+FEATURE_SECONDS = 3.0  # least feature time; each instance adds up to 0.5 s
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,6 @@ class SyntheticBenchmark:
     series: dict[str, str]
     purse: PurseConfig = field(default_factory=PurseConfig)
 
-    @property
-    def sat_labels(self) -> dict[str, str]:
-        return {i.id: ("sat" if i.satisfiable else "unsat") for i in self.instances}
-
-    @property
-    def category_labels(self) -> dict[str, str]:
-        return {i.id: i.category for i in self.instances}
-
 
 def default_solver_models(clusters: int, seed: int) -> tuple[list[SolverDescriptor], dict[str, SyntheticSolverModel]]:
     """Three complete solvers (one dominant per cluster, cycling when there
@@ -119,14 +113,14 @@ def default_solver_models(clusters: int, seed: int) -> tuple[list[SolverDescript
 
 
 def generate_benchmark(num_instances: int = 600, clusters: int = 3, seed: int = 0,
-                       unsat_fraction: float = 0.3, cutoff_seconds: float = 1200.0,
-                       series_size: int = 10, feature_time: float = 3.0,
-                       purse: PurseConfig | None = None) -> SyntheticBenchmark:
+                       unsat_fraction: float = 0.3,
+                       cutoff_seconds: float = 1200.0) -> SyntheticBenchmark:
     """Build instances, planted features, solver models and sampled runs.
 
     Feature columns 0..5 carry the cluster signal, column 6 a noisy
     satisfiability hint; the rest is standard normal noise. Series group
-    consecutive instances of the same cluster.
+    consecutive instances of the same cluster; the purse's time limit is
+    the cutoff.
     """
     rng = random.Random(seed)
     nprng = np.random.default_rng(seed + 1)
@@ -146,11 +140,11 @@ def generate_benchmark(num_instances: int = 600, clusters: int = 3, seed: int = 
         vec = nprng.normal(size=NUM_FEATURES)
         vec[:6] = centers[cluster] + nprng.normal(scale=0.5, size=6)
         vec[6] = (1.5 if satisfiable else -1.5) + nprng.normal(scale=1.0)
-        features[iid] = FeatureVector(vec, feature_time + rng.uniform(0, 0.5), False, seed)
+        features[iid] = FeatureVector(vec, FEATURE_SECONDS + rng.uniform(0, 0.5), False, seed)
 
         idx = per_cluster_counter[cluster]
         per_cluster_counter[cluster] += 1
-        series[iid] = f"cluster{cluster}-series{idx // series_size}"
+        series[iid] = f"cluster{cluster}-series{idx // SERIES_SIZE}"
 
     descriptors, models = default_solver_models(clusters, seed + 2)
     matrix = RuntimeMatrix(cutoff_seconds)
@@ -160,5 +154,5 @@ def generate_benchmark(num_instances: int = 600, clusters: int = 3, seed: int = 
 
     return SyntheticBenchmark(
         instances, features, descriptors, models, matrix, series,
-        purse or PurseConfig(time_limit=cutoff_seconds),
+        PurseConfig(time_limit=cutoff_seconds),
     )

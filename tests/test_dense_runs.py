@@ -12,12 +12,16 @@ import pytest
 
 from zfolio.evaluation import drop_unsolvable, evaluate
 from zfolio.features import FEATURE_NAMES, FeatureVector
-from zfolio.learning import BasisSpec, RidgeModel
+from zfolio import portfolio
+from zfolio.learning import BasisSpec, RidgeModel, log_runtime
 from zfolio.portfolio import (
     PRESOLVER_CUTOFFS,
+    BuildSettings,
+    InsufficientData,
     PortfolioSimulator,
     PresolverEntry,
     PresolverSchedule,
+    _ModelTrainer,
     choose_backup,
     select_presolver_candidates,
     simulate_presolving,
@@ -218,6 +222,24 @@ def ref_simulation(matrix, features, ids, schedule, backup, models, objective, c
             elapsed += rec.runtime_seconds
         out.append(result)
     return out
+
+
+def ref_fit_inputs(matrix, features, sid, rows, settings, purse, series, train_ids):
+    """One fit's feature rows, targets and censoring flags read record by
+    record: under min_runtime crashes are dropped and timeouts censored at
+    the cutoff; None where the fit must be refused."""
+    if settings.objective == "max_score":
+        sub = matrix.restrict(instances=train_ids)
+        labels = score_labels(sub, sid, purse, {i: series[i] for i in train_ids})
+        X = np.vstack([features[i].values for i in rows])
+        return X, np.array([labels[i] for i in rows]), np.zeros(len(rows), dtype=bool)
+    recs = [r for r in (matrix.get(sid, i) for i in rows) if r.status != "crash"]
+    censored = np.array([r.censored for r in recs], dtype=bool)
+    if len(recs) < settings.min_training_rows or censored.all():
+        return None
+    y = log_runtime([r.runtime_seconds for r in recs])
+    y[censored] = np.log(matrix.cutoff_seconds)
+    return np.vstack([features[r.instance_id].values for r in recs]), y, censored
 
 
 def ref_evaluate(matrix, purse, series, solvers):
@@ -433,6 +455,58 @@ class TestPortfolioConsumers:
                 for (ok, t, (_, sid)), (iid, rec) in zip(want, sim.records(subset).items()):
                     status = matrix.get(sid, iid).status if ok else "timeout"
                     assert (rec.status, rec.runtime_seconds) == (status, t if ok else CUTOFF)
+
+    def test_model_trainer_fits_what_the_records_say(self, monkeypatch):
+        got = {}
+
+        def spy(name, read):
+            original = getattr(portfolio, name)
+
+            def wrapper(*args, **kw):
+                got.update(read(*args))
+                return original(*args, **kw)
+            monkeypatch.setattr(portfolio, name, wrapper)
+        spy("select_basis", lambda X, y: {"X": X, "y": y})
+        spy("censored_fit", lambda data: {"censored": data.censored})
+        spy("fit_ridge_model", lambda X, y, basis: {"censored": np.zeros(len(y), bool)})
+
+        rng = random.Random(5)
+        fits = refused = 0
+        for _ in range(12):
+            matrix = random_matrix(rng, n_solvers=3, n_instances=24, cutoff=CUTOFF)
+            for iid in matrix.instances:  # a solver every runtime fit must refuse
+                matrix.add(RunRecord("never", iid, CUTOFF, "timeout") if rng.random() < 0.8
+                           else RunRecord("never", iid, rng.uniform(0, CUTOFF), "crash"))
+            series = random_series(rng, matrix)
+            purse = PurseConfig(time_limit=CUTOFF)
+            features, _ = self.simulator_inputs(rng, matrix)
+            usable = {iid for iid, fv in features.items() if fv.usable}
+            train_ids = sorted(rng.sample(matrix.instances, 18))
+            usable_train = [i for i in train_ids if i in usable]
+            for objective in ("min_runtime", "max_score"):
+                settings = BuildSettings(objective=objective, cv_folds=2, max_raw_terms=2,
+                                         max_expanded_terms=3, min_training_rows=6)
+                trainer = _ModelTrainer(matrix, features, settings, matrix.solvers,
+                                        train_ids, usable, purse, series, None)
+                for _ in range(3):
+                    keep = rng.uniform(0.3, 1.0)
+                    rows = tuple(i for i in usable_train if rng.random() < keep)
+                    if len(rows) < settings.min_training_rows:
+                        continue  # the build fits no smaller row set
+                    for sid in matrix.solvers:
+                        want = ref_fit_inputs(matrix, features, sid, rows, settings, purse,
+                                              series, train_ids)
+                        got.clear()
+                        if want is None:
+                            refused += 1
+                            with pytest.raises(InsufficientData):
+                                trainer.fit(sid, rows)
+                            continue
+                        fits += 1
+                        trainer._fit(sid, rows)
+                        for key, value in zip(("X", "y", "censored"), want):
+                            assert np.array_equal(got[key], value), key
+        assert fits > 50 and refused > 20
 
     def test_portfolio_simulator_raises_on_a_missing_cell(self):
         for rng, matrix, series in cases(20):

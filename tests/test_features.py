@@ -165,12 +165,6 @@ class TestExtractAll:
         b = extract_all(f, TEST_BUDGET, seed=42)
         assert np.array_equal(a.values, b.values)
 
-    def test_order_matches_canonical_names(self, rng):
-        f = random_3cnf(10, 30, rng)
-        fv = extract_all(f, TEST_BUDGET, seed=1)
-        d = fv.as_dict()
-        assert list(d) == list(FEATURE_NAMES)
-
 
 def test_feature_csv_round_trip(tmp_path, rng):
     table = {}

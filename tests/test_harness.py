@@ -33,6 +33,11 @@ class TestRunRecord:
         with pytest.raises(ValueError):
             RunRecord("s", "i", CUTOFF, "timeout", censored=False)
 
+    def test_only_timeouts_are_censored(self):
+        for status in ("sat", "unsat", "crash"):
+            with pytest.raises(ValueError):
+                RunRecord("s", "i", 5.0, status, censored=True)
+
     def test_solved_not_censored_by_default(self):
         r = RunRecord("s", "i", 3.0, "sat")
         assert r.censored is False

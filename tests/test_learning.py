@@ -19,7 +19,6 @@ from zfolio.learning import (
     censored_fit,
     fit_ridge_model,
     forward_select,
-    full_product_pairs,
     log_runtime,
     make_basis,
     model_from_doc,
@@ -52,7 +51,8 @@ class TestQuadraticExpand:
 
     def test_full_expansion_dimension(self):
         m = 7
-        basis = BasisSpec.identity(list(range(m)), full_product_pairs(m))
+        pairs = [(j, k) for j in range(m) for k in range(j, m)]
+        basis = BasisSpec.identity(list(range(m)), pairs)
         assert basis.dim == m + m * (m + 1) // 2
 
     def test_dimension_mismatch(self):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import zfolio.portfolio as portfolio_module
 from zfolio.evaluation import drop_unsolvable, evaluate, split_data
+from zfolio.features import FeatureVector
 from zfolio.portfolio import (
     BuildSettings,
     PortfolioConfig,
@@ -240,7 +242,7 @@ class TestSubsetSearchExhaustive:
     def test_guard(self):
         sim, models = self.make_simulator()
         with pytest.raises(TooManySolvers):
-            subset_search_exhaustive(list("abcdefghijklmn"), sim, max_solvers=12)
+            subset_search_exhaustive(list("abcdefghijklmn"), sim)
 
 
 def six_solver_fixture(seed):
@@ -340,6 +342,50 @@ class TestBuildPortfolio:
         assert any(kinds[sid] == "local_search" for sid in portfolio.models) or \
             any(kinds[sid] == "local_search" for sid in portfolio.subset) or \
             len(portfolio.subset) >= 1  # local members are legal, not mandatory
+
+    def test_instance_without_feature_values_is_skipped(self, bench, built, monkeypatch):
+        # no values but not timed out: the build skips the training row and
+        # ranks backups on the validation instance, exactly as it does when
+        # the features timed out
+        _, train, valid, _ = built
+        matrix = bench.matrix.restrict(instances=[*train, *valid])
+        flags = []
+
+        def spy(matrix, schedule, feature_timed_out, *args):
+            flags.append(feature_timed_out[valid[0]])
+            return choose_backup(matrix, schedule, feature_timed_out, *args)
+        monkeypatch.setattr(portfolio_module, "choose_backup", spy)
+        docs = []
+        for timed_out in (False, True):
+            vector = FeatureVector(None, 1.0, timed_out, 0)
+            features = {**bench.features, train[0]: vector, valid[0]: vector}
+            docs.append(portfolio_to_doc(build_portfolio(
+                train, valid, features, matrix, bench.descriptors,
+                small_settings(hierarchy="sat2"), bench.purse, bench.series,
+            )))
+        assert docs[0] == docs[1]
+        assert flags and all(flags)
+
+    def test_runs_read_from_the_dense_view(self, monkeypatch):
+        # fits read runs from one dense block, not a get() per cell, and
+        # score labels come from one restrict of the training split
+        bench = generate_benchmark(num_instances=100, seed=21)
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, valid, _ = split_data(kept, seed=1)
+        matrix = bench.matrix.restrict(instances=[*train, *valid])
+        calls = {"get": 0, "restrict": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(RuntimeMatrix, name), **kw):
+                calls[_name] += 1
+                return _method(self, *args, **kw)
+            monkeypatch.setattr(RuntimeMatrix, name, counted)
+        for objective, hierarchy in (("min_runtime", "none"), ("max_score", "sat2")):
+            calls.update(get=0, restrict=0)
+            build_portfolio(train, valid, bench.features, matrix, bench.descriptors,
+                            small_settings(objective, hierarchy=hierarchy),
+                            bench.purse, bench.series)
+            assert calls["get"] == 0, objective
+            assert calls["restrict"] <= 2, objective
 
     def test_oracle_bound(self, bench, built):
         portfolio, _, valid, _ = built

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zfolio
 from zfolio.runtimes import RunRecord, RuntimeMatrix
 from zfolio.scoring import (
     MissingReferenceRuns,
@@ -370,6 +375,33 @@ class TestScoreContext:
             assert abs(got.solution - want.solution) < 1e-9
             assert abs(got.speed - want.speed) < 1e-9
             assert abs(got.series - want.series) < 1e-9
+
+    def test_series_total_does_not_depend_on_string_hashing(self):
+        # six one-instance series solved by 0..5 of six reference solvers; a
+        # virtual solver that solves them all gets 1/(k+1) of each series
+        # purse, summed along the sorted instances whatever PYTHONHASHSEED is
+        script = (
+            "from zfolio.runtimes import RunRecord, RuntimeMatrix\n"
+            "from zfolio.scoring import PurseConfig, ScoreContext, singleton_series\n"
+            "m = RuntimeMatrix(1200.0)\n"
+            "for k in range(6):\n"
+            "    for r in range(6):\n"
+            "        m.add(RunRecord(f'ref{r}', f'i{k}', 1.0, 'sat') if r < k\n"
+            "              else RunRecord(f'ref{r}', f'i{k}', 1200.0, 'timeout'))\n"
+            "ctx = ScoreContext(m.dense(), PurseConfig(series_purse=1.0),\n"
+            "                   singleton_series(m.instances))\n"
+            "every = dict.fromkeys(m.instances, True)\n"
+            "print(ctx.virtual_total(every, dict.fromkeys(every, 1.0)).series.hex())\n"
+        )
+        src = str(Path(zfolio.__file__).resolve().parents[1])
+        results = set()
+        for hash_seed in (1, 2, 3):
+            env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True, timeout=60)
+            results.add(out.stdout.strip())
+        assert results == {sum(1.0 / (k + 1) for k in range(6)).hex()}
 
 
 def test_purse_config_round_trip(tmp_path):
