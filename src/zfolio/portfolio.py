@@ -1,10 +1,13 @@
 """Portfolio construction and online execution.
 
 Offline: pick pre-solver candidates from validation scores, enumerate every
-(two pre-solvers x cutoffs x order) schedule, and for each one train
-per-solver models on the training instances the schedule leaves unsolved,
+(two pre-solvers x cutoffs x order) schedule, and group the schedules by
+behaviour: the training instances a schedule leaves unsolved, and its
+pre-solve outcome on the validation set. For each behaviour, train
+per-solver models on those training instances (each distinct fit once),
 choose a backup solver, and search solver subsets for the best simulated
-validation performance. The best schedule wins.
+validation performance, scoring all subsets in one array pass. The best
+behaviour wins, represented by its first schedule in enumeration order.
 
 Online: run the pre-solvers, compute features (falling back to the backup
 solver on timeout or error), predict each subset member's objective, and
@@ -68,6 +71,7 @@ EXHAUSTIVE_LIMIT = 12  # larger candidate sets get the local subset search
 LOCAL_ACCEPT_PROB = 0.05
 LOCAL_STALL_STEPS = 100
 LOCAL_RUNS = 10
+BATCH_CELLS = 1 << 16  # (subset, instance) cells the simulator scores at once
 
 FORMAT_TAG = "zfolio-portfolio/1"
 
@@ -234,6 +238,52 @@ def simulate_presolving(runs: DenseRuns, schedule: PresolverSchedule, cutoff: fl
     return solved, finish, solver, elapsed
 
 
+class SimulationRows:
+    """The schedule-independent inputs of a simulation over some instances:
+    their runs, their feature rows and, under max_score, the score context.
+
+    A build makes one for the validation set and hands it to each of its
+    simulators, so each fitted model is predicted on the rows once.
+    """
+
+    def __init__(self, matrix: RuntimeMatrix, features: dict[str, FeatureVector],
+                 instance_ids, objective: str, purse: PurseConfig | None = None,
+                 series=None):
+        self.ids = list(instance_ids)
+        n = len(self.ids)
+        self.runs = matrix.dense().block(instance_ids=self.ids)
+        self.crashed = self.runs.status == STATUS_CODES["crash"]
+        self.feature_ok = np.zeros(n, dtype=bool)
+        self.feature_time = np.zeros(n)
+        self.X = np.full((n, len(FEATURE_NAMES)), np.nan)
+        for j, iid in enumerate(self.ids):
+            fv = features.get(iid)
+            if fv is None:
+                continue
+            self.feature_time[j] = fv.feature_time_seconds
+            if fv.usable:
+                self.feature_ok[j] = True
+                self.X[j] = fv.values
+
+        self.score_ctx = None
+        if objective == OBJECTIVE_SCORE:
+            if purse is None:
+                raise ValueError("score objective needs a purse configuration")
+            self.score_ctx = ScoreContext(self.runs, purse, series or singleton_series(self.ids))
+        self._columns: dict[int, tuple] = {}  # id(model) -> (model, predictions)
+
+    def predict(self, model) -> np.ndarray:
+        """The model's prediction on each instance with usable features,
+        NaN on the others; computed on the first call for this model object
+        and shared afterwards (the column must not be written to)."""
+        if id(model) not in self._columns:
+            col = np.full(len(self.ids), np.nan)
+            if self.feature_ok.any():
+                col[self.feature_ok] = model.predict_matrix(self.X[self.feature_ok])
+            self._columns[id(model)] = (model, col)
+        return self._columns[id(model)][1]
+
+
 class PortfolioSimulator:
     """Replays the online procedure against recorded runs.
 
@@ -241,119 +291,127 @@ class PortfolioSimulator:
     solver's recorded runtime against the instance cutoff; crashes cascade
     to the next-best prediction. Used for subset search, schedule ranking
     and test-set evaluation.
+
+    The members (the models' solvers) are sorted by id and ranked once per
+    instance with a stable sort of their predictions. A subset's own stable
+    ranking is that ranking restricted to the subset, so every subset's
+    choice and crash cascade walk the same ranking, masked by membership,
+    and performances() scores many subsets in one array pass.
+
+    A build passes `rows`, made from the same matrix, features, instance
+    ids, objective, purse and series, to share it among its simulators.
     """
 
     def __init__(self, matrix: RuntimeMatrix, features: dict[str, FeatureVector],
                  instance_ids, schedule: PresolverSchedule, backup: str,
                  models: dict, objective: str, cutoff: float,
-                 purse: PurseConfig | None = None, series=None):
-        self.ids = list(instance_ids)
+                 purse: PurseConfig | None = None, series=None, *,
+                 rows: SimulationRows | None = None):
+        if rows is None:
+            rows = SimulationRows(matrix, features, instance_ids, objective, purse, series)
+        self.ids = rows.ids
+        self.runs = runs = rows.runs
+        self.score_ctx = rows.score_ctx
         self.objective = objective
         self.cutoff = cutoff
         self.backup = backup
         self.schedule = schedule
         n = len(self.ids)
-        self.runs = matrix.dense().block(instance_ids=self.ids)
-        self.crashed = self.runs.status == STATUS_CODES["crash"]
 
-        self.feature_ok = np.zeros(n, dtype=bool)
-        self.feature_time = np.zeros(n)
-        missing = np.full(len(FEATURE_NAMES), np.nan)
-        rows = []
-        for j, iid in enumerate(self.ids):
-            fv = features.get(iid)
-            if fv is None:
-                rows.append(missing)
-                continue
-            self.feature_time[j] = fv.feature_time_seconds
-            if fv.usable:
-                self.feature_ok[j] = True
-                rows.append(fv.values)
-            else:
-                rows.append(missing)
-        self.X = np.vstack(rows) if rows else np.zeros((0, len(FEATURE_NAMES)))
+        pre_solved, pre_time, pre_solver, pre_elapsed = simulate_presolving(runs, schedule, cutoff)
+        # what does not depend on the subset: pre-solved and backup rows
+        self._solved = pre_solved.copy()
+        self._total = np.where(pre_solved, pre_time, cutoff)
+        self._kind = np.where(pre_solved, "presolver", "").astype(object)
+        self._solver = pre_solver
+        self._elapsed = pre_elapsed + rows.feature_time
+        backup_rows = ~pre_solved & ~rows.feature_ok
+        if backup_rows.any():
+            rt = runs.runtime[runs.solver_index[backup]]
+            ok = runs.solved[runs.solver_index[backup]]
+            win = backup_rows & ok & (self._elapsed + rt <= cutoff)
+            self._total[win] = (self._elapsed + rt)[win]
+            self._solved |= win
+            self._kind[backup_rows] = "backup"
+            self._solver[backup_rows] = backup
+        self._model_rows = ~pre_solved & rows.feature_ok
 
-        (self.pre_solved, self.pre_time, self.pre_solver,
-         self.pre_elapsed) = simulate_presolving(self.runs, schedule, cutoff)
+        self.members = sorted(models)
+        self._member_index = {sid: m for m, sid in enumerate(self.members)}
+        pred = np.empty((n, len(self.members)))
+        for m, sid in enumerate(self.members):
+            pred[:, m] = rows.predict(models[sid])
+        # per instance, the members from best to worst predicted, and the
+        # runtime, solved and crash flags of the member at each rank
+        self._ranking = np.argsort(pred if objective == OBJECTIVE_RUNTIME else -pred,
+                                   axis=1, kind="stable")
+        cells = np.arange(n)[:, None], self._ranking
+        member_rows = [runs.solver_index[sid] for sid in self.members]
+        self._ranked_rt = runs.runtime[member_rows].T[cells]
+        self._ranked_ok = runs.solved[member_rows].T[cells]
+        self._ranked_crash = rows.crashed[member_rows].T[cells]
 
-        self.predictions = {}
-        ok = self.feature_ok
-        for sid, model in models.items():
-            col = np.full(n, np.nan)
-            if ok.any():
-                col[ok] = model.predict_matrix(self.X[ok])
-            self.predictions[sid] = col
+    def _membership(self, subsets) -> np.ndarray:
+        """(subsets, members) flags; KeyError for a solver without a model."""
+        flags = np.zeros((len(subsets), len(self.members)), dtype=bool)
+        for k, subset in enumerate(subsets):
+            flags[k, [self._member_index[sid] for sid in subset]] = True
+        return flags
 
-        self.score_ctx = None
-        if objective == OBJECTIVE_SCORE:
-            if purse is None:
-                raise ValueError("score objective needs a purse configuration")
-            series = series or singleton_series(self.ids)
-            self.score_ctx = ScoreContext(self.runs, purse, series)
+    def _cascade(self, membership: np.ndarray):
+        """The simulation of each subset in `membership`: (solved, total
+        time, chosen member index or -1), each a C-contiguous (subsets,
+        instances) array."""
+        shape = (len(membership), len(self.ids))
+        solved = np.broadcast_to(self._solved, shape).copy()
+        total = np.broadcast_to(self._total, shape).copy()
+        chosen = np.full(shape, -1)
+        active = np.broadcast_to(self._model_rows, shape).copy()
+        el = np.broadcast_to(self._elapsed, shape).copy()
+        for rank in range(len(self.members)):
+            if not active.any():
+                break
+            sel = self._ranking[:, rank]
+            take = active & membership[:, sel]
+            end = el + self._ranked_rt[:, rank]
+            fits = end <= self.cutoff
+            win = take & self._ranked_ok[:, rank] & fits
+            total[win] = end[win]
+            solved |= win
+            np.copyto(chosen, sel, where=take)
+            # a crash within the remaining time moves on to the next best
+            step = take & self._ranked_crash[:, rank] & fits
+            el[step] = end[step]
+            active &= ~take | step
+        return solved, total, chosen
 
     def simulate(self, subset):
         """Returns (solved mask, total time, chosen (kind, solver) pairs)."""
-        subset = sorted(subset)
-        n = len(self.ids)
-        solved = self.pre_solved.copy()
-        total = np.where(solved, self.pre_time, self.cutoff)
-        chosen_kind = np.where(self.pre_solved, "presolver", "").astype(object)
-        chosen_sid = self.pre_solver.copy()
-        remaining = ~solved
-        elapsed = self.pre_elapsed + self.feature_time
+        solved, total, chosen = (a[0] for a in self._cascade(self._membership([subset])))
+        kind, solver = self._kind.copy(), self._solver.copy()
+        main = chosen >= 0
+        kind[main] = "main"
+        solver[main] = np.array(self.members, dtype=object)[chosen[main]]
+        return solved, total, list(zip(kind, solver))
 
-        runs = self.runs
-        backup_rows = remaining & ~self.feature_ok
-        if backup_rows.any():
-            rt = runs.runtime[runs.solver_index[self.backup]]
-            ok = runs.solved[runs.solver_index[self.backup]]
-            win = backup_rows & ok & (elapsed + rt <= self.cutoff)
-            total[win] = (elapsed + rt)[win]
-            solved |= win
-            chosen_kind[backup_rows] = "backup"
-            chosen_sid[backup_rows] = self.backup
-
-        model_rows = remaining & self.feature_ok
-        if subset and model_rows.any():
-            pred = np.column_stack([self.predictions[sid] for sid in subset])
-            key = pred if self.objective == OBJECTIVE_RUNTIME else -pred
-            order = np.argsort(key, axis=1, kind="stable")
-            active = model_rows.copy()
-            el = elapsed.copy()
-            members = [runs.solver_index[sid] for sid in subset]
-            rt_cols = runs.runtime[members].T
-            ok_cols = runs.solved[members].T
-            crash_cols = self.crashed[members].T
-            idx = np.arange(n)
-            sid_arr = np.array(subset, dtype=object)
-            for rank in range(len(subset)):
-                if not active.any():
-                    break
-                sel = order[:, rank]
-                rt = rt_cols[idx, sel]
-                ok = ok_cols[idx, sel]
-                crash = crash_cols[idx, sel]
-                fits = el + rt <= self.cutoff
-                win = active & ok & fits
-                total[win] = (el + rt)[win]
-                solved |= win
-                chosen_kind[active] = "main"
-                chosen_sid[active] = sid_arr[sel[active]]
-                # a crash within the remaining time moves on to the next best
-                step = active & ~ok & crash & fits
-                el[step] += rt[step]
-                active = step
-        chosen = list(zip(chosen_kind, chosen_sid))
-        return solved, total, chosen
+    def performances(self, subsets: list) -> np.ndarray:
+        """Validation performance of each subset; higher is better. Subsets
+        are simulated in batches of at most BATCH_CELLS (subset, instance)
+        cells, which bounds the memory a large search takes."""
+        per_batch = max(1, BATCH_CELLS // max(1, len(self.ids)))
+        out = np.empty(len(subsets))
+        for at in range(0, len(subsets), per_batch):
+            solved, total, _ = self._cascade(self._membership(subsets[at:at + per_batch]))
+            if self.objective == OBJECTIVE_RUNTIME:
+                out[at:at + per_batch] = -total.mean(axis=1)
+            else:
+                solution, speed, series = self.score_ctx.virtual_scores(solved, total)
+                out[at:at + per_batch] = solution + speed + series
+        return out
 
     def performance(self, subset) -> float:
         """Scalar validation performance; higher is better."""
-        solved, total, _ = self.simulate(subset)
-        if self.objective == OBJECTIVE_RUNTIME:
-            return -float(total.mean())
-        solved_map = {iid: bool(s) for iid, s in zip(self.ids, solved)}
-        time_map = {iid: float(t) for iid, t in zip(self.ids, total)}
-        return self.score_ctx.virtual_total(solved_map, time_map).total
+        return float(self.performances([subset])[0])
 
     def records(self, subset, solver_id: str = "portfolio"):
         """Virtual-solver run records for the simulated portfolio."""
@@ -377,7 +435,7 @@ def _iter_subsets(solver_ids):
 
 def subset_search_exhaustive(solver_ids, simulator: PortfolioSimulator):
     """Best subset by simulated validation performance, trying all of them
-    (at most EXHAUSTIVE_LIMIT solvers).
+    (at most EXHAUSTIVE_LIMIT solvers) in one batch.
 
     Ties go to smaller subsets, then lexicographically smaller ones.
     """
@@ -386,9 +444,9 @@ def subset_search_exhaustive(solver_ids, simulator: PortfolioSimulator):
         raise TooManySolvers(f"{len(solver_ids)} solvers exceed the exhaustive guard")
     if not solver_ids:
         raise ValueError("need at least one solver")
+    subsets = list(_iter_subsets(solver_ids))
     best_subset, best_perf = None, -math.inf
-    for subset in _iter_subsets(solver_ids):
-        perf = simulator.performance(subset)
+    for subset, perf in zip(subsets, simulator.performances(subsets).tolist()):
         if perf > best_perf:
             best_subset, best_perf = list(subset), perf
     return best_subset, best_perf
@@ -535,12 +593,27 @@ class _ModelTrainer:
                                 for iid, sat in zip(rows, self.classes)]
             self.classifier = train_classifier(self.X, self.classes)
         self._cache: dict[tuple, object] = {}
+        self.requests = 0
 
     def fit(self, sid: str, row_ids: tuple[str, ...]):
+        """The model of `sid` on these training rows, fitted on the first
+        request; a refused fit raises InsufficientData on every request."""
+        self.requests += 1
         key = (sid, row_ids)
         if key not in self._cache:
-            self._cache[key] = self._fit(sid, row_ids)
-        return self._cache[key]
+            try:
+                self._cache[key] = self._fit(sid, row_ids)
+            except InsufficientData as exc:
+                self._cache[key] = exc
+        found = self._cache[key]
+        if isinstance(found, InsufficientData):
+            raise found
+        return found
+
+    @property
+    def distinct(self) -> int:
+        """Distinct fits made or refused so far."""
+        return len(self._cache)
 
     def _fit(self, sid, row_ids):
         s = self.settings
@@ -633,9 +706,15 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
 
     trainer = _ModelTrainer(matrix, features, s, candidate_ids, train_ids, usable,
                             purse, series, category_labels)
-    train_runs = matrix.dense().block(complete_cands + local_cands, train_ids)
+    presolver_ids = complete_cands + local_cands
+    train_runs = matrix.dense().block(presolver_ids, train_ids)
+    valid_runs = valid_matrix.dense().block(presolver_ids, valid_ids)
 
-    best = None  # (perf, schedule, backup, subset, models)
+    # Group the schedules by behaviour: the training instances they leave
+    # for the models and what they do on the validation set. Models, backup,
+    # simulation and subset search follow from the behaviour alone.
+    behaviours: dict[tuple, list[PresolverSchedule]] = {}
+    skipped = 0
     for schedule in schedules:
         pre_solved = simulate_presolving(train_runs, schedule, s.cutoff_seconds)[0]
         remaining = tuple(
@@ -645,8 +724,19 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
         if not remaining:
             log.warning("schedule %s solves every training instance; skipped",
                         schedule.describe())
+            skipped += 1
             continue
+        solved, finish, _, elapsed = simulate_presolving(valid_runs, schedule,
+                                                         s.cutoff_seconds)
+        key = (remaining, solved.tobytes(), finish.tobytes(), elapsed.tobytes())
+        behaviours.setdefault(key, []).append(schedule)
 
+    rows = SimulationRows(valid_matrix, features, valid_ids, s.objective, purse, series)
+    best = None  # (perf, schedule, backup, subset, models)
+    # behaviours in order of their first schedule, which stands for them:
+    # with the strict > the earliest of the best schedules wins
+    for (remaining, *_), group in behaviours.items():
+        schedule = group[0]
         models = {}
         for sid in candidate_ids:
             if len(remaining) < s.min_training_rows:
@@ -658,6 +748,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
             except InsufficientData as exc:
                 log.info("schedule %s: %s", schedule.describe(), exc)
         if not models:
+            skipped += len(group)
             continue
 
         backup = choose_backup(
@@ -666,7 +757,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
         )
         simulator = PortfolioSimulator(
             valid_matrix, features, valid_ids, schedule, backup, models,
-            s.objective, s.cutoff_seconds, purse, series,
+            s.objective, s.cutoff_seconds, purse, series, rows=rows,
         )
         if len(models) <= EXHAUSTIVE_LIMIT:
             subset, perf = subset_search_exhaustive(models.keys(), simulator)
@@ -675,6 +766,9 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
         if best is None or perf > best[0]:
             best = (perf, schedule, backup, subset, {k: models[k] for k in subset})
 
+    log.info("%s build: %d schedules enumerated, %d skipped, %d distinct behaviours, "
+             "%d distinct fits, %d fit-cache hits", s.objective, len(schedules), skipped,
+             len(behaviours), trainer.distinct, trainer.requests - trainer.distinct)
     if best is None:
         raise InsufficientData("no schedule produced a usable portfolio")
     _, schedule, backup, subset, models = best

@@ -200,14 +200,16 @@ def competition_score(runs: DenseRuns | RuntimeMatrix, purse: PurseConfig,
 
 
 class ScoreContext:
-    """Precomputed aggregates to score one extra (virtual) solver quickly.
+    """Precomputed aggregates to score extra (virtual) solvers quickly.
 
     Scoring a portfolio as if it had entered the competition alongside the
     reference solvers only needs, per instance, how many references solved
     it and their speed-factor mass, and per series the reference winner
-    count. virtual_total() then runs in O(instances), visiting instances in
-    sorted order and adding each series' share when it is first hit, so the
-    sum does not depend on string hashing.
+    count. virtual_scores() scores many virtual solvers at once in
+    O(solvers x instances); each sum runs along the sorted instances and
+    adds a series' share at its first solved instance, so the totals do
+    not depend on string hashing and equal a one-instance-at-a-time loop
+    bit for bit.
     """
 
     def __init__(self, runs: DenseRuns, purse: PurseConfig, series: SeriesMap):
@@ -221,22 +223,57 @@ class ScoreContext:
             sid: int(b.any(axis=1).sum()) for sid, b in _series_blocks(runs, series).items()
         }
 
-    def virtual_total(self, solved: dict[str, bool], runtime: dict[str, float]) -> ScoreBreakdown:
+        # the batched scorer reads columns in the runs' order and works in
+        # sorted-instance order
+        self._column_ids = runs.instances
+        self._order = np.array([runs.instance_index[iid] for iid in self.instances], dtype=int)
+        n_solving = np.array([self.n_solving[iid] for iid in self.instances], dtype=float)
+        self._solution = purse.solution_purse / (n_solving + 1)
+        self._sf_sum = np.array([self.sf_sum[iid] for iid in self.instances])
+        # columns grouped by series (sorted within each series), and per
+        # grouped column the position where its series' group starts
+        group = np.unique([series[iid] for iid in self.instances], return_inverse=True)[1]
+        self._by_series = np.argsort(group, kind="stable")
+        grouped = group[self._by_series]
+        starts = np.ones(len(grouped), dtype=bool)
+        starts[1:] = grouped[1:] != grouped[:-1]
+        self._group_start = np.maximum.accumulate(np.where(starts, np.arange(len(grouped)), 0))
+        self._series_share = np.array([
+            purse.series_purse / (self.series_winner_counts[series[iid]] + 1)
+            for iid in self.instances
+        ])[self._by_series]
+
+    def virtual_scores(self, solved: np.ndarray, runtime: np.ndarray):
+        """Solution, speed and series totals of virtual solvers.
+
+        `solved` and `runtime` are (solvers, instances) arrays whose columns
+        follow the runs this context was built from; runtimes of unsolved
+        cells are ignored. Returns three arrays of one total per solver.
+        """
         purse = self.purse
-        solution = speed = 0.0
-        series_hit = []
-        for iid in self.instances:
-            if not solved.get(iid, False):
-                continue
-            solution += purse.solution_purse / (self.n_solving[iid] + 1)
-            sf = speed_factor(purse.time_limit, runtime[iid])
-            speed += purse.speed_purse * sf / (self.sf_sum[iid] + sf)
-            series_hit.append(self.series[iid])
-        series_total = sum(
-            purse.series_purse / (self.series_winner_counts[sid] + 1)
-            for sid in dict.fromkeys(series_hit)
-        )
-        return ScoreBreakdown(solution, speed, series_total)
+        solved = np.asarray(solved, dtype=bool)[:, self._order]
+        runtime = np.asarray(runtime, dtype=float)[:, self._order]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sf = speed_factor(purse.time_limit, runtime)
+            speed = np.where(solved, purse.speed_purse * sf / (self._sf_sum + sf), 0.0)
+        solution = np.where(solved, self._solution, 0.0)
+
+        # a series scores at its first solved instance, the one with no hit
+        # of the same series before it in sorted order
+        hits = solved[:, self._by_series]
+        before = np.cumsum(hits, axis=1) - hits
+        shares = np.zeros(solved.shape)
+        shares[:, self._by_series] = np.where(
+            hits & (before == before[:, self._group_start]), self._series_share, 0.0)
+        return _ordered_sum(solution, 1), _ordered_sum(speed, 1), _ordered_sum(shares, 1)
+
+    def virtual_total(self, solved: dict[str, bool], runtime: dict[str, float]) -> ScoreBreakdown:
+        """One virtual solver's score, from per-instance solved flags and
+        runtimes (read only where solved)."""
+        ok = [bool(solved.get(iid, False)) for iid in self._column_ids]
+        times = [runtime[iid] if o else 0.0 for iid, o in zip(self._column_ids, ok)]
+        solution, speed, series = self.virtual_scores(np.array([ok]), np.array([times]))
+        return ScoreBreakdown(float(solution[0]), float(speed[0]), float(series[0]))
 
 
 def score_report_csv(totals: dict[str, ScoreBreakdown]) -> str:

@@ -133,6 +133,33 @@ def ref_score_context(matrix, purse, series, instances):
     return n_solving, sf_sum, winners
 
 
+def ref_virtual_total(matrix, purse, series, outcomes):
+    """A virtual solver's score against the matrix's solvers, one instance at
+    a time in sorted order, a series' share added at its first solved
+    instance; `outcomes` maps instance -> (solved, runtime)."""
+    instances = sorted(outcomes)
+    n_solving, sf_sum, winners = ref_score_context(matrix, purse, series, instances)
+    solution = speed = 0.0
+    hit = []
+    for iid in instances:
+        ok, t = outcomes[iid]
+        if not ok:
+            continue
+        solution += purse.solution_purse / (n_solving[iid] + 1)
+        sf = speed_factor(purse.time_limit, t)
+        speed += purse.speed_purse * sf / (sf_sum[iid] + sf)
+        hit.append(series[iid])
+    return ScoreBreakdown(solution, speed,
+                          sum(purse.series_purse / (winners[g] + 1) for g in dict.fromkeys(hit)))
+
+
+def interleaved_series(rng, matrix):
+    """Series of up to four instances that need not be neighbours in sorted
+    order, so subsets can reach a series first at different instances."""
+    groups = max(1, len(matrix.instances) // 3)
+    return {iid: f"g{rng.randrange(groups)}" for iid in matrix.instances}
+
+
 def ref_presolved(matrix, instance_ids, schedule, cutoff):
     """Per instance: None, or (finish time, pre-solver)."""
     out = {}
@@ -347,6 +374,26 @@ class TestScoringConsumers:
                 assert ctx.n_solving == n_solving and ctx.sf_sum == sf_sum
                 assert ctx.series_winner_counts == winners
 
+    def test_virtual_scores_add_up_one_instance_at_a_time(self):
+        # bit for bit, also with series spread over the sorted instances and
+        # columns handed over in an unsorted order
+        for rng, matrix, series in cases():
+            purse = PurseConfig(time_limit=CUTOFF)
+            ids = rng.sample(matrix.instances, rng.randint(1, len(matrix.instances)))
+            for series in (series, interleaved_series(rng, matrix)):
+                ctx = ScoreContext(matrix.dense().block(instance_ids=ids), purse, series)
+                solved = np.array([[rng.random() < 0.6 for _ in ids] for _ in range(6)])
+                runtime = np.array([[rng.uniform(0, CUTOFF) for _ in ids] for _ in range(6)])
+                got = ctx.virtual_scores(solved, runtime)
+                for k in range(len(solved)):
+                    outcomes = dict(zip(ids, zip(solved[k].tolist(), runtime[k].tolist())))
+                    want = ref_virtual_total(matrix, purse, series, outcomes)
+                    assert (got[0][k], got[1][k], got[2][k]) == \
+                        (want.solution, want.speed, want.series)
+                    one = ctx.virtual_total(dict(zip(ids, solved[k].tolist())),
+                                            dict(zip(ids, runtime[k].tolist())))
+                    assert one == want and one.total == want.total
+
     def test_a_missing_cell_raises(self):
         for rng, matrix, series in cases(20):
             holed, _ = with_hole(rng, matrix)
@@ -436,25 +483,123 @@ class TestPortfolioConsumers:
         return features, models
 
     def test_portfolio_simulator(self):
+        """simulate, records and performances against the one-instance-at-a-
+        time replay, for every subset; performances bit for bit."""
+        seen = dict.fromkeys(("crash cascade", "tie", "backup", "presolved",
+                              "series first hit differs"), 0)
         for rng, matrix, series in cases(60):
             purse = PurseConfig(time_limit=CUTOFF)
             features, models = self.simulator_inputs(rng, matrix)
+            if rng.random() < 0.5:  # two members with equal predictions
+                a, b = rng.sample(matrix.solvers, 2)
+                models[b] = models[a]
+            if rng.random() < 0.5:
+                series = interleaved_series(rng, matrix)
             ids = rng.sample(matrix.instances, rng.randint(1, len(matrix.instances)))
             schedule = random_schedule(rng, matrix)
             backup = rng.choice(matrix.solvers)
-            subset = sorted(rng.sample(matrix.solvers, rng.randint(1, len(matrix.solvers))))
+            subsets = [list(c) for c in portfolio._iter_subsets(matrix.solvers)]
             for objective in ("min_runtime", "max_score"):
                 sim = PortfolioSimulator(matrix, features, ids, schedule, backup, models,
                                          objective, CUTOFF, purse, series)
-                solved, total, chosen = sim.simulate(subset)
-                got = [(bool(a), float(b), (c[0], c[1])) for a, b, c in
-                       zip(solved, total, chosen)]
-                want = ref_simulation(matrix, features, ids, schedule, backup, models,
-                                      objective, CUTOFF, subset)
-                assert got == want
-                for (ok, t, (_, sid)), (iid, rec) in zip(want, sim.records(subset).items()):
-                    status = matrix.get(sid, iid).status if ok else "timeout"
-                    assert (rec.status, rec.runtime_seconds) == (status, t if ok else CUTOFF)
+                perfs = sim.performances(subsets)
+                first_hits = {}
+                for subset, perf in zip(subsets, perfs.tolist()):
+                    solved, total, chosen = sim.simulate(subset)
+                    got = [(bool(a), float(b), (c[0], c[1])) for a, b, c in
+                           zip(solved, total, chosen)]
+                    want = ref_simulation(matrix, features, ids, schedule, backup, models,
+                                          objective, CUTOFF, subset)
+                    assert got == want
+                    for (ok, t, (_, sid)), (iid, rec) in zip(want, sim.records(subset).items()):
+                        status = matrix.get(sid, iid).status if ok else "timeout"
+                        assert (rec.status, rec.runtime_seconds) == (status, t if ok else CUTOFF)
+                    if objective == "min_runtime":
+                        want_perf = -np.array([t for _, t, _ in want]).mean()
+                    else:
+                        outcomes = {iid: (ok, t) for iid, (ok, t, _) in zip(ids, want)}
+                        want_perf = ref_virtual_total(matrix, purse, series, outcomes).total
+                    assert perf == want_perf and sim.performance(subset) == want_perf
+                    self.coverage(seen, first_hits, matrix, features, models, objective,
+                                  series, ids, subset, want)
+                seen["series first hit differs"] += sum(
+                    len(firsts) > 1 for firsts in first_hits.values())
+        assert all(seen.values()), seen
+
+    @staticmethod
+    def coverage(seen, first_hits, matrix, features, models, objective, series, ids,
+                 subset, want):
+        """Counts the cases one replay went through, and notes where it first
+        solved an instance of each series."""
+        sign = 1.0 if objective == "min_runtime" else -1.0
+        firsts = {}
+        for iid, (ok, _, (kind, sid)) in sorted(zip(ids, want)):
+            if ok:
+                firsts.setdefault(series[iid], iid)
+            seen["backup"] += kind == "backup"
+            seen["presolved"] += kind == "presolver"
+            if kind == "main":
+                preds = {s: models[s].predict(features[iid].values) for s in subset}
+                seen["tie"] += len(set(preds.values())) < len(preds)
+                top = min(subset, key=lambda s: (sign * preds[s], s))
+                if sid != top:
+                    assert matrix.get(top, iid).status == "crash"
+                    seen["crash cascade"] += 1
+        for group, iid in firsts.items():
+            first_hits.setdefault(group, set()).add(iid)
+
+    def test_batched_runtime_mean_is_the_mean_of_each_row(self):
+        # over 300 instances numpy's pairwise sum splits each row in blocks;
+        # a batched row must still equal the one-subset total's mean
+        rng = random.Random(9)
+        matrix = random_matrix(rng, n_solvers=4, n_instances=300, cutoff=CUTOFF)
+        features, models = self.simulator_inputs(rng, matrix)
+        sim = PortfolioSimulator(matrix, features, matrix.instances, PresolverSchedule(),
+                                 matrix.solvers[0], models, "min_runtime", CUTOFF)
+        subsets = list(portfolio._iter_subsets(matrix.solvers))
+        for subset, perf in zip(subsets, sim.performances(subsets)):
+            total = sim.simulate(subset)[1]
+            assert perf == -total.mean()
+
+    def test_performances_do_not_depend_on_the_batch_size(self, monkeypatch):
+        for rng, matrix, series in cases(10):
+            purse = PurseConfig(time_limit=CUTOFF)
+            features, models = self.simulator_inputs(rng, matrix)
+            subsets = list(portfolio._iter_subsets(matrix.solvers))
+            for objective in ("min_runtime", "max_score"):
+                sim = PortfolioSimulator(matrix, features, matrix.instances,
+                                         random_schedule(rng, matrix), matrix.solvers[0],
+                                         models, objective, CUTOFF, purse, series)
+                whole = sim.performances(subsets)
+                monkeypatch.setattr(portfolio, "BATCH_CELLS", 2 * len(matrix.instances) + 1)
+                assert np.array_equal(sim.performances(subsets), whole)
+                monkeypatch.undo()
+
+    def test_shared_rows_predict_each_model_once(self):
+        rng = random.Random(4)
+        matrix = random_matrix(rng, n_solvers=3, n_instances=10, cutoff=CUTOFF)
+        features, models = self.simulator_inputs(rng, matrix)
+        calls = []
+
+        class Counted:
+            def __init__(self, model):
+                self.model = model
+
+            def predict_matrix(self, X):
+                calls.append(self)
+                return self.model.predict_matrix(X)
+        counted = {s: Counted(m) for s, m in models.items()}
+        rows = portfolio.SimulationRows(matrix, features, matrix.instances, "min_runtime")
+        schedules = [random_schedule(rng, matrix) for _ in range(4)]
+        sims = [PortfolioSimulator(matrix, features, matrix.instances, schedule,
+                                   matrix.solvers[0], counted, "min_runtime", CUTOFF, rows=rows)
+                for schedule in schedules]
+        assert sorted(map(id, calls)) == sorted(map(id, counted.values()))
+        subsets = list(portfolio._iter_subsets(matrix.solvers))
+        for schedule, sim in zip(schedules, sims):
+            alone = PortfolioSimulator(matrix, features, matrix.instances, schedule,
+                                       matrix.solvers[0], models, "min_runtime", CUTOFF)
+            assert np.array_equal(sim.performances(subsets), alone.performances(subsets))
 
     def test_model_trainer_fits_what_the_records_say(self, monkeypatch):
         got = {}

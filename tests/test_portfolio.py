@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -397,6 +400,80 @@ class TestBuildPortfolio:
         _, total, _ = sim.simulate(portfolio.subset)
         report = evaluate(matrix)
         assert total.mean() >= report.oracle.avg_runtime - 1e-9
+
+
+class TestBehaviourGrouping:
+    """The build runs one simulator and one subset search per distinct
+    schedule behaviour (training remainder and validation pre-solving)."""
+
+    @pytest.fixture
+    def split(self, bench):
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, valid, _ = split_data(kept, seed=1)
+        return train, valid, bench.matrix.restrict(instances=[*train, *valid])
+
+    def build(self, bench, split, monkeypatch, schedules=lambda listed: listed, **settings):
+        """Builds with the enumeration passed through `schedules`; returns
+        the portfolio, the schedules enumerated and those the simulators
+        were made for."""
+        listed, built_for = [], []
+        init = PortfolioSimulator.__init__
+
+        def counted(self, matrix, features, ids, schedule, *args, **kw):
+            built_for.append(schedule)
+            init(self, matrix, features, ids, schedule, *args, **kw)
+
+        def enumerate_(complete, local):
+            listed.extend(schedules(enumerate_presolver_configs(complete, local)))
+            return listed
+        monkeypatch.setattr(PortfolioSimulator, "__init__", counted)
+        monkeypatch.setattr(portfolio_module, "enumerate_presolver_configs", enumerate_)
+        train, valid, matrix = split
+        portfolio = build_portfolio(train, valid, bench.features, matrix, bench.descriptors,
+                                    small_settings(**settings), bench.purse, bench.series)
+        return portfolio, listed, built_for
+
+    def test_one_behaviour_builds_one_simulator(self, bench, split, monkeypatch):
+        # without an active pre-solver every schedule leaves the same work
+        portfolio, listed, built_for = self.build(
+            bench, split, monkeypatch, presolver_top=2,
+            schedules=lambda listed: [s for s in listed if not s.active()])
+        assert len(listed) == 8
+        assert built_for == [listed[0]] and portfolio.presolvers == listed[0]
+
+    def test_simulators_follow_behaviours_not_schedules(self, bench, split, monkeypatch,
+                                                        caplog):
+        caplog.set_level(logging.INFO, logger="zfolio.portfolio")
+        _, listed, built_for = self.build(bench, split, monkeypatch, presolver_top=3)
+        summary = [r.getMessage() for r in caplog.records
+                   if "schedules enumerated" in r.getMessage()]
+        assert len(summary) == 1
+        counts = {name: int(n) for n, name in re.findall(
+            r"(\d+) (schedules enumerated|skipped|distinct behaviours|distinct fits|"
+            r"fit-cache hits)", summary[0])}
+        assert counts["schedules enumerated"] == len(listed) == 288  # criterion 7's count
+        assert len(built_for) == counts["distinct behaviours"] < 288 - counts["skipped"]
+        assert len(set(built_for)) == len(built_for)
+        assert counts["fit-cache hits"] > 0
+
+    def test_ties_go_to_the_earliest_schedule(self, bench, split, monkeypatch):
+        # schedules whose active pre-solvers' cutoffs sum to 2 s tie for the
+        # best; they belong to more than one behaviour, and the first of them
+        # in enumeration order wins, whichever way the enumeration runs
+        def cost(schedule):
+            return abs(sum(e.cutoff_seconds for e in schedule.active()) - 2.0)
+
+        monkeypatch.setattr(PortfolioSimulator, "performances",
+                            lambda self, subsets: np.full(len(subsets), -cost(self.schedule)))
+        winners = []
+        for order in (list, reversed):
+            portfolio, listed, built_for = self.build(
+                bench, split, monkeypatch, presolver_top=2,
+                schedules=lambda listed, order=order: list(order(listed)))
+            assert len([s for s in built_for if cost(s) == 0]) >= 2
+            assert portfolio.presolvers == next(s for s in listed if cost(s) == 0)
+            winners.append(portfolio.presolvers)
+        assert winners[0] != winners[1]
 
 
 class TestSimulatorProperties:
