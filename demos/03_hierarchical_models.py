@@ -40,7 +40,8 @@ def fit_conditional(rows):
     return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
 
-model = train_hierarchical(X, y, labels.tolist(), fit_conditional, classifier=clf)
+model = train_hierarchical(X, y, labels.tolist(), fit_conditional, classifier=clf,
+                           gate_rows=np.arange(n))
 flat = fit_ridge_model(X, y, make_basis(X, [0, 1]))
 
 rmse = lambda preds: float(np.sqrt(np.mean((preds - y) ** 2)))

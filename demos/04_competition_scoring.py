@@ -44,7 +44,8 @@ print(score_report_csv(totals))
 
 # per-instance training labels for one solver: solution + speed shares are
 # exact, the series share uses SeriesP / (N * n), a lower bound
-labels = score_labels(matrix, "steady", purse, series)
+runs = matrix.dense()
+labels = dict(zip(runs.instances, score_labels(runs, purse, series)[runs.solver_index["steady"]]))
 print("independent per-instance labels for 'steady':")
 for iid in sorted(labels):
     print(f"  {iid}: {labels[iid]:8.2f}")

@@ -69,7 +69,6 @@ from .scoring import (
     competition_score,
     independent_series_share,
     score_labels,
-    series_scores,
     speed_factor,
 )
 from .synthetic import SyntheticSolverModel, generate_benchmark, run_synthetic

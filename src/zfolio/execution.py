@@ -100,10 +100,10 @@ def run_external(descriptor: SolverDescriptor, instance_path: str,
         if proc.returncode < 0:  # killed by a signal
             if -proc.returncode == signal.SIGXCPU:
                 return RunRecord(descriptor.id, instance_id, cutoff_seconds, "timeout")
-            return RunRecord(descriptor.id, instance_id, cpu, "crash", censored=False)
+            return RunRecord(descriptor.id, instance_id, cpu, "crash")
         status = _parse_status(proc.returncode, out.name)
         if status is None:
-            return RunRecord(descriptor.id, instance_id, cpu, "crash", censored=False)
+            return RunRecord(descriptor.id, instance_id, cpu, "crash")
         return RunRecord(descriptor.id, instance_id, min(cpu, cutoff_seconds), status)
 
 

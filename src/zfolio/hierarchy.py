@@ -254,31 +254,24 @@ class HierarchicalModel:
 
 
 def train_hierarchical(features, targets, class_labels, fit_conditional,
-                       classifier: ClassifierModel | None = None,
-                       gate_rows=None) -> HierarchicalModel:
+                       classifier: ClassifierModel, gate_rows) -> HierarchicalModel:
     """Train conditional models per class and fit the gate.
 
     `fit_conditional(rows)` must return a RidgeModel trained on that row
     subset; a class with fewer than two rows gets `fit_conditional` of all
-    rows. Without a `classifier`, one is trained on these rows with
-    `train_classifier`'s default penalty. The gate is fit on the rows
-    `gate_rows` indexes (all by default), e.g. only those whose target was
-    observed.
+    rows. The gate is fit with `classifier` on the rows `gate_rows`
+    indexes, e.g. only those whose target was observed.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     labels = np.asarray(list(class_labels))
-    if classifier is None:
-        classifier = train_classifier(X, labels)
     conditionals = []
     for cls in classifier.classes:
         rows = np.flatnonzero(labels == cls)
         if rows.size < 2:
             rows = np.arange(X.shape[0])
         conditionals.append(fit_conditional(rows))
-    if gate_rows is not None:
-        X, y = X[gate_rows], y[gate_rows]
-    v = fit_gating(conditionals, classifier, X, y)
+    v = fit_gating(conditionals, classifier, X[gate_rows], y[gate_rows])
     return HierarchicalModel(list(classifier.classes), conditionals, classifier, v)
 
 

@@ -1,13 +1,20 @@
 """Portfolio construction and online execution.
 
-Offline: pick pre-solver candidates from validation scores, enumerate every
-(two pre-solvers x cutoffs x order) schedule, and group the schedules by
-behaviour: the training instances a schedule leaves unsolved, and its
-pre-solve outcome on the validation set. For each behaviour, train
-per-solver models on those training instances (each distinct fit once),
-choose a backup solver, and search solver subsets for the best simulated
-validation performance, scoring all subsets in one array pass. The best
-behaviour wins, represented by its first schedule in enumeration order.
+Offline: pick pre-solver candidates from validation scores and enumerate
+every (two pre-solvers x cutoffs x order) schedule. The build then runs in
+phases, each doing its distinct work once:
+
+0. gather the training runs, feature rows, score labels and classifier,
+   and the validation rows every simulator shares;
+1. group the schedules by behaviour: the training instances a schedule
+   leaves unsolved, and its pre-solve outcome on the validation set;
+2. fit each candidate's model on each distinct training remainder;
+3. per behaviour, choose a backup solver and search solver subsets for
+   the best simulated validation performance, scoring all subsets in one
+   array pass.
+
+The best behaviour wins, represented by its first schedule in enumeration
+order.
 
 Online: run the pre-solvers, compute features (falling back to the backup
 solver on timeout or error), predict each subset member's objective, and
@@ -560,13 +567,11 @@ class BuildSettings:
 
 
 class _ModelTrainer:
-    """Per-solver model fitting with caching across schedules.
+    """Per-solver model fitting on subsets of the training instances.
 
     The candidates' runs on the training instances with usable features,
     those instances' feature rows and, under max_score, every candidate's
     score labels are gathered once; each fit reads its rows from them.
-    Schedules that leave the same training instances unsolved reuse the
-    same fitted models, which collapses most of the enumeration's cost.
     """
 
     def __init__(self, matrix, features, settings, candidate_ids, train_ids, usable,
@@ -581,10 +586,10 @@ class _ModelTrainer:
         if s.objective == OBJECTIVE_SCORE:
             # labels score each instance against every solver on all the
             # training instances, whether their features are usable or not
-            sub = matrix.restrict(instances=train_ids)
-            train_series = {i: series[i] for i in train_ids}
-            labels = [score_labels(sub, sid, purse, train_series) for sid in candidate_ids]
-            self.labels = np.array([[by_id[iid] for iid in rows] for by_id in labels])
+            everyone = matrix.dense().block(instance_ids=train_ids)
+            labels = score_labels(everyone, purse, series)
+            self.labels = labels[np.ix_([everyone.solver_index[sid] for sid in candidate_ids],
+                                        [everyone.instance_index[iid] for iid in rows])]
         self.classifier = None
         if s.hierarchy != "none":
             self.classes = [matrix.sat_label(iid) or "sat" for iid in rows]
@@ -592,30 +597,10 @@ class _ModelTrainer:
                 self.classes = [f"{category_labels[iid]}:{sat}"
                                 for iid, sat in zip(rows, self.classes)]
             self.classifier = train_classifier(self.X, self.classes)
-        self._cache: dict[tuple, object] = {}
-        self.requests = 0
 
     def fit(self, sid: str, row_ids: tuple[str, ...]):
-        """The model of `sid` on these training rows, fitted on the first
-        request; a refused fit raises InsufficientData on every request."""
-        self.requests += 1
-        key = (sid, row_ids)
-        if key not in self._cache:
-            try:
-                self._cache[key] = self._fit(sid, row_ids)
-            except InsufficientData as exc:
-                self._cache[key] = exc
-        found = self._cache[key]
-        if isinstance(found, InsufficientData):
-            raise found
-        return found
-
-    @property
-    def distinct(self) -> int:
-        """Distinct fits made or refused so far."""
-        return len(self._cache)
-
-    def _fit(self, sid, row_ids):
+        """The model of `sid` on these training rows; raises InsufficientData
+        when the rows cannot support one."""
         s = self.settings
         runs = self.runs
         k = runs.solver_index[sid]
@@ -704,15 +689,15 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     )
     schedules = enumerate_presolver_configs(complete_cands, local_cands)
 
+    # Phase 0: the inputs of every later phase, gathered once
     trainer = _ModelTrainer(matrix, features, s, candidate_ids, train_ids, usable,
                             purse, series, category_labels)
-    presolver_ids = complete_cands + local_cands
-    train_runs = matrix.dense().block(presolver_ids, train_ids)
-    valid_runs = valid_matrix.dense().block(presolver_ids, valid_ids)
+    rows = SimulationRows(valid_matrix, features, valid_ids, s.objective, purse, series)
+    train_runs = matrix.dense().block(complete_cands + local_cands, train_ids)
 
-    # Group the schedules by behaviour: the training instances they leave
-    # for the models and what they do on the validation set. Models, backup,
-    # simulation and subset search follow from the behaviour alone.
+    # Phase 1: group the schedules by behaviour, that is by the training
+    # instances they leave for the models and what they do on the validation
+    # set. Models, backup, simulation and subset search follow from it alone.
     behaviours: dict[tuple, list[PresolverSchedule]] = {}
     skipped = 0
     for schedule in schedules:
@@ -726,27 +711,37 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
                         schedule.describe())
             skipped += 1
             continue
-        solved, finish, _, elapsed = simulate_presolving(valid_runs, schedule,
-                                                         s.cutoff_seconds)
+        solved, finish, _, elapsed = simulate_presolving(rows.runs, schedule, s.cutoff_seconds)
         key = (remaining, solved.tobytes(), finish.tobytes(), elapsed.tobytes())
         behaviours.setdefault(key, []).append(schedule)
 
-    rows = SimulationRows(valid_matrix, features, valid_ids, s.objective, purse, series)
+    # Phase 2: each distinct (solver, training remainder) fit once, the
+    # remainders in order of the first schedule that leaves them
+    remainders: dict[tuple, PresolverSchedule] = {}
+    for (remaining, *_), group in behaviours.items():
+        remainders.setdefault(remaining, group[0])
+    pairs = []
+    for remaining, schedule in remainders.items():
+        if len(remaining) < s.min_training_rows:
+            log.info("schedule %s: only %d training rows; no models fitted",
+                     schedule.describe(), len(remaining))
+            continue
+        pairs += [(sid, remaining) for sid in candidate_ids]
+    fits = {}
+    for sid, remaining in pairs:
+        try:
+            fits[sid, remaining] = trainer.fit(sid, remaining)
+        except InsufficientData as exc:
+            log.info("schedule %s: %s", remainders[remaining].describe(), exc)
+
+    # Phase 3: per behaviour, in order of their first schedule, which stands
+    # for them, a backup and a subset search; with the strict > the earliest
+    # of the best schedules wins
     best = None  # (perf, schedule, backup, subset, models)
-    # behaviours in order of their first schedule, which stands for them:
-    # with the strict > the earliest of the best schedules wins
     for (remaining, *_), group in behaviours.items():
         schedule = group[0]
-        models = {}
-        for sid in candidate_ids:
-            if len(remaining) < s.min_training_rows:
-                log.info("schedule %s: only %d training rows; solver %s excluded",
-                         schedule.describe(), len(remaining), sid)
-                continue
-            try:
-                models[sid] = trainer.fit(sid, remaining)
-            except InsufficientData as exc:
-                log.info("schedule %s: %s", schedule.describe(), exc)
+        models = {sid: fits[sid, remaining] for sid in candidate_ids
+                  if (sid, remaining) in fits}
         if not models:
             skipped += len(group)
             continue
@@ -767,8 +762,8 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
             best = (perf, schedule, backup, subset, {k: models[k] for k in subset})
 
     log.info("%s build: %d schedules enumerated, %d skipped, %d distinct behaviours, "
-             "%d distinct fits, %d fit-cache hits", s.objective, len(schedules), skipped,
-             len(behaviours), trainer.distinct, trainer.requests - trainer.distinct)
+             "%d fits, %d refused fits", s.objective, len(schedules), skipped,
+             len(behaviours), len(fits), len(pairs) - len(fits))
     if best is None:
         raise InsufficientData("no schedule produced a usable portfolio")
     _, schedule, backup, subset, models = best

@@ -44,7 +44,7 @@ class SimulatedRunner:
     def run(self, solver_id: str, instance_id: str, time_limit: float) -> RunRecord:
         if (solver_id, instance_id) in self.crashes:
             t = min(CRASH_SECONDS, time_limit)
-            return RunRecord(solver_id, instance_id, t, "crash", censored=False)
+            return RunRecord(solver_id, instance_id, t, "crash")
         rec = self.matrix.get(solver_id, instance_id)
         if rec.solved and rec.runtime_seconds <= time_limit:
             return rec

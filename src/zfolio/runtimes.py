@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,21 +42,20 @@ class RunRecord:
     instance_id: str
     runtime_seconds: float
     status: str
-    censored: bool = field(default=None)
 
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        if self.censored is None:
-            object.__setattr__(self, "censored", self.status == "timeout")
-        if self.censored != (self.status == "timeout"):
-            raise ValueError("exactly the timeout records are censored")
         if self.runtime_seconds < 0:
             raise ValueError("runtime must be nonnegative")
 
     @property
     def solved(self) -> bool:
         return self.status in SOLVED_STATUSES
+
+    @property
+    def censored(self) -> bool:
+        return self.status == "timeout"
 
 
 class DenseRuns:

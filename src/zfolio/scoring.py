@@ -82,24 +82,6 @@ def speed_factor(time_limit: float, time_used: float) -> float:
     return time_limit / (1.0 + time_used)
 
 
-def series_scores(solved: dict[str, set], series: SeriesMap, purse: PurseConfig,
-                  instance_ids=None) -> dict[str, float]:
-    """Exact series purse totals: each series splits equally among the
-    solvers solving at least one of its instances."""
-    if instance_ids is None:
-        instance_ids = sorted({iid for ids in solved.values() for iid in ids} | set(series))
-    groups = series_groups(series, instance_ids)
-    totals = {s: 0.0 for s in solved}
-    for sid, members in groups.items():
-        winners = [s for s in sorted(solved) if solved[s] & set(members)]
-        if not winners:
-            continue
-        share = purse.series_purse / len(winners)
-        for s in winners:
-            totals[s] += share
-    return totals
-
-
 def independent_series_share(series: SeriesMap, solvable_counts: dict[str, int],
                              solver_counts: dict[str, int], purse: PurseConfig) -> dict[str, float]:
     """Per-instance series share SeriesP / (N * n) for each series.
@@ -154,47 +136,41 @@ def _series_blocks(runs: DenseRuns, series: SeriesMap) -> dict[str, np.ndarray]:
     }
 
 
-def score_labels(matrix: RuntimeMatrix, candidate_id: str, purse: PurseConfig,
-                 series: SeriesMap) -> dict[str, float]:
-    """Per-instance independent score for one solver against the others.
+def score_labels(runs: DenseRuns, purse: PurseConfig, series: SeriesMap) -> np.ndarray:
+    """Per-instance independent score of each solver against the others, as
+    a (solvers, instances) array.
 
     Solution and speed shares are exact; the series contribution uses the
     independent SeriesP / (N * n) approximation. Unsolved instances score
     zero, so these labels need no censoring machinery.
     """
-    if candidate_id not in matrix.solvers:
-        raise MissingReferenceRuns(f"candidate {candidate_id!r} not in the matrix")
-    if not matrix.is_complete():
+    if not runs.complete:
         raise MissingReferenceRuns("reference runtimes must cover all (solver, instance) pairs")
 
-    runs = matrix.dense()
     blocks = _series_blocks(runs, series)
     solvable_counts = {sid: int(b.any(axis=0).sum()) for sid, b in blocks.items()}
     solver_counts = {sid: int(b.any(axis=1).sum()) for sid, b in blocks.items()}
     shares = independent_series_share(series, solvable_counts, solver_counts, purse)
-
-    row = runs.solver_index[candidate_id]
-    solution, speed = (a[row].tolist() for a in _purse_shares(runs, purse))
-    return {
-        iid: solution[j] + speed[j] + shares[series[iid]] if ok else 0.0
-        for j, (iid, ok) in enumerate(zip(runs.instances, runs.solved[row].tolist()))
-    }
+    share = np.array([shares[series[iid]] for iid in runs.instances])
+    solution, speed = _purse_shares(runs, purse)
+    return np.where(runs.solved, solution + speed + share, 0.0)
 
 
 def competition_score(runs: DenseRuns | RuntimeMatrix, purse: PurseConfig,
                       series: SeriesMap) -> dict[str, ScoreBreakdown]:
     """Exact totals over complete runs (simulated competition); a matrix
-    stands for all of its cells."""
+    stands for all of its cells. Each series purse splits equally among the
+    solvers solving at least one of its instances."""
     if isinstance(runs, RuntimeMatrix):
         runs = runs.dense().block()
     solution, speed = (_ordered_sum(a, 1).tolist() for a in _purse_shares(runs, purse))
-    solved_sets = {
-        s: {iid for iid, ok in zip(runs.instances, row) if ok}
-        for s, row in zip(runs.solvers, runs.solved.tolist())
-    }
-    series_totals = series_scores(solved_sets, series, purse, runs.instances)
+    # per solver and series (in series_groups order), whether it won a share
+    won = [b.any(axis=1) for b in _series_blocks(runs, series).values()]
+    won = np.array(won, dtype=bool).reshape(len(won), len(runs.solvers)).T
+    share = np.where(won, purse.series_purse / np.maximum(won.sum(axis=0), 1), 0.0)
+    series_totals = _ordered_sum(share, 1).tolist()
     return {
-        s: ScoreBreakdown(solution[k], speed[k], series_totals[s])
+        s: ScoreBreakdown(solution[k], speed[k], series_totals[k])
         for k, s in enumerate(runs.solvers)
     }
 
@@ -214,33 +190,26 @@ class ScoreContext:
 
     def __init__(self, runs: DenseRuns, purse: PurseConfig, series: SeriesMap):
         self.purse = purse
-        self.series = series
-        self.instances = sorted(runs.instances)
-        self.n_solving = dict(zip(runs.instances, runs.solved.sum(axis=0).tolist()))
-        self.sf_sum = dict(zip(runs.instances,
-                               _ordered_sum(_speed_factors(runs, purse), 0).tolist()))
-        self.series_winner_counts = {
-            sid: int(b.any(axis=1).sum()) for sid, b in _series_blocks(runs, series).items()
-        }
-
         # the batched scorer reads columns in the runs' order and works in
         # sorted-instance order
         self._column_ids = runs.instances
-        self._order = np.array([runs.instance_index[iid] for iid in self.instances], dtype=int)
-        n_solving = np.array([self.n_solving[iid] for iid in self.instances], dtype=float)
-        self._solution = purse.solution_purse / (n_solving + 1)
-        self._sf_sum = np.array([self.sf_sum[iid] for iid in self.instances])
+        instances = sorted(runs.instances)
+        self._order = np.array([runs.instance_index[iid] for iid in instances], dtype=int)
+        self._solution = purse.solution_purse / (runs.solved.sum(axis=0)[self._order] + 1)
+        self._sf_sum = _ordered_sum(_speed_factors(runs, purse), 0)[self._order]
         # columns grouped by series (sorted within each series), and per
         # grouped column the position where its series' group starts
-        group = np.unique([series[iid] for iid in self.instances], return_inverse=True)[1]
+        group = np.unique([series[iid] for iid in instances], return_inverse=True)[1]
         self._by_series = np.argsort(group, kind="stable")
         grouped = group[self._by_series]
         starts = np.ones(len(grouped), dtype=bool)
         starts[1:] = grouped[1:] != grouped[:-1]
         self._group_start = np.maximum.accumulate(np.where(starts, np.arange(len(grouped)), 0))
+        winners = {
+            sid: int(b.any(axis=1).sum()) for sid, b in _series_blocks(runs, series).items()
+        }
         self._series_share = np.array([
-            purse.series_purse / (self.series_winner_counts[series[iid]] + 1)
-            for iid in self.instances
+            purse.series_purse / (winners[series[iid]] + 1) for iid in instances
         ])[self._by_series]
 
     def virtual_scores(self, solved: np.ndarray, runtime: np.ndarray):

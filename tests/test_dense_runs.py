@@ -36,7 +36,6 @@ from zfolio.scoring import (
     independent_series_share,
     score_labels,
     series_groups,
-    series_scores,
     singleton_series,
     speed_factor,
 )
@@ -93,12 +92,11 @@ def ref_competition_score(matrix, purse, series):
         per_solver = ref_instance_scores({s: matrix.get(s, iid) for s in matrix.solvers}, purse)
         for s, (solution, speed) in per_solver.items():
             totals[s] = totals[s] + ScoreBreakdown(solution, speed, 0.0)
-    solved_sets = {
-        s: {iid for iid in matrix.instances if matrix.get(s, iid).solved}
-        for s in matrix.solvers
-    }
-    for s, val in series_scores(solved_sets, series, purse, matrix.instances).items():
-        totals[s] = totals[s] + ScoreBreakdown(0.0, 0.0, val)
+    for members in series_groups(series, matrix.instances).values():
+        winners = [s for s in matrix.solvers
+                   if any(matrix.get(s, iid).solved for iid in members)]
+        for s in winners:
+            totals[s] = totals[s] + ScoreBreakdown(0.0, 0.0, purse.series_purse / len(winners))
     return totals
 
 
@@ -257,7 +255,7 @@ def ref_fit_inputs(matrix, features, sid, rows, settings, purse, series, train_i
     the cutoff; None where the fit must be refused."""
     if settings.objective == "max_score":
         sub = matrix.restrict(instances=train_ids)
-        labels = score_labels(sub, sid, purse, {i: series[i] for i in train_ids})
+        labels = ref_score_labels(sub, sid, purse, {i: series[i] for i in train_ids})
         X = np.vstack([features[i].values for i in rows])
         return X, np.array([labels[i] for i in rows]), np.zeros(len(rows), dtype=bool)
     recs = [r for r in (matrix.get(sid, i) for i in rows) if r.status != "crash"]
@@ -340,7 +338,9 @@ class TestDenseView:
         assert after == ref_competition_score(matrix, purse, series)
         assert after != before
         assert drop_unsolvable(matrix) == drop_unsolvable_ref(matrix)
-        assert score_labels(matrix, "s0", purse, series)["i0"] == 0.0
+        view = matrix.dense()
+        labels = score_labels(view, purse, series)
+        assert labels[view.solver_index["s0"], view.instance_index["i0"]] == 0.0
 
 
 def drop_unsolvable_ref(matrix):
@@ -357,50 +357,39 @@ class TestScoringConsumers:
             purse = PurseConfig(time_limit=CUTOFF)
             assert competition_score(matrix, purse, series) == \
                 ref_competition_score(matrix, purse, series)
-            for s in matrix.solvers:
-                assert score_labels(matrix, s, purse, series) == \
+            labels = score_labels(matrix.dense(), purse, series)
+            for s, row in zip(matrix.solvers, labels.tolist()):
+                assert dict(zip(matrix.instances, row)) == \
                     ref_score_labels(matrix, s, purse, series)
-
-    def test_score_context(self):
-        for rng, matrix, series in cases():
-            purse = PurseConfig(time_limit=CUTOFF)
-            ids = rng.sample(matrix.instances, rng.randint(1, len(matrix.instances)))
-            block = matrix.dense().block(instance_ids=ids)  # in sampled order
-            for runs, instances in ((matrix.dense(), matrix.instances), (block, sorted(ids))):
-                ctx = ScoreContext(runs, purse, series)
-                assert ctx.instances == instances
-                n_solving, sf_sum, winners = ref_score_context(matrix, purse, series,
-                                                               instances)
-                assert ctx.n_solving == n_solving and ctx.sf_sum == sf_sum
-                assert ctx.series_winner_counts == winners
 
     def test_virtual_scores_add_up_one_instance_at_a_time(self):
         # bit for bit, also with series spread over the sorted instances and
         # columns handed over in an unsorted order
         for rng, matrix, series in cases():
             purse = PurseConfig(time_limit=CUTOFF)
-            ids = rng.sample(matrix.instances, rng.randint(1, len(matrix.instances)))
-            for series in (series, interleaved_series(rng, matrix)):
-                ctx = ScoreContext(matrix.dense().block(instance_ids=ids), purse, series)
-                solved = np.array([[rng.random() < 0.6 for _ in ids] for _ in range(6)])
-                runtime = np.array([[rng.uniform(0, CUTOFF) for _ in ids] for _ in range(6)])
-                got = ctx.virtual_scores(solved, runtime)
-                for k in range(len(solved)):
-                    outcomes = dict(zip(ids, zip(solved[k].tolist(), runtime[k].tolist())))
-                    want = ref_virtual_total(matrix, purse, series, outcomes)
-                    assert (got[0][k], got[1][k], got[2][k]) == \
-                        (want.solution, want.speed, want.series)
-                    one = ctx.virtual_total(dict(zip(ids, solved[k].tolist())),
-                                            dict(zip(ids, runtime[k].tolist())))
-                    assert one == want and one.total == want.total
+            sampled = rng.sample(matrix.instances, rng.randint(1, len(matrix.instances)))
+            for ids in (matrix.instances, sampled):
+                for groups in (series, interleaved_series(rng, matrix)):
+                    ctx = ScoreContext(matrix.dense().block(instance_ids=ids), purse, groups)
+                    solved = np.array([[rng.random() < 0.6 for _ in ids] for _ in range(6)])
+                    runtime = np.array([[rng.uniform(0, CUTOFF) for _ in ids]
+                                        for _ in range(6)])
+                    got = ctx.virtual_scores(solved, runtime)
+                    for k in range(len(solved)):
+                        outcomes = dict(zip(ids, zip(solved[k].tolist(), runtime[k].tolist())))
+                        want = ref_virtual_total(matrix, purse, groups, outcomes)
+                        assert (got[0][k], got[1][k], got[2][k]) == \
+                            (want.solution, want.speed, want.series)
+                        one = ctx.virtual_total(dict(zip(ids, solved[k].tolist())),
+                                                dict(zip(ids, runtime[k].tolist())))
+                        assert one == want and one.total == want.total
 
     def test_a_missing_cell_raises(self):
         for rng, matrix, series in cases(20):
             holed, _ = with_hole(rng, matrix)
             purse = PurseConfig(time_limit=CUTOFF)
-            for s in holed.solvers:
-                with pytest.raises(MissingReferenceRuns):
-                    score_labels(holed, s, purse, series)
+            with pytest.raises(MissingReferenceRuns):
+                score_labels(holed.dense(), purse, series)
             with pytest.raises(KeyError):
                 competition_score(holed, purse, series)
             with pytest.raises(KeyError):
@@ -648,7 +637,7 @@ class TestPortfolioConsumers:
                                 trainer.fit(sid, rows)
                             continue
                         fits += 1
-                        trainer._fit(sid, rows)
+                        trainer.fit(sid, rows)
                         for key, value in zip(("X", "y", "censored"), want):
                             assert np.array_equal(got[key], value), key
         assert fits > 50 and refused > 20

@@ -30,13 +30,10 @@ class TestRunRecord:
     def test_timeout_implies_censored(self):
         r = RunRecord("s", "i", CUTOFF, "timeout")
         assert r.censored is True
-        with pytest.raises(ValueError):
-            RunRecord("s", "i", CUTOFF, "timeout", censored=False)
 
     def test_only_timeouts_are_censored(self):
         for status in ("sat", "unsat", "crash"):
-            with pytest.raises(ValueError):
-                RunRecord("s", "i", 5.0, status, censored=True)
+            assert RunRecord("s", "i", 5.0, status).censored is False
 
     def test_solved_not_censored_by_default(self):
         r = RunRecord("s", "i", 3.0, "sat")
@@ -78,7 +75,7 @@ class TestRuntimeMatrix:
         m = RuntimeMatrix(CUTOFF)
         m.add(RunRecord("a", "i0", 1.5, "sat"))
         m.add(RunRecord("b", "i0", CUTOFF, "timeout"))
-        m.add(RunRecord("a", "i1", 3.25, "crash", censored=False))
+        m.add(RunRecord("a", "i1", 3.25, "crash"))
         m.add(RunRecord("b", "i1", 7.0, "sat"))
         path = tmp_path / "runs.csv"
         save_runtime_csv(path, m)

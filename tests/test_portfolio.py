@@ -388,7 +388,7 @@ class TestBuildPortfolio:
                             small_settings(objective, hierarchy=hierarchy),
                             bench.purse, bench.series)
             assert calls["get"] == 0, objective
-            assert calls["restrict"] <= 2, objective
+            assert calls["restrict"] <= 1, objective
 
     def test_oracle_bound(self, bench, built):
         portfolio, _, valid, _ = built
@@ -449,12 +449,41 @@ class TestBehaviourGrouping:
                    if "schedules enumerated" in r.getMessage()]
         assert len(summary) == 1
         counts = {name: int(n) for n, name in re.findall(
-            r"(\d+) (schedules enumerated|skipped|distinct behaviours|distinct fits|"
-            r"fit-cache hits)", summary[0])}
+            r"(\d+) (schedules enumerated|skipped|distinct behaviours|fits|refused fits)",
+            summary[0])}
         assert counts["schedules enumerated"] == len(listed) == 288  # criterion 7's count
         assert len(built_for) == counts["distinct behaviours"] < 288 - counts["skipped"]
         assert len(set(built_for)) == len(built_for)
-        assert counts["fit-cache hits"] > 0
+        candidates = [d.id for d in bench.descriptors if d.kind == "complete"]
+        assert counts["fits"] < len(candidates) * counts["distinct behaviours"]
+
+    def test_fits_come_first_and_once(self, bench, split, monkeypatch):
+        # phase 2 fits each (solver, training rows) pair once, before phase
+        # 3 makes its first simulator; max_score labels are scored once
+        events = []
+
+        def record(owner, name, event):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kw):
+                events.append(event(*args))
+                return original(*args, **kw)
+            monkeypatch.setattr(owner, name, wrapper)
+        record(portfolio_module._ModelTrainer, "fit",
+               lambda trainer, sid, rows: ("fit", sid, rows))
+        record(PortfolioSimulator, "__init__", lambda *args: ("simulator",))
+        record(portfolio_module, "score_labels", lambda *args: ("labels",))
+        train, valid, matrix = split
+        for objective in ("min_runtime", "max_score"):
+            events.clear()
+            build_portfolio(train, valid, bench.features, matrix, bench.descriptors,
+                            small_settings(objective, presolver_top=2), bench.purse,
+                            bench.series)
+            fits = [e for e in events if e[0] == "fit"]
+            first_simulator = events.index(("simulator",))
+            assert fits and all(e[0] != "fit" for e in events[first_simulator:])
+            assert len(set(fits)) == len(fits)
+            assert events.count(("labels",)) == (objective == "max_score")
 
     def test_ties_go_to_the_earliest_schedule(self, bench, split, monkeypatch):
         # schedules whose active pre-solvers' cutoffs sum to 2 s tie for the

@@ -4,12 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import zfolio
 from zfolio.runtimes import RunRecord, RuntimeMatrix
 from zfolio.scoring import (
-    MissingReferenceRuns,
     PurseConfig,
     ScoreBreakdown,
     ScoreContext,
@@ -20,7 +17,6 @@ from zfolio.scoring import (
     score_labels,
     score_report_csv,
     series_groups,
-    series_scores,
     singleton_series,
     speed_factor,
 )
@@ -46,7 +42,7 @@ def random_matrix(rng, n_solvers=4, n_instances=8, cutoff=CUTOFF):
             elif roll < 0.9:
                 matrix.add(rec(sid, iid, cutoff, "timeout"))
             else:
-                matrix.add(RunRecord(sid, iid, rng.uniform(0, cutoff), "crash", censored=False))
+                matrix.add(RunRecord(sid, iid, rng.uniform(0, cutoff), "crash"))
     return matrix
 
 
@@ -98,10 +94,23 @@ class TestInstanceScores:
         purse = PurseConfig()
         matrix = one_instance(
             rec("a", "i", CUTOFF, "timeout"),
-            RunRecord("b", "i", 3.0, "crash", censored=False),
+            RunRecord("b", "i", 3.0, "crash"),
         )
         out = competition_score(matrix, purse, singleton_series(["i"]))
         assert out == {"a": ScoreBreakdown(), "b": ScoreBreakdown()}
+
+
+def series_totals(solved, series, purse):
+    """Series totals of competition_score when each solver solves exactly
+    the instances listed for it and times out on the others."""
+    matrix = RuntimeMatrix(CUTOFF)
+    for sid, ids in solved.items():
+        for iid in series:
+            if iid in ids:
+                matrix.add(rec(sid, iid, 1.0, "sat"))
+            else:
+                matrix.add(rec(sid, iid, CUTOFF, "timeout"))
+    return {sid: b.series for sid, b in competition_score(matrix, purse, series).items()}
 
 
 class TestSeriesScores:
@@ -109,20 +118,20 @@ class TestSeriesScores:
         purse = PurseConfig(series_purse=300)
         solved = {"a": {"i0"}, "b": {"i1"}, "c": set()}
         series = {"i0": "g", "i1": "g"}
-        out = series_scores(solved, series, purse)
+        out = series_totals(solved, series, purse)
         assert out == {"a": 150.0, "b": 150.0, "c": 0.0}
 
     def test_unwon_series_distributes_nothing(self):
         purse = PurseConfig(series_purse=300)
         solved = {"a": set(), "b": set()}
-        out = series_scores(solved, {"i0": "g"}, purse)
+        out = series_totals(solved, {"i0": "g"}, purse)
         assert out == {"a": 0.0, "b": 0.0}
 
     def test_disjoint_winners_sum(self):
         purse = PurseConfig(series_purse=300)
         solved = {"a": {"i0"}, "b": {"i1"}, "c": {"i2"}}
         series = {"i0": "g0", "i1": "g1", "i2": "g2"}
-        out = series_scores(solved, series, purse)
+        out = series_totals(solved, series, purse)
         # brute-force: each series won by exactly one solver
         assert out == {"a": 300.0, "b": 300.0, "c": 300.0}
 
@@ -158,30 +167,26 @@ class TestScoreLabels:
         for iid in ("i0", "i1"):
             matrix.add(rec("cand", iid, CUTOFF, "timeout"))
             matrix.add(rec("ref", iid, 1.0, "sat"))
-        labels = score_labels(matrix, "cand", PurseConfig(), singleton_series(matrix.instances))
-        assert labels == {"i0": 0.0, "i1": 0.0}
+        runs = matrix.dense()
+        labels = score_labels(runs, PurseConfig(), singleton_series(matrix.instances))
+        assert labels[runs.solver_index["cand"]].tolist() == [0.0, 0.0]
 
     def test_sole_solver_of_single_instance_series(self):
         purse = PurseConfig(solution_purse=1000, speed_purse=1000, series_purse=300)
         matrix = RuntimeMatrix(CUTOFF)
         matrix.add(rec("cand", "i0", 0.0, "sat"))
         matrix.add(rec("ref", "i0", CUTOFF, "timeout"))
-        labels = score_labels(matrix, "cand", purse, {"i0": "g"})
-        assert abs(labels["i0"] - (1000 + 1000 + 300)) < 1e-9
+        runs = matrix.dense()
+        labels = score_labels(runs, purse, {"i0": "g"})
+        assert abs(labels[runs.solver_index["cand"], 0] - (1000 + 1000 + 300)) < 1e-9
 
     def test_labels_nonnegative(self):
         rng = random.Random(5)
         matrix = random_matrix(rng)
         series = random_series(rng, matrix)
-        for cand in matrix.solvers:
-            labels = score_labels(matrix, cand, PurseConfig(), series)
-            assert all(v >= 0 for v in labels.values())
-
-    def test_requires_candidate_in_matrix(self):
-        matrix = RuntimeMatrix(CUTOFF)
-        matrix.add(rec("a", "i0", 1.0, "sat"))
-        with pytest.raises(MissingReferenceRuns):
-            score_labels(matrix, "nope", PurseConfig(), {"i0": "g"})
+        labels = score_labels(matrix.dense(), PurseConfig(), series)
+        assert labels.shape == (len(matrix.solvers), len(matrix.instances))
+        assert (labels >= 0).all()
 
 
 def brute_force_competition(matrix, purse, series):
