@@ -40,8 +40,9 @@ def fit_conditional(rows):
     return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
 
-model = train_hierarchical(X, y, labels.tolist(), fit_conditional, classifier=clf,
-                           gate_rows=np.arange(n))
+# one expert per class, trained on that class's rows; the gate is fit over them
+experts = [fit_conditional(np.flatnonzero(labels == cls)) for cls in clf.classes]
+model = train_hierarchical(X, y, experts, classifier=clf, gate_rows=np.arange(n))
 flat = fit_ridge_model(X, y, make_basis(X, [0, 1]))
 
 rmse = lambda preds: float(np.sqrt(np.mean((preds - y) ** 2)))

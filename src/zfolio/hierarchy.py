@@ -253,26 +253,18 @@ class HierarchicalModel:
         return (self._gate_probs_matrix(X) * E).sum(axis=1)
 
 
-def train_hierarchical(features, targets, class_labels, fit_conditional,
-                       classifier: ClassifierModel, gate_rows) -> HierarchicalModel:
-    """Train conditional models per class and fit the gate.
+def train_hierarchical(features, targets, experts, classifier: ClassifierModel,
+                       gate_rows) -> HierarchicalModel:
+    """Fit the gate that mixes fitted per-class experts.
 
-    `fit_conditional(rows)` must return a RidgeModel trained on that row
-    subset; a class with fewer than two rows gets `fit_conditional` of all
-    rows. The gate is fit with `classifier` on the rows `gate_rows`
-    indexes, e.g. only those whose target was observed.
+    `experts` holds one RidgeModel per class of `classifier`, in its class
+    order; the rows each one was trained on are the caller's choice. The
+    gate is fit with `classifier` on the rows `gate_rows` indexes, e.g.
+    only those whose target was observed.
     """
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    labels = np.asarray(list(class_labels))
-    conditionals = []
-    for cls in classifier.classes:
-        rows = np.flatnonzero(labels == cls)
-        if rows.size < 2:
-            rows = np.arange(X.shape[0])
-        conditionals.append(fit_conditional(rows))
-    v = fit_gating(conditionals, classifier, X[gate_rows], y[gate_rows])
-    return HierarchicalModel(list(classifier.classes), conditionals, classifier, v)
+    v = fit_gating(experts, classifier, np.asarray(features)[gate_rows],
+                   np.asarray(targets)[gate_rows])
+    return HierarchicalModel(list(classifier.classes), list(experts), classifier, v)
 
 
 def confusion_matrix(classifier: ClassifierModel, features, labels) -> np.ndarray:

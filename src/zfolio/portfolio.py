@@ -4,14 +4,16 @@ Offline: pick pre-solver candidates from validation scores and enumerate
 every (two pre-solvers x cutoffs x order) schedule. The build then runs in
 phases, each doing its distinct work once:
 
-0. gather the training runs, feature rows, score labels and classifier,
-   and the validation rows every simulator shares;
+0. gather the validation rows every simulator shares, and the training
+   runs, feature rows, score labels and classifier;
 1. group the schedules by behaviour: the training instances a schedule
    leaves unsolved, and its pre-solve outcome on the validation set;
-2. fit each candidate's model on each distinct training remainder;
-3. per behaviour, choose a backup solver and search solver subsets for
-   the best simulated validation performance, scoring all subsets in one
-   array pass.
+2. fit each candidate's model on each distinct training remainder; under
+   a hierarchy, each class's expert learns from that class's rows, and the
+   classes too small for their own share one model of all the rows;
+3. per behaviour, choose a backup solver from its pre-solve outcome and
+   search solver subsets for the best simulated validation performance,
+   scoring all subsets in one array pass.
 
 The best behaviour wins, represented by its first schedule in enumeration
 order.
@@ -131,7 +133,7 @@ class PresolverSchedule:
         return "; ".join(f"{e.solver_id}({e.cutoff_seconds:g}s)" for e in self.active())
 
 
-def select_presolver_candidates(matrix: RuntimeMatrix, descriptors,
+def select_presolver_candidates(runs: DenseRuns, descriptors,
                                 purse: PurseConfig | None = None,
                                 series=None, top: int = 3):
     """Top pre-solver candidates per kind by validation score at a 10 s cap.
@@ -141,9 +143,8 @@ def select_presolver_candidates(matrix: RuntimeMatrix, descriptors,
     each kind are returned (ties broken by solver id).
     """
     purse = purse or PurseConfig()
-    series = series or singleton_series(matrix.instances)
+    series = series or singleton_series(runs.instances)
     cap = PRESOLVER_CANDIDATE_CAP
-    runs = matrix.dense().block()
     within = runs.solved & (runs.runtime <= cap)
     capped = DenseRuns(runs.solvers, runs.instances, np.where(within, runs.runtime, cap),
                        np.where(within, runs.status, STATUS_CODES["timeout"]))
@@ -153,7 +154,7 @@ def select_presolver_candidates(matrix: RuntimeMatrix, descriptors,
     out = {}
     for kind in ("complete", "local_search"):
         ranked = sorted(
-            (sid for sid in matrix.solvers if kinds.get(sid) == kind),
+            (sid for sid in runs.solvers if kinds.get(sid) == kind),
             key=lambda sid: (-totals[sid].total, sid),
         )
         out[kind] = ranked[:top]
@@ -515,31 +516,26 @@ def subset_search_local(solver_ids, simulator: PortfolioSimulator, seed: int = 0
     return sorted(best_subset), best_perf
 
 
-def choose_backup(matrix: RuntimeMatrix, schedule: PresolverSchedule,
-                  feature_timed_out: dict[str, bool], objective: str,
+def choose_backup(runs: DenseRuns, pool: np.ndarray, objective: str,
                   candidate_ids, cutoff: float,
                   purse: PurseConfig | None = None, series=None) -> str:
     """Backup solver for instances whose feature computation times out.
 
-    Ranked on the validation instances unsolved by the pre-solvers whose
-    features timed out; with no such instances, the winner-take-all solver
-    over the whole validation set is used.
+    Ranked on the instances of `runs` that the boolean mask `pool` flags:
+    in a build, the validation instances unsolved by the pre-solvers whose
+    features are unusable. With none flagged, the winner-take-all solver
+    over all the instances is used.
     """
     candidate_ids = sorted(candidate_ids)
-    runs = matrix.dense().block()
-    pre_solved = simulate_presolving(runs, schedule, cutoff)[0]
-    pool = [
-        iid for iid, done in zip(runs.instances, pre_solved.tolist())
-        if not done and feature_timed_out.get(iid, True)
-    ] or runs.instances
-    pool_runs = runs.block(candidate_ids, pool)
+    ids = [iid for iid, inside in zip(runs.instances, pool) if inside] or runs.instances
+    pool_runs = runs.block(candidate_ids, ids)
 
     if objective == OBJECTIVE_SCORE and purse is not None:
-        totals = competition_score(pool_runs, purse, series or singleton_series(pool))
+        totals = competition_score(pool_runs, purse, series or singleton_series(ids))
         return min(candidate_ids, key=lambda sid: (-totals[sid].total, sid))
 
     times = np.where(pool_runs.solved, pool_runs.runtime, cutoff).tolist()
-    avg_runtime = {sid: sum(row) / len(pool) for sid, row in zip(candidate_ids, times)}
+    avg_runtime = {sid: sum(row) / len(ids) for sid, row in zip(candidate_ids, times)}
     return min(candidate_ids, key=lambda sid: (avg_runtime[sid], sid))
 
 
@@ -564,6 +560,12 @@ class BuildSettings:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.hierarchy not in ("none", "sat2", "general6"):
             raise ValueError(f"unknown hierarchy mode {self.hierarchy!r}")
+        if self.cutoff_seconds <= 0:
+            raise ValueError("cutoff_seconds must be positive")
+        for name, least in (("cv_folds", 2), ("max_raw_terms", 1), ("presolver_top", 1),
+                            ("min_training_rows", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
 
 
 class _ModelTrainer:
@@ -625,7 +627,7 @@ class _ModelTrainer:
         def fit_flat(sub_rows: np.ndarray):
             Xs, ys, cs = X[sub_rows], y[sub_rows], censored[sub_rows]
             basis = select_basis(
-                Xs, ys, folds=min(s.cv_folds, max(2, len(sub_rows))),
+                Xs, ys, folds=s.cv_folds,
                 max_raw_terms=s.max_raw_terms, max_expanded_terms=s.max_expanded_terms,
             )
             if cs.any():
@@ -637,20 +639,24 @@ class _ModelTrainer:
         if self.classifier is None:
             return fit_flat(everything)
 
-        def fit_conditional(sub_rows):
-            if len(sub_rows) < s.min_training_rows or not (~censored[sub_rows]).any():
-                return fit_flat(everything)
-            return fit_flat(np.asarray(sub_rows))
+        # the classes too small, or all censored, share one model of all rows
+        labels = np.asarray(self.classes)[cols]
+        experts, shared = [], None
+        for cls in self.classifier.classes:
+            rows = np.flatnonzero(labels == cls)
+            if len(rows) >= s.min_training_rows and (~censored[rows]).any():
+                experts.append(fit_flat(rows))
+                continue
+            if shared is None:
+                shared = fit_flat(everything)
+            experts.append(shared)
 
         # the gate is fit against observed targets, so censored rows are
         # dropped from it when a true runtime is unknown
         gate_rows = np.flatnonzero(~censored)
         if gate_rows.size < s.min_training_rows:
             gate_rows = everything
-        return train_hierarchical(
-            X, y, [self.classes[c] for c in cols], fit_conditional,
-            self.classifier, gate_rows=gate_rows,
-        )
+        return train_hierarchical(X, y, experts, self.classifier, gate_rows)
 
 
 def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
@@ -680,19 +686,16 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
 
     train_ids = sorted(train_ids)
     valid_ids = sorted(valid_ids)
-    valid_matrix = matrix.restrict(instances=valid_ids)
     usable = {iid for iid, fv in features.items() if fv.usable}
-    feature_timed_out = {iid: iid not in usable for iid in matrix.instances}
-
-    complete_cands, local_cands = select_presolver_candidates(
-        valid_matrix, descriptors.values(), purse, series, top=s.presolver_top
-    )
-    schedules = enumerate_presolver_configs(complete_cands, local_cands)
 
     # Phase 0: the inputs of every later phase, gathered once
+    rows = SimulationRows(matrix, features, valid_ids, s.objective, purse, series)
+    complete_cands, local_cands = select_presolver_candidates(
+        rows.runs, descriptors.values(), purse, series, top=s.presolver_top
+    )
+    schedules = enumerate_presolver_configs(complete_cands, local_cands)
     trainer = _ModelTrainer(matrix, features, s, candidate_ids, train_ids, usable,
                             purse, series, category_labels)
-    rows = SimulationRows(valid_matrix, features, valid_ids, s.objective, purse, series)
     train_runs = matrix.dense().block(complete_cands + local_cands, train_ids)
 
     # Phase 1: group the schedules by behaviour, that is by the training
@@ -738,7 +741,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     # for them, a backup and a subset search; with the strict > the earliest
     # of the best schedules wins
     best = None  # (perf, schedule, backup, subset, models)
-    for (remaining, *_), group in behaviours.items():
+    for (remaining, solved, *_), group in behaviours.items():
         schedule = group[0]
         models = {sid: fits[sid, remaining] for sid in candidate_ids
                   if (sid, remaining) in fits}
@@ -747,11 +750,11 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
             continue
 
         backup = choose_backup(
-            valid_matrix, schedule, feature_timed_out, s.objective,
+            rows.runs, ~np.frombuffer(solved, dtype=bool) & ~rows.feature_ok, s.objective,
             candidate_ids, s.cutoff_seconds, purse, series,
         )
         simulator = PortfolioSimulator(
-            valid_matrix, features, valid_ids, schedule, backup, models,
+            matrix, features, valid_ids, schedule, backup, models,
             s.objective, s.cutoff_seconds, purse, series, rows=rows,
         )
         if len(models) <= EXHAUSTIVE_LIMIT:

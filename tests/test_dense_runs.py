@@ -441,7 +441,8 @@ class TestPortfolioConsumers:
             purse = PurseConfig(time_limit=CUTOFF)
             descriptors = self.descriptors(matrix)
             for top in (1, 3):
-                got = select_presolver_candidates(matrix, descriptors, purse, series, top=top)
+                got = select_presolver_candidates(matrix.dense().block(), descriptors, purse,
+                                                  series, top=top)
                 assert got == ref_presolver_candidates(matrix, descriptors, purse, series,
                                                        top=top)
 
@@ -451,10 +452,14 @@ class TestPortfolioConsumers:
             schedule = random_schedule(rng, matrix)
             timed_out = {i: rng.random() < 0.5 for i in matrix.instances[1:]}
             candidates = rng.sample(matrix.solvers, rng.randint(1, len(matrix.solvers)))
+            runs = matrix.dense().block()
+            # the build's pool: not pre-solved, and features unusable
+            pool = ~simulate_presolving(runs, schedule, CUTOFF)[0] & np.array(
+                [timed_out.get(i, True) for i in runs.instances])
             for objective in ("min_runtime", "max_score"):
-                args = (matrix, schedule, timed_out, objective, candidates, CUTOFF,
-                        purse, series)
-                assert choose_backup(*args) == ref_choose_backup(*args)
+                rest = (objective, candidates, CUTOFF, purse, series)
+                assert choose_backup(runs, pool, *rest) == \
+                    ref_choose_backup(matrix, schedule, timed_out, *rest)
 
     def simulator_inputs(self, rng, matrix):
         features = {}

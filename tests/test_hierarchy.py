@@ -24,6 +24,12 @@ from zfolio.learning import (
 )
 
 
+def class_experts(fit, labels, classifier):
+    """One expert per class of the classifier, fitted on that class's rows."""
+    labels = np.asarray(labels)
+    return [fit(np.flatnonzero(labels == cls)) for cls in classifier.classes]
+
+
 def linear_model(weights, intercept, sigma=0.1, target="log_runtime"):
     basis = BasisSpec.identity(list(range(len(weights))))
     return RidgeModel(basis, np.array(weights, float), 1e-3, sigma, target, intercept)
@@ -261,8 +267,9 @@ class TestTrainHierarchical:
             basis = make_basis(X[rows], [0, 1])
             return fit_ridge_model(X[rows], y[rows], basis)
 
-        model = train_hierarchical(X, y, labels.tolist(), fit_conditional,
-                                   train_classifier(X, labels), np.arange(len(y)))
+        clf = train_classifier(X, labels)
+        model = train_hierarchical(X, y, class_experts(fit_conditional, labels, clf), clf,
+                                   np.arange(len(y)))
         flat = fit_ridge_model(X, y, make_basis(X, [0, 1]))
         rmse_h = np.sqrt(np.mean((model.predict_matrix(X) - y) ** 2))
         rmse_f = np.sqrt(np.mean((flat.predict_matrix(X) - y) ** 2))
@@ -280,8 +287,9 @@ class TestTrainHierarchical:
         def fit_conditional(rows):
             return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1, 2]))
 
-        model = train_hierarchical(X, y, labels, fit_conditional,
-                                   train_classifier(X, labels), np.arange(n))
+        clf = train_classifier(X, labels)
+        model = train_hierarchical(X, y, class_experts(fit_conditional, labels, clf), clf,
+                                   np.arange(n))
         assert len(model.classes) == 6
         preds = model.predict_matrix(X)
         assert np.sqrt(np.mean((preds - y) ** 2)) < 0.6
@@ -295,8 +303,9 @@ class TestHierPersistence:
         def fit_conditional(rows):
             return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
-        model = train_hierarchical(X, y, labels.tolist(), fit_conditional,
-                                   train_classifier(X, labels), np.arange(len(y)))
+        clf = train_classifier(X, labels)
+        model = train_hierarchical(X, y, class_experts(fit_conditional, labels, clf), clf,
+                                   np.arange(len(y)))
         loaded = hier_from_doc(json.loads(json.dumps(hier_to_doc(model))))
         probe = rng.normal(size=(100, 2))
         assert np.array_equal(model.predict_matrix(probe), loaded.predict_matrix(probe))
@@ -308,8 +317,9 @@ class TestHierPersistence:
         def fit_conditional(rows):
             return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
-        model = train_hierarchical(X, y, labels.tolist(), fit_conditional,
-                                   train_classifier(X, labels), np.arange(len(y)))
+        clf = train_classifier(X, labels)
+        model = train_hierarchical(X, y, class_experts(fit_conditional, labels, clf), clf,
+                                   np.arange(len(y)))
         again = hier_from_doc(hier_to_doc(model))
         assert again.classes == model.classes
         assert np.array_equal(again.gating_weights, model.gating_weights)
@@ -321,8 +331,9 @@ class TestHierPersistence:
         def fit_conditional(rows):
             return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
-        doc = hier_to_doc(train_hierarchical(X, y, labels.tolist(), fit_conditional,
-                                             train_classifier(X, labels), np.arange(len(y))))
+        clf = train_classifier(X, labels)
+        doc = hier_to_doc(train_hierarchical(X, y, class_experts(fit_conditional, labels, clf),
+                                             clf, np.arange(len(y))))
         assert np.shape(doc["gating_weights"]) == (1, 4)  # (k-1, m+k)
         for bad in ([row[:-1] for row in doc["gating_weights"]],
                     doc["gating_weights"] * 2, [[0.0] * 5]):

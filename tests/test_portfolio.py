@@ -22,6 +22,7 @@ from zfolio.portfolio import (
     portfolio_to_doc,
     save_portfolio,
     select_presolver_candidates,
+    simulate_presolving,
     solve,
     subset_search_exhaustive,
     subset_search_local,
@@ -98,14 +99,14 @@ def presolver_fixture_matrix():
 class TestSelectPresolverCandidates:
     def test_all_returned_when_no_pressure(self):
         matrix, descriptors = presolver_fixture_matrix()
-        matrix = matrix.restrict(solvers=["c1", "c2", "c3", "l1", "l2", "l3"])
-        comp, local = select_presolver_candidates(matrix, descriptors)
+        runs = matrix.dense().block(["c1", "c2", "c3", "l1", "l2", "l3"])
+        comp, local = select_presolver_candidates(runs, descriptors)
         assert comp == ["c1", "c2", "c3"]
         assert local == ["l1", "l2", "l3"]
 
     def test_never_solvers_excluded(self):
         matrix, descriptors = presolver_fixture_matrix()
-        comp, _ = select_presolver_candidates(matrix, descriptors)
+        comp, _ = select_presolver_candidates(matrix.dense().block(), descriptors)
         assert "c4" not in comp and "c5" not in comp
         assert comp == ["c1", "c2", "c3"]
 
@@ -115,7 +116,7 @@ class TestSelectPresolverCandidates:
         for sid in ("zeta", "beta", "alpha", "gamma"):
             descriptors.append(SolverDescriptor(sid, "complete"))
             matrix.add(RunRecord(sid, "i0", 1.0, "sat"))
-        comp, _ = select_presolver_candidates(matrix, descriptors)
+        comp, _ = select_presolver_candidates(matrix.dense().block(), descriptors)
         assert comp == ["alpha", "beta", "gamma"]
 
 
@@ -136,7 +137,7 @@ class TestEnumeratePresolverConfigs:
 
 
 def backup_fixture():
-    """Validation matrix where A wins on average (300.75 vs 400) but B
+    """Validation runs where A wins on average (300.75 vs 400) but B
     dominates the rows where A times out."""
     matrix = RuntimeMatrix(CUTOFF)
     for k in range(8):
@@ -145,29 +146,26 @@ def backup_fixture():
         matrix.add(RunRecord("A", iid, 1.0 if fast_a else CUTOFF,
                              "sat" if fast_a else "timeout"))
         matrix.add(RunRecord("B", iid, 400.0, "sat"))
-    return matrix
+    return matrix.dense().block()
 
 
 class TestChooseBackup:
     def test_winner_take_all_without_timeouts(self):
-        matrix = backup_fixture()
-        sched = PresolverSchedule()
-        flags = {iid: False for iid in matrix.instances}
-        sid = choose_backup(matrix, sched, flags, "min_runtime", ["A", "B"], CUTOFF)
+        runs = backup_fixture()
+        pool = np.zeros(len(runs.instances), dtype=bool)
+        sid = choose_backup(runs, pool, "min_runtime", ["A", "B"], CUTOFF)
         assert sid == "A"  # avg (6*1 + 2*1200)/8 = 300.75 beats B's 400
 
     def test_timeout_subset_dominator_wins(self):
-        matrix = backup_fixture()
-        sched = PresolverSchedule()
-        flags = {iid: iid in ("i6", "i7") for iid in matrix.instances}
-        sid = choose_backup(matrix, sched, flags, "min_runtime", ["A", "B"], CUTOFF)
+        runs = backup_fixture()
+        pool = np.array([iid in ("i6", "i7") for iid in runs.instances])
+        sid = choose_backup(runs, pool, "min_runtime", ["A", "B"], CUTOFF)
         assert sid == "B"  # A times out on exactly those rows
 
     def test_single_candidate(self):
-        matrix = backup_fixture()
-        sched = PresolverSchedule()
-        flags = {iid: False for iid in matrix.instances}
-        assert choose_backup(matrix, sched, flags, "min_runtime", ["B"], CUTOFF) == "B"
+        runs = backup_fixture()
+        pool = np.zeros(len(runs.instances), dtype=bool)
+        assert choose_backup(runs, pool, "min_runtime", ["B"], CUTOFF) == "B"
 
 
 def two_cluster_validation():
@@ -352,26 +350,29 @@ class TestBuildPortfolio:
         # the features timed out
         _, train, valid, _ = built
         matrix = bench.matrix.restrict(instances=[*train, *valid])
-        flags = []
+        pooled = []
 
-        def spy(matrix, schedule, feature_timed_out, *args):
-            flags.append(feature_timed_out[valid[0]])
-            return choose_backup(matrix, schedule, feature_timed_out, *args)
+        def spy(runs, pool, *args):
+            pooled.append(pool[runs.instance_index[valid[0]]])
+            return choose_backup(runs, pool, *args)
         monkeypatch.setattr(portfolio_module, "choose_backup", spy)
         docs = []
         for timed_out in (False, True):
+            pooled.clear()
             vector = FeatureVector(None, 1.0, timed_out, 0)
             features = {**bench.features, train[0]: vector, valid[0]: vector}
             docs.append(portfolio_to_doc(build_portfolio(
                 train, valid, features, matrix, bench.descriptors,
                 small_settings(hierarchy="sat2"), bench.purse, bench.series,
             )))
+            # the first behaviour has no active pre-solver, so its backup
+            # pool holds every validation instance without usable features
+            assert pooled[0]
         assert docs[0] == docs[1]
-        assert flags and all(flags)
 
     def test_runs_read_from_the_dense_view(self, monkeypatch):
-        # fits read runs from one dense block, not a get() per cell, and
-        # score labels come from one restrict of the training split
+        # fits, backups and simulators read runs from the dense view: no
+        # get() per cell and no restrict copy
         bench = generate_benchmark(num_instances=100, seed=21)
         kept, _ = drop_unsolvable(bench.matrix)
         train, valid, _ = split_data(kept, seed=1)
@@ -388,7 +389,7 @@ class TestBuildPortfolio:
                             small_settings(objective, hierarchy=hierarchy),
                             bench.purse, bench.series)
             assert calls["get"] == 0, objective
-            assert calls["restrict"] <= 1, objective
+            assert calls["restrict"] == 0, objective
 
     def test_oracle_bound(self, bench, built):
         portfolio, _, valid, _ = built
@@ -485,6 +486,37 @@ class TestBehaviourGrouping:
             assert len(set(fits)) == len(fits)
             assert events.count(("labels",)) == (objective == "max_score")
 
+    def test_backup_pool_follows_the_behaviour(self, bench, split, monkeypatch):
+        # each backup is ranked on the validation instances that the
+        # behaviour's pre-solvers leave unsolved and whose features are
+        # unusable, read from the outcome phase 1 recorded
+        train, valid, matrix = split
+        features = dict(bench.features)
+        for iid in valid[::4]:
+            features[iid] = FeatureVector(None, 1.0, True, 0)
+        calls = []
+        backup, init = portfolio_module.choose_backup, PortfolioSimulator.__init__
+
+        def spy_backup(runs, pool, *args):
+            calls.append((runs, pool))
+            return backup(runs, pool, *args)
+
+        def spy_init(self, matrix, features, ids, schedule, *args, **kw):
+            calls[-1] += (schedule,)
+            init(self, matrix, features, ids, schedule, *args, **kw)
+        monkeypatch.setattr(portfolio_module, "choose_backup", spy_backup)
+        monkeypatch.setattr(PortfolioSimulator, "__init__", spy_init)
+        build_portfolio(train, valid, features, matrix, bench.descriptors,
+                        small_settings(presolver_top=2), bench.purse, bench.series)
+        unusable = np.array([not features[iid].usable for iid in sorted(valid)])
+        presolved_unusable = 0
+        for runs, pool, schedule in calls:
+            assert runs.instances == sorted(valid)
+            presolved = simulate_presolving(runs, schedule, CUTOFF)[0]
+            assert np.array_equal(pool, ~presolved & unusable)
+            presolved_unusable += bool((presolved & unusable).any())
+        assert len(calls) > 1 and presolved_unusable > 0
+
     def test_ties_go_to_the_earliest_schedule(self, bench, split, monkeypatch):
         # schedules whose active pre-solvers' cutoffs sum to 2 s tie for the
         # best; they belong to more than one behaviour, and the first of them
@@ -503,6 +535,111 @@ class TestBehaviourGrouping:
             assert portfolio.presolvers == next(s for s in listed if cost(s) == 0)
             winners.append(portfolio.presolvers)
         assert winners[0] != winners[1]
+
+
+class TestBuildSettings:
+    @pytest.mark.parametrize("name, value", [
+        ("cutoff_seconds", 0.0), ("cutoff_seconds", -1.0), ("cv_folds", 1),
+        ("max_raw_terms", 0), ("presolver_top", 0), ("min_training_rows", 1),
+    ])
+    def test_values_no_build_can_use_are_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            BuildSettings(**{name: value})
+
+    def test_smallest_usable_values_are_accepted(self):
+        BuildSettings(cutoff_seconds=0.5, cv_folds=2, max_raw_terms=1, presolver_top=1,
+                      min_training_rows=2)
+
+
+class TestExpertRows:
+    """Each hierarchical expert learns from its class's rows, and the
+    classes too small for their own share one model of all the rows."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """The (X, y) of every select_basis call."""
+        calls = []
+        original = portfolio_module.select_basis
+
+        def spy(X, y, **kw):
+            calls.append((X.copy(), y.copy()))
+            return original(X, y, **kw)
+        monkeypatch.setattr(portfolio_module, "select_basis", spy)
+        return calls
+
+    def trainer(self, bench, hierarchy):
+        """The training split and a max_score trainer over it (minimum 5 rows)."""
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, _, _ = split_data(kept, seed=1)
+        usable = {iid for iid, fv in bench.features.items() if fv.usable}
+        categories = {inst.id: inst.category for inst in bench.instances}
+        return train, portfolio_module._ModelTrainer(
+            bench.matrix, bench.features, small_settings("max_score", hierarchy=hierarchy),
+            [d.id for d in bench.descriptors], train, usable, bench.purse, bench.series,
+            categories)
+
+    def test_small_classes_share_one_expert(self, bench, spied):
+        train, trainer = self.trainer(bench, "sat2")
+        sat = [i for i in train if bench.matrix.sat_label(i) == "sat"]
+        unsat = [i for i in train if bench.matrix.sat_label(i) == "unsat"]
+        X = {iid: bench.features[iid].values for iid in train}
+
+        # both classes below the minimum of 5: one model of all the rows
+        rows = tuple(sorted(sat[:3] + unsat[:3]))
+        model = trainer.fit("complete-a", rows)
+        assert model.classes == ["sat", "unsat"]
+        assert model.conditional_models[0] is model.conditional_models[1]
+        assert len(spied) == 1
+        assert np.array_equal(spied[0][0], np.vstack([X[i] for i in rows]))
+
+        # a class at the minimum learns from exactly its own rows
+        spied.clear()
+        rows = tuple(sorted(sat[:5] + unsat[:2]))
+        model = trainer.fit("complete-a", rows)
+        assert model.conditional_models[0] is not model.conditional_models[1]
+        own = [i for i in rows if i in sat]
+        assert [len(x) for x, _ in spied] == [5, 7]
+        assert np.array_equal(spied[0][0], np.vstack([X[i] for i in own]))
+        assert np.array_equal(spied[1][0], np.vstack([X[i] for i in rows]))
+
+    def test_general6_fits_all_rows_at_most_once(self, bench, spied):
+        train, trainer = self.trainer(bench, "general6")
+        rows = tuple(train[:24])
+        model = trainer.fit("local-a", rows)
+        experts = model.conditional_models
+        shared = [m for m in experts if sum(m is other for other in experts) > 1]
+        assert len(model.classes) == 6 and len(shared) >= 2
+        assert sum(len(x) == len(rows) for x, _ in spied) == 1
+        assert len(spied) == len(experts) - len(shared) + 1
+
+    def test_no_fit_selects_a_basis_twice_for_the_same_data(self, spied, monkeypatch):
+        # perfbench-sized builds, where most training remainders leave both
+        # classes below the minimum number of rows
+        per_fit = []
+        fit = portfolio_module._ModelTrainer.fit
+
+        def counted(trainer, sid, rows):
+            start = len(spied)
+            try:
+                return fit(trainer, sid, rows)
+            finally:
+                per_fit.append(spied[start:])
+        monkeypatch.setattr(portfolio_module._ModelTrainer, "fit", counted)
+        for seed in (0, 4):
+            small = generate_benchmark(num_instances=30, seed=seed)
+            kept, _ = drop_unsolvable(small.matrix)
+            train, valid, _ = split_data(kept, seed=seed)
+            for objective in ("min_runtime", "max_score"):
+                per_fit.clear()
+                settings = BuildSettings(objective=objective, hierarchy="sat2", cv_folds=5,
+                                         max_raw_terms=4, max_expanded_terms=6, seed=seed)
+                build_portfolio(train, valid, small.features,
+                                small.matrix.restrict(instances=[*train, *valid]),
+                                small.descriptors, settings, small.purse, small.series)
+                assert per_fit
+                for calls in per_fit:
+                    inputs = {(x.tobytes(), y.tobytes()) for x, y in calls}
+                    assert len(inputs) == len(calls), (seed, objective)
 
 
 class TestSimulatorProperties:
