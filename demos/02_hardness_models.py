@@ -40,7 +40,7 @@ targets = np.where(censored, cutoff, y)
 print(f"\ncensoring {censored.sum()} of {n} runs at log-cutoff {cutoff:.2f}")
 
 naive = fit_ridge_model(X, targets, basis)
-fixed = censored_fit(LabeledDataset(X, targets, censored, cutoff), basis=basis)
+[fixed] = censored_fit([LabeledDataset(X, targets, censored, cutoff)], basis=[basis])
 
 X_test = rng.normal(size=(500, m))
 y_test = X_test @ w_true + 2.0

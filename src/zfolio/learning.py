@@ -11,9 +11,12 @@ through its Schur complement instead of being solved afresh.
 Censored runtimes (runs cut off at the time limit) are handled with the
 Schmee-Hahn iteration: censored targets are repeatedly replaced by the mean
 of the predictive normal truncated at the cutoff and the model is refit.
-The basis is expanded and the ridge system Cholesky-factored once per fit;
-each iteration imputes every censored row in one array call and re-solves
-only for the new targets.
+censored_fit takes a whole batch of fits, such as every fit of a portfolio
+build. Each fit's basis is expanded and its ridge system factored once, into
+the operator that maps targets to weights; the fits still iterating then
+run in lockstep, in chunks of bounded size, each iteration imputing every
+censored cell of a chunk in one array call and computing every new weight
+vector in one batched product.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ TARGET_SCORE = "score"
 
 DEFAULT_DELTA = 1e-3
 MIN_RUNTIME = 0.005  # zero runtimes are clamped here before the log transform
+FIT_BATCH_CELLS = 1 << 18  # padded (fit, row, term) cells of one censored_fit chunk
 
 log = logging.getLogger(__name__)
 
@@ -400,51 +404,120 @@ def truncated_normal_mean(mu, sigma, lower):
     return float(out) if out.ndim == 0 else out
 
 
-def censored_fit(data: LabeledDataset, delta: float = DEFAULT_DELTA,
-                 basis: BasisSpec | None = None, tol: float = 1e-6,
-                 max_iter: int = 50, target: str = TARGET_LOG_RUNTIME) -> RidgeModel:
-    """Schmee-Hahn censored regression.
+def censored_fit(data, delta: float = DEFAULT_DELTA, basis=None, tol: float = 1e-6,
+                 max_iter: int = 50, target: str = TARGET_LOG_RUNTIME):
+    """Schmee-Hahn censored regression for a batch of fits.
 
-    The initial fit treats censored targets as observed at the cutoff; each
-    iteration replaces them with the truncated-normal conditional mean of
-    the current predictive distribution and refits, until the largest
-    weight change drops below tol or max_iter is reached. The design and its
-    ridge factor do not change between iterations, so both are built once.
+    `data` is a sequence of LabeledDatasets and `basis` one BasisSpec per
+    dataset (None, for all or for one, is the identity basis over every raw
+    column); the models come back in input order. A single LabeledDataset
+    with a single basis is a batch of one and gives its model.
+
+    Each fit starts from the ridge model that takes its censored targets as
+    observed at the cutoff, so a fit without censored rows is exactly
+    fit_ridge_model's. Each iteration replaces the censored targets with the
+    mean of the current predictive normal truncated at the cutoff and refits,
+    until the largest weight or intercept change drops below tol or max_iter
+    is reached. The fits with censored rows iterate in lockstep, in input
+    order and in chunks of at most FIT_BATCH_CELLS padded cells (see
+    _lockstep); a fit leaves its chunk at its own convergence, so it stops at
+    the iteration it would stop at alone.
     """
-    censored = data.censored
-    uncensored = ~censored
-    if not uncensored.any():
-        raise NoUncensoredData("need at least one uncensored row")
-    if basis is None:
-        basis = make_basis(data.features, list(range(data.features.shape[1])))
+    if isinstance(data, LabeledDataset):
+        return censored_fit([data], delta, [basis], tol, max_iter, target)[0]
+    data = list(data)
+    bases = [None] * len(data) if basis is None else list(basis)
+    if len(bases) != len(data):
+        raise ValueError(f"{len(bases)} bases for {len(data)} datasets")
 
-    phi = basis.expand_matrix(data.features)
-    factor = _ridge_factor(phi, delta)
-    y_work = data.targets.astype(float).copy()
-    model = _ridge_model(phi, y_work, basis, factor, delta, target, uncensored)
-    if not censored.any():
-        return model
+    models, chunk, shape = [], [], (0, 0, 0)
+    for d, b in zip(data, bases):
+        if d.censored.all():
+            raise NoUncensoredData("need at least one uncensored row")
+        if b is None:
+            b = make_basis(d.features, list(range(d.features.shape[1])))
+        phi = b.expand_matrix(d.features)
+        factor = _ridge_factor(phi, delta)
+        models.append(_ridge_model(phi, d.targets.astype(float), b, factor, delta,
+                                   target, ~d.censored))
+        if not d.censored.any():
+            continue
+        shape = (shape[0] + 1, max(shape[1], d.n), max(shape[2], b.dim))
+        if chunk and math.prod(shape) > FIT_BATCH_CELLS:
+            _lockstep(chunk, data, models, delta, tol, max_iter, target)
+            chunk, shape = [], (1, d.n, b.dim)
+        K = linalg.cho_solve(factor, phi.T) if factor is not None else np.zeros((0, d.n))
+        chunk.append((len(models) - 1, phi, K))
+    if chunk:
+        _lockstep(chunk, data, models, delta, tol, max_iter, target)
+    return models
 
-    phi_c = phi[censored]
-    change = math.inf
-    for _ in range(max_iter):
-        preds = model.intercept + phi_c @ model.weights
-        if model.sigma > 0:
-            y_work[censored] = truncated_normal_mean(preds, model.sigma, data.cutoff_log)
-        else:
-            y_work[censored] = np.maximum(preds, data.cutoff_log)
-        new_model = _ridge_model(phi, y_work, basis, factor, delta, target, uncensored)
-        change = max(
-            float(np.max(np.abs(new_model.weights - model.weights), initial=0.0)),
-            abs(new_model.intercept - model.intercept),
-        )
-        model = new_model
-        if change < tol:
-            break
-    else:
-        log.debug("Schmee-Hahn stopped at max_iter=%d without converging: "
-                  "last change %.3g >= tol %.3g", max_iter, change, tol)
-    return model
+
+def _lockstep(chunk, data, models, delta, tol, max_iter, target) -> None:
+    """Schmee-Hahn iterations of the fits in `chunk`, (index, design Phi,
+    solve operator K = (Phi^T Phi + delta*I)^-1 Phi^T) each, replacing
+    models[index] with each fit's result.
+
+    The designs and operators are stacked zero-padded to (fits, rows,
+    terms): a padded row has no flags and a zero column of K, a padded term
+    zero columns of Phi and zero rows of K, so each adds exact zeros to every
+    product and sum. Each iteration imputes every censored cell in one
+    truncated_normal_mean call (a fit with sigma 0 takes max(pred, cutoff))
+    and gives every new weight vector in one batched product.
+    """
+    live = np.array([i for i, _, _ in chunk])
+    F = len(chunk)
+    N = max(phi.shape[0] for _, phi, _ in chunk)
+    D = max(phi.shape[1] for _, phi, _ in chunk)
+    Phi, K = np.zeros((F, N, D)), np.zeros((F, D, N))
+    Y = np.zeros((F, N))
+    cens, unc = np.zeros((F, N), dtype=bool), np.zeros((F, N), dtype=bool)
+    W = np.zeros((F, D))
+    b, sigma, cutoff = np.empty(F), np.empty(F), np.empty(F)
+    for f, (i, phi, op) in enumerate(chunk):
+        d, m = data[i], models[i]
+        n, dim = phi.shape
+        Phi[f, :n, :dim], K[f, :dim, :n] = phi, op
+        Y[f, :n], cens[f, :n], unc[f, :n] = d.targets, d.censored, ~d.censored
+        W[f, :dim], b[f], sigma[f], cutoff[f] = m.weights, m.intercept, m.sigma, d.cutoff_log
+    rows = np.array([data[i].n for i in live], dtype=float)
+    kept = unc.sum(axis=1)
+    fitted = b[:, None] + (Phi @ W[:, :, None])[:, :, 0]
+
+    for step in range(1, max_iter + 1):
+        cell_fit = np.nonzero(cens)[0]
+        s, lower, mu = sigma[cell_fit], cutoff[cell_fit], fitted[cens]
+        spread = s > 0
+        imputed = truncated_normal_mean(mu, np.where(spread, s, 1.0), lower)
+        Y[cens] = np.where(spread, imputed, np.maximum(mu, lower))
+
+        new_b = Y.sum(axis=1) / rows
+        new_W = (K @ (Y - new_b[:, None])[:, :, None])[:, :, 0]
+        fitted = new_b[:, None] + (Phi @ new_W[:, :, None])[:, :, 0]
+        # ddof=1 over the uncensored rows; one row has a zero deviation
+        resid = np.where(unc, Y - fitted, 0.0)
+        dev = np.where(unc, resid - (resid.sum(axis=1) / kept)[:, None], 0.0)
+        sigma = np.sqrt((dev * dev).sum(axis=1) / np.maximum(kept - 1, 1))
+        change = np.maximum(np.abs(new_W - W).max(axis=1, initial=0.0), np.abs(new_b - b))
+        W, b = new_W, new_b
+
+        done = change < tol
+        if step == max_iter:
+            for f in np.flatnonzero(~done):
+                log.debug("Schmee-Hahn stopped at max_iter=%d without converging: "
+                          "last change %.3g >= tol %.3g", max_iter, change[f], tol)
+            done[:] = True
+        for f in np.flatnonzero(done):
+            m = models[live[f]]
+            models[live[f]] = RidgeModel(m.basis, W[f, :m.basis.dim].copy(), delta,
+                                         float(sigma[f]), target, float(b[f]))
+        if done.all():
+            return
+        if done.any():
+            go = ~done
+            live, Phi, K, Y, cens, unc, W, b, sigma, cutoff, rows, kept, fitted = (
+                a[go] for a in (live, Phi, K, Y, cens, unc, W, b, sigma, cutoff, rows,
+                                kept, fitted))
 
 
 def model_to_doc(model: RidgeModel) -> dict:

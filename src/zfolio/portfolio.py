@@ -7,10 +7,18 @@ phases, each doing its distinct work once:
 0. gather the validation rows every simulator shares, and the training
    runs, feature rows, score labels and classifier;
 1. group the schedules by behaviour: the training instances a schedule
-   leaves unsolved, and its pre-solve outcome on the validation set;
-2. fit each candidate's model on each distinct training remainder; under
-   a hierarchy, each class's expert learns from that class's rows, and the
-   classes too small for their own share one model of all the rows;
+   leaves unsolved, and its pre-solve outcome on the validation set, which
+   is kept for phase 3;
+2. fit each candidate's model on each distinct training remainder:
+   a. list the distinct problems, each the rows a model learns from with
+      their targets, and select each one's basis. A flat model learns from
+      the remainder; under a hierarchy, a class expert learns from its
+      class's rows, and the classes too small for their own share one
+      fallback model of the whole remainder. A problem that several
+      remainders or solvers share is listed once;
+   b. fit every problem of the build in one censored_fit batch;
+   c. assemble the flat models, and gate each hierarchical model's experts
+      with train_hierarchical;
 3. per behaviour, choose a backup solver from its pre-solve outcome and
    search solver subsets for the best simulated validation performance,
    scoring all subsets in one array pass.
@@ -46,7 +54,6 @@ from .learning import (
     LabeledDataset,
     RidgeModel,
     censored_fit,
-    fit_ridge_model,
     log_runtime,
     model_from_doc,
     model_to_doc,
@@ -307,14 +314,16 @@ class PortfolioSimulator:
     and performances() scores many subsets in one array pass.
 
     A build passes `rows`, made from the same matrix, features, instance
-    ids, objective, purse and series, to share it among its simulators.
+    ids, objective, purse and series, to share it among its simulators, and
+    `presolved`, the schedule's simulate_presolving outcome on `rows.runs`,
+    which it already holds.
     """
 
     def __init__(self, matrix: RuntimeMatrix, features: dict[str, FeatureVector],
                  instance_ids, schedule: PresolverSchedule, backup: str,
                  models: dict, objective: str, cutoff: float,
                  purse: PurseConfig | None = None, series=None, *,
-                 rows: SimulationRows | None = None):
+                 rows: SimulationRows | None = None, presolved: tuple | None = None):
         if rows is None:
             rows = SimulationRows(matrix, features, instance_ids, objective, purse, series)
         self.ids = rows.ids
@@ -326,12 +335,14 @@ class PortfolioSimulator:
         self.schedule = schedule
         n = len(self.ids)
 
-        pre_solved, pre_time, pre_solver, pre_elapsed = simulate_presolving(runs, schedule, cutoff)
+        if presolved is None:
+            presolved = simulate_presolving(runs, schedule, cutoff)
+        pre_solved, pre_time, pre_solver, pre_elapsed = presolved
         # what does not depend on the subset: pre-solved and backup rows
         self._solved = pre_solved.copy()
         self._total = np.where(pre_solved, pre_time, cutoff)
         self._kind = np.where(pre_solved, "presolver", "").astype(object)
-        self._solver = pre_solver
+        self._solver = pre_solver.copy()
         self._elapsed = pre_elapsed + rows.feature_time
         backup_rows = ~pre_solved & ~rows.feature_ok
         if backup_rows.any():
@@ -572,8 +583,9 @@ class _ModelTrainer:
     """Per-solver model fitting on subsets of the training instances.
 
     The candidates' runs on the training instances with usable features,
-    those instances' feature rows and, under max_score, every candidate's
-    score labels are gathered once; each fit reads its rows from them.
+    those instances' feature rows, and every candidate's targets (score
+    labels under max_score, else log runtimes) and censoring flags on them
+    are gathered once; each fit reads its rows from them.
     """
 
     def __init__(self, matrix, features, settings, candidate_ids, train_ids, usable,
@@ -582,7 +594,7 @@ class _ModelTrainer:
         rows = [iid for iid in train_ids if iid in usable]
         if not rows:
             raise InsufficientData("no training instance has usable features")
-        self.runs = matrix.dense().block(candidate_ids, rows)
+        runs = self.runs = matrix.dense().block(candidate_ids, rows)
         self.X = np.vstack([features[iid].values for iid in rows])
         self.cutoff_log = float(np.log(matrix.cutoff_seconds))
         if s.objective == OBJECTIVE_SCORE:
@@ -590,73 +602,111 @@ class _ModelTrainer:
             # training instances, whether their features are usable or not
             everyone = matrix.dense().block(instance_ids=train_ids)
             labels = score_labels(everyone, purse, series)
-            self.labels = labels[np.ix_([everyone.solver_index[sid] for sid in candidate_ids],
-                                        [everyone.instance_index[iid] for iid in rows])]
+            self.y = labels[np.ix_([everyone.solver_index[sid] for sid in candidate_ids],
+                                   [everyone.instance_index[iid] for iid in rows])]
+            self.censored = np.zeros(self.y.shape, dtype=bool)
+        else:
+            self.censored = runs.status == STATUS_CODES["timeout"]
+            self.y = np.where(self.censored, self.cutoff_log, log_runtime(runs.runtime))
         self.classifier = None
         if s.hierarchy != "none":
-            self.classes = [matrix.sat_label(iid) or "sat" for iid in rows]
+            classes = [matrix.sat_label(iid) or "sat" for iid in rows]
             if s.hierarchy == "general6":
-                self.classes = [f"{category_labels[iid]}:{sat}"
-                                for iid, sat in zip(rows, self.classes)]
-            self.classifier = train_classifier(self.X, self.classes)
+                classes = [f"{category_labels[iid]}:{sat}" for iid, sat in zip(rows, classes)]
+            self.classes = np.asarray(classes)
+            self.classifier = train_classifier(self.X, classes)
 
-    def fit(self, sid: str, row_ids: tuple[str, ...]):
-        """The model of `sid` on these training rows; raises InsufficientData
-        when the rows cannot support one."""
-        s = self.settings
-        runs = self.runs
+    def _columns(self, sid: str, row_ids) -> np.ndarray:
+        """The instance columns a model of `sid` on these training rows learns
+        from; raises InsufficientData when they cannot support one."""
+        runs, s = self.runs, self.settings
         k = runs.solver_index[sid]
         cols = np.array([runs.instance_index[iid] for iid in row_ids])
-
         if s.objective == OBJECTIVE_SCORE:
-            y = self.labels[k, cols]
-            censored = np.zeros(len(cols), dtype=bool)
-            cutoff_log, target = None, "score"
-        else:
-            cols = cols[runs.status[k, cols] != STATUS_CODES["crash"]]
-            if len(cols) < s.min_training_rows:
-                raise InsufficientData(f"{sid}: {len(cols)} usable rows")
-            censored = runs.status[k, cols] == STATUS_CODES["timeout"]
-            if censored.all():
-                raise InsufficientData(f"{sid}: every training run censored")
-            y = log_runtime(runs.runtime[k, cols])
-            y[censored] = self.cutoff_log
-            cutoff_log, target = self.cutoff_log, "log_runtime"
-        X = self.X[cols]
+            return cols
+        cols = cols[runs.status[k, cols] != STATUS_CODES["crash"]]
+        if len(cols) < s.min_training_rows:
+            raise InsufficientData(f"{sid}: {len(cols)} usable rows")
+        if self.censored[k, cols].all():
+            raise InsufficientData(f"{sid}: every training run censored")
+        return cols
 
-        def fit_flat(sub_rows: np.ndarray):
-            Xs, ys, cs = X[sub_rows], y[sub_rows], censored[sub_rows]
-            basis = select_basis(
-                Xs, ys, folds=s.cv_folds,
-                max_raw_terms=s.max_raw_terms, max_expanded_terms=s.max_expanded_terms,
-            )
-            if cs.any():
-                return censored_fit(LabeledDataset(Xs, ys, cs, cutoff_log), basis=basis,
-                                    target=target)
-            return fit_ridge_model(Xs, ys, basis, target=target)
+    def _dataset(self, k: int, cols: np.ndarray) -> LabeledDataset:
+        return LabeledDataset(self.X[cols], self.y[k, cols], self.censored[k, cols],
+                              self.cutoff_log)
 
-        everything = np.arange(len(cols))
+    def _expert_columns(self, k: int, cols: np.ndarray) -> list[np.ndarray]:
+        """The columns each expert learns from: all of them for a flat model;
+        under a hierarchy, a class with at least min_training_rows rows, not
+        all censored, gets its own, and every other class all of them."""
         if self.classifier is None:
-            return fit_flat(everything)
-
-        # the classes too small, or all censored, share one model of all rows
-        labels = np.asarray(self.classes)[cols]
-        experts, shared = [], None
+            return [cols]
+        out = []
         for cls in self.classifier.classes:
-            rows = np.flatnonzero(labels == cls)
-            if len(rows) >= s.min_training_rows and (~censored[rows]).any():
-                experts.append(fit_flat(rows))
-                continue
-            if shared is None:
-                shared = fit_flat(everything)
-            experts.append(shared)
+            own = cols[self.classes[cols] == cls]
+            ok = len(own) >= self.settings.min_training_rows and not self.censored[k, own].all()
+            out.append(own if ok else cols)
+        return out
 
-        # the gate is fit against observed targets, so censored rows are
-        # dropped from it when a true runtime is unknown
-        gate_rows = np.flatnonzero(~censored)
-        if gate_rows.size < s.min_training_rows:
-            gate_rows = everything
-        return train_hierarchical(X, y, experts, self.classifier, gate_rows)
+    def fit(self, pairs):
+        """The models of (solver, training rows) pairs, in three steps:
+
+        a. list the distinct problems, each the instance columns a model
+           learns from (a flat model's or a class expert's own, or the whole
+           remainder for a fallback shared by the small classes) with their
+           targets. Each is listed once, in first-appearance order, so
+           solvers with the same targets on the same rows share it, and its
+           basis is selected;
+        b. fit every problem in one censored_fit batch;
+        c. per distinct (solver, columns) model, take its flat fit, or gate
+           its class experts with train_hierarchical.
+
+        Returns the models by pair and, for each pair whose rows cannot
+        support a model, the reason.
+        """
+        s = self.settings
+        refused, model_of, plans = {}, {}, {}
+        problems: dict[tuple, LabeledDataset] = {}
+        for sid, row_ids in pairs:
+            try:
+                cols = self._columns(sid, row_ids)
+            except InsufficientData as exc:
+                refused[sid, row_ids] = str(exc)
+                continue
+            key = model_of[sid, row_ids] = (sid, cols.tobytes())
+            if key in plans:
+                continue
+            k = self.runs.solver_index[sid]
+            experts = []
+            for c in self._expert_columns(k, cols):
+                data = self._dataset(k, c)
+                problem = (c.tobytes(), data.targets.tobytes(), data.censored.tobytes())
+                problems.setdefault(problem, data)
+                experts.append(problem)
+            plans[key] = (k, cols, experts)
+        bases = [select_basis(d.features, d.targets, folds=s.cv_folds,
+                              max_raw_terms=s.max_raw_terms,
+                              max_expanded_terms=s.max_expanded_terms)
+                 for d in problems.values()]
+        target = "score" if s.objective == OBJECTIVE_SCORE else "log_runtime"
+        fitted = dict(zip(problems, censored_fit(list(problems.values()), basis=bases,
+                                                 target=target)))
+
+        models = {}
+        for key, (k, cols, experts) in plans.items():
+            if self.classifier is None:
+                models[key] = fitted[experts[0]]
+                continue
+            # the gate is fit against observed targets, so censored rows are
+            # dropped from it when a true runtime is unknown
+            data = self._dataset(k, cols)
+            gate_rows = np.flatnonzero(~data.censored)
+            if gate_rows.size < s.min_training_rows:
+                gate_rows = np.arange(data.n)
+            models[key] = train_hierarchical(data.features, data.targets,
+                                             [fitted[e] for e in experts],
+                                             self.classifier, gate_rows)
+        return {pair: models[key] for pair, key in model_of.items()}, refused
 
 
 def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
@@ -700,8 +750,10 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
 
     # Phase 1: group the schedules by behaviour, that is by the training
     # instances they leave for the models and what they do on the validation
-    # set. Models, backup, simulation and subset search follow from it alone.
-    behaviours: dict[tuple, list[PresolverSchedule]] = {}
+    # set. Models, backup, simulation and subset search follow from it alone;
+    # each behaviour keeps the validation pre-solve outcome of its first
+    # schedule, which stands for it.
+    behaviours: dict[tuple, tuple] = {}  # key -> (outcome, schedules)
     skipped = 0
     for schedule in schedules:
         pre_solved = simulate_presolving(train_runs, schedule, s.cutoff_seconds)[0]
@@ -714,14 +766,18 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
                         schedule.describe())
             skipped += 1
             continue
-        solved, finish, _, elapsed = simulate_presolving(rows.runs, schedule, s.cutoff_seconds)
+        outcome = simulate_presolving(rows.runs, schedule, s.cutoff_seconds)
+        solved, finish, _, elapsed = outcome
         key = (remaining, solved.tobytes(), finish.tobytes(), elapsed.tobytes())
-        behaviours.setdefault(key, []).append(schedule)
+        behaviours.setdefault(key, (outcome, []))[1].append(schedule)
 
-    # Phase 2: each distinct (solver, training remainder) fit once, the
-    # remainders in order of the first schedule that leaves them
+    # Phase 2: each distinct (solver, training remainder) pair, the
+    # remainders in order of the first schedule that leaves them, fitted by
+    # the trainer's three steps: 2a lists the distinct problems and selects
+    # their bases, 2b fits them all in one censored_fit batch, 2c assembles
+    # the flat models and gates the hierarchical ones
     remainders: dict[tuple, PresolverSchedule] = {}
-    for (remaining, *_), group in behaviours.items():
+    for (remaining, *_), (_, group) in behaviours.items():
         remainders.setdefault(remaining, group[0])
     pairs = []
     for remaining, schedule in remainders.items():
@@ -730,18 +786,15 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
                      schedule.describe(), len(remaining))
             continue
         pairs += [(sid, remaining) for sid in candidate_ids]
-    fits = {}
-    for sid, remaining in pairs:
-        try:
-            fits[sid, remaining] = trainer.fit(sid, remaining)
-        except InsufficientData as exc:
-            log.info("schedule %s: %s", remainders[remaining].describe(), exc)
+    fits, refused = trainer.fit(pairs)
+    for (_, remaining), reason in refused.items():
+        log.info("schedule %s: %s", remainders[remaining].describe(), reason)
 
     # Phase 3: per behaviour, in order of their first schedule, which stands
     # for them, a backup and a subset search; with the strict > the earliest
     # of the best schedules wins
     best = None  # (perf, schedule, backup, subset, models)
-    for (remaining, solved, *_), group in behaviours.items():
+    for (remaining, *_), (outcome, group) in behaviours.items():
         schedule = group[0]
         models = {sid: fits[sid, remaining] for sid in candidate_ids
                   if (sid, remaining) in fits}
@@ -750,12 +803,12 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
             continue
 
         backup = choose_backup(
-            rows.runs, ~np.frombuffer(solved, dtype=bool) & ~rows.feature_ok, s.objective,
+            rows.runs, ~outcome[0] & ~rows.feature_ok, s.objective,
             candidate_ids, s.cutoff_seconds, purse, series,
         )
         simulator = PortfolioSimulator(
             matrix, features, valid_ids, schedule, backup, models,
-            s.objective, s.cutoff_seconds, purse, series, rows=rows,
+            s.objective, s.cutoff_seconds, purse, series, rows=rows, presolved=outcome,
         )
         if len(models) <= EXHAUSTIVE_LIMIT:
             subset, perf = subset_search_exhaustive(models.keys(), simulator)

@@ -435,6 +435,11 @@ def _pick_tied(values: list, best, rng: random.Random) -> int:
     return i
 
 
+# Two clauses that cannot both hold grow their weights geometrically; all
+# weights are divided by the limit once one passes it, so they stay finite
+SAPS_WEIGHT_LIMIT = 2.0 ** 512
+
+
 def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
               params: SapsParams, deadline) -> _RunStats | None:
     state.random_init(rng)
@@ -472,9 +477,16 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
                 clause = state.clauses[rng.choice(tuple(unsat))]
                 state.flip(abs(clause[rng.randrange(len(clause))]))
             else:
+                rescale = False
                 for ci in unsat:
                     weights[ci] *= params.alpha
+                    rescale |= weights[ci] > SAPS_WEIGHT_LIMIT
                     stale.update(clause_vars[ci])
+                if rescale:
+                    # a power of two scales every weight and score exactly
+                    for ci in range(len(weights)):
+                        weights[ci] /= SAPS_WEIGHT_LIMIT
+                    stale.update(range(1, state.num_vars + 1))
                 if rng.random() < params.p_smooth:
                     mean_w = sum(weights) / len(weights)
                     for ci in range(len(weights)):

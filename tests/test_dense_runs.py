@@ -17,7 +17,6 @@ from zfolio.learning import BasisSpec, RidgeModel, log_runtime
 from zfolio.portfolio import (
     PRESOLVER_CUTOFFS,
     BuildSettings,
-    InsufficientData,
     PortfolioSimulator,
     PresolverEntry,
     PresolverSchedule,
@@ -606,8 +605,7 @@ class TestPortfolioConsumers:
                 return original(*args, **kw)
             monkeypatch.setattr(portfolio, name, wrapper)
         spy("select_basis", lambda X, y: {"X": X, "y": y})
-        spy("censored_fit", lambda data: {"censored": data.censored})
-        spy("fit_ridge_model", lambda X, y, basis: {"censored": np.zeros(len(y), bool)})
+        spy("censored_fit", lambda data: {"censored": data[0].censored} if data else {})
 
         rng = random.Random(5)
         fits = refused = 0
@@ -636,13 +634,13 @@ class TestPortfolioConsumers:
                         want = ref_fit_inputs(matrix, features, sid, rows, settings, purse,
                                               series, train_ids)
                         got.clear()
+                        models, reasons = trainer.fit([(sid, rows)])
                         if want is None:
                             refused += 1
-                            with pytest.raises(InsufficientData):
-                                trainer.fit(sid, rows)
+                            assert not models and list(reasons) == [(sid, rows)]
                             continue
                         fits += 1
-                        trainer.fit(sid, rows)
+                        assert list(models) == [(sid, rows)] and not reasons
                         for key, value in zip(("X", "y", "censored"), want):
                             assert np.array_equal(got[key], value), key
         assert fits > 50 and refused > 20

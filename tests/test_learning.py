@@ -421,7 +421,7 @@ class TestCensoredFit:
         y = X @ np.array([1.0, 2.0, -1.0]) + 0.1 * rng.normal(size=40)
         basis = make_basis(X, [0, 1, 2])
         plain = fit_ridge_model(X, y, basis)
-        cens = censored_fit(LabeledDataset(X, y), basis=basis)
+        [cens] = censored_fit([LabeledDataset(X, y)], basis=[basis])
         assert np.array_equal(cens.weights, plain.weights)
         assert cens.intercept == plain.intercept
 
@@ -434,7 +434,7 @@ class TestCensoredFit:
         censored[:10] = True
         targets = np.where(censored, cutoff, y_true)
         data = LabeledDataset(X, targets, censored, cutoff)
-        model = censored_fit(data, basis=make_basis(X, [0, 1]))
+        [model] = censored_fit([data], basis=[make_basis(X, [0, 1])])
         # imputed values never drop below the censoring threshold, so the
         # refit model predicts at least as high on censored rows as naive
         phi = model.basis.expand_matrix(X[censored])
@@ -445,7 +445,7 @@ class TestCensoredFit:
         X = np.ones((3, 1))
         data = LabeledDataset(X, np.full(3, 1.0), np.ones(3, dtype=bool), 1.0)
         with pytest.raises(NoUncensoredData):
-            censored_fit(data)
+            censored_fit([data])
 
     def test_matches_per_row_reference(self):
         rng = np.random.default_rng(55)
@@ -454,7 +454,7 @@ class TestCensoredFit:
                 rng, n=120, m=4, censor_q=censor_q)
             basis = make_basis(X, [0, 1, 3], [(0, 1), (2, 2)])
             data = LabeledDataset(X, targets, censored, cutoff)
-            got = censored_fit(data, 1e-3, basis)
+            [got] = censored_fit([data], 1e-3, [basis])
             want = reference_censored_fit(data, 1e-3, basis)
             probe = rng.normal(size=(200, 4))
             assert np.max(np.abs(got.predict_matrix(probe)
@@ -466,12 +466,96 @@ class TestCensoredFit:
         X, _, targets, censored, cutoff, _, _ = synthetic_censored_dataset(rng, n=80)
         data = LabeledDataset(X, targets, censored, cutoff)
         caplog.set_level(logging.DEBUG, logger="zfolio.learning")
-        censored_fit(data, max_iter=2, tol=1e-15)
+        censored_fit([data], max_iter=2, tol=1e-15)
         assert any("max_iter=2" in r.getMessage() and r.levelno == logging.DEBUG
                    for r in caplog.records)
         caplog.clear()
-        censored_fit(data)
+        censored_fit([data])
         assert not caplog.records
+
+    def mixed_batch(self):
+        """Fits of different row and term counts: no censored rows, one
+        uncensored row, sigma 0 (two identical uncensored rows), and
+        synthetic fits that need more than 50 iterations or fewer."""
+        rng = np.random.default_rng(61)
+        data, bases = [], []
+
+        def add(X, targets, censored, cutoff, raw, pairs=()):
+            data.append(LabeledDataset(X, targets, censored, cutoff))
+            bases.append(make_basis(X, raw, pairs))
+
+        X = rng.normal(size=(30, 3))
+        add(X, X @ [1.0, 2.0, -1.0] + 0.1 * rng.normal(size=30), None, None, [0, 1, 2])
+        X = rng.normal(size=(12, 2))
+        censored = np.arange(12) > 0
+        add(X, np.where(censored, 1.0, -0.5), censored, 1.0, [0, 1])
+        X = rng.normal(size=(9, 3))
+        X[1] = X[0]
+        censored = np.arange(9) > 1
+        add(X, np.where(censored, 0.5, 0.0), censored, 0.5, [0, 2], [(0, 1), (1, 2)])
+        for q, n, m, pairs in ((30, 40, 3, ()), (90, 60, 4, [(0, 3)]), (97, 120, 5, [(1, 2)])):
+            X, _, targets, censored, cutoff, _, _ = synthetic_censored_dataset(
+                rng, n=n, m=m, censor_q=q)
+            add(X, targets, censored, cutoff, list(range(m)), pairs)
+        return data, bases
+
+    def test_batch_matches_reference_and_fits_alone(self, caplog):
+        data, bases = self.mixed_batch()
+        assert len({(d.n, b.dim) for d, b in zip(data, bases)}) == len(data)
+        caplog.set_level(logging.DEBUG, logger="zfolio.learning")
+
+        def stopped():
+            got = [r.getMessage() for r in caplog.records if "max_iter=50" in r.getMessage()]
+            caplog.clear()
+            return got
+        batch = censored_fit(data, 1e-3, bases)
+        in_batch = stopped()
+        alone_stopped = []
+        probe = np.random.default_rng(62).normal(size=(200, 5))
+        for d, b, got in zip(data, bases, batch):
+            assert got.basis is b
+            alone = censored_fit(d, 1e-3, b)
+            alone_stopped += stopped()
+            assert np.max(np.abs(got.weights - alone.weights)) < 1e-12
+            assert abs(got.intercept - alone.intercept) < 1e-12
+            assert abs(got.sigma - alone.sigma) < 1e-12
+            want = reference_censored_fit(d, 1e-3, b)
+            X = probe[:, :d.features.shape[1]]
+            assert np.max(np.abs(got.predict_matrix(X) - want.predict_matrix(X))) < 1e-9
+            assert abs(got.sigma - want.sigma) < 1e-9
+        # each member stops at its own iteration: the ones that reach
+        # max_iter alone are the ones logged in the batch
+        assert sorted(in_batch) == sorted(alone_stopped)
+        assert 0 < len(in_batch) < len(data) - 1
+        assert batch[1].sigma == 0 and batch[2].sigma == 0
+        plain = fit_ridge_model(data[0].features, data[0].targets, bases[0])
+        assert np.array_equal(batch[0].weights, plain.weights)
+        assert (batch[0].intercept, batch[0].sigma) == (plain.intercept, plain.sigma)
+
+    def test_chunks_match_one_batch(self, monkeypatch):
+        # at 500 cells the five censored fits of the mixed batch iterate in
+        # three chunks, the last a single fit larger than the limit
+        data, bases = self.mixed_batch()
+        whole = censored_fit(data, 1e-3, bases)
+        chunks = []
+        lockstep = learning._lockstep
+
+        def counted(chunk, *args):
+            chunks.append(len(chunk))
+            lockstep(chunk, *args)
+        monkeypatch.setattr(learning, "_lockstep", counted)
+        monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 500)
+        for got, want in zip(censored_fit(data, 1e-3, bases), whole):
+            assert np.max(np.abs(got.weights - want.weights)) < 1e-12
+            assert abs(got.intercept - want.intercept) < 1e-12
+            assert abs(got.sigma - want.sigma) < 1e-12
+        assert chunks == [3, 1, 1]
+
+    def test_empty_batch_and_basis_count(self):
+        assert censored_fit([]) == []
+        X = np.ones((3, 1))
+        with pytest.raises(ValueError, match="2 bases for 1 datasets"):
+            censored_fit([LabeledDataset(X, np.arange(3.0))], basis=[None, None])
 
     def test_beats_naive_on_synthetic_lognormal(self):
         # 20 seeded replications; censored handling must win a clear majority
@@ -485,7 +569,7 @@ class TestCensoredFit:
             yte = Xte @ w_true + b_true
             basis = make_basis(X, list(range(X.shape[1])))
             naive = fit_ridge_model(X, targets, basis)
-            sh = censored_fit(LabeledDataset(X, targets, censored, cutoff), basis=basis)
+            [sh] = censored_fit([LabeledDataset(X, targets, censored, cutoff)], basis=[basis])
             rmse_naive = np.sqrt(np.mean((naive.predict_matrix(Xte) - yte) ** 2))
             rmse_sh = np.sqrt(np.mean((sh.predict_matrix(Xte) - yte) ** 2))
             if rmse_sh < rmse_naive:

@@ -459,8 +459,9 @@ class TestBehaviourGrouping:
         assert counts["fits"] < len(candidates) * counts["distinct behaviours"]
 
     def test_fits_come_first_and_once(self, bench, split, monkeypatch):
-        # phase 2 fits each (solver, training rows) pair once, before phase
-        # 3 makes its first simulator; max_score labels are scored once
+        # phase 2 fits each (solver, training rows) pair once, in one
+        # censored_fit batch, before phase 3 makes its first simulator;
+        # max_score labels are scored once
         events = []
 
         def record(owner, name, event):
@@ -471,7 +472,8 @@ class TestBehaviourGrouping:
                 return original(*args, **kw)
             monkeypatch.setattr(owner, name, wrapper)
         record(portfolio_module._ModelTrainer, "fit",
-               lambda trainer, sid, rows: ("fit", sid, rows))
+               lambda trainer, pairs: ("fit", tuple(pairs)))
+        record(portfolio_module, "censored_fit", lambda data: ("censored_fit",))
         record(PortfolioSimulator, "__init__", lambda *args: ("simulator",))
         record(portfolio_module, "score_labels", lambda *args: ("labels",))
         train, valid, matrix = split
@@ -482,9 +484,33 @@ class TestBehaviourGrouping:
                             bench.series)
             fits = [e for e in events if e[0] == "fit"]
             first_simulator = events.index(("simulator",))
-            assert fits and all(e[0] != "fit" for e in events[first_simulator:])
-            assert len(set(fits)) == len(fits)
+            assert len(fits) == 1 and events.count(("censored_fit",)) == 1
+            assert all(e[0] not in ("fit", "censored_fit") for e in events[first_simulator:])
+            pairs = fits[0][1]
+            assert pairs and len(set(pairs)) == len(pairs)
             assert events.count(("labels",)) == (objective == "max_score")
+
+    @pytest.mark.parametrize("objective", ["min_runtime", "max_score"])
+    def test_validation_presolving_replayed_once_per_schedule(self, bench, split, monkeypatch,
+                                                              caplog, objective):
+        # phase 1 replays each schedule's pre-solvers on the validation set
+        # once, and each simulator takes its behaviour's outcome from there
+        valid = sorted(split[1])
+        replays = []
+        original = portfolio_module.simulate_presolving
+
+        def spy(runs, schedule, cutoff):
+            if runs.instances == valid:
+                replays.append(schedule)
+            return original(runs, schedule, cutoff)
+        monkeypatch.setattr(portfolio_module, "simulate_presolving", spy)
+        caplog.set_level(logging.WARNING, logger="zfolio.portfolio")
+        _, listed, built_for = self.build(bench, split, monkeypatch, objective=objective,
+                                          presolver_top=2)
+        skipped = sum("solves every training instance" in r.getMessage()
+                      for r in caplog.records)
+        assert len(built_for) > 1
+        assert len(set(replays)) == len(replays) == len(listed) - skipped
 
     def test_backup_pool_follows_the_behaviour(self, bench, split, monkeypatch):
         # each backup is ranked on the validation instances that the
@@ -578,6 +604,12 @@ class TestExpertRows:
             [d.id for d in bench.descriptors], train, usable, bench.purse, bench.series,
             categories)
 
+    @staticmethod
+    def fit_one(trainer, sid, rows):
+        models, refused = trainer.fit([(sid, rows)])
+        assert not refused
+        return models[sid, rows]
+
     def test_small_classes_share_one_expert(self, bench, spied):
         train, trainer = self.trainer(bench, "sat2")
         sat = [i for i in train if bench.matrix.sat_label(i) == "sat"]
@@ -586,7 +618,7 @@ class TestExpertRows:
 
         # both classes below the minimum of 5: one model of all the rows
         rows = tuple(sorted(sat[:3] + unsat[:3]))
-        model = trainer.fit("complete-a", rows)
+        model = self.fit_one(trainer, "complete-a", rows)
         assert model.classes == ["sat", "unsat"]
         assert model.conditional_models[0] is model.conditional_models[1]
         assert len(spied) == 1
@@ -595,51 +627,56 @@ class TestExpertRows:
         # a class at the minimum learns from exactly its own rows
         spied.clear()
         rows = tuple(sorted(sat[:5] + unsat[:2]))
-        model = trainer.fit("complete-a", rows)
+        model = self.fit_one(trainer, "complete-a", rows)
         assert model.conditional_models[0] is not model.conditional_models[1]
         own = [i for i in rows if i in sat]
         assert [len(x) for x, _ in spied] == [5, 7]
         assert np.array_equal(spied[0][0], np.vstack([X[i] for i in own]))
         assert np.array_equal(spied[1][0], np.vstack([X[i] for i in rows]))
 
+    def test_solvers_with_the_same_targets_share_an_expert(self, bench, spied):
+        # local-search solvers solve no unsat instance, so they all score 0
+        # on the unsat rows: one problem, fitted once, serves their experts
+        train, trainer = self.trainer(bench, "sat2")
+        sat = [i for i in train if bench.matrix.sat_label(i) == "sat"]
+        unsat = [i for i in train if bench.matrix.sat_label(i) == "unsat"]
+        rows = tuple(sorted(sat[:6] + unsat[:6]))
+        local = [d.id for d in bench.descriptors if d.kind == "local_search"]
+        models, _ = trainer.fit([(sid, rows) for sid in local])
+        k = trainer.classifier.classes.index("unsat")
+        assert len({id(models[sid, rows].conditional_models[k]) for sid in local}) == 1
+        assert len(local) > 1 and len(spied) == len(local) + 1
+        assert len({(x.tobytes(), y.tobytes()) for x, y in spied}) == len(spied)
+
     def test_general6_fits_all_rows_at_most_once(self, bench, spied):
         train, trainer = self.trainer(bench, "general6")
         rows = tuple(train[:24])
-        model = trainer.fit("local-a", rows)
+        model = self.fit_one(trainer, "local-a", rows)
         experts = model.conditional_models
         shared = [m for m in experts if sum(m is other for other in experts) > 1]
         assert len(model.classes) == 6 and len(shared) >= 2
         assert sum(len(x) == len(rows) for x, _ in spied) == 1
         assert len(spied) == len(experts) - len(shared) + 1
 
-    def test_no_fit_selects_a_basis_twice_for_the_same_data(self, spied, monkeypatch):
+    def test_no_fit_selects_a_basis_twice_for_the_same_data(self, spied):
         # perfbench-sized builds, where most training remainders leave both
-        # classes below the minimum number of rows
-        per_fit = []
-        fit = portfolio_module._ModelTrainer.fit
-
-        def counted(trainer, sid, rows):
-            start = len(spied)
-            try:
-                return fit(trainer, sid, rows)
-            finally:
-                per_fit.append(spied[start:])
-        monkeypatch.setattr(portfolio_module._ModelTrainer, "fit", counted)
+        # classes below the minimum number of rows, and where (seed 4) two
+        # remainders hold the same rows of a class: each expert is fitted
+        # once per build
         for seed in (0, 4):
             small = generate_benchmark(num_instances=30, seed=seed)
             kept, _ = drop_unsolvable(small.matrix)
             train, valid, _ = split_data(kept, seed=seed)
             for objective in ("min_runtime", "max_score"):
-                per_fit.clear()
+                spied.clear()
                 settings = BuildSettings(objective=objective, hierarchy="sat2", cv_folds=5,
                                          max_raw_terms=4, max_expanded_terms=6, seed=seed)
                 build_portfolio(train, valid, small.features,
                                 small.matrix.restrict(instances=[*train, *valid]),
                                 small.descriptors, settings, small.purse, small.series)
-                assert per_fit
-                for calls in per_fit:
-                    inputs = {(x.tobytes(), y.tobytes()) for x, y in calls}
-                    assert len(inputs) == len(calls), (seed, objective)
+                assert spied
+                inputs = {(x.tobytes(), y.tobytes()) for x, y in spied}
+                assert len(inputs) == len(spied), (seed, objective)
 
 
 class TestSimulatorProperties:

@@ -148,6 +148,14 @@ class TestSapsProbe:
         feats = saps_probe(f, small_budget(max_ls_steps=200, ls_runs=2), seed=2)
         assert feats["f48_saps_cv_unsat"] == 0.0
 
+    def test_weights_stay_finite_on_a_contradiction(self):
+        # units [1] and [-1] take turns being unsatisfied, so their weights
+        # grow at every local minimum; unbounded they reach inf by this step
+        state = _SlsState(make(2, [[1], [-1], [1, 2]]))
+        _saps_run(state, random.Random(0), 15000, SapsParams(), None)
+        assert all(math.isfinite(w) for w in state.weights)
+        assert all(math.isfinite(state.weighted_flip_delta(v, state.weights)) for v in (1, 2))
+
     def test_determinism(self, rng):
         f = random_3cnf(20, 60, rng)
         a = saps_probe(f, small_budget(), seed=13)
