@@ -4,10 +4,16 @@ A model maps the 48 raw features through a selected quadratic basis into a
 ridge regression on log runtime or per-instance score. Basis selection is
 greedy forward selection on cross-validated RMSE, run once over the raw
 features and once more to add pairwise products of the selected features.
-Each greedy step scores every remaining candidate at once: the selected
-block of every fold's training Gram matrix is solved once (all folds in one
-batched solve), and each candidate's fit is read off the bordered system
-through its Schur complement instead of being solved afresh.
+select_basis takes a whole batch of problems, such as every problem of a
+portfolio build, and runs the greedy steps of all of them in lockstep, in
+chunks of bounded size. Each step scores every remaining candidate of every
+problem at once, reading each candidate's fit off the bordered ridge system
+through its Schur complement. Each fold keeps the Cholesky rows of the
+selected block and the test residuals net of it, and selecting a column
+adds one row to them (Golub & Van Loan, bordered Cholesky), so nothing is
+solved or gathered afresh as the basis grows. CV RMSEs within the relative
+margin SELECT_REL_MARGIN of each other are ties, settled by column order,
+so the pick among near-duplicate candidates does not hinge on rounding.
 Censored runtimes (runs cut off at the time limit) are handled with the
 Schmee-Hahn iteration: censored targets are repeatedly replaced by the mean
 of the predictive normal truncated at the cutoff and the model is refit.
@@ -33,7 +39,8 @@ TARGET_SCORE = "score"
 
 DEFAULT_DELTA = 1e-3
 MIN_RUNTIME = 0.005  # zero runtimes are clamped here before the log transform
-FIT_BATCH_CELLS = 1 << 18  # padded (fit, row, term) cells of one censored_fit chunk
+FIT_BATCH_CELLS = 1 << 18  # padded cells of one lockstep chunk of censored_fit or select_basis
+SELECT_REL_MARGIN = 1e-9  # CV RMSEs closer than this, relatively, tie in greedy selection
 
 log = logging.getLogger(__name__)
 
@@ -219,91 +226,180 @@ def make_basis(X: np.ndarray, raw_indices, product_pairs=()) -> BasisSpec:
 
 
 def _content_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Canonical row order independent of storage order."""
-    keys = tuple(X[:, j] for j in range(X.shape[1] - 1, -1, -1)) + (y,)
-    return np.lexsort(keys[::-1])
+    """Canonical row order independent of storage order: by the last column
+    of X, ties broken by the column before it, and so on, then by y."""
+    if X.shape[1]:
+        # without ties the last column alone decides, and one sort suffices
+        order = np.argsort(X[:, -1], kind="stable")
+        if np.all(np.diff(X[order, -1]) > 0):
+            return order
+    return np.lexsort((y, *X.T))
 
 
-def _fold_indices(X, y, folds):
-    order = _content_order(X, y)
-    return [order[k::folds] for k in range(folds)]
+def _product_pairs(raw) -> list[tuple[int, int]]:
+    """The distinct products of two of the raw features `raw`, as sorted pairs."""
+    return sorted({(min(j, k), max(j, k)) for i, j in enumerate(raw) for k in raw[i:]})
 
 
-def _greedy_cv_select(C: np.ndarray, y: np.ndarray, folds: int, max_terms: int,
-                      delta: float, base: tuple[int, ...] = ()) -> list[int]:
-    """Greedy forward selection over the columns of C by CV RMSE.
+def _candidates(X: np.ndarray, raw) -> np.ndarray:
+    """The candidate columns of a greedy pass: every column of X, or the
+    raw features `raw` followed by their _product_pairs products."""
+    if raw is None:
+        return X
+    j, k = np.array(_product_pairs(raw)).T
+    return np.column_stack([X[:, raw], X[:, j] * X[:, k]])
 
-    `base` columns are pinned into every fit but not reported. Columns are
-    standardized and y centered before use; fold membership depends only on
-    row content, so results do not change under row permutation. Candidates
-    are scanned in column order and one is taken when it beats the best CV
-    RMSE so far by more than 1e-12.
+
+def _greedy_lockstep(problems, folds: int, max_terms: int, delta: float) -> list[list[int]]:
+    """Greedy forward selection by CV RMSE for a batch of problems.
+
+    Each problem is (X, y, raw): with raw None, the candidates C are the
+    columns of X; given r raw features, they are those r columns, pinned
+    into every fit but not reported, and their r(r+1)/2 products (see
+    _candidates), built only when the problem's chunk runs. Returns, per
+    problem in input order, the indices of the columns of C it selects, in
+    selection order, up to max_terms columns pinned ones included. Columns
+    are standardized and y centered per problem; fold k tests the rows at
+    positions k, k + folds, ... of the content order (one row per fold when
+    there are fewer rows than folds), so results do not change under row
+    permutation.
+
+    Each step scores every available column by the CV RMSE of the ridge fit
+    that adds it. With r_min the lowest score, it takes the lowest-index
+    column scoring at most r_min*(1 + SELECT_REL_MARGIN), and only if
+    r_min < current*(1 - SELECT_REL_MARGIN): candidates closer than that
+    are ties, settled by column order rather than by rounding. Problems with
+    the same fold count, column count and pinned count step in lockstep, in
+    input-order chunks of at most FIT_BATCH_CELLS padded cells (see
+    _select_chunk).
     """
-    n, m = C.shape
-    if m == 0:
-        raise EmptyCandidates("no candidate columns")
-    folds = min(folds, n)
-    if folds < 2:
-        raise ValueError("need at least 2 folds")
-    means, scales = _standardize_columns(C)
-    Z = (C - means) / scales
-    yc = y - y.mean()
+    picks: list[list[int]] = [[] for _ in problems]
+    groups: dict[tuple, list[int]] = {}
+    for i, (X, _, raw) in enumerate(problems):
+        pinned = 0 if raw is None else len(raw)
+        n, m = X.shape[0], X.shape[1] if raw is None else pinned + len(_product_pairs(raw))
+        if m == 0:
+            raise EmptyCandidates("no candidate columns")
+        if min(folds, n) < 2:
+            raise ValueError("need at least 2 folds")
+        groups.setdefault((min(folds, n), m, pinned), []).append(i)
 
-    # Per-fold training Gram matrices and test blocks, stacked along axis 0.
-    # Test blocks are zero-padded to a common length; a zero row adds an
-    # exact 0 to every residual sum.
-    fold_rows = _fold_indices(C, y, folds)
-    G = np.empty((folds, m, m))
-    b = np.empty((folds, m))
-    Zte = np.zeros((folds, max(map(len, fold_rows)), m))
-    yte = np.zeros(Zte.shape[:2])
-    for f, rows in enumerate(fold_rows):
-        test = np.zeros(n, dtype=bool)
-        test[rows] = True
-        Zt, yt = Z[~test], yc[~test]
-        G[f], b[f] = Zt.T @ Zt, Zt.T @ yt
-        Zte[f, :len(rows)], yte[f, :len(rows)] = Z[test], yc[test]
+    for (f, m, pinned), members in groups.items():
+        steps = min(m, max_terms)
+        if steps <= pinned:  # no room beside the pinned columns
+            continue
 
-    def cv_sq(S: list[int], cand: list[int]):
-        """Summed squared CV test residuals of the fit on S and on S + [j], j in cand.
+        def run(chunk):
+            for i, got in zip(chunk, _select_chunk([problems[i] for i in chunk], f, m,
+                                                   pinned, steps, delta)):
+                picks[i] = got
 
-        Adding column j borders A = G[S,S] + delta*I with g = G[S,j]; with
-        w0 = A^-1 b[S] and u = A^-1 g, the new weight is
-        w_j = (b[j] - g.w0) / (G[j,j] + delta - g.u), the selected weights
-        become w0 - u*w_j, and the test residual is r0 - w_j*(z_j - Z_S u).
-        One solve per fold gives w0 and u for every candidate; an empty S
-        gives empty solves and zero corrections.
-        """
-        GS = G[:, S]
-        GSc = GS[:, :, cand]
-        A = GS[:, :, S] + delta * np.eye(len(S))
-        sol = np.linalg.solve(A, np.concatenate([b[:, S, None], GSc], axis=2))
-        w0, U = sol[:, :, 0], sol[:, :, 1:]
-        ZS = Zte[:, :, S]
-        r0 = yte - np.einsum("fts,fs->ft", ZS, w0)
-        D = Zte[:, :, cand] - ZS @ U
-        schur = G[:, cand, cand] + delta - np.einsum("fsj,fsj->fj", GSc, U)
-        wj = (b[:, cand] - np.einsum("fsj,fs->fj", GSc, w0)) / schur
-        R = r0[:, :, None] - D * wj[:, None, :]
-        return float(np.sum(r0 * r0)), np.einsum("ftj,ftj->j", R, R)
+        # padded cells per problem: the rows of Z, and the test rows of D and
+        # the steps of M in each fold, times the columns
+        chunk, rows = [], 0
+        for i in members:
+            most = max(rows, problems[i][0].shape[0])
+            cells = (len(chunk) + 1) * (most + f * (-(-most // f) + steps)) * m
+            if chunk and cells > FIT_BATCH_CELLS:
+                run(chunk)
+                chunk, most = [], problems[i][0].shape[0]
+            chunk.append(i)
+            rows = most
+        run(chunk)
+    return picks
 
-    selected: list[int] = []
-    current = math.sqrt(float(yc @ yc) / n) if not base else None
-    available = [j for j in range(m) if j not in base]
-    while len(selected) < max_terms and available:
-        sq0, sq = cv_sq(list(base) + selected, available)
-        if current is None:
-            current = math.sqrt(sq0 / n)
-        best_j, best_rmse = None, current
-        for j, r in zip(available, np.sqrt(sq / n)):
-            if r < best_rmse - 1e-12:
-                best_j, best_rmse = j, float(r)
-        if best_j is None:
+
+def _select_chunk(problems, f: int, m: int, pinned: int, steps: int,
+                  delta: float) -> list[list[int]]:
+    """The greedy steps of one chunk of _greedy_lockstep, all problems at once.
+
+    State is stacked by (problem, fold), zero-padded in rows and test
+    slots; a zero row adds exact zeros to every product and sum. With S the
+    selected columns, A = G[S,S] + delta*I for the fold's training Gram
+    matrix G = Z_tr^T Z_tr and b = Z_tr^T y_tr, each fold keeps
+      M     = L^-1 G[S,:], for the Cholesky factor L of A,
+      e     = b - G[:,S] A^-1 b[S],
+      schur = diag(G) + delta - |M[:,j]|^2, the Schur complement of adding j,
+      D     = Z_te - Z_te[:,S] A^-1 G[S,:], the test columns net of the fit,
+      r     = y_te - Z_te[:,S] A^-1 b[S], the test residuals.
+    Candidate j's weight is e[j]/schur[j] and its test residuals r - w*D[:,j].
+    Selecting j borders L with one row: G[j,:] = Z_tr^T z_j, computed on
+    demand, gives M's new row (G[j,:] - M[:,j]^T M) / sqrt(schur[j]), and
+    e, schur, D and r take a rank-one update from it. Nothing is gathered
+    again as S grows and G itself is never formed; only a finished problem
+    leaves the stacks.
+    """
+    P = len(problems)
+    N = max(X.shape[0] for X, _, _ in problems)
+    Z = np.zeros((P, N + 1, m))  # row N stays zero: the padded test slots read it
+    yc = np.zeros((P, N + 1))
+    test = np.full((P, f, -(-N // f)), N)
+    train = np.zeros((P, f, N + 1))
+    n = np.empty(P)
+    for p, (X, y, raw) in enumerate(problems):
+        k = n[p] = X.shape[0]
+        Z[p, :k], yc[p, :k] = _candidates(X, raw), y
+        pos, order = np.arange(k), _content_order(Z[p, :k], y)
+        test[p, pos % f, pos // f] = order
+        train[p, :, :k] = 1.0
+        train[p, pos % f, order] = 0.0
+    # standardize the columns and center y over each problem's own rows, as
+    # _standardize_columns does, keeping the padded rows zero
+    real = (np.arange(N + 1) < n[:, None])[:, :, None]
+    Z -= Z.sum(axis=1, keepdims=True) / n[:, None, None]
+    Z *= real
+    std = np.sqrt((Z * Z).sum(axis=1, keepdims=True) / n[:, None, None])
+    Z /= np.where(std > 0, std, 1.0)
+    yc -= yc.sum(axis=1, keepdims=True) / n[:, None]
+    yc *= real[:, :, 0]
+
+    at = np.arange(P)[:, None, None]
+    D, r = Z[at, test], yc[at, test]
+    e = (train * yc[:, None, :]) @ Z
+    schur = train @ (Z * Z) + delta
+    M = np.empty((P, f, steps, m))
+    live = np.arange(P)
+    avail = np.ones((P, m), dtype=bool)
+    avail[:, :pinned] = False
+    picks: list[list[int]] = [[] for _ in range(P)]
+    current = None
+    for s in range(steps):
+        if s < pinned:
+            j = np.full(len(live), s)
+        else:
+            R = D * (e / schur)[:, :, None, :]
+            R -= r[:, :, :, None]  # in place: a second temporary this size costs more
+            rmse = np.sqrt(np.einsum("pftj,pftj->pj", R, R) / n[:, None])
+            if current is None:  # CV RMSE of the pinned fit, or of the mean alone
+                current = np.sqrt(np.einsum("pft,pft->p", r, r) / n)
+            rmse[~avail] = np.inf
+            r_min = rmse.min(axis=1)
+            j = np.argmax(rmse <= (r_min * (1 + SELECT_REL_MARGIN))[:, None], axis=1)
+            go = r_min < current * (1 - SELECT_REL_MARGIN)
+            for p, col in zip(live[go], j[go]):
+                picks[p].append(int(col))
+            current = rmse[np.arange(len(live)), j]
+            if not go.all():
+                live, j, current, n, avail, Z, train, D, r, e, schur, M = (
+                    a[go] for a in (live, j, current, n, avail, Z, train, D, r, e, schur, M))
+                if not live.size:
+                    break
+        if s + 1 == steps:
             break
-        selected.append(best_j)
-        available.remove(best_j)
-        current = best_rmse
-    return selected
+        i = np.arange(len(live))
+        h = (train * Z[i, :, j][:, None, :]) @ Z
+        if s:
+            h -= (M[i, :, :s, j][:, :, None, :] @ M[:, :, :s])[:, :, 0]
+        sig = schur[i, :, j]
+        root = np.sqrt(sig)[:, :, None]
+        row = M[:, :, s] = h / root
+        dj = D[i, :, :, j]
+        r -= (e[i, :, j] / sig)[:, :, None] * dj
+        e -= e[i, :, j][:, :, None] / root * row
+        D -= dj[:, :, :, None] * (row / root)[:, :, None, :]
+        schur -= row * row
+        avail[i, j] = False
+    return picks
 
 
 def forward_select(features: np.ndarray, targets: np.ndarray,
@@ -312,8 +408,10 @@ def forward_select(features: np.ndarray, targets: np.ndarray,
     """Greedy forward selection of raw feature columns.
 
     Starts empty and adds the candidate that most reduces cross-validated
-    RMSE of a ridge fit, stopping when nothing improves or max_terms is
-    reached. Returns raw-feature indices in selection order.
+    RMSE of a ridge fit, stopping when nothing improves by more than the
+    relative margin SELECT_REL_MARGIN or max_terms is reached; candidates
+    within that margin of the best go to the lowest index. Returns
+    raw-feature indices in selection order.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -324,40 +422,42 @@ def forward_select(features: np.ndarray, targets: np.ndarray,
         raise EmptyCandidates("candidate_indices is empty")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    C = X[:, candidate_indices]
-    picked = _greedy_cv_select(C, y, folds, max_terms, delta)
+    [picked] = _greedy_lockstep([(X[:, candidate_indices], y, None)], folds, max_terms, delta)
     return [candidate_indices[j] for j in picked]
 
 
-def select_basis(X: np.ndarray, y: np.ndarray, folds: int = 10,
-                 max_raw_terms: int = 30, max_expanded_terms: int = 40,
-                 delta: float = DEFAULT_DELTA) -> BasisSpec:
-    """Two-pass basis selection: raw features, then pairwise products.
+def select_basis(data, y=None, folds: int = 10, max_raw_terms: int = 30,
+                 max_expanded_terms: int = 40, delta: float = DEFAULT_DELTA):
+    """Two-pass basis selection for a batch of problems: raw features, then
+    pairwise products.
 
-    The second pass keeps the selected raw features in the model and
-    greedily adds products of those features while CV RMSE improves, up to
-    a total of max_expanded_terms basis functions.
+    `data` is a sequence of LabeledDatasets or (X, y) pairs, and one
+    BasisSpec per problem comes back, in input order; select_basis(X, y)
+    is a batch of one and gives its BasisSpec. The first pass selects raw
+    features as forward_select does. The second keeps them in the model and
+    greedily adds products of them while CV RMSE improves, up to a total of
+    max_expanded_terms basis functions. Each pass runs the greedy steps of
+    every problem in lockstep (see _greedy_lockstep), with per-fold state
+    that grows by one entry per selected column.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    raw = forward_select(X, y, folds=folds, max_terms=max_raw_terms, delta=delta)
-    if not raw:
-        # no raw feature lowers CV RMSE; fall back to raw column 0 so the
-        # model still has a basis (a fixed choice, not the best-scoring one)
-        raw = [0]
-    candidates = [(j, k) for idx, j in enumerate(raw) for k in raw[idx:]]
-    candidates = [(min(j, k), max(j, k)) for j, k in candidates]
-    candidates = sorted(set(candidates))
-    room = max_expanded_terms - len(raw)
-    pairs: list[tuple[int, int]] = []
-    if room > 0 and candidates:
-        Craw = X[:, raw]
-        Cprod = np.column_stack([X[:, j] * X[:, k] for j, k in candidates])
-        C = np.column_stack([Craw, Cprod])
-        base = tuple(range(len(raw)))
-        picked = _greedy_cv_select(C, y, folds, room, delta, base=base)
-        pairs = [candidates[j - len(raw)] for j in picked]
-    return make_basis(X, raw, pairs)
+    if y is not None:
+        return select_basis([(data, y)], None, folds, max_raw_terms, max_expanded_terms,
+                            delta)[0]
+    if max_raw_terms < 1:
+        raise ValueError("max_terms must be at least 1")
+    problems = [(d.features, d.targets) if isinstance(d, LabeledDataset) else
+                tuple(np.asarray(a, dtype=float) for a in d) for d in data]
+    # no raw feature lowers CV RMSE: fall back to raw column 0 so the model
+    # still has a basis (a fixed choice, not the best-scoring one)
+    raws = [raw or [0] for raw in
+            _greedy_lockstep([(X, y, None) for X, y in problems], folds, max_raw_terms, delta)]
+    picks = _greedy_lockstep([(X, y, raw) for (X, y), raw in zip(problems, raws)],
+                             folds, max_expanded_terms, delta)
+    bases = []
+    for (X, _), raw, picked in zip(problems, raws, picks):
+        pairs = _product_pairs(raw)
+        bases.append(make_basis(X, raw, [pairs[j - len(raw)] for j in picked]))
+    return bases
 
 
 def _ridge_model(phi: np.ndarray, y: np.ndarray, basis: BasisSpec, factor,

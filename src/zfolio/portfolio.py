@@ -11,17 +11,20 @@ phases, each doing its distinct work once:
    is kept for phase 3;
 2. fit each candidate's model on each distinct training remainder:
    a. list the distinct problems, each the rows a model learns from with
-      their targets, and select each one's basis. A flat model learns from
-      the remainder; under a hierarchy, a class expert learns from its
-      class's rows, and the classes too small for their own share one
-      fallback model of the whole remainder. A problem that several
-      remainders or solvers share is listed once;
+      their targets, and select all their bases in one select_basis batch.
+      A flat model learns from the remainder; under a hierarchy, a class
+      expert learns from its class's rows, and the classes too small for
+      their own share one fallback model of the whole remainder. A problem
+      that several remainders or solvers share is listed once;
    b. fit every problem of the build in one censored_fit batch;
    c. assemble the flat models, and gate each hierarchical model's experts
       with train_hierarchical;
 3. per behaviour, choose a backup solver from its pre-solve outcome and
    search solver subsets for the best simulated validation performance,
    scoring all subsets in one array pass.
+
+The build's summary INFO line gives the wall seconds of each phase and of
+steps 2a-2c.
 
 The best behaviour wins, represented by its first schedule in enumeration
 order.
@@ -38,6 +41,7 @@ import itertools
 import json
 import logging
 import math
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -585,7 +589,8 @@ class _ModelTrainer:
     The candidates' runs on the training instances with usable features,
     those instances' feature rows, and every candidate's targets (score
     labels under max_score, else log runtimes) and censoring flags on them
-    are gathered once; each fit reads its rows from them.
+    are gathered once; each fit reads its rows from them. `seconds` holds
+    the wall seconds of the last fit's steps 2a, 2b and 2c.
     """
 
     def __init__(self, matrix, features, settings, candidate_ids, train_ids, usable,
@@ -608,6 +613,7 @@ class _ModelTrainer:
         else:
             self.censored = runs.status == STATUS_CODES["timeout"]
             self.y = np.where(self.censored, self.cutoff_log, log_runtime(runs.runtime))
+        self.seconds: dict[str, float] = {}
         self.classifier = None
         if s.hierarchy != "none":
             classes = [matrix.sat_label(iid) or "sat" for iid in rows]
@@ -655,8 +661,8 @@ class _ModelTrainer:
            learns from (a flat model's or a class expert's own, or the whole
            remainder for a fallback shared by the small classes) with their
            targets. Each is listed once, in first-appearance order, so
-           solvers with the same targets on the same rows share it, and its
-           basis is selected;
+           solvers with the same targets on the same rows share it, and all
+           their bases are selected in one select_basis batch;
         b. fit every problem in one censored_fit batch;
         c. per distinct (solver, columns) model, take its flat fit, or gate
            its class experts with train_hierarchical.
@@ -665,6 +671,7 @@ class _ModelTrainer:
         support a model, the reason.
         """
         s = self.settings
+        start = time.perf_counter()
         refused, model_of, plans = {}, {}, {}
         problems: dict[tuple, LabeledDataset] = {}
         for sid, row_ids in pairs:
@@ -684,13 +691,14 @@ class _ModelTrainer:
                 problems.setdefault(problem, data)
                 experts.append(problem)
             plans[key] = (k, cols, experts)
-        bases = [select_basis(d.features, d.targets, folds=s.cv_folds,
-                              max_raw_terms=s.max_raw_terms,
-                              max_expanded_terms=s.max_expanded_terms)
-                 for d in problems.values()]
+        bases = select_basis(list(problems.values()), folds=s.cv_folds,
+                             max_raw_terms=s.max_raw_terms,
+                             max_expanded_terms=s.max_expanded_terms)
+        selected = time.perf_counter()
         target = "score" if s.objective == OBJECTIVE_SCORE else "log_runtime"
         fitted = dict(zip(problems, censored_fit(list(problems.values()), basis=bases,
                                                  target=target)))
+        fitted_at = time.perf_counter()
 
         models = {}
         for key, (k, cols, experts) in plans.items():
@@ -706,6 +714,8 @@ class _ModelTrainer:
             models[key] = train_hierarchical(data.features, data.targets,
                                              [fitted[e] for e in experts],
                                              self.classifier, gate_rows)
+        self.seconds = {"2a": selected - start, "2b": fitted_at - selected,
+                        "2c": time.perf_counter() - fitted_at}
         return {pair: models[key] for pair, key in model_of.items()}, refused
 
 
@@ -739,6 +749,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     usable = {iid for iid, fv in features.items() if fv.usable}
 
     # Phase 0: the inputs of every later phase, gathered once
+    stamps = [time.perf_counter()]  # the start and the end of each phase
     rows = SimulationRows(matrix, features, valid_ids, s.objective, purse, series)
     complete_cands, local_cands = select_presolver_candidates(
         rows.runs, descriptors.values(), purse, series, top=s.presolver_top
@@ -747,6 +758,8 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     trainer = _ModelTrainer(matrix, features, s, candidate_ids, train_ids, usable,
                             purse, series, category_labels)
     train_runs = matrix.dense().block(complete_cands + local_cands, train_ids)
+
+    stamps.append(time.perf_counter())
 
     # Phase 1: group the schedules by behaviour, that is by the training
     # instances they leave for the models and what they do on the validation
@@ -771,6 +784,8 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
         key = (remaining, solved.tobytes(), finish.tobytes(), elapsed.tobytes())
         behaviours.setdefault(key, (outcome, []))[1].append(schedule)
 
+    stamps.append(time.perf_counter())
+
     # Phase 2: each distinct (solver, training remainder) pair, the
     # remainders in order of the first schedule that leaves them, fitted by
     # the trainer's three steps: 2a lists the distinct problems and selects
@@ -789,6 +804,8 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     fits, refused = trainer.fit(pairs)
     for (_, remaining), reason in refused.items():
         log.info("schedule %s: %s", remainders[remaining].describe(), reason)
+
+    stamps.append(time.perf_counter())
 
     # Phase 3: per behaviour, in order of their first schedule, which stands
     # for them, a backup and a subset search; with the strict > the earliest
@@ -817,9 +834,13 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
         if best is None or perf > best[0]:
             best = (perf, schedule, backup, subset, {k: models[k] for k in subset})
 
+    stamps.append(time.perf_counter())
+    spent = np.diff(stamps)
     log.info("%s build: %d schedules enumerated, %d skipped, %d distinct behaviours, "
-             "%d fits, %d refused fits", s.objective, len(schedules), skipped,
-             len(behaviours), len(fits), len(pairs) - len(fits))
+             "%d fits, %d refused fits; seconds by phase: 0 %.3f, 1 %.3f, 2a %.3f, "
+             "2b %.3f, 2c %.3f, 3 %.3f", s.objective, len(schedules), skipped,
+             len(behaviours), len(fits), len(pairs) - len(fits), spent[0], spent[1],
+             *(trainer.seconds[k] for k in ("2a", "2b", "2c")), spent[3])
     if best is None:
         raise InsufficientData("no schedule produced a usable portfolio")
     _, schedule, backup, subset, models = best

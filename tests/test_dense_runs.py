@@ -604,8 +604,9 @@ class TestPortfolioConsumers:
                 got.update(read(*args))
                 return original(*args, **kw)
             monkeypatch.setattr(portfolio, name, wrapper)
-        spy("select_basis", lambda X, y: {"X": X, "y": y})
-        spy("censored_fit", lambda data: {"censored": data[0].censored} if data else {})
+        spy("select_basis", lambda data: {"X": [d.features for d in data],
+                                          "y": [d.targets for d in data]})
+        spy("censored_fit", lambda data: {"censored": [d.censored for d in data]})
 
         rng = random.Random(5)
         fits = refused = 0
@@ -642,7 +643,8 @@ class TestPortfolioConsumers:
                         fits += 1
                         assert list(models) == [(sid, rows)] and not reasons
                         for key, value in zip(("X", "y", "censored"), want):
-                            assert np.array_equal(got[key], value), key
+                            assert len(got[key]) == 1, key
+                            assert np.array_equal(got[key][0], value), key
         assert fits > 50 and refused > 20
 
     def test_portfolio_simulator_raises_on_a_missing_cell(self):

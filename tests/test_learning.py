@@ -162,16 +162,22 @@ class TestRidgePredict:
 
 
 def reference_greedy_cv_select(C, y, folds, max_terms, delta, base=()):
-    """The per-candidate loop: one fresh solve per candidate per fold."""
+    """The per-candidate loop: one fresh solve per candidate per fold.
+
+    Each step takes the lowest-index candidate within a relative
+    SELECT_REL_MARGIN of the step's lowest CV RMSE, if that lowest RMSE
+    beats the current one by more than the same relative margin.
+    """
     n, m = C.shape
     folds = min(folds, n)
     means, scales = learning._standardize_columns(C)
     Z = (C - means) / scales
     yc = y - y.mean()
+    order = learning._content_order(C, y)
     masks = []
-    for rows in learning._fold_indices(C, y, folds):
+    for k in range(folds):
         test = np.zeros(n, dtype=bool)
-        test[rows] = True
+        test[order[k::folds]] = True
         masks.append(test)
     grams = [(Z[~t].T @ Z[~t], Z[~t].T @ yc[~t]) for t in masks]
 
@@ -188,18 +194,35 @@ def reference_greedy_cv_select(C, y, folds, max_terms, delta, base=()):
     selected = []
     current = math.sqrt(float(yc @ yc) / n) if not base else cv_rmse(base)
     available = [j for j in range(m) if j not in base]
+    margin = learning.SELECT_REL_MARGIN
     while len(selected) < max_terms and available:
-        best_j, best_rmse = None, current
-        for j in available:
-            r = cv_rmse(base + tuple(selected) + (j,))
-            if r < best_rmse - 1e-12:
-                best_j, best_rmse = j, r
-        if best_j is None:
+        scores = [cv_rmse(base + tuple(selected) + (j,)) for j in available]
+        r_min = min(scores)
+        if not r_min < current * (1 - margin):
             break
-        selected.append(best_j)
-        available.remove(best_j)
-        current = best_rmse
+        best = next(i for i, r in enumerate(scores) if r <= r_min * (1 + margin))
+        current = scores[best]
+        selected.append(available.pop(best))
     return selected
+
+
+def reference_product_pass(X, raw):
+    """The product pass's candidates: the raw columns, then each distinct
+    product of two of them, and those products' sorted pairs."""
+    pairs = sorted({(min(j, k), max(j, k)) for i, j in enumerate(raw) for k in raw[i:]})
+    return np.column_stack([X[:, raw]] + [X[:, j] * X[:, k] for j, k in pairs]), pairs
+
+
+def reference_select_basis(X, y, folds, max_raw_terms, max_expanded_terms, delta=1e-3):
+    """The two selection passes over reference_greedy_cv_select."""
+    raw = [int(j) for j in reference_greedy_cv_select(X, y, folds, max_raw_terms, delta)]
+    raw = raw or [0]
+    if max_expanded_terms <= len(raw):
+        return raw, []
+    C, pairs = reference_product_pass(X, raw)
+    picked = reference_greedy_cv_select(C, y, folds, max_expanded_terms - len(raw), delta,
+                                        base=tuple(range(len(raw))))
+    return raw, [pairs[j - len(raw)] for j in picked]
 
 
 def random_design(rng, case):
@@ -220,7 +243,7 @@ def random_design(rng, case):
 class TestBatchedSelection:
     """The batched greedy step picks exactly what the per-candidate loop picks."""
 
-    def test_forward_select_and_select_basis_match_reference(self, monkeypatch):
+    def test_forward_select_and_select_basis_match_reference(self):
         rng = np.random.default_rng(2024)
         for trial in range(48):
             X, y = random_design(rng, trial % 4)
@@ -229,25 +252,114 @@ class TestBatchedSelection:
             got_fs = forward_select(X, y, folds=folds, max_terms=raw_terms)
             got = select_basis(X, y, folds=folds, max_raw_terms=raw_terms,
                                max_expanded_terms=12)
-            with monkeypatch.context() as mp_ctx:
-                mp_ctx.setattr(learning, "_greedy_cv_select", reference_greedy_cv_select)
-                want_fs = forward_select(X, y, folds=folds, max_terms=raw_terms)
-                want = select_basis(X, y, folds=folds, max_raw_terms=raw_terms,
-                                    max_expanded_terms=12)
+            want_fs = reference_greedy_cv_select(X, y, folds, raw_terms, 1e-3)
+            want = reference_select_basis(X, y, folds, raw_terms, 12)
             assert got_fs == want_fs, trial
-            assert got.raw_indices == want.raw_indices, trial
-            assert got.product_pairs == want.product_pairs, trial
+            assert got.raw_indices == want[0], trial
+            assert got.product_pairs == want[1], trial
 
     def test_pinned_base_matches_reference(self):
+        # the product pass pins the raw features and adds their products
         rng = np.random.default_rng(77)
         for trial in range(24):
             X, y = random_design(rng, trial % 4)
-            k = min(4, X.shape[1] - 1)
-            base = tuple(range(k))
+            raw = [int(j) for j in rng.permutation(X.shape[1])[:min(4, X.shape[1] - 1)]]
+            C, _ = reference_product_pass(X, raw)
             folds = (2, 5, 10)[trial % 3]
-            got = learning._greedy_cv_select(X, y, folds, 6, 1e-3, base=base)
-            want = reference_greedy_cv_select(X, y, folds, 6, 1e-3, base=base)
+            [got] = learning._greedy_lockstep([(X, y, raw)], folds, len(raw) + 6, 1e-3)
+            want = reference_greedy_cv_select(C, y, folds, 6, 1e-3,
+                                              base=tuple(range(len(raw))))
             assert got == want, trial
+
+    @staticmethod
+    def near_duplicate_design(seed):
+        """69 x 8, column 1 = column 0 + 1e-9 noise: the two tie as raw
+        features, and so do their products."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(69, 8))
+        X[:, 1] = X[:, 0] + 1e-9 * rng.normal(size=69)
+        y = X[:, 0] ** 2 + X[:, 0] * X[:, 3] + 0.5 * X[:, 2] + 0.1 * rng.normal(size=69)
+        return X, y
+
+    def test_near_duplicate_columns_tie_by_index(self):
+        # columns 0 and 1 score within the relative margin of each other,
+        # so column 0 is taken, whatever the rounding: alone, inside a
+        # batch and from a differently laid-out copy of the same values
+        X, y = self.near_duplicate_design(6)
+        want = reference_select_basis(X, y, 5, 4, 6)
+        assert want == ([2, 0], [(0, 0), (0, 2)])
+        wide = np.zeros((69, 16))
+        wide[:, ::2] = X
+        laid_out = [np.asfortranarray(X), wide[:, ::2], X[::-1].copy()[::-1]]
+        others = [self.near_duplicate_design(seed) for seed in (7, 8)]
+        alone = select_basis(X, y, folds=5, max_raw_terms=4, max_expanded_terms=6)
+        batch = select_basis([others[0], (X, y), *[(Xl, y.copy()) for Xl in laid_out],
+                              others[1]], folds=5, max_raw_terms=4, max_expanded_terms=6)
+        for basis in [alone, *batch[1:-1]]:
+            assert (basis.raw_indices, basis.product_pairs) == want
+        assert forward_select(X, y, folds=5, max_terms=4) == want[0]
+
+    def test_gain_within_the_margin_stops_selection(self, monkeypatch):
+        # an exact duplicate of the selected column lowers the CV RMSE only
+        # by easing the ridge shrinkage: here by 4.5e-10 of it (4.6e-11
+        # absolute), within the relative margin, so selection stops there
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(40, 3))
+        X[:, 1] = X[:, 0]
+        y = 0.4847 * X[:, 0] + 0.1 * rng.normal(size=40)
+        assert forward_select(X, y, folds=5, max_terms=3) == [0]
+        assert reference_greedy_cv_select(X, y, 5, 3, 1e-3) == [0]
+        monkeypatch.setattr(learning, "SELECT_REL_MARGIN", 1e-11)
+        assert forward_select(X, y, folds=5, max_terms=3) == [0, 1]
+        assert reference_greedy_cv_select(X, y, 5, 3, 1e-3) == [0, 1]
+
+    def test_batch_matches_each_problem_alone(self):
+        # different row counts, fewer rows than folds, raw passes of
+        # different lengths, a constant target (raw column 0) and raw passes
+        # that fill max_expanded_terms (no room for products)
+        rng = np.random.default_rng(31)
+        problems = []
+        for n, active in ((60, 1), (23, 2), (4, 1), (3, 0), (45, 4), (80, 6), (12, 3)):
+            X = rng.normal(size=(n, 10))
+            y = X[:, :active] @ rng.normal(size=active) + X[:, 0] * X[:, 1]
+            problems.append((X, y + 0.05 * rng.normal(size=n)))
+        problems.append((rng.normal(size=(30, 10)), np.full(30, 2.5)))
+        data = [LabeledDataset(X, y) if i % 2 else (X, y) for i, (X, y) in enumerate(problems)]
+        batch = select_basis(data, folds=5, max_raw_terms=4, max_expanded_terms=4)
+        assert len(batch) == len(problems)
+        lengths = set()
+        for (X, y), got in zip(problems, batch):
+            want = select_basis(X, y, folds=5, max_raw_terms=4, max_expanded_terms=4)
+            assert got.raw_indices == want.raw_indices
+            assert got.product_pairs == want.product_pairs
+            assert np.array_equal(got.means, want.means)
+            assert np.array_equal(got.scales, want.scales)
+            assert (got.raw_indices, got.product_pairs) == reference_select_basis(X, y, 5, 4, 4)
+            lengths.add(len(got.raw_indices))
+        assert batch[-1].raw_indices == [0] and batch[-1].product_pairs == []
+        assert {1, 4} <= lengths and any(b.product_pairs for b in batch)
+        assert select_basis([]) == []
+
+    def test_chunks_match_one_stack(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        problems = [random_design(rng, trial % 4) for trial in range(12)]
+        problems = [(X[:, :12], y) for X, y in problems if X.shape[1] >= 12]
+        whole = select_basis(problems, folds=5, max_raw_terms=5, max_expanded_terms=8)
+        chunks = []
+        select_chunk = learning._select_chunk
+
+        def counted(chunk, *args):
+            chunks.append(len(chunk))
+            return select_chunk(chunk, *args)
+        monkeypatch.setattr(learning, "_select_chunk", counted)
+        one = select_basis(problems, folds=5, max_raw_terms=5, max_expanded_terms=8)
+        stacks = len(chunks)
+        monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 5000)
+        chunked = select_basis(problems, folds=5, max_raw_terms=5, max_expanded_terms=8)
+        assert len(chunks) - stacks > stacks and max(chunks[stacks:]) > 1
+        for got, want in zip([*one, *chunked], [*whole, *whole]):
+            assert got.raw_indices == want.raw_indices
+            assert got.product_pairs == want.product_pairs
 
     def test_constant_target_falls_back_to_column_zero(self):
         rng = np.random.default_rng(12)

@@ -1,5 +1,6 @@
 import logging
 import re
+import time
 
 import numpy as np
 import pytest
@@ -458,10 +459,23 @@ class TestBehaviourGrouping:
         candidates = [d.id for d in bench.descriptors if d.kind == "complete"]
         assert counts["fits"] < len(candidates) * counts["distinct behaviours"]
 
+    def test_summary_times_each_phase(self, bench, split, monkeypatch, caplog):
+        caplog.set_level(logging.INFO, logger="zfolio.portfolio")
+        start = time.perf_counter()
+        self.build(bench, split, monkeypatch, presolver_top=2)
+        wall = time.perf_counter() - start
+        [summary] = [r.getMessage() for r in caplog.records
+                     if "schedules enumerated" in r.getMessage()]
+        spent = re.findall(r"(\w+) (\d+\.\d{3})", summary.split("seconds by phase:")[1])
+        assert [phase for phase, _ in spent] == ["0", "1", "2a", "2b", "2c", "3"]
+        seconds = [float(v) for _, v in spent]
+        assert min(seconds) >= 0 and sum(seconds) <= wall + 0.01
+        assert seconds[2] > 0 and seconds[3] > 0  # bases selected, models fitted
+
     def test_fits_come_first_and_once(self, bench, split, monkeypatch):
         # phase 2 fits each (solver, training rows) pair once, in one
-        # censored_fit batch, before phase 3 makes its first simulator;
-        # max_score labels are scored once
+        # select_basis and one censored_fit batch, before phase 3 makes its
+        # first simulator; max_score labels are scored once
         events = []
 
         def record(owner, name, event):
@@ -473,6 +487,7 @@ class TestBehaviourGrouping:
             monkeypatch.setattr(owner, name, wrapper)
         record(portfolio_module._ModelTrainer, "fit",
                lambda trainer, pairs: ("fit", tuple(pairs)))
+        record(portfolio_module, "select_basis", lambda data: ("select_basis",))
         record(portfolio_module, "censored_fit", lambda data: ("censored_fit",))
         record(PortfolioSimulator, "__init__", lambda *args: ("simulator",))
         record(portfolio_module, "score_labels", lambda *args: ("labels",))
@@ -485,7 +500,10 @@ class TestBehaviourGrouping:
             fits = [e for e in events if e[0] == "fit"]
             first_simulator = events.index(("simulator",))
             assert len(fits) == 1 and events.count(("censored_fit",)) == 1
-            assert all(e[0] not in ("fit", "censored_fit") for e in events[first_simulator:])
+            assert events.count(("select_basis",)) == 1
+            assert events.index(("select_basis",)) < events.index(("censored_fit",))
+            assert all(e[0] not in ("fit", "select_basis", "censored_fit")
+                       for e in events[first_simulator:])
             pairs = fits[0][1]
             assert pairs and len(set(pairs)) == len(pairs)
             assert events.count(("labels",)) == (objective == "max_score")
@@ -583,13 +601,13 @@ class TestExpertRows:
 
     @pytest.fixture
     def spied(self, monkeypatch):
-        """The (X, y) of every select_basis call."""
+        """The (X, y) of every problem of every select_basis batch."""
         calls = []
         original = portfolio_module.select_basis
 
-        def spy(X, y, **kw):
-            calls.append((X.copy(), y.copy()))
-            return original(X, y, **kw)
+        def spy(data, **kw):
+            calls.extend((d.features.copy(), d.targets.copy()) for d in data)
+            return original(data, **kw)
         monkeypatch.setattr(portfolio_module, "select_basis", spy)
         return calls
 
