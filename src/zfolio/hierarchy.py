@@ -3,23 +3,35 @@
 A class probability predictor (L2-penalized multinomial logistic
 regression over the standardized raw features) feeds a softmax gate that
 mixes per-class conditional ridge models. The experts stay fixed while the
-gating weights are fit to minimize squared error of the mixed prediction,
-initialized from the classifier output. Works for the 2-class
+gating weights are fit to minimize the squared error of the mixed
+prediction plus an L2 pull toward the initialization, which leans on the
+classifier output; the pull scales with the spread of the experts, so the
+optimum is finite and the weights follow the data smoothly. fit_gating
+takes a whole batch of gates, such as every gate of a portfolio build, and
+solves them in lockstep by damped Newton steps with the exact Hessian (the
+second-order fitting of gating networks of Jordan & Jacobs, 1994), each
+gate to a gradient tolerance. Works for the 2-class
 satisfiable/unsatisfiable split and for the general K-class form.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .learning import DimensionMismatch, RidgeModel, model_from_doc, model_to_doc
+from .learning import (FIT_BATCH_CELLS, DimensionMismatch, RidgeModel, model_from_doc,
+                       model_to_doc)
 
 
-GATING_TOL = 1e-6
-GATING_MAX_ITER = 200
+GATING_PENALTY = 1.0  # pull of the gate's feature weights, per mean squared expert range
+GATING_CLASS_PENALTY = 3e-3  # pull of its class-probability weights, likewise
+GATING_TOL = 1e-9  # gradient tolerance, relative to the summed squared expert range
+GATING_MAX_ITER = 200  # backstop on the Newton iterations of one gate
+
+log = logging.getLogger(__name__)
 
 
 class SingleClassData(ValueError):
@@ -27,9 +39,9 @@ class SingleClassData(ValueError):
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
+    z = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -141,70 +153,187 @@ def gate(v: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _gate_matrix(v: np.ndarray, aug: np.ndarray) -> np.ndarray:
-    scores = aug @ v.T
-    scores = np.hstack([scores, np.zeros((aug.shape[0], 1))])
+    """Gate probabilities of input rows `aug` under weights `v`, or of a
+    stack of (rows, weights) pairs."""
+    scores = aug @ np.swapaxes(v, -1, -2)
+    scores = np.concatenate([scores, np.zeros(scores.shape[:-1] + (1,))], axis=-1)
     return _softmax_rows(scores)
 
 
-def _gating_loss_grad(v, aug, expert_preds, y):
-    G = _gate_matrix(v, aug)
-    mu = (G * expert_preds).sum(axis=1)
-    r = y - mu
-    loss = float(r @ r)
-    S = (-2.0 * r)[:, None] * G * (expert_preds - mu[:, None])
-    grad = S[:, : v.shape[0]].T @ aug
-    return loss, grad
+@dataclass
+class GateFit:
+    """A fitted gate: its weights, the Newton iterations it took, and
+    whether its gradient met the tolerance before GATING_MAX_ITER."""
+
+    weights: np.ndarray
+    iterations: int
+    converged: bool
 
 
-def fit_gating(conditional_models, classifier: ClassifierModel,
-               features: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Fit gating weights with the experts held fixed.
+def fit_gating(gates, classifier: ClassifierModel | None = None, features=None, targets=None):
+    """Fit gating weights with the experts held fixed, for a batch of gates.
 
-    Minimizes the squared error of the gated mixture by gradient descent
-    with backtracking line search, starting from weights that lean on the
-    classifier output, for at most GATING_MAX_ITER steps or until a step
-    gains less than GATING_TOL. The returned weights never do worse than
-    that initialization.
+    `gates` is a sequence of (inputs, rows, predictions, targets): gate input
+    rows (ClassifierModel.gate_inputs; many gates can share one array), the
+    rows of them a gate learns from, its experts' (rows, K) predictions on
+    those rows in the classifier's class order, and its targets. One GateFit
+    per gate comes back, in input order. fit_gating(experts, classifier, X,
+    y), with the experts as RidgeModels, is a batch of one over all the rows
+    of X and gives its weights.
+
+    Each gate minimizes the squared error of its mixture plus an L2 pull of
+    its weights toward the initialization, which is zero on the feature part
+    and leans on the classifier's probabilities (+4 on a class's own
+    probability, -4 on the last class's). The pull is GATING_PENALTY on the
+    feature part and GATING_CLASS_PENALTY on the probability part, each
+    times the rows' mean squared expert range (the largest minus the
+    smallest expert prediction), so it has the targets' units and a scaled
+    problem has the same solution. With the pull the optimum is finite and
+    the weights are a smooth function of the data.
+
+    The solver takes damped Newton (Levenberg-Marquardt) steps with the
+    exact Hessian, the Gauss-Newton term minus the residual curvature term,
+    on zero-padded (gates, rows, weights) stacks: gates of the same shape
+    run in lockstep, in input-order chunks of at most FIT_BATCH_CELLS padded
+    cells, with one batched solve per iteration. A step is kept only if it
+    lowers the objective; the damping falls after a kept step and rises
+    after a refused one (Nielsen's rule). A gate leaves its chunk once the
+    largest entry of its penalized gradient is at most GATING_TOL times the
+    summed squared expert range of its rows, after one undamped Newton step
+    from there, so its weights do not hinge on where exactly it crossed the
+    tolerance. GATING_MAX_ITER is only a backstop: a gate still short of
+    the tolerance there keeps its last accepted weights and is logged at
+    DEBUG.
     """
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    n = X.shape[0]
-    k = len(conditional_models)
-    E = np.column_stack([m.predict_matrix(X) for m in conditional_models])
-    aug = classifier.gate_inputs(X)
-    p = aug.shape[1]
+    if classifier is not None:
+        X = np.asarray(features, dtype=float)
+        E = np.column_stack([m.predict_matrix(X) for m in gates])
+        gate = (classifier.gate_inputs(X), np.arange(X.shape[0]), E, targets)
+        return fit_gating([gate])[0].weights
+    gates = [(inputs, np.asarray(rows), np.asarray(E, dtype=float),
+              np.asarray(y, dtype=float)) for inputs, rows, E, y in gates]
+    fits: list[GateFit] = [None] * len(gates)
+    groups: dict[tuple, list[int]] = {}
+    for i, (inputs, _, E, _) in enumerate(gates):
+        groups.setdefault((inputs.shape[1], E.shape[1]), []).append(i)
+    for (width, k), members in groups.items():
 
-    # initialization: zero on the feature part, a positive pull toward the
-    # classifier's own probabilities on the s part
-    v = np.zeros((k - 1, p))
-    mcols = classifier.num_features
-    for row in range(k - 1):
-        v[row, mcols + row] = 4.0
-        v[row, mcols + k - 1] = -4.0
+        def run(chunk):
+            for i, fit in zip(chunk, _gate_chunk([gates[i] for i in chunk])):
+                fits[i] = fit
 
-    loss, grad = _gating_loss_grad(v, aug, E, y)
-    best_v, best_loss = v.copy(), loss
-    step = 1.0
-    for _ in range(GATING_MAX_ITER):
-        improved = False
-        trial_step = step
-        while trial_step > 1e-12:
-            cand = v - trial_step * grad
-            cand_loss, cand_grad = _gating_loss_grad(cand, aug, E, y)
-            if cand_loss < loss:
-                improved = True
-                break
-            trial_step /= 2.0
-        if not improved:
+        # padded cells per gate at the chunk's peak: its input rows and their
+        # weighted copy in a Hessian product, and four Hessians (the current
+        # and the trial one, the damped copy that is solved, and the selection)
+        hessian = ((k - 1) * width) ** 2
+        chunk, most = [], 0
+        for i in members:
+            most = max(most, len(gates[i][1]))
+            if chunk and (len(chunk) + 1) * (2 * most * width + 4 * hessian) > FIT_BATCH_CELLS:
+                run(chunk)
+                chunk, most = [], len(gates[i][1])
+            chunk.append(i)
+        run(chunk)
+    return fits
+
+
+def _gate_terms(V, A, D, Y, lam, V0):
+    """Penalized objective, gradient and Hessian of a stack of gates.
+
+    A holds the gate input rows, D the first K-1 experts' predictions minus
+    the last one's and Y the targets minus the last expert's prediction, so
+    the mixture is the last expert plus sum_k G_k D_k and two identical
+    experts give an exactly zero gradient. lam is the penalty per weight.
+    Padded rows are zero in A, D and Y and add exact zeros everywhere.
+    """
+    q = V.shape[1]
+    G = _gate_matrix(V, A)[:, :, :q]
+    mix = (G * D).sum(axis=2)
+    r = Y - mix
+    dV = V - V0
+    f = 0.5 * np.einsum("bn,bn->b", r, r) + 0.5 * np.einsum("bkj,bkj,bkj->b", lam, dV, dV)
+    a = G * (D - mix[:, :, None])  # d mixture / d score_k = G_k (E_k - mixture)
+    g = np.swapaxes(a * -r[:, :, None], 1, 2) @ A + lam * dV
+    B, _, p = A.shape
+    H = np.empty((B, q, p, q, p))
+    for k in range(q):
+        for l in range(k, q):
+            # Gauss-Newton a_k a_l minus r times d2 mixture / d score_k d score_l
+            w = a[:, :, k] * a[:, :, l] + r * (G[:, :, l] * a[:, :, k] + G[:, :, k] * a[:, :, l])
+            if k == l:
+                w -= r * a[:, :, k]
+            H[:, k, :, l] = np.swapaxes(A * w[:, :, None], 1, 2) @ A
+            H[:, l, :, k] = np.swapaxes(H[:, k, :, l], 1, 2)
+    H = H.reshape(B, q * p, q * p)
+    H[:, range(q * p), range(q * p)] += lam.reshape(B, q * p)
+    return f, g, H
+
+
+def _gate_chunk(gates) -> list[GateFit]:
+    """Damped Newton iterations of one chunk of fit_gating, all gates at once."""
+    B, p = len(gates), gates[0][0].shape[1]
+    N = max(len(rows) for _, rows, _, _ in gates)
+    q = gates[0][2].shape[1] - 1
+    m = p - q - 1  # the feature part of the inputs
+    A, D, Y = np.zeros((B, N, p)), np.zeros((B, N, q)), np.zeros((B, N))
+    lam, tol = np.empty((B, q, p)), np.empty(B)
+    for b, (inputs, rows, E, y) in enumerate(gates):
+        n = len(rows)
+        A[b, :n], D[b, :n], Y[b, :n] = inputs[rows], E[:, :q] - E[:, q:], y - E[:, q]
+        spread = E.max(axis=1) - E.min(axis=1)
+        scale = float(spread @ spread)
+        lam[b, :, :m] = GATING_PENALTY * scale / n
+        lam[b, :, m:] = GATING_CLASS_PENALTY * scale / n
+        tol[b] = GATING_TOL * scale
+    V = np.zeros((B, q, p))
+    V[:, range(q), m + np.arange(q)] = 4.0
+    V[:, :, m + q] = -4.0
+    V0 = V.copy()
+    f, g, H = _gate_terms(V, A, D, Y, lam, V0)
+    # the damping mu is in units of the largest initial Hessian diagonal entry
+    unit = np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)
+    mu, nu = np.full(B, 1e-3), np.full(B, 2.0)
+
+    fits: list[GateFit] = [None] * B
+    live = np.arange(B)
+    for it in range(GATING_MAX_ITER + 1):
+        gmax = np.abs(g).max(axis=(1, 2))
+        met = gmax <= tol
+        # a gate that meets the tolerance takes one undamped step; a zero
+        # gradient (identical experts) takes none
+        step = np.zeros_like(V)
+        move = gmax > 0
+        if move.any():
+            M = H[move]
+            M[:, range(q * p), range(q * p)] += np.where(met, 0.0, mu * unit)[move, None]
+            step[move] = np.linalg.solve(M, -g[move].reshape(-1, q * p, 1)).reshape(-1, q, p)
+        flat = step.reshape(-1, q * p)
+        pred = -(np.einsum("bi,bi->b", g.reshape(-1, q * p), flat)
+                 + 0.5 * np.einsum("bi,bij,bj->b", flat, H, flat))
+        trial = V + step
+        leave = met | (it == GATING_MAX_ITER)
+        for b in np.flatnonzero(leave):
+            if not met[b]:
+                log.debug("gate stopped at GATING_MAX_ITER=%d without converging: "
+                          "gradient %.3g > tol %.3g", GATING_MAX_ITER, gmax[b], tol[b])
+            weights = trial[b] if met[b] and pred[b] > 0 else V[b]
+            fits[live[b]] = GateFit(weights.copy(), it, bool(met[b]))
+        if leave.all():
             break
-        change = loss - cand_loss
-        v, loss, grad = cand, cand_loss, cand_grad
-        step = trial_step * 2.0
-        if loss < best_loss:
-            best_v, best_loss = v.copy(), loss
-        if change < GATING_TOL:
-            break
-    return best_v
+        if leave.any():
+            go = ~leave
+            live, V, trial, A, D, Y, lam, tol, V0, f, g, H, pred, unit, mu, nu = (
+                a[go] for a in (live, V, trial, A, D, Y, lam, tol, V0, f, g, H, pred, unit,
+                                mu, nu))
+        ft, gt, Ht = _gate_terms(trial, A, D, Y, lam, V0)
+        kept = (pred > 0) & (ft < f)
+        rho = (f - ft) / np.where(kept, pred, 1.0)
+        mu = np.where(kept, mu * np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3),
+                      np.minimum(mu * nu, 1e16))
+        nu = np.where(kept, 2.0, 2.0 * nu)
+        V, f = np.where(kept[:, None, None], trial, V), np.where(kept, ft, f)
+        g, H = np.where(kept[:, None, None], gt, g), np.where(kept[:, None, None], Ht, H)
+    return fits
 
 
 @dataclass
@@ -255,7 +384,8 @@ class HierarchicalModel:
 
 def train_hierarchical(features, targets, experts, classifier: ClassifierModel,
                        gate_rows) -> HierarchicalModel:
-    """Fit the gate that mixes fitted per-class experts.
+    """Fit the gate that mixes fitted per-class experts: one model, a
+    fit_gating batch of one.
 
     `experts` holds one RidgeModel per class of `classifier`, in its class
     order; the rows each one was trained on are the caller's choice. The

@@ -39,7 +39,7 @@ TARGET_SCORE = "score"
 
 DEFAULT_DELTA = 1e-3
 MIN_RUNTIME = 0.005  # zero runtimes are clamped here before the log transform
-FIT_BATCH_CELLS = 1 << 18  # padded cells of one lockstep chunk of censored_fit or select_basis
+FIT_BATCH_CELLS = 1 << 18  # padded cells of one lockstep chunk of a batched fit
 SELECT_REL_MARGIN = 1e-9  # CV RMSEs closer than this, relatively, tie in greedy selection
 
 log = logging.getLogger(__name__)
@@ -363,12 +363,13 @@ def _select_chunk(problems, f: int, m: int, pinned: int, steps: int,
     avail[:, :pinned] = False
     picks: list[list[int]] = [[] for _ in range(P)]
     current = None
+    buf = np.empty_like(D)  # the scored residuals, then the update of D, of each step
     for s in range(steps):
         if s < pinned:
             j = np.full(len(live), s)
         else:
-            R = D * (e / schur)[:, :, None, :]
-            R -= r[:, :, :, None]  # in place: a second temporary this size costs more
+            R = np.multiply(D, (e / schur)[:, :, None, :], out=buf)
+            R -= r[:, :, :, None]
             rmse = np.sqrt(np.einsum("pftj,pftj->pj", R, R) / n[:, None])
             if current is None:  # CV RMSE of the pinned fit, or of the mean alone
                 current = np.sqrt(np.einsum("pft,pft->p", r, r) / n)
@@ -384,6 +385,8 @@ def _select_chunk(problems, f: int, m: int, pinned: int, steps: int,
                     a[go] for a in (live, j, current, n, avail, Z, train, D, r, e, schur, M))
                 if not live.size:
                     break
+                del R
+                buf = np.empty_like(D)  # the buffer shrinks with the stacks
         if s + 1 == steps:
             break
         i = np.arange(len(live))
@@ -396,7 +399,7 @@ def _select_chunk(problems, f: int, m: int, pinned: int, steps: int,
         dj = D[i, :, :, j]
         r -= (e[i, :, j] / sig)[:, :, None] * dj
         e -= e[i, :, j][:, :, None] / root * row
-        D -= dj[:, :, :, None] * (row / root)[:, :, None, :]
+        D -= np.multiply(dj[:, :, :, None], (row / root)[:, :, None, :], out=buf)
         schur -= row * row
         avail[i, j] = False
     return picks

@@ -17,14 +17,16 @@ phases, each doing its distinct work once:
       their own share one fallback model of the whole remainder. A problem
       that several remainders or solvers share is listed once;
    b. fit every problem of the build in one censored_fit batch;
-   c. assemble the flat models, and gate each hierarchical model's experts
-      with train_hierarchical;
+   c. assemble the flat models, and fit the gates of all the hierarchical
+      models in one hierarchy.fit_gating batch, over the gate inputs and
+      each expert's predictions on the training rows, computed once;
 3. per behaviour, choose a backup solver from its pre-solve outcome and
    search solver subsets for the best simulated validation performance,
    scoring all subsets in one array pass.
 
 The build's summary INFO line gives the wall seconds of each phase and of
-steps 2a-2c.
+steps 2a-2c, and the number of gates with their median and largest Newton
+iteration counts and how many stopped at the cap.
 
 The best behaviour wins, represented by its first schedule in enumeration
 order.
@@ -47,13 +49,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .features import FEATURE_NAMES, FeatureVector
-from .hierarchy import (
-    HierarchicalModel,
-    hier_from_doc,
-    hier_to_doc,
-    train_classifier,
-    train_hierarchical,
-)
+from . import hierarchy
+from .hierarchy import HierarchicalModel, hier_from_doc, hier_to_doc, train_classifier
 from .learning import (
     LabeledDataset,
     RidgeModel,
@@ -590,7 +587,8 @@ class _ModelTrainer:
     those instances' feature rows, and every candidate's targets (score
     labels under max_score, else log runtimes) and censoring flags on them
     are gathered once; each fit reads its rows from them. `seconds` holds
-    the wall seconds of the last fit's steps 2a, 2b and 2c.
+    the wall seconds of the last fit's steps 2a, 2b and 2c, and `gate_fits`
+    the GateFit of each gate it fitted.
     """
 
     def __init__(self, matrix, features, settings, candidate_ids, train_ids, usable,
@@ -614,6 +612,7 @@ class _ModelTrainer:
             self.censored = runs.status == STATUS_CODES["timeout"]
             self.y = np.where(self.censored, self.cutoff_log, log_runtime(runs.runtime))
         self.seconds: dict[str, float] = {}
+        self.gate_fits: list = []
         self.classifier = None
         if s.hierarchy != "none":
             classes = [matrix.sat_label(iid) or "sat" for iid in rows]
@@ -664,8 +663,11 @@ class _ModelTrainer:
            solvers with the same targets on the same rows share it, and all
            their bases are selected in one select_basis batch;
         b. fit every problem in one censored_fit batch;
-        c. per distinct (solver, columns) model, take its flat fit, or gate
-           its class experts with train_hierarchical.
+        c. per distinct (solver, columns) model, take its flat fit, or list
+           the gate of its class experts: its rows (the observed ones, when
+           enough are), the experts' predictions on them and its targets.
+           Each expert's predictions on all the training rows are made once,
+           and every gate is fitted in one hierarchy.fit_gating batch.
 
         Returns the models by pair and, for each pair whose rows cannot
         support a model, the reason.
@@ -698,22 +700,31 @@ class _ModelTrainer:
         target = "score" if s.objective == OBJECTIVE_SCORE else "log_runtime"
         fitted = dict(zip(problems, censored_fit(list(problems.values()), basis=bases,
                                                  target=target)))
+        del problems  # their feature rows, copied per problem, are not needed past 2b
         fitted_at = time.perf_counter()
 
-        models = {}
+        models, gates = {}, {}
+        if self.classifier is not None:
+            # the gate inputs and each expert's predictions on every training
+            # row, made once
+            inputs = self.classifier.gate_inputs(self.X)
+            preds = {e: model.predict_matrix(self.X) for e, model in fitted.items()}
         for key, (k, cols, experts) in plans.items():
             if self.classifier is None:
                 models[key] = fitted[experts[0]]
                 continue
             # the gate is fit against observed targets, so censored rows are
             # dropped from it when a true runtime is unknown
-            data = self._dataset(k, cols)
-            gate_rows = np.flatnonzero(~data.censored)
-            if gate_rows.size < s.min_training_rows:
-                gate_rows = np.arange(data.n)
-            models[key] = train_hierarchical(data.features, data.targets,
-                                             [fitted[e] for e in experts],
-                                             self.classifier, gate_rows)
+            rows = cols[~self.censored[k, cols]]
+            if rows.size < s.min_training_rows:
+                rows = cols
+            gates[key] = (inputs, rows, np.column_stack([preds[e][rows] for e in experts]),
+                          self.y[k, rows])
+        self.gate_fits = hierarchy.fit_gating(list(gates.values())) if gates else []
+        for (key, _), fit in zip(gates.items(), self.gate_fits):
+            models[key] = HierarchicalModel(list(self.classifier.classes),
+                                            [fitted[e] for e in plans[key][2]],
+                                            self.classifier, fit.weights)
         self.seconds = {"2a": selected - start, "2b": fitted_at - selected,
                         "2c": time.perf_counter() - fitted_at}
         return {pair: models[key] for pair, key in model_of.items()}, refused
@@ -790,7 +801,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     # remainders in order of the first schedule that leaves them, fitted by
     # the trainer's three steps: 2a lists the distinct problems and selects
     # their bases, 2b fits them all in one censored_fit batch, 2c assembles
-    # the flat models and gates the hierarchical ones
+    # the flat models and fits every gate of the hierarchical ones in one batch
     remainders: dict[tuple, PresolverSchedule] = {}
     for (remaining, *_), (_, group) in behaviours.items():
         remainders.setdefault(remaining, group[0])
@@ -836,11 +847,14 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
 
     stamps.append(time.perf_counter())
     spent = np.diff(stamps)
+    iterations = [fit.iterations for fit in trainer.gate_fits] or [0]
     log.info("%s build: %d schedules enumerated, %d skipped, %d distinct behaviours, "
-             "%d fits, %d refused fits; seconds by phase: 0 %.3f, 1 %.3f, 2a %.3f, "
-             "2b %.3f, 2c %.3f, 3 %.3f", s.objective, len(schedules), skipped,
-             len(behaviours), len(fits), len(pairs) - len(fits), spent[0], spent[1],
-             *(trainer.seconds[k] for k in ("2a", "2b", "2c")), spent[3])
+             "%d fits, %d refused fits, %d gates (Newton iterations median %g, max %d; "
+             "%d at the cap); seconds by phase: 0 %.3f, 1 %.3f, 2a %.3f, 2b %.3f, 2c %.3f, "
+             "3 %.3f", s.objective, len(schedules), skipped, len(behaviours), len(fits),
+             len(pairs) - len(fits), len(trainer.gate_fits), np.median(iterations),
+             max(iterations), sum(not fit.converged for fit in trainer.gate_fits), spent[0],
+             spent[1], *(trainer.seconds[k] for k in ("2a", "2b", "2c")), spent[3])
     if best is None:
         raise InsufficientData("no schedule produced a usable portfolio")
     _, schedule, backup, subset, models = best

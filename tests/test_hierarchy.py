@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import zfolio.hierarchy as hierarchy_module
 from zfolio.hierarchy import (
+    GATING_CLASS_PENALTY,
+    GATING_PENALTY,
+    GATING_TOL,
     ClassifierModel,
     HierarchicalModel,
     SingleClassData,
@@ -185,6 +189,113 @@ class TestFitGating:
             v0[0, m + 1] = -4.0
             initial = gating_loss(v0, experts, clf, X, y)
             assert final <= initial + 1e-12
+
+
+def scaled_expert(model, c):
+    """`model` with its predictions multiplied by c."""
+    return RidgeModel(model.basis, model.weights * c, model.delta, model.sigma, model.target,
+                      model.intercept * c)
+
+
+def penalized_gradient(v, inputs, E, y, m):
+    """Gradient of fit_gating's penalized objective for a 2-class gate,
+    written out by hand: 0.5 |y - mixture|^2 plus the pull toward the
+    initialization."""
+    g = 1.0 / (1.0 + np.exp(-(inputs @ v[0])))
+    r = y - (g * E[:, 0] + (1 - g) * E[:, 1])
+    spread = np.abs(E[:, 0] - E[:, 1])
+    lam = np.full(v.shape[1], GATING_PENALTY)
+    lam[m:] = GATING_CLASS_PENALTY
+    v0 = np.zeros_like(v[0])
+    v0[m], v0[m + 1] = 4.0, -4.0
+    grad = -(r * g * (1 - g) * (E[:, 0] - E[:, 1])) @ inputs
+    return grad + lam * np.mean(spread**2) * (v[0] - v0), float(spread @ spread)
+
+
+class TestBatchedGating:
+    def mixed_batch(self):
+        """2-class gates over different rows, one with two identical experts,
+        and a 6-class gate."""
+        rng = np.random.default_rng(20)
+        X, y, labels, experts = two_cluster_fixture(rng, n=160, noise=0.5)
+        clf = train_classifier(X, labels.tolist())
+        inputs = clf.gate_inputs(X)
+        E = np.column_stack([m.predict_matrix(X) for m in experts])
+        same = np.column_stack([experts[0].predict_matrix(X)] * 2)
+        gates = [(inputs, np.arange(160), E, y),
+                 (inputs, np.arange(0, 160, 3), E[::3], y[::3]),
+                 (inputs, np.arange(40, 110), same[40:110], y[40:110]),
+                 (inputs, np.arange(1, 160, 2), E[1::2], 2.0 * y[1::2])]
+        n = 120
+        X6 = rng.normal(size=(n, 3))
+        cats = np.repeat(np.arange(6), n // 6)
+        X6[:, 0] += cats * 2.0
+        y6 = cats.astype(float) + 0.3 * rng.normal(size=n)
+        clf6 = train_classifier(X6, [f"c{c}" for c in cats])
+        E6 = np.column_stack([np.full(n, c) + 0.1 * X6[:, 1] for c in range(6)])
+        gates.insert(2, (clf6.gate_inputs(X6), np.arange(n), E6, y6))
+        return gates
+
+    def test_gate_in_a_mixed_batch_equals_it_alone(self):
+        gates = self.mixed_batch()
+        together = fit_gating(gates)
+        assert [fit.weights.shape for fit in together] == [(1, 4), (1, 4), (5, 9), (1, 4),
+                                                           (1, 4)]
+        for gate, fit in zip(gates, together):
+            [alone] = fit_gating([gate])
+            assert fit.converged and alone.converged
+            assert np.max(np.abs(fit.weights - alone.weights)) <= 1e-12
+        # identical experts leave nothing to fit: the initialization stays
+        assert together[3].iterations == 0
+        assert np.array_equal(together[3].weights, [[0.0, 0.0, 4.0, -4.0]])
+
+    def test_scaling_targets_and_experts_keeps_the_weights(self):
+        rng = np.random.default_rng(21)
+        X, y, labels, experts = two_cluster_fixture(rng, n=120, noise=0.5)
+        clf = train_classifier(X, labels.tolist())
+        v = fit_gating(experts, clf, X, y)
+        for c in (1e-3, 0.7, 2000.0):
+            scaled = fit_gating([scaled_expert(m, c) for m in experts], clf, X, c * y)
+            assert np.max(np.abs(scaled - v)) <= 1e-9, c
+
+    def test_weights_meet_the_gradient_tolerance(self):
+        for seed in range(5):
+            rng = np.random.default_rng(200 + seed)
+            X, y, labels, experts = two_cluster_fixture(rng, n=100, noise=0.3 + seed)
+            clf = train_classifier(X, labels.tolist())
+            v = fit_gating(experts, clf, X, y)
+            E = np.column_stack([m.predict_matrix(X) for m in experts])
+            grad, scale = penalized_gradient(v, clf.gate_inputs(X), E, y, clf.num_features)
+            assert np.max(np.abs(grad)) <= GATING_TOL * scale
+
+    def test_weights_do_not_hinge_on_where_the_tolerance_is_crossed(self, monkeypatch):
+        # the undamped Newton step taken at the tolerance lands each gate at
+        # its optimum, so a tenfold looser tolerance gives the same weights
+        for seed in range(5):
+            rng = np.random.default_rng(300 + seed)
+            X, y, labels, experts = two_cluster_fixture(rng, n=100, noise=0.5 + seed)
+            clf = train_classifier(X, labels.tolist())
+            v = fit_gating(experts, clf, X, y)
+            monkeypatch.setattr(hierarchy_module, "GATING_TOL", 10 * GATING_TOL)
+            loose = fit_gating(experts, clf, X, y)
+            monkeypatch.undo()
+            assert np.max(np.abs(loose - v)) <= 1e-9, seed
+
+    def test_rounding_in_the_experts_stays_rounding_in_the_predictions(self):
+        # a relative change of 1e-13 in the expert predictions, as from a
+        # different summation order upstream, moves the hierarchical
+        # predictions by less than 1e-9, with targets in the hundreds, as
+        # scores are
+        rng = np.random.default_rng(4)
+        X, y, labels, experts = two_cluster_fixture(rng, n=150, noise=2.0)
+        experts, y = [scaled_expert(m, 100.0) for m in experts], 100.0 * y
+        clf = train_classifier(X, labels.tolist())
+        rows = np.arange(len(y))
+        model = train_hierarchical(X, y, experts, clf, rows)
+        nudged = train_hierarchical(X, y, [scaled_expert(m, 1 + 1e-13) for m in experts],
+                                    clf, rows)
+        probe = np.vstack([X, rng.normal(size=(100, 2)) * 4])
+        assert np.max(np.abs(model.predict_matrix(probe) - nudged.predict_matrix(probe))) < 1e-9
 
 
 class TestPredictHier:

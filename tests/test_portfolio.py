@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import zfolio.hierarchy as hierarchy_module
 import zfolio.portfolio as portfolio_module
 from zfolio.evaluation import drop_unsolvable, evaluate, split_data
 from zfolio.features import FeatureVector
@@ -507,6 +508,36 @@ class TestBehaviourGrouping:
             pairs = fits[0][1]
             assert pairs and len(set(pairs)) == len(pairs)
             assert events.count(("labels",)) == (objective == "max_score")
+
+    def test_sat2_build_fits_every_gate_in_one_call(self, bench, split, monkeypatch, caplog):
+        # phase 2c gathers every gate of the build and fits them in one
+        # hierarchy.fit_gating call, through the module attribute; each
+        # hierarchical model holds its gate's weights
+        calls = []
+        original = hierarchy_module.fit_gating
+
+        def spy(gates, *args, **kw):
+            fits = original(gates, *args, **kw)
+            calls.append((list(gates), fits))
+            return fits
+        monkeypatch.setattr(hierarchy_module, "fit_gating", spy)
+        caplog.set_level(logging.INFO, logger="zfolio.portfolio")
+        train, valid, matrix = split
+        portfolio = build_portfolio(train, valid, bench.features, matrix, bench.descriptors,
+                                    small_settings("max_score", hierarchy="sat2",
+                                                   presolver_top=2),
+                                    bench.purse, bench.series)
+        assert len(calls) == 1
+        gates, fits = calls[0]
+        assert len(fits) == len(gates) > 1 and all(fit.converged for fit in fits)
+        inputs = gates[0][0]
+        assert all(gate[0] is inputs for gate in gates)  # computed once for the batch
+        weights = [fit.weights.tobytes() for fit in fits]
+        assert all(m.gating_weights.tobytes() in weights for m in portfolio.models.values())
+        [summary] = [r.getMessage() for r in caplog.records
+                     if "schedules enumerated" in r.getMessage()]
+        assert f"{len(gates)} gates (Newton iterations median" in summary
+        assert "0 at the cap" in summary
 
     @pytest.mark.parametrize("objective", ["min_runtime", "max_score"])
     def test_validation_presolving_replayed_once_per_schedule(self, bench, split, monkeypatch,
