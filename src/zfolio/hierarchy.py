@@ -27,7 +27,12 @@ from .learning import (FIT_BATCH_CELLS, DimensionMismatch, RidgeModel, model_fro
 
 
 GATING_PENALTY = 1.0  # pull of the gate's feature weights, per mean squared expert range
-GATING_CLASS_PENALTY = 3e-3  # pull of its class-probability weights, likewise
+# Pull of its class-probability weights, likewise. Any positive value makes
+# the optimum finite where the classifier's probabilities saturate. Larger
+# values bias the gate toward its initialization: the two-cluster oracle test
+# in tests/test_hierarchy.py (loss at most 1.05x the oracle's) reads 1.023
+# here and fails from about 9.7e-3.
+GATING_CLASS_PENALTY = 3e-3
 GATING_TOL = 1e-9  # gradient tolerance, relative to the summed squared expert range
 GATING_MAX_ITER = 200  # backstop on the Newton iterations of one gate
 
