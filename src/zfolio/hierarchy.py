@@ -10,8 +10,8 @@ optimum is finite and the weights follow the data smoothly. fit_gating
 takes a whole batch of gates, such as every gate of a portfolio build, and
 solves them in lockstep by damped Newton steps with the exact Hessian (the
 second-order fitting of gating networks of Jordan & Jacobs, 1994), each
-gate to a gradient tolerance. Works for the 2-class
-satisfiable/unsatisfiable split and for the general K-class form.
+gate to a gradient tolerance, chunk by chunk (learning._run_chunks). Works
+for the 2-class satisfiable/unsatisfiable split and the general K-class form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .learning import (FIT_BATCH_CELLS, DimensionMismatch, RidgeModel, model_from_doc,
+from .learning import (DimensionMismatch, RidgeModel, _keep, _run_chunks, model_from_doc,
                        model_to_doc)
 
 
@@ -175,16 +175,14 @@ class GateFit:
     converged: bool
 
 
-def fit_gating(gates, classifier: ClassifierModel | None = None, features=None, targets=None):
+def fit_gating(gates) -> list[GateFit]:
     """Fit gating weights with the experts held fixed, for a batch of gates.
 
     `gates` is a sequence of (inputs, rows, predictions, targets): gate input
     rows (ClassifierModel.gate_inputs; many gates can share one array), the
     rows of them a gate learns from, its experts' (rows, K) predictions on
     those rows in the classifier's class order, and its targets. One GateFit
-    per gate comes back, in input order. fit_gating(experts, classifier, X,
-    y), with the experts as RidgeModels, is a batch of one over all the rows
-    of X and gives its weights.
+    per gate comes back, in input order.
 
     Each gate minimizes the squared error of its mixture plus an L2 pull of
     its weights toward the initialization, which is zero on the feature part
@@ -198,48 +196,30 @@ def fit_gating(gates, classifier: ClassifierModel | None = None, features=None, 
 
     The solver takes damped Newton (Levenberg-Marquardt) steps with the
     exact Hessian, the Gauss-Newton term minus the residual curvature term,
-    on zero-padded (gates, rows, weights) stacks: gates of the same shape
-    run in lockstep, in input-order chunks of at most FIT_BATCH_CELLS padded
-    cells, with one batched solve per iteration. A step is kept only if it
-    lowers the objective; the damping falls after a kept step and rises
-    after a refused one (Nielsen's rule). A gate leaves its chunk once the
-    largest entry of its penalized gradient is at most GATING_TOL times the
-    summed squared expert range of its rows, after one undamped Newton step
-    from there, so its weights do not hinge on where exactly it crossed the
-    tolerance. GATING_MAX_ITER is only a backstop: a gate still short of
-    the tolerance there keeps its last accepted weights and is logged at
-    DEBUG.
+    on zero-padded (gates, rows, weights) stacks: gates of the same input
+    width and class count run in lockstep, in the input-order chunks
+    learning._run_chunks cuts, with one batched solve per iteration. A step
+    is kept only if it lowers the objective; the damping falls after a kept
+    step and rises after a refused one (Nielsen's rule). A gate leaves its
+    chunk once the largest entry of its penalized gradient is at most
+    GATING_TOL times the summed squared expert range of its rows, after one
+    undamped Newton step from there, so its weights do not hinge on where
+    exactly it crossed the tolerance. GATING_MAX_ITER is only a backstop: a
+    gate still short of the tolerance there keeps its last accepted weights
+    and is logged at DEBUG.
     """
-    if classifier is not None:
-        X = np.asarray(features, dtype=float)
-        E = np.column_stack([m.predict_matrix(X) for m in gates])
-        gate = (classifier.gate_inputs(X), np.arange(X.shape[0]), E, targets)
-        return fit_gating([gate])[0].weights
     gates = [(inputs, np.asarray(rows), np.asarray(E, dtype=float),
               np.asarray(y, dtype=float)) for inputs, rows, E, y in gates]
-    fits: list[GateFit] = [None] * len(gates)
-    groups: dict[tuple, list[int]] = {}
-    for i, (inputs, _, E, _) in enumerate(gates):
-        groups.setdefault((inputs.shape[1], E.shape[1]), []).append(i)
-    for (width, k), members in groups.items():
 
-        def run(chunk):
-            for i, fit in zip(chunk, _gate_chunk([gates[i] for i in chunk])):
-                fits[i] = fit
+    def cells(group, count, largest):
+        # padded cells per gate at the chunk's peak: its input rows and their weighted
+        # copy in a Hessian product, six (rows, K) arrays of the mixture, and four
+        # Hessians (the current and trial ones, the damped copy solved, the selection)
+        width, k = group
+        return count * (largest[0] * (2 * width + 6 * k) + 4 * ((k - 1) * width) ** 2)
 
-        # padded cells per gate at the chunk's peak: its input rows and their
-        # weighted copy in a Hessian product, and four Hessians (the current
-        # and the trial one, the damped copy that is solved, and the selection)
-        hessian = ((k - 1) * width) ** 2
-        chunk, most = [], 0
-        for i in members:
-            most = max(most, len(gates[i][1]))
-            if chunk and (len(chunk) + 1) * (2 * most * width + 4 * hessian) > FIT_BATCH_CELLS:
-                run(chunk)
-                chunk, most = [], len(gates[i][1])
-            chunk.append(i)
-        run(chunk)
-    return fits
+    return _run_chunks(gates, lambda gate: (gate[0].shape[1], gate[2].shape[1]),
+                       lambda gate: (len(gate[1]),), cells, lambda _, chunk: _gate_chunk(chunk))
 
 
 def _gate_terms(V, A, D, Y, lam, V0):
@@ -325,11 +305,8 @@ def _gate_chunk(gates) -> list[GateFit]:
             fits[live[b]] = GateFit(weights.copy(), it, bool(met[b]))
         if leave.all():
             break
-        if leave.any():
-            go = ~leave
-            live, V, trial, A, D, Y, lam, tol, V0, f, g, H, pred, unit, mu, nu = (
-                a[go] for a in (live, V, trial, A, D, Y, lam, tol, V0, f, g, H, pred, unit,
-                                mu, nu))
+        live, V, trial, A, D, Y, lam, tol, V0, f, g, H, pred, unit, mu, nu = _keep(
+            ~leave, live, V, trial, A, D, Y, lam, tol, V0, f, g, H, pred, unit, mu, nu)
         ft, gt, Ht = _gate_terms(trial, A, D, Y, lam, V0)
         kept = (pred > 0) & (ft < f)
         rho = (f - ft) / np.where(kept, pred, 1.0)
@@ -397,9 +374,11 @@ def train_hierarchical(features, targets, experts, classifier: ClassifierModel,
     gate is fit with `classifier` on the rows `gate_rows` indexes, e.g.
     only those whose target was observed.
     """
-    v = fit_gating(experts, classifier, np.asarray(features)[gate_rows],
-                   np.asarray(targets)[gate_rows])
-    return HierarchicalModel(list(classifier.classes), list(experts), classifier, v)
+    X = np.asarray(features, dtype=float)[gate_rows]
+    E = np.column_stack([m.predict_matrix(X) for m in experts])
+    [fit] = fit_gating([(classifier.gate_inputs(X), np.arange(X.shape[0]), E,
+                         np.asarray(targets)[gate_rows])])
+    return HierarchicalModel(list(classifier.classes), list(experts), classifier, fit.weights)
 
 
 def confusion_matrix(classifier: ClassifierModel, features, labels) -> np.ndarray:

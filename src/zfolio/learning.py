@@ -20,9 +20,10 @@ of the predictive normal truncated at the cutoff and the model is refit.
 censored_fit takes a whole batch of fits, such as every fit of a portfolio
 build. Each fit's basis is expanded and its ridge system factored once, into
 the operator that maps targets to weights; the fits still iterating then
-run in lockstep, in chunks of bounded size, each iteration imputing every
-censored cell of a chunk in one array call and computing every new weight
-vector in one batched product.
+run in lockstep, each iteration imputing every censored cell of a chunk in
+one array call and computing every new weight vector in one batched product.
+select_basis, censored_fit and hierarchy.fit_gating cut their batches with
+_run_chunks, under one budget, FIT_BATCH_CELLS, on each chunk's peak memory.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ TARGET_SCORE = "score"
 
 DEFAULT_DELTA = 1e-3
 MIN_RUNTIME = 0.005  # zero runtimes are clamped here before the log transform
-FIT_BATCH_CELLS = 1 << 18  # padded cells of one lockstep chunk of a batched fit
+FIT_BATCH_CELLS = 1 << 18  # float64 cells one chunk holds at its peak, temporaries included
 SELECT_REL_MARGIN = 1e-9  # CV RMSEs closer than this, relatively, tie in greedy selection
 
 log = logging.getLogger(__name__)
@@ -250,6 +251,43 @@ def _candidates(X: np.ndarray, raw) -> np.ndarray:
     return np.column_stack([X[:, raw], X[:, j] * X[:, k]])
 
 
+def _run_chunks(problems, key, size, cells, run) -> list:
+    """One result per problem, in input order, from run(k, chunk) on each
+    input-order chunk of each group of problems with the same key(problem).
+    A chunk of `count` problems, their size(problem) tuples at most `largest`
+    elementwise, holds cells(k, count, largest) float64 cells at its peak,
+    at most FIT_BATCH_CELLS unless it is one problem."""
+    groups: dict = {}
+    for i, problem in enumerate(problems):
+        groups.setdefault(key(problem), []).append(i)
+    results = [None] * len(problems)
+    for k, members in groups.items():
+        chunks = []
+        for i in members:
+            shape = size(problems[i])
+            grown = tuple(map(max, largest, shape)) if chunks else shape
+            if not chunks or cells(k, len(chunks[-1]) + 1, grown) > FIT_BATCH_CELLS:
+                chunks.append([])
+                grown = shape
+            chunks[-1].append(i)
+            largest = grown
+        for chunk in chunks:
+            for i, result in zip(chunk, run(k, [problems[i] for i in chunk])):
+                results[i] = result
+    return results
+
+
+def _keep(go, *stacks) -> list:
+    """The stacks without their problems (leading rows) where `go` is false;
+    kept rows move down in place, so dropping copies one stack at a time."""
+    if go.all():
+        return list(stacks)
+    k = np.count_nonzero(go)
+    for a in stacks:
+        a[:k] = a[go]
+    return [a[:k] for a in stacks]
+
+
 def _greedy_lockstep(problems, folds: int, max_terms: int, delta: float) -> list[list[int]]:
     """Greedy forward selection by CV RMSE for a batch of problems.
 
@@ -270,46 +308,32 @@ def _greedy_lockstep(problems, folds: int, max_terms: int, delta: float) -> list
     r_min < current*(1 - SELECT_REL_MARGIN): candidates closer than that
     are ties, settled by column order rather than by rounding. Problems with
     the same fold count, column count and pinned count step in lockstep, in
-    input-order chunks of at most FIT_BATCH_CELLS padded cells (see
-    _select_chunk).
+    the chunks _run_chunks cuts (see _select_chunk).
     """
-    picks: list[list[int]] = [[] for _ in problems]
-    groups: dict[tuple, list[int]] = {}
-    for i, (X, _, raw) in enumerate(problems):
+    def key(problem):
+        X, _, raw = problem
         pinned = 0 if raw is None else len(raw)
         n, m = X.shape[0], X.shape[1] if raw is None else pinned + len(_product_pairs(raw))
         if m == 0:
             raise EmptyCandidates("no candidate columns")
         if min(folds, n) < 2:
             raise ValueError("need at least 2 folds")
-        groups.setdefault((min(folds, n), m, pinned), []).append(i)
+        return min(folds, n), m, pinned
 
-    for (f, m, pinned), members in groups.items():
-        steps = min(m, max_terms)
-        if steps <= pinned:  # no room beside the pinned columns
-            continue
+    def cells(group, count, largest):
+        # _select_chunk's stacks Z, D, buf, M and train; the largest
+        # temporary, the size of one of them (Z * Z, the weighted copy of
+        # train in a step, or _keep's copy of a stack); and five row vectors
+        f, m, _ = group
+        n = largest[0] + 1
+        stacks = (n * m, f * -(-largest[0] // f) * m, f * min(m, max_terms) * m, f * n)
+        return count * (sum(stacks) + stacks[1] + max(stacks) + 5 * n)
 
-        def run(chunk):
-            for i, got in zip(chunk, _select_chunk([problems[i] for i in chunk], f, m,
-                                                   pinned, steps, delta)):
-                picks[i] = got
-
-        # padded cells per problem: the rows of Z, and the test rows of D and
-        # the steps of M in each fold, times the columns
-        chunk, rows = [], 0
-        for i in members:
-            most = max(rows, problems[i][0].shape[0])
-            cells = (len(chunk) + 1) * (most + f * (-(-most // f) + steps)) * m
-            if chunk and cells > FIT_BATCH_CELLS:
-                run(chunk)
-                chunk, most = [], problems[i][0].shape[0]
-            chunk.append(i)
-            rows = most
-        run(chunk)
-    return picks
+    return _run_chunks(problems, key, lambda problem: (problem[0].shape[0],), cells,
+                       lambda group, chunk: _select_chunk(chunk, *group, max_terms, delta))
 
 
-def _select_chunk(problems, f: int, m: int, pinned: int, steps: int,
+def _select_chunk(problems, f: int, m: int, pinned: int, max_terms: int,
                   delta: float) -> list[list[int]]:
     """The greedy steps of one chunk of _greedy_lockstep, all problems at once.
 
@@ -329,6 +353,7 @@ def _select_chunk(problems, f: int, m: int, pinned: int, steps: int,
     again as S grows and G itself is never formed; only a finished problem
     leaves the stacks.
     """
+    steps = min(m, max_terms)
     P = len(problems)
     N = max(X.shape[0] for X, _, _ in problems)
     Z = np.zeros((P, N + 1, m))  # row N stays zero: the padded test slots read it
@@ -380,13 +405,11 @@ def _select_chunk(problems, f: int, m: int, pinned: int, steps: int,
             for p, col in zip(live[go], j[go]):
                 picks[p].append(int(col))
             current = rmse[np.arange(len(live)), j]
-            if not go.all():
-                live, j, current, n, avail, Z, train, D, r, e, schur, M = (
-                    a[go] for a in (live, j, current, n, avail, Z, train, D, r, e, schur, M))
-                if not live.size:
-                    break
-                del R
-                buf = np.empty_like(D)  # the buffer shrinks with the stacks
+            if not go.any():
+                break
+            live, j, current, n, avail, Z, train, D, r, e, schur, M = _keep(
+                go, live, j, current, n, avail, Z, train, D, r, e, schur, M)
+            buf = buf[:len(live)]
         if s + 1 == steps:
             break
         i = np.arange(len(live))
@@ -516,15 +539,14 @@ def censored_fit(data, delta: float = DEFAULT_DELTA, basis=None, tol: float = 1e
     column); the models come back in input order. A single LabeledDataset
     with a single basis is a batch of one and gives its model.
 
-    Each fit starts from the ridge model that takes its censored targets as
-    observed at the cutoff, so a fit without censored rows is exactly
-    fit_ridge_model's. Each iteration replaces the censored targets with the
-    mean of the current predictive normal truncated at the cutoff and refits,
-    until the largest weight or intercept change drops below tol or max_iter
-    is reached. The fits with censored rows iterate in lockstep, in input
-    order and in chunks of at most FIT_BATCH_CELLS padded cells (see
-    _lockstep); a fit leaves its chunk at its own convergence, so it stops at
-    the iteration it would stop at alone.
+    A fit without censored rows is fit_ridge_model's. Each other fit starts
+    from the ridge model that takes its censored targets as observed at the
+    cutoff; each iteration replaces the censored targets with the mean of
+    the current predictive normal truncated at the cutoff and refits, until
+    the largest weight or intercept change drops below tol or max_iter is
+    reached. These fits iterate in lockstep, in the input-order chunks
+    _run_chunks cuts (see _lockstep); a fit leaves its chunk at its own
+    convergence, so it stops at the iteration it would stop at alone.
     """
     if isinstance(data, LabeledDataset):
         return censored_fit([data], delta, [basis], tol, max_iter, target)[0]
@@ -532,61 +554,61 @@ def censored_fit(data, delta: float = DEFAULT_DELTA, basis=None, tol: float = 1e
     bases = [None] * len(data) if basis is None else list(basis)
     if len(bases) != len(data):
         raise ValueError(f"{len(bases)} bases for {len(data)} datasets")
+    if any(d.censored.all() for d in data):
+        raise NoUncensoredData("need at least one uncensored row")
+    fits = [(d, make_basis(d.features, list(range(d.features.shape[1]))) if b is None else b)
+            for d, b in zip(data, bases)]
+    models = [None if d.censored.any() else fit_ridge_model(d.features, d.targets, b, delta,
+                                                            target) for d, b in fits]
+    censored = [i for i, model in enumerate(models) if model is None]
 
-    models, chunk, shape = [], [], (0, 0, 0)
-    for d, b in zip(data, bases):
-        if d.censored.all():
-            raise NoUncensoredData("need at least one uncensored row")
-        if b is None:
-            b = make_basis(d.features, list(range(d.features.shape[1])))
-        phi = b.expand_matrix(d.features)
-        factor = _ridge_factor(phi, delta)
-        models.append(_ridge_model(phi, d.targets.astype(float), b, factor, delta,
-                                   target, ~d.censored))
-        if not d.censored.any():
-            continue
-        shape = (shape[0] + 1, max(shape[1], d.n), max(shape[2], b.dim))
-        if chunk and math.prod(shape) > FIT_BATCH_CELLS:
-            _lockstep(chunk, data, models, delta, tol, max_iter, target)
-            chunk, shape = [], (1, d.n, b.dim)
-        K = linalg.cho_solve(factor, phi.T) if factor is not None else np.zeros((0, d.n))
-        chunk.append((len(models) - 1, phi, K))
-    if chunk:
-        _lockstep(chunk, data, models, delta, tol, max_iter, target)
+    # _lockstep's peak: its stacks Phi and K, _keep's copy of one of them, and 14 (fits,
+    # rows) arrays (Y, the fit, residuals, deviations and the imputation's temporaries)
+    chunks = _run_chunks([fits[i] for i in censored], lambda _: None,
+                         lambda fit: (fit[0].n, fit[1].dim),
+                         lambda _, count, shape: count * shape[0] * (3 * shape[1] + 14),
+                         lambda _, chunk: _lockstep(chunk, delta, tol, max_iter, target))
+    for i, model in zip(censored, chunks):
+        models[i] = model
     return models
 
 
-def _lockstep(chunk, data, models, delta, tol, max_iter, target) -> None:
-    """Schmee-Hahn iterations of the fits in `chunk`, (index, design Phi,
-    solve operator K = (Phi^T Phi + delta*I)^-1 Phi^T) each, replacing
-    models[index] with each fit's result.
-
-    The designs and operators are stacked zero-padded to (fits, rows,
-    terms): a padded row has no flags and a zero column of K, a padded term
-    zero columns of Phi and zero rows of K, so each adds exact zeros to every
-    product and sum. Each iteration imputes every censored cell in one
-    truncated_normal_mean call (a fit with sigma 0 takes max(pred, cutoff))
-    and gives every new weight vector in one batched product.
+def _lockstep(fits, delta, tol, max_iter, target) -> list[RidgeModel]:
+    """Schmee-Hahn iterations of one chunk of censored_fit, (dataset, basis)
+    pairs, all at once from each fit's ridge model; the models come back in
+    chunk order. The designs Phi and operators K = (Phi^T Phi + delta*I)^-1
+    Phi^T are stacked zero-padded to (fits, rows, terms): a padded row has
+    no flags and a zero column of K, a padded term zero columns of Phi and
+    zero rows of K, so each adds exact zeros to every product and sum. Each
+    iteration imputes every censored cell in one truncated_normal_mean call
+    (a fit with sigma 0 takes max(pred, cutoff)) and gives every new weight
+    vector in one batched product.
     """
-    live = np.array([i for i, _, _ in chunk])
-    F = len(chunk)
-    N = max(phi.shape[0] for _, phi, _ in chunk)
-    D = max(phi.shape[1] for _, phi, _ in chunk)
+    F = len(fits)
+    N = max(d.n for d, _ in fits)
+    D = max(b.dim for _, b in fits)
     Phi, K = np.zeros((F, N, D)), np.zeros((F, D, N))
     Y = np.zeros((F, N))
     cens, unc = np.zeros((F, N), dtype=bool), np.zeros((F, N), dtype=bool)
     W = np.zeros((F, D))
-    b, sigma, cutoff = np.empty(F), np.empty(F), np.empty(F)
-    for f, (i, phi, op) in enumerate(chunk):
-        d, m = data[i], models[i]
+    b, sigma, cutoff, rows = np.empty(F), np.empty(F), np.empty(F), np.empty(F)
+    models = []
+    for f, (d, basis) in enumerate(fits):
+        phi = basis.expand_matrix(d.features)
+        factor = _ridge_factor(phi, delta)
+        m = _ridge_model(phi, d.targets.astype(float), basis, factor, delta, target,
+                         ~d.censored)
+        models.append(m)
         n, dim = phi.shape
-        Phi[f, :n, :dim], K[f, :dim, :n] = phi, op
+        Phi[f, :n, :dim] = phi
+        K[f, :dim, :n] = linalg.cho_solve(factor, phi.T) if factor is not None else 0.0
         Y[f, :n], cens[f, :n], unc[f, :n] = d.targets, d.censored, ~d.censored
         W[f, :dim], b[f], sigma[f], cutoff[f] = m.weights, m.intercept, m.sigma, d.cutoff_log
-    rows = np.array([data[i].n for i in live], dtype=float)
+        rows[f] = n
     kept = unc.sum(axis=1)
     fitted = b[:, None] + (Phi @ W[:, :, None])[:, :, 0]
 
+    live = np.arange(F)
     for step in range(1, max_iter + 1):
         cell_fit = np.nonzero(cens)[0]
         s, lower, mu = sigma[cell_fit], cutoff[cell_fit], fitted[cens]
@@ -615,12 +637,10 @@ def _lockstep(chunk, data, models, delta, tol, max_iter, target) -> None:
             models[live[f]] = RidgeModel(m.basis, W[f, :m.basis.dim].copy(), delta,
                                          float(sigma[f]), target, float(b[f]))
         if done.all():
-            return
-        if done.any():
-            go = ~done
-            live, Phi, K, Y, cens, unc, W, b, sigma, cutoff, rows, kept, fitted = (
-                a[go] for a in (live, Phi, K, Y, cens, unc, W, b, sigma, cutoff, rows,
-                                kept, fitted))
+            break
+        live, Phi, K, Y, cens, unc, W, b, sigma, cutoff, rows, kept, fitted = _keep(
+            ~done, live, Phi, K, Y, cens, unc, W, b, sigma, cutoff, rows, kept, fitted)
+    return models
 
 
 def model_to_doc(model: RidgeModel) -> dict:

@@ -720,7 +720,7 @@ class _ModelTrainer:
                 rows = cols
             gates[key] = (inputs, rows, np.column_stack([preds[e][rows] for e in experts]),
                           self.y[k, rows])
-        self.gate_fits = hierarchy.fit_gating(list(gates.values())) if gates else []
+        self.gate_fits = hierarchy.fit_gating(list(gates.values()))
         for (key, _), fit in zip(gates.items(), self.gate_fits):
             models[key] = HierarchicalModel(list(self.classifier.classes),
                                             [fitted[e] for e in plans[key][2]],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import zfolio.hierarchy as hierarchy_module
+from zfolio import learning
 from zfolio.hierarchy import (
     GATING_CLASS_PENALTY,
     GATING_PENALTY,
@@ -159,7 +160,7 @@ class TestFitGating:
         expert = linear_model([0.3, 0.3], 0.5)
         y = 0.5 + X @ np.array([0.3, 0.3]) + 0.05 * rng.normal(size=100)
         clf = train_classifier(X, labels)
-        v = fit_gating([expert, expert], clf, X, y)
+        v = train_hierarchical(X, y, [expert, expert], clf, np.arange(len(y))).gating_weights
         loss = gating_loss(v, [expert, expert], clf, X, y)
         single = float(np.sum((y - expert.predict_matrix(X)) ** 2))
         assert abs(loss - single) < 1e-9
@@ -168,7 +169,7 @@ class TestFitGating:
         rng = np.random.default_rng(6)
         X, y, labels, experts = two_cluster_fixture(rng)
         clf = train_classifier(X, labels.tolist())
-        v = fit_gating(experts, clf, X, y)
+        v = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
         loss = gating_loss(v, experts, clf, X, y)
         preds = np.column_stack([m.predict_matrix(X) for m in experts])
         oracle = float(
@@ -181,7 +182,7 @@ class TestFitGating:
             rng = np.random.default_rng(100 + seed)
             X, y, labels, experts = two_cluster_fixture(rng, n=80, noise=0.5)
             clf = train_classifier(X, labels.tolist())
-            v = fit_gating(experts, clf, X, y)
+            v = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
             final = gating_loss(v, experts, clf, X, y)
             k, m = 2, clf.num_features
             v0 = np.zeros((k - 1, m + k))
@@ -249,13 +250,32 @@ class TestBatchedGating:
         assert together[3].iterations == 0
         assert np.array_equal(together[3].weights, [[0.0, 0.0, 4.0, -4.0]])
 
+    def test_chunks_match_one_chunk(self, monkeypatch):
+        # at 6000 cells the four 2-class gates run in two chunks, through the
+        # one budget learning.FIT_BATCH_CELLS, and give their one-chunk weights
+        gates = self.mixed_batch()
+        whole = fit_gating(gates)
+        chunks = []
+        gate_chunk = hierarchy_module._gate_chunk
+
+        def counted(chunk):
+            chunks.append(len(chunk))
+            return gate_chunk(chunk)
+        monkeypatch.setattr(hierarchy_module, "_gate_chunk", counted)
+        monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 6000)
+        for got, want in zip(fit_gating(gates), whole):
+            assert np.max(np.abs(got.weights - want.weights)) <= 1e-12
+        assert chunks == [1, 3, 1]
+
     def test_scaling_targets_and_experts_keeps_the_weights(self):
         rng = np.random.default_rng(21)
         X, y, labels, experts = two_cluster_fixture(rng, n=120, noise=0.5)
         clf = train_classifier(X, labels.tolist())
-        v = fit_gating(experts, clf, X, y)
+        rows = np.arange(120)
+        v = train_hierarchical(X, y, experts, clf, rows).gating_weights
         for c in (1e-3, 0.7, 2000.0):
-            scaled = fit_gating([scaled_expert(m, c) for m in experts], clf, X, c * y)
+            scaled = train_hierarchical(X, c * y, [scaled_expert(m, c) for m in experts], clf,
+                                        rows).gating_weights
             assert np.max(np.abs(scaled - v)) <= 1e-9, c
 
     def test_weights_meet_the_gradient_tolerance(self):
@@ -263,7 +283,7 @@ class TestBatchedGating:
             rng = np.random.default_rng(200 + seed)
             X, y, labels, experts = two_cluster_fixture(rng, n=100, noise=0.3 + seed)
             clf = train_classifier(X, labels.tolist())
-            v = fit_gating(experts, clf, X, y)
+            v = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
             E = np.column_stack([m.predict_matrix(X) for m in experts])
             grad, scale = penalized_gradient(v, clf.gate_inputs(X), E, y, clf.num_features)
             assert np.max(np.abs(grad)) <= GATING_TOL * scale
@@ -275,9 +295,9 @@ class TestBatchedGating:
             rng = np.random.default_rng(300 + seed)
             X, y, labels, experts = two_cluster_fixture(rng, n=100, noise=0.5 + seed)
             clf = train_classifier(X, labels.tolist())
-            v = fit_gating(experts, clf, X, y)
+            v = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
             monkeypatch.setattr(hierarchy_module, "GATING_TOL", 10 * GATING_TOL)
-            loose = fit_gating(experts, clf, X, y)
+            loose = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
             monkeypatch.undo()
             assert np.max(np.abs(loose - v)) <= 1e-9, seed
 

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from zfolio import learning
+from zfolio import hierarchy, learning
 from zfolio.learning import (
     BasisSpec,
     DimensionMismatch,
@@ -645,7 +646,7 @@ class TestCensoredFit:
         assert (batch[0].intercept, batch[0].sigma) == (plain.intercept, plain.sigma)
 
     def test_chunks_match_one_batch(self, monkeypatch):
-        # at 500 cells the five censored fits of the mixed batch iterate in
+        # at 3500 cells the five censored fits of the mixed batch iterate in
         # three chunks, the last a single fit larger than the limit
         data, bases = self.mixed_batch()
         whole = censored_fit(data, 1e-3, bases)
@@ -654,9 +655,9 @@ class TestCensoredFit:
 
         def counted(chunk, *args):
             chunks.append(len(chunk))
-            lockstep(chunk, *args)
+            return lockstep(chunk, *args)
         monkeypatch.setattr(learning, "_lockstep", counted)
-        monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 500)
+        monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 3500)
         for got, want in zip(censored_fit(data, 1e-3, bases), whole):
             assert np.max(np.abs(got.weights - want.weights)) < 1e-12
             assert abs(got.intercept - want.intercept) < 1e-12
@@ -734,3 +735,56 @@ def test_log_runtime_clamps_zero():
     vals = log_runtime([0.0, 1.0])
     assert vals[0] == math.log(0.005)
     assert vals[1] == 0.0
+
+
+class TestChunkBudget:
+    def test_each_chunk_peaks_within_the_budget(self, monkeypatch):
+        # the traced peak of every chunk of more than one problem, from the
+        # chunk's first allocation to its last, stays within FIT_BATCH_CELLS
+        # float64 cells (and a quarter for numpy's own buffers), on problems
+        # shaped like a portfolio build's: 48 raw features, 10 folds, up to
+        # 240 rows, expanded bases of up to 40 terms and gates of 2 classes
+        rng = np.random.default_rng(8)
+        problems, data, bases, gates = [], [], [], []
+        for n in (240, 60, 180, 200, 100, 150, 220, 90):
+            X = rng.normal(size=(n, 48))
+            y = X[:, :8] @ rng.normal(size=8) + X[:, 0] * X[:, 1] + 0.3 * rng.normal(size=n)
+            problems.append((X, y))
+            m = int(rng.integers(5, 41))
+            X, _, targets, censored, cutoff, _, _ = synthetic_censored_dataset(
+                rng, n=n, m=m, censor_q=int(rng.integers(30, 96)))
+            data.append(LabeledDataset(X, targets, censored, cutoff))
+            bases.append(make_basis(X, list(range(m))))
+            sat = rng.random(n)
+            E = np.column_stack([rng.normal(size=n), 2.0 + rng.normal(size=n)])
+            inputs = np.column_stack([rng.normal(size=(n, 48)), sat, 1.0 - sat])
+            gates.append((inputs, np.arange(n), E, np.where(sat > 0.5, E[:, 0], E[:, 1])))
+        peaks = {}
+
+        def traced(owner, name):
+            kernel = getattr(owner, name)
+
+            def wrapper(chunk, *args):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                result = kernel(chunk, *args)
+                peak = tracemalloc.get_traced_memory()[1] - start
+                peaks.setdefault(name, []).append((len(chunk), peak))
+                return result
+            monkeypatch.setattr(owner, name, wrapper)
+        for owner, name in ((learning, "_select_chunk"), (learning, "_lockstep"),
+                            (hierarchy, "_gate_chunk")):
+            traced(owner, name)
+        monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 1 << 17)
+        tracemalloc.start()
+        try:
+            select_basis(problems, folds=10, max_raw_terms=12, max_expanded_terms=40)
+            censored_fit(data, 1e-3, bases)
+            hierarchy.fit_gating(gates)
+        finally:
+            tracemalloc.stop()
+        for name, chunks in peaks.items():
+            shared = [peak for size, peak in chunks if size > 1]
+            assert shared, name
+            assert max(shared) <= 1.25 * 8 * learning.FIT_BATCH_CELLS, name
+        assert len(peaks) == 3

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import zfolio.hierarchy as hierarchy_module
+import zfolio.learning as learning_module
 import zfolio.portfolio as portfolio_module
 from zfolio.evaluation import drop_unsolvable, evaluate, split_data
 from zfolio.features import FeatureVector
@@ -392,6 +393,40 @@ class TestBuildPortfolio:
                             bench.purse, bench.series)
             assert calls["get"] == 0, objective
             assert calls["restrict"] == 0, objective
+
+    def test_chunking_leaves_the_build_unchanged(self, bench, monkeypatch):
+        # a min_runtime/sat2 build whose batched fits run one problem per
+        # chunk picks what the default-budget build picks, with the same
+        # predictions
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, valid, test = split_data(kept, seed=1)
+        matrix = bench.matrix.restrict(instances=[*train, *valid])
+        chunks = {}
+        for owner, name in ((learning_module, "_select_chunk"), (learning_module, "_lockstep"),
+                            (hierarchy_module, "_gate_chunk")):
+            def counted(chunk, *args, _name=name, _kernel=getattr(owner, name)):
+                chunks[_name] = chunks.get(_name, 0) + 1
+                return _kernel(chunk, *args)
+            monkeypatch.setattr(owner, name, counted)
+        builds = []
+        for cells in (learning_module.FIT_BATCH_CELLS, 1):
+            monkeypatch.setattr(learning_module, "FIT_BATCH_CELLS", cells)
+            chunks.clear()
+            portfolio = build_portfolio(train, valid, bench.features, matrix, bench.descriptors,
+                                        small_settings(hierarchy="sat2"), bench.purse,
+                                        bench.series)
+            builds.append((portfolio, dict(chunks)))
+        (whole, whole_chunks), (split, split_chunks) = builds
+        assert len(split_chunks) == 3
+        assert all(split_chunks[name] > max(1, n) for name, n in whole_chunks.items())
+        assert split.presolvers == whole.presolvers
+        assert split.backup_solver == whole.backup_solver and split.subset == whole.subset
+        assert split.models.keys() == whole.models.keys()
+        X = np.array([bench.features[iid].values for iid in test
+                      if bench.features[iid].values is not None])
+        for sid, model in whole.models.items():
+            got = split.models[sid].predict_matrix(X)
+            assert np.max(np.abs(got - model.predict_matrix(X))) <= 1e-9, sid
 
     def test_oracle_bound(self, bench, built):
         portfolio, _, valid, _ = built
