@@ -20,9 +20,10 @@ from .features import (
 from .hierarchy import (
     ClassifierModel,
     HierarchicalModel,
+    ModelStack,
     confusion_matrix,
     fit_gating,
-    gate,
+    gate_probs,
     train_classifier,
     train_hierarchical,
 )

@@ -12,18 +12,22 @@ solves them in lockstep by damped Newton steps with the exact Hessian (the
 second-order fitting of gating networks of Jordan & Jacobs, 1994), each
 gate to a gradient tolerance, chunk by chunk (learning._run_chunks). Works
 for the 2-class satisfiable/unsatisfiable split and the general K-class form.
+ModelStack predicts any mix of flat and hierarchical models in one pass,
+through learning.contract only, so a row's prediction does not depend on the
+rows or models it is predicted with.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .learning import (DimensionMismatch, RidgeModel, _keep, _run_chunks, model_from_doc,
-                       model_to_doc)
+from .learning import (DimensionMismatch, RidgeModel, _keep, _run_chunks, contract,
+                       expand_terms, model_from_doc, model_to_doc, stacked_terms)
 
 
 GATING_PENALTY = 1.0  # pull of the gate's feature weights, per mean squared expert range
@@ -89,10 +93,8 @@ class ClassifierModel:
         return self._proba(self.standardize(X))
 
     def _proba(self, Z: np.ndarray) -> np.ndarray:
-        ones = np.ones((Z.shape[0], 1))
-        scores = np.hstack([ones, Z]) @ self.weights.T
-        scores = np.hstack([scores, np.zeros((Z.shape[0], 1))])
-        return _softmax_rows(scores)
+        scores = self.weights[:, 0] + contract(Z[:, None, :], self.weights[:, 1:])
+        return _pinned_softmax(scores)
 
 
 def train_classifier(features: np.ndarray, class_labels, penalty: float = 1e-2) -> ClassifierModel:
@@ -141,28 +143,34 @@ def train_classifier(features: np.ndarray, class_labels, penalty: float = 1e-2) 
     return ClassifierModel(classes, W, penalty, means, scales)
 
 
-def gate(v: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Softmax gate over K classes from the augmented input [x; s].
+def gate_probs(weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Softmax gate probabilities over K classes of gate input rows under
+    weights of shape (K-1, width); the last class is pinned to a zero score
+    for identifiability, so for K = 2 the first class gets the logistic of its
+    score and a zero score gives exactly 0.5.
 
-    For K = 2, v is a single weight row and the first class gets the
-    logistic of v . [x; s]; a zero score gives exactly 0.5. For K > 2 the
-    last class is pinned to zero scores for identifiability.
+    The scores are learning.contract(inputs[..., None, :], weights), so the
+    leading axes of both broadcast: a (rows, 1, width) block of inputs under a
+    (gates, K-1, width) stack of weights gives (rows, gates, K).
     """
-    aug = np.concatenate([np.ravel(x), np.ravel(s)]).astype(float)
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    if v.shape[1] != aug.shape[0]:
+    if weights.shape[-1] != inputs.shape[-1]:
         raise DimensionMismatch(
-            f"gating weights expect input of length {v.shape[1]}, got {aug.shape[0]}"
+            f"gating weights expect input of length {weights.shape[-1]}, "
+            f"got {inputs.shape[-1]}"
         )
-    return _gate_matrix(v, aug[None, :])[0]
+    return _pinned_softmax(contract(inputs[..., None, :], weights))
 
 
-def _gate_matrix(v: np.ndarray, aug: np.ndarray) -> np.ndarray:
-    """Gate probabilities of input rows `aug` under weights `v`, or of a
-    stack of (rows, weights) pairs."""
-    scores = aug @ np.swapaxes(v, -1, -2)
-    scores = np.concatenate([scores, np.zeros(scores.shape[:-1] + (1,))], axis=-1)
-    return _softmax_rows(scores)
+def _pinned_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over K-1 class scores and the last class's pinned zero score."""
+    return _softmax_rows(np.concatenate([scores, np.zeros(scores.shape[:-1] + (1,))], axis=-1))
+
+
+def gate(v: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """gate_probs of the one augmented input [x; s] under weights v; acceptance
+    criterion 4 checks its anchors and simplex in this single-row form."""
+    aug = np.concatenate([np.ravel(x), np.ravel(s)]).astype(float)
+    return gate_probs(np.atleast_2d(np.asarray(v, dtype=float)), aug)
 
 
 @dataclass
@@ -212,11 +220,13 @@ def fit_gating(gates) -> list[GateFit]:
               np.asarray(y, dtype=float)) for inputs, rows, E, y in gates]
 
     def cells(group, count, largest):
-        # padded cells per gate at the chunk's peak: its input rows and their weighted
-        # copy in a Hessian product, six (rows, K) arrays of the mixture, and four
-        # Hessians (the current and trial ones, the damped copy solved, the selection)
+        # padded cells per gate at the chunk's peak: its input rows, and either their
+        # product with each of the K-1 weight rows in gate_probs or their weighted copy
+        # in a Hessian product; six (rows, K) arrays of the mixture, and four Hessians
+        # (the current and trial ones, the damped copy solved, the selection)
         width, k = group
-        return count * (largest[0] * (2 * width + 6 * k) + 4 * ((k - 1) * width) ** 2)
+        return count * (largest[0] * (max(2, k) * width + 6 * k)
+                        + 4 * ((k - 1) * width) ** 2)
 
     return _run_chunks(gates, lambda gate: (gate[0].shape[1], gate[2].shape[1]),
                        lambda gate: (len(gate[1]),), cells, lambda _, chunk: _gate_chunk(chunk))
@@ -232,7 +242,7 @@ def _gate_terms(V, A, D, Y, lam, V0):
     Padded rows are zero in A, D and Y and add exact zeros everywhere.
     """
     q = V.shape[1]
-    G = _gate_matrix(V, A)[:, :, :q]
+    G = gate_probs(V[:, None], A)[:, :, :q]
     mix = (G * D).sum(axis=2)
     r = Y - mix
     dV = V - V0
@@ -348,20 +358,81 @@ class HierarchicalModel:
         return self.conditional_models[0].target
 
     def gate_probs(self, x) -> np.ndarray:
-        return self._gate_probs_matrix(np.asarray(x, dtype=float)[None, :])[0]
+        X = np.asarray(x, dtype=float)[None, :]
+        return gate_probs(self.gating_weights, self.classifier.gate_inputs(X))[0]
 
     def predict(self, x) -> float:
         """Expected target under the gated mixture; a convex combination of
         the conditional predictions."""
         return float(self.predict_matrix(np.asarray(x, dtype=float)[None, :])[0])
 
-    def _gate_probs_matrix(self, X: np.ndarray) -> np.ndarray:
-        return _gate_matrix(self.gating_weights, self.classifier.gate_inputs(X))
-
     def predict_matrix(self, X) -> np.ndarray:
+        return ModelStack([self]).predict(X)[:, 0]
+
+
+class ModelStack:
+    """A fixed list of models, RidgeModels and HierarchicalModels mixed,
+    compiled once to predict all of them in one pass: predict(X) gives
+    (rows, models). Compiling copies the weights, so a model changed
+    afterwards needs a new stack.
+
+    The distinct experts (the flat models and the hierarchical models'
+    conditional models) are ordered by basis dimension; all their basis terms
+    come from one expand_terms, and each expert's sum is its own contraction
+    over its segment of the terms, the experts of one dimension in one call.
+    The gate inputs are computed once per distinct classifier, and all gates
+    that share one are evaluated in one contraction. Every step is
+    elementwise or a learning.contract, so a prediction has the same bits as
+    the model's own predict_matrix (which is a stack of one for a
+    hierarchical model), whatever rows or models it is stacked with.
+    """
+
+    def __init__(self, models):
+        models = list(models)
+        experts = {}  # id -> expert, in order of first use
+        for model in models:
+            hierarchical = isinstance(model, HierarchicalModel)
+            for e in model.conditional_models if hierarchical else [model]:
+                experts.setdefault(id(e), e)
+        order = sorted(experts.values(), key=lambda e: e.basis.dim)
+        slot = {id(e): i for i, e in enumerate(order)}
+        self._terms = stacked_terms([e.basis for e in order])
+        self._intercepts = np.array([e.intercept for e in order])
+        self._groups = []  # (first term, last + 1, weights) of the experts of one dimension
+        start = 0
+        for dim in sorted({e.basis.dim for e in order}):
+            group = [e.weights for e in order if e.basis.dim == dim]
+            W = np.array(group).reshape(len(group), dim)
+            self._groups.append((start, start + W.size, W))
+            start += W.size
+
+        by_classifier = {}  # id -> (classifier, positions of its hierarchical models)
+        for m, model in enumerate(models):
+            if isinstance(model, HierarchicalModel):
+                by_classifier.setdefault(id(model.classifier), (model.classifier, []))[1].append(m)
+        # predict's columns are the experts, then the mixtures of each classifier's gates
+        column = {m: slot[id(model)] for m, model in enumerate(models)
+                  if not isinstance(model, HierarchicalModel)}
+        mixtures = [m for _, positions in by_classifier.values() for m in positions]
+        column.update((m, len(order) + i) for i, m in enumerate(mixtures))
+        self._gates = [
+            (classifier,
+             np.array([models[m].gating_weights for m in positions]),
+             np.array([[slot[id(e)] for e in models[m].conditional_models] for m in positions]))
+            for classifier, positions in by_classifier.values()
+        ]
+        self._order = np.array([column[m] for m in range(len(models))], dtype=int)
+
+    def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        E = np.column_stack([m.predict_matrix(X) for m in self.conditional_models])
-        return (self._gate_probs_matrix(X) * E).sum(axis=1)
+        terms = expand_terms(X, *self._terms)
+        E = np.concatenate([contract(terms[:, start:stop].reshape(len(X), *W.shape), W)
+                            for start, stop, W in self._groups], axis=1) + self._intercepts
+        outputs = [E]
+        for classifier, V, slots in self._gates:
+            G = gate_probs(V, classifier.gate_inputs(X)[:, None, :])
+            outputs.append(contract(G, E[:, slots]))
+        return np.concatenate(outputs, axis=1).take(self._order, axis=1)
 
 
 def train_hierarchical(features, targets, experts, classifier: ClassifierModel,
@@ -375,7 +446,7 @@ def train_hierarchical(features, targets, experts, classifier: ClassifierModel,
     only those whose target was observed.
     """
     X = np.asarray(features, dtype=float)[gate_rows]
-    E = np.column_stack([m.predict_matrix(X) for m in experts])
+    E = ModelStack(experts).predict(X)
     [fit] = fit_gating([(classifier.gate_inputs(X), np.arange(X.shape[0]), E,
                          np.asarray(targets)[gate_rows])])
     return HierarchicalModel(list(classifier.classes), list(experts), classifier, fit.weights)
@@ -414,19 +485,27 @@ def hier_to_doc(model: HierarchicalModel) -> dict:
     }
 
 
-def hier_from_doc(doc: dict) -> HierarchicalModel:
+def hier_from_doc(doc: dict, classifiers: dict | None = None) -> HierarchicalModel:
+    """The model a hier_to_doc document describes. `classifiers`, when given,
+    maps each classifier document read so far, as sorted JSON, to its
+    ClassifierModel; models read with one such dict share the classifier of
+    equal documents, as the models of one build do, so a ModelStack computes
+    their gate inputs once."""
     if doc.get("type") != "hierarchical":
         raise ValueError(f"not a hierarchical model document: {doc.get('type')!r}")
     c = doc["classifier"]
-    classifier = ClassifierModel(
-        list(c["classes"]),
-        np.array(c["weights"], dtype=float),
-        float(c["penalty"]),
-        np.array(c["means"], dtype=float),
-        np.array(c["scales"], dtype=float),
-    )
+    classifiers = {} if classifiers is None else classifiers
+    key = json.dumps(c, sort_keys=True)
+    if key not in classifiers:
+        classifiers[key] = ClassifierModel(
+            list(c["classes"]),
+            np.array(c["weights"], dtype=float),
+            float(c["penalty"]),
+            np.array(c["means"], dtype=float),
+            np.array(c["scales"], dtype=float),
+        )
     conditionals = [model_from_doc(d) for d in doc["conditional_models"]]
     return HierarchicalModel(
-        list(doc["classes"]), conditionals, classifier,
+        list(doc["classes"]), conditionals, classifiers[key],
         np.array(doc["gating_weights"], dtype=float),
     )

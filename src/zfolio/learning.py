@@ -95,8 +95,10 @@ class BasisSpec:
             raise ValueError("scales must be positive")
         # raw features a row must have; pairs have j <= k
         self._width = 1 + max([*self.raw_indices, *(k for _, k in pairs)], default=-1)
+        # the terms are columns; a product term is then multiplied by its second factor
         self._columns = np.array([*self.raw_indices, *(j for j, _ in pairs)], dtype=int)
-        self._factors = np.array(pairs, dtype=int).reshape(-1, 2)[:, 1]
+        self._products = np.arange(len(self.raw_indices), self.dim)
+        self._factors = np.array([k for _, k in pairs], dtype=int)
 
     @property
     def dim(self) -> int:
@@ -108,16 +110,47 @@ class BasisSpec:
         return cls(list(raw_indices), list(product_pairs), np.zeros(d), np.ones(d))
 
     def expand_matrix(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.ndim != 2 or X.shape[1] < self._width:
-            raise DimensionMismatch(
-                f"raw rows of shape {X.shape[1:]} do not fit a basis over "
-                f"{self._width} raw features"
-            )
-        # raw columns, then the first factor of each product times the second
-        phi = X.take(self._columns, axis=1)
-        phi[:, len(self.raw_indices):] *= X.take(self._factors, axis=1)
-        return (phi - self.means) / self.scales
+        return expand_terms(X, self._width, self._columns, self._products, self._factors,
+                            self.means, self.scales)
+
+
+def stacked_terms(bases) -> tuple:
+    """The expand_terms arguments after X for the terms of all `bases` (at
+    least one), side by side in their order."""
+    offsets = np.cumsum([0, *(b.dim for b in bases)])
+    return (max(b._width for b in bases),
+            np.concatenate([b._columns for b in bases]),
+            np.concatenate([b._products + o for b, o in zip(bases, offsets)]),
+            np.concatenate([b._factors for b in bases]),
+            np.concatenate([b.means for b in bases]),
+            np.concatenate([b.scales for b in bases]))
+
+
+def expand_terms(X, width, columns, products, factors, means, scales) -> np.ndarray:
+    """Standardized basis terms of raw rows X, which must have at least
+    `width` features: the columns X[:, columns], those at `products` times
+    X[:, factors], then (terms - means) / scales. Every operation is
+    elementwise, so a basis's terms have the same bits whether they are
+    expanded alone (BasisSpec.expand_matrix) or beside other bases'
+    (stacked_terms, hierarchy.ModelStack)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] < width:
+        raise DimensionMismatch(
+            f"raw rows of shape {X.shape[1:]} do not fit a basis over {width} raw features"
+        )
+    phi = X.take(columns, axis=1)
+    phi[:, products] *= X.take(factors, axis=1)
+    return (phi - means) / scales
+
+
+def contract(A, W) -> np.ndarray:
+    """sum_j A[..., j] * W[..., j], with the operands broadcast: an elementwise
+    product reduced over the last axis, never a BLAS product. Each output reads
+    its own row of A alone, in a fixed order, so a row's result has the same
+    bits whether it is computed alone, in a block or beside other models'.
+    Every prediction goes through it: RidgeModel, the classifier's
+    probabilities, the gate and the mixture (hierarchy.ModelStack)."""
+    return (A * W).sum(axis=-1)
 
 
 def _ridge_factor(phi: np.ndarray, delta: float):
@@ -177,7 +210,7 @@ class RidgeModel:
         return float(self.predict_matrix(np.asarray(x, dtype=float)[None, :])[0])
 
     def predict_matrix(self, X) -> np.ndarray:
-        return self.intercept + self.basis.expand_matrix(X) @ self.weights
+        return self.intercept + contract(self.basis.expand_matrix(X), self.weights)
 
 
 @dataclass

@@ -33,7 +33,11 @@ order.
 
 Online: run the pre-solvers, compute features (falling back to the backup
 solver on timeout or error), predict each subset member's objective, and
-run the predicted best, moving to the next best if a solver crashes.
+run the predicted best, moving to the next best if a solver crashes. The
+subset's models are predicted in one pass of the hierarchy.ModelStack the
+portfolio compiles once; the simulator predicts its models through a stack
+as well, and a row's prediction does not depend on what it is stacked with,
+so solve and the simulator rank on the same bits.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ import numpy as np
 
 from .features import FEATURE_NAMES, FeatureVector
 from . import hierarchy
-from .hierarchy import HierarchicalModel, hier_from_doc, hier_to_doc, train_classifier
+from .hierarchy import (HierarchicalModel, ModelStack, hier_from_doc, hier_to_doc,
+                        train_classifier)
 from .learning import (
     LabeledDataset,
     RidgeModel,
@@ -201,6 +206,8 @@ class PortfolioConfig:
     cutoff_seconds: float = 1200.0
     feature_budget: ProbeBudget = field(default_factory=ProbeBudget)
     seed: int = 0
+    # the subset's models in subset order, compiled once for solve
+    stack: ModelStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.objective not in (OBJECTIVE_RUNTIME, OBJECTIVE_SCORE):
@@ -219,6 +226,7 @@ class PortfolioConfig:
         if unknown:
             raise ValueError(f"solvers {unknown} have no descriptor")
         self.subset = sorted(self.subset)
+        self.stack = ModelStack([self.models[sid] for sid in self.subset])
 
 
 @dataclass
@@ -288,16 +296,19 @@ class SimulationRows:
             self.score_ctx = ScoreContext(self.runs, purse, series or singleton_series(self.ids))
         self._columns: dict[int, tuple] = {}  # id(model) -> (model, predictions)
 
-    def predict(self, model) -> np.ndarray:
-        """The model's prediction on each instance with usable features,
-        NaN on the others; computed on the first call for this model object
-        and shared afterwards (the column must not be written to)."""
-        if id(model) not in self._columns:
-            col = np.full(len(self.ids), np.nan)
+    def predict(self, models) -> np.ndarray:
+        """(instances, models): each model's prediction on each instance with
+        usable features, NaN on the others. The models without a column yet
+        are predicted in one ModelStack pass, and each model object's column
+        is kept for later calls."""
+        new = list({id(m): m for m in models if id(m) not in self._columns}.values())
+        if new:
+            cols = np.full((len(self.ids), len(new)), np.nan)
             if self.feature_ok.any():
-                col[self.feature_ok] = model.predict_matrix(self.X[self.feature_ok])
-            self._columns[id(model)] = (model, col)
-        return self._columns[id(model)][1]
+                cols[self.feature_ok] = ModelStack(new).predict(self.X[self.feature_ok])
+            for model, col in zip(new, cols.T):
+                self._columns[id(model)] = (model, col)
+        return np.column_stack([self._columns[id(m)][1] for m in models])
 
 
 class PortfolioSimulator:
@@ -358,9 +369,7 @@ class PortfolioSimulator:
 
         self.members = sorted(models)
         self._member_index = {sid: m for m, sid in enumerate(self.members)}
-        pred = np.empty((n, len(self.members)))
-        for m, sid in enumerate(self.members):
-            pred[:, m] = rows.predict(models[sid])
+        pred = rows.predict([models[sid] for sid in self.members])
         # per instance, the members from best to worst predicted, and the
         # runtime, solved and crash flags of the member at each rank
         self._ranking = np.argsort(pred if objective == OBJECTIVE_RUNTIME else -pred,
@@ -929,7 +938,7 @@ def solve(portfolio: PortfolioConfig, instance, runner) -> SolveOutcome:
         status = rec.status if rec.solved else "timeout"
         return SolveOutcome(status, chosen, elapsed if rec.solved else cutoff, trace)
 
-    preds = {sid: portfolio.models[sid].predict(fv.values) for sid in portfolio.subset}
+    preds = dict(zip(portfolio.subset, portfolio.stack.predict(fv.values)[0].tolist()))
     trace.append({"phase": "predict", "predictions": dict(preds)})
     reverse = portfolio.objective == OBJECTIVE_SCORE
     ranked = sorted(preds, key=lambda sid: (-preds[sid] if reverse else preds[sid], sid))
@@ -987,9 +996,10 @@ def portfolio_from_doc(doc: dict) -> PortfolioConfig:
         for d in doc["solvers"]
     }
     models = {}
+    classifiers = {}  # hierarchical models with equal classifier documents share one
     for sid, mdoc in doc["models"].items():
         if mdoc.get("type") == "hierarchical":
-            models[sid] = hier_from_doc(mdoc)
+            models[sid] = hier_from_doc(mdoc, classifiers)
         else:
             models[sid] = model_from_doc(mdoc)
     schedule = PresolverSchedule(tuple(

@@ -568,26 +568,30 @@ class TestPortfolioConsumers:
                 assert np.array_equal(sim.performances(subsets), whole)
                 monkeypatch.undo()
 
-    def test_shared_rows_predict_each_model_once(self):
+    def test_shared_rows_predict_each_model_once(self, monkeypatch):
         rng = random.Random(4)
         matrix = random_matrix(rng, n_solvers=3, n_instances=10, cutoff=CUTOFF)
         features, models = self.simulator_inputs(rng, matrix)
         calls = []
 
-        class Counted:
-            def __init__(self, model):
-                self.model = model
+        class Counted(portfolio.ModelStack):
+            """Records the models of each stacked prediction."""
 
-            def predict_matrix(self, X):
-                calls.append(self)
-                return self.model.predict_matrix(X)
-        counted = {s: Counted(m) for s, m in models.items()}
+            def __init__(self, stacked):
+                super().__init__(stacked)
+                self.stacked = list(stacked)
+
+            def predict(self, X):
+                calls.extend(self.stacked)
+                return super().predict(X)
+        monkeypatch.setattr(portfolio, "ModelStack", Counted)
         rows = portfolio.SimulationRows(matrix, features, matrix.instances, "min_runtime")
         schedules = [random_schedule(rng, matrix) for _ in range(4)]
         sims = [PortfolioSimulator(matrix, features, matrix.instances, schedule,
-                                   matrix.solvers[0], counted, "min_runtime", CUTOFF, rows=rows)
+                                   matrix.solvers[0], models, "min_runtime", CUTOFF, rows=rows)
                 for schedule in schedules]
-        assert sorted(map(id, calls)) == sorted(map(id, counted.values()))
+        assert sorted(map(id, calls)) == sorted(map(id, models.values()))
+        monkeypatch.undo()
         subsets = list(portfolio._iter_subsets(matrix.solvers))
         for schedule, sim in zip(schedules, sims):
             alone = PortfolioSimulator(matrix, features, matrix.instances, schedule,

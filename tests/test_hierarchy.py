@@ -11,10 +11,11 @@ from zfolio.hierarchy import (
     GATING_TOL,
     ClassifierModel,
     HierarchicalModel,
+    ModelStack,
     SingleClassData,
     confusion_matrix,
     fit_gating,
-    gate,
+    gate_probs,
     hier_from_doc,
     hier_to_doc,
     train_classifier,
@@ -107,20 +108,20 @@ class TestClassifier:
 
 
 class TestGate:
+    """gate_probs, the gate of every prediction, on one input row
+    [x, class probabilities]."""
+
     def test_zero_score_is_half(self):
-        v = np.zeros(4)
-        out = gate(v, np.array([1.0, 2.0]), np.array([0.3, 0.7]))
+        out = gate_probs(np.zeros((1, 4)), np.array([1.0, 2.0, 0.3, 0.7]))
         assert out[0] == 0.5
         assert out[1] == 0.5
 
     def test_large_positive_score(self):
-        v = np.array([20.0, 0.0, 0.0])
-        out = gate(v, np.array([1.0]), np.array([0.5, 0.5]))
+        out = gate_probs(np.array([[20.0, 0.0, 0.0]]), np.array([1.0, 0.5, 0.5]))
         assert out[0] > 1 - 1e-8
 
     def test_three_way_symmetry(self):
-        v = np.zeros((2, 5))
-        out = gate(v, np.array([1.0, -1.0]), np.array([0.2, 0.3, 0.5]))
+        out = gate_probs(np.zeros((2, 5)), np.array([1.0, -1.0, 0.2, 0.3, 0.5]))
         assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3])
 
     def test_simplex_over_random_inputs(self):
@@ -131,13 +132,24 @@ class TestGate:
             v = rng.normal(size=(k - 1, m + k)) * 5
             x = rng.normal(size=m) * 10
             s = rng.dirichlet(np.ones(k))
-            out = gate(v, x, s)
+            out = gate_probs(v, np.concatenate([x, s]))
             assert abs(out.sum() - 1.0) <= 1e-9
             assert np.all(out >= 0) and np.all(out <= 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            gate(np.zeros(3), np.array([1.0]), np.array([0.5, 0.5, 0.5]))
+            gate_probs(np.zeros((1, 3)), np.array([1.0, 0.5, 0.5, 0.5]))
+
+    def test_stacked_gates_and_rows_broadcast(self):
+        # a (rows, 1, width) block under (gates, K-1, width) weights gives
+        # (rows, gates, K), each cell as its row under its gate alone
+        rng = np.random.default_rng(5)
+        V, A = rng.normal(size=(4, 2, 6)), rng.normal(size=(7, 6))
+        block = gate_probs(V, A[:, None, :])
+        assert block.shape == (7, 4, 3)
+        for i in range(7):
+            for g in range(4):
+                assert block[i, g].tobytes() == gate_probs(V[g], A[i]).tobytes()
 
 
 def two_cluster_fixture(rng, n=200, noise=0.1):
@@ -359,6 +371,83 @@ class TestPredictHier:
             preds = [m.predict(x) for m in experts]
             est = model.predict(x)
             assert min(preds) - 1e-9 <= est <= max(preds) + 1e-9
+
+
+class TestModelStack:
+    """A stack predicts ridge, two-class and six-class hierarchical models
+    together, each with the bits of its own predict_matrix, whatever rows or
+    models it is stacked with."""
+
+    @staticmethod
+    def mixed_models(rng, m=5):
+        def ridge(raw, pairs):
+            dim = len(raw) + len(pairs)
+            basis = BasisSpec(raw, pairs, rng.normal(size=dim), rng.uniform(0.5, 2, size=dim))
+            return RidgeModel(basis, rng.normal(size=dim) * 3, 1e-3, 0.1, "score",
+                              float(rng.normal()))
+
+        def hierarchical(classifier, experts):
+            k = len(classifier.classes)
+            v = rng.normal(size=(k - 1, m + k))
+            return HierarchicalModel(list(classifier.classes), experts, classifier, v)
+
+        def classifier(classes):
+            k = len(classes)
+            return ClassifierModel(classes, rng.normal(size=(k - 1, m + 1)), 1e-2,
+                                   rng.normal(size=m), rng.uniform(0.5, 2, size=m))
+
+        experts = [ridge([0], []), ridge([1, 3], [(0, 4)]), ridge([], []),
+                   ridge([4, 2, 0], [(1, 1), (2, 3)]), ridge([2, 1], [(0, 3)]),
+                   ridge([3], [(2, 4)])]
+        sat2, six = classifier(["sat", "unsat"]), classifier([f"c{i}" for i in range(6)])
+        return [experts[1],
+                hierarchical(sat2, experts[:2]),
+                hierarchical(six, experts),
+                experts[3],
+                hierarchical(sat2, [experts[5], experts[2]]),
+                hierarchical(six, experts[::-1]),
+                hierarchical(copied_classifier(sat2), experts[2:4])]
+
+    def test_stacked_alone_and_in_blocks_bit_identical(self):
+        rng = np.random.default_rng(21)
+        models = self.mixed_models(rng)
+        X = rng.normal(size=(37, 5)) * 3
+        stacked = ModelStack(models).predict(X)
+        assert stacked.shape == (37, len(models))
+        for j, model in enumerate(models):
+            block = model.predict_matrix(X)
+            assert block.tobytes() == stacked[:, j].tobytes()
+            for i in range(len(X)):
+                assert model.predict_matrix(X[i:i + 1])[0].tobytes() == block[i].tobytes()
+                assert model.predict(X[i]) == block[i]
+        order = rng.permutation(len(models))
+        shuffled = ModelStack([models[j] for j in order]).predict(X[5:9])
+        assert shuffled.tobytes() == np.ascontiguousarray(stacked[5:9, order]).tobytes()
+        twice = ModelStack([models[2], models[2]]).predict(X)
+        assert np.array_equal(twice, stacked[:, [2, 2]])
+
+    def test_classifier_probabilities_do_not_depend_on_the_block(self):
+        rng = np.random.default_rng(22)
+        for classes in (["sat", "unsat"], [f"c{i}" for i in range(6)]):
+            k = len(classes)
+            clf = ClassifierModel(classes, rng.normal(size=(k - 1, 4)), 1e-2,
+                                  rng.normal(size=3), rng.uniform(0.5, 2, size=3))
+            X = rng.normal(size=(50, 3))
+            block = clf.predict_proba_matrix(X)
+            for i in range(len(X)):
+                assert clf.predict_proba_matrix(X[i]).tobytes() == block[i].tobytes()
+
+    def test_short_rows_rejected(self):
+        rng = np.random.default_rng(23)
+        with pytest.raises(DimensionMismatch):
+            ModelStack(self.mixed_models(rng)).predict(np.ones((2, 4)))
+
+
+def copied_classifier(classifier):
+    """An equal classifier in a separate object."""
+    return ClassifierModel(list(classifier.classes), classifier.weights.copy(),
+                           classifier.penalty, classifier.means.copy(),
+                           classifier.scales.copy())
 
 
 class TestConfusionMatrix:

@@ -78,8 +78,9 @@ class TestQuadraticExpand:
 
     def test_matches_column_reference_bit_for_bit(self):
         # a design's memory layout changes the BLAS summation order of every
-        # later product, so the expansion must stay row-major like the
-        # column-by-column reference
+        # later product in a fit, so the expansion must stay row-major like
+        # the column-by-column reference; a prediction is each row's own
+        # elementwise sum, never a BLAS product
         rng = np.random.default_rng(9)
         X = rng.normal(size=(40, 12)) * 10
         raw, pairs = [5, 0, 11, 3], [(0, 5), (3, 3), (2, 11)]
@@ -89,7 +90,7 @@ class TestQuadraticExpand:
         got = basis.expand_matrix(X)
         assert got.flags["C_CONTIGUOUS"] and np.array_equal(got, want)
         model = RidgeModel(basis, rng.normal(size=7), 1e-3, 0.1, "log_runtime", 0.5)
-        assert np.array_equal(model.predict_matrix(X), 0.5 + want @ model.weights)
+        assert np.array_equal(model.predict_matrix(X), 0.5 + (want * model.weights).sum(axis=1))
         assert all(model.predict(x) == model.predict_matrix(x[None, :])[0] for x in X)
         assert BasisSpec.identity([]).expand_matrix(X).shape == (40, 0)
 

@@ -10,6 +10,7 @@ import zfolio.learning as learning_module
 import zfolio.portfolio as portfolio_module
 from zfolio.evaluation import drop_unsolvable, evaluate, split_data
 from zfolio.features import FeatureVector
+from zfolio.hierarchy import HierarchicalModel
 from zfolio.portfolio import (
     BuildSettings,
     PortfolioConfig,
@@ -789,6 +790,76 @@ class TestSimulatorProperties:
             outcome = solve(portfolio, iid, runner)
             assert (outcome.status in ("sat", "unsat")) == bool(solved[j])
             assert abs(outcome.total_time_seconds - total[j]) < 1e-9
+
+
+@pytest.fixture(scope="module", params=["none", "sat2", "general6"])
+def hierarchy_built(request, bench):
+    """A max_score portfolio built with the hierarchy of the param, the test
+    split and its runs."""
+    kept, _ = drop_unsolvable(bench.matrix)
+    train, valid, test = split_data(kept, seed=1)
+    categories = {inst.id: inst.category for inst in bench.instances}
+    portfolio = build_portfolio(
+        train, valid, bench.features, bench.matrix.restrict(instances=[*train, *valid]),
+        bench.descriptors, small_settings("max_score", hierarchy=request.param), bench.purse,
+        bench.series, categories,
+    )
+    return portfolio, test, bench.matrix.restrict(instances=test)
+
+
+class TestPredictionsAgree:
+    """A row's prediction has the same bits alone, in a block or stacked
+    beside other models, so solve and the simulator rank on the same values."""
+
+    def test_row_alone_equals_its_row_of_the_block(self, bench, hierarchy_built):
+        portfolio, test, _ = hierarchy_built
+        X = np.vstack([bench.features[i].values for i in test if bench.features[i].usable])
+        stacked = portfolio.stack.predict(X)
+        for m, sid in enumerate(portfolio.subset):
+            model = portfolio.models[sid]
+            block = model.predict_matrix(X)
+            assert block.tobytes() == np.ascontiguousarray(stacked[:, m]).tobytes(), sid
+            for i, x in enumerate(X):
+                assert model.predict_matrix(x[None, :])[0].tobytes() == block[i].tobytes()
+                assert model.predict(x) == block[i]
+
+    def test_solve_predicts_the_simulator_columns(self, bench, hierarchy_built):
+        portfolio, test, matrix = hierarchy_built
+        rows = portfolio_module.SimulationRows(matrix, bench.features, test,
+                                               portfolio.objective, bench.purse, bench.series)
+        sim = PortfolioSimulator(matrix, bench.features, test, portfolio.presolvers,
+                                 portfolio.backup_solver, portfolio.models, portfolio.objective,
+                                 portfolio.cutoff_seconds, bench.purse, bench.series, rows=rows)
+        solved, total, _ = sim.simulate(portfolio.subset)
+        columns = rows.predict([portfolio.models[sid] for sid in portfolio.subset])
+        runner = SimulatedRunner(bench.features, matrix)
+        consulted = 0
+        for j, iid in enumerate(test):
+            outcome = solve(portfolio, iid, runner)
+            assert (outcome.status in ("sat", "unsat")) == bool(solved[j])
+            assert abs(outcome.total_time_seconds - total[j]) < 1e-9
+            for step in outcome.trace:
+                if step["phase"] == "predict":
+                    got = np.array([step["predictions"][sid] for sid in portfolio.subset])
+                    assert got.tobytes() == columns[j].tobytes(), iid
+                    consulted += 1
+        assert consulted > 0
+
+    def test_loaded_hierarchical_models_share_one_classifier(self, bench, hierarchy_built,
+                                                             tmp_path):
+        portfolio, test, _ = hierarchy_built
+        path = tmp_path / "portfolio.json"
+        save_portfolio(portfolio, path)
+        loaded = load_portfolio(path)
+        hierarchical = [m for m in loaded.models.values() if isinstance(m, HierarchicalModel)]
+        assert len(hierarchical) == sum(isinstance(m, HierarchicalModel)
+                                        for m in portfolio.models.values())
+        assert len({id(m.classifier) for m in hierarchical}) <= 1
+        X = np.vstack([bench.features[i].values for i in test if bench.features[i].usable])
+        assert loaded.stack.predict(X).tobytes() == portfolio.stack.predict(X).tobytes()
+        for sid in portfolio.subset:
+            assert (loaded.models[sid].predict_matrix(X).tobytes()
+                    == portfolio.models[sid].predict_matrix(X).tobytes())
 
 
 class TestSolve:
