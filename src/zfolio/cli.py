@@ -28,6 +28,10 @@ from .runtimes import SolverDescriptor, load_runtime_csv, save_runtime_csv
 from .scoring import PurseConfig, load_purse_config, save_purse_config, singleton_series
 from .synthetic import generate_benchmark
 
+# The default budget of `zfolio features`, stored by `zfolio train` for `zfolio
+# solve`: wall-clock probe groups, as deterministic ones take ~10x longer.
+FEATURE_BUDGET = ProbeBudget(deterministic=False)
+
 
 def _instance_seed(seed: int, instance_id: str) -> int:
     digest = hashlib.sha256(f"{seed}:{instance_id}".encode()).digest()
@@ -140,6 +144,14 @@ def _load_labels_csv(path):
     return sat, category
 
 
+def _load_purse(path, instance_ids):
+    """A purse JSON's purse and series map over `instance_ids`, where an
+    instance the map omits is a series of its own (singleton_series)."""
+    purse, series = load_purse_config(path)
+    alone = singleton_series(instance_ids)
+    return purse, {i: series.get(i, alone[i]) for i in instance_ids}
+
+
 def cmd_train(args) -> int:
     features = features_mod.load_feature_csv(args.features)
     matrix = load_runtime_csv(args.runtimes, args.cutoff)
@@ -161,10 +173,7 @@ def cmd_train(args) -> int:
         ratios = tuple(float(r) for r in args.ratios.split(","))
         train, valid, _ = evaluation.split_data(kept, ratios, args.seed)
 
-    purse, series = None, None
-    if args.purse:
-        purse, series = load_purse_config(args.purse)
-        series = {i: series[i] for i in kept if i in series} or None
+    purse, series = _load_purse(args.purse, kept) if args.purse else (None, None)
 
     category_labels = None
     if args.labels:
@@ -182,6 +191,7 @@ def cmd_train(args) -> int:
         presolver_top=args.presolver_top,
         min_training_rows=args.min_training_rows,
         seed=args.seed,
+        feature_budget=FEATURE_BUDGET,
     )
     built = portfolio_mod.build_portfolio(
         train, valid, features, matrix.restrict(instances=[*train, *valid]),
@@ -222,10 +232,7 @@ def cmd_solve(args) -> int:
 def cmd_evaluate(args) -> int:
     matrix = load_runtime_csv(args.runtimes, args.cutoff)
     if args.purse:
-        purse, series = load_purse_config(args.purse)
-        missing = [i for i in matrix.instances if i not in series]
-        for i in missing:
-            series[i] = f"series-{i}"
+        purse, series = _load_purse(args.purse, matrix.instances)
     else:
         purse = PurseConfig(time_limit=args.cutoff)
         series = singleton_series(matrix.instances)
@@ -291,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cnf_dir")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--per-probe-seconds", type=float, default=1.0)
-    p.add_argument("--total-seconds", type=float, default=60.0)
-    p.add_argument("--max-ls-steps", type=int, default=300_000)
-    p.add_argument("--deterministic", action="store_true",
+    p.add_argument("--per-probe-seconds", type=float, default=FEATURE_BUDGET.per_probe_seconds)
+    p.add_argument("--total-seconds", type=float, default=FEATURE_BUDGET.total_seconds)
+    p.add_argument("--max-ls-steps", type=int, default=FEATURE_BUDGET.max_ls_steps)
+    p.add_argument("--deterministic", action="store_true", default=FEATURE_BUDGET.deterministic,
                    help="end probe groups by step counts, not --per-probe-seconds "
                         "(reproducible; --total-seconds still times out)")
     p.set_defaults(func=cmd_features)
@@ -313,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_split)
 
+    settings = portfolio_mod.BuildSettings()
     p = sub.add_parser("train", help="build a portfolio")
     p.add_argument("--features", required=True)
     p.add_argument("--runtimes", required=True)
@@ -323,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", default="0.4,0.3,0.3")
     p.add_argument("--purse", help="purse/series JSON (needed for score)")
     p.add_argument("--labels", help="labels CSV (categories for general6)")
-    p.add_argument("--cutoff", type=float, default=1200.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cv-folds", type=int, default=10)
-    p.add_argument("--max-raw-terms", type=int, default=30)
-    p.add_argument("--max-expanded-terms", type=int, default=40)
-    p.add_argument("--presolver-top", type=int, default=3)
-    p.add_argument("--min-training-rows", type=int, default=10)
+    p.add_argument("--cutoff", type=float, default=settings.cutoff_seconds)
+    p.add_argument("--seed", type=int, default=settings.seed)
+    p.add_argument("--cv-folds", type=int, default=settings.cv_folds)
+    p.add_argument("--max-raw-terms", type=int, default=settings.max_raw_terms)
+    p.add_argument("--max-expanded-terms", type=int, default=settings.max_expanded_terms)
+    p.add_argument("--presolver-top", type=int, default=settings.presolver_top)
+    p.add_argument("--min-training-rows", type=int, default=settings.min_training_rows)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -1,12 +1,13 @@
 """Hierarchical hardness models.
 
-A class probability predictor (L2-penalized multinomial logistic
-regression over the standardized raw features) feeds a softmax gate that
-mixes per-class conditional ridge models. The experts stay fixed while the
-gating weights are fit to minimize the squared error of the mixed
-prediction plus an L2 pull toward the initialization, which leans on the
-classifier output; the pull scales with the spread of the experts, so the
-optimum is finite and the weights follow the data smoothly. fit_gating
+A class probability predictor (multinomial logistic regression over the
+standardized raw features, with L2 penalty CLASSIFIER_PENALTY) feeds a
+softmax gate that mixes per-class conditional ridge models. The experts
+stay fixed while the gating weights are fit to minimize the squared error
+of the mixed prediction plus an L2 pull toward the initialization, which
+leans on the classifier output; the pull scales with the spread of the
+experts, so the optimum is finite and the weights follow the data
+smoothly. fit_gating
 takes a whole batch of gates, such as every gate of a portfolio build, and
 solves them in lockstep by damped Newton steps with the exact Hessian (the
 second-order fitting of gating networks of Jordan & Jacobs, 1994), each
@@ -30,6 +31,7 @@ from .learning import (DimensionMismatch, RidgeModel, _keep, _run_chunks, contra
                        expand_terms, model_from_doc, model_to_doc, stacked_terms)
 
 
+CLASSIFIER_PENALTY = 1e-2  # L2 penalty of the class probability model's feature weights
 GATING_PENALTY = 1.0  # pull of the gate's feature weights, per mean squared expert range
 # Pull of its class-probability weights, likewise. Any positive value makes
 # the optimum finite where the classifier's probabilities saturate. Larger
@@ -97,8 +99,9 @@ class ClassifierModel:
         return _pinned_softmax(scores)
 
 
-def train_classifier(features: np.ndarray, class_labels, penalty: float = 1e-2) -> ClassifierModel:
-    """Fit the class probability model by penalized maximum likelihood.
+def train_classifier(features: np.ndarray, class_labels) -> ClassifierModel:
+    """Fit the class probability model by maximum likelihood, penalized by
+    CLASSIFIER_PENALTY.
 
     Optimization runs L-BFGS on the penalized log-likelihood until the
     gradient infinity-norm drops below 1e-6 or 500 iterations; intercepts
@@ -128,10 +131,10 @@ def train_classifier(features: np.ndarray, class_labels, penalty: float = 1e-2) 
         shift = scores.max(axis=1, keepdims=True)
         logsumexp = shift[:, 0] + np.log(np.exp(scores - shift).sum(axis=1))
         ll = float((scores[np.arange(n), y] - logsumexp).sum())
-        pen = 0.5 * penalty * float((W[:, 1:] ** 2).sum())
+        pen = 0.5 * CLASSIFIER_PENALTY * float((W[:, 1:] ** 2).sum())
         P = _softmax_rows(scores)
         G = (P - Y)[:, : k - 1].T @ Z
-        G[:, 1:] += penalty * W[:, 1:]
+        G[:, 1:] += CLASSIFIER_PENALTY * W[:, 1:]
         return -(ll - pen), G.ravel()
 
     w0 = np.zeros((k - 1) * (m + 1))
@@ -140,7 +143,7 @@ def train_classifier(features: np.ndarray, class_labels, penalty: float = 1e-2) 
         options={"maxiter": 500, "gtol": 1e-6, "ftol": 0.0},
     )
     W = res.x.reshape(k - 1, m + 1)
-    return ClassifierModel(classes, W, penalty, means, scales)
+    return ClassifierModel(classes, W, CLASSIFIER_PENALTY, means, scales)
 
 
 def gate_probs(weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:

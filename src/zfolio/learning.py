@@ -16,7 +16,10 @@ margin SELECT_REL_MARGIN of each other are ties, settled by column order,
 so the pick among near-duplicate candidates does not hinge on rounding.
 Censored runtimes (runs cut off at the time limit) are handled with the
 Schmee-Hahn iteration: censored targets are repeatedly replaced by the mean
-of the predictive normal truncated at the cutoff and the model is refit.
+of the predictive normal truncated at the cutoff and the model is refit,
+until no weight or intercept moves by CENSORED_TOL, or for at most
+CENSORED_MAX_ITER iterations. This stop rule, the ridge penalty
+DEFAULT_DELTA and the tie margin are fixed values of the method.
 censored_fit takes a whole batch of fits, such as every fit of a portfolio
 build. Each fit's basis is expanded and its ridge system factored once, into
 the operator that maps targets to weights; the fits still iterating then
@@ -39,6 +42,8 @@ TARGET_LOG_RUNTIME = "log_runtime"
 TARGET_SCORE = "score"
 
 DEFAULT_DELTA = 1e-3
+CENSORED_TOL = 1e-6  # Schmee-Hahn stops once no weight or intercept moves this much
+CENSORED_MAX_ITER = 50  # Schmee-Hahn iterations at most; a fit that reaches it is logged
 MIN_RUNTIME = 0.005  # zero runtimes are clamped here before the log transform
 FIT_BATCH_CELLS = 1 << 18  # float64 cells one chunk holds at its peak, temporaries included
 SELECT_REL_MARGIN = 1e-9  # CV RMSEs closer than this, relatively, tie in greedy selection
@@ -321,7 +326,7 @@ def _keep(go, *stacks) -> list:
     return [a[:k] for a in stacks]
 
 
-def _greedy_lockstep(problems, folds: int, max_terms: int, delta: float) -> list[list[int]]:
+def _greedy_lockstep(problems, folds: int, max_terms: int) -> list[list[int]]:
     """Greedy forward selection by CV RMSE for a batch of problems.
 
     Each problem is (X, y, raw): with raw None, the candidates C are the
@@ -363,11 +368,10 @@ def _greedy_lockstep(problems, folds: int, max_terms: int, delta: float) -> list
         return count * (sum(stacks) + stacks[1] + max(stacks) + 5 * n)
 
     return _run_chunks(problems, key, lambda problem: (problem[0].shape[0],), cells,
-                       lambda group, chunk: _select_chunk(chunk, *group, max_terms, delta))
+                       lambda group, chunk: _select_chunk(chunk, *group, max_terms))
 
 
-def _select_chunk(problems, f: int, m: int, pinned: int, max_terms: int,
-                  delta: float) -> list[list[int]]:
+def _select_chunk(problems, f: int, m: int, pinned: int, max_terms: int) -> list[list[int]]:
     """The greedy steps of one chunk of _greedy_lockstep, all problems at once.
 
     State is stacked by (problem, fold), zero-padded in rows and test
@@ -414,7 +418,7 @@ def _select_chunk(problems, f: int, m: int, pinned: int, max_terms: int,
     at = np.arange(P)[:, None, None]
     D, r = Z[at, test], yc[at, test]
     e = (train * yc[:, None, :]) @ Z
-    schur = train @ (Z * Z) + delta
+    schur = train @ (Z * Z) + DEFAULT_DELTA
     M = np.empty((P, f, steps, m))
     live = np.arange(P)
     avail = np.ones((P, m), dtype=bool)
@@ -461,32 +465,24 @@ def _select_chunk(problems, f: int, m: int, pinned: int, max_terms: int,
     return picks
 
 
-def forward_select(features: np.ndarray, targets: np.ndarray,
-                   candidate_indices=None, folds: int = 10,
-                   max_terms: int = 30, delta: float = DEFAULT_DELTA) -> list[int]:
+def forward_select(features: np.ndarray, targets: np.ndarray, folds: int = 10,
+                   max_terms: int = 30) -> list[int]:
     """Greedy forward selection of raw feature columns.
 
-    Starts empty and adds the candidate that most reduces cross-validated
+    Starts empty and adds the column that most reduces cross-validated
     RMSE of a ridge fit, stopping when nothing improves by more than the
-    relative margin SELECT_REL_MARGIN or max_terms is reached; candidates
-    within that margin of the best go to the lowest index. Returns
-    raw-feature indices in selection order.
+    relative margin SELECT_REL_MARGIN or max_terms is reached; columns
+    within that margin of the best go to the lowest index. Returns column
+    indices in selection order; raises EmptyCandidates without columns.
     """
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if candidate_indices is None:
-        candidate_indices = list(range(X.shape[1]))
-    candidate_indices = list(candidate_indices)
-    if not candidate_indices:
-        raise EmptyCandidates("candidate_indices is empty")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    [picked] = _greedy_lockstep([(X[:, candidate_indices], y, None)], folds, max_terms, delta)
-    return [candidate_indices[j] for j in picked]
+    X, y = (np.asarray(a, dtype=float) for a in (features, targets))
+    return _greedy_lockstep([(X, y, None)], folds, max_terms)[0]
 
 
 def select_basis(data, y=None, folds: int = 10, max_raw_terms: int = 30,
-                 max_expanded_terms: int = 40, delta: float = DEFAULT_DELTA):
+                 max_expanded_terms: int = 40):
     """Two-pass basis selection for a batch of problems: raw features, then
     pairwise products.
 
@@ -500,8 +496,7 @@ def select_basis(data, y=None, folds: int = 10, max_raw_terms: int = 30,
     that grows by one entry per selected column.
     """
     if y is not None:
-        return select_basis([(data, y)], None, folds, max_raw_terms, max_expanded_terms,
-                            delta)[0]
+        return select_basis([(data, y)], None, folds, max_raw_terms, max_expanded_terms)[0]
     if max_raw_terms < 1:
         raise ValueError("max_terms must be at least 1")
     problems = [(d.features, d.targets) if isinstance(d, LabeledDataset) else
@@ -509,9 +504,9 @@ def select_basis(data, y=None, folds: int = 10, max_raw_terms: int = 30,
     # no raw feature lowers CV RMSE: fall back to raw column 0 so the model
     # still has a basis (a fixed choice, not the best-scoring one)
     raws = [raw or [0] for raw in
-            _greedy_lockstep([(X, y, None) for X, y in problems], folds, max_raw_terms, delta)]
+            _greedy_lockstep([(X, y, None) for X, y in problems], folds, max_raw_terms)]
     picks = _greedy_lockstep([(X, y, raw) for (X, y), raw in zip(problems, raws)],
-                             folds, max_expanded_terms, delta)
+                             folds, max_expanded_terms)
     bases = []
     for (X, _), raw, picked in zip(problems, raws, picks):
         pairs = _product_pairs(raw)
@@ -563,36 +558,33 @@ def truncated_normal_mean(mu, sigma, lower):
     return float(out) if out.ndim == 0 else out
 
 
-def censored_fit(data, delta: float = DEFAULT_DELTA, basis=None, tol: float = 1e-6,
-                 max_iter: int = 50, target: str = TARGET_LOG_RUNTIME):
+def censored_fit(data, basis, target: str = TARGET_LOG_RUNTIME):
     """Schmee-Hahn censored regression for a batch of fits.
 
     `data` is a sequence of LabeledDatasets and `basis` one BasisSpec per
-    dataset (None, for all or for one, is the identity basis over every raw
-    column); the models come back in input order. A single LabeledDataset
+    dataset; the models come back in input order. A single LabeledDataset
     with a single basis is a batch of one and gives its model.
 
     A fit without censored rows is fit_ridge_model's. Each other fit starts
     from the ridge model that takes its censored targets as observed at the
     cutoff; each iteration replaces the censored targets with the mean of
     the current predictive normal truncated at the cutoff and refits, until
-    the largest weight or intercept change drops below tol or max_iter is
-    reached. These fits iterate in lockstep, in the input-order chunks
-    _run_chunks cuts (see _lockstep); a fit leaves its chunk at its own
-    convergence, so it stops at the iteration it would stop at alone.
+    the largest weight or intercept change drops below CENSORED_TOL or
+    CENSORED_MAX_ITER iterations are reached. These fits iterate in
+    lockstep, in the input-order chunks _run_chunks cuts (see _lockstep); a
+    fit leaves its chunk at its own convergence, so it stops at the
+    iteration it would stop at alone.
     """
     if isinstance(data, LabeledDataset):
-        return censored_fit([data], delta, [basis], tol, max_iter, target)[0]
-    data = list(data)
-    bases = [None] * len(data) if basis is None else list(basis)
+        return censored_fit([data], [basis], target)[0]
+    data, bases = list(data), list(basis)
     if len(bases) != len(data):
         raise ValueError(f"{len(bases)} bases for {len(data)} datasets")
     if any(d.censored.all() for d in data):
         raise NoUncensoredData("need at least one uncensored row")
-    fits = [(d, make_basis(d.features, list(range(d.features.shape[1]))) if b is None else b)
-            for d, b in zip(data, bases)]
-    models = [None if d.censored.any() else fit_ridge_model(d.features, d.targets, b, delta,
-                                                            target) for d, b in fits]
+    fits = list(zip(data, bases))
+    models = [None if d.censored.any() else fit_ridge_model(d.features, d.targets, b,
+                                                            target=target) for d, b in fits]
     censored = [i for i, model in enumerate(models) if model is None]
 
     # _lockstep's peak: its stacks Phi and K, _keep's copy of one of them, and 14 (fits,
@@ -600,13 +592,13 @@ def censored_fit(data, delta: float = DEFAULT_DELTA, basis=None, tol: float = 1e
     chunks = _run_chunks([fits[i] for i in censored], lambda _: None,
                          lambda fit: (fit[0].n, fit[1].dim),
                          lambda _, count, shape: count * shape[0] * (3 * shape[1] + 14),
-                         lambda _, chunk: _lockstep(chunk, delta, tol, max_iter, target))
+                         lambda _, chunk: _lockstep(chunk, target))
     for i, model in zip(censored, chunks):
         models[i] = model
     return models
 
 
-def _lockstep(fits, delta, tol, max_iter, target) -> list[RidgeModel]:
+def _lockstep(fits, target) -> list[RidgeModel]:
     """Schmee-Hahn iterations of one chunk of censored_fit, (dataset, basis)
     pairs, all at once from each fit's ridge model; the models come back in
     chunk order. The designs Phi and operators K = (Phi^T Phi + delta*I)^-1
@@ -628,8 +620,8 @@ def _lockstep(fits, delta, tol, max_iter, target) -> list[RidgeModel]:
     models = []
     for f, (d, basis) in enumerate(fits):
         phi = basis.expand_matrix(d.features)
-        factor = _ridge_factor(phi, delta)
-        m = _ridge_model(phi, d.targets.astype(float), basis, factor, delta, target,
+        factor = _ridge_factor(phi, DEFAULT_DELTA)
+        m = _ridge_model(phi, d.targets.astype(float), basis, factor, DEFAULT_DELTA, target,
                          ~d.censored)
         models.append(m)
         n, dim = phi.shape
@@ -642,7 +634,7 @@ def _lockstep(fits, delta, tol, max_iter, target) -> list[RidgeModel]:
     fitted = b[:, None] + (Phi @ W[:, :, None])[:, :, 0]
 
     live = np.arange(F)
-    for step in range(1, max_iter + 1):
+    for step in range(1, CENSORED_MAX_ITER + 1):
         cell_fit = np.nonzero(cens)[0]
         s, lower, mu = sigma[cell_fit], cutoff[cell_fit], fitted[cens]
         spread = s > 0
@@ -659,15 +651,16 @@ def _lockstep(fits, delta, tol, max_iter, target) -> list[RidgeModel]:
         change = np.maximum(np.abs(new_W - W).max(axis=1, initial=0.0), np.abs(new_b - b))
         W, b = new_W, new_b
 
-        done = change < tol
-        if step == max_iter:
+        done = change < CENSORED_TOL
+        if step == CENSORED_MAX_ITER:
             for f in np.flatnonzero(~done):
                 log.debug("Schmee-Hahn stopped at max_iter=%d without converging: "
-                          "last change %.3g >= tol %.3g", max_iter, change[f], tol)
+                          "last change %.3g >= tol %.3g", CENSORED_MAX_ITER, change[f],
+                          CENSORED_TOL)
             done[:] = True
         for f in np.flatnonzero(done):
             m = models[live[f]]
-            models[live[f]] = RidgeModel(m.basis, W[f, :m.basis.dim].copy(), delta,
+            models[live[f]] = RidgeModel(m.basis, W[f, :m.basis.dim].copy(), DEFAULT_DELTA,
                                          float(sigma[f]), target, float(b[f]))
         if done.all():
             break

@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .features import FEATURE_NAMES, FeatureVector
-from . import hierarchy
+from . import hierarchy, learning
 from .hierarchy import (HierarchicalModel, ModelStack, hier_from_doc, hier_to_doc,
                         train_classifier)
 from .learning import (
@@ -93,7 +93,6 @@ EXHAUSTIVE_LIMIT = 12  # larger candidate sets get the local subset search
 LOCAL_ACCEPT_PROB = 0.05
 LOCAL_STALL_STEPS = 100
 LOCAL_RUNS = 10
-BATCH_CELLS = 1 << 16  # (subset, instance) cells the simulator scores at once
 
 FORMAT_TAG = "zfolio-portfolio/1"
 
@@ -425,18 +424,26 @@ class PortfolioSimulator:
 
     def performances(self, subsets: list) -> np.ndarray:
         """Validation performance of each subset; higher is better. Subsets
-        are simulated in batches of at most BATCH_CELLS (subset, instance)
-        cells, which bounds the memory a large search takes."""
-        per_batch = max(1, BATCH_CELLS // max(1, len(self.ids)))
+        are scored in batches that peak within learning.FIT_BATCH_CELLS
+        float64 cells, the fit kernels' budget; a larger subset runs alone."""
+        # _scores's peak per (subset, instance): 7 cells under min_runtime
+        # (_cascade's float64 arrays, a rank's gathered times and the masks), 11
+        # under max_score (virtual_scores's reordered copies, terms and shares);
+        # tracemalloc reads 6.0-7.1 and 10.4-10.9 on bench600's splits
+        cells = (7 if self.objective == OBJECTIVE_RUNTIME else 11) * len(self.ids)
+        per_batch = max(1, learning.FIT_BATCH_CELLS // max(1, cells))
         out = np.empty(len(subsets))
         for at in range(0, len(subsets), per_batch):
-            solved, total, _ = self._cascade(self._membership(subsets[at:at + per_batch]))
-            if self.objective == OBJECTIVE_RUNTIME:
-                out[at:at + per_batch] = -total.mean(axis=1)
-            else:
-                solution, speed, series = self.score_ctx.virtual_scores(solved, total)
-                out[at:at + per_batch] = solution + speed + series
+            out[at:at + per_batch] = self._scores(subsets[at:at + per_batch])
         return out
+
+    def _scores(self, subsets) -> np.ndarray:
+        """performances of one batch of subsets."""
+        solved, total, _ = self._cascade(self._membership(subsets))
+        if self.objective == OBJECTIVE_RUNTIME:
+            return -total.mean(axis=1)
+        solution, speed, series = self.score_ctx.virtual_scores(solved, total)
+        return solution + speed + series
 
     def performance(self, subset) -> float:
         """Scalar validation performance; higher is better."""
@@ -905,10 +912,9 @@ def solve(portfolio: PortfolioConfig, instance, runner) -> SolveOutcome:
         if rec.solved:
             return SolveOutcome(rec.status, f"presolver:{entry.solver_id}", elapsed, trace)
 
-    budget = dataclasses.replace(
-        portfolio.feature_budget,
-        total_seconds=max(min(portfolio.feature_budget.total_seconds, cutoff - elapsed), 1e-9),
-    )
+    budget = portfolio.feature_budget
+    if budget.total_seconds > cutoff - elapsed:
+        budget = dataclasses.replace(budget, total_seconds=max(cutoff - elapsed, 1e-9))
     feature_error = None
     try:
         fv = runner.features(instance, budget, portfolio.seed)

@@ -5,6 +5,8 @@ activity and estimate search-space size; SAPS and GSAT runs characterize
 the local-search landscape. All probes are seed-deterministic: in
 deterministic mode (the default) termination is gated purely by step
 counts, in wall-clock mode the per-group time budget is enforced as well.
+SAPS runs with the published default parameters of Hutter, Tompkins & Hoos
+(CP 2002), fixed as SAPS_ALPHA, SAPS_RHO, SAPS_P_SMOOTH and SAPS_P_WALK.
 """
 
 from __future__ import annotations
@@ -290,16 +292,6 @@ def dpll_tree_size(formula: CnfFormula, seed: int = 0, max_nodes: int = 10_000_0
     return explore()
 
 
-@dataclass
-class SapsParams:
-    """Standard SAPS parameter defaults; all configurable."""
-
-    alpha: float = 1.3
-    rho: float = 0.8
-    p_smooth: float = 0.05
-    p_walk: float = 0.01
-
-
 class _SlsState:
     """Clause bookkeeping and flip-score cache shared by the local-search probes.
 
@@ -438,10 +430,14 @@ def _pick_tied(values: list, best, rng: random.Random) -> int:
 # Two clauses that cannot both hold grow their weights geometrically; all
 # weights are divided by the limit once one passes it, so they stay finite
 SAPS_WEIGHT_LIMIT = 2.0 ** 512
+SAPS_ALPHA = 1.3  # factor on the weights of unsatisfied clauses at a local minimum
+SAPS_RHO = 0.8  # smoothing keeps this share of each weight and moves the rest to the mean
+SAPS_P_SMOOTH = 0.05  # probability of smoothing after a scaling step
+SAPS_P_WALK = 0.01  # probability of a random walk step at a local minimum
 
 
 def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
-              params: SapsParams, deadline) -> _RunStats | None:
+              deadline) -> _RunStats | None:
     state.random_init(rng)
     weights = state.weights = [1.0] * len(state.clauses)
     score = state.score
@@ -473,13 +469,13 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
             lm_counts.append(len(unsat))
             if first_lm_best is None:
                 first_lm_best = best_unsat
-            if rng.random() < params.p_walk:
+            if rng.random() < SAPS_P_WALK:
                 clause = state.clauses[rng.choice(tuple(unsat))]
                 state.flip(abs(clause[rng.randrange(len(clause))]))
             else:
                 rescale = False
                 for ci in unsat:
-                    weights[ci] *= params.alpha
+                    weights[ci] *= SAPS_ALPHA
                     rescale |= weights[ci] > SAPS_WEIGHT_LIMIT
                     stale.update(clause_vars[ci])
                 if rescale:
@@ -487,10 +483,10 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
                     for ci in range(len(weights)):
                         weights[ci] /= SAPS_WEIGHT_LIMIT
                     stale.update(range(1, state.num_vars + 1))
-                if rng.random() < params.p_smooth:
+                if rng.random() < SAPS_P_SMOOTH:
                     mean_w = sum(weights) / len(weights)
                     for ci in range(len(weights)):
-                        weights[ci] = weights[ci] * params.rho + (1 - params.rho) * mean_w
+                        weights[ci] = weights[ci] * SAPS_RHO + (1 - SAPS_RHO) * mean_w
                     stale.update(range(1, state.num_vars + 1))
         if len(unsat) < best_unsat:
             best_unsat = len(unsat)
@@ -574,19 +570,13 @@ def _ls_runs(formula, budget, seed, run_fn, deadline) -> list[_RunStats]:
 
 
 def saps_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
-               params: SapsParams | None = None,
                deadline: float | None = None) -> dict[str, float]:
     """SAPS local-search probe; features 41-46 and 48.
 
     `deadline` (a `time.perf_counter()` value) stops the runs in either
     mode, as `dpll_probe` describes.
     """
-    params = params or SapsParams()
-    stats = _ls_runs(
-        formula, budget, seed,
-        lambda st, rng, steps, dl: _saps_run(st, rng, steps, params, dl),
-        deadline,
-    )
+    stats = _ls_runs(formula, budget, seed, _saps_run, deadline)
     if not stats:
         return {
             "f41_saps_beststep_mean": 0.0,

@@ -170,9 +170,6 @@ class RuntimeMatrix:
         """Consensus satisfiability ('sat'/'unsat') or None if never solved."""
         return self._sat_label.get(instance_id)
 
-    def is_complete(self) -> bool:
-        return len(self._records) == len(self._solvers) * len(self._instances)
-
     def restrict(self, instances=None, solvers=None) -> "RuntimeMatrix":
         instances = set(self._instances if instances is None else instances)
         solvers = set(self._solvers if solvers is None else solvers)

@@ -5,11 +5,12 @@ import stat
 import numpy as np
 import pytest
 
+from zfolio import cli
 from zfolio.cli import main
 from zfolio.cnf import write_dimacs
 from zfolio.evaluation import drop_unsolvable, split_data
-from zfolio.features import load_feature_csv
-from zfolio.portfolio import BuildSettings, build_portfolio, save_portfolio
+from zfolio.features import FEATURE_NAMES, FeatureVector, load_feature_csv
+from zfolio.portfolio import BuildSettings, build_portfolio, load_portfolio, save_portfolio
 from zfolio.probes import ProbeBudget
 from zfolio.runtimes import SolverDescriptor, load_runtime_csv
 from zfolio.synthetic import generate_benchmark
@@ -83,7 +84,7 @@ def test_collect_command(tmp_path, cnf_dir, monkeypatch):
     rc = main(["collect", str(cfg), str(cnf_dir), "--cutoff", "10", "-o", str(out)])
     assert rc == 0
     matrix = load_runtime_csv(out, 10.0)
-    assert matrix.is_complete()
+    assert matrix.dense().complete
     assert len(matrix) == 12
 
 
@@ -144,6 +145,52 @@ def test_synth_train_evaluate_pipeline(tmp_path):
     text = report_path.read_text()
     assert "portfolio" in text
     assert "oracle" in text
+
+
+def small_train_flags(bench_dir):
+    return ["train", "--features", str(bench_dir / "features.csv"),
+            "--runtimes", str(bench_dir / "runtimes.csv"),
+            "--solvers", str(bench_dir / "solvers.json"),
+            "--cv-folds", "3", "--max-raw-terms", "3", "--max-expanded-terms", "4",
+            "--presolver-top", "1", "--min-training-rows", "5"]
+
+
+def test_train_stores_the_budget_features_extract_under(tmp_path, cnf_dir, monkeypatch):
+    # solve extracts under the portfolio's budget, so it must be the one the
+    # training features were extracted under by default
+    monkeypatch.setenv("ZF_WORKERS", "1")
+    budgets = []
+
+    def extract(formula, budget, seed):
+        budgets.append(budget)
+        return FeatureVector(np.zeros(len(FEATURE_NAMES)), 0.0, False, seed)
+    monkeypatch.setattr(cli.features_mod, "extract_all", extract)
+    assert main(["features", str(cnf_dir), "-o", str(tmp_path / "features.csv")]) == 0
+    assert budgets and all(b == budgets[0] for b in budgets)
+
+    bench_dir = tmp_path / "bench"
+    assert main(["synth-bench", "--instances", "60", "--seed", "4", "-o", str(bench_dir)]) == 0
+    out = tmp_path / "portfolio.json"
+    assert main([*small_train_flags(bench_dir), "-o", str(out)]) == 0
+    assert load_portfolio(out).feature_budget == budgets[0]
+
+
+def test_series_map_may_omit_instances(tmp_path):
+    # an instance the purse's series lists omit is a series of its own, in
+    # train and evaluate alike
+    bench_dir = tmp_path / "bench"
+    assert main(["synth-bench", "--instances", "60", "--seed", "4", "-o", str(bench_dir)]) == 0
+    purse = bench_dir / "purse.json"
+    doc = json.loads(purse.read_text())
+    series = next(s for s, members in doc["series"].items() if "synth-00000" in members)
+    doc["series"][series].remove("synth-00000")
+    purse.write_text(json.dumps(doc))
+    out = tmp_path / "portfolio.json"
+    assert main([*small_train_flags(bench_dir), "--objective", "score", "--purse", str(purse),
+                 "-o", str(out)]) == 0
+    assert main(["evaluate", "--runtimes", str(bench_dir / "runtimes.csv"), "--purse",
+                 str(purse), "--portfolio", str(out), "--features",
+                 str(bench_dir / "features.csv"), "-o", str(tmp_path / "report.csv")]) == 0
 
 
 def test_solve_command(tmp_path, capsys):

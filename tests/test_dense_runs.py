@@ -6,13 +6,14 @@ matrices with a missing cell must make the strict consumers raise.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from zfolio.evaluation import drop_unsolvable, evaluate
 from zfolio.features import FEATURE_NAMES, FeatureVector
-from zfolio import portfolio
+from zfolio import learning, portfolio
 from zfolio.learning import BasisSpec, RidgeModel, log_runtime
 from zfolio.portfolio import (
     PRESOLVER_CUTOFFS,
@@ -307,7 +308,7 @@ class TestDenseView:
                         assert STATUSES[view.status[cell]] == rec.status
                         assert view.runtime[cell] == rec.runtime_seconds
                         assert view.solved[cell] == rec.solved
-            assert holed.is_complete() is False and matrix.is_complete() is True
+            assert holed.dense().complete is False and matrix.dense().complete is True
 
     def test_block_raises_on_a_missing_cell(self):
         for rng, matrix, _ in cases(10):
@@ -564,9 +565,47 @@ class TestPortfolioConsumers:
                                          random_schedule(rng, matrix), matrix.solvers[0],
                                          models, objective, CUTOFF, purse, series)
                 whole = sim.performances(subsets)
-                monkeypatch.setattr(portfolio, "BATCH_CELLS", 2 * len(matrix.instances) + 1)
+                # two subsets a batch under max_score, three under min_runtime
+                monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 22 * len(matrix.instances) + 1)
                 assert np.array_equal(sim.performances(subsets), whole)
                 monkeypatch.undo()
+
+    def test_each_batch_peaks_within_the_budget(self, monkeypatch):
+        # the traced peak of every batch of more than one subset stays within
+        # FIT_BATCH_CELLS float64 cells (and a quarter for numpy's own
+        # buffers), on a validation set of bench600's size: 6 solvers, 63
+        # subsets, 180 instances
+        rng = random.Random(12)
+        matrix = random_matrix(rng, n_solvers=6, n_instances=180, cutoff=CUTOFF)
+        series = random_series(rng, matrix)
+        features, models = self.simulator_inputs(rng, matrix)
+        subsets = list(portfolio._iter_subsets(matrix.solvers))
+        peaks = []
+        scores = PortfolioSimulator._scores
+
+        def traced(self, batch):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = scores(self, batch)
+            peaks.append((self.objective, len(batch), tracemalloc.get_traced_memory()[1] - start))
+            return out
+        for objective in ("min_runtime", "max_score"):
+            sim = PortfolioSimulator(matrix, features, matrix.instances,
+                                     random_schedule(rng, matrix), matrix.solvers[0], models,
+                                     objective, CUTOFF, PurseConfig(time_limit=CUTOFF), series)
+            whole = sim.performances(subsets)
+            with monkeypatch.context() as patch:
+                patch.setattr(PortfolioSimulator, "_scores", traced)
+                patch.setattr(learning, "FIT_BATCH_CELLS", 1 << 14)
+                tracemalloc.start()
+                try:
+                    batched = sim.performances(subsets)
+                finally:
+                    tracemalloc.stop()
+                shared = [peak for obj, size, peak in peaks if obj == objective and size > 1]
+                assert len(shared) > 2, objective
+                assert max(shared) <= 1.25 * 8 * learning.FIT_BATCH_CELLS, objective
+            assert np.array_equal(batched, whole)
 
     def test_shared_rows_predict_each_model_once(self, monkeypatch):
         rng = random.Random(4)

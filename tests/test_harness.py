@@ -67,9 +67,9 @@ class TestRuntimeMatrix:
         m.add(RunRecord("a", "i0", 1.0, "unsat"))
         m.add(RunRecord("b", "i0", CUTOFF, "timeout"))
         assert m.sat_label("i0") == "unsat"
-        assert m.is_complete()
+        assert m.dense().complete
         m.add(RunRecord("a", "i1", 1.0, "sat"))
-        assert not m.is_complete()
+        assert not m.dense().complete
 
     def test_csv_round_trip(self, tmp_path):
         m = RuntimeMatrix(CUTOFF)
@@ -149,7 +149,7 @@ class TestRunExternal:
         a = script_solver(tmp_path, "a", "exit 10\n")
         b = script_solver(tmp_path, "b", "exit 10\n")
         matrix = collect_runtimes([a, b], [instance_file], 10.0, workers=2)
-        assert matrix.is_complete()
+        assert matrix.dense().complete
         assert len(matrix) == 2
 
 
@@ -322,7 +322,7 @@ class TestGenerateBenchmark:
         bench = generate_benchmark(num_instances=60, seed=5)
         assert len(bench.instances) == 60
         assert len(bench.descriptors) == 6
-        assert bench.matrix.is_complete()
+        assert bench.matrix.dense().complete
         again = generate_benchmark(num_instances=60, seed=5)
         for inst in bench.instances:
             for sid in bench.models:

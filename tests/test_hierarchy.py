@@ -73,11 +73,13 @@ class TestClassifier:
         probs = clf.predict_proba_matrix(np.zeros(3))[0]
         assert abs(probs[clf.classes.index("sat")] - 0.75) < 1e-3
 
-    def test_large_penalty_shrinks_to_priors(self):
+    def test_large_penalty_shrinks_to_priors(self, monkeypatch):
         rng = np.random.default_rng(1)
         X, labels = separable_data(rng, n=100)
         labels = ["sat"] * 60 + ["unsat"] * 40
-        clf = train_classifier(X, labels, penalty=1e8)
+        monkeypatch.setattr(hierarchy_module, "CLASSIFIER_PENALTY", 1e8)
+        clf = train_classifier(X, labels)
+        assert clf.penalty == 1e8
         assert np.max(np.abs(clf.weights[:, 1:])) < 1e-4
         probs = clf.predict_proba_matrix(X)
         assert np.allclose(probs[:, clf.classes.index("sat")], 0.6, atol=1e-3)

@@ -268,7 +268,7 @@ class TestBatchedSelection:
             raw = [int(j) for j in rng.permutation(X.shape[1])[:min(4, X.shape[1] - 1)]]
             C, _ = reference_product_pass(X, raw)
             folds = (2, 5, 10)[trial % 3]
-            [got] = learning._greedy_lockstep([(X, y, raw)], folds, len(raw) + 6, 1e-3)
+            [got] = learning._greedy_lockstep([(X, y, raw)], folds, len(raw) + 6)
             want = reference_greedy_cv_select(C, y, folds, 6, 1e-3,
                                               base=tuple(range(len(raw))))
             assert got == want, trial
@@ -404,7 +404,7 @@ class TestForwardSelect:
 
     def test_empty_candidates(self):
         with pytest.raises(EmptyCandidates):
-            forward_select(np.ones((4, 2)), np.ones(4), candidate_indices=[])
+            forward_select(np.ones((4, 0)), np.ones(4))
 
     def test_invariant_to_row_order(self):
         rng = np.random.default_rng(9)
@@ -559,7 +559,7 @@ class TestCensoredFit:
         X = np.ones((3, 1))
         data = LabeledDataset(X, np.full(3, 1.0), np.ones(3, dtype=bool), 1.0)
         with pytest.raises(NoUncensoredData):
-            censored_fit([data])
+            censored_fit([data], [make_basis(X, [0])])
 
     def test_matches_per_row_reference(self):
         rng = np.random.default_rng(55)
@@ -568,23 +568,27 @@ class TestCensoredFit:
                 rng, n=120, m=4, censor_q=censor_q)
             basis = make_basis(X, [0, 1, 3], [(0, 1), (2, 2)])
             data = LabeledDataset(X, targets, censored, cutoff)
-            [got] = censored_fit([data], 1e-3, [basis])
+            [got] = censored_fit([data], [basis])
             want = reference_censored_fit(data, 1e-3, basis)
             probe = rng.normal(size=(200, 4))
             assert np.max(np.abs(got.predict_matrix(probe)
                                  - want.predict_matrix(probe))) < 1e-9
             assert abs(got.sigma - want.sigma) < 1e-9
 
-    def test_logs_when_max_iter_reached(self, caplog):
+    def test_logs_when_max_iter_reached(self, caplog, monkeypatch):
         rng = np.random.default_rng(56)
         X, _, targets, censored, cutoff, _, _ = synthetic_censored_dataset(rng, n=80)
         data = LabeledDataset(X, targets, censored, cutoff)
+        basis = make_basis(X, list(range(X.shape[1])))
         caplog.set_level(logging.DEBUG, logger="zfolio.learning")
-        censored_fit([data], max_iter=2, tol=1e-15)
+        monkeypatch.setattr(learning, "CENSORED_MAX_ITER", 2)
+        monkeypatch.setattr(learning, "CENSORED_TOL", 1e-15)
+        censored_fit([data], [basis])
         assert any("max_iter=2" in r.getMessage() and r.levelno == logging.DEBUG
                    for r in caplog.records)
         caplog.clear()
-        censored_fit([data])
+        monkeypatch.undo()
+        censored_fit([data], [basis])
         assert not caplog.records
 
     def mixed_batch(self):
@@ -622,13 +626,13 @@ class TestCensoredFit:
             got = [r.getMessage() for r in caplog.records if "max_iter=50" in r.getMessage()]
             caplog.clear()
             return got
-        batch = censored_fit(data, 1e-3, bases)
+        batch = censored_fit(data, bases)
         in_batch = stopped()
         alone_stopped = []
         probe = np.random.default_rng(62).normal(size=(200, 5))
         for d, b, got in zip(data, bases, batch):
             assert got.basis is b
-            alone = censored_fit(d, 1e-3, b)
+            alone = censored_fit(d, b)
             alone_stopped += stopped()
             assert np.max(np.abs(got.weights - alone.weights)) < 1e-12
             assert abs(got.intercept - alone.intercept) < 1e-12
@@ -650,7 +654,7 @@ class TestCensoredFit:
         # at 3500 cells the five censored fits of the mixed batch iterate in
         # three chunks, the last a single fit larger than the limit
         data, bases = self.mixed_batch()
-        whole = censored_fit(data, 1e-3, bases)
+        whole = censored_fit(data, bases)
         chunks = []
         lockstep = learning._lockstep
 
@@ -659,17 +663,18 @@ class TestCensoredFit:
             return lockstep(chunk, *args)
         monkeypatch.setattr(learning, "_lockstep", counted)
         monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 3500)
-        for got, want in zip(censored_fit(data, 1e-3, bases), whole):
+        for got, want in zip(censored_fit(data, bases), whole):
             assert np.max(np.abs(got.weights - want.weights)) < 1e-12
             assert abs(got.intercept - want.intercept) < 1e-12
             assert abs(got.sigma - want.sigma) < 1e-12
         assert chunks == [3, 1, 1]
 
     def test_empty_batch_and_basis_count(self):
-        assert censored_fit([]) == []
+        assert censored_fit([], []) == []
         X = np.ones((3, 1))
+        basis = make_basis(X, [0])
         with pytest.raises(ValueError, match="2 bases for 1 datasets"):
-            censored_fit([LabeledDataset(X, np.arange(3.0))], basis=[None, None])
+            censored_fit([LabeledDataset(X, np.arange(3.0))], basis=[basis, basis])
 
     def test_beats_naive_on_synthetic_lognormal(self):
         # 20 seeded replications; censored handling must win a clear majority
@@ -780,7 +785,7 @@ class TestChunkBudget:
         tracemalloc.start()
         try:
             select_basis(problems, folds=10, max_raw_terms=12, max_expanded_terms=40)
-            censored_fit(data, 1e-3, bases)
+            censored_fit(data, bases)
             hierarchy.fit_gating(gates)
         finally:
             tracemalloc.stop()

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 import time
@@ -944,6 +945,30 @@ class TestSolve:
         a = solve(portfolio, target, runner)
         b = solve(portfolio, target, runner)
         assert a == b
+
+    def test_feature_budget_is_clipped_only_when_it_overruns(self, bench, built):
+        # at the default budget (60 s) the time left after pre-solving (at
+        # most 10 s each) is ample, and solve hands the portfolio's budget
+        # over as it is; a budget longer than the time left is clipped to it
+        budgets = []
+
+        class Spy(SimulatedRunner):
+            def features(self, iid, budget, seed):
+                budgets.append(budget)
+                return super().features(iid, budget, seed)
+        runner = Spy(bench.features, bench.matrix)
+        portfolio = built[0]
+        target = self.unsolved_by_presolvers(portfolio, bench.matrix)
+        solve(portfolio, target, runner)
+        assert budgets[-1] is portfolio.feature_budget
+        long = dataclasses.replace(portfolio, feature_budget=dataclasses.replace(
+            portfolio.feature_budget, total_seconds=portfolio.cutoff_seconds))
+        outcome = solve(long, target, runner)
+        presolved = sum(min(t["runtime"], t["budget"]) for t in outcome.trace
+                        if t["phase"] == "presolve")
+        assert presolved > 0
+        assert budgets[-1] == dataclasses.replace(
+            long.feature_budget, total_seconds=long.cutoff_seconds - presolved)
 
     def test_time_accounting(self, bench, built):
         portfolio = built[0]

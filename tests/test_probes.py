@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from zfolio import probes
 from zfolio.cnf import CnfFormula
 from zfolio.features import extract_all
 from zfolio.probes import (
@@ -13,7 +14,6 @@ from zfolio.probes import (
     Assignment,
     ProbeBudget,
     PropagationEngine,
-    SapsParams,
     _finish_run,
     _gsat_run,
     _saps_run,
@@ -152,7 +152,7 @@ class TestSapsProbe:
         # units [1] and [-1] take turns being unsatisfied, so their weights
         # grow at every local minimum; unbounded they reach inf by this step
         state = _SlsState(make(2, [[1], [-1], [1, 2]]))
-        _saps_run(state, random.Random(0), 15000, SapsParams(), None)
+        _saps_run(state, random.Random(0), 15000, None)
         assert all(math.isfinite(w) for w in state.weights)
         assert all(math.isfinite(state.weighted_flip_delta(v, state.weights)) for v in (1, 2))
 
@@ -213,7 +213,7 @@ def test_occurrence_lists_shared_by_both_engines():
 # score cache: every step rescores every candidate from scratch. They are
 # the reference the cached runs must reproduce exactly.
 
-def _saps_run_reference(state, rng, max_steps, params, deadline):
+def _saps_run_reference(state, rng, max_steps, deadline):
     state.random_init(rng)
     weights = [1.0] * len(state.clauses)
     init_unsat = len(state.unsat)
@@ -234,16 +234,17 @@ def _saps_run_reference(state, rng, max_steps, params, deadline):
             lm_counts.append(len(state.unsat))
             if first_lm_best is None:
                 first_lm_best = best_unsat
-            if rng.random() < params.p_walk:
+            if rng.random() < probes.SAPS_P_WALK:
                 clause = state.clauses[rng.choice(tuple(state.unsat))]
                 state.flip(abs(clause[rng.randrange(len(clause))]))
             else:
                 for ci in state.unsat:
-                    weights[ci] *= params.alpha
-                if rng.random() < params.p_smooth:
+                    weights[ci] *= probes.SAPS_ALPHA
+                if rng.random() < probes.SAPS_P_SMOOTH:
                     mean_w = sum(weights) / len(weights)
                     for ci in range(len(weights)):
-                        weights[ci] = weights[ci] * params.rho + (1 - params.rho) * mean_w
+                        rho = probes.SAPS_RHO
+                        weights[ci] = weights[ci] * rho + (1 - rho) * mean_w
         if len(state.unsat) < best_unsat:
             best_unsat = len(state.unsat)
             best_step = step
@@ -299,8 +300,8 @@ def _cache_formulas():
 
 
 CACHE_FORMULAS = _cache_formulas()
-# the default parameters and one setting that walks and smooths often
-SAPS_SETTINGS = [SapsParams(), SapsParams(p_walk=0.3, p_smooth=0.5)]
+# the SAPS constants as they are, and set to walk and smooth often
+SAPS_SETTINGS = [{}, {"SAPS_P_WALK": 0.3, "SAPS_P_SMOOTH": 0.5}]
 
 
 def _ls_trace(run, formula, seed, runs=5, steps=300):
@@ -343,11 +344,14 @@ def checked_flips(monkeypatch):
 class TestScoreCache:
     @pytest.mark.parametrize("fi", range(len(CACHE_FORMULAS)))
     @pytest.mark.parametrize("params", SAPS_SETTINGS)
-    def test_saps_cache_matches_fresh_scores_and_reference(self, fi, params, checked_flips):
+    def test_saps_cache_matches_fresh_scores_and_reference(self, fi, params, checked_flips,
+                                                           monkeypatch):
+        for name, value in params.items():
+            monkeypatch.setattr(probes, name, value)
         f = CACHE_FORMULAS[fi]
-        cached = _ls_trace(lambda st, rng, n: _saps_run(st, rng, n, params, None), f, seed=fi)
+        cached = _ls_trace(lambda st, rng, n: _saps_run(st, rng, n, None), f, seed=fi)
         assert checked_flips[0] > 0
-        reference = _ls_trace(lambda st, rng, n: _saps_run_reference(st, rng, n, params, None),
+        reference = _ls_trace(lambda st, rng, n: _saps_run_reference(st, rng, n, None),
                               f, seed=fi)
         assert cached == reference
 
