@@ -40,9 +40,10 @@ def fit_conditional(rows):
     return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
 
-# one expert per class, trained on that class's rows; the gate is fit over them
+# one expert per class, trained on that class's rows; the gate is fit over
+# them on all the rows (train_hierarchical takes a batch of such gates)
 experts = [fit_conditional(np.flatnonzero(labels == cls)) for cls in clf.classes]
-model = train_hierarchical(X, y, experts, classifier=clf, gate_rows=np.arange(n))
+[model], _ = train_hierarchical(clf, X, [(experts, np.arange(n), y)])
 flat = fit_ridge_model(X, y, make_basis(X, [0, 1]))
 
 rmse = lambda preds: float(np.sqrt(np.mean((preds - y) ** 2)))

@@ -246,7 +246,7 @@ def cmd_evaluate(args) -> int:
             built.cutoff_seconds, purse, series,
         )
         extended = matrix.restrict()
-        for rec in sim.records(built.subset, solver_id="portfolio").values():
+        for rec in sim.records(built.subset).values():
             extended.add(rec)
         matrix = extended
 

@@ -107,15 +107,11 @@ def run_external(descriptor: SolverDescriptor, instance_path: str,
         return RunRecord(descriptor.id, instance_id, min(cpu, cutoff_seconds), status)
 
 
-def collect_runtimes(descriptors, instance_paths, cutoff_seconds: float,
-                     workers: int | None = None) -> RuntimeMatrix:
-    """Run every solver on every instance, ZF_WORKERS at a time."""
-    workers = workers or worker_count()
+def collect_runtimes(descriptors, instance_paths, cutoff_seconds: float) -> RuntimeMatrix:
+    """Run every solver on every instance, worker_count() at a time."""
     matrix = RuntimeMatrix(cutoff_seconds)
     jobs = [(d, p) for d in descriptors for p in instance_paths]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for record in pool.map(
-            lambda job: run_external(job[0], job[1], cutoff_seconds), jobs
-        ):
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        for record in pool.map(lambda job: run_external(*job, cutoff_seconds), jobs):
             matrix.add(record)
     return matrix

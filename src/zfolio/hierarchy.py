@@ -7,12 +7,12 @@ stay fixed while the gating weights are fit to minimize the squared error
 of the mixed prediction plus an L2 pull toward the initialization, which
 leans on the classifier output; the pull scales with the spread of the
 experts, so the optimum is finite and the weights follow the data
-smoothly. fit_gating
-takes a whole batch of gates, such as every gate of a portfolio build, and
-solves them in lockstep by damped Newton steps with the exact Hessian (the
-second-order fitting of gating networks of Jordan & Jacobs, 1994), each
-gate to a gradient tolerance, chunk by chunk (learning._run_chunks). Works
-for the 2-class satisfiable/unsatisfiable split and the general K-class form.
+smoothly. train_hierarchical fits the gates of a batch of models, such as
+all those of a portfolio build, in one fit_gating call, which solves them
+in lockstep by damped Newton steps with the exact Hessian (the second-order
+fitting of gating networks of Jordan & Jacobs, 1994), each to a gradient
+tolerance, chunk by chunk (learning._run_chunks). Works for the 2-class
+satisfiable/unsatisfiable split and the general K-class form.
 ModelStack predicts any mix of flat and hierarchical models in one pass,
 through learning.contract only, so a row's prediction does not depend on the
 rows or models it is predicted with.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .learning import (DimensionMismatch, RidgeModel, _keep, _run_chunks, contract,
-                       expand_terms, model_from_doc, model_to_doc, stacked_terms)
+from .learning import (DimensionMismatch, RidgeModel, _keep, _run_chunks, _standardize_columns,
+                       contract, expand_terms, model_from_doc, model_to_doc, stacked_terms)
 
 
 CLASSIFIER_PENALTY = 1e-2  # L2 penalty of the class probability model's feature weights
@@ -120,9 +120,7 @@ def train_classifier(features: np.ndarray, class_labels) -> ClassifierModel:
     Y = np.zeros((n, k))
     Y[np.arange(n), y] = 1.0
 
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)
-    scales = np.where(stds > 0, stds, 1.0)
+    means, scales = _standardize_columns(X)
     Z = np.hstack([np.ones((n, 1)), (X - means) / scales])
 
     def negloglik(wflat):
@@ -438,21 +436,26 @@ class ModelStack:
         return np.concatenate(outputs, axis=1).take(self._order, axis=1)
 
 
-def train_hierarchical(features, targets, experts, classifier: ClassifierModel,
-                       gate_rows) -> HierarchicalModel:
-    """Fit the gate that mixes fitted per-class experts: one model, a
-    fit_gating batch of one.
+def train_hierarchical(classifier: ClassifierModel, features, gates):
+    """Fit the gates that mix fitted per-class experts, for a batch of
+    hierarchical models such as all those of a portfolio build.
 
-    `experts` holds one RidgeModel per class of `classifier`, in its class
-    order; the rows each one was trained on are the caller's choice. The
-    gate is fit with `classifier` on the rows `gate_rows` indexes, e.g.
-    only those whose target was observed.
+    `gates` is a sequence of (experts, rows, targets): one fitted RidgeModel
+    per class of `classifier`, in its class order; the rows of `features`
+    the gate learns from; and their targets. The gate inputs and each
+    distinct expert's predictions on `features` are made once, and every
+    gate is fitted in one fit_gating batch. Returns the HierarchicalModels
+    and their GateFits, in input order.
     """
-    X = np.asarray(features, dtype=float)[gate_rows]
-    E = ModelStack(experts).predict(X)
-    [fit] = fit_gating([(classifier.gate_inputs(X), np.arange(X.shape[0]), E,
-                         np.asarray(targets)[gate_rows])])
-    return HierarchicalModel(list(classifier.classes), list(experts), classifier, fit.weights)
+    X = np.asarray(features, dtype=float)
+    gates = list(gates)
+    inputs = classifier.gate_inputs(X)
+    distinct = {id(e): e for experts, _, _ in gates for e in experts}
+    preds = {key: e.predict_matrix(X) for key, e in distinct.items()}
+    fits = fit_gating([(inputs, rows, np.column_stack([preds[id(e)][rows] for e in experts]),
+                        targets) for experts, rows, targets in gates])
+    return [HierarchicalModel(list(classifier.classes), list(experts), classifier, fit.weights)
+            for (experts, _, _), fit in zip(gates, fits)], fits
 
 
 def confusion_matrix(classifier: ClassifierModel, features, labels) -> np.ndarray:

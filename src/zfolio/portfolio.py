@@ -18,8 +18,7 @@ phases, each doing its distinct work once:
       that several remainders or solvers share is listed once;
    b. fit every problem of the build in one censored_fit batch;
    c. assemble the flat models, and fit the gates of all the hierarchical
-      models in one hierarchy.fit_gating batch, over the gate inputs and
-      each expert's predictions on the training rows, computed once;
+      models in one hierarchy.train_hierarchical batch;
 3. per behaviour, choose a backup solver from its pre-solve outcome and
    search solver subsets for the best simulated validation performance,
    scoring all subsets in one array pass.
@@ -449,17 +448,17 @@ class PortfolioSimulator:
         """Scalar validation performance; higher is better."""
         return float(self.performances([subset])[0])
 
-    def records(self, subset, solver_id: str = "portfolio"):
-        """Virtual-solver run records for the simulated portfolio."""
+    def records(self, subset):
+        """Run records of the simulated portfolio, as virtual solver "portfolio"."""
         solved, total, chosen = self.simulate(subset)
         out = {}
         for j, iid in enumerate(self.ids):
             if solved[j]:
                 _, sid = chosen[j]
                 status = STATUSES[self.runs.status[self.runs.solver_index[sid], j]]
-                out[iid] = RunRecord(solver_id, iid, float(total[j]), status)
+                out[iid] = RunRecord("portfolio", iid, float(total[j]), status)
             else:
-                out[iid] = RunRecord(solver_id, iid, self.cutoff, "timeout")
+                out[iid] = RunRecord("portfolio", iid, self.cutoff, "timeout")
         return out
 
 
@@ -552,13 +551,16 @@ def choose_backup(runs: DenseRuns, pool: np.ndarray, objective: str,
     Ranked on the instances of `runs` that the boolean mask `pool` flags:
     in a build, the validation instances unsolved by the pre-solvers whose
     features are unusable. With none flagged, the winner-take-all solver
-    over all the instances is used.
+    over all the instances is used. The objective alone picks the ranking:
+    score under max_score, which needs a purse, else mean runtime.
     """
+    if objective == OBJECTIVE_SCORE and purse is None:
+        raise ValueError("score objective needs a purse configuration")
     candidate_ids = sorted(candidate_ids)
     ids = [iid for iid, inside in zip(runs.instances, pool) if inside] or runs.instances
     pool_runs = runs.block(candidate_ids, ids)
 
-    if objective == OBJECTIVE_SCORE and purse is not None:
+    if objective == OBJECTIVE_SCORE:
         totals = competition_score(pool_runs, purse, series or singleton_series(ids))
         return min(candidate_ids, key=lambda sid: (-totals[sid].total, sid))
 
@@ -680,10 +682,9 @@ class _ModelTrainer:
            their bases are selected in one select_basis batch;
         b. fit every problem in one censored_fit batch;
         c. per distinct (solver, columns) model, take its flat fit, or list
-           the gate of its class experts: its rows (the observed ones, when
-           enough are), the experts' predictions on them and its targets.
-           Each expert's predictions on all the training rows are made once,
-           and every gate is fitted in one hierarchy.fit_gating batch.
+           the gate of its class experts with its rows (the observed ones,
+           when enough are) and their targets; every gate is fitted in one
+           hierarchy.train_hierarchical batch.
 
         Returns the models by pair and, for each pair whose rows cannot
         support a model, the reason.
@@ -720,11 +721,6 @@ class _ModelTrainer:
         fitted_at = time.perf_counter()
 
         models, gates = {}, {}
-        if self.classifier is not None:
-            # the gate inputs and each expert's predictions on every training
-            # row, made once
-            inputs = self.classifier.gate_inputs(self.X)
-            preds = {e: model.predict_matrix(self.X) for e, model in fitted.items()}
         for key, (k, cols, experts) in plans.items():
             if self.classifier is None:
                 models[key] = fitted[experts[0]]
@@ -734,13 +730,12 @@ class _ModelTrainer:
             rows = cols[~self.censored[k, cols]]
             if rows.size < s.min_training_rows:
                 rows = cols
-            gates[key] = (inputs, rows, np.column_stack([preds[e][rows] for e in experts]),
-                          self.y[k, rows])
-        self.gate_fits = hierarchy.fit_gating(list(gates.values()))
-        for (key, _), fit in zip(gates.items(), self.gate_fits):
-            models[key] = HierarchicalModel(list(self.classifier.classes),
-                                            [fitted[e] for e in plans[key][2]],
-                                            self.classifier, fit.weights)
+            gates[key] = ([fitted[e] for e in experts], rows, self.y[k, rows])
+        self.gate_fits = []
+        if gates:
+            hierarchical, self.gate_fits = hierarchy.train_hierarchical(
+                self.classifier, self.X, gates.values())
+            models.update(zip(gates, hierarchical))
         self.seconds = {"2a": selected - start, "2b": fitted_at - selected,
                         "2c": time.perf_counter() - fitted_at}
         return {pair: models[key] for pair, key in model_of.items()}, refused

@@ -179,7 +179,7 @@ def ref_choose_backup(matrix, schedule, timed_out, objective, candidates, cutoff
     pool = [i for i in matrix.instances if presolved[i] is None and timed_out.get(i, True)]
     pool = pool or matrix.instances
     candidates = sorted(candidates)
-    if objective == "max_score" and purse is not None:
+    if objective == "max_score":
         sub = matrix.restrict(instances=pool, solvers=candidates)
         series = series or singleton_series(pool)
         totals = ref_competition_score(sub, purse, {i: series[i] for i in pool})

@@ -145,10 +145,11 @@ class TestRunExternal:
         r = run_external(d, instance_file, 5.0)
         assert r.runtime_seconds <= 5.0
 
-    def test_collect_runtimes(self, tmp_path, instance_file):
+    def test_collect_runtimes(self, tmp_path, instance_file, monkeypatch):
         a = script_solver(tmp_path, "a", "exit 10\n")
         b = script_solver(tmp_path, "b", "exit 10\n")
-        matrix = collect_runtimes([a, b], [instance_file], 10.0, workers=2)
+        monkeypatch.setenv("ZF_WORKERS", "2")
+        matrix = collect_runtimes([a, b], [instance_file], 10.0)
         assert matrix.dense().complete
         assert len(matrix) == 2
 

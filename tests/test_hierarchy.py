@@ -36,6 +36,13 @@ def class_experts(fit, labels, classifier):
     return [fit(np.flatnonzero(labels == cls)) for cls in classifier.classes]
 
 
+def one_model(X, y, experts, classifier, rows):
+    """The hierarchical model of one gate over `rows`: a train_hierarchical
+    batch of one."""
+    [model], _ = train_hierarchical(classifier, X, [(experts, rows, np.asarray(y)[rows])])
+    return model
+
+
 def linear_model(weights, intercept, sigma=0.1, target="log_runtime"):
     basis = BasisSpec.identity(list(range(len(weights))))
     return RidgeModel(basis, np.array(weights, float), 1e-3, sigma, target, intercept)
@@ -174,7 +181,7 @@ class TestFitGating:
         expert = linear_model([0.3, 0.3], 0.5)
         y = 0.5 + X @ np.array([0.3, 0.3]) + 0.05 * rng.normal(size=100)
         clf = train_classifier(X, labels)
-        v = train_hierarchical(X, y, [expert, expert], clf, np.arange(len(y))).gating_weights
+        v = one_model(X, y, [expert, expert], clf, np.arange(len(y))).gating_weights
         loss = gating_loss(v, [expert, expert], clf, X, y)
         single = float(np.sum((y - expert.predict_matrix(X)) ** 2))
         assert abs(loss - single) < 1e-9
@@ -183,7 +190,7 @@ class TestFitGating:
         rng = np.random.default_rng(6)
         X, y, labels, experts = two_cluster_fixture(rng)
         clf = train_classifier(X, labels.tolist())
-        v = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
+        v = one_model(X, y, experts, clf, np.arange(len(y))).gating_weights
         loss = gating_loss(v, experts, clf, X, y)
         preds = np.column_stack([m.predict_matrix(X) for m in experts])
         oracle = float(
@@ -196,7 +203,7 @@ class TestFitGating:
             rng = np.random.default_rng(100 + seed)
             X, y, labels, experts = two_cluster_fixture(rng, n=80, noise=0.5)
             clf = train_classifier(X, labels.tolist())
-            v = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
+            v = one_model(X, y, experts, clf, np.arange(len(y))).gating_weights
             final = gating_loss(v, experts, clf, X, y)
             k, m = 2, clf.num_features
             v0 = np.zeros((k - 1, m + k))
@@ -286,10 +293,10 @@ class TestBatchedGating:
         X, y, labels, experts = two_cluster_fixture(rng, n=120, noise=0.5)
         clf = train_classifier(X, labels.tolist())
         rows = np.arange(120)
-        v = train_hierarchical(X, y, experts, clf, rows).gating_weights
+        v = one_model(X, y, experts, clf, rows).gating_weights
         for c in (1e-3, 0.7, 2000.0):
-            scaled = train_hierarchical(X, c * y, [scaled_expert(m, c) for m in experts], clf,
-                                        rows).gating_weights
+            scaled = one_model(X, c * y, [scaled_expert(m, c) for m in experts], clf,
+                               rows).gating_weights
             assert np.max(np.abs(scaled - v)) <= 1e-9, c
 
     def test_weights_meet_the_gradient_tolerance(self):
@@ -297,7 +304,7 @@ class TestBatchedGating:
             rng = np.random.default_rng(200 + seed)
             X, y, labels, experts = two_cluster_fixture(rng, n=100, noise=0.3 + seed)
             clf = train_classifier(X, labels.tolist())
-            v = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
+            v = one_model(X, y, experts, clf, np.arange(len(y))).gating_weights
             E = np.column_stack([m.predict_matrix(X) for m in experts])
             grad, scale = penalized_gradient(v, clf.gate_inputs(X), E, y, clf.num_features)
             assert np.max(np.abs(grad)) <= GATING_TOL * scale
@@ -309,9 +316,9 @@ class TestBatchedGating:
             rng = np.random.default_rng(300 + seed)
             X, y, labels, experts = two_cluster_fixture(rng, n=100, noise=0.5 + seed)
             clf = train_classifier(X, labels.tolist())
-            v = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
+            v = one_model(X, y, experts, clf, np.arange(len(y))).gating_weights
             monkeypatch.setattr(hierarchy_module, "GATING_TOL", 10 * GATING_TOL)
-            loose = train_hierarchical(X, y, experts, clf, np.arange(len(y))).gating_weights
+            loose = one_model(X, y, experts, clf, np.arange(len(y))).gating_weights
             monkeypatch.undo()
             assert np.max(np.abs(loose - v)) <= 1e-9, seed
 
@@ -325,9 +332,9 @@ class TestBatchedGating:
         experts, y = [scaled_expert(m, 100.0) for m in experts], 100.0 * y
         clf = train_classifier(X, labels.tolist())
         rows = np.arange(len(y))
-        model = train_hierarchical(X, y, experts, clf, rows)
-        nudged = train_hierarchical(X, y, [scaled_expert(m, 1 + 1e-13) for m in experts],
-                                    clf, rows)
+        model = one_model(X, y, experts, clf, rows)
+        nudged = one_model(X, y, [scaled_expert(m, 1 + 1e-13) for m in experts],
+                           clf, rows)
         probe = np.vstack([X, rng.normal(size=(100, 2)) * 4])
         assert np.max(np.abs(model.predict_matrix(probe) - nudged.predict_matrix(probe))) < 1e-9
 
@@ -481,6 +488,64 @@ class TestConfusionMatrix:
 
 
 class TestTrainHierarchical:
+    def batch(self):
+        """Four 2-class gates under one classifier, each over its own 80 rows,
+        with experts they share, their own, and one expert twice."""
+        rng = np.random.default_rng(30)
+        X, y, labels, experts = two_cluster_fixture(rng, n=160, noise=0.5)
+        clf = train_classifier(X, labels.tolist())
+
+        def fit_conditional(rows):
+            return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
+
+        fitted = class_experts(fit_conditional, labels, clf)
+        perm = rng.permutation(160)[:80]
+        gates = [(experts, np.arange(80), y[:80]),
+                 (fitted, np.sort(perm), y[np.sort(perm)]),
+                 ([scaled_expert(m, 3.0) for m in experts], perm, 3.0 * y[perm]),
+                 ([fitted[0], fitted[0]], np.arange(1, 160, 2), y[1::2])]
+        return clf, X, gates
+
+    def test_batch_equals_batches_of_one(self, monkeypatch):
+        # gates of equal row counts share their zero padding in fit_gating, so
+        # each gate's weights are its bits alone; the gate inputs and each
+        # distinct expert's predictions are made once, and every gate is
+        # fitted in one fit_gating call through the module
+        clf, X, gates = self.batch()
+        alone = [train_hierarchical(clf, X, [gate]) for gate in gates]
+        predicted, calls = [], []
+        predict_matrix, fit_gating_ = RidgeModel.predict_matrix, hierarchy_module.fit_gating
+
+        def counted_predict(model, X):
+            predicted.append(id(model))
+            return predict_matrix(model, X)
+
+        def counted_fit(batch):
+            calls.append(len(batch))
+            return fit_gating_(batch)
+        monkeypatch.setattr(RidgeModel, "predict_matrix", counted_predict)
+        monkeypatch.setattr(hierarchy_module, "fit_gating", counted_fit)
+        models, fits = train_hierarchical(clf, X, gates)
+        assert calls == [4]
+        distinct = {id(e) for experts, _, _ in gates for e in experts}
+        assert sorted(predicted) == sorted(distinct) and len(distinct) == 6
+        for (experts, _, _), model, fit, ([one], [one_fit]) in zip(gates, models, fits, alone):
+            assert model.conditional_models == list(experts) and model.classifier is clf
+            assert model.gating_weights.tobytes() == one.gating_weights.tobytes()
+            assert fit.weights.tobytes() == one_fit.weights.tobytes()
+            assert (fit.iterations, fit.converged) == (one_fit.iterations, one_fit.converged)
+        assert train_hierarchical(clf, X, []) == ([], [])
+
+    def test_rows_of_the_features_equal_the_features_of_the_rows(self):
+        # every prediction reduces over its own row, so a gate over rows of X
+        # is the gate over X[rows] with all of its rows, bit for bit
+        clf, X, gates = self.batch()
+        for experts, rows, targets in gates:
+            [model], _ = train_hierarchical(clf, X, [(experts, rows, targets)])
+            [sub], _ = train_hierarchical(clf, X[rows], [(experts, np.arange(len(rows)),
+                                                          targets)])
+            assert model.gating_weights.tobytes() == sub.gating_weights.tobytes()
+
     def test_end_to_end_beats_flat_model_on_mixture(self):
         rng = np.random.default_rng(11)
         X, y, labels, _ = two_cluster_fixture(rng, n=300)
@@ -490,8 +555,8 @@ class TestTrainHierarchical:
             return fit_ridge_model(X[rows], y[rows], basis)
 
         clf = train_classifier(X, labels)
-        model = train_hierarchical(X, y, class_experts(fit_conditional, labels, clf), clf,
-                                   np.arange(len(y)))
+        model = one_model(X, y, class_experts(fit_conditional, labels, clf), clf,
+                          np.arange(len(y)))
         flat = fit_ridge_model(X, y, make_basis(X, [0, 1]))
         rmse_h = np.sqrt(np.mean((model.predict_matrix(X) - y) ** 2))
         rmse_f = np.sqrt(np.mean((flat.predict_matrix(X) - y) ** 2))
@@ -510,8 +575,8 @@ class TestTrainHierarchical:
             return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1, 2]))
 
         clf = train_classifier(X, labels)
-        model = train_hierarchical(X, y, class_experts(fit_conditional, labels, clf), clf,
-                                   np.arange(n))
+        model = one_model(X, y, class_experts(fit_conditional, labels, clf), clf,
+                          np.arange(n))
         assert len(model.classes) == 6
         preds = model.predict_matrix(X)
         assert np.sqrt(np.mean((preds - y) ** 2)) < 0.6
@@ -526,8 +591,8 @@ class TestHierPersistence:
             return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
         clf = train_classifier(X, labels)
-        model = train_hierarchical(X, y, class_experts(fit_conditional, labels, clf), clf,
-                                   np.arange(len(y)))
+        model = one_model(X, y, class_experts(fit_conditional, labels, clf), clf,
+                          np.arange(len(y)))
         loaded = hier_from_doc(json.loads(json.dumps(hier_to_doc(model))))
         probe = rng.normal(size=(100, 2))
         assert np.array_equal(model.predict_matrix(probe), loaded.predict_matrix(probe))
@@ -540,8 +605,8 @@ class TestHierPersistence:
             return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
         clf = train_classifier(X, labels)
-        model = train_hierarchical(X, y, class_experts(fit_conditional, labels, clf), clf,
-                                   np.arange(len(y)))
+        model = one_model(X, y, class_experts(fit_conditional, labels, clf), clf,
+                          np.arange(len(y)))
         again = hier_from_doc(hier_to_doc(model))
         assert again.classes == model.classes
         assert np.array_equal(again.gating_weights, model.gating_weights)
@@ -554,8 +619,8 @@ class TestHierPersistence:
             return fit_ridge_model(X[rows], y[rows], make_basis(X[rows], [0, 1]))
 
         clf = train_classifier(X, labels)
-        doc = hier_to_doc(train_hierarchical(X, y, class_experts(fit_conditional, labels, clf),
-                                             clf, np.arange(len(y))))
+        doc = hier_to_doc(one_model(X, y, class_experts(fit_conditional, labels, clf),
+                                    clf, np.arange(len(y))))
         assert np.shape(doc["gating_weights"]) == (1, 4)  # (k-1, m+k)
         for bad in ([row[:-1] for row in doc["gating_weights"]],
                     doc["gating_weights"] * 2, [[0.0] * 5]):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import logging
 import re
 import time
@@ -171,6 +172,14 @@ class TestChooseBackup:
         runs = backup_fixture()
         pool = np.zeros(len(runs.instances), dtype=bool)
         assert choose_backup(runs, pool, "min_runtime", ["B"], CUTOFF) == "B"
+
+    def test_score_objective_needs_a_purse(self):
+        # the objective alone picks the ranking: max_score never falls back
+        # to mean runtime
+        runs = backup_fixture()
+        pool = np.zeros(len(runs.instances), dtype=bool)
+        with pytest.raises(ValueError, match="purse"):
+            choose_backup(runs, pool, "max_score", ["A", "B"], CUTOFF)
 
 
 def two_cluster_validation():
@@ -429,6 +438,34 @@ class TestBuildPortfolio:
         for sid, model in whole.models.items():
             got = split.models[sid].predict_matrix(X)
             assert np.max(np.abs(got - model.predict_matrix(X))) <= 1e-9, sid
+
+    @pytest.mark.parametrize("objective, gates, digest", [
+        ("min_runtime", 12, "c6f3ae60974dc3224c3d62d10fa56f8d578488eb68509fa51d525845a62ea61b"),
+        ("max_score", 24, "a1ccdc8fbc0e41cb7a981801661fd1bbf60e130701cbda7adcadc56c0f1fb085"),
+    ])
+    def test_sat2_gate_weights_keep_their_bits(self, monkeypatch, objective, gates, digest):
+        # the sha256 of every gate weight of a small sat2 build, in fitting
+        # order, recorded before step 2c went through train_hierarchical. The
+        # gates' Newton steps use BLAS, so another BLAS build may round them
+        # differently
+        bench = generate_benchmark(num_instances=30, seed=1)
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, valid, _ = split_data(kept, seed=1)
+        matrix = bench.matrix.restrict(instances=[*train, *valid])
+        fitted = []
+        original = hierarchy_module.fit_gating
+
+        def spy(batch):
+            fits = original(batch)
+            fitted.extend(fits)
+            return fits
+        monkeypatch.setattr(hierarchy_module, "fit_gating", spy)
+        build_portfolio(train, valid, bench.features, matrix, bench.descriptors,
+                        small_settings(objective, hierarchy="sat2"), bench.purse, bench.series)
+        h = hashlib.sha256()
+        for fit in fitted:
+            h.update(fit.weights.tobytes())
+        assert (len(fitted), h.hexdigest()) == (gates, digest)
 
     def test_oracle_bound(self, bench, built):
         portfolio, _, valid, _ = built
