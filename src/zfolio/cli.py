@@ -238,6 +238,11 @@ def cmd_evaluate(args) -> int:
         series = singleton_series(matrix.instances)
 
     if args.portfolio:
+        # the simulated portfolio's records join the matrix as solver "portfolio"
+        if "portfolio" in matrix.solvers:
+            print(f"{args.runtimes} already has a solver named 'portfolio', the name "
+                  "--portfolio reports the trained portfolio under", file=sys.stderr)
+            return 1
         built = portfolio_mod.load_portfolio(args.portfolio)
         features = features_mod.load_feature_csv(args.features)
         sim = portfolio_mod.PortfolioSimulator(

@@ -15,6 +15,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -78,18 +79,27 @@ class Assignment:
         return isinstance(other, Assignment) and self.states == other.states
 
 
-def _occurrence_lists(clauses, num_vars: int) -> tuple[list[list[int]], list[list[int]]]:
+def _flat_literals(clauses) -> tuple[np.ndarray, np.ndarray]:
+    """Every literal occurrence in clause order, and the index of its clause."""
+    lengths = np.fromiter(map(len, clauses), dtype=np.int64, count=len(clauses))
+    lits = np.fromiter(chain.from_iterable(clauses), dtype=np.int64, count=int(lengths.sum()))
+    return lits, np.repeat(np.arange(len(clauses)), lengths)
+
+
+def _split(flat: list, counts) -> list[list]:
+    """`flat` cut into consecutive lists of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _occurrence_lists(lits: np.ndarray, occ_clause: np.ndarray,
+                      num_vars: int) -> tuple[list[list[int]], list[list[int]]]:
     """Per variable, the indices of the clauses it occurs in positively and
     negatively; a duplicated literal lists its clause once per occurrence."""
-    pos_occ: list[list[int]] = [[] for _ in range(num_vars + 1)]
-    neg_occ: list[list[int]] = [[] for _ in range(num_vars + 1)]
-    for ci, clause in enumerate(clauses):
-        for lit in clause:
-            if lit > 0:
-                pos_occ[lit].append(ci)
-            else:
-                neg_occ[-lit].append(ci)
-    return pos_occ, neg_occ
+    key = 2 * np.abs(lits) + (lits < 0)
+    order = np.argsort(key, kind="stable")  # keeps each list in clause order
+    lists = _split(occ_clause[order].tolist(), np.bincount(key, minlength=2 * num_vars + 2))
+    return lists[0::2], lists[1::2]
 
 
 class PropagationEngine:
@@ -103,7 +113,8 @@ class PropagationEngine:
     def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
         self.clauses = [list(c) for c in formula.clauses]
-        self.pos_occ, self.neg_occ = _occurrence_lists(self.clauses, self.num_vars)
+        self.pos_occ, self.neg_occ = _occurrence_lists(*_flat_literals(self.clauses),
+                                                       self.num_vars)
         self._initial_free = [len(c) for c in self.clauses]
         self.reset()
 
@@ -293,63 +304,173 @@ def dpll_tree_size(formula: CnfFormula, seed: int = 0, max_nodes: int = 10_000_0
 
 
 class _SlsState:
-    """Clause bookkeeping and flip-score cache shared by the local-search probes.
+    """Clause bookkeeping and exact flip scores shared by the local-search probes.
 
-    The occurrence lists and each clause's distinct variables are built once
-    per probe call. `score` caches one flip score per variable for the
-    current run and `stale` holds the variables whose cached score may be
-    out of date. A variable's score reads only its own value, the weights
-    of its clauses (`weights`, set by a SAPS run; None in a GSAT run) and
-    whether each clause's true count is 0 or 1. So `flip` marks the flipped
-    variable and the variables of each clause whose true count moves to or
-    from 0 or 1, and a SAPS run marks the variables of each clause whose
-    weight it changes. Stale scores are recomputed with `flip_delta` /
-    `weighted_flip_delta` before use, so a cached score equals a fresh one
-    bit for bit.
+    Built once per probe call: the occurrence lists, each clause's distinct
+    variables, per variable and flip direction the change of each of its
+    clauses' true counts (`_moves`), and a flat numpy index of every literal
+    occurrence, from which `random_init` computes a run's start with
+    `np.bincount`. Per clause, `true_count` counts the true literal
+    occurrences and `true_sum` adds up their variables, so while the count
+    is 1 the sum is the variable of the one true literal.
+
+    A variable's integer score is `flip_delta`'s: +1 for each of its true
+    occurrences in a clause with true count 1, -1 for each of its false
+    occurrences in a clause with true count 0. A flip changes scores only in
+    the clauses whose true count moves to or from 0 or 1, so it acts on
+    those alone, and what it keeps up depends on the run:
+    - GSAT (`weights` None): `score` stays exact, by taking each such
+      clause's old contributions away and adding its new ones, and
+      `buckets` maps each score to the set of the variables that have it.
+    - SAPS: `score` holds weighted scores and `stale` the variables whose
+      score may be out of date. A clause that becomes satisfied or
+      unsatisfied marks all its variables, one whose true count moves
+      between 1 and 2 the variables of its true literals, and the flipped
+      variable is always marked; a SAPS run also marks the variables of
+      each clause whose weight it changes. Stale scores are recomputed with
+      `weighted_flip_delta` before use, so a score not marked stale equals
+      a fresh one bit for bit. `cand` is the set of variables of
+      unsatisfied clauses, kept through `cand_count`, each variable's
+      number of occurrences in unsatisfied clauses.
+    `unsat` sees the same `discard` and `add` calls, in the same order, as a
+    flip that walks the occurrence lists, because SAPS's walk step draws
+    from `tuple(unsat)`.
     """
 
     def __init__(self, formula: CnfFormula):
-        self.num_vars = formula.num_vars
-        self.clauses = [list(c) for c in formula.clauses]
-        self.pos_occ, self.neg_occ = _occurrence_lists(self.clauses, self.num_vars)
-        self.clause_vars = [sorted({abs(lit) for lit in c}) for c in self.clauses]
+        self.num_vars = n = formula.num_vars
+        self.clauses = formula.clauses
+        m = len(self.clauses)
+        lits, occ_clause = _flat_literals(self.clauses)
+        occ_var = np.abs(lits)
+        self.pos_occ, self.neg_occ = _occurrence_lists(lits, occ_clause, n)
+        self._occ_var, self._occ_pos, self._occ_clause = occ_var, lits > 0, occ_clause
+        # sorting (clause, variable) keys lists each clause's variables in order
+        _, first = np.unique(occ_clause * (n + 1) + occ_var, return_index=True)
+        distinct = np.bincount(occ_clause[first], minlength=m)
+        self.clause_vars = _split(occ_var[first].tolist(), distinct)
+        # each clause's variables once per occurrence
+        self._occ_vars = list(self.clause_vars)
+        for ci in np.flatnonzero(distinct != np.bincount(occ_clause, minlength=m)).tolist():
+            self._occ_vars[ci] = [abs(lit) for lit in self.clauses[ci]]
+        # _moves[new_value][var] lists, for each distinct clause of var in
+        # order, the clause and the change of its true count: c0, d0, c1, d1, ...
+        _, first, inverse = np.unique(occ_var * m + occ_clause, return_index=True,
+                                      return_inverse=True)
+        up = np.bincount(inverse, weights=np.where(lits > 0, 1, -1)).astype(np.int64)
+        pairs = np.column_stack([occ_clause[first], up])
+        per_var = 2 * np.bincount(occ_var[first], minlength=n + 1)
+        self._moves = tuple(_split(side.ravel().tolist(), per_var)
+                            for side in (pairs * [1, -1], pairs))
 
     def random_init(self, rng: random.Random) -> None:
         n = self.num_vars
+        m = len(self.clauses)
         self.assign = [False] + [rng.random() < 0.5 for _ in range(n)]
-        true_count = [0] * len(self.clauses)
-        for v in range(1, n + 1):
-            for ci in self.pos_occ[v] if self.assign[v] else self.neg_occ[v]:
-                true_count[ci] += 1
-        self.true_count = true_count
-        self.unsat = {ci for ci, tc in enumerate(true_count) if tc == 0}
-        self.score: list = [0] * (n + 1)
-        self.stale = set(range(1, n + 1))
+        occ_var, occ_clause = self._occ_var, self._occ_clause
+        occ_true = np.array(self.assign)[occ_var] == self._occ_pos
+        true_count = np.bincount(occ_clause[occ_true], minlength=m)
+        true_sum = np.bincount(occ_clause[occ_true], weights=occ_var[occ_true], minlength=m)
+        occ_tc = true_count[occ_clause]
+        cand_count = np.bincount(occ_var[occ_tc == 0], minlength=n + 1)
+        score = np.bincount(occ_var[occ_true & (occ_tc == 1)], minlength=n + 1) - cand_count
+        self.true_count = true_count.tolist()
+        self.true_sum = true_sum.astype(np.int64).tolist()
+        self.unsat = set(np.flatnonzero(true_count == 0).tolist())
+        self.cand_count = cand_count.tolist()
+        self.cand = set(np.flatnonzero(cand_count).tolist())
+        self.score: list = score.tolist()
+        self.stale: set[int] = set()
         self.weights: list[float] | None = None
+        order = np.argsort(score[1:]) + 1
+        keys, starts = np.unique(score[order], return_index=True)
+        members = _split(order.tolist(), np.diff(starts, append=n))
+        self.buckets = {k: set(vs) for k, vs in zip(keys.tolist(), members)}
+        self._filed = list(self.score)  # the bucket each variable is in
 
     def flip(self, var: int) -> None:
         new_value = not self.assign[var]
         self.assign[var] = new_value
-        sat_side = self.pos_occ[var] if new_value else self.neg_occ[var]
-        false_side = self.neg_occ[var] if new_value else self.pos_occ[var]
         true_count = self.true_count
+        true_sum = self.true_sum
         unsat = self.unsat
-        stale = self.stale
-        clause_vars = self.clause_vars
-        for ci in sat_side:
-            tc = true_count[ci]
-            if tc == 0:
-                unsat.discard(ci)
-            if tc <= 1:
-                stale.update(clause_vars[ci])
-            true_count[ci] = tc + 1
-        for ci in false_side:
-            tc = true_count[ci] - 1
-            true_count[ci] = tc
-            if tc == 0:
+        # (clause, old true count, new true count, old true sum) of each
+        # clause whose true count moves within 0..2
+        moved = []
+        pairs = iter(self._moves[new_value][var])
+        for ci, dt in zip(pairs, pairs):
+            t0 = true_count[ci]
+            s0 = true_sum[ci]
+            t1 = true_count[ci] = t0 + dt
+            true_sum[ci] = s0 + dt * var
+            if t0 <= 1 or t1 <= 1:
+                if t0 == 0:
+                    unsat.discard(ci)
+                moved.append((ci, t0, t1, s0))
+        for ci, _, t1, _ in moved:
+            if t1 == 0:
                 unsat.add(ci)
-            if tc <= 1:
-                stale.update(clause_vars[ci])
+        if self.weights is None:
+            self._rescore(moved)
+        else:
+            self._mark(var, moved)
+
+    def _rescore(self, moved) -> None:
+        score = self.score
+        occ_vars = self._occ_vars
+        true_sum = self.true_sum
+        touched = []
+        for ci, t0, t1, s0 in moved:
+            if t0 == 0:
+                for u in occ_vars[ci]:
+                    score[u] += 1
+                touched += occ_vars[ci]
+            elif t0 == 1:  # the one true literal's variable is the true sum
+                score[s0] -= 1
+                touched.append(s0)
+            if t1 == 0:
+                for u in occ_vars[ci]:
+                    score[u] -= 1
+                touched += occ_vars[ci]
+            elif t1 == 1:
+                u = true_sum[ci]
+                score[u] += 1
+                touched.append(u)
+        buckets = self.buckets
+        filed = self._filed
+        for u in touched:
+            s, old = score[u], filed[u]
+            if s != old:
+                bucket = buckets[old]
+                bucket.discard(u)
+                if not bucket:
+                    del buckets[old]
+                buckets.setdefault(s, set()).add(u)
+                filed[u] = s
+
+    def _mark(self, var: int, moved) -> None:
+        stale = self.stale
+        cand = self.cand
+        count = self.cand_count
+        occ_vars = self._occ_vars
+        for ci, t0, t1, s0 in moved:
+            if t0 == 0:
+                stale.update(occ_vars[ci])
+                for u in occ_vars[ci]:
+                    count[u] -= 1
+                    if not count[u]:
+                        cand.discard(u)
+            elif t1 == 0:
+                stale.update(occ_vars[ci])
+                for u in occ_vars[ci]:
+                    if not count[u]:
+                        cand.add(u)
+                    count[u] += 1
+            else:  # between 1 and 2, only the lone true literal's score moves
+                if t0 == 1:
+                    stale.add(s0)
+                if t1 == 1:
+                    stale.add(self.true_sum[ci])
         stale.add(var)
 
     def flip_delta(self, var: int) -> int:
@@ -372,12 +493,13 @@ class _SlsState:
         value = self.assign[var]
         cur_side = self.pos_occ[var] if value else self.neg_occ[var]
         other_side = self.neg_occ[var] if value else self.pos_occ[var]
+        true_count = self.true_count
         delta = 0.0
         for ci in cur_side:
-            if self.true_count[ci] == 1:
+            if true_count[ci] == 1:
                 delta += weights[ci]
         for ci in other_side:
-            if self.true_count[ci] == 0:
+            if true_count[ci] == 0:
                 delta -= weights[ci]
         return delta
 
@@ -415,18 +537,6 @@ def _finish_run(init_unsat, best_unsat, best_step, lm_counts, first_lm_best):
     return _RunStats(init_unsat, best_unsat, best_step, frac, cv)
 
 
-def _pick_tied(values: list, best, rng: random.Random) -> int:
-    """Index of a uniformly drawn entry equal to `best`.
-
-    Makes the one draw that `ties[rng.randrange(len(ties))]` makes over the
-    tied entries in list order, without building the list of ties.
-    """
-    i = values.index(best)
-    for _ in range(rng.randrange(values.count(best))):
-        i = values.index(best, i + 1)
-    return i
-
-
 # Two clauses that cannot both hold grow their weights geometrically; all
 # weights are divided by the limit once one passes it, so they stay finite
 SAPS_WEIGHT_LIMIT = 2.0 ** 512
@@ -440,9 +550,11 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
               deadline) -> _RunStats | None:
     state.random_init(rng)
     weights = state.weights = [1.0] * len(state.clauses)
-    score = state.score
+    # every weight is 1.0, so each weighted score is the integer score
+    score = state.score = [float(s) for s in state.score]
     stale = state.stale
     unsat = state.unsat
+    cand = state.cand
     clause_vars = state.clause_vars
     init_unsat = len(unsat)
     best_unsat = init_unsat
@@ -455,15 +567,15 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
             break
         if deadline is not None and step % 256 == 0 and time.perf_counter() > deadline:
             return None
-        cand = {v for ci in unsat for v in clause_vars[ci]}
-        for v in stale & cand:
+        fresh = stale & cand
+        for v in fresh:
             score[v] = state.weighted_flip_delta(v, weights)
-        stale -= cand
-        cand = sorted(cand)
-        deltas = [score[v] for v in cand]
-        best_delta = min(deltas)
+        stale -= fresh
+        best_delta = min(map(score.__getitem__, cand))
         if best_delta < -1e-12:
-            state.flip(cand[_pick_tied(deltas, best_delta, rng)])
+            ties = [v for v in cand if score[v] == best_delta]
+            pick = rng.randrange(len(ties))
+            state.flip(sorted(ties)[pick] if len(ties) > 1 else ties[0])
         else:
             # local minimum under the current weights
             lm_counts.append(len(unsat))
@@ -498,14 +610,7 @@ GSAT_STALL_LIMIT = 100
 
 
 def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) -> _RunStats | None:
-    def rescore():
-        score = state.score
-        for v in state.stale:
-            score[v] = state.flip_delta(v)
-        state.stale.clear()
-
     state.random_init(rng)
-    rescore()
     init_unsat = len(state.unsat)
     best_unsat = init_unsat
     best_step = 0
@@ -520,21 +625,20 @@ def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) ->
             return None
         if stall >= GSAT_STALL_LIMIT:
             state.random_init(rng)
-            rescore()
             stall = 0
             if not state.unsat:
                 if len(state.unsat) < best_unsat:
                     best_unsat = 0
                     best_step = step
                 break
-        deltas = state.score[1:]
-        best_delta = min(deltas)
+        best_delta = min(state.buckets)
         if best_delta >= 0:
             lm_counts.append(len(state.unsat))
             if first_lm_best is None:
                 first_lm_best = best_unsat
-        state.flip(_pick_tied(deltas, best_delta, rng) + 1)
-        rescore()
+        ties = state.buckets[best_delta]
+        pick = rng.randrange(len(ties))
+        state.flip(sorted(ties)[pick] if len(ties) > 1 else min(ties))
         if len(state.unsat) < best_unsat:
             best_unsat = len(state.unsat)
             best_step = step

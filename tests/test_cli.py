@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 import stat
@@ -191,6 +192,28 @@ def test_series_map_may_omit_instances(tmp_path):
     assert main(["evaluate", "--runtimes", str(bench_dir / "runtimes.csv"), "--purse",
                  str(purse), "--portfolio", str(out), "--features",
                  str(bench_dir / "features.csv"), "-o", str(tmp_path / "report.csv")]) == 0
+
+
+def test_evaluate_refuses_runs_with_a_solver_named_portfolio(tmp_path, capsys):
+    # --portfolio adds the trained portfolio's records as solver "portfolio",
+    # which would silently replace the rows of a recorded solver of that name
+    bench_dir = tmp_path / "bench"
+    assert main(["synth-bench", "--instances", "60", "--seed", "4", "-o", str(bench_dir)]) == 0
+    out = tmp_path / "portfolio.json"
+    assert main([*small_train_flags(bench_dir), "-o", str(out)]) == 0
+    runtimes = bench_dir / "runtimes.csv"
+    with open(runtimes, newline="") as fh:
+        rows = list(csv.reader(fh))
+    first = rows[1][1]
+    with open(runtimes, "a", newline="") as fh:
+        csv.writer(fh).writerows([iid, "portfolio", runtime, status]
+                                 for iid, sid, runtime, status in rows[1:] if sid == first)
+    report = tmp_path / "report.csv"
+    rc = main(["evaluate", "--runtimes", str(runtimes), "--portfolio", str(out),
+               "--features", str(bench_dir / "features.csv"), "-o", str(report)])
+    assert rc == 1
+    assert "already has a solver named 'portfolio'" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_solve_command(tmp_path, capsys):

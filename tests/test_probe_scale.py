@@ -1,0 +1,23 @@
+"""scripts/probe_scale.py runs end to end on a small formula."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from zfolio.features import FEATURE_NAMES
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_reports_every_layer_and_the_local_search_features():
+    done = subprocess.run([sys.executable, "scripts/probe_scale.py", "--vars", "300"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    report = json.loads(done.stdout)
+    assert (report["vars"], report["clauses"]) == (300, 1278)
+    for layer in ("parse", "static", "saps", "gsat", "dpll"):
+        assert report[f"{layer}_s"] > 0
+    assert report["saps_steps_per_s"] > 0 and report["gsat_steps_per_s"] > 0
+    local_search = {name for name in FEATURE_NAMES if "saps" in name or "gsat" in name}
+    assert set(report["features"]) == local_search

@@ -373,6 +373,91 @@ class TestScoreCache:
         assert (saps_probe(f, budget, seed=4), gsat_probe(f, budget, seed=4)) == cached
 
 
+def _start_from_scratch(formula, rng):
+    """A run's start computed clause by clause: the assignment, true counts,
+    unsatisfied clauses in insertion order, candidate variables and scores."""
+    assign = [False] + [rng.random() < 0.5 for _ in range(formula.num_vars)]
+    true_count = [sum(assign[abs(lit)] == (lit > 0) for lit in c) for c in formula.clauses]
+    unsat = {ci for ci, tc in enumerate(true_count) if tc == 0}
+    cand = {abs(lit) for ci in unsat for lit in formula.clauses[ci]}
+    score = [0] * (formula.num_vars + 1)
+    for clause, tc in zip(formula.clauses, true_count):
+        for lit in clause:
+            true = assign[abs(lit)] == (lit > 0)
+            if true and tc == 1:
+                score[abs(lit)] += 1
+            elif not true and tc == 0:
+                score[abs(lit)] -= 1
+    return assign, true_count, list(unsat), cand, score
+
+
+START_FORMULAS = CACHE_FORMULAS + [random_3cnf(400, 1704, random.Random(400))]
+
+
+@pytest.mark.parametrize("fi", range(len(START_FORMULAS)))
+def test_random_init_matches_a_start_from_scratch(fi):
+    f = START_FORMULAS[fi]
+    state = _SlsState(f)
+    for seed in range(3):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        state.random_init(rng)
+        assign, true_count, unsat, cand, score = _start_from_scratch(f, ref_rng)
+        assert state.assign == assign
+        assert state.true_count == true_count
+        assert list(state.unsat) == unsat
+        assert state.cand == cand
+        assert state.score == score
+        assert rng.random() == ref_rng.random()
+
+
+def _check_buckets(state):
+    """The buckets partition 1..n by score, and none is empty."""
+    filed = {}
+    for s, members in state.buckets.items():
+        assert members
+        for v in members:
+            assert v not in filed
+            filed[v] = s
+    assert filed == {v: state.score[v] for v in range(1, state.num_vars + 1)}
+
+
+@pytest.mark.parametrize("fi", range(len(CACHE_FORMULAS)))
+def test_gsat_buckets_partition_the_variables_by_score(fi, monkeypatch):
+    checks = [0]
+    original_init, original_flip = _SlsState.random_init, _SlsState.flip
+
+    def checked(original):
+        def method(self, arg):
+            original(self, arg)
+            _check_buckets(self)
+            checks[0] += 1
+        return method
+
+    monkeypatch.setattr(_SlsState, "random_init", checked(original_init))
+    monkeypatch.setattr(_SlsState, "flip", checked(original_flip))
+    _ls_trace(lambda st, rng, n: _gsat_run(st, rng, n, None), CACHE_FORMULAS[fi], seed=fi)
+    assert checks[0] > 5
+
+
+def test_threshold_formula_matches_reference_loops_through_restarts(monkeypatch):
+    # 2,000-step runs at ratio 4.26 stall long enough for GSAT to restart
+    f = random_3cnf(200, 852, random.Random(200))
+    starts = [0]
+    original_init = _SlsState.random_init
+
+    def random_init(self, rng):
+        starts[0] += 1
+        original_init(self, rng)
+
+    monkeypatch.setattr(_SlsState, "random_init", random_init)
+    for run, reference in ((_saps_run, _saps_run_reference), (_gsat_run, _gsat_run_reference)):
+        starts[0] = 0
+        new = _ls_trace(lambda st, rng, n: run(st, rng, n, None), f, seed=5, runs=5, steps=2000)
+        assert new == _ls_trace(lambda st, rng, n: reference(st, rng, n, None), f, seed=5,
+                                runs=5, steps=2000)
+    assert starts[0] > 5  # the GSAT runs restarted
+
+
 # All 48 features of four formulas, recorded with the from-scratch probe
 # loops above; exact float equality, stored as float.hex().
 GOLDEN_PATH = Path(__file__).parent / "data" / "extract_all_golden.json"
