@@ -2,10 +2,10 @@
 
 Usage (from the root of a source checkout):
 
-    python3 scripts/probe_scale.py [--vars 20000] [--seed 0]
+    python3 scripts/probe_scale.py [--vars 20000]
 
 The formula is a uniform random 3-CNF at clause/variable ratio 4.26: each
-clause has 3 distinct variables drawn by `random.Random(seed)`, each with a
+clause has 3 distinct variables drawn by `random.Random(SEED)`, each with a
 random sign. It is written as DIMACS text and parsed back, and the probes
 run under one deterministic budget: one 2,000-step run per local-search
 probe and 10 DPLL dives. One JSON object is printed with the seconds of
@@ -28,12 +28,13 @@ from zfolio.features import base_features  # noqa: E402
 from zfolio.probes import ProbeBudget, dpll_probe, gsat_probe, saps_probe  # noqa: E402
 
 RATIO = 4.26
+SEED = 0  # draws the formula and seeds the three probes
 BUDGET = ProbeBudget(max_ls_steps=2000, ls_runs=1, dpll_runs=10, total_seconds=3600.0,
                      deterministic=True)
 
 
-def random_3cnf(num_vars: int, seed: int) -> CnfFormula:
-    rng = random.Random(seed)
+def random_3cnf(num_vars: int) -> CnfFormula:
+    rng = random.Random(SEED)
     clauses = []
     for _ in range(round(RATIO * num_vars)):
         clauses.append([v if rng.random() < 0.5 else -v
@@ -50,20 +51,19 @@ def timed(fn, *args):
 def main(argv=None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--vars", type=int, default=20_000)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    text = write_dimacs(random_3cnf(args.vars, args.seed))
+    text = write_dimacs(random_3cnf(args.vars))
     formula, parse_s = timed(parse_dimacs, text)
     _, static_s = timed(base_features, formula)
-    saps, saps_s = timed(saps_probe, formula, BUDGET, args.seed)
-    gsat, gsat_s = timed(gsat_probe, formula, BUDGET, args.seed)
-    _, dpll_s = timed(dpll_probe, formula, BUDGET, args.seed)
+    saps, saps_s = timed(saps_probe, formula, BUDGET, SEED)
+    gsat, gsat_s = timed(gsat_probe, formula, BUDGET, SEED)
+    _, dpll_s = timed(dpll_probe, formula, BUDGET, SEED)
     steps = BUDGET.ls_runs * (BUDGET.max_ls_steps // BUDGET.ls_runs)
     report = {
         "vars": formula.num_vars,
         "clauses": formula.num_clauses,
-        "seed": args.seed,
+        "seed": SEED,
         "file_mb": round(len(text) / 1e6, 3),
         "parse_s": parse_s,
         "static_s": static_s,

@@ -15,7 +15,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -320,8 +320,9 @@ class _SlsState:
     the clauses whose true count moves to or from 0 or 1, so it acts on
     those alone, and what it keeps up depends on the run:
     - GSAT (`weights` None): `score` stays exact, by taking each such
-      clause's old contributions away and adding its new ones, and
-      `buckets` maps each score to the set of the variables that have it.
+      clause's old contributions away and adding its new ones. Once
+      `file_buckets` has run, `buckets` maps each score to the set of the
+      variables that have it and follows every flip.
     - SAPS: `score` holds weighted scores and `stale` the variables whose
       score may be out of date. A clause that becomes satisfied or
       unsatisfied marks all its variables, one whose true count moves
@@ -329,9 +330,10 @@ class _SlsState:
       variable is always marked; a SAPS run also marks the variables of
       each clause whose weight it changes. Stale scores are recomputed with
       `weighted_flip_delta` before use, so a score not marked stale equals
-      a fresh one bit for bit. `cand` is the set of variables of
-      unsatisfied clauses, kept through `cand_count`, each variable's
-      number of occurrences in unsatisfied clauses.
+      a fresh one bit for bit. `cand`, which the SAPS run builds at its
+      start, is the set of variables of unsatisfied clauses, kept through
+      `cand_count`, each variable's number of occurrences in unsatisfied
+      clauses.
     `unsat` sees the same `discard` and `add` calls, in the same order, as a
     flip that walks the occurrence lists, because SAPS's walk step draws
     from `tuple(unsat)`.
@@ -350,9 +352,7 @@ class _SlsState:
         distinct = np.bincount(occ_clause[first], minlength=m)
         self.clause_vars = _split(occ_var[first].tolist(), distinct)
         # each clause's variables once per occurrence
-        self._occ_vars = list(self.clause_vars)
-        for ci in np.flatnonzero(distinct != np.bincount(occ_clause, minlength=m)).tolist():
-            self._occ_vars[ci] = [abs(lit) for lit in self.clauses[ci]]
+        self._occ_vars = _split(occ_var.tolist(), np.bincount(occ_clause, minlength=m))
         # _moves[new_value][var] lists, for each distinct clause of var in
         # order, the clause and the change of its true count: c0, d0, c1, d1, ...
         _, first, inverse = np.unique(occ_var * m + occ_clause, return_index=True,
@@ -378,13 +378,17 @@ class _SlsState:
         self.true_sum = true_sum.astype(np.int64).tolist()
         self.unsat = set(np.flatnonzero(true_count == 0).tolist())
         self.cand_count = cand_count.tolist()
-        self.cand = set(np.flatnonzero(cand_count).tolist())
         self.score: list = score.tolist()
         self.stale: set[int] = set()
         self.weights: list[float] | None = None
+        self.buckets: dict[int, set[int]] | None = None
+
+    def file_buckets(self) -> None:
+        """File every variable in the bucket of its integer score."""
+        score = np.array(self.score)
         order = np.argsort(score[1:]) + 1
         keys, starts = np.unique(score[order], return_index=True)
-        members = _split(order.tolist(), np.diff(starts, append=n))
+        members = _split(order.tolist(), np.diff(starts, append=self.num_vars))
         self.buckets = {k: set(vs) for k, vs in zip(keys.tolist(), members)}
         self._filed = list(self.score)  # the bucket each variable is in
 
@@ -437,6 +441,8 @@ class _SlsState:
                 score[u] += 1
                 touched.append(u)
         buckets = self.buckets
+        if buckets is None:  # no buckets filed yet: only the scores are kept
+            return
         filed = self._filed
         for u in touched:
             s, old = score[u], filed[u]
@@ -552,9 +558,9 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
     weights = state.weights = [1.0] * len(state.clauses)
     # every weight is 1.0, so each weighted score is the integer score
     score = state.score = [float(s) for s in state.score]
+    cand = state.cand = set(compress(range(len(state.cand_count)), state.cand_count))
     stale = state.stale
     unsat = state.unsat
-    cand = state.cand
     clause_vars = state.clause_vars
     init_unsat = len(unsat)
     best_unsat = init_unsat
@@ -611,6 +617,7 @@ GSAT_STALL_LIMIT = 100
 
 def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) -> _RunStats | None:
     state.random_init(rng)
+    state.file_buckets()
     init_unsat = len(state.unsat)
     best_unsat = init_unsat
     best_step = 0
@@ -625,6 +632,7 @@ def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) ->
             return None
         if stall >= GSAT_STALL_LIMIT:
             state.random_init(rng)
+            state.file_buckets()
             stall = 0
             if not state.unsat:
                 if len(state.unsat) < best_unsat:

@@ -375,11 +375,15 @@ class TestScoreCache:
 
 def _start_from_scratch(formula, rng):
     """A run's start computed clause by clause: the assignment, true counts,
-    unsatisfied clauses in insertion order, candidate variables and scores."""
+    unsatisfied clauses in insertion order, each variable's occurrences in
+    them and scores."""
     assign = [False] + [rng.random() < 0.5 for _ in range(formula.num_vars)]
     true_count = [sum(assign[abs(lit)] == (lit > 0) for lit in c) for c in formula.clauses]
     unsat = {ci for ci, tc in enumerate(true_count) if tc == 0}
-    cand = {abs(lit) for ci in unsat for lit in formula.clauses[ci]}
+    cand_count = [0] * (formula.num_vars + 1)
+    for ci in unsat:
+        for lit in formula.clauses[ci]:
+            cand_count[abs(lit)] += 1
     score = [0] * (formula.num_vars + 1)
     for clause, tc in zip(formula.clauses, true_count):
         for lit in clause:
@@ -388,7 +392,7 @@ def _start_from_scratch(formula, rng):
                 score[abs(lit)] += 1
             elif not true and tc == 0:
                 score[abs(lit)] -= 1
-    return assign, true_count, list(unsat), cand, score
+    return assign, true_count, list(unsat), cand_count, score
 
 
 START_FORMULAS = CACHE_FORMULAS + [random_3cnf(400, 1704, random.Random(400))]
@@ -401,11 +405,11 @@ def test_random_init_matches_a_start_from_scratch(fi):
     for seed in range(3):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         state.random_init(rng)
-        assign, true_count, unsat, cand, score = _start_from_scratch(f, ref_rng)
+        assign, true_count, unsat, cand_count, score = _start_from_scratch(f, ref_rng)
         assert state.assign == assign
         assert state.true_count == true_count
         assert list(state.unsat) == unsat
-        assert state.cand == cand
+        assert state.cand_count == cand_count
         assert state.score == score
         assert rng.random() == ref_rng.random()
 
@@ -424,16 +428,16 @@ def _check_buckets(state):
 @pytest.mark.parametrize("fi", range(len(CACHE_FORMULAS)))
 def test_gsat_buckets_partition_the_variables_by_score(fi, monkeypatch):
     checks = [0]
-    original_init, original_flip = _SlsState.random_init, _SlsState.flip
+    original_file, original_flip = _SlsState.file_buckets, _SlsState.flip
 
     def checked(original):
-        def method(self, arg):
-            original(self, arg)
+        def method(self, *args):
+            original(self, *args)
             _check_buckets(self)
             checks[0] += 1
         return method
 
-    monkeypatch.setattr(_SlsState, "random_init", checked(original_init))
+    monkeypatch.setattr(_SlsState, "file_buckets", checked(original_file))
     monkeypatch.setattr(_SlsState, "flip", checked(original_flip))
     _ls_trace(lambda st, rng, n: _gsat_run(st, rng, n, None), CACHE_FORMULAS[fi], seed=fi)
     assert checks[0] > 5
