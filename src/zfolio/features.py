@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnf import CnfFormula
-from .probes import ProbeBudget, dpll_probe, gsat_probe, saps_probe
+from .probes import ProbeBudget, _SlsState, dpll_probe, gsat_probe, saps_probe
 
 FEATURE_NAMES = (
     "f01_nclauses",
@@ -260,7 +260,7 @@ def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
     """Run all feature groups under the total time budget.
 
     Probe groups run in the order SAPS, GSAT, DPLL after the static
-    features. When the total budget runs out, between groups or inside one
+    features; SAPS and GSAT share one local-search index. When the total budget runs out, between groups or inside one
     (in deterministic mode too), the result has timed_out=True and no
     values (callers then fall back to the backup solver); the elapsed time
     is still recorded.
@@ -274,13 +274,17 @@ def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
     def out_of_time() -> bool:
         return time.perf_counter() > deadline
 
+    def phases():
+        if out_of_time():  # no index is built for probes that will not run
+            return
+        sls = _SlsState(formula)  # one local-search index serves SAPS and GSAT
+        yield lambda: saps_probe(formula, budget, sub_seeds[0], deadline=deadline, state=sls)
+        yield lambda: gsat_probe(formula, budget, sub_seeds[1], deadline=deadline, state=sls)
+        del sls  # freed before DPLL builds its own engine, so the two never coexist
+        yield lambda: dpll_probe(formula, budget, sub_seeds[2], deadline=deadline)
+
     values: dict[str, float] = base_features(formula)
-    phases = (
-        lambda: saps_probe(formula, budget, sub_seeds[0], deadline=deadline),
-        lambda: gsat_probe(formula, budget, sub_seeds[1], deadline=deadline),
-        lambda: dpll_probe(formula, budget, sub_seeds[2], deadline=deadline),
-    )
-    for phase in phases:
+    for phase in phases():
         if out_of_time():
             return FeatureVector(None, time.perf_counter() - start, True, seed)
         values.update(phase())

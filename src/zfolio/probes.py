@@ -306,37 +306,40 @@ def dpll_tree_size(formula: CnfFormula, seed: int = 0, max_nodes: int = 10_000_0
 class _SlsState:
     """Clause bookkeeping and exact flip scores shared by the local-search probes.
 
-    Built once per probe call: the occurrence lists, each clause's distinct
-    variables, per variable and flip direction the change of each of its
-    clauses' true counts (`_moves`), and a flat numpy index of every literal
-    occurrence, from which `random_init` computes a run's start with
-    `np.bincount`. Per clause, `true_count` counts the true literal
-    occurrences and `true_sum` adds up their variables, so while the count
-    is 1 the sum is the variable of the one true literal.
+    Built once per formula, and shared by the SAPS and GSAT probes of one
+    `extract_all`: the occurrence lists, each clause's distinct variables,
+    per variable and flip direction the change of each of its clauses' true
+    counts (`_moves`), and a flat numpy index of every literal occurrence,
+    from which `random_init` computes a run's start with `np.bincount`. Per
+    clause, `true_count` counts the true literal occurrences and `true_sum`
+    adds up their variables, so while the count is 1 the sum is the
+    variable of the one true literal.
 
-    A variable's integer score is `flip_delta`'s: +1 for each of its true
-    occurrences in a clause with true count 1, -1 for each of its false
-    occurrences in a clause with true count 0. A flip changes scores only in
-    the clauses whose true count moves to or from 0 or 1, so it acts on
-    those alone, and what it keeps up depends on the run:
-    - GSAT (`weights` None): `score` stays exact, by taking each such
-      clause's old contributions away and adding its new ones. Once
-      `file_buckets` has run, `buckets` maps each score to the set of the
-      variables that have it and follows every flip.
-    - SAPS: `score` holds weighted scores and `stale` the variables whose
-      score may be out of date. A clause that becomes satisfied or
-      unsatisfied marks all its variables, one whose true count moves
-      between 1 and 2 the variables of its true literals, and the flipped
-      variable is always marked; a SAPS run also marks the variables of
-      each clause whose weight it changes. Stale scores are recomputed with
-      `weighted_flip_delta` before use, so a score not marked stale equals
-      a fresh one bit for bit. `cand`, which the SAPS run builds at its
-      start, is the set of variables of unsatisfied clauses, kept through
-      `cand_count`, each variable's number of occurrences in unsatisfied
-      clauses.
+    A variable's integer score is +1 for each of its true occurrences in a
+    clause with true count 1 and -1 for each of its false occurrences in a
+    clause with true count 0 (the change in unsatisfied clauses if it were
+    flipped, with a variable that occurs twice in a clause counted per
+    occurrence). A flip changes scores only in the clauses whose true count
+    moves to or from 0 or 1, and it acts on those alone, in one pass over
+    the flipped variable's clauses. What it keeps up depends on the mode:
+    - exact (`weights` None), used by GSAT and by SAPS until it first
+      changes a weight: `score` stays exact, by taking each such clause's old
+      contributions away and adding its new ones, and `buckets` maps each
+      score to the set of the variables that have it.
+    - weighted, from `weigh` on: `score` holds weighted scores and `stale`
+      the variables whose score may be out of date. A clause that becomes
+      satisfied or unsatisfied marks all its variables, one whose true count
+      moves between 1 and 2 the variables of its true literals, and the
+      flipped variable is always marked; a SAPS run also marks the
+      variables of each clause whose weight it changes. Stale scores are
+      recomputed with `weighted_flip_delta` before use, so a score not
+      marked stale equals a fresh one bit for bit. `cand` is the set of
+      variables of unsatisfied clauses, kept through `cand_count`, each
+      variable's number of occurrences in unsatisfied clauses.
     `unsat` sees the same `discard` and `add` calls, in the same order, as a
-    flip that walks the occurrence lists, because SAPS's walk step draws
-    from `tuple(unsat)`.
+    flip that first walks the occurrence lists for clauses that become
+    satisfied and then for those that become unsatisfied, because SAPS's
+    walk step draws from `tuple(unsat)`.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -353,17 +356,22 @@ class _SlsState:
         self.clause_vars = _split(occ_var[first].tolist(), distinct)
         # each clause's variables once per occurrence
         self._occ_vars = _split(occ_var.tolist(), np.bincount(occ_clause, minlength=m))
-        # _moves[new_value][var] lists, for each distinct clause of var in
-        # order, the clause and the change of its true count: c0, d0, c1, d1, ...
+        # _moves[new_value][var] lists, for each distinct clause of var, the
+        # clause and the change of its true count: c0, d0, c1, d1, ... The
+        # clauses whose count goes up come first, each group in clause order,
+        # so a flip discards from `unsat` before it adds to it
         _, first, inverse = np.unique(occ_var * m + occ_clause, return_index=True,
                                       return_inverse=True)
         up = np.bincount(inverse, weights=np.where(lits > 0, 1, -1)).astype(np.int64)
-        pairs = np.column_stack([occ_clause[first], up])
-        per_var = 2 * np.bincount(occ_var[first], minlength=n + 1)
-        self._moves = tuple(_split(side.ravel().tolist(), per_var)
-                            for side in (pairs * [1, -1], pairs))
+        var, clause = occ_var[first], occ_clause[first]
+        per_var = 2 * np.bincount(var, minlength=n + 1)
+        self._moves = tuple(
+            _split(np.column_stack([clause, dt])[np.lexsort((dt < 0, var))].ravel().tolist(),
+                   per_var)
+            for dt in (-up, up))
 
     def random_init(self, rng: random.Random) -> None:
+        """Start a run in exact mode from a random assignment."""
         n = self.num_vars
         m = len(self.clauses)
         self.assign = [False] + [rng.random() < 0.5 for _ in range(n)]
@@ -381,7 +389,7 @@ class _SlsState:
         self.score: list = score.tolist()
         self.stale: set[int] = set()
         self.weights: list[float] | None = None
-        self.buckets: dict[int, set[int]] | None = None
+        self.file_buckets()
 
     def file_buckets(self) -> None:
         """File every variable in the bucket of its integer score."""
@@ -389,8 +397,24 @@ class _SlsState:
         order = np.argsort(score[1:]) + 1
         keys, starts = np.unique(score[order], return_index=True)
         members = _split(order.tolist(), np.diff(starts, append=self.num_vars))
-        self.buckets = {k: set(vs) for k, vs in zip(keys.tolist(), members)}
+        self.buckets: dict[int, set[int]] | None = {
+            k: set(vs) for k, vs in zip(keys.tolist(), members)}
         self._filed = list(self.score)  # the bucket each variable is in
+
+    def weigh(self) -> None:
+        """Switch from exact to weighted mode, with every clause weight 1.0.
+
+        A weighted score is then a sum of +-1.0 terms, each exact in a
+        double, so `float` of the integer score equals a fresh weighted one.
+        """
+        self.weights = [1.0] * len(self.clauses)
+        self.score = [float(s) for s in self.score]
+        count = self.cand_count = [0] * (self.num_vars + 1)
+        for ci in self.unsat:
+            for u in self._occ_vars[ci]:
+                count[u] += 1
+        self.cand = set(compress(range(len(count)), count))
+        self.buckets = None
 
     def flip(self, var: int) -> None:
         new_value = not self.assign[var]
@@ -398,75 +422,61 @@ class _SlsState:
         true_count = self.true_count
         true_sum = self.true_sum
         unsat = self.unsat
-        # (clause, old true count, new true count, old true sum) of each
-        # clause whose true count moves within 0..2
-        moved = []
+        occ_vars = self._occ_vars
         pairs = iter(self._moves[new_value][var])
+        if self.weights is None:
+            score = self.score
+            touched = []
+            for ci, dt in zip(pairs, pairs):
+                t0 = true_count[ci]
+                s0 = true_sum[ci]
+                t1 = true_count[ci] = t0 + dt
+                s1 = true_sum[ci] = s0 + dt * var
+                if t0 == 0:
+                    unsat.discard(ci)
+                    for u in occ_vars[ci]:
+                        score[u] += 1
+                    touched += occ_vars[ci]
+                elif t0 == 1:  # the one true literal's variable is the true sum
+                    score[s0] -= 1
+                    touched.append(s0)
+                if t1 == 0:
+                    unsat.add(ci)
+                    for u in occ_vars[ci]:
+                        score[u] -= 1
+                    touched += occ_vars[ci]
+                elif t1 == 1:
+                    score[s1] += 1
+                    touched.append(s1)
+            buckets = self.buckets
+            filed = self._filed
+            for u in touched:
+                s, old = score[u], filed[u]
+                if s != old:
+                    bucket = buckets[old]
+                    bucket.discard(u)
+                    if not bucket:
+                        del buckets[old]
+                    buckets.setdefault(s, set()).add(u)
+                    filed[u] = s
+            return
+        stale = self.stale
+        cand = self.cand
+        count = self.cand_count
         for ci, dt in zip(pairs, pairs):
             t0 = true_count[ci]
             s0 = true_sum[ci]
             t1 = true_count[ci] = t0 + dt
-            true_sum[ci] = s0 + dt * var
-            if t0 <= 1 or t1 <= 1:
-                if t0 == 0:
-                    unsat.discard(ci)
-                moved.append((ci, t0, t1, s0))
-        for ci, _, t1, _ in moved:
-            if t1 == 0:
-                unsat.add(ci)
-        if self.weights is None:
-            self._rescore(moved)
-        else:
-            self._mark(var, moved)
-
-    def _rescore(self, moved) -> None:
-        score = self.score
-        occ_vars = self._occ_vars
-        true_sum = self.true_sum
-        touched = []
-        for ci, t0, t1, s0 in moved:
+            s1 = true_sum[ci] = s0 + dt * var
             if t0 == 0:
-                for u in occ_vars[ci]:
-                    score[u] += 1
-                touched += occ_vars[ci]
-            elif t0 == 1:  # the one true literal's variable is the true sum
-                score[s0] -= 1
-                touched.append(s0)
-            if t1 == 0:
-                for u in occ_vars[ci]:
-                    score[u] -= 1
-                touched += occ_vars[ci]
-            elif t1 == 1:
-                u = true_sum[ci]
-                score[u] += 1
-                touched.append(u)
-        buckets = self.buckets
-        if buckets is None:  # no buckets filed yet: only the scores are kept
-            return
-        filed = self._filed
-        for u in touched:
-            s, old = score[u], filed[u]
-            if s != old:
-                bucket = buckets[old]
-                bucket.discard(u)
-                if not bucket:
-                    del buckets[old]
-                buckets.setdefault(s, set()).add(u)
-                filed[u] = s
-
-    def _mark(self, var: int, moved) -> None:
-        stale = self.stale
-        cand = self.cand
-        count = self.cand_count
-        occ_vars = self._occ_vars
-        for ci, t0, t1, s0 in moved:
-            if t0 == 0:
+                unsat.discard(ci)
                 stale.update(occ_vars[ci])
                 for u in occ_vars[ci]:
                     count[u] -= 1
                     if not count[u]:
                         cand.discard(u)
             elif t1 == 0:
+                unsat.add(ci)
                 stale.update(occ_vars[ci])
                 for u in occ_vars[ci]:
                     if not count[u]:
@@ -476,24 +486,8 @@ class _SlsState:
                 if t0 == 1:
                     stale.add(s0)
                 if t1 == 1:
-                    stale.add(self.true_sum[ci])
+                    stale.add(s1)
         stale.add(var)
-
-    def flip_delta(self, var: int) -> int:
-        """Change in unsatisfied-clause count if var were flipped."""
-        value = self.assign[var]
-        breaks = 0
-        makes = 0
-        # clauses where var's current literal is true may break
-        cur_side = self.pos_occ[var] if value else self.neg_occ[var]
-        other_side = self.neg_occ[var] if value else self.pos_occ[var]
-        for ci in cur_side:
-            if self.true_count[ci] == 1:
-                breaks += 1
-        for ci in other_side:
-            if self.true_count[ci] == 0:
-                makes += 1
-        return breaks - makes
 
     def weighted_flip_delta(self, var: int, weights: list[float]) -> float:
         value = self.assign[var]
@@ -555,13 +549,11 @@ SAPS_P_WALK = 0.01  # probability of a random walk step at a local minimum
 def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
               deadline) -> _RunStats | None:
     state.random_init(rng)
-    weights = state.weights = [1.0] * len(state.clauses)
-    # every weight is 1.0, so each weighted score is the integer score
-    score = state.score = [float(s) for s in state.score]
-    cand = state.cand = set(compress(range(len(state.cand_count)), state.cand_count))
-    stale = state.stale
+    buckets = state.buckets
     unsat = state.unsat
+    stale = state.stale
     clause_vars = state.clause_vars
+    weights = None
     init_unsat = len(unsat)
     best_unsat = init_unsat
     best_step = 0
@@ -573,15 +565,24 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
             break
         if deadline is not None and step % 256 == 0 and time.perf_counter() > deadline:
             return None
-        fresh = stale & cand
-        for v in fresh:
-            score[v] = state.weighted_flip_delta(v, weights)
-        stale -= fresh
-        best_delta = min(map(score.__getitem__, cand))
+        if weights is None:
+            # Until the first weight change every weight is 1.0, so each
+            # weighted score is the exact integer score that the buckets
+            # keep, and the lowest bucket holds the ties a scan of the
+            # candidates would find (a negative score needs an unsatisfied
+            # clause, and -1 < -1e-12)
+            best_delta = min(buckets)
+            ties = buckets[best_delta]
+        else:
+            fresh = stale & cand
+            for v in fresh:
+                score[v] = state.weighted_flip_delta(v, weights)
+            stale -= fresh
+            best_delta = min(map(score.__getitem__, cand))
+            ties = [v for v in cand if score[v] == best_delta] if best_delta < -1e-12 else ()
         if best_delta < -1e-12:
-            ties = [v for v in cand if score[v] == best_delta]
             pick = rng.randrange(len(ties))
-            state.flip(sorted(ties)[pick] if len(ties) > 1 else ties[0])
+            state.flip(sorted(ties)[pick] if len(ties) > 1 else min(ties))
         else:
             # local minimum under the current weights
             lm_counts.append(len(unsat))
@@ -591,6 +592,10 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
                 clause = state.clauses[rng.choice(tuple(unsat))]
                 state.flip(abs(clause[rng.randrange(len(clause))]))
             else:
+                if weights is None:  # the first weight change: `weigh` makes the
+                    # exact integer scores floats, which equal weighted ones here
+                    state.weigh()
+                    weights, score, cand = state.weights, state.score, state.cand
                 rescale = False
                 for ci in unsat:
                     weights[ci] *= SAPS_ALPHA
@@ -617,7 +622,6 @@ GSAT_STALL_LIMIT = 100
 
 def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) -> _RunStats | None:
     state.random_init(rng)
-    state.file_buckets()
     init_unsat = len(state.unsat)
     best_unsat = init_unsat
     best_step = 0
@@ -632,7 +636,6 @@ def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) ->
             return None
         if stall >= GSAT_STALL_LIMIT:
             state.random_init(rng)
-            state.file_buckets()
             stall = 0
             if not state.unsat:
                 if len(state.unsat) < best_unsat:
@@ -665,9 +668,9 @@ def _group_deadline(budget: ProbeBudget, deadline: float | None) -> float | None
     return own if deadline is None else min(deadline, own)
 
 
-def _ls_runs(formula, budget, seed, run_fn, deadline) -> list[_RunStats]:
+def _ls_runs(formula, budget, seed, run_fn, deadline, state) -> list[_RunStats]:
     rng = random.Random(seed)
-    state = _SlsState(formula)
+    state = state or _SlsState(formula)
     max_steps = max(1, budget.max_ls_steps // budget.ls_runs)
     deadline = _group_deadline(budget, deadline)
     stats = []
@@ -682,13 +685,14 @@ def _ls_runs(formula, budget, seed, run_fn, deadline) -> list[_RunStats]:
 
 
 def saps_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
-               deadline: float | None = None) -> dict[str, float]:
+               deadline: float | None = None, state: _SlsState | None = None) -> dict[str, float]:
     """SAPS local-search probe; features 41-46 and 48.
 
     `deadline` (a `time.perf_counter()` value) stops the runs in either
-    mode, as `dpll_probe` describes.
+    mode, as `dpll_probe` describes. `state`, an `_SlsState` of `formula`,
+    saves building a second one when both local-search probes run.
     """
-    stats = _ls_runs(formula, budget, seed, _saps_run, deadline)
+    stats = _ls_runs(formula, budget, seed, _saps_run, deadline, state)
     if not stats:
         return {
             "f41_saps_beststep_mean": 0.0,
@@ -712,9 +716,10 @@ def saps_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
 
 
 def gsat_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
-               deadline: float | None = None) -> dict[str, float]:
-    """GSAT local-search probe; feature 47. `deadline` as in `dpll_probe`."""
-    stats = _ls_runs(formula, budget, seed, _gsat_run, deadline)
+               deadline: float | None = None, state: _SlsState | None = None) -> dict[str, float]:
+    """GSAT local-search probe; feature 47. `deadline` and `state` as in
+    `dpll_probe` and `saps_probe`."""
+    stats = _ls_runs(formula, budget, seed, _gsat_run, deadline, state)
     if not stats:
         return {"f47_gsat_first_lm_frac": 0.0}
     return {

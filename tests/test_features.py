@@ -149,6 +149,22 @@ class TestExtractAll:
         assert fv.values is None
         assert fv.feature_time_seconds > 0
 
+    def test_no_local_search_index_once_the_budget_ran_out(self, rng, monkeypatch):
+        import zfolio.features as features_mod
+
+        built = []
+        real_base = features_mod.base_features
+
+        def slow_base(formula):
+            time.sleep(0.01)  # past the total budget below
+            return real_base(formula)
+
+        monkeypatch.setattr(features_mod, "base_features", slow_base)
+        monkeypatch.setattr(features_mod, "_SlsState", built.append)
+        budget = ProbeBudget(total_seconds=0.001, deterministic=True)
+        fv = extract_all(random_3cnf(20, 80, rng), budget, seed=0)
+        assert fv.timed_out is True and built == []
+
     def test_total_budget_interrupts_a_deterministic_probe_group(self, rng):
         # 2 000 000 local-search steps would take minutes; the 0.2 s total
         # budget must stop SAPS inside its first run

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,18 @@ def test_occurrence_lists_shared_by_both_engines():
 # score cache: every step rescores every candidate from scratch. They are
 # the reference the cached runs must reproduce exactly.
 
+def flip_delta(state, var):
+    """Change in unsatisfied-clause count if var were flipped, counted from
+    the occurrence lists: the integer score `_SlsState` keeps."""
+    value = state.assign[var]
+    # clauses where var's current literal is true may break
+    cur_side = state.pos_occ[var] if value else state.neg_occ[var]
+    other_side = state.neg_occ[var] if value else state.pos_occ[var]
+    breaks = sum(state.true_count[ci] == 1 for ci in cur_side)
+    makes = sum(state.true_count[ci] == 0 for ci in other_side)
+    return breaks - makes
+
+
 def _saps_run_reference(state, rng, max_steps, deadline):
     state.random_init(rng)
     weights = [1.0] * len(state.clauses)
@@ -270,7 +283,7 @@ def _gsat_run_reference(state, rng, max_steps, deadline):
                     best_unsat = 0
                     best_step = step
                 break
-        deltas = [state.flip_delta(v) for v in range(1, state.num_vars + 1)]
+        deltas = [flip_delta(state, v) for v in range(1, state.num_vars + 1)]
         best_delta = min(deltas)
         if best_delta >= 0:
             lm_counts.append(len(state.unsat))
@@ -321,7 +334,7 @@ def _check_cache(state):
     for v in range(1, state.num_vars + 1):
         if v in state.stale:
             continue
-        fresh = state.flip_delta(v) if weights is None else state.weighted_flip_delta(v, weights)
+        fresh = flip_delta(state, v) if weights is None else state.weighted_flip_delta(v, weights)
         assert state.score[v] == fresh, v
 
 
@@ -460,6 +473,145 @@ def test_threshold_formula_matches_reference_loops_through_restarts(monkeypatch)
         assert new == _ls_trace(lambda st, rng, n: reference(st, rng, n, None), f, seed=5,
                                 runs=5, steps=2000)
     assert starts[0] > 5  # the GSAT runs restarted
+
+
+class _CallLog(set):
+    """A set that logs its `discard` and `add` calls."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def discard(self, x):
+        self.log.append(("discard", x))
+        super().discard(x)
+
+    def add(self, x):
+        self.log.append(("add", x))
+        super().add(x)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("fi", range(len(CACHE_FORMULAS)))
+def test_a_flip_discards_from_unsat_before_it_adds(fi, weighted):
+    # the order of the calls shapes the set's iteration order, from which
+    # SAPS's walk step draws
+    f = CACHE_FORMULAS[fi]
+    state, rng = _SlsState(f), random.Random(fi)
+    state.random_init(rng)
+    if weighted:
+        state.weigh()
+    log = []
+    state.unsat = _CallLog(state.unsat, log)
+    for _ in range(50):
+        var = rng.randint(1, f.num_vars)
+        before = list(state.true_count)
+        log.clear()
+        state.flip(var)
+        clauses = sorted(set(state.pos_occ[var] + state.neg_occ[var]))
+        made = [("discard", c) for c in clauses if before[c] == 0 < state.true_count[c]]
+        broken = [("add", c) for c in clauses if before[c] > 0 == state.true_count[c]]
+        assert log == made + broken
+        assert state.unsat == {c for c, tc in enumerate(state.true_count) if tc == 0}
+
+
+def planted_3cnf(num_vars, num_clauses, rng):
+    """Random 3-CNF that a hidden assignment satisfies, as perfbench's
+    ratio-3 family: clauses the assignment falsifies are drawn again."""
+    planted = [rng.random() < 0.5 for _ in range(num_vars + 1)]
+    clauses = []
+    while len(clauses) < num_clauses:
+        clause = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        if any((lit > 0) == planted[abs(lit)] for lit in clause):
+            clauses.append(clause)
+    return make(num_vars, clauses)
+
+
+def _saps_against_reference(formula, seed, runs, steps):
+    """Runs `_saps_run` and `_saps_run_reference` from the same seed and
+    checks that each run's stats, final assignment and next RNG draw are
+    equal. Per run, returns whether no weight changed and whether it solved
+    the formula."""
+    state, ref_state = _SlsState(formula), _SlsState(formula)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    ends = []
+    for _ in range(runs):
+        stats = _saps_run(state, rng, steps, None)
+        assert stats == _saps_run_reference(ref_state, ref_rng, steps, None)
+        assert state.assign == ref_state.assign
+        assert rng.random() == ref_rng.random()
+        ends.append((state.weights is None, not state.unsat))
+    return ends
+
+
+PERFBENCH_SHAPES = {
+    "planted_3": lambda: planted_3cnf(400, 1200, random.Random(3)),
+    "threshold_4.26": lambda: random_3cnf(400, 1704, random.Random(4)),
+    "over_6": lambda: random_3cnf(400, 2400, random.Random(6)),
+    "mixed_2_3": lambda: mixed_cnf(400, 1000, random.Random(25)),
+}
+
+
+class TestSapsDescent:
+    """SAPS runs on the exact integer scores until it first changes a
+    weight, and must still take every step the reference loop takes."""
+
+    def test_a_step_budget_spent_in_the_descent(self):
+        f = random_3cnf(400, 1704, random.Random(17))
+        assert _saps_against_reference(f, seed=0, runs=3, steps=30) == [(True, False)] * 3
+
+    def test_runs_solved_in_the_descent(self):
+        f = planted_3cnf(60, 180, random.Random(60))
+        ends = _saps_against_reference(f, seed=2, runs=6, steps=200)
+        assert (True, True) in ends and all(solved for _, solved in ends)
+
+    def test_a_run_that_starts_at_a_local_minimum(self):
+        f = make(1, [[1], [-1]])
+        state = _SlsState(f)
+        state.random_init(random.Random(0))
+        assert min(state.buckets) == 0
+        assert _saps_against_reference(f, seed=0, runs=4, steps=5) == [(False, False)] * 4
+
+    @pytest.mark.parametrize("shape", sorted(PERFBENCH_SHAPES))
+    def test_perfbench_shaped_runs(self, shape):
+        _saps_against_reference(PERFBENCH_SHAPES[shape](), seed=1, runs=20, steps=100)
+
+    def test_no_weighted_score_while_every_weight_is_one(self, monkeypatch):
+        calls = [0]
+        original = _SlsState.weighted_flip_delta
+
+        def counted(self, var, weights):
+            assert any(w != 1.0 for w in weights)
+            calls[0] += 1
+            return original(self, var, weights)
+
+        monkeypatch.setattr(_SlsState, "weighted_flip_delta", counted)
+        for shape in sorted(PERFBENCH_SHAPES):
+            saps_probe(PERFBENCH_SHAPES[shape](), small_budget(max_ls_steps=2000, ls_runs=20),
+                       seed=1)
+        assert calls[0] > 0
+
+
+def test_extract_all_shares_one_local_search_index_and_frees_it_before_dpll(monkeypatch):
+    import zfolio.features as features_mod
+
+    built = []
+    original_init = _SlsState.__init__
+
+    def init(self, formula):
+        original_init(self, formula)
+        built.append(weakref.ref(self))
+
+    real_dpll = features_mod.dpll_probe
+
+    def dpll(*args, **kwargs):
+        assert len(built) == 1 and built[0]() is None
+        return real_dpll(*args, **kwargs)
+
+    monkeypatch.setattr(_SlsState, "__init__", init)
+    monkeypatch.setattr(features_mod, "dpll_probe", dpll)
+    fv = extract_all(random_3cnf(30, 120, random.Random(5)), small_budget(), seed=3)
+    assert fv.values is not None and len(built) == 1
 
 
 # All 48 features of four formulas, recorded with the from-scratch probe
