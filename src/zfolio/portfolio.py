@@ -6,9 +6,10 @@ phases, each doing its distinct work once:
 
 0. gather the validation rows every simulator shares, and the training
    runs, feature rows, score labels and classifier;
-1. group the schedules by behaviour: the training instances a schedule
-   leaves unsolved, and its pre-solve outcome on the validation set, which
-   is kept for phase 3;
+1. replay every schedule's pre-solvers in one array pass on the training
+   runs and one on the validation runs, and group the schedules by
+   behaviour: the training instances a schedule leaves unsolved, and its
+   pre-solve outcome on the validation set, whose row phase 3 reads;
 2. fit each candidate's model on each distinct training remainder:
    a. list the distinct problems, each the rows a model learns from with
       their targets, and select all their bases in one select_basis batch.
@@ -19,9 +20,9 @@ phases, each doing its distinct work once:
    b. fit every problem of the build in one censored_fit batch;
    c. assemble the flat models, and fit the gates of all the hierarchical
       models in one hierarchy.train_hierarchical batch;
-3. per behaviour, choose a backup solver from its pre-solve outcome and
-   search solver subsets for the best simulated validation performance,
-   scoring all subsets in one array pass.
+3. per behaviour, take the backup solver of its pool (chosen once per
+   distinct pool) and search solver subsets for the best simulated
+   validation performance, scoring all subsets in one array pass.
 
 The build's summary INFO line gives the wall seconds of each phase and of
 steps 2a-2c, and the number of gates with their median and largest Newton
@@ -177,18 +178,17 @@ def enumerate_presolver_configs(complete_ids, local_ids) -> list[PresolverSchedu
 
     With three candidates per kind this yields exactly 288 schedules;
     schedules that differ only in the position of a cutoff-0 entry are kept
-    as distinct configurations.
+    as distinct configurations. When one kind has no candidate, each
+    (choice x cutoff) of the other is a one-entry schedule.
     """
-    schedules = []
-    for c_id in complete_ids:
-        for c_cut in PRESOLVER_CUTOFFS:
-            for l_id in local_ids:
-                for l_cut in PRESOLVER_CUTOFFS:
-                    first = PresolverEntry(c_id, "complete", c_cut)
-                    second = PresolverEntry(l_id, "local_search", l_cut)
-                    schedules.append(PresolverSchedule((first, second)))
-                    schedules.append(PresolverSchedule((second, first)))
-    return schedules
+    complete = [PresolverEntry(sid, "complete", cut)
+                for sid in complete_ids for cut in PRESOLVER_CUTOFFS]
+    local = [PresolverEntry(sid, "local_search", cut)
+             for sid in local_ids for cut in PRESOLVER_CUTOFFS]
+    if not (complete and local):
+        return [PresolverSchedule((entry,)) for entry in complete or local]
+    return [PresolverSchedule(order) for first, second in itertools.product(complete, local)
+            for order in ((first, second), (second, first))]
 
 
 @dataclass
@@ -235,29 +235,55 @@ class SolveOutcome:
     trace: list[dict] = field(default_factory=list)
 
 
-def simulate_presolving(runs: DenseRuns, schedule: PresolverSchedule, cutoff: float):
-    """Replays the schedule's active pre-solvers on every instance of `runs`.
+def replay_presolving(runs: DenseRuns, schedules, cutoff: float):
+    """Replays each schedule's active pre-solvers on every instance of `runs`,
+    in order, each up to its own cutoff and within the instance cutoff. One
+    that does not solve costs its cutoff, or, as in solve, its runtime if it
+    crashes within that cutoff. Returns (schedules, instances) arrays: solved,
+    the finish time, the solving pre-solver's row in `runs` (-1 if none) and
+    the time spent on the unsolved. Batches peak within
+    learning.FIT_BATCH_CELLS float64 cells."""
+    # an entry's cutoff 0, as a padding entry's, masks it out
+    width = max((len(schedule.entries) for schedule in schedules), default=0)
+    pad = [(0, 0.0)] * width
+    cells = np.array([[(runs.solver_index[e.solver_id] if e.cutoff_seconds else 0,
+                        e.cutoff_seconds) for e in schedule.entries] + pad[len(schedule.entries):]
+                      for schedule in schedules]).reshape(len(schedules), width, 2)
+    rows, cuts = cells[..., 0].astype(np.intp), cells[..., 1]
+    shape = (len(schedules), len(runs.instances))
+    solved, winner = np.zeros(shape, dtype=bool), np.full(shape, -1)
+    finish, elapsed = np.zeros(shape), np.zeros(shape)
+    crashed = runs.status == STATUS_CODES["crash"]
+    # a position's peak per (schedule, instance): its gathered runtimes, end
+    # times and charges, and the masks; tracemalloc reads 4.5 cells
+    per_batch = max(1, learning.FIT_BATCH_CELLS // max(1, 5 * shape[1]))
+    for at in range(0, len(schedules), per_batch):
+        b = slice(at, at + per_batch)
+        done, el = solved[b], elapsed[b]
+        for p in range(width):
+            row, cut = rows[b, p], cuts[b, p, None]
+            on, rt = cut > 0, runs.runtime[row]
+            end = el + rt
+            win = on & ~done & runs.solved[row] & (rt <= cut) & (end <= cutoff)
+            np.copyto(finish[b], end, where=win)
+            np.copyto(winner[b], row[:, None], where=win)
+            done |= win
+            charge = np.where(crashed[row] & (rt <= cut), rt, cut)
+            np.add(el, charge, out=el, where=on & ~done)
+    return solved, finish, winner, elapsed
 
-    Entries run in order, each up to its own cutoff and within the instance
-    cutoff. Returns per instance: whether a pre-solver solved it, the time
-    it finished, that pre-solver's id (None if unsolved) and the time spent
-    on instances left unsolved.
-    """
-    n = len(runs.instances)
-    solved = np.zeros(n, dtype=bool)
-    finish = np.zeros(n)
-    solver = np.full(n, None, dtype=object)
-    elapsed = np.zeros(n)
-    for entry in schedule.active():
-        row = runs.solver_index[entry.solver_id]
-        rt = runs.runtime[row]
-        end = elapsed + rt
-        win = ~solved & runs.solved[row] & (rt <= entry.cutoff_seconds) & (end <= cutoff)
-        finish[win] = end[win]
-        solver[win] = entry.solver_id
-        solved |= win
-        elapsed[~solved] += entry.cutoff_seconds
-    return solved, finish, solver, elapsed
+
+def _presolve_outcome(runs: DenseRuns, replayed, k: int):
+    """Row k of a replay_presolving result, its winner as a solver id."""
+    solved, finish, winner, elapsed = (a[k] for a in replayed)
+    return solved, finish, np.array([*runs.solvers, None], dtype=object)[winner], elapsed
+
+
+def simulate_presolving(runs: DenseRuns, schedule: PresolverSchedule, cutoff: float):
+    """The one schedule's replay_presolving row: per instance, whether a
+    pre-solver solved it, the time it finished, that pre-solver's id (None
+    if unsolved) and the time spent on instances left unsolved."""
+    return _presolve_outcome(runs, replay_presolving(runs, [schedule], cutoff), 0)
 
 
 class SimulationRows:
@@ -312,10 +338,10 @@ class SimulationRows:
 class PortfolioSimulator:
     """Replays the online procedure against recorded runs.
 
-    Charges pre-solver cutoffs, recorded feature time and the selected
-    solver's recorded runtime against the instance cutoff; crashes cascade
-    to the next-best prediction. Used for subset search, schedule ranking
-    and test-set evaluation.
+    Charges the pre-solvers' time as replay_presolving does, recorded
+    feature time and the selected solver's recorded runtime against the
+    instance cutoff; crashes cascade to the next-best prediction. Used for
+    subset search, schedule ranking and test-set evaluation.
 
     The members (the models' solvers) are sorted by id and ranked once per
     instance with a stable sort of their predictions. A subset's own stable
@@ -326,7 +352,7 @@ class PortfolioSimulator:
     A build passes `rows`, made from the same matrix, features, instance
     ids, objective, purse and series, to share it among its simulators, and
     `presolved`, the schedule's simulate_presolving outcome on `rows.runs`,
-    which it already holds.
+    which it already holds as a row of replay_presolving.
     """
 
     def __init__(self, matrix: RuntimeMatrix, features: dict[str, FeatureVector],
@@ -381,8 +407,8 @@ class PortfolioSimulator:
     def _membership(self, subsets) -> np.ndarray:
         """(subsets, members) flags; KeyError for a solver without a model."""
         flags = np.zeros((len(subsets), len(self.members)), dtype=bool)
-        for k, subset in enumerate(subsets):
-            flags[k, [self._member_index[sid] for sid in subset]] = True
+        flags[np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets]),
+              [self._member_index[sid] for subset in subsets for sid in subset]] = True
         return flags
 
     def _cascade(self, membership: np.ndarray):
@@ -786,25 +812,26 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     # Phase 1: group the schedules by behaviour, that is by the training
     # instances they leave for the models and what they do on the validation
     # set. Models, backup, simulation and subset search follow from it alone;
-    # each behaviour keeps the validation pre-solve outcome of its first
-    # schedule, which stands for it.
-    behaviours: dict[tuple, tuple] = {}  # key -> (outcome, schedules)
+    # each behaviour keeps the index of its first schedule, which stands for
+    # it, into the one replay of every schedule on the validation runs.
+    left = ~replay_presolving(train_runs, schedules, s.cutoff_seconds)[0]
+    left &= np.array([iid in usable for iid in train_ids])
+    replayed = replay_presolving(rows.runs, schedules, s.cutoff_seconds)
+    keys = np.hstack([left, replayed[0], replayed[1].view(np.uint8),
+                      replayed[3].view(np.uint8)])
+    behaviours: dict[bytes, tuple] = {}  # key -> (remaining, first index, schedules)
     skipped = 0
-    for schedule in schedules:
-        pre_solved = simulate_presolving(train_runs, schedule, s.cutoff_seconds)[0]
-        remaining = tuple(
-            iid for iid, done in zip(train_ids, pre_solved.tolist())
-            if not done and iid in usable
-        )
-        if not remaining:
+    for k, (schedule, keep) in enumerate(zip(schedules, left.any(axis=1).tolist())):
+        if not keep:
             log.warning("schedule %s solves every training instance; skipped",
                         schedule.describe())
             skipped += 1
             continue
-        outcome = simulate_presolving(rows.runs, schedule, s.cutoff_seconds)
-        solved, finish, _, elapsed = outcome
-        key = (remaining, solved.tobytes(), finish.tobytes(), elapsed.tobytes())
-        behaviours.setdefault(key, (outcome, []))[1].append(schedule)
+        key = keys[k].tobytes()
+        if key not in behaviours:
+            remaining = tuple(itertools.compress(train_ids, left[k].tolist()))
+            behaviours[key] = (remaining, k, [])
+        behaviours[key][2].append(schedule)
 
     stamps.append(time.perf_counter())
 
@@ -814,7 +841,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     # their bases, 2b fits them all in one censored_fit batch, 2c assembles
     # the flat models and fits every gate of the hierarchical ones in one batch
     remainders: dict[tuple, PresolverSchedule] = {}
-    for (remaining, *_), (_, group) in behaviours.items():
+    for remaining, _, group in behaviours.values():
         remainders.setdefault(remaining, group[0])
     pairs = []
     for remaining, schedule in remainders.items():
@@ -831,9 +858,11 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
 
     # Phase 3: per behaviour, in order of their first schedule, which stands
     # for them, a backup and a subset search; with the strict > the earliest
-    # of the best schedules wins
+    # of the best schedules wins. A backup depends only on its pool, so it is
+    # chosen once per distinct pool
     best = None  # (perf, schedule, backup, subset, models)
-    for (remaining, *_), (outcome, group) in behaviours.items():
+    backups: dict[bytes, str] = {}  # pool mask bytes -> backup
+    for remaining, first, group in behaviours.values():
         schedule = group[0]
         models = {sid: fits[sid, remaining] for sid in candidate_ids
                   if (sid, remaining) in fits}
@@ -841,14 +870,14 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
             skipped += len(group)
             continue
 
-        backup = choose_backup(
-            rows.runs, ~outcome[0] & ~rows.feature_ok, s.objective,
-            candidate_ids, s.cutoff_seconds, purse, series,
-        )
+        pool = ~replayed[0][first] & ~rows.feature_ok
+        if pool.tobytes() not in backups:
+            backups[pool.tobytes()] = choose_backup(
+                rows.runs, pool, s.objective, candidate_ids, s.cutoff_seconds, purse, series)
+        backup = backups[pool.tobytes()]
         simulator = PortfolioSimulator(
-            matrix, features, valid_ids, schedule, backup, models,
-            s.objective, s.cutoff_seconds, purse, series, rows=rows, presolved=outcome,
-        )
+            matrix, features, valid_ids, schedule, backup, models, s.objective, s.cutoff_seconds,
+            purse, series, rows=rows, presolved=_presolve_outcome(rows.runs, replayed, first))
         if len(models) <= EXHAUSTIVE_LIMIT:
             subset, perf = subset_search_exhaustive(models.keys(), simulator)
         else:

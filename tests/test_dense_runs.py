@@ -26,6 +26,7 @@ from zfolio.portfolio import (
     select_presolver_candidates,
     simulate_presolving,
 )
+from zfolio.runners import SimulatedRunner
 from zfolio.runtimes import MISSING, STATUSES, RunRecord, RuntimeMatrix, SolverDescriptor
 from zfolio.scoring import (
     MissingReferenceRuns,
@@ -63,6 +64,19 @@ def with_hole(rng, matrix):
         if (s, i) != hole:
             out.add(matrix.get(s, i))
     return out, hole
+
+
+def with_zero_second_run(rng, matrix):
+    """A copy of the matrix where one solved run took 0 s."""
+    solved = [(s, i) for s in matrix.solvers for i in matrix.instances
+              if matrix.get(s, i).solved]
+    zero = rng.choice(solved) if solved else None
+    out = RuntimeMatrix(matrix.cutoff_seconds)
+    for s in matrix.solvers:
+        for i in matrix.instances:
+            rec = matrix.get(s, i)
+            out.add(RunRecord(s, i, 0.0, rec.status) if (s, i) == zero else rec)
+    return out
 
 
 def random_schedule(rng, matrix):
@@ -158,19 +172,30 @@ def interleaved_series(rng, matrix):
     return {iid: f"g{rng.randrange(groups)}" for iid in matrix.instances}
 
 
-def ref_presolved(matrix, instance_ids, schedule, cutoff):
-    """Per instance: None, or (finish time, pre-solver)."""
+def ref_replay(matrix, instance_ids, schedule, cutoff):
+    """Per instance: None or (finish time, pre-solver), and the time spent
+    before the pre-solver that solved it, or on all of them. An entry that
+    does not solve costs its cutoff, or its runtime when it crashes within
+    that cutoff, as solve charges it."""
     out = {}
     for iid in instance_ids:
-        elapsed, out[iid] = 0.0, None
+        elapsed, won = 0.0, None
         for entry in schedule.active():
             rec = matrix.get(entry.solver_id, iid)
             if rec.solved and rec.runtime_seconds <= entry.cutoff_seconds \
                     and elapsed + rec.runtime_seconds <= cutoff:
-                out[iid] = (elapsed + rec.runtime_seconds, entry.solver_id)
+                won = (elapsed + rec.runtime_seconds, entry.solver_id)
                 break
-            elapsed += entry.cutoff_seconds
+            crashed = rec.status == "crash" and rec.runtime_seconds <= entry.cutoff_seconds
+            elapsed += rec.runtime_seconds if crashed else entry.cutoff_seconds
+        out[iid] = (won, elapsed)
     return out
+
+
+def ref_presolved(matrix, instance_ids, schedule, cutoff):
+    """Per instance: None, or (finish time, pre-solver)."""
+    return {iid: won for iid, (won, _) in ref_replay(matrix, instance_ids, schedule,
+                                                      cutoff).items()}
 
 
 def ref_choose_backup(matrix, schedule, timed_out, objective, candidates, cutoff,
@@ -217,13 +242,13 @@ def ref_simulation(matrix, features, ids, schedule, backup, models, objective, c
                    subset):
     """The online procedure replayed one instance at a time: (solved, time,
     (kind, solver)) per instance."""
-    presolved = ref_presolved(matrix, ids, schedule, cutoff)
+    presolved = ref_replay(matrix, ids, schedule, cutoff)
     out = []
     for iid in ids:
-        if presolved[iid] is not None:
-            out.append((True, presolved[iid][0], ("presolver", presolved[iid][1])))
+        won, elapsed = presolved[iid]
+        if won is not None:
+            out.append((True, won[0], ("presolver", won[1])))
             continue
-        elapsed = sum(e.cutoff_seconds for e in schedule.active())
         fv = features.get(iid)
         if fv is not None:
             elapsed += fv.feature_time_seconds
@@ -436,6 +461,49 @@ class TestPortfolioConsumers:
                 got = (float(finish[j]), solver[j]) if solved[j] else None
                 assert got == want[iid]
 
+    def test_replay_presolving(self, monkeypatch):
+        """Every row of the batched replay against the per-instance
+        reference, for every schedule of 0, 1 and 2 entries, in one batch
+        and in batches of one or a few schedules."""
+        seen = dict.fromkeys(("0 s run under a cutoff-0 entry", "overrun", "crash charged",
+                              "second entry wins"), 0)
+        for rng, matrix, _ in cases():
+            matrix = with_zero_second_run(rng, matrix)
+            complete, local = matrix.solvers[0::2], matrix.solvers[1::2]
+            schedules = [PresolverSchedule(),
+                         *portfolio.enumerate_presolver_configs(complete, []),
+                         *portfolio.enumerate_presolver_configs([], local),
+                         *portfolio.enumerate_presolver_configs(complete, local)]
+            assert len(schedules) > 40
+            runs = matrix.dense().block()
+            whole = portfolio.replay_presolving(runs, schedules, CUTOFF)
+            for cells in (1, 40 * len(runs.instances)):
+                monkeypatch.setattr(learning, "FIT_BATCH_CELLS", cells)
+                batched = portfolio.replay_presolving(runs, schedules, CUTOFF)
+                assert all(np.array_equal(a, b) for a, b in zip(batched, whole))
+            monkeypatch.undo()
+            solved, finish, winner, elapsed = whole
+            for k, schedule in enumerate(schedules):
+                want = ref_replay(matrix, matrix.instances, schedule, CUTOFF)
+                for j, iid in enumerate(matrix.instances):
+                    won, spent = want[iid]
+                    got = (float(finish[k, j]), runs.solvers[winner[k, j]]) if solved[k, j] \
+                        else None
+                    assert (got, float(elapsed[k, j])) == (won, spent)
+                    assert (winner[k, j] >= 0) == solved[k, j]
+                    active = schedule.active()
+                    for entry in schedule.entries:
+                        rec = matrix.get(entry.solver_id, iid)
+                        if entry.cutoff_seconds == 0 and rec.solved and rec.runtime_seconds == 0:
+                            assert got is None or got[1] != entry.solver_id
+                            seen["0 s run under a cutoff-0 entry"] += 1
+                        seen["crash charged"] += entry in active and rec.status == "crash" \
+                            and rec.runtime_seconds < entry.cutoff_seconds
+                    seen["overrun"] += spent > CUTOFF
+                    seen["second entry wins"] += len(active) == 2 and got is not None \
+                        and got[1] == active[1].solver_id
+        assert all(seen.values()), seen
+
     def test_select_presolver_candidates(self):
         for _, matrix, series in cases():
             purse = PurseConfig(time_limit=CUTOFF)
@@ -541,6 +609,38 @@ class TestPortfolioConsumers:
                     seen["crash cascade"] += 1
         for group, iid in firsts.items():
             first_hits.setdefault(group, set()).add(iid)
+
+    def test_simulator_agrees_with_solve_on_presolver_crashes(self):
+        """solve through SimulatedRunner and the simulator on every instance,
+        where pre-solvers crash: a crash within an entry's cutoff costs its
+        recorded runtime in both, not the entry's cutoff."""
+        charged = 0
+        for rng, matrix, _ in cases(60, seed=5):
+            features, models = self.simulator_inputs(rng, matrix)
+            schedule = random_schedule(rng, matrix)
+            subset = rng.sample(matrix.solvers, rng.randint(1, len(matrix.solvers)))
+            for objective in ("min_runtime", "max_score"):
+                config = portfolio.PortfolioConfig(
+                    schedule, rng.choice(matrix.solvers), subset,
+                    {s: models[s] for s in subset}, objective,
+                    {d.id: d for d in self.descriptors(matrix)}, cutoff_seconds=CUTOFF)
+                sim = PortfolioSimulator(matrix, features, matrix.instances, schedule,
+                                         config.backup_solver, config.models, objective,
+                                         CUTOFF, PurseConfig(time_limit=CUTOFF))
+                solved, total, chosen = sim.simulate(subset)
+                runner = SimulatedRunner(features, matrix)
+                for j, iid in enumerate(matrix.instances):
+                    outcome = portfolio.solve(config, iid, runner)
+                    assert (outcome.status in ("sat", "unsat")) == solved[j]
+                    if solved[j]:
+                        kind, sid = chosen[j]
+                        name = sid if kind == "main" else f"{kind}:{sid}"
+                        assert (outcome.chosen_solver, outcome.total_time_seconds) == \
+                            (name, total[j])
+                        charged += any(
+                            t["phase"] == "presolve" and t["status"] == "crash"
+                            and t["runtime"] < t["budget"] for t in outcome.trace)
+        assert charged > 10
 
     def test_batched_runtime_mean_is_the_mean_of_each_row(self):
         # over 300 instances numpy's pairwise sum splits each row in blocks;

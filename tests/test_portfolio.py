@@ -135,6 +135,14 @@ class TestEnumeratePresolverConfigs:
         scheds = enumerate_presolver_configs(["c1"], ["l1"])
         assert len(scheds) == 32
 
+    def test_one_kind_gives_one_entry_schedules(self):
+        for complete, local in ((["c1", "c2", "c3"], []), ([], ["l1"])):
+            scheds = enumerate_presolver_configs(complete, local)
+            assert len(scheds) == 4 * len(complete or local)
+            assert [(e.solver_id, e.cutoff_seconds) for s in scheds for e in s.entries] == \
+                [(sid, cut) for sid in complete or local for cut in (0.0, 2.0, 5.0, 10.0)]
+        assert enumerate_presolver_configs([], []) == []
+
     def test_schedule_constraints(self):
         for sched in enumerate_presolver_configs(["c1", "c2"], ["l1"]):
             assert len(sched.entries) <= 2
@@ -357,6 +365,18 @@ class TestBuildPortfolio:
         assert any(kinds[sid] == "local_search" for sid in portfolio.models) or \
             any(kinds[sid] == "local_search" for sid in portfolio.subset) or \
             len(portfolio.subset) >= 1  # local members are legal, not mandatory
+
+    def test_complete_solvers_only(self):
+        # without a local-search candidate the schedules have one entry each
+        bench = generate_benchmark(90, seed=1)
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, valid, _ = split_data(kept, seed=1)
+        descriptors = [dataclasses.replace(d, kind="complete") for d in bench.descriptors]
+        portfolio = build_portfolio(train, valid, bench.features,
+                                    bench.matrix.restrict(instances=[*train, *valid]),
+                                    descriptors, small_settings(), bench.purse, bench.series)
+        assert len(portfolio.presolvers.entries) == 1
+        assert portfolio.subset
 
     def test_instance_without_feature_values_is_skipped(self, bench, built, monkeypatch):
         # no values but not timed out: the build skips the training row and
@@ -615,56 +635,64 @@ class TestBehaviourGrouping:
 
     @pytest.mark.parametrize("objective", ["min_runtime", "max_score"])
     def test_validation_presolving_replayed_once_per_schedule(self, bench, split, monkeypatch,
-                                                              caplog, objective):
-        # phase 1 replays each schedule's pre-solvers on the validation set
-        # once, and each simulator takes its behaviour's outcome from there
+                                                              objective):
+        # phase 1 replays every schedule's pre-solvers on the validation set
+        # in one batched call, and each simulator takes its behaviour's
+        # outcome from there; no schedule is replayed on its own
         valid = sorted(split[1])
         replays = []
-        original = portfolio_module.simulate_presolving
+        original = portfolio_module.replay_presolving
 
-        def spy(runs, schedule, cutoff):
+        def spy(runs, schedules, cutoff):
             if runs.instances == valid:
-                replays.append(schedule)
-            return original(runs, schedule, cutoff)
-        monkeypatch.setattr(portfolio_module, "simulate_presolving", spy)
-        caplog.set_level(logging.WARNING, logger="zfolio.portfolio")
+                replays.append(list(schedules))
+            return original(runs, schedules, cutoff)
+
+        def alone(*args):
+            raise AssertionError("a schedule replayed on its own")
+        monkeypatch.setattr(portfolio_module, "replay_presolving", spy)
+        monkeypatch.setattr(portfolio_module, "simulate_presolving", alone)
         _, listed, built_for = self.build(bench, split, monkeypatch, objective=objective,
                                           presolver_top=2)
-        skipped = sum("solves every training instance" in r.getMessage()
-                      for r in caplog.records)
         assert len(built_for) > 1
-        assert len(set(replays)) == len(replays) == len(listed) - skipped
+        assert replays == [listed]
 
     def test_backup_pool_follows_the_behaviour(self, bench, split, monkeypatch):
-        # each backup is ranked on the validation instances that the
-        # behaviour's pre-solvers leave unsolved and whose features are
-        # unusable, read from the outcome phase 1 recorded
+        # each simulator's backup is choose_backup's pick on the validation
+        # instances that its behaviour's pre-solvers leave unsolved and whose
+        # features are unusable; choose_backup ranks each distinct pool once
         train, valid, matrix = split
         features = dict(bench.features)
         for iid in valid[::4]:
             features[iid] = FeatureVector(None, 1.0, True, 0)
-        calls = []
+        pools, built = [], []
         backup, init = portfolio_module.choose_backup, PortfolioSimulator.__init__
 
         def spy_backup(runs, pool, *args):
-            calls.append((runs, pool))
+            pools.append(pool.tobytes())
             return backup(runs, pool, *args)
 
-        def spy_init(self, matrix, features, ids, schedule, *args, **kw):
-            calls[-1] += (schedule,)
-            init(self, matrix, features, ids, schedule, *args, **kw)
+        def spy_init(self, matrix, features, ids, schedule, chosen, *args, **kw):
+            built.append((kw["rows"].runs, schedule, chosen))
+            init(self, matrix, features, ids, schedule, chosen, *args, **kw)
         monkeypatch.setattr(portfolio_module, "choose_backup", spy_backup)
         monkeypatch.setattr(PortfolioSimulator, "__init__", spy_init)
-        build_portfolio(train, valid, features, matrix, bench.descriptors,
-                        small_settings(presolver_top=2), bench.purse, bench.series)
+        settings = small_settings(presolver_top=2)
+        build_portfolio(train, valid, features, matrix, bench.descriptors, settings,
+                        bench.purse, bench.series)
+        candidates = sorted(d.id for d in bench.descriptors if d.kind == "complete")
         unusable = np.array([not features[iid].usable for iid in sorted(valid)])
-        presolved_unusable = 0
-        for runs, pool, schedule in calls:
+        presolved_unusable, own_pools = 0, []
+        for runs, schedule, chosen in built:
             assert runs.instances == sorted(valid)
             presolved = simulate_presolving(runs, schedule, CUTOFF)[0]
-            assert np.array_equal(pool, ~presolved & unusable)
+            pool = ~presolved & unusable
+            own_pools.append(pool.tobytes())
+            assert chosen == backup(runs, pool, settings.objective, candidates, CUTOFF,
+                                    bench.purse, bench.series)
             presolved_unusable += bool((presolved & unusable).any())
-        assert len(calls) > 1 and presolved_unusable > 0
+        assert len(built) > 1 and presolved_unusable > 0
+        assert pools == list(dict.fromkeys(own_pools))
 
     def test_ties_go_to_the_earliest_schedule(self, bench, split, monkeypatch):
         # schedules whose active pre-solvers' cutoffs sum to 2 s tie for the
