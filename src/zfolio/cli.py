@@ -250,10 +250,7 @@ def cmd_evaluate(args) -> int:
             built.backup_solver, built.models, built.objective,
             built.cutoff_seconds, purse, series,
         )
-        extended = matrix.restrict()
-        for rec in sim.records(built.subset).values():
-            extended.add(rec)
-        matrix = extended
+        matrix.add(*sim.records(built.subset).values())
 
     report = evaluation.evaluate(matrix, purse, series)
     text = report.to_csv()

@@ -112,6 +112,5 @@ def collect_runtimes(descriptors, instance_paths, cutoff_seconds: float) -> Runt
     matrix = RuntimeMatrix(cutoff_seconds)
     jobs = [(d, p) for d in descriptors for p in instance_paths]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for record in pool.map(lambda job: run_external(*job, cutoff_seconds), jobs):
-            matrix.add(record)
+        matrix.add(*pool.map(lambda job: run_external(*job, cutoff_seconds), jobs))
     return matrix

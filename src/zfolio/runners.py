@@ -46,9 +46,7 @@ class SimulatedRunner:
             t = min(CRASH_SECONDS, time_limit)
             return RunRecord(solver_id, instance_id, t, "crash")
         rec = self.matrix.get(solver_id, instance_id)
-        if rec.solved and rec.runtime_seconds <= time_limit:
-            return rec
-        if rec.status == "crash" and rec.runtime_seconds <= time_limit:
+        if not rec.censored and rec.runtime_seconds <= time_limit:  # solved or crashed in time
             return rec
         return RunRecord(solver_id, instance_id, time_limit, "timeout")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -46,8 +47,8 @@ class RunRecord:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        if self.runtime_seconds < 0:
-            raise ValueError("runtime must be nonnegative")
+        if not 0 <= self.runtime_seconds < float("inf"):
+            raise ValueError(f"runtime must be finite and nonnegative: {self.runtime_seconds!r}")
 
     @property
     def solved(self) -> bool:
@@ -99,88 +100,106 @@ class DenseRuns:
 
 
 class RuntimeMatrix:
-    """Records over solvers x instances with a shared cutoff.
+    """Runs over solvers x instances with a shared cutoff, stored as one
+    DenseRuns over the sorted solvers and instances.
 
-    Ingestion enforces the status invariants and the sat/unsat consensus:
-    no instance may carry both a sat and an unsat status across solvers.
-    Consumers that replay many cells read the arrays of dense() instead of
-    calling get() cell by cell.
+    Ingestion enforces the status invariants, one run per cell and the
+    sat/unsat consensus: no instance may carry both a sat and an unsat
+    status across solvers. Consumers that replay many cells read dense().
     """
 
     def __init__(self, cutoff_seconds: float):
         if cutoff_seconds <= 0:
             raise ValueError("cutoff must be positive")
         self.cutoff_seconds = float(cutoff_seconds)
-        self._records: dict[tuple[str, str], RunRecord] = {}
-        self._solvers: set[str] = set()
-        self._instances: set[str] = set()
-        self._sat_label: dict[str, str] = {}
-        self._dense: DenseRuns | None = None
+        self._runs = DenseRuns([], [], np.empty((0, 0)), np.empty((0, 0), dtype=np.int8))
 
-    def add(self, record: RunRecord) -> None:
-        if record.status == "timeout" and record.runtime_seconds != self.cutoff_seconds:
-            raise ValueError("timeout records must carry the cutoff as runtime")
-        if record.solved and record.runtime_seconds > self.cutoff_seconds:
-            raise ValueError("solved runtime exceeds the cutoff")
-        if record.solved:
-            known = self._sat_label.get(record.instance_id)
-            if known is not None and known != record.status:
-                raise DataConsistencyError(
-                    f"instance {record.instance_id!r} labeled both {known} and {record.status}"
-                )
-            self._sat_label[record.instance_id] = record.status
-        self._records[(record.solver_id, record.instance_id)] = record
-        self._solvers.add(record.solver_id)
-        self._instances.add(record.instance_id)
-        self._dense = None
+    def add(self, *records: RunRecord) -> None:
+        """Writes these runs, all or none. Each must keep the status
+        invariants, fill an empty cell and agree with its instance's label."""
+        runs, cells, labels = self._runs, {}, {}
+        for rec in records:
+            sid, iid = rec.solver_id, rec.instance_id
+            if rec.status == "timeout" and rec.runtime_seconds != self.cutoff_seconds:
+                raise ValueError("timeout records must carry the cutoff as runtime")
+            if rec.solved and rec.runtime_seconds > self.cutoff_seconds:
+                raise ValueError("solved runtime exceeds the cutoff")
+            cell = runs.solver_index.get(sid, -1), runs.instance_index.get(iid, -1)
+            if (sid, iid) in cells or (min(cell) >= 0 and runs.status.item(cell) != MISSING):
+                raise ValueError(f"solver {sid!r} already has a run on instance {iid!r}")
+            cells[sid, iid] = rec
+            if rec.solved:
+                known = labels.setdefault(iid, self.sat_label(iid) or rec.status)
+                if known != rec.status:
+                    raise DataConsistencyError(
+                        f"instance {iid!r} labeled both {known} and {rec.status}")
+        new_solvers = {s for s, _ in cells} - runs.solver_index.keys()
+        new_instances = {i for _, i in cells} - runs.instance_index.keys()
+        # new ids grow the arrays; arrays that dense() handed out stay unchanged
+        if new_solvers or new_instances or not runs.runtime.flags.writeable:
+            solvers = sorted(new_solvers.union(runs.solvers))
+            instances = sorted(new_instances.union(runs.instances))
+            old = np.ix_(np.isin(solvers, runs.solvers), np.isin(instances, runs.instances))
+            runtime = np.full((len(solvers), len(instances)), np.nan)
+            status = np.full(runtime.shape, MISSING, dtype=np.int8)
+            runtime[old], status[old] = runs.runtime, runs.status
+            self._runs = runs = DenseRuns(solvers, instances, runtime, status)
+        rows = [runs.solver_index[s] for s, _ in cells]
+        cols = [runs.instance_index[i] for _, i in cells]
+        runs.runtime[rows, cols] = [rec.runtime_seconds for rec in cells.values()]
+        runs.status[rows, cols] = [STATUS_CODES[rec.status] for rec in cells.values()]
 
     def dense(self) -> DenseRuns:
-        """Every cell as arrays over the sorted solvers and instances, built
-        on the first call after a change."""
-        if self._dense is None:
-            shape = (len(self._solvers), len(self._instances))
-            view = DenseRuns(self.solvers, self.instances, np.full(shape, np.nan),
-                             np.full(shape, MISSING, dtype=np.int8))
-            for (s, i), rec in self._records.items():
-                cell = view.solver_index[s], view.instance_index[i]
-                view.runtime[cell] = rec.runtime_seconds
-                view.status[cell] = STATUS_CODES[rec.status]
-            view.runtime.flags.writeable = view.status.flags.writeable = False
-            self._dense = view
-        return self._dense
+        """Every cell, as read-only arrays."""
+        self._runs.runtime.flags.writeable = self._runs.status.flags.writeable = False
+        return self._runs
 
     @property
     def solvers(self) -> list[str]:
-        return sorted(self._solvers)
+        return list(self._runs.solvers)
 
     @property
     def instances(self) -> list[str]:
-        return sorted(self._instances)
+        return list(self._runs.instances)
 
     def get(self, solver_id: str, instance_id: str) -> RunRecord:
-        return self._records[(solver_id, instance_id)]
-
-    def has(self, solver_id: str, instance_id: str) -> bool:
-        return (solver_id, instance_id) in self._records
+        """The run of one cell; KeyError for an unknown id or an empty cell."""
+        runs = self._runs
+        cell = runs.solver_index[solver_id], runs.instance_index[instance_id]
+        code = runs.status.item(cell)
+        if code == MISSING:
+            raise KeyError((solver_id, instance_id))
+        rec = object.__new__(RunRecord)  # validated on add: __post_init__ would double get's cost
+        rec.__dict__.update(solver_id=solver_id, instance_id=instance_id,
+                            runtime_seconds=runs.runtime.item(cell), status=STATUSES[code])
+        return rec
 
     def solved(self, solver_id: str, instance_id: str) -> bool:
         return self.get(solver_id, instance_id).solved
 
     def sat_label(self, instance_id: str) -> str | None:
         """Consensus satisfiability ('sat'/'unsat') or None if never solved."""
-        return self._sat_label.get(instance_id)
+        j = self._runs.instance_index.get(instance_id)
+        codes = set() if j is None else set(self._runs.status[:, j].tolist())
+        return next((s for s in SOLVED_STATUSES if STATUS_CODES[s] in codes), None)
 
     def restrict(self, instances=None, solvers=None) -> "RuntimeMatrix":
-        instances = set(self._instances if instances is None else instances)
-        solvers = set(self._solvers if solvers is None else solvers)
-        out = RuntimeMatrix(self.cutoff_seconds)
-        for (s, i), rec in self._records.items():
-            if s in solvers and i in instances:
-                out.add(rec)
+        """The runs of these instances and solvers (all by default) as a new
+        matrix; unknown ids are ignored, and ids left without a run dropped."""
+        runs, out = self._runs, RuntimeMatrix(self.cutoff_seconds)
+        keep = runs.status != MISSING
+        if solvers is not None:
+            keep &= np.isin(runs.solvers, list(solvers))[:, None]
+        if instances is not None:
+            keep &= np.isin(runs.instances, list(instances))
+        rows, cols = keep.any(axis=1), keep.any(axis=0)
+        block = np.ix_(rows, cols)
+        out._runs = DenseRuns(compress(runs.solvers, rows), compress(runs.instances, cols),
+                              runs.runtime[block], runs.status[block])
         return out
 
     def __len__(self) -> int:
-        return len(self._records)
+        return int(np.count_nonzero(self._runs.status != MISSING))
 
 
 CSV_HEADER = ("instance_id", "solver_id", "runtime", "status")
@@ -190,20 +209,18 @@ def save_runtime_csv(path, matrix: RuntimeMatrix) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for iid in matrix.instances:
-            for sid in matrix.solvers:
-                if matrix.has(sid, iid):
-                    rec = matrix.get(sid, iid)
-                    writer.writerow([iid, sid, repr(rec.runtime_seconds), rec.status])
+        runs = matrix.dense()
+        for j, k in np.argwhere(runs.status.T != MISSING).tolist():
+            writer.writerow([runs.instances[j], runs.solvers[k],
+                             repr(runs.runtime.item(k, j)), STATUSES[runs.status.item(k, j)]])
 
 
 def load_runtime_csv(path, cutoff_seconds: float) -> RuntimeMatrix:
     matrix = RuntimeMatrix(cutoff_seconds)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
+        if tuple(next(reader)) != CSV_HEADER:
             raise ValueError("unexpected runtime CSV header")
-        for iid, sid, runtime, status in reader:
-            matrix.add(RunRecord(sid, iid, float(runtime), status))
+        matrix.add(*(RunRecord(sid, iid, float(runtime), status)
+                     for iid, sid, runtime, status in reader))
     return matrix

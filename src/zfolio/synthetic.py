@@ -148,9 +148,8 @@ def generate_benchmark(num_instances: int = 600, clusters: int = 3, seed: int = 
 
     descriptors, models = default_solver_models(clusters, seed + 2)
     matrix = RuntimeMatrix(cutoff_seconds)
-    for inst in instances:
-        for sid, model in models.items():
-            matrix.add(run_synthetic(model, inst, cutoff_seconds, seed))
+    matrix.add(*(run_synthetic(model, inst, cutoff_seconds, seed)
+                 for inst in instances for model in models.values()))
 
     return SyntheticBenchmark(
         instances, features, descriptors, models, matrix, series,

@@ -325,7 +325,9 @@ class TestDenseView:
                 for s in m.solvers:
                     for i in m.instances:
                         cell = view.solver_index[s], view.instance_index[i]
-                        if not m.has(s, i):
+                        if (s, i) == (hs, hi) and m is holed:
+                            with pytest.raises(KeyError):
+                                m.get(s, i)
                             assert view.status[cell] == MISSING
                             assert not view.solved[cell]
                             continue
@@ -354,8 +356,8 @@ class TestDenseView:
         view = matrix.dense()
         assert matrix.dense() is view  # cached until the next add
         for s in matrix.solvers:
-            matrix.add(RunRecord(s, "new", 1.0 + len(s), "sat"))
-        matrix.add(RunRecord("s0", "i0", CUTOFF, "timeout"))
+            matrix.add(RunRecord(s, "new", CUTOFF, "timeout") if s == "s0"
+                       else RunRecord(s, "new", 1.0 + len(s), "sat"))
         assert matrix.dense() is not view
         assert "new" in matrix.dense().instances
         series = singleton_series(matrix.instances)
@@ -365,12 +367,17 @@ class TestDenseView:
         assert drop_unsolvable(matrix) == drop_unsolvable_ref(matrix)
         view = matrix.dense()
         labels = score_labels(view, purse, series)
-        assert labels[view.solver_index["s0"], view.instance_index["i0"]] == 0.0
+        assert labels[view.solver_index["s0"], view.instance_index["new"]] == 0.0
 
 
 def drop_unsolvable_ref(matrix):
-    kept = [i for i in matrix.instances
-            if any(matrix.has(s, i) and matrix.get(s, i).solved for s in matrix.solvers)]
+    def solved(s, i):
+        try:
+            return matrix.get(s, i).solved
+        except KeyError:  # a cell without a run
+            return False
+
+    kept = [i for i in matrix.instances if any(solved(s, i) for s in matrix.solvers)]
     return kept, len(kept) / len(matrix.instances)
 
 

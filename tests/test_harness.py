@@ -44,6 +44,11 @@ class TestRunRecord:
         with pytest.raises(ValueError):
             RunRecord("s", "i", 1.0, "maybe")
 
+    @pytest.mark.parametrize("runtime", [math.nan, math.inf, -math.inf])
+    def test_non_finite_runtime(self, runtime):
+        with pytest.raises(ValueError, match="finite"):
+            RunRecord("s", "i", runtime, "crash")
+
 
 class TestRuntimeMatrix:
     def test_consensus_enforced(self):
@@ -83,6 +88,29 @@ class TestRuntimeMatrix:
         for s in m.solvers:
             for i in m.instances:
                 assert loaded.get(s, i) == m.get(s, i)
+
+    @pytest.mark.parametrize("runtime", ["nan", "inf"])
+    def test_csv_with_a_non_finite_runtime_is_refused(self, tmp_path, runtime):
+        path = tmp_path / "runs.csv"
+        path.write_text(f"instance_id,solver_id,runtime,status\ni0,a,1.0,sat\n"
+                        f"i1,a,{runtime},sat\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_runtime_csv(path, CUTOFF)
+
+    def test_csv_with_a_duplicated_cell_is_refused(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text("instance_id,solver_id,runtime,status\ni0,a,1.0,sat\n"
+                        "i0,b,2.0,sat\ni0,a,1200.0,timeout\n")
+        with pytest.raises(ValueError, match="'a' already has a run on instance 'i0'"):
+            load_runtime_csv(path, CUTOFF)
+
+    def test_a_second_run_for_a_cell_is_refused(self):
+        m = RuntimeMatrix(CUTOFF)
+        m.add(RunRecord("a", "i", 1.0, "sat"))
+        with pytest.raises(ValueError, match="'a' already has a run on instance 'i'"):
+            m.add(RunRecord("a", "i", CUTOFF, "timeout"))
+        assert m.get("a", "i") == RunRecord("a", "i", 1.0, "sat")
+        assert m.sat_label("i") == "sat"
 
 
 def script_solver(tmp_path, name, body):

@@ -1,10 +1,13 @@
-"""One short perfbench train-score run passes its own checks.
+"""One short perfbench run of each train workload passes its own checks.
 
-A train-score round builds 10 sat2 portfolios and checks each one: its
-predictions survive save_portfolio/load_portfolio bit for bit, and every
-timed solve() gives what PortfolioSimulator.simulate says it must. The run
-reports a failure for each check that does not hold, so a clean one-second
-run puts all of them into each test pass.
+A train round builds its portfolios (train-score: sat2 under max_score;
+train-runtime: flat under min_runtime, whose setup counts the distinct
+training sets through RuntimeMatrix.get) and checks each one: its
+predictions survive save_portfolio/load_portfolio bit for bit, every timed
+solve() through SimulatedRunner gives what PortfolioSimulator.simulate says
+it must, and its simulated runs join a restrict() copy of the test runs for
+evaluate(). The run reports a failure for each check that does not hold, so
+a clean one-second run puts all of them into each test pass.
 """
 
 import json
@@ -12,11 +15,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_train_score_round_is_correct():
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "train-score", "--seed", "2",
+@pytest.mark.parametrize("workload", ["train-score", "train-runtime"])
+def test_train_round_is_correct(workload):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "2",
            "--seconds", "1", "--trace", "0"]
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]

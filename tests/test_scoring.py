@@ -369,10 +369,9 @@ class TestScoreContext:
             runtime = {iid: rng.uniform(0, CUTOFF) for iid in matrix.instances}
             got = ctx.virtual_total(solved, runtime)
             extended = matrix.restrict()
-            truth = matrix._sat_label
             for iid in matrix.instances:
                 if solved[iid]:
-                    status = truth.get(iid, "sat")
+                    status = matrix.sat_label(iid) or "sat"
                     extended.add(rec("virtual", iid, runtime[iid], status))
                 else:
                     extended.add(rec("virtual", iid, CUTOFF, "timeout"))
