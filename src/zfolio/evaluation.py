@@ -111,13 +111,10 @@ def _summary(solver_id, solved_times, n_total, cutoff, score) -> SolverSummary:
 
 
 def evaluate(matrix: RuntimeMatrix, purse: PurseConfig | None = None,
-             series: SeriesMap | None = None, solvers=None) -> EvaluationReport:
+             series: SeriesMap | None = None) -> EvaluationReport:
     """Per-solver average runtime, percent solved, score and CDF, plus the
-    oracle over the same solver subset."""
-    solvers = list(solvers) if solvers is not None else matrix.solvers
-    # sorted rows: scores then sum across solvers in the same order whatever
-    # order `solvers` comes in
-    runs = matrix.dense().block(solver_ids=sorted(set(solvers)))
+    oracle over the same solvers. Raises KeyError for a cell without a run."""
+    runs = matrix.dense().block()
     instances = runs.instances
     n = len(instances)
     cutoff = matrix.cutoff_seconds
@@ -134,8 +131,7 @@ def evaluate(matrix: RuntimeMatrix, purse: PurseConfig | None = None,
         )
 
     rows = []
-    for s in solvers:
-        k = runs.solver_index[s]
+    for k, s in enumerate(runs.solvers):
         rows.append(_summary(s, runs.runtime[k][runs.solved[k]].tolist(), n, cutoff,
                              scores.get(s)))
     oracle = _summary("oracle", oracle_time[oracle_solved].tolist(), n, cutoff, oracle_score)

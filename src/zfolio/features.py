@@ -24,6 +24,7 @@ import numpy as np
 
 from .cnf import CnfFormula
 from .probes import ProbeBudget, _SlsState, dpll_probe, gsat_probe, saps_probe
+from .runtimes import csv_number
 
 FEATURE_NAMES = (
     "f01_nclauses",
@@ -313,17 +314,24 @@ def save_feature_csv(path, table: dict[str, FeatureVector]) -> None:
 
 
 def load_feature_csv(path) -> dict[str, FeatureVector]:
+    """A malformed row raises a ValueError naming the file, the line and
+    the bad field."""
     table: dict[str, FeatureVector] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
+        if tuple(next(reader)) != CSV_HEADER:
             raise ValueError("unexpected feature CSV header")
         for row in reader:
-            iid = row[0]
-            cells = row[1 : 1 + NUM_FEATURES]
-            feature_time = float(row[1 + NUM_FEATURES])
-            timed_out = bool(int(row[2 + NUM_FEATURES]))
-            values = None if timed_out else np.array([float(c) for c in cells])
-            table[iid] = FeatureVector(values, feature_time, timed_out, seed=0)
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                if row[-1] not in ("0", "1"):
+                    raise ValueError(f"timed_out {row[-1]!r} is not 0 or 1")
+                timed_out = row[-1] == "1"
+                values = None if timed_out else np.array(
+                    [csv_number(name, c) for name, c in zip(FEATURE_NAMES, row[1:-2])])
+                table[row[0]] = FeatureVector(values, csv_number("feature_time", row[-2]),
+                                              timed_out, seed=0)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return table

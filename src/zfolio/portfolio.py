@@ -9,7 +9,8 @@ phases, each doing its distinct work once:
 1. replay every schedule's pre-solvers in one array pass on the training
    runs and one on the validation runs, and group the schedules by
    behaviour: the training instances a schedule leaves unsolved, and its
-   pre-solve outcome on the validation set, whose row phase 3 reads;
+   pre-solve outcome on the validation set: its replay_presolving row,
+   which phase 3's simulator reads as it is;
 2. fit each candidate's model on each distinct training remainder:
    a. list the distinct problems, each the rows a model learns from with
       their targets, and select all their bases in one select_basis batch.
@@ -273,19 +274,6 @@ def replay_presolving(runs: DenseRuns, schedules, cutoff: float):
     return solved, finish, winner, elapsed
 
 
-def _presolve_outcome(runs: DenseRuns, replayed, k: int):
-    """Row k of a replay_presolving result, its winner as a solver id."""
-    solved, finish, winner, elapsed = (a[k] for a in replayed)
-    return solved, finish, np.array([*runs.solvers, None], dtype=object)[winner], elapsed
-
-
-def simulate_presolving(runs: DenseRuns, schedule: PresolverSchedule, cutoff: float):
-    """The one schedule's replay_presolving row: per instance, whether a
-    pre-solver solved it, the time it finished, that pre-solver's id (None
-    if unsolved) and the time spent on instances left unsolved."""
-    return _presolve_outcome(runs, replay_presolving(runs, [schedule], cutoff), 0)
-
-
 class SimulationRows:
     """The schedule-independent inputs of a simulation over some instances:
     their runs, their feature rows and, under max_score, the score context.
@@ -351,8 +339,9 @@ class PortfolioSimulator:
 
     A build passes `rows`, made from the same matrix, features, instance
     ids, objective, purse and series, to share it among its simulators, and
-    `presolved`, the schedule's simulate_presolving outcome on `rows.runs`,
-    which it already holds as a row of replay_presolving.
+    `presolved`, the schedule's row of replay_presolving on `rows.runs` as
+    it is: solved, finish time, the winner's row in `rows.runs` (-1 if
+    none) and elapsed time. Without it the schedule is replayed alone.
     """
 
     def __init__(self, matrix: RuntimeMatrix, features: dict[str, FeatureVector],
@@ -372,23 +361,19 @@ class PortfolioSimulator:
         n = len(self.ids)
 
         if presolved is None:
-            presolved = simulate_presolving(runs, schedule, cutoff)
-        pre_solved, pre_time, pre_solver, pre_elapsed = presolved
+            presolved = [a[0] for a in replay_presolving(runs, [schedule], cutoff)]
+        pre_solved, pre_time, self._winner, pre_elapsed = presolved
         # what does not depend on the subset: pre-solved and backup rows
         self._solved = pre_solved.copy()
         self._total = np.where(pre_solved, pre_time, cutoff)
-        self._kind = np.where(pre_solved, "presolver", "").astype(object)
-        self._solver = pre_solver.copy()
         self._elapsed = pre_elapsed + rows.feature_time
-        backup_rows = ~pre_solved & ~rows.feature_ok
-        if backup_rows.any():
+        self._backup_rows = ~pre_solved & ~rows.feature_ok
+        if self._backup_rows.any():
             rt = runs.runtime[runs.solver_index[backup]]
             ok = runs.solved[runs.solver_index[backup]]
-            win = backup_rows & ok & (self._elapsed + rt <= cutoff)
+            win = self._backup_rows & ok & (self._elapsed + rt <= cutoff)
             self._total[win] = (self._elapsed + rt)[win]
             self._solved |= win
-            self._kind[backup_rows] = "backup"
-            self._solver[backup_rows] = backup
         self._model_rows = ~pre_solved & rows.feature_ok
 
         self.members = sorted(models)
@@ -441,11 +426,12 @@ class PortfolioSimulator:
     def simulate(self, subset):
         """Returns (solved mask, total time, chosen (kind, solver) pairs)."""
         solved, total, chosen = (a[0] for a in self._cascade(self._membership([subset])))
-        kind, solver = self._kind.copy(), self._solver.copy()
-        main = chosen >= 0
-        kind[main] = "main"
-        solver[main] = np.array(self.members, dtype=object)[chosen[main]]
-        return solved, total, list(zip(kind, solver))
+        pairs = [("presolver", self.runs.solvers[w]) if w >= 0 else
+                 ("backup", self.backup) if b else
+                 ("main", self.members[c]) if c >= 0 else ("", None)
+                 for w, b, c in zip(self._winner.tolist(), self._backup_rows.tolist(),
+                                    chosen.tolist())]
+        return solved, total, pairs
 
     def performances(self, subsets: list) -> np.ndarray:
         """Validation performance of each subset; higher is better. Subsets
@@ -680,10 +666,6 @@ class _ModelTrainer:
             raise InsufficientData(f"{sid}: every training run censored")
         return cols
 
-    def _dataset(self, k: int, cols: np.ndarray) -> LabeledDataset:
-        return LabeledDataset(self.X[cols], self.y[k, cols], self.censored[k, cols],
-                              self.cutoff_log)
-
     def _expert_columns(self, k: int, cols: np.ndarray) -> list[np.ndarray]:
         """The columns each expert learns from: all of them for a flat model;
         under a hierarchy, a class with at least min_training_rows rows, not
@@ -703,13 +685,14 @@ class _ModelTrainer:
         a. list the distinct problems, each the instance columns a model
            learns from (a flat model's or a class expert's own, or the whole
            remainder for a fallback shared by the small classes) with their
-           targets. Each is listed once, in first-appearance order, so
-           solvers with the same targets on the same rows share it, and all
-           their bases are selected in one select_basis batch;
+           targets. Each is listed once, in first-appearance order, and its
+           dataset is built then, so solvers with the same targets on the
+           same rows share it; all their bases are selected in one
+           select_basis batch;
         b. fit every problem in one censored_fit batch;
-        c. per distinct (solver, columns) model, take its flat fit, or list
-           the gate of its class experts with its rows (the observed ones,
-           when enough are) and their targets; every gate is fitted in one
+        c. per pair, take its flat fit, or list the gate of its class
+           experts with its rows (the observed ones, when enough are) and
+           their targets; every gate is fitted in one
            hierarchy.train_hierarchical batch.
 
         Returns the models by pair and, for each pair whose rows cannot
@@ -717,7 +700,7 @@ class _ModelTrainer:
         """
         s = self.settings
         start = time.perf_counter()
-        refused, model_of, plans = {}, {}, {}
+        refused, plans = {}, {}
         problems: dict[tuple, LabeledDataset] = {}
         for sid, row_ids in pairs:
             try:
@@ -725,17 +708,15 @@ class _ModelTrainer:
             except InsufficientData as exc:
                 refused[sid, row_ids] = str(exc)
                 continue
-            key = model_of[sid, row_ids] = (sid, cols.tobytes())
-            if key in plans:
-                continue
             k = self.runs.solver_index[sid]
             experts = []
             for c in self._expert_columns(k, cols):
-                data = self._dataset(k, c)
-                problem = (c.tobytes(), data.targets.tobytes(), data.censored.tobytes())
-                problems.setdefault(problem, data)
+                problem = (c.tobytes(), self.y[k, c].tobytes(), self.censored[k, c].tobytes())
+                if problem not in problems:
+                    problems[problem] = LabeledDataset(self.X[c], self.y[k, c],
+                                                       self.censored[k, c], self.cutoff_log)
                 experts.append(problem)
-            plans[key] = (k, cols, experts)
+            plans[sid, row_ids] = (k, cols, experts)
         bases = select_basis(list(problems.values()), folds=s.cv_folds,
                              max_raw_terms=s.max_raw_terms,
                              max_expanded_terms=s.max_expanded_terms)
@@ -747,16 +728,16 @@ class _ModelTrainer:
         fitted_at = time.perf_counter()
 
         models, gates = {}, {}
-        for key, (k, cols, experts) in plans.items():
+        for pair, (k, cols, experts) in plans.items():
             if self.classifier is None:
-                models[key] = fitted[experts[0]]
+                models[pair] = fitted[experts[0]]
                 continue
             # the gate is fit against observed targets, so censored rows are
             # dropped from it when a true runtime is unknown
             rows = cols[~self.censored[k, cols]]
             if rows.size < s.min_training_rows:
                 rows = cols
-            gates[key] = ([fitted[e] for e in experts], rows, self.y[k, rows])
+            gates[pair] = ([fitted[e] for e in experts], rows, self.y[k, rows])
         self.gate_fits = []
         if gates:
             hierarchical, self.gate_fits = hierarchy.train_hierarchical(
@@ -764,7 +745,7 @@ class _ModelTrainer:
             models.update(zip(gates, hierarchical))
         self.seconds = {"2a": selected - start, "2b": fitted_at - selected,
                         "2c": time.perf_counter() - fitted_at}
-        return {pair: models[key] for pair, key in model_of.items()}, refused
+        return models, refused
 
 
 def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
@@ -877,7 +858,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
         backup = backups[pool.tobytes()]
         simulator = PortfolioSimulator(
             matrix, features, valid_ids, schedule, backup, models, s.objective, s.cutoff_seconds,
-            purse, series, rows=rows, presolved=_presolve_outcome(rows.runs, replayed, first))
+            purse, series, rows=rows, presolved=tuple(a[first] for a in replayed))
         if len(models) <= EXHAUSTIVE_LIMIT:
             subset, perf = subset_search_exhaustive(models.keys(), simulator)
         else:

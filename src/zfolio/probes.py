@@ -307,13 +307,13 @@ class _SlsState:
     """Clause bookkeeping and exact flip scores shared by the local-search probes.
 
     Built once per formula, and shared by the SAPS and GSAT probes of one
-    `extract_all`: the occurrence lists, each clause's distinct variables,
-    per variable and flip direction the change of each of its clauses' true
-    counts (`_moves`), and a flat numpy index of every literal occurrence,
-    from which `random_init` computes a run's start with `np.bincount`. Per
-    clause, `true_count` counts the true literal occurrences and `true_sum`
-    adds up their variables, so while the count is 1 the sum is the
-    variable of the one true literal.
+    `extract_all`: the occurrence lists, each clause's variables once per
+    occurrence (`_occ_vars`), per variable and flip direction the change of
+    each of its clauses' true counts (`_moves`), and a flat numpy index of
+    every literal occurrence, from which `random_init` computes a run's start
+    with `np.bincount`. Per clause, `true_count` counts the true literal
+    occurrences and `true_sum` adds up their variables, so while the count
+    is 1 the sum is the variable of the one true literal.
 
     A variable's integer score is +1 for each of its true occurrences in a
     clause with true count 1 and -1 for each of its false occurrences in a
@@ -350,10 +350,6 @@ class _SlsState:
         occ_var = np.abs(lits)
         self.pos_occ, self.neg_occ = _occurrence_lists(lits, occ_clause, n)
         self._occ_var, self._occ_pos, self._occ_clause = occ_var, lits > 0, occ_clause
-        # sorting (clause, variable) keys lists each clause's variables in order
-        _, first = np.unique(occ_clause * (n + 1) + occ_var, return_index=True)
-        distinct = np.bincount(occ_clause[first], minlength=m)
-        self.clause_vars = _split(occ_var[first].tolist(), distinct)
         # each clause's variables once per occurrence
         self._occ_vars = _split(occ_var.tolist(), np.bincount(occ_clause, minlength=m))
         # _moves[new_value][var] lists, for each distinct clause of var, the
@@ -552,7 +548,7 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
     buckets = state.buckets
     unsat = state.unsat
     stale = state.stale
-    clause_vars = state.clause_vars
+    occ_vars = state._occ_vars
     weights = None
     init_unsat = len(unsat)
     best_unsat = init_unsat
@@ -600,7 +596,7 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
                 for ci in unsat:
                     weights[ci] *= SAPS_ALPHA
                     rescale |= weights[ci] > SAPS_WEIGHT_LIMIT
-                    stale.update(clause_vars[ci])
+                    stale.update(occ_vars[ci])
                 if rescale:
                     # a power of two scales every weight and score exactly
                     for ci in range(len(weights)):

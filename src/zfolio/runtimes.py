@@ -183,13 +183,11 @@ class RuntimeMatrix:
         codes = set() if j is None else set(self._runs.status[:, j].tolist())
         return next((s for s in SOLVED_STATUSES if STATUS_CODES[s] in codes), None)
 
-    def restrict(self, instances=None, solvers=None) -> "RuntimeMatrix":
-        """The runs of these instances and solvers (all by default) as a new
-        matrix; unknown ids are ignored, and ids left without a run dropped."""
+    def restrict(self, instances=None) -> "RuntimeMatrix":
+        """The runs of these instances (all by default) as a new matrix;
+        unknown ids are ignored, and ids left without a run dropped."""
         runs, out = self._runs, RuntimeMatrix(self.cutoff_seconds)
         keep = runs.status != MISSING
-        if solvers is not None:
-            keep &= np.isin(runs.solvers, list(solvers))[:, None]
         if instances is not None:
             keep &= np.isin(runs.instances, list(instances))
         rows, cols = keep.any(axis=1), keep.any(axis=0)
@@ -215,12 +213,30 @@ def save_runtime_csv(path, matrix: RuntimeMatrix) -> None:
                              repr(runs.runtime.item(k, j)), STATUSES[runs.status.item(k, j)]])
 
 
+def csv_number(field: str, text: str) -> float:
+    """A CSV cell as a float, or a ValueError that names its field."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{field} {text!r} is not a number") from None
+
+
 def load_runtime_csv(path, cutoff_seconds: float) -> RuntimeMatrix:
-    matrix = RuntimeMatrix(cutoff_seconds)
+    """A malformed row raises a ValueError naming the file, the line and
+    the bad field."""
+    records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if tuple(next(reader)) != CSV_HEADER:
             raise ValueError("unexpected runtime CSV header")
-        matrix.add(*(RunRecord(sid, iid, float(runtime), status)
-                     for iid, sid, runtime, status in reader))
+        for row in reader:
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                iid, sid, runtime, status = row
+                records.append(RunRecord(sid, iid, csv_number("runtime", runtime), status))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    matrix = RuntimeMatrix(cutoff_seconds)
+    matrix.add(*records)
     return matrix

@@ -24,7 +24,6 @@ from zfolio.portfolio import (
     _ModelTrainer,
     choose_backup,
     select_presolver_candidates,
-    simulate_presolving,
 )
 from zfolio.runners import SimulatedRunner
 from zfolio.runtimes import MISSING, STATUSES, RunRecord, RuntimeMatrix, SolverDescriptor
@@ -64,6 +63,14 @@ def with_hole(rng, matrix):
         if (s, i) != hole:
             out.add(matrix.get(s, i))
     return out, hole
+
+
+def sub_matrix(matrix, solvers, instances=None):
+    """A new matrix of these solvers' runs on these instances (all by
+    default), built with add."""
+    out = RuntimeMatrix(matrix.cutoff_seconds)
+    out.add(*(matrix.get(s, i) for s in solvers for i in instances or matrix.instances))
+    return out
 
 
 def with_zero_second_run(rng, matrix):
@@ -205,7 +212,7 @@ def ref_choose_backup(matrix, schedule, timed_out, objective, candidates, cutoff
     pool = pool or matrix.instances
     candidates = sorted(candidates)
     if objective == "max_score":
-        sub = matrix.restrict(instances=pool, solvers=candidates)
+        sub = sub_matrix(matrix, candidates, pool)
         series = series or singleton_series(pool)
         totals = ref_competition_score(sub, purse, {i: series[i] for i in pool})
         return min(candidates, key=lambda s: (-totals[s].total, s))
@@ -295,7 +302,7 @@ def ref_fit_inputs(matrix, features, sid, rows, settings, purse, series, train_i
 def ref_evaluate(matrix, purse, series, solvers):
     """(avg runtime, % solved, score total) per solver and for the oracle."""
     cutoff, n = matrix.cutoff_seconds, len(matrix.instances)
-    scores = ref_competition_score(matrix.restrict(solvers=solvers), purse, series)
+    scores = ref_competition_score(sub_matrix(matrix, solvers), purse, series)
     rows = {}
     for s in solvers:
         times = [matrix.get(s, i).runtime_seconds for i in matrix.instances
@@ -433,7 +440,7 @@ class TestEvaluationConsumers:
         for rng, matrix, series in cases():
             purse = PurseConfig(time_limit=CUTOFF)
             solvers = rng.sample(matrix.solvers, rng.randint(1, len(matrix.solvers)))
-            report = evaluate(matrix, purse, series, solvers)
+            report = evaluate(sub_matrix(matrix, solvers), purse, series)
             want = ref_evaluate(matrix, purse, series, solvers)
             for s in solvers:
                 r = report.row(s)
@@ -457,16 +464,6 @@ class TestPortfolioConsumers:
     def descriptors(self, matrix):
         return [SolverDescriptor(s, "complete" if k % 2 == 0 else "local_search")
                 for k, s in enumerate(matrix.solvers)]
-
-    def test_simulate_presolving(self):
-        for rng, matrix, _ in cases():
-            schedule = random_schedule(rng, matrix)
-            solved, finish, solver, _ = simulate_presolving(
-                matrix.dense().block(), schedule, CUTOFF)
-            want = ref_presolved(matrix, matrix.instances, schedule, CUTOFF)
-            for j, iid in enumerate(matrix.instances):
-                got = (float(finish[j]), solver[j]) if solved[j] else None
-                assert got == want[iid]
 
     def test_replay_presolving(self, monkeypatch):
         """Every row of the batched replay against the per-instance
@@ -529,7 +526,7 @@ class TestPortfolioConsumers:
             candidates = rng.sample(matrix.solvers, rng.randint(1, len(matrix.solvers)))
             runs = matrix.dense().block()
             # the build's pool: not pre-solved, and features unusable
-            pool = ~simulate_presolving(runs, schedule, CUTOFF)[0] & np.array(
+            pool = ~portfolio.replay_presolving(runs, [schedule], CUTOFF)[0][0] & np.array(
                 [timed_out.get(i, True) for i in runs.instances])
             for objective in ("min_runtime", "max_score"):
                 rest = (objective, candidates, CUTOFF, purse, series)

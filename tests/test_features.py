@@ -182,6 +182,28 @@ class TestExtractAll:
         assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("at, cell, fault", [
+    (5, None, "expected 51 fields, got 50"),
+    (4, "big", f"{FEATURE_NAMES[3]} 'big' is not a number"),
+    (-2, "", "feature_time '' is not a number"),
+    (-1, "yes", "timed_out 'yes' is not 0 or 1"),
+], ids=["width", "feature", "feature_time", "timed_out"])
+def test_feature_csv_malformed_row_names_it(tmp_path, at, cell, fault):
+    # a well-formed row, then one with cell `at` replaced (deleted if None)
+    path = tmp_path / "features.csv"
+    row = ["i1", *(str(k) for k in range(48)), "1.5", "0"]
+    save_feature_csv(path, {"i0": FeatureVector(np.arange(48.0), 1.5, False, seed=0)})
+    if cell is None:
+        del row[at]
+    else:
+        row[at] = cell
+    with open(path, "a") as fh:
+        fh.write(",".join(row) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_feature_csv(path)
+    assert str(exc.value) == f"{path}, line 3: {fault}"
+
+
 def test_feature_csv_round_trip(tmp_path, rng):
     table = {}
     for i in range(4):

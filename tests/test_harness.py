@@ -97,6 +97,18 @@ class TestRuntimeMatrix:
         with pytest.raises(ValueError, match="finite"):
             load_runtime_csv(path, CUTOFF)
 
+    @pytest.mark.parametrize("row, fault", [
+        ("i1,a,sat", "expected 4 fields, got 3"),
+        ("i1,a,fast,sat", "runtime 'fast' is not a number"),
+        ("i1,a,2.0,solved", "unknown status 'solved'"),
+    ], ids=["width", "runtime", "status"])
+    def test_csv_with_a_malformed_row_names_it(self, tmp_path, row, fault):
+        path = tmp_path / "runs.csv"
+        path.write_text(f"instance_id,solver_id,runtime,status\ni0,a,1.0,sat\n{row}\n")
+        with pytest.raises(ValueError) as exc:
+            load_runtime_csv(path, CUTOFF)
+        assert str(exc.value) == f"{path}, line 3: {fault}"
+
     def test_csv_with_a_duplicated_cell_is_refused(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text("instance_id,solver_id,runtime,status\ni0,a,1.0,sat\n"

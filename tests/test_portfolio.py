@@ -26,9 +26,9 @@ from zfolio.portfolio import (
     load_portfolio,
     portfolio_from_doc,
     portfolio_to_doc,
+    replay_presolving,
     save_portfolio,
     select_presolver_candidates,
-    simulate_presolving,
     solve,
     subset_search_exhaustive,
     subset_search_local,
@@ -647,11 +647,7 @@ class TestBehaviourGrouping:
             if runs.instances == valid:
                 replays.append(list(schedules))
             return original(runs, schedules, cutoff)
-
-        def alone(*args):
-            raise AssertionError("a schedule replayed on its own")
         monkeypatch.setattr(portfolio_module, "replay_presolving", spy)
-        monkeypatch.setattr(portfolio_module, "simulate_presolving", alone)
         _, listed, built_for = self.build(bench, split, monkeypatch, objective=objective,
                                           presolver_top=2)
         assert len(built_for) > 1
@@ -685,7 +681,7 @@ class TestBehaviourGrouping:
         presolved_unusable, own_pools = 0, []
         for runs, schedule, chosen in built:
             assert runs.instances == sorted(valid)
-            presolved = simulate_presolving(runs, schedule, CUTOFF)[0]
+            presolved = replay_presolving(runs, [schedule], CUTOFF)[0][0]
             pool = ~presolved & unusable
             own_pools.append(pool.tobytes())
             assert chosen == backup(runs, pool, settings.objective, candidates, CUTOFF,
@@ -798,6 +794,36 @@ class TestExpertRows:
         assert len({id(models[sid, rows].conditional_models[k]) for sid in local}) == 1
         assert len(local) > 1 and len(spied) == len(local) + 1
         assert len({(x.tobytes(), y.tobytes()) for x, y in spied}) == len(spied)
+
+    @pytest.mark.parametrize("hierarchy", ["none", "sat2"])
+    def test_pairs_with_equal_columns_get_equal_models(self, bench, hierarchy):
+        # under min_runtime a solver learns nothing from its crashed runs, so
+        # two remainders that differ only by an instance it crashed on leave
+        # it the same columns, and its two pairs share one fit
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, _, _ = split_data(kept, seed=1)
+        usable = [iid for iid in train if bench.features[iid].usable]
+        crashed = usable[0]
+        matrix = RuntimeMatrix(bench.matrix.cutoff_seconds)
+        matrix.add(*(bench.matrix.get(s, i) for s in bench.matrix.solvers
+                     for i in bench.matrix.instances if (s, i) != ("complete-a", crashed)),
+                   RunRecord("complete-a", crashed, 1.0, "crash"))
+        trainer = portfolio_module._ModelTrainer(
+            matrix, bench.features, small_settings(hierarchy=hierarchy),
+            ["complete-a", "complete-b"], train, set(usable), bench.purse, bench.series,
+            None)
+        rows = tuple(usable[1:21])
+        both = (crashed, *rows)
+        models, refused = trainer.fit([(sid, r) for r in (rows, both)
+                                       for sid in ("complete-a", "complete-b")])
+        assert not refused
+        X = np.vstack([bench.features[iid].values for iid in usable])
+        one, other = models["complete-a", rows], models["complete-a", both]
+        assert one.predict_matrix(X).tobytes() == other.predict_matrix(X).tobytes()
+        if hierarchy == "none":
+            assert one is other
+        b_rows, b_both = models["complete-b", rows], models["complete-b", both]
+        assert b_rows.predict_matrix(X).tobytes() != b_both.predict_matrix(X).tobytes()
 
     def test_general6_fits_all_rows_at_most_once(self, bench, spied):
         train, trainer = self.trainer(bench, "general6")

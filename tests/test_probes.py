@@ -205,7 +205,6 @@ def test_occurrence_lists_shared_by_both_engines():
     engine, sls = PropagationEngine(f), _SlsState(f)
     assert engine.pos_occ == sls.pos_occ == [[], [0, 0], [1, 3], [3]]
     assert engine.neg_occ == sls.neg_occ == [[], [3], [0, 1], [2]]
-    assert sls.clause_vars == [[1, 2], [2], [3], [1, 2, 3]]
 
 
 # -- flip-score cache ---------------------------------------------------
