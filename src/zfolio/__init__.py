@@ -34,7 +34,6 @@ from .learning import (
     censored_fit,
     fit_ridge_model,
     forward_select,
-    ridge_fit,
     select_basis,
     truncated_normal_mean,
 )

@@ -134,14 +134,9 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _load_labels_csv(path):
-    sat, category = {}, {}
+def _load_categories_csv(path):
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            sat[row["instance_id"]] = row["satisfiable"]
-            category[row["instance_id"]] = row["category"]
-    return sat, category
+        return {row["instance_id"]: row["category"] for row in csv.DictReader(fh)}
 
 
 def _load_purse(path, instance_ids):
@@ -175,9 +170,7 @@ def cmd_train(args) -> int:
 
     purse, series = _load_purse(args.purse, kept) if args.purse else (None, None)
 
-    category_labels = None
-    if args.labels:
-        _, category_labels = _load_labels_csv(args.labels)
+    category_labels = _load_categories_csv(args.labels) if args.labels else None
 
     objective = {"runtime": portfolio_mod.OBJECTIVE_RUNTIME,
                  "score": portfolio_mod.OBJECTIVE_SCORE}[args.objective]

@@ -61,8 +61,7 @@ class SolverSummary:
     solver_id: str
     avg_runtime: float
     pct_solved: float
-    score: ScoreBreakdown | None
-    cdf: list[tuple[float, float]]
+    score: ScoreBreakdown
 
 
 @dataclass
@@ -77,26 +76,9 @@ class EvaluationReport:
     def to_csv(self) -> str:
         lines = ["solver_id,avg_runtime,pct_solved,solution,speed,series,total"]
         for r in [*self.rows, self.oracle]:
-            if r.score is None:
-                score_cells = ",,,"
-            else:
-                score_cells = f"{r.score.solution!r},{r.score.speed!r},{r.score.series!r},{r.score.total!r}"
-            lines.append(f"{r.solver_id},{r.avg_runtime!r},{r.pct_solved!r},{score_cells}")
+            lines.append(f"{r.solver_id},{r.avg_runtime!r},{r.pct_solved!r},{r.score.solution!r},"
+                         f"{r.score.speed!r},{r.score.series!r},{r.score.total!r}")
         return "\n".join(lines) + "\n"
-
-
-def _cdf_points(solve_times, n_total, cutoff) -> list[tuple[float, float]]:
-    points = []
-    times = sorted(solve_times)
-    for i, t in enumerate(times, start=1):
-        if points and points[-1][0] == t:
-            points[-1] = (t, i / n_total)
-        else:
-            points.append((t, i / n_total))
-    frac = len(times) / n_total if n_total else 0.0
-    if not points or points[-1][0] < cutoff:
-        points.append((cutoff, frac))
-    return points
 
 
 def _summary(solver_id, solved_times, n_total, cutoff, score) -> SolverSummary:
@@ -106,33 +88,27 @@ def _summary(solver_id, solved_times, n_total, cutoff, score) -> SolverSummary:
         total_time / n_total if n_total else 0.0,
         100.0 * len(solved_times) / n_total if n_total else 0.0,
         score,
-        _cdf_points(solved_times, n_total, cutoff),
     )
 
 
-def evaluate(matrix: RuntimeMatrix, purse: PurseConfig | None = None,
-             series: SeriesMap | None = None) -> EvaluationReport:
-    """Per-solver average runtime, percent solved, score and CDF, plus the
-    oracle over the same solvers. Raises KeyError for a cell without a run."""
+def evaluate(matrix: RuntimeMatrix, purse: PurseConfig, series: SeriesMap) -> EvaluationReport:
+    """Per-solver average runtime, percent solved and competition score,
+    plus the oracle over the same solvers. Raises KeyError for a cell
+    without a run."""
     runs = matrix.dense().block()
     instances = runs.instances
     n = len(instances)
     cutoff = matrix.cutoff_seconds
     oracle_solved = runs.solved.any(axis=0)
     oracle_time = np.where(runs.solved, runs.runtime, np.inf).min(axis=0, initial=np.inf)
-
-    scores = {}
-    oracle_score = None
-    if purse is not None and series is not None:
-        scores = competition_score(runs, purse, series)
-        oracle_score = ScoreContext(runs, purse, series).virtual_total(
-            dict(zip(instances, oracle_solved.tolist())),
-            dict(zip(instances, np.where(oracle_solved, oracle_time, cutoff).tolist())),
-        )
+    scores = competition_score(runs, purse, series)
+    oracle_score = ScoreContext(runs, purse, series).virtual_total(
+        dict(zip(instances, oracle_solved.tolist())),
+        dict(zip(instances, np.where(oracle_solved, oracle_time, cutoff).tolist())),
+    )
 
     rows = []
     for k, s in enumerate(runs.solvers):
-        rows.append(_summary(s, runs.runtime[k][runs.solved[k]].tolist(), n, cutoff,
-                             scores.get(s)))
+        rows.append(_summary(s, runs.runtime[k][runs.solved[k]].tolist(), n, cutoff, scores[s]))
     oracle = _summary("oracle", oracle_time[oracle_solved].tolist(), n, cutoff, oracle_score)
     return EvaluationReport(cutoff, rows, oracle)

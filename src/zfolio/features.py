@@ -84,7 +84,7 @@ _INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 @dataclass
 class FeatureVector:
-    """One instance's features plus extraction metadata.
+    """One instance's features plus its extraction time and timeout flag.
 
     `values` holds the 48 features in canonical order, or None when
     extraction timed out (the CSV form then carries empty cells).
@@ -93,7 +93,6 @@ class FeatureVector:
     values: np.ndarray | None
     feature_time_seconds: float
     timed_out: bool
-    seed: int
 
     def __post_init__(self):
         if self.values is not None:
@@ -287,13 +286,13 @@ def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
     values: dict[str, float] = base_features(formula)
     for phase in phases():
         if out_of_time():
-            return FeatureVector(None, time.perf_counter() - start, True, seed)
+            return FeatureVector(None, time.perf_counter() - start, True)
         values.update(phase())
     if out_of_time():
-        return FeatureVector(None, time.perf_counter() - start, True, seed)
+        return FeatureVector(None, time.perf_counter() - start, True)
 
     vector = np.array([values[name] for name in FEATURE_NAMES], dtype=float)
-    return FeatureVector(vector, time.perf_counter() - start, False, seed)
+    return FeatureVector(vector, time.perf_counter() - start, False)
 
 
 CSV_HEADER = ("instance_id",) + FEATURE_NAMES + ("feature_time", "timed_out")
@@ -314,8 +313,8 @@ def save_feature_csv(path, table: dict[str, FeatureVector]) -> None:
 
 
 def load_feature_csv(path) -> dict[str, FeatureVector]:
-    """A malformed row raises a ValueError naming the file, the line and
-    the bad field."""
+    """A malformed row, or a second row for an instance, raises a
+    ValueError naming the file, the line and the bad field or instance."""
     table: dict[str, FeatureVector] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -325,13 +324,15 @@ def load_feature_csv(path) -> dict[str, FeatureVector]:
             try:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                if row[0] in table:
+                    raise ValueError(f"a second row for instance {row[0]!r}")
                 if row[-1] not in ("0", "1"):
                     raise ValueError(f"timed_out {row[-1]!r} is not 0 or 1")
                 timed_out = row[-1] == "1"
                 values = None if timed_out else np.array(
                     [csv_number(name, c) for name, c in zip(FEATURE_NAMES, row[1:-2])])
                 table[row[0]] = FeatureVector(values, csv_number("feature_time", row[-2]),
-                                              timed_out, seed=0)
+                                              timed_out)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return table

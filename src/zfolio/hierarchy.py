@@ -354,10 +354,6 @@ class HierarchicalModel:
                 f"{(k - 1, width)} for {k} classes"
             )
 
-    @property
-    def target(self) -> str:
-        return self.conditional_models[0].target
-
     def gate_probs(self, x) -> np.ndarray:
         X = np.asarray(x, dtype=float)[None, :]
         return gate_probs(self.gating_weights, self.classifier.gate_inputs(X))[0]

@@ -70,14 +70,6 @@ class Assignment:
     def set(self, var: int, value: bool) -> None:
         self.states[var] = TRUE if value else FALSE
 
-    def copy(self) -> "Assignment":
-        out = Assignment(self.num_vars)
-        out.states = list(self.states)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, Assignment) and self.states == other.states
-
 
 def _flat_literals(clauses) -> tuple[np.ndarray, np.ndarray]:
     """Every literal occurrence in clause order, and the index of its clause."""

@@ -35,10 +35,10 @@ class SimulatedRunner:
 
     def features(self, instance_id: str, budget: ProbeBudget, seed: int) -> FeatureVector:
         if instance_id in self.feature_timeouts:
-            return FeatureVector(None, budget.total_seconds, True, seed)
+            return FeatureVector(None, budget.total_seconds, True)
         fv = self.features_table.get(instance_id)
         if fv is None:
-            return FeatureVector(None, 0.0, True, seed)
+            return FeatureVector(None, 0.0, True)
         return fv
 
     def run(self, solver_id: str, instance_id: str, time_limit: float) -> RunRecord:

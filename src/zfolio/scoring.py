@@ -69,13 +69,6 @@ class ScoreBreakdown:
     def total(self) -> float:
         return self.solution + self.speed + self.series
 
-    def __add__(self, other):
-        return ScoreBreakdown(
-            self.solution + other.solution,
-            self.speed + other.speed,
-            self.series + other.series,
-        )
-
 
 def speed_factor(time_limit: float, time_used: float) -> float:
     """SF = timeLimit / (1 + timeUsed); discounts small runtime differences."""

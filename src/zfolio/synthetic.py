@@ -140,7 +140,7 @@ def generate_benchmark(num_instances: int = 600, clusters: int = 3, seed: int = 
         vec = nprng.normal(size=NUM_FEATURES)
         vec[:6] = centers[cluster] + nprng.normal(scale=0.5, size=6)
         vec[6] = (1.5 if satisfiable else -1.5) + nprng.normal(scale=1.0)
-        features[iid] = FeatureVector(vec, FEATURE_SECONDS + rng.uniform(0, 0.5), False, seed)
+        features[iid] = FeatureVector(vec, FEATURE_SECONDS + rng.uniform(0, 0.5), False)
 
         idx = per_cluster_counter[cluster]
         per_cluster_counter[cluster] += 1

@@ -164,7 +164,7 @@ def test_train_stores_the_budget_features_extract_under(tmp_path, cnf_dir, monke
 
     def extract(formula, budget, seed):
         budgets.append(budget)
-        return FeatureVector(np.zeros(len(FEATURE_NAMES)), 0.0, False, seed)
+        return FeatureVector(np.zeros(len(FEATURE_NAMES)), 0.0, False)
     monkeypatch.setattr(cli.features_mod, "extract_all", extract)
     assert main(["features", str(cnf_dir), "-o", str(tmp_path / "features.csv")]) == 0
     assert budgets and all(b == budgets[0] for b in budgets)
@@ -216,7 +216,12 @@ def test_evaluate_refuses_runs_with_a_solver_named_portfolio(tmp_path, capsys):
     assert not report.exists()
 
 
-def test_solve_command(tmp_path, capsys):
+@pytest.mark.parametrize("body, code, verdict", [
+    ("exit 10\n", 10, "s SATISFIABLE"),
+    ("echo 's UNSATISFIABLE'\nexit 0\n", 20, "s UNSATISFIABLE"),  # read from the output
+    ("exit 1\n", 0, "s UNKNOWN"),  # every solver crashes
+], ids=["sat", "unsat", "unknown"])
+def test_solve_command(tmp_path, capsys, body, code, verdict):
     bench = generate_benchmark(num_instances=100, seed=21)
     kept, _ = drop_unsolvable(bench.matrix)
     train, valid, _ = split_data(kept, seed=1)
@@ -230,7 +235,7 @@ def test_solve_command(tmp_path, capsys):
         bench.matrix.restrict(instances=[*train, *valid]),
         bench.descriptors, settings, bench.purse, bench.series,
     )
-    script = script_solver(tmp_path, "instant", "exit 10\n")
+    script = script_solver(tmp_path, "instant", body)
     built.descriptors = {
         sid: SolverDescriptor(sid, d.kind, f"{script} {{instance}}")
         for sid, d in built.descriptors.items()
@@ -242,8 +247,8 @@ def test_solve_command(tmp_path, capsys):
     instance.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
     rc = main(["solve", str(path), str(instance)])
     out = capsys.readouterr().out
-    assert rc == 10
-    assert "s SATISFIABLE" in out
+    assert rc == code
+    assert verdict in out.splitlines()
 
 
 def test_solve_refuses_commandless_portfolio(tmp_path, capsys):

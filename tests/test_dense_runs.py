@@ -108,17 +108,18 @@ def ref_instance_scores(records, purse):
 
 
 def ref_competition_score(matrix, purse, series):
-    totals = {s: ScoreBreakdown() for s in matrix.solvers}
+    totals = {s: [0.0, 0.0, 0.0] for s in matrix.solvers}
     for iid in matrix.instances:
         per_solver = ref_instance_scores({s: matrix.get(s, iid) for s in matrix.solvers}, purse)
         for s, (solution, speed) in per_solver.items():
-            totals[s] = totals[s] + ScoreBreakdown(solution, speed, 0.0)
+            totals[s][0] += solution
+            totals[s][1] += speed
     for members in series_groups(series, matrix.instances).values():
         winners = [s for s in matrix.solvers
                    if any(matrix.get(s, iid).solved for iid in members)]
         for s in winners:
-            totals[s] = totals[s] + ScoreBreakdown(0.0, 0.0, purse.series_purse / len(winners))
-    return totals
+            totals[s][2] += purse.series_purse / len(winners)
+    return {s: ScoreBreakdown(*sums) for s, sums in totals.items()}
 
 
 def ref_score_labels(matrix, sid, purse, series):
@@ -457,7 +458,7 @@ class TestEvaluationConsumers:
         for rng, matrix, series in cases(10):
             holed, _ = with_hole(rng, matrix)
             with pytest.raises(KeyError):
-                evaluate(holed)
+                evaluate(holed, PurseConfig(time_limit=CUTOFF), series)
 
 
 class TestPortfolioConsumers:
@@ -540,7 +541,7 @@ class TestPortfolioConsumers:
             if roll < 0.15:
                 continue  # no features recorded
             values = np.array([rng.gauss(0, 1) for _ in FEATURE_NAMES])
-            features[iid] = FeatureVector(values, rng.uniform(0, 3), roll < 0.3, 0)
+            features[iid] = FeatureVector(values, rng.uniform(0, 3), roll < 0.3)
         models = {
             s: RidgeModel(BasisSpec.identity([0, 1]), np.array([rng.gauss(0, 1), 0.5]),
                           1e-3, 0.1, "log_runtime", rng.gauss(0, 1))

@@ -192,7 +192,7 @@ def test_feature_csv_malformed_row_names_it(tmp_path, at, cell, fault):
     # a well-formed row, then one with cell `at` replaced (deleted if None)
     path = tmp_path / "features.csv"
     row = ["i1", *(str(k) for k in range(48)), "1.5", "0"]
-    save_feature_csv(path, {"i0": FeatureVector(np.arange(48.0), 1.5, False, seed=0)})
+    save_feature_csv(path, {"i0": FeatureVector(np.arange(48.0), 1.5, False)})
     if cell is None:
         del row[at]
     else:
@@ -204,12 +204,23 @@ def test_feature_csv_malformed_row_names_it(tmp_path, at, cell, fault):
     assert str(exc.value) == f"{path}, line 3: {fault}"
 
 
+def test_feature_csv_refuses_a_second_row_for_an_instance(tmp_path):
+    # a concatenated file must not train on whichever row came last
+    path = tmp_path / "features.csv"
+    save_feature_csv(path, {"i0": FeatureVector(np.arange(48.0), 1.5, False)})
+    with open(path, "a") as fh:
+        fh.write(",".join(["i0", *(str(k) for k in range(48)), "2.0", "0"]) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_feature_csv(path)
+    assert str(exc.value) == f"{path}, line 3: a second row for instance 'i0'"
+
+
 def test_feature_csv_round_trip(tmp_path, rng):
     table = {}
     for i in range(4):
         f = random_3cnf(10, 30, rng)
         table[f"inst{i}"] = extract_all(f, TEST_BUDGET, seed=i)
-    table["slow"] = FeatureVector(None, 61.0, True, seed=9)
+    table["slow"] = FeatureVector(None, 61.0, True)
     path = tmp_path / "features.csv"
     save_feature_csv(path, table)
     loaded = load_feature_csv(path)

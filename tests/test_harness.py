@@ -285,11 +285,10 @@ class TestEvaluate:
         m = RuntimeMatrix(CUTOFF)
         for k in range(5):
             m.add(RunRecord("a", f"i{k}", 1.0, "sat"))
-        report = evaluate(m)
+        report = evaluate(m, PurseConfig(time_limit=CUTOFF), singleton_series(m.instances))
         row = report.row("a")
         assert row.avg_runtime == 1.0
         assert row.pct_solved == 100.0
-        assert row.cdf[0] == (1.0, 1.0)
 
     def test_oracle_dominance(self):
         import random
@@ -303,22 +302,10 @@ class TestEvaluate:
                     m.add(RunRecord(sid, f"i{k}", rng.uniform(0, CUTOFF), truth))
                 else:
                     m.add(RunRecord(sid, f"i{k}", CUTOFF, "timeout"))
-        report = evaluate(m, PurseConfig(), singleton_series(m.instances))
+        report = evaluate(m, PurseConfig(time_limit=CUTOFF), singleton_series(m.instances))
         for row in report.rows:
             assert report.oracle.avg_runtime <= row.avg_runtime + 1e-9
             assert report.oracle.pct_solved >= row.pct_solved - 1e-9
-
-    def test_cdf_nondecreasing_reaches_pct(self):
-        m = RuntimeMatrix(CUTOFF)
-        m.add(RunRecord("a", "i0", 5.0, "sat"))
-        m.add(RunRecord("a", "i1", 2.0, "sat"))
-        m.add(RunRecord("a", "i2", CUTOFF, "timeout"))
-        report = evaluate(m)
-        cdf = report.row("a").cdf
-        fracs = [f for _, f in cdf]
-        assert fracs == sorted(fracs)
-        assert cdf[-1][0] == CUTOFF
-        assert abs(cdf[-1][1] - report.row("a").pct_solved / 100) < 1e-12
 
     def test_report_matches_brute_force(self):
         import random
@@ -335,7 +322,7 @@ class TestEvaluate:
                     m.add(RunRecord(sid, iid, rng.uniform(0, 100), truth[iid]))
                 else:
                     m.add(RunRecord(sid, iid, CUTOFF, "timeout"))
-        report = evaluate(m)
+        report = evaluate(m, PurseConfig(time_limit=CUTOFF), singleton_series(m.instances))
         for sid in ("a", "b", "c"):
             times = []
             solved = 0
@@ -352,7 +339,7 @@ class TestEvaluate:
     def test_csv_output(self):
         m = RuntimeMatrix(CUTOFF)
         m.add(RunRecord("a", "i0", 1.0, "sat"))
-        report = evaluate(m, PurseConfig(), singleton_series(m.instances))
+        report = evaluate(m, PurseConfig(time_limit=CUTOFF), singleton_series(m.instances))
         text = report.to_csv()
         assert text.startswith("solver_id,avg_runtime,pct_solved,")
         assert "oracle" in text

@@ -203,7 +203,7 @@ def two_cluster_validation():
         matrix.add(RunRecord("fast-b", iid, 900.0 if first else 1.0, "sat"))
         vec = np.zeros(48)
         vec[0] = 1.0 if first else -1.0
-        features[iid] = FeatureVector(vec, 0.5, False, 0)
+        features[iid] = FeatureVector(vec, 0.5, False)
     return matrix, features
 
 
@@ -244,7 +244,7 @@ class TestSubsetSearchExhaustive:
             iid = f"i{k}"
             matrix.add(RunRecord("aaa", iid, 1.0, "sat"))
             matrix.add(RunRecord("bbb", iid, 1.0, "sat"))
-            features[iid] = FeatureVector(np.zeros(48), 0.1, False, 0)
+            features[iid] = FeatureVector(np.zeros(48), 0.1, False)
         models = perfect_models(matrix, features)
         sim = PortfolioSimulator(
             matrix, features, matrix.instances, PresolverSchedule(),
@@ -286,7 +286,7 @@ def six_solver_fixture(seed):
         vec = np.zeros(48)
         vec[cluster] = 3.0
         vec[3:] = nprng.normal(size=45) * 0.1
-        features[iid] = FeatureVector(vec, 0.2, False, 0)
+        features[iid] = FeatureVector(vec, 0.2, False)
         for j, sid in enumerate(solver_ids):
             good = (j % 3) == cluster
             base = 2.0 if good else 400.0
@@ -349,7 +349,7 @@ class TestBuildPortfolio:
             portfolio.backup_solver, portfolio.models, "min_runtime", CUTOFF,
         )
         _, total, _ = sim.simulate(portfolio.subset)
-        report = evaluate(matrix)
+        report = evaluate(matrix, PurseConfig(time_limit=CUTOFF), singleton_series(valid))
         best_single = min(r.avg_runtime for r in report.rows)
         assert total.mean() <= best_single
 
@@ -393,7 +393,7 @@ class TestBuildPortfolio:
         docs = []
         for timed_out in (False, True):
             pooled.clear()
-            vector = FeatureVector(None, 1.0, timed_out, 0)
+            vector = FeatureVector(None, 1.0, timed_out)
             features = {**bench.features, train[0]: vector, valid[0]: vector}
             docs.append(portfolio_to_doc(build_portfolio(
                 train, valid, features, matrix, bench.descriptors,
@@ -495,7 +495,7 @@ class TestBuildPortfolio:
             portfolio.backup_solver, portfolio.models, "min_runtime", CUTOFF,
         )
         _, total, _ = sim.simulate(portfolio.subset)
-        report = evaluate(matrix)
+        report = evaluate(matrix, PurseConfig(time_limit=CUTOFF), singleton_series(valid))
         assert total.mean() >= report.oracle.avg_runtime - 1e-9
 
 
@@ -660,7 +660,7 @@ class TestBehaviourGrouping:
         train, valid, matrix = split
         features = dict(bench.features)
         for iid in valid[::4]:
-            features[iid] = FeatureVector(None, 1.0, True, 0)
+            features[iid] = FeatureVector(None, 1.0, True)
         pools, built = [], []
         backup, init = portfolio_module.choose_backup, PortfolioSimulator.__init__
 
@@ -1028,6 +1028,43 @@ class TestSolve:
         runner = SimulatedRunner(bench.features, matrix, crashes=crashes)
         outcome = solve(portfolio, target, runner)
         assert outcome.status == "crash_exhausted"
+
+    def test_feature_error_routes_to_backup(self, bench, built):
+        # an exception from the feature phase is traced, not raised
+        error = OSError("unreadable instance")
+
+        class Failing(SimulatedRunner):
+            def features(self, iid, budget, seed):
+                raise error
+        portfolio = built[0]
+        target = self.unsolved_by_presolvers(portfolio, bench.matrix)
+        outcome = solve(portfolio, target, Failing(bench.features, bench.matrix))
+        assert outcome.chosen_solver == f"backup:{portfolio.backup_solver}"
+        step = next(t for t in outcome.trace if t["phase"] == "features")
+        assert step == {"phase": "features", "timed_out": True, "feature_time": 0.0,
+                        "error": repr(error)}
+
+    def test_presolver_after_the_cutoff_never_runs(self, bench, built):
+        # the first pre-solver's 5 s use up the 5 s cutoff, so the 10 s one
+        # gets no time and no run
+        kinds = {d.id: d.kind for d in bench.descriptors}
+        first = next(s for s in bench.matrix.solvers if kinds[s] == "complete")
+        second = next(s for s in bench.matrix.solvers if kinds[s] == "local_search")
+        portfolio = dataclasses.replace(built[0], cutoff_seconds=5.0, presolvers=PresolverSchedule(
+            (PresolverEntry(first, "complete", 5.0), PresolverEntry(second, "local_search", 10.0))))
+        target = next(iid for iid in bench.matrix.instances
+                      if not (bench.matrix.solved(first, iid)
+                              and bench.matrix.get(first, iid).runtime_seconds <= 5.0))
+        calls = []
+
+        class Spy(SimulatedRunner):
+            def run(self, sid, iid, time_limit):
+                calls.append((sid, time_limit))
+                return super().run(sid, iid, time_limit)
+        outcome = solve(portfolio, target, Spy(bench.features, bench.matrix))
+        assert calls == [(first, 5.0)]
+        assert [t["solver"] for t in outcome.trace if t["phase"] == "presolve"] == [first]
+        assert outcome.status == "timeout"
 
     def test_deterministic(self, bench, built):
         portfolio = built[0]
