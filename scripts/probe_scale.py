@@ -10,8 +10,8 @@ random sign. It is written as DIMACS text and parsed back, and the probes
 run under one deterministic budget: one 2,000-step run per local-search
 probe and 10 DPLL dives. One JSON object is printed with the seconds of
 each layer (parse, static, SAPS, GSAT, DPLL), the budgeted local-search
-steps per second, and the SAPS and GSAT feature values, so two checkouts can
-be compared for speed and for identical features.
+steps per second, the 33 static feature values and the SAPS and GSAT feature
+values, so two checkouts can be compared for speed and for identical features.
 """
 
 import argparse
@@ -55,7 +55,7 @@ def main(argv=None) -> dict:
 
     text = write_dimacs(random_3cnf(args.vars))
     formula, parse_s = timed(parse_dimacs, text)
-    _, static_s = timed(base_features, formula)
+    static, static_s = timed(base_features, formula)
     saps, saps_s = timed(saps_probe, formula, BUDGET, SEED)
     gsat, gsat_s = timed(gsat_probe, formula, BUDGET, SEED)
     _, dpll_s = timed(dpll_probe, formula, BUDGET, SEED)
@@ -72,6 +72,7 @@ def main(argv=None) -> dict:
         "dpll_s": dpll_s,
         "saps_steps_per_s": steps / saps_s,
         "gsat_steps_per_s": steps / gsat_s,
+        "static_features": static,
         "features": {**saps, **gsat},
     }
     print(json.dumps(report))

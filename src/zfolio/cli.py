@@ -134,9 +134,25 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _load_categories_csv(path):
+def _load_categories_csv(path) -> dict[str, str]:
+    """Each instance's category. A file without an instance_id or category
+    column raises a ValueError naming the file and the column; a row of the
+    wrong width, or a second row for an instance, one naming the file, the
+    line and the fault."""
+    categories: dict[str, str] = {}
     with open(path, newline="") as fh:
-        return {row["instance_id"]: row["category"] for row in csv.DictReader(fh)}
+        reader = csv.DictReader(fh)
+        for column in ("instance_id", "category"):
+            if column not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: no {column!r} column")
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if None in row or None in row.values():  # cells past or short of the header
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+            if row["instance_id"] in categories:
+                raise ValueError(f"{where}: a second row for instance {row['instance_id']!r}")
+            categories[row["instance_id"]] = row["category"]
+    return categories
 
 
 def _load_purse(path, instance_ids):
@@ -223,6 +239,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.portfolio and not args.features:
+        print("--portfolio needs --features, the features CSV its models read",
+              file=sys.stderr)
+        return 1
     matrix = load_runtime_csv(args.runtimes, args.cutoff)
     if args.purse:
         purse, series = _load_purse(args.purse, matrix.instances)

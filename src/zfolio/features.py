@@ -6,6 +6,13 @@ from the DPLL and local-search probes. Duplicate literals count as written
 throughout; the variable graph is a simple graph (co-occurrence in at least
 one clause, no self loops).
 
+The static features are computed without a loop over clauses, from the
+probes' flat index of literal occurrences (`probes._flat_literals`):
+degrees, positive and Horn occurrence counts and clause lengths are
+`np.bincount`s of it, and the variable-graph degree is the number of
+nonzeros in each row of AᵀA, for the sparse clause-variable incidence
+matrix A, less the self loop.
+
 Conventions for degenerate inputs: statistics of an empty collection are 0;
 the variation coefficient (sample standard deviation / mean) is 0 when the
 mean is 0 or fewer than two values exist; entropies use natural log, with a
@@ -21,9 +28,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .cnf import CnfFormula
-from .probes import ProbeBudget, _SlsState, dpll_probe, gsat_probe, saps_probe
+from .probes import ProbeBudget, _flat_literals, _SlsState, dpll_probe, gsat_probe, saps_probe
 from .runtimes import csv_number
 
 FEATURE_NAMES = (
@@ -116,143 +124,51 @@ class FeatureVector:
         return float(self.values[_INDEX[name]])
 
 
-def _mean(xs) -> float:
-    return float(np.mean(xs)) if len(xs) else 0.0
-
-
-def _cv(xs) -> float:
-    if len(xs) < 2:
-        return 0.0
-    m = float(np.mean(xs))
-    if m == 0:
-        return 0.0
-    return float(np.std(xs, ddof=1) / m)
-
-
-def _entropy_int(xs) -> float:
-    """Entropy of an integer-valued multiset via its distinct-value histogram."""
+def _stats(xs, ratio=False) -> list[float]:
+    """Mean, variation coefficient, min, max and entropy of `xs`. The entropy
+    is of a distinct-value histogram: of `xs` itself, or of ratios' 100
+    equal-width bins on [0,1]."""
     if not len(xs):
-        return 0.0
-    _, counts = np.unique(np.asarray(xs), return_counts=True)
+        return [0.0] * 5
+    mean = float(np.mean(xs))
+    cv = float(np.std(xs, ddof=1) / mean) if len(xs) > 1 and mean != 0 else 0.0
+    _, counts = np.unique(np.minimum((xs * 100).astype(int), 99) if ratio else xs,
+                          return_counts=True)
     p = counts / counts.sum()
-    return float(-(p * np.log(p)).sum())
-
-
-def _entropy_ratio(xs) -> float:
-    """Entropy of values in [0,1] over 100 equal-width bins."""
-    if not len(xs):
-        return 0.0
-    bins = np.minimum((np.asarray(xs, dtype=float) * 100).astype(int), 99)
-    _, counts = np.unique(bins, return_counts=True)
-    p = counts / counts.sum()
-    return float(-(p * np.log(p)).sum())
-
-
-def _stats(xs, entropy=None) -> dict[str, float]:
-    out = {
-        "mean": _mean(xs),
-        "cv": _cv(xs),
-        "min": float(np.min(xs)) if len(xs) else 0.0,
-        "max": float(np.max(xs)) if len(xs) else 0.0,
-    }
-    if entropy is not None:
-        out["entropy"] = entropy(xs)
-    return out
+    return [mean, cv, float(np.min(xs)), float(np.max(xs)), float(-(p * np.log(p)).sum())]
 
 
 def base_features(formula: CnfFormula) -> dict[str, float]:
     """Features 1-33 (problem size, graphs, balance, Horn proximity)."""
-    nv = formula.num_vars
-    clauses = formula.clauses
-    nc = len(clauses)
+    nv, nc = formula.num_vars, formula.num_clauses
+    lits, occ_clause = _flat_literals(formula.clauses)
+    occ_var = np.abs(lits) - 1
+    pos = lits > 0
 
-    var_deg = np.zeros(nv, dtype=int)  # occurrence counts, duplicates included
-    pos_occ = np.zeros(nv, dtype=int)
-    horn_occ = np.zeros(nv, dtype=int)
-    vg_neighbors: list[set[int]] = [set() for _ in range(nv + 1)]
-
-    clause_len = np.zeros(nc, dtype=int)
-    clause_pos_ratio = np.zeros(nc, dtype=float)
-    horn_clauses = 0
-    binary = 0
-    ternary = 0
-
-    for ci, clause in enumerate(clauses):
-        k = len(clause)
-        clause_len[ci] = k
-        if k == 2:
-            binary += 1
-        elif k == 3:
-            ternary += 1
-        npos = 0
-        for lit in clause:
-            v = abs(lit)
-            var_deg[v - 1] += 1
-            if lit > 0:
-                npos += 1
-                pos_occ[v - 1] += 1
-        clause_pos_ratio[ci] = npos / k
-        if npos <= 1:
-            horn_clauses += 1
-            for lit in clause:
-                horn_occ[abs(lit) - 1] += 1
-        distinct = {abs(lit) for lit in clause}
-        for v in distinct:
-            vg_neighbors[v].update(distinct)
-
-    vg_deg = np.array(
-        [len(vg_neighbors[v] - {v}) for v in range(1, nv + 1)], dtype=int
-    )
-
+    clause_len = np.bincount(occ_clause, minlength=nc)
+    clause_pos = np.bincount(occ_clause[pos], minlength=nc)
+    horn = clause_pos <= 1
+    var_deg = np.bincount(occ_var, minlength=nv)  # duplicates included
+    pos_occ = np.bincount(occ_var[pos], minlength=nv)
+    horn_occ = np.bincount(occ_var[horn[occ_clause]], minlength=nv)
     occurring = var_deg > 0
-    if occurring.any():
-        var_pos_ratio = pos_occ[occurring] / var_deg[occurring]
-    else:
-        var_pos_ratio = np.zeros(0)
+    # Variables u != v are neighbours iff (AᵀA)[u, v] != 0 for the clause-variable
+    # incidence A; its entries are positive, so none cancels. The diagonal
+    # holds the self loop of each occurring variable.
+    incidence = sparse.csr_matrix((np.ones(len(lits), dtype=bool), (occ_clause, occ_var)),
+                                  shape=(nc, nv))
+    vg_deg = np.diff((incidence.T @ incidence).indptr) - occurring
 
-    out: dict[str, float] = {
-        "f01_nclauses": float(nc),
-        "f02_nvars": float(nv),
-        "f03_clause_var_ratio": nc / nv,
-    }
-    vd = _stats(var_deg, _entropy_int)
-    out.update(
-        f04_vcg_var_deg_mean=vd["mean"], f05_vcg_var_deg_cv=vd["cv"],
-        f06_vcg_var_deg_min=vd["min"], f07_vcg_var_deg_max=vd["max"],
-        f08_vcg_var_deg_entropy=vd["entropy"],
-    )
-    cd = _stats(clause_len, _entropy_int)
-    out.update(
-        f09_vcg_cls_deg_mean=cd["mean"], f10_vcg_cls_deg_cv=cd["cv"],
-        f11_vcg_cls_deg_min=cd["min"], f12_vcg_cls_deg_max=cd["max"],
-        f13_vcg_cls_deg_entropy=cd["entropy"],
-    )
-    gd = _stats(vg_deg)
-    out.update(
-        f14_vg_deg_mean=gd["mean"], f15_vg_deg_cv=gd["cv"],
-        f16_vg_deg_min=gd["min"], f17_vg_deg_max=gd["max"],
-    )
-    cr = _stats(clause_pos_ratio, _entropy_ratio)
-    out.update(
-        f18_pos_ratio_cls_mean=cr["mean"], f19_pos_ratio_cls_cv=cr["cv"],
-        f20_pos_ratio_cls_entropy=cr["entropy"],
-    )
-    vr = _stats(var_pos_ratio, _entropy_ratio)
-    out.update(
-        f21_pos_ratio_var_mean=vr["mean"], f22_pos_ratio_var_cv=vr["cv"],
-        f23_pos_ratio_var_min=vr["min"], f24_pos_ratio_var_max=vr["max"],
-        f25_pos_ratio_var_entropy=vr["entropy"],
-    )
-    out["f26_binary_frac"] = binary / nc if nc else 0.0
-    out["f27_ternary_frac"] = ternary / nc if nc else 0.0
-    out["f28_horn_frac"] = horn_clauses / nc if nc else 0.0
-    hd = _stats(horn_occ, _entropy_int)
-    out.update(
-        f29_horn_var_mean=hd["mean"], f30_horn_var_cv=hd["cv"],
-        f31_horn_var_min=hd["min"], f32_horn_var_max=hd["max"],
-        f33_horn_var_entropy=hd["entropy"],
-    )
-    return out
+    cls_ratio = _stats(clause_pos / clause_len, ratio=True)
+    values = [
+        nc, nv, nc / nv,
+        *_stats(var_deg), *_stats(clause_len), *_stats(vg_deg)[:4],
+        cls_ratio[0], cls_ratio[1], cls_ratio[4],
+        *_stats(pos_occ[occurring] / var_deg[occurring], ratio=True),
+        *(np.count_nonzero(f) / max(nc, 1) for f in (clause_len == 2, clause_len == 3, horn)),
+        *_stats(horn_occ),
+    ]
+    return dict(zip(FEATURE_NAMES[:33], map(float, values)))
 
 
 def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
@@ -260,10 +176,10 @@ def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
     """Run all feature groups under the total time budget.
 
     Probe groups run in the order SAPS, GSAT, DPLL after the static
-    features; SAPS and GSAT share one local-search index. When the total budget runs out, between groups or inside one
-    (in deterministic mode too), the result has timed_out=True and no
-    values (callers then fall back to the backup solver); the elapsed time
-    is still recorded.
+    features; SAPS and GSAT share one local-search index. When the total
+    budget runs out, between groups or inside one (in deterministic mode
+    too), the result has timed_out=True and no values (callers then fall
+    back to the backup solver); the elapsed time is still recorded.
     """
     budget = budget or ProbeBudget()
     start = time.perf_counter()

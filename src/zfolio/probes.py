@@ -104,7 +104,7 @@ class PropagationEngine:
 
     def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
-        self.clauses = [list(c) for c in formula.clauses]
+        self.clauses = formula.clauses
         self.pos_occ, self.neg_occ = _occurrence_lists(*_flat_literals(self.clauses),
                                                        self.num_vars)
         self._initial_free = [len(c) for c in self.clauses]

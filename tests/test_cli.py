@@ -216,6 +216,52 @@ def test_evaluate_refuses_runs_with_a_solver_named_portfolio(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_evaluate_refuses_a_portfolio_without_features(tmp_path, capsys):
+    # the portfolio's models read the features CSV, so --portfolio alone
+    # must name the missing --features, not end in a traceback
+    bench_dir = tmp_path / "bench"
+    assert main(["synth-bench", "--instances", "60", "--seed", "4", "-o", str(bench_dir)]) == 0
+    out = tmp_path / "portfolio.json"
+    assert main([*small_train_flags(bench_dir), "-o", str(out)]) == 0
+    report = tmp_path / "report.csv"
+    rc = main(["evaluate", "--runtimes", str(bench_dir / "runtimes.csv"),
+               "--portfolio", str(out), "-o", str(report)])
+    assert rc == 1
+    assert "--portfolio needs --features" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_train_refuses_labels_without_a_category_column(tmp_path):
+    bench_dir = tmp_path / "bench"
+    assert main(["synth-bench", "--instances", "60", "--seed", "4", "-o", str(bench_dir)]) == 0
+    labels = tmp_path / "labels.csv"
+    labels.write_text("instance_id,cat\nsynth-00000,a\n")
+    with pytest.raises(ValueError) as exc:
+        main([*small_train_flags(bench_dir), "--hierarchy", "general6", "--labels", str(labels),
+              "-o", str(tmp_path / "portfolio.json")])
+    assert str(exc.value) == f"{labels}: no 'category' column"
+
+
+@pytest.mark.parametrize("rows, fault", [
+    ("a,sat,crafted\nb,random\n", "line 3: expected 3 fields"),  # would read category None
+    ("a,sat,crafted,extra\n", "line 2: expected 3 fields"),
+    ("a,sat,crafted\nb,unsat,random\na,sat,industrial\n",
+     "line 4: a second row for instance 'a'"),
+], ids=["short", "long", "second-row"])
+def test_labels_csv_malformed_row_names_it(tmp_path, rows, fault):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("instance_id,satisfiable,category\n" + rows)
+    with pytest.raises(ValueError) as exc:
+        cli._load_categories_csv(labels)
+    assert str(exc.value) == f"{labels}, {fault}"
+
+
+def test_labels_csv_reads_each_instances_category(tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("instance_id,satisfiable,category\na,sat,crafted\nb,unsat,random\n")
+    assert cli._load_categories_csv(labels) == {"a": "crafted", "b": "random"}
+
+
 @pytest.mark.parametrize("body, code, verdict", [
     ("exit 10\n", 10, "s SATISFIABLE"),
     ("echo 's UNSATISFIABLE'\nexit 0\n", 20, "s UNSATISFIABLE"),  # read from the output

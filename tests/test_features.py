@@ -131,6 +131,111 @@ def test_random_formula_properties():
         assert f["f03_clause_var_ratio"] == f["f01_nclauses"] / f["f02_nvars"]
 
 
+def _reference_base_features(formula):
+    """Features 1-33 computed clause by clause, as zfolio did before it
+    computed them from the flat literal index: the oracle of the test below."""
+
+    def mean(xs):
+        return float(np.mean(xs)) if len(xs) else 0.0
+
+    def cv(xs):
+        if len(xs) < 2:
+            return 0.0
+        m = float(np.mean(xs))
+        return 0.0 if m == 0 else float(np.std(xs, ddof=1) / m)
+
+    def entropy_int(xs):
+        if not len(xs):
+            return 0.0
+        _, counts = np.unique(np.asarray(xs), return_counts=True)
+        p = counts / counts.sum()
+        return float(-(p * np.log(p)).sum())
+
+    def entropy_ratio(xs):
+        if not len(xs):
+            return 0.0
+        return entropy_int(np.minimum((np.asarray(xs, dtype=float) * 100).astype(int), 99))
+
+    def stats(xs, entropy=None):
+        out = [mean(xs), cv(xs), float(np.min(xs)) if len(xs) else 0.0,
+               float(np.max(xs)) if len(xs) else 0.0]
+        return out + [entropy(xs)] if entropy else out
+
+    nv, clauses = formula.num_vars, formula.clauses
+    nc = len(clauses)
+    var_deg = np.zeros(nv, dtype=int)
+    pos_occ = np.zeros(nv, dtype=int)
+    horn_occ = np.zeros(nv, dtype=int)
+    vg_neighbors = [set() for _ in range(nv + 1)]
+    clause_len = np.zeros(nc, dtype=int)
+    clause_pos_ratio = np.zeros(nc, dtype=float)
+    horn_clauses = binary = ternary = 0
+    for ci, clause in enumerate(clauses):
+        k = len(clause)
+        clause_len[ci] = k
+        if k == 2:
+            binary += 1
+        elif k == 3:
+            ternary += 1
+        npos = 0
+        for lit in clause:
+            var_deg[abs(lit) - 1] += 1
+            if lit > 0:
+                npos += 1
+                pos_occ[abs(lit) - 1] += 1
+        clause_pos_ratio[ci] = npos / k
+        if npos <= 1:
+            horn_clauses += 1
+            for lit in clause:
+                horn_occ[abs(lit) - 1] += 1
+        distinct = {abs(lit) for lit in clause}
+        for v in distinct:
+            vg_neighbors[v].update(distinct)
+    vg_deg = np.array([len(vg_neighbors[v] - {v}) for v in range(1, nv + 1)], dtype=int)
+    occurring = var_deg > 0
+    var_pos_ratio = pos_occ[occurring] / var_deg[occurring] if occurring.any() else np.zeros(0)
+    cr = stats(clause_pos_ratio, entropy_ratio)
+    values = [
+        float(nc), float(nv), nc / nv,
+        *stats(var_deg, entropy_int), *stats(clause_len, entropy_int), *stats(vg_deg),
+        cr[0], cr[1], cr[4], *stats(var_pos_ratio, entropy_ratio),
+        binary / nc if nc else 0.0, ternary / nc if nc else 0.0,
+        horn_clauses / nc if nc else 0.0, *stats(horn_occ, entropy_int),
+    ]
+    return dict(zip(FEATURE_NAMES[:33], values))
+
+
+def _wild_cnf(rng):
+    """Clauses of 1-9 literals over a few variables, so duplicate literals,
+    tautologies, unit clauses and unused variables are all common."""
+    nv = rng.randint(1, 12)
+    used = rng.randint(1, nv)
+    clauses = [[rng.choice((1, -1)) * rng.randint(1, used) for _ in range(rng.randint(1, 9))]
+               for _ in range(rng.randint(0, 25))]
+    return CnfFormula(nv, clauses)
+
+
+EDGE_CASES = [
+    CnfFormula(3, []),
+    CnfFormula(1, [[1, -1, 1]]),
+    CnfFormula(3, [[2, 2, 2], [-3]]),
+    CnfFormula(1, [[1], [-1]]),
+]
+
+
+def test_static_features_bit_identical_to_the_clause_loop():
+    rng = random.Random(22)
+    formulas = EDGE_CASES + [_wild_cnf(rng) for _ in range(2000)]
+    formulas += [random_3cnf(rng.randint(3, 40), rng.randint(1, 160), rng) for _ in range(200)]
+    for formula in formulas:
+        got = base_features(formula)
+        want = _reference_base_features(formula)
+        assert list(got) == list(FEATURE_NAMES[:33])
+        assert [type(v) for v in got.values()] == [float] * 33
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}, \
+            formula
+
+
 class TestExtractAll:
     def test_small_formula_completes(self):
         fv = extract_all(make(2, [[1, -2], [2]]), TEST_BUDGET, seed=0)

@@ -21,3 +21,4 @@ def test_reports_every_layer_and_the_local_search_features():
     assert report["saps_steps_per_s"] > 0 and report["gsat_steps_per_s"] > 0
     local_search = {name for name in FEATURE_NAMES if "saps" in name or "gsat" in name}
     assert set(report["features"]) == local_search
+    assert list(report["static_features"]) == list(FEATURE_NAMES[:33])
