@@ -9,9 +9,12 @@ clause has 3 distinct variables drawn by `random.Random(SEED)`, each with a
 random sign. It is written as DIMACS text and parsed back, and the probes
 run under one deterministic budget: one 2,000-step run per local-search
 probe and 10 DPLL dives. One JSON object is printed with the seconds of
-each layer (parse, static, SAPS, GSAT, DPLL), the budgeted local-search
-steps per second, the 33 static feature values and the SAPS and GSAT feature
-values, so two checkouts can be compared for speed and for identical features.
+each layer, the budgeted local-search steps per second, the 33 static
+feature values and the SAPS and GSAT feature values, so two checkouts can
+be compared for speed and for identical features. The layers are parse
+(which builds the formula's flat literal index too), static, index (the
+formula's occurrence lists, which SAPS, GSAT and DPLL then read), SAPS, GSAT
+and DPLL.
 """
 
 import argparse
@@ -56,6 +59,7 @@ def main(argv=None) -> dict:
     text = write_dimacs(random_3cnf(args.vars))
     formula, parse_s = timed(parse_dimacs, text)
     static, static_s = timed(base_features, formula)
+    _, index_s = timed(lambda: formula.occurrences)
     saps, saps_s = timed(saps_probe, formula, BUDGET, SEED)
     gsat, gsat_s = timed(gsat_probe, formula, BUDGET, SEED)
     _, dpll_s = timed(dpll_probe, formula, BUDGET, SEED)
@@ -67,6 +71,7 @@ def main(argv=None) -> dict:
         "file_mb": round(len(text) / 1e6, 3),
         "parse_s": parse_s,
         "static_s": static_s,
+        "index_s": index_s,
         "saps_s": saps_s,
         "gsat_s": gsat_s,
         "dpll_s": dpll_s,

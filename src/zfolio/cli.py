@@ -108,16 +108,15 @@ def cmd_collect(args) -> int:
 
 
 def _read_instance_ids(path) -> list[str]:
+    """Each instance id once, from a CSV's instance_id column or a list of
+    one id a line; blank rows and lines are skipped."""
     text = Path(path).read_text().splitlines()
-    if not text:
-        return []
-    first = text[0]
-    if "," in first and first.split(",")[0] == "instance_id":
+    if text and "," in text[0] and text[0].split(",")[0] == "instance_id":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            return sorted({row[0] for row in reader})
-    return [line.strip() for line in text if line.strip()]
+            return sorted({row[0] for row in reader if row})
+    return sorted({line.strip() for line in text if line.strip()})
 
 
 def cmd_split(args) -> int:

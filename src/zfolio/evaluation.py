@@ -21,11 +21,15 @@ def split_data(instance_ids, ratios=(0.4, 0.3, 0.3), seed: int = 0):
     """Random partition into train/validation/test by the given ratios.
 
     Sizes use largest-remainder rounding; the shuffle is seeded and applied
-    to a sorted copy, so the partition is independent of input order.
+    to a sorted copy, so the partition is independent of input order. An id
+    given twice raises a ValueError, as it would land in two parts.
     """
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
     ids = sorted(instance_ids)
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise ValueError(f"instance id {a!r} is given more than once")
     n = len(ids)
     raw = [n * r for r in ratios]
     sizes = [math.floor(v) for v in raw]

@@ -7,7 +7,8 @@ throughout; the variable graph is a simple graph (co-occurrence in at least
 one clause, no self loops).
 
 The static features are computed without a loop over clauses, from the
-probes' flat index of literal occurrences (`probes._flat_literals`):
+formula's flat index of literal occurrences (`CnfFormula.literals` and
+`literal_clause`, built with the formula and read by the probes too):
 degrees, positive and Horn occurrence counts and clause lengths are
 `np.bincount`s of it, and the variable-graph degree is the number of
 nonzeros in each row of AᵀA, for the sparse clause-variable incidence
@@ -31,7 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from .cnf import CnfFormula
-from .probes import ProbeBudget, _flat_literals, _SlsState, dpll_probe, gsat_probe, saps_probe
+from .probes import ProbeBudget, _SlsState, dpll_probe, gsat_probe, saps_probe
 from .runtimes import csv_number
 
 FEATURE_NAMES = (
@@ -141,7 +142,7 @@ def _stats(xs, ratio=False) -> list[float]:
 def base_features(formula: CnfFormula) -> dict[str, float]:
     """Features 1-33 (problem size, graphs, balance, Horn proximity)."""
     nv, nc = formula.num_vars, formula.num_clauses
-    lits, occ_clause = _flat_literals(formula.clauses)
+    lits, occ_clause = formula.literals, formula.literal_clause
     occ_var = np.abs(lits) - 1
     pos = lits > 0
 
@@ -196,7 +197,7 @@ def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
         sls = _SlsState(formula)  # one local-search index serves SAPS and GSAT
         yield lambda: saps_probe(formula, budget, sub_seeds[0], deadline=deadline, state=sls)
         yield lambda: gsat_probe(formula, budget, sub_seeds[1], deadline=deadline, state=sls)
-        del sls  # freed before DPLL builds its own engine, so the two never coexist
+        del sls  # freed before DPLL builds its engine, which shares only the formula's index
         yield lambda: dpll_probe(formula, budget, sub_seeds[2], deadline=deadline)
 
     values: dict[str, float] = base_features(formula)

@@ -15,11 +15,11 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, split_flat
 
 UNASSIGNED, TRUE, FALSE = 0, 1, -1
 
@@ -35,7 +35,9 @@ class ProbeBudget:
     the runs of one local-search group. In deterministic mode step counts
     alone end each group and `per_probe_seconds` is not enforced, so the
     values are reproducible; `total_seconds` still applies in both modes,
-    as a backstop that interrupts a group and times the extraction out.
+    as a backstop that times the extraction out. A local-search group checks
+    it every 256 steps, but DPLL only between dives, so one long dive can
+    overrun it.
     """
 
     per_probe_seconds: float = 1.0
@@ -71,29 +73,6 @@ class Assignment:
         self.states[var] = TRUE if value else FALSE
 
 
-def _flat_literals(clauses) -> tuple[np.ndarray, np.ndarray]:
-    """Every literal occurrence in clause order, and the index of its clause."""
-    lengths = np.fromiter(map(len, clauses), dtype=np.int64, count=len(clauses))
-    lits = np.fromiter(chain.from_iterable(clauses), dtype=np.int64, count=int(lengths.sum()))
-    return lits, np.repeat(np.arange(len(clauses)), lengths)
-
-
-def _split(flat: list, counts) -> list[list]:
-    """`flat` cut into consecutive lists of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
-
-
-def _occurrence_lists(lits: np.ndarray, occ_clause: np.ndarray,
-                      num_vars: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Per variable, the indices of the clauses it occurs in positively and
-    negatively; a duplicated literal lists its clause once per occurrence."""
-    key = 2 * np.abs(lits) + (lits < 0)
-    order = np.argsort(key, kind="stable")  # keeps each list in clause order
-    lists = _split(occ_clause[order].tolist(), np.bincount(key, minlength=2 * num_vars + 2))
-    return lists[0::2], lists[1::2]
-
-
 class PropagationEngine:
     """Counter-based unit propagation over a fixed formula.
 
@@ -105,9 +84,10 @@ class PropagationEngine:
     def __init__(self, formula: CnfFormula):
         self.num_vars = formula.num_vars
         self.clauses = formula.clauses
-        self.pos_occ, self.neg_occ = _occurrence_lists(*_flat_literals(self.clauses),
-                                                       self.num_vars)
-        self._initial_free = [len(c) for c in self.clauses]
+        self.pos_occ, self.neg_occ = formula.occurrences
+        lengths = np.bincount(formula.literal_clause, minlength=formula.num_clauses)
+        self._initial_free = lengths.tolist()
+        self._units = np.flatnonzero(lengths == 1).tolist()
         self.reset()
 
     def reset(self) -> None:
@@ -116,9 +96,7 @@ class PropagationEngine:
         self.free_count = list(self._initial_free)
         self.num_unsat = len(self.clauses)
         self.conflict = False
-        self._unit_queue = [
-            ci for ci, c in enumerate(self.clauses) if len(c) == 1
-        ]
+        self._unit_queue = list(self._units)
 
     def satisfied(self) -> bool:
         return self.num_unsat == 0
@@ -177,17 +155,13 @@ def unit_propagate(formula: CnfFormula, assignment: Assignment):
     if assignment.num_vars != formula.num_vars:
         raise ValueError("assignment length does not match formula")
     engine = PropagationEngine(formula)
-    engine._unit_queue.clear()
     for var in range(1, formula.num_vars + 1):
         state = assignment.states[var]
         if state != UNASSIGNED:
             engine.assign_var(var, state == TRUE)
-    # seed complete; now discover units created by the seed plus original units
-    engine._unit_queue = [
-        ci
-        for ci in range(len(engine.clauses))
-        if engine.true_count[ci] == 0 and engine.free_count[ci] == 1
-    ]
+    # seed complete; now queue the clauses left unit, original units included
+    unit = (np.array(engine.true_count) == 0) & (np.array(engine.free_count) == 1)
+    engine._unit_queue = np.flatnonzero(unit).tolist()
     count = engine.propagate() if not engine.conflict else 0
     out = Assignment(formula.num_vars)
     out.states = list(engine.assign)
@@ -216,7 +190,6 @@ def dpll_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
 
     depth_counts = [[] for _ in DPLL_DEPTHS]
     end_depths: list[float] = []
-    log_estimates: list[float] = []
 
     for _ in range(budget.dpll_runs):
         if deadline is not None and time.perf_counter() > deadline:
@@ -224,7 +197,7 @@ def dpll_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
         engine.reset()
         props = engine.propagate()
         depth = 0
-        recorded = [False] * len(DPLL_DEPTHS)
+        recorded = 0  # depth thresholds reached: DPLL_DEPTHS[:recorded]
         while not engine.conflict and not engine.satisfied():
             free = engine.unassigned_vars()
             if not free:
@@ -234,22 +207,15 @@ def dpll_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
             depth += 1
             if not engine.conflict:
                 props += engine.propagate()
-            for i, d in enumerate(DPLL_DEPTHS):
-                if depth >= d and not recorded[i]:
-                    depth_counts[i].append(props)
-                    recorded[i] = True
-        for i in range(len(DPLL_DEPTHS)):
-            if not recorded[i]:
-                depth_counts[i].append(props)
+            if recorded < len(DPLL_DEPTHS) and depth == DPLL_DEPTHS[recorded]:
+                depth_counts[recorded].append(props)
+                recorded += 1
+        for counts in depth_counts[recorded:]:
+            counts.append(props)
         end_depths.append(float(depth))
-        log_estimates.append(float(depth))
 
-    if not end_depths:
-        values = [0.0] * len(DPLL_DEPTHS) + [0.0, 0.0]
-    else:
-        values = [float(np.mean(c)) for c in depth_counts]
-        values.append(float(np.mean(end_depths)))
-        values.append(float(np.mean(log_estimates)))
+    # log2 of a dive's product of branching factors, 2 per decision, is its depth
+    values = [float(np.mean(c)) if c else 0.0 for c in (*depth_counts, end_depths, end_depths)]
     names = [f"f{34 + i}_up_depth{d}" for i, d in enumerate(DPLL_DEPTHS)]
     names += ["f39_dpll_mean_depth", "f40_dpll_log_nodes"]
     return dict(zip(names, values))
@@ -299,11 +265,11 @@ class _SlsState:
     """Clause bookkeeping and exact flip scores shared by the local-search probes.
 
     Built once per formula, and shared by the SAPS and GSAT probes of one
-    `extract_all`: the occurrence lists, each clause's variables once per
-    occurrence (`_occ_vars`), per variable and flip direction the change of
-    each of its clauses' true counts (`_moves`), and a flat numpy index of
-    every literal occurrence, from which `random_init` computes a run's start
-    with `np.bincount`. Per clause, `true_count` counts the true literal
+    `extract_all`: each clause's variables once per occurrence (`_occ_vars`)
+    and per variable and flip direction the change of each of its clauses'
+    true counts (`_moves`). It reads the formula's occurrence lists and flat
+    literal index, from which `random_init` computes a run's start with
+    `np.bincount`. Per clause, `true_count` counts the true literal
     occurrences and `true_sum` adds up their variables, so while the count
     is 1 the sum is the variable of the one true literal.
 
@@ -336,14 +302,13 @@ class _SlsState:
 
     def __init__(self, formula: CnfFormula):
         self.num_vars = n = formula.num_vars
-        self.clauses = formula.clauses
-        m = len(self.clauses)
-        lits, occ_clause = _flat_literals(self.clauses)
+        m = formula.num_clauses
+        lits, occ_clause = formula.literals, formula.literal_clause
         occ_var = np.abs(lits)
-        self.pos_occ, self.neg_occ = _occurrence_lists(lits, occ_clause, n)
+        self.pos_occ, self.neg_occ = formula.occurrences
         self._occ_var, self._occ_pos, self._occ_clause = occ_var, lits > 0, occ_clause
         # each clause's variables once per occurrence
-        self._occ_vars = _split(occ_var.tolist(), np.bincount(occ_clause, minlength=m))
+        self._occ_vars = split_flat(occ_var.tolist(), np.bincount(occ_clause, minlength=m))
         # _moves[new_value][var] lists, for each distinct clause of var, the
         # clause and the change of its true count: c0, d0, c1, d1, ... The
         # clauses whose count goes up come first, each group in clause order,
@@ -354,14 +319,14 @@ class _SlsState:
         var, clause = occ_var[first], occ_clause[first]
         per_var = 2 * np.bincount(var, minlength=n + 1)
         self._moves = tuple(
-            _split(np.column_stack([clause, dt])[np.lexsort((dt < 0, var))].ravel().tolist(),
-                   per_var)
+            split_flat(np.column_stack([clause, dt])[np.lexsort((dt < 0, var))].ravel().tolist(),
+                       per_var)
             for dt in (-up, up))
 
     def random_init(self, rng: random.Random) -> None:
         """Start a run in exact mode from a random assignment."""
         n = self.num_vars
-        m = len(self.clauses)
+        m = len(self._occ_vars)
         self.assign = [False] + [rng.random() < 0.5 for _ in range(n)]
         occ_var, occ_clause = self._occ_var, self._occ_clause
         occ_true = np.array(self.assign)[occ_var] == self._occ_pos
@@ -384,7 +349,7 @@ class _SlsState:
         score = np.array(self.score)
         order = np.argsort(score[1:]) + 1
         keys, starts = np.unique(score[order], return_index=True)
-        members = _split(order.tolist(), np.diff(starts, append=self.num_vars))
+        members = split_flat(order.tolist(), np.diff(starts, append=self.num_vars))
         self.buckets: dict[int, set[int]] | None = {
             k: set(vs) for k, vs in zip(keys.tolist(), members)}
         self._filed = list(self.score)  # the bucket each variable is in
@@ -395,7 +360,7 @@ class _SlsState:
         A weighted score is then a sum of +-1.0 terms, each exact in a
         double, so `float` of the integer score equals a fresh weighted one.
         """
-        self.weights = [1.0] * len(self.clauses)
+        self.weights = [1.0] * len(self._occ_vars)
         self.score = [float(s) for s in self.score]
         count = self.cand_count = [0] * (self.num_vars + 1)
         for ci in self.unsat:
@@ -501,14 +466,10 @@ class _RunStats:
     lm_cv: float
 
     @property
-    def improvement(self) -> int:
-        return self.init_unsat - self.best_unsat
-
-    @property
     def per_step_improvement(self) -> float:
         if self.best_step <= 0:
             return 0.0
-        return self.improvement / self.best_step
+        return (self.init_unsat - self.best_unsat) / self.best_step
 
 
 def _finish_run(init_unsat, best_unsat, best_step, lm_counts, first_lm_best):
@@ -577,8 +538,8 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
             if first_lm_best is None:
                 first_lm_best = best_unsat
             if rng.random() < SAPS_P_WALK:
-                clause = state.clauses[rng.choice(tuple(unsat))]
-                state.flip(abs(clause[rng.randrange(len(clause))]))
+                clause = occ_vars[rng.choice(tuple(unsat))]
+                state.flip(clause[rng.randrange(len(clause))])
             else:
                 if weights is None:  # the first weight change: `weigh` makes the
                     # exact integer scores floats, which equal weighted ones here

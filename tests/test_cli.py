@@ -101,6 +101,27 @@ def test_split_command(tmp_path):
     assert len(doc["test"]) == 3
 
 
+def test_split_skips_blank_csv_rows(tmp_path):
+    src = tmp_path / "features.csv"
+    src.write_text("instance_id,x\ni0,1\n\ni1,2\ni2,3\n\n")
+    out = tmp_path / "split.json"
+    assert main(["split", str(src), "--seed", "3", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc["train"] + doc["validation"] + doc["test"]) == ["i0", "i1", "i2"]
+
+
+@pytest.mark.parametrize("text", ["a\na\nb\nc\nd\ne\n",
+                                  "instance_id,x\na,1\na,2\nb,1\nc,1\nd,1\ne,1\n"],
+                         ids=["id-list", "csv"])
+def test_split_puts_a_repeated_id_in_one_part(tmp_path, text):
+    src = tmp_path / "ids.csv"
+    src.write_text(text)
+    out = tmp_path / "split.json"
+    assert main(["split", str(src), "--seed", "1", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc["train"] + doc["validation"] + doc["test"]) == list("abcde")
+
+
 def test_synth_train_evaluate_pipeline(tmp_path):
     bench_dir = tmp_path / "bench"
     rc = main(["synth-bench", "--instances", "120", "--seed", "4",

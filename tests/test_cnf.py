@@ -121,3 +121,30 @@ def test_source_id_is_metadata_only():
     a = parse_dimacs("p cnf 1 1\n1 0\n", source_id="a")
     b = parse_dimacs("p cnf 1 1\n1 0\n", source_id="b")
     assert a == b
+
+
+def test_literal_beyond_int64_is_out_of_range():
+    with pytest.raises(LiteralOutOfRange):
+        parse_dimacs(f"p cnf 2 1\n1 {2**70} 0\n")
+    with pytest.raises(LiteralOutOfRange):
+        CnfFormula(num_vars=2, clauses=[[1], [-(2**70)]])
+    with pytest.raises(LiteralOutOfRange):
+        CnfFormula(num_vars=2, clauses=[[-(2**63)]])  # int64's minimum has no absolute value
+
+
+def test_constructor_raises_the_first_fault_in_clause_order():
+    with pytest.raises(LiteralOutOfRange):
+        CnfFormula(num_vars=2, clauses=[[1, 0], []])
+    with pytest.raises(EmptyClause):
+        CnfFormula(num_vars=2, clauses=[[1], [], [3]])
+
+
+def test_flat_index_is_kept_outside_equality_and_repr():
+    f = CnfFormula(num_vars=3, clauses=[[1, -2], [3], [-1, 2, 2]])
+    assert f.literals.tolist() == [1, -2, 3, -1, 2, 2]
+    assert f.literal_clause.tolist() == [0, 0, 1, 2, 2, 2]
+    assert f.occurrences == ([[], [0], [2, 2], [1]], [[], [2], [0], []])
+    assert f.occurrences is f.occurrences
+    g = parse_dimacs(write_dimacs(f))
+    assert g == f
+    assert repr(g) == "CnfFormula(num_vars=3, clauses=[[1, -2], [3], [-1, 2, 2]], source_id='')"

@@ -251,6 +251,10 @@ class TestSplitData:
         with pytest.raises(ValueError):
             split_data(["a"], ratios=(0.5, 0.2, 0.2))
 
+    def test_a_repeated_id_is_refused(self):
+        with pytest.raises(ValueError, match="'a' is given more than once"):
+            split_data(["a", "b", "a", "c", "d", "e"], seed=1)
+
 
 class TestDropUnsolvable:
     def test_identity_when_all_solved(self):

@@ -16,7 +16,7 @@ def test_reports_every_layer_and_the_local_search_features():
     assert done.returncode == 0, done.stderr[-2000:]
     report = json.loads(done.stdout)
     assert (report["vars"], report["clauses"]) == (300, 1278)
-    for layer in ("parse", "static", "saps", "gsat", "dpll"):
+    for layer in ("parse", "static", "index", "saps", "gsat", "dpll"):
         assert report[f"{layer}_s"] > 0
     assert report["saps_steps_per_s"] > 0 and report["gsat_steps_per_s"] > 0
     local_search = {name for name in FEATURE_NAMES if "saps" in name or "gsat" in name}

@@ -203,8 +203,11 @@ class TestPassedDeadline:
 def test_occurrence_lists_shared_by_both_engines():
     f = make(3, [[1, 1, -2], [2, -2], [-3], [3, -1, 2]])
     engine, sls = PropagationEngine(f), _SlsState(f)
-    assert engine.pos_occ == sls.pos_occ == [[], [0, 0], [1, 3], [3]]
-    assert engine.neg_occ == sls.neg_occ == [[], [3], [0, 1], [2]]
+    assert engine.pos_occ is sls.pos_occ is f.occurrences[0]
+    assert engine.neg_occ is sls.neg_occ is f.occurrences[1]
+    assert engine.pos_occ == [[], [0, 0], [1, 3], [3]]
+    assert engine.neg_occ == [[], [3], [0, 1], [2]]
+    assert sls._occ_vars == [[abs(lit) for lit in c] for c in f.clauses]
 
 
 # -- flip-score cache ---------------------------------------------------
@@ -227,7 +230,7 @@ def flip_delta(state, var):
 
 def _saps_run_reference(state, rng, max_steps, deadline):
     state.random_init(rng)
-    weights = [1.0] * len(state.clauses)
+    weights = [1.0] * len(state.true_count)
     init_unsat = len(state.unsat)
     best_unsat = init_unsat
     best_step = 0
@@ -236,7 +239,7 @@ def _saps_run_reference(state, rng, max_steps, deadline):
     for step in range(1, max_steps + 1):
         if not state.unsat:
             break
-        cand = sorted({abs(lit) for ci in state.unsat for lit in state.clauses[ci]})
+        cand = sorted({v for ci in state.unsat for v in state._occ_vars[ci]})
         deltas = [state.weighted_flip_delta(v, weights) for v in cand]
         best_delta = min(deltas)
         if best_delta < -1e-12:
@@ -247,8 +250,8 @@ def _saps_run_reference(state, rng, max_steps, deadline):
             if first_lm_best is None:
                 first_lm_best = best_unsat
             if rng.random() < probes.SAPS_P_WALK:
-                clause = state.clauses[rng.choice(tuple(state.unsat))]
-                state.flip(abs(clause[rng.randrange(len(clause))]))
+                clause_vars = state._occ_vars[rng.choice(tuple(state.unsat))]
+                state.flip(clause_vars[rng.randrange(len(clause_vars))])
             else:
                 for ci in state.unsat:
                     weights[ci] *= probes.SAPS_ALPHA
