@@ -12,30 +12,26 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import evaluation, execution, features as features_mod, portfolio as portfolio_mod
-from .cnf import DimacsError, read_dimacs_file
+from .cnf import DimacsError
 from .probes import ProbeBudget
 from .runners import ExternalRunner, SimulatedRunner
-from .runtimes import SolverDescriptor, load_runtime_csv, save_runtime_csv
+from .runtimes import (SolverDescriptor, load_json, load_runtime_csv, read_csv_table,
+                       save_runtime_csv, solver_descriptors)
 from .scoring import PurseConfig, load_purse_config, save_purse_config, singleton_series
 from .synthetic import generate_benchmark
 
 # The default budget of `zfolio features`, stored by `zfolio train` for `zfolio
 # solve`: wall-clock probe groups, as deterministic ones take ~10x longer.
 FEATURE_BUDGET = ProbeBudget(deterministic=False)
-
-
-def _instance_seed(seed: int, instance_id: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{instance_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _extract_one(args):
@@ -47,14 +43,11 @@ def _extract_one(args):
     path, budget, seed = args
     iid = Path(path).stem
     try:
-        formula = read_dimacs_file(path)
+        return iid, features_mod.extract_file(path, budget, seed), None
     except DimacsError as exc:
         return iid, None, str(exc)
-    try:
-        fv = features_mod.extract_all(formula, budget, _instance_seed(seed, iid))
     except Exception:
         return iid, None, "feature extraction failed\n" + traceback.format_exc()
-    return iid, fv, None
 
 
 def cmd_features(args) -> int:
@@ -87,12 +80,7 @@ def cmd_features(args) -> int:
 
 
 def load_solvers_config(path) -> list[SolverDescriptor]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return [
-        SolverDescriptor(d["id"], d.get("kind", "complete"), d.get("command"))
-        for d in doc
-    ]
+    return load_json(path, solver_descriptors)
 
 
 def cmd_collect(args) -> int:
@@ -134,24 +122,8 @@ def cmd_split(args) -> int:
 
 
 def _load_categories_csv(path) -> dict[str, str]:
-    """Each instance's category. A file without an instance_id or category
-    column raises a ValueError naming the file and the column; a row of the
-    wrong width, or a second row for an instance, one naming the file, the
-    line and the fault."""
-    categories: dict[str, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("instance_id", "category"):
-            if column not in (reader.fieldnames or ()):
-                raise ValueError(f"{path}: no {column!r} column")
-        for row in reader:
-            where = f"{path}, line {reader.line_num}"
-            if None in row or None in row.values():  # cells past or short of the header
-                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
-            if row["instance_id"] in categories:
-                raise ValueError(f"{where}: a second row for instance {row['instance_id']!r}")
-            categories[row["instance_id"]] = row["category"]
-    return categories
+    """Each instance's category, read by read_csv_table."""
+    return read_csv_table(path, ("instance_id", "category"), lambda iid, category: category)
 
 
 def _load_purse(path, instance_ids):
@@ -174,11 +146,14 @@ def cmd_train(args) -> int:
     matrix = matrix.restrict(instances=kept)
 
     if args.split:
-        with open(args.split) as fh:
-            doc = json.load(fh)
         kept_ids = set(kept)
-        train = [i for i in doc["train"] if i in kept_ids]
-        valid = [i for i in doc["validation"] if i in kept_ids]
+
+        def kept_part(doc, part):  # one part of a `zfolio split` document
+            if not isinstance(doc[part], list):
+                raise ValueError(f"{part!r} is not a list of instance ids")
+            return [i for i in doc[part] if i in kept_ids]
+        train, valid = load_json(args.split, lambda doc: [kept_part(doc, "train"),
+                                                          kept_part(doc, "validation")])
     else:
         ratios = tuple(float(r) for r in args.ratios.split(","))
         train, valid, _ = evaluation.split_data(kept, ratios, args.seed)
@@ -284,11 +259,7 @@ def cmd_synth_bench(args) -> int:
     features_mod.save_feature_csv(outdir / "features.csv", bench.features)
     save_runtime_csv(outdir / "runtimes.csv", bench.matrix)
     with open(outdir / "solvers.json", "w") as fh:
-        json.dump(
-            [{"id": d.id, "kind": d.kind, "command": d.command}
-             for d in bench.descriptors],
-            fh, indent=1,
-        )
+        json.dump([asdict(d) for d in bench.descriptors], fh, indent=1)
     save_purse_config(outdir / "purse.json", bench.purse, bench.series)
     with open(outdir / "labels.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -24,16 +24,18 @@ for ratio data. All feature values are finite.
 from __future__ import annotations
 
 import csv
+import hashlib
 import random
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .cnf import CnfFormula
+from .cnf import CnfFormula, read_dimacs_file
 from .probes import ProbeBudget, _SlsState, dpll_probe, gsat_probe, saps_probe
-from .runtimes import csv_number
+from .runtimes import parse_number, read_csv_table
 
 FEATURE_NAMES = (
     "f01_nclauses",
@@ -212,6 +214,13 @@ def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
     return FeatureVector(vector, time.perf_counter() - start, False)
 
 
+def extract_file(path, budget: ProbeBudget, seed: int) -> FeatureVector:
+    """Features of a CNF file for `zfolio features` and the online solve alike,
+    probed with `seed` mixed with the file's stem, its instance id."""
+    digest = hashlib.sha256(f"{seed}:{Path(path).stem}".encode()).digest()
+    return extract_all(read_dimacs_file(path), budget, int.from_bytes(digest[:8], "big"))
+
+
 CSV_HEADER = ("instance_id",) + FEATURE_NAMES + ("feature_time", "timed_out")
 
 
@@ -229,27 +238,15 @@ def save_feature_csv(path, table: dict[str, FeatureVector]) -> None:
             writer.writerow([iid, *cells, repr(fv.feature_time_seconds), int(fv.timed_out)])
 
 
+def _feature_row(iid, *cells) -> FeatureVector:
+    *values, feature_time, timed_out = cells
+    if timed_out not in ("0", "1"):
+        raise ValueError(f"timed_out {timed_out!r} is not 0 or 1")
+    values = None if timed_out == "1" else np.array(
+        [parse_number(name, c) for name, c in zip(FEATURE_NAMES, values)])
+    return FeatureVector(values, parse_number("feature_time", feature_time), timed_out == "1")
+
+
 def load_feature_csv(path) -> dict[str, FeatureVector]:
-    """A malformed row, or a second row for an instance, raises a
-    ValueError naming the file, the line and the bad field or instance."""
-    table: dict[str, FeatureVector] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader)) != CSV_HEADER:
-            raise ValueError("unexpected feature CSV header")
-        for row in reader:
-            try:
-                if len(row) != len(CSV_HEADER):
-                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                if row[0] in table:
-                    raise ValueError(f"a second row for instance {row[0]!r}")
-                if row[-1] not in ("0", "1"):
-                    raise ValueError(f"timed_out {row[-1]!r} is not 0 or 1")
-                timed_out = row[-1] == "1"
-                values = None if timed_out else np.array(
-                    [csv_number(name, c) for name, c in zip(FEATURE_NAMES, row[1:-2])])
-                table[row[0]] = FeatureVector(values, csv_number("feature_time", row[-2]),
-                                              timed_out)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-    return table
+    """The feature table of a CSV file, read by read_csv_table."""
+    return read_csv_table(path, CSV_HEADER, _feature_row)

@@ -74,6 +74,9 @@ from .runtimes import (
     RunRecord,
     RuntimeMatrix,
     SolverDescriptor,
+    load_json,
+    parse_number,
+    solver_descriptors,
 )
 from .scoring import (
     PurseConfig,
@@ -991,10 +994,7 @@ def portfolio_to_doc(portfolio: PortfolioConfig) -> dict:
         ],
         "backup_solver": portfolio.backup_solver,
         "subset": list(portfolio.subset),
-        "solvers": [
-            {"id": d.id, "kind": d.kind, "command": d.command}
-            for d in portfolio.descriptors.values()
-        ],
+        "solvers": [asdict(d) for d in portfolio.descriptors.values()],
         "models": models,
     }
 
@@ -1002,10 +1002,7 @@ def portfolio_to_doc(portfolio: PortfolioConfig) -> dict:
 def portfolio_from_doc(doc: dict) -> PortfolioConfig:
     if doc.get("format") != FORMAT_TAG:
         raise ValueError(f"unsupported portfolio format {doc.get('format')!r}")
-    descriptors = {
-        d["id"]: SolverDescriptor(d["id"], d["kind"], d.get("command"))
-        for d in doc["solvers"]
-    }
+    descriptors = {d.id: d for d in solver_descriptors(doc["solvers"])}
     models = {}
     classifiers = {}  # hierarchical models with equal classifier documents share one
     for sid, mdoc in doc["models"].items():
@@ -1014,7 +1011,7 @@ def portfolio_from_doc(doc: dict) -> PortfolioConfig:
         else:
             models[sid] = model_from_doc(mdoc)
     schedule = PresolverSchedule(tuple(
-        PresolverEntry(e["solver_id"], e["kind"], float(e["cutoff"]))
+        PresolverEntry(e["solver_id"], e["kind"], parse_number("cutoff", e["cutoff"]))
         for e in doc["presolvers"]
     ))
     return PortfolioConfig(
@@ -1024,7 +1021,7 @@ def portfolio_from_doc(doc: dict) -> PortfolioConfig:
         models=models,
         objective=doc["objective"],
         descriptors=descriptors,
-        cutoff_seconds=float(doc["cutoff_seconds"]),
+        cutoff_seconds=parse_number("cutoff_seconds", doc["cutoff_seconds"]),
         feature_budget=ProbeBudget(**doc["feature_budget"]),
         seed=int(doc["seed"]),
     )
@@ -1036,5 +1033,5 @@ def save_portfolio(portfolio: PortfolioConfig, path) -> None:
 
 
 def load_portfolio(path) -> PortfolioConfig:
-    with open(path) as fh:
-        return portfolio_from_doc(json.load(fh))
+    """A portfolio file; a missing or malformed field raises a ValueError."""
+    return load_json(path, portfolio_from_doc)

@@ -35,9 +35,9 @@ class ProbeBudget:
     the runs of one local-search group. In deterministic mode step counts
     alone end each group and `per_probe_seconds` is not enforced, so the
     values are reproducible; `total_seconds` still applies in both modes,
-    as a backstop that times the extraction out. A local-search group checks
-    it every 256 steps, but DPLL only between dives, so one long dive can
-    overrun it.
+    as a backstop that times the extraction out. Each group checks it
+    between runs and inside each run: every 256 local-search steps and
+    every 256 DPLL decisions.
     """
 
     per_probe_seconds: float = 1.0
@@ -168,6 +168,29 @@ def unit_propagate(formula: CnfFormula, assignment: Assignment):
     return out, count, engine.conflict
 
 
+def _dive(engine: PropagationEngine, rng: random.Random, deadline: float | None):
+    """One dive's propagation counts at each of DPLL_DEPTHS (the last count past
+    its end) and its depth, or None once a check every 256 decisions finds the
+    deadline passed."""
+    engine.reset()
+    props = engine.propagate()
+    depth, reached = 0, []
+    while not engine.conflict and not engine.satisfied():
+        free = engine.unassigned_vars()
+        if not free:
+            break
+        var = free[rng.randrange(len(free))]
+        engine.assign_var(var, rng.random() < 0.5)
+        depth += 1
+        if not engine.conflict:
+            props += engine.propagate()
+        if len(reached) < len(DPLL_DEPTHS) and depth == DPLL_DEPTHS[len(reached)]:
+            reached.append(props)
+        if deadline is not None and depth % 256 == 0 and time.perf_counter() > deadline:
+            return None
+    return [*reached, *[props] * (len(DPLL_DEPTHS) - len(reached)), depth]
+
+
 def dpll_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
                deadline: float | None = None) -> dict[str, float]:
     """Randomized DPLL dives; features 34-40.
@@ -181,44 +204,26 @@ def dpll_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
 
     `deadline` is a `time.perf_counter()` value, such as the end of the
     caller's total budget; once it has passed the probe stops at its next
-    check (here between dives), in deterministic mode too, and reports what
-    it measured so far.
+    check (between dives and every 256 decisions of a dive), in
+    deterministic mode too, and reports the dives it finished.
     """
     rng = random.Random(seed)
     engine = PropagationEngine(formula)
     deadline = _group_deadline(budget, deadline)
-
-    depth_counts = [[] for _ in DPLL_DEPTHS]
-    end_depths: list[float] = []
-
+    dives = []
     for _ in range(budget.dpll_runs):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        engine.reset()
-        props = engine.propagate()
-        depth = 0
-        recorded = 0  # depth thresholds reached: DPLL_DEPTHS[:recorded]
-        while not engine.conflict and not engine.satisfied():
-            free = engine.unassigned_vars()
-            if not free:
-                break
-            var = free[rng.randrange(len(free))]
-            engine.assign_var(var, rng.random() < 0.5)
-            depth += 1
-            if not engine.conflict:
-                props += engine.propagate()
-            if recorded < len(DPLL_DEPTHS) and depth == DPLL_DEPTHS[recorded]:
-                depth_counts[recorded].append(props)
-                recorded += 1
-        for counts in depth_counts[recorded:]:
-            counts.append(props)
-        end_depths.append(float(depth))
+        dive = _dive(engine, rng, deadline)
+        if dive is None:  # interrupted mid-dive by the deadline
+            break
+        dives.append(dive)
 
     # log2 of a dive's product of branching factors, 2 per decision, is its depth
-    values = [float(np.mean(c)) if c else 0.0 for c in (*depth_counts, end_depths, end_depths)]
+    values = [float(np.mean(c)) for c in zip(*dives)] or [0.0] * (len(DPLL_DEPTHS) + 1)
     names = [f"f{34 + i}_up_depth{d}" for i, d in enumerate(DPLL_DEPTHS)]
     names += ["f39_dpll_mean_depth", "f40_dpll_log_nodes"]
-    return dict(zip(names, values))
+    return dict(zip(names, [*values, values[-1]]))
 
 
 def dpll_tree_size(formula: CnfFormula, seed: int = 0, max_nodes: int = 10_000_000) -> int:

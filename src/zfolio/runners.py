@@ -2,17 +2,16 @@
 
 SimulatedRunner serves recorded runs and features from tables (with
 optional crash and feature-timeout injection for fault-path testing);
-ExternalRunner parses a CNF file, extracts features for real, and launches
-the configured solver commands.
+ExternalRunner extracts a CNF file's features as `zfolio features` does and
+launches the configured solver commands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cnf import read_dimacs_file
 from .execution import run_external
-from .features import FeatureVector, extract_all
+from .features import FeatureVector, extract_file
 from .probes import ProbeBudget
 from .runtimes import RunRecord, RuntimeMatrix, SolverDescriptor
 
@@ -58,8 +57,7 @@ class ExternalRunner:
         self.descriptors = descriptors
 
     def features(self, instance_path, budget: ProbeBudget, seed: int) -> FeatureVector:
-        formula = read_dimacs_file(instance_path)
-        return extract_all(formula, budget, seed)
+        return extract_file(instance_path, budget, seed)
 
     def run(self, solver_id: str, instance_path, time_limit: float) -> RunRecord:
         return run_external(self.descriptors[solver_id], instance_path, time_limit)

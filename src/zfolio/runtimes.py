@@ -1,8 +1,10 @@
-"""Run records and the solver-by-instance runtime matrix."""
+"""Run records, the solver-by-instance runtime matrix, and the readers that
+name the file and line of each fault in the CSV and JSON inputs."""
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -31,6 +33,11 @@ class SolverDescriptor:
     def __post_init__(self):
         if self.kind not in ("complete", "local_search"):
             raise ValueError(f"unknown solver kind {self.kind!r}")
+
+
+def solver_descriptors(doc) -> list[SolverDescriptor]:
+    """The solvers of a JSON list of objects as asdict writes them."""
+    return [SolverDescriptor(d["id"], d.get("kind", "complete"), d.get("command")) for d in doc]
 
 
 @dataclass(frozen=True)
@@ -213,30 +220,70 @@ def save_runtime_csv(path, matrix: RuntimeMatrix) -> None:
                              repr(runs.runtime.item(k, j)), STATUSES[runs.status.item(k, j)]])
 
 
-def csv_number(field: str, text: str) -> float:
-    """A CSV cell as a float, or a ValueError that names its field."""
+def parse_number(field: str, value) -> float:
+    """A CSV cell or JSON value as a float, or a ValueError naming its field."""
     try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{field} {text!r} is not a number") from None
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} {value!r} is not a number") from None
+
+
+def located(path, fault, line=None) -> ValueError:
+    """An input fault as a ValueError naming the file, and the line if known."""
+    return ValueError(f"{path}, line {line}: {fault}" if line else f"{path}: {fault}")
+
+
+def read_csv_table(path, columns, convert, key_width=1) -> dict:
+    """{key: convert(*cells)} over the rows of a CSV table, in file order.
+
+    `cells` are a row's cells under `columns`, found by name in the header;
+    `key` is the first cell, or the tuple of the first `key_width`. Blank rows
+    are skipped. No header row, a missing or repeated column, a row whose
+    width differs from the header's, a second row for a key, and a ValueError
+    from `convert` raise a ValueError that names the file and the line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next((row for row in reader if row), None)
+        if header is None:
+            raise located(path, "no header row")
+        for name in columns:
+            if header.count(name) != 1:
+                raise located(path, f"{'a repeated' if name in header else 'no'} {name!r} column")
+        index = [header.index(name) for name in columns]
+        table = {}
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                cells = [row[i] for i in index]
+                key = cells[0] if key_width == 1 else tuple(cells[:key_width])
+                if key in table:
+                    raise ValueError("a second row for " + " and ".join(
+                        f"{name.removesuffix('_id')} {cell!r}"
+                        for name, cell in zip(columns, cells[:key_width])))
+                table[key] = convert(*cells)
+            except ValueError as exc:
+                raise located(path, exc, reader.line_num) from None
+    return table
+
+
+def load_json(path, convert):
+    """convert(the JSON document in `path`). Invalid JSON, and a field that
+    `convert` finds missing (KeyError) or malformed (TypeError, ValueError),
+    raise a ValueError that names the file and the fault."""
+    with open(path) as fh:
+        try:
+            return convert(json.load(fh))
+        except KeyError as exc:
+            raise located(path, f"no {exc.args[0]!r} field") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise located(path, exc) from None
 
 
 def load_runtime_csv(path, cutoff_seconds: float) -> RuntimeMatrix:
-    """A malformed row raises a ValueError naming the file, the line and
-    the bad field."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader)) != CSV_HEADER:
-            raise ValueError("unexpected runtime CSV header")
-        for row in reader:
-            try:
-                if len(row) != len(CSV_HEADER):
-                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                iid, sid, runtime, status = row
-                records.append(RunRecord(sid, iid, csv_number("runtime", runtime), status))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    """The runs of a CSV table, read by read_csv_table, a row per cell."""
+    records = read_csv_table(path, CSV_HEADER, lambda iid, sid, runtime, status: RunRecord(
+        sid, iid, parse_number("runtime", runtime), status), key_width=2)
     matrix = RuntimeMatrix(cutoff_seconds)
-    matrix.add(*records)
+    matrix.add(*records.values())
     return matrix

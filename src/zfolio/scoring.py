@@ -12,11 +12,11 @@ SeriesP / (N * n), a conservative lower bound on the exact share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .runtimes import DenseRuns, RuntimeMatrix
+from .runtimes import DenseRuns, RuntimeMatrix, load_json, parse_number
 
 
 class MissingReferenceRuns(ValueError):
@@ -247,13 +247,7 @@ def score_report_csv(totals: dict[str, ScoreBreakdown]) -> str:
 
 
 def save_purse_config(path, purse: PurseConfig, series: SeriesMap) -> None:
-    doc = {
-        "solution_purse": purse.solution_purse,
-        "speed_purse": purse.speed_purse,
-        "series_purse": purse.series_purse,
-        "time_limit": purse.time_limit,
-        "series": {},
-    }
+    doc = {**asdict(purse), "series": {}}
     for sid, members in series_groups(series, list(series)).items():
         doc["series"][sid] = sorted(members)
     with open(path, "w") as fh:
@@ -261,16 +255,6 @@ def save_purse_config(path, purse: PurseConfig, series: SeriesMap) -> None:
 
 
 def load_purse_config(path) -> tuple[PurseConfig, SeriesMap]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    purse = PurseConfig(
-        solution_purse=float(doc["solution_purse"]),
-        speed_purse=float(doc["speed_purse"]),
-        series_purse=float(doc["series_purse"]),
-        time_limit=float(doc["time_limit"]),
-    )
-    series = {}
-    for sid, members in doc.get("series", {}).items():
-        for iid in members:
-            series[iid] = sid
-    return purse, series
+    return load_json(path, lambda doc: (
+        PurseConfig(*(parse_number(f.name, doc[f.name]) for f in fields(PurseConfig))),
+        {iid: sid for sid, members in doc.get("series", {}).items() for iid in members}))

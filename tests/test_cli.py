@@ -11,9 +11,12 @@ from zfolio.cli import main
 from zfolio.cnf import write_dimacs
 from zfolio.evaluation import drop_unsolvable, split_data
 from zfolio.features import FEATURE_NAMES, FeatureVector, load_feature_csv
-from zfolio.portfolio import BuildSettings, build_portfolio, load_portfolio, save_portfolio
+from zfolio.portfolio import (FORMAT_TAG, BuildSettings, build_portfolio, load_portfolio,
+                              save_portfolio)
 from zfolio.probes import ProbeBudget
+from zfolio.runners import ExternalRunner
 from zfolio.runtimes import SolverDescriptor, load_runtime_csv
+from zfolio.scoring import load_purse_config
 from zfolio.synthetic import generate_benchmark
 from conftest import random_3cnf
 
@@ -263,24 +266,82 @@ def test_train_refuses_labels_without_a_category_column(tmp_path):
     assert str(exc.value) == f"{labels}: no 'category' column"
 
 
-@pytest.mark.parametrize("rows, fault", [
-    ("a,sat,crafted\nb,random\n", "line 3: expected 3 fields"),  # would read category None
-    ("a,sat,crafted,extra\n", "line 2: expected 3 fields"),
-    ("a,sat,crafted\nb,unsat,random\na,sat,industrial\n",
-     "line 4: a second row for instance 'a'"),
-], ids=["short", "long", "second-row"])
-def test_labels_csv_malformed_row_names_it(tmp_path, rows, fault):
+@pytest.mark.parametrize("text, fault", [
+    ("", ": no header row"),
+    ("instance,satisfiable,category\na,sat,crafted\n", ": no 'instance_id' column"),
+    ("instance_id,satisfiable,category\na,sat,crafted\nb,random\n",
+     ", line 3: expected 3 fields, got 2"),  # would read category None
+    ("instance_id,satisfiable,category\na,sat,crafted,extra\n",
+     ", line 2: expected 3 fields, got 4"),
+    ("instance_id,satisfiable,category\n\na,sat,crafted\n\nb,sat\n",
+     ", line 5: expected 3 fields, got 2"),
+    ("instance_id,satisfiable,category\na,sat,crafted\nb,unsat,random\na,sat,industrial\n",
+     ", line 4: a second row for instance 'a'"),
+], ids=["empty", "missing-column", "short", "long", "blank-row", "second-row"])
+def test_labels_csv_malformed_row_names_it(tmp_path, text, fault):
     labels = tmp_path / "labels.csv"
-    labels.write_text("instance_id,satisfiable,category\n" + rows)
+    labels.write_text(text)
     with pytest.raises(ValueError) as exc:
         cli._load_categories_csv(labels)
-    assert str(exc.value) == f"{labels}, {fault}"
+    assert str(exc.value) == f"{labels}{fault}"
 
 
 def test_labels_csv_reads_each_instances_category(tmp_path):
     labels = tmp_path / "labels.csv"
     labels.write_text("instance_id,satisfiable,category\na,sat,crafted\nb,unsat,random\n")
     assert cli._load_categories_csv(labels) == {"a": "crafted", "b": "random"}
+    # columns are found by name, and blank rows skipped
+    labels.write_text("category,instance_id\n\ncrafted,a\n\nrandom,b\n\n")
+    assert cli._load_categories_csv(labels) == {"a": "crafted", "b": "random"}
+    labels.write_text("instance_id,category\n")
+    assert cli._load_categories_csv(labels) == {}
+
+
+@pytest.mark.parametrize("load, text, fault", [
+    (cli.load_solvers_config, '[{"id": "a"}, {"kind": "complete"}]', "no 'id' field"),
+    (cli.load_solvers_config, '[{"id": "a", "kind": "fast"}]', "unknown solver kind 'fast'"),
+    (load_purse_config, '{"solution_purse": 1, "series_purse": 1, "time_limit": 9}',
+     "no 'speed_purse' field"),
+    (load_purse_config, '{"solution_purse": 1, "speed_purse": "fast", "series_purse": 1, '
+                        '"time_limit": 9}', "speed_purse 'fast' is not a number"),
+    (load_portfolio, '{"format": "%s"}' % FORMAT_TAG, "no 'solvers' field"),
+    (load_portfolio, '{"format": ', "Expecting value: line 1 column 12 (char 11)"),
+], ids=["solvers-id", "solvers-kind", "purse-missing", "purse-malformed", "portfolio",
+        "invalid-json"])
+def test_json_input_faults_name_the_file_and_field(tmp_path, load, text, fault):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: {fault}"
+
+
+@pytest.mark.parametrize("doc, fault", [
+    ({"validation": []}, "no 'train' field"),
+    ({"train": [], "validation": "synth-00001"}, "'validation' is not a list of instance ids"),
+], ids=["missing", "malformed"])
+def test_train_names_the_fault_of_a_split_file(tmp_path, doc, fault):
+    bench_dir = tmp_path / "bench"
+    assert main(["synth-bench", "--instances", "60", "--seed", "4", "-o", str(bench_dir)]) == 0
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        main([*small_train_flags(bench_dir), "--split", str(split),
+              "-o", str(tmp_path / "portfolio.json")])
+    assert str(exc.value) == f"{split}: {fault}"
+
+
+def test_features_and_solve_extract_a_file_alike(tmp_path, cnf_dir, monkeypatch):
+    # the models must read a solved instance's features as they were trained on them
+    monkeypatch.setenv("ZF_WORKERS", "1")
+    out = tmp_path / "features.csv"
+    assert main(["features", str(cnf_dir), "-o", str(out), "--seed", "3",
+                 "--deterministic", "--max-ls-steps", "400"]) == 0
+    budget = ProbeBudget(max_ls_steps=400, deterministic=True)
+    runner = ExternalRunner({})
+    for iid, fv in load_feature_csv(out).items():
+        online = runner.features(str(cnf_dir / f"{iid}.cnf"), budget, 3)
+        assert np.array_equal(online.values, fv.values)
 
 
 @pytest.mark.parametrize("body, code, verdict", [

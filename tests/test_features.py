@@ -287,37 +287,48 @@ class TestExtractAll:
         assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("at, cell, fault", [
-    (5, None, "expected 51 fields, got 50"),
-    (4, "big", f"{FEATURE_NAMES[3]} 'big' is not a number"),
-    (-2, "", "feature_time '' is not a number"),
-    (-1, "yes", "timed_out 'yes' is not 0 or 1"),
-], ids=["width", "feature", "feature_time", "timed_out"])
-def test_feature_csv_malformed_row_names_it(tmp_path, at, cell, fault):
-    # a well-formed row, then one with cell `at` replaced (deleted if None)
-    path = tmp_path / "features.csv"
-    row = ["i1", *(str(k) for k in range(48)), "1.5", "0"]
-    save_feature_csv(path, {"i0": FeatureVector(np.arange(48.0), 1.5, False)})
-    if cell is None:
-        del row[at]
-    else:
-        row[at] = cell
-    with open(path, "a") as fh:
-        fh.write(",".join(row) + "\n")
-    with pytest.raises(ValueError) as exc:
-        load_feature_csv(path)
-    assert str(exc.value) == f"{path}, line 3: {fault}"
+FEATURES_HEADER = ",".join(["instance_id", *FEATURE_NAMES, "feature_time", "timed_out"])
+I0 = ",".join(["i0", *(str(k) for k in range(48)), "1.5", "0"])  # a well-formed row
+I1 = "i1" + I0[2:]
 
 
-def test_feature_csv_refuses_a_second_row_for_an_instance(tmp_path):
+@pytest.mark.parametrize("text, fault", [
+    ("", ": no header row"),
+    (FEATURES_HEADER.replace(",feature_time", "") + f"\n{I0}\n", ": no 'feature_time' column"),
+    (f"{FEATURES_HEADER}\n{I0}\n{I1[:-2]}\n", ", line 3: expected 51 fields, got 50"),
+    (f"{FEATURES_HEADER}\n{I0}\n{I1},0\n", ", line 3: expected 51 fields, got 52"),
+    (f"{FEATURES_HEADER}\n{I0}\n{I1.replace(',3,', ',big,')}\n",
+     f", line 3: {FEATURE_NAMES[3]} 'big' is not a number"),
+    (f"{FEATURES_HEADER}\n{I0}\n{I1.replace(',1.5,', ',,')}\n",
+     ", line 3: feature_time '' is not a number"),
+    (f"{FEATURES_HEADER}\n{I0}\n{I1[:-1]}yes\n", ", line 3: timed_out 'yes' is not 0 or 1"),
+    (f"{FEATURES_HEADER}\n\n{I0}\n\n{I1[:-1]}2\n", ", line 5: timed_out '2' is not 0 or 1"),
     # a concatenated file must not train on whichever row came last
+    (f"{FEATURES_HEADER}\n{I0}\n{I0[:-5]}2.0,0\n", ", line 3: a second row for instance 'i0'"),
+], ids=["empty", "missing-column", "width", "long", "feature", "feature_time", "timed_out",
+        "blank-row", "second-row"])
+def test_feature_csv_malformed_row_names_it(tmp_path, text, fault):
     path = tmp_path / "features.csv"
-    save_feature_csv(path, {"i0": FeatureVector(np.arange(48.0), 1.5, False)})
-    with open(path, "a") as fh:
-        fh.write(",".join(["i0", *(str(k) for k in range(48)), "2.0", "0"]) + "\n")
+    path.write_text(text)
     with pytest.raises(ValueError) as exc:
         load_feature_csv(path)
-    assert str(exc.value) == f"{path}, line 3: a second row for instance 'i0'"
+    assert str(exc.value) == f"{path}{fault}"
+
+
+def test_feature_csv_columns_are_found_by_name_and_blank_rows_skipped(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text(f"{FEATURES_HEADER}\n")
+    assert load_feature_csv(path) == {}
+    # the columns reversed, with an extra one and blank rows
+    names = ["note", *reversed(FEATURES_HEADER.split(","))]
+    path.write_text("\n".join([",".join(names), "", ",".join(["x", *reversed(I0.split(","))]),
+                               "", ",".join(["", "1", "61.0", *[""] * 48, "slow"]), ""]))
+    loaded = load_feature_csv(path)
+    assert list(loaded) == ["i0", "slow"]
+    assert np.array_equal(loaded["i0"].values, np.arange(48.0))
+    assert (loaded["i0"].feature_time_seconds, loaded["i0"].timed_out) == (1.5, False)
+    assert loaded["slow"].values is None
+    assert (loaded["slow"].feature_time_seconds, loaded["slow"].timed_out) == (61.0, True)
 
 
 def test_feature_csv_round_trip(tmp_path, rng):

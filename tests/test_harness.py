@@ -24,6 +24,7 @@ from zfolio.synthetic import (
 )
 
 CUTOFF = 1200.0
+RUNS_HEADER = "instance_id,solver_id,runtime,status"
 
 
 class TestRunRecord:
@@ -97,24 +98,35 @@ class TestRuntimeMatrix:
         with pytest.raises(ValueError, match="finite"):
             load_runtime_csv(path, CUTOFF)
 
-    @pytest.mark.parametrize("row, fault", [
-        ("i1,a,sat", "expected 4 fields, got 3"),
-        ("i1,a,fast,sat", "runtime 'fast' is not a number"),
-        ("i1,a,2.0,solved", "unknown status 'solved'"),
-    ], ids=["width", "runtime", "status"])
-    def test_csv_with_a_malformed_row_names_it(self, tmp_path, row, fault):
+    @pytest.mark.parametrize("text, fault", [
+        ("", ": no header row"),
+        ("instance_id,solver_id,status\ni0,a,sat\n", ": no 'runtime' column"),
+        (f"{RUNS_HEADER}\ni0,a,1.0,sat\ni1,a,sat\n", ", line 3: expected 4 fields, got 3"),
+        (f"{RUNS_HEADER}\ni0,a,1.0,sat\ni1,a,2.0,sat,x\n", ", line 3: expected 4 fields, got 5"),
+        (f"{RUNS_HEADER}\ni0,a,1.0,sat\ni1,a,fast,sat\n", ", line 3: runtime 'fast' is not a number"),
+        (f"{RUNS_HEADER}\ni0,a,1.0,sat\ni1,a,2.0,solved\n", ", line 3: unknown status 'solved'"),
+        (f"{RUNS_HEADER}\n\ni0,a,1.0,sat\n\ni1,a,,sat\n", ", line 5: runtime '' is not a number"),
+        (f"{RUNS_HEADER}\ni0,a,1.0,sat\ni0,b,2.0,sat\ni0,a,1200.0,timeout\n",
+         ", line 4: a second row for instance 'i0' and solver 'a'"),
+    ], ids=["empty", "missing-column", "width", "long", "runtime", "status", "blank-row",
+            "second-row"])
+    def test_csv_with_a_malformed_row_names_it(self, tmp_path, text, fault):
         path = tmp_path / "runs.csv"
-        path.write_text(f"instance_id,solver_id,runtime,status\ni0,a,1.0,sat\n{row}\n")
+        path.write_text(text)
         with pytest.raises(ValueError) as exc:
             load_runtime_csv(path, CUTOFF)
-        assert str(exc.value) == f"{path}, line 3: {fault}"
+        assert str(exc.value) == f"{path}{fault}"
 
-    def test_csv_with_a_duplicated_cell_is_refused(self, tmp_path):
+    def test_csv_columns_are_found_by_name_and_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "runs.csv"
-        path.write_text("instance_id,solver_id,runtime,status\ni0,a,1.0,sat\n"
-                        "i0,b,2.0,sat\ni0,a,1200.0,timeout\n")
-        with pytest.raises(ValueError, match="'a' already has a run on instance 'i0'"):
-            load_runtime_csv(path, CUTOFF)
+        path.write_text(f"{RUNS_HEADER}\n")
+        assert len(load_runtime_csv(path, CUTOFF)) == 0
+        path.write_text("status,note,runtime,instance_id,solver_id\n\n"
+                        "sat,x,1.5,i0,a\n\ntimeout,,1200.0,i0,b\n\n")
+        loaded = load_runtime_csv(path, CUTOFF)
+        assert loaded.get("a", "i0") == RunRecord("a", "i0", 1.5, "sat")
+        assert loaded.get("b", "i0") == RunRecord("b", "i0", CUTOFF, "timeout")
+        assert len(loaded) == 2
 
     def test_a_second_run_for_a_cell_is_refused(self):
         m = RuntimeMatrix(CUTOFF)

@@ -4,6 +4,7 @@ import random
 import time
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -198,6 +199,24 @@ class TestPassedDeadline:
         f = random_3cnf(30, 180, rng)
         feats = probe(f, small_budget(), seed=3, deadline=time.perf_counter())
         assert all(v == 0.0 for v in feats.values())
+
+    def test_stops_a_dpll_dive_within_one_check_interval(self, monkeypatch):
+        # 1,000 disjoint binary clauses take a dive at least 1,000 decisions
+        # to satisfy; the clock passes the deadline at the 300th
+        f = make(2000, [[2 * k + 1, 2 * k + 2] for k in range(1000)])
+        now, decisions = [0.0], []
+        unassigned_vars = PropagationEngine.unassigned_vars
+
+        def draw(engine):  # called once per decision
+            decisions.append(None)
+            if len(decisions) == 300:
+                now[0] = 2.0
+            return unassigned_vars(engine)
+        monkeypatch.setattr(probes, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(PropagationEngine, "unassigned_vars", draw)
+        feats = dpll_probe(f, small_budget(), seed=3, deadline=1.0)
+        assert 300 < len(decisions) <= 300 + 256
+        assert all(v == 0.0 for v in feats.values())  # the interrupted dive is dropped
 
 
 def test_occurrence_lists_shared_by_both_engines():
