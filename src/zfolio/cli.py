@@ -96,15 +96,14 @@ def cmd_collect(args) -> int:
 
 
 def _read_instance_ids(path) -> list[str]:
-    """Each instance id once, from a CSV's instance_id column or a list of
-    one id a line; blank rows and lines are skipped."""
-    text = Path(path).read_text().splitlines()
-    if text and "," in text[0] and text[0].split(",")[0] == "instance_id":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            return sorted({row[0] for row in reader if row})
-    return sorted({line.strip() for line in text if line.strip()})
+    """Each instance id once: from the instance_id column of a CSV table, read
+    by read_csv_table without keys (a runs CSV repeats ids), when the first
+    nonblank line names that column; else from a list of one id a line, blank
+    lines skipped."""
+    lines = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    if lines and "instance_id" in next(csv.reader(lines[:1])):
+        return sorted(set(read_csv_table(path, ("instance_id",), str, key_width=0).values()))
+    return sorted(set(lines))
 
 
 def cmd_split(args) -> int:

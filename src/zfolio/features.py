@@ -34,10 +34,11 @@ import numpy as np
 from scipy import sparse
 
 from .cnf import CnfFormula, read_dimacs_file
-from .probes import ProbeBudget, _SlsState, dpll_probe, gsat_probe, saps_probe
+from .probes import (DPLL_NAMES, GSAT_NAMES, SAPS_NAMES, ProbeBudget, _SlsState, dpll_probe,
+                     gsat_probe, saps_probe)
 from .runtimes import parse_number, read_csv_table
 
-FEATURE_NAMES = (
+STATIC_NAMES = (
     "f01_nclauses",
     "f02_nvars",
     "f03_clause_var_ratio",
@@ -71,22 +72,9 @@ FEATURE_NAMES = (
     "f31_horn_var_min",
     "f32_horn_var_max",
     "f33_horn_var_entropy",
-    "f34_up_depth1",
-    "f35_up_depth4",
-    "f36_up_depth16",
-    "f37_up_depth64",
-    "f38_up_depth256",
-    "f39_dpll_mean_depth",
-    "f40_dpll_log_nodes",
-    "f41_saps_beststep_mean",
-    "f42_saps_beststep_median",
-    "f43_saps_beststep_q10",
-    "f44_saps_beststep_q90",
-    "f45_saps_improve_per_step",
-    "f46_saps_first_lm_frac",
-    "f47_gsat_first_lm_frac",
-    "f48_saps_cv_unsat",
 )
+# the names in feature-number order; SAPS has 41-46 and 48, GSAT 47
+FEATURE_NAMES = tuple(sorted(STATIC_NAMES + DPLL_NAMES + SAPS_NAMES + GSAT_NAMES))
 
 NUM_FEATURES = len(FEATURE_NAMES)
 
@@ -171,7 +159,7 @@ def base_features(formula: CnfFormula) -> dict[str, float]:
         *(np.count_nonzero(f) / max(nc, 1) for f in (clause_len == 2, clause_len == 3, horn)),
         *_stats(horn_occ),
     ]
-    return dict(zip(FEATURE_NAMES[:33], map(float, values)))
+    return dict(zip(STATIC_NAMES, map(float, values)))
 
 
 def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,

@@ -11,7 +11,6 @@ SAPS runs with the published default parameters of Hutter, Tompkins & Hoos
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -25,6 +24,14 @@ UNASSIGNED, TRUE, FALSE = 0, 1, -1
 
 DPLL_DEPTHS = (1, 4, 16, 64, 256)
 
+# Each probe group's feature names, in the order its values are computed
+DPLL_NAMES = (*(f"f{34 + i}_up_depth{d}" for i, d in enumerate(DPLL_DEPTHS)),
+              "f39_dpll_mean_depth", "f40_dpll_log_nodes")
+SAPS_NAMES = ("f41_saps_beststep_mean", "f42_saps_beststep_median", "f43_saps_beststep_q10",
+              "f44_saps_beststep_q90", "f45_saps_improve_per_step", "f46_saps_first_lm_frac",
+              "f48_saps_cv_unsat")
+GSAT_NAMES = ("f47_gsat_first_lm_frac",)
+
 
 @dataclass
 class ProbeBudget:
@@ -37,7 +44,11 @@ class ProbeBudget:
     values are reproducible; `total_seconds` still applies in both modes,
     as a backstop that times the extraction out. Each group checks it
     between runs and inside each run: every 256 local-search steps and
-    every 256 DPLL decisions.
+    every 256 DPLL decisions. No check interrupts `base_features`, the
+    formula's occurrence lists, `_SlsState` or `PropagationEngine`, so each
+    can overrun the budget by its own time; on a 200 k-variable random
+    3-CNF they take 0.8, 1.2, 3.5 and 0.02 s. Parsing (2.6 s there) ends
+    before `extract_all` starts its clock.
     """
 
     per_probe_seconds: float = 1.0
@@ -209,21 +220,12 @@ def dpll_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
     """
     rng = random.Random(seed)
     engine = PropagationEngine(formula)
-    deadline = _group_deadline(budget, deadline)
-    dives = []
-    for _ in range(budget.dpll_runs):
-        if deadline is not None and time.perf_counter() > deadline:
-            break
-        dive = _dive(engine, rng, deadline)
-        if dive is None:  # interrupted mid-dive by the deadline
-            break
-        dives.append(dive)
-
+    dives = _runs(budget, budget.dpll_runs, lambda until: _dive(engine, rng, until), deadline)
+    if not dives:
+        return dict.fromkeys(DPLL_NAMES, 0.0)
     # log2 of a dive's product of branching factors, 2 per decision, is its depth
-    values = [float(np.mean(c)) for c in zip(*dives)] or [0.0] * (len(DPLL_DEPTHS) + 1)
-    names = [f"f{34 + i}_up_depth{d}" for i, d in enumerate(DPLL_DEPTHS)]
-    names += ["f39_dpll_mean_depth", "f40_dpll_log_nodes"]
-    return dict(zip(names, [*values, values[-1]]))
+    values = [float(np.mean(c)) for c in zip(*dives)]
+    return dict(zip(DPLL_NAMES, [*values, values[-1]]))
 
 
 def dpll_tree_size(formula: CnfFormula, seed: int = 0, max_nodes: int = 10_000_000) -> int:
@@ -462,33 +464,16 @@ class _SlsState:
         return delta
 
 
-@dataclass
-class _RunStats:
-    init_unsat: int
-    best_unsat: int
-    best_step: int
-    first_lm_fraction: float
-    lm_cv: float
-
-    @property
-    def per_step_improvement(self) -> float:
-        if self.best_step <= 0:
-            return 0.0
-        return (self.init_unsat - self.best_unsat) / self.best_step
-
-
 def _finish_run(init_unsat, best_unsat, best_step, lm_counts, first_lm_best):
+    """A run's best step, improvement per step up to it, first-local-minimum
+    fraction and variation coefficient of the unsatisfied counts at local minima."""
     total = init_unsat - best_unsat
-    if first_lm_best is None or total <= 0:
-        frac = 1.0
-    else:
-        frac = (init_unsat - first_lm_best) / total
+    per_step = total / best_step if best_step > 0 else 0.0
+    frac = 1.0 if first_lm_best is None or total <= 0 else (init_unsat - first_lm_best) / total
     counts = np.asarray(lm_counts, dtype=float)
-    if counts.size >= 2 and counts.mean() > 0:
-        cv = float(counts.std(ddof=1) / counts.mean())
-    else:
-        cv = 0.0
-    return _RunStats(init_unsat, best_unsat, best_step, frac, cv)
+    mean = counts.mean() if counts.size >= 2 else 0.0
+    cv = float(counts.std(ddof=1) / mean) if mean > 0 else 0.0
+    return best_step, per_step, frac, cv
 
 
 # Two clauses that cannot both hold grow their weights geometrically; all
@@ -501,7 +486,7 @@ SAPS_P_WALK = 0.01  # probability of a random walk step at a local minimum
 
 
 def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
-              deadline) -> _RunStats | None:
+              deadline) -> tuple | None:
     state.random_init(rng)
     buckets = state.buckets
     unsat = state.unsat
@@ -574,7 +559,7 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
 GSAT_STALL_LIMIT = 100
 
 
-def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) -> _RunStats | None:
+def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) -> tuple | None:
     state.random_init(rng)
     init_unsat = len(state.unsat)
     best_unsat = init_unsat
@@ -613,29 +598,31 @@ def _gsat_run(state: _SlsState, rng: random.Random, max_steps: int, deadline) ->
     return _finish_run(init_unsat, best_unsat, best_step, lm_counts, first_lm_best)
 
 
-def _group_deadline(budget: ProbeBudget, deadline: float | None) -> float | None:
-    """The earlier of the caller's deadline and, in wall-clock mode, the
-    end of this probe group's own `per_probe_seconds`."""
-    if budget.deterministic:
-        return deadline
-    own = time.perf_counter() + budget.per_probe_seconds
-    return own if deadline is None else min(deadline, own)
+def _runs(budget: ProbeBudget, count: int, run, deadline: float | None) -> list:
+    """The results of up to `count` calls run(group deadline), stopping between
+    runs once that deadline has passed and at a run that returns None (one it
+    interrupted). The group deadline is the earlier of `deadline` and, in
+    wall-clock mode, the end of the group's own `per_probe_seconds`."""
+    if not budget.deterministic:
+        own = time.perf_counter() + budget.per_probe_seconds
+        deadline = own if deadline is None else min(deadline, own)
+    results = []
+    for _ in range(count):
+        if deadline is not None and time.perf_counter() > deadline:
+            break
+        result = run(deadline)
+        if result is None:
+            break
+        results.append(result)
+    return results
 
 
-def _ls_runs(formula, budget, seed, run_fn, deadline, state) -> list[_RunStats]:
+def _ls_runs(formula, budget, seed, run_fn, deadline, state) -> list[tuple]:
     rng = random.Random(seed)
     state = state or _SlsState(formula)
     max_steps = max(1, budget.max_ls_steps // budget.ls_runs)
-    deadline = _group_deadline(budget, deadline)
-    stats = []
-    for _ in range(budget.ls_runs):
-        if deadline is not None and time.perf_counter() > deadline:
-            break
-        run = run_fn(state, rng, max_steps, deadline)
-        if run is None:  # interrupted mid-run by the deadline
-            break
-        stats.append(run)
-    return stats
+    return _runs(budget, budget.ls_runs, lambda until: run_fn(state, rng, max_steps, until),
+                 deadline)
 
 
 def saps_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
@@ -648,25 +635,11 @@ def saps_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
     """
     stats = _ls_runs(formula, budget, seed, _saps_run, deadline, state)
     if not stats:
-        return {
-            "f41_saps_beststep_mean": 0.0,
-            "f42_saps_beststep_median": 0.0,
-            "f43_saps_beststep_q10": 0.0,
-            "f44_saps_beststep_q90": 0.0,
-            "f45_saps_improve_per_step": 0.0,
-            "f46_saps_first_lm_frac": 0.0,
-            "f48_saps_cv_unsat": 0.0,
-        }
-    best_steps = np.array([s.best_step for s in stats], dtype=float)
-    return {
-        "f41_saps_beststep_mean": float(best_steps.mean()),
-        "f42_saps_beststep_median": float(np.percentile(best_steps, 50)),
-        "f43_saps_beststep_q10": float(np.percentile(best_steps, 10)),
-        "f44_saps_beststep_q90": float(np.percentile(best_steps, 90)),
-        "f45_saps_improve_per_step": float(np.mean([s.per_step_improvement for s in stats])),
-        "f46_saps_first_lm_frac": float(np.mean([s.first_lm_fraction for s in stats])),
-        "f48_saps_cv_unsat": float(np.mean([s.lm_cv for s in stats])),
-    }
+        return dict.fromkeys(SAPS_NAMES, 0.0)
+    best_steps, per_step, first_lm, cv = np.array(stats, dtype=float).T
+    return dict(zip(SAPS_NAMES, map(float, (
+        best_steps.mean(), *np.percentile(best_steps, (50, 10, 90)),
+        per_step.mean(), first_lm.mean(), cv.mean()))))
 
 
 def gsat_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
@@ -675,7 +648,5 @@ def gsat_probe(formula: CnfFormula, budget: ProbeBudget, seed: int,
     `dpll_probe` and `saps_probe`."""
     stats = _ls_runs(formula, budget, seed, _gsat_run, deadline, state)
     if not stats:
-        return {"f47_gsat_first_lm_frac": 0.0}
-    return {
-        "f47_gsat_first_lm_frac": float(np.mean([s.first_lm_fraction for s in stats]))
-    }
+        return dict.fromkeys(GSAT_NAMES, 0.0)
+    return dict(zip(GSAT_NAMES, [float(np.mean([first_lm for _, _, first_lm, _ in stats]))]))

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 
@@ -125,12 +126,8 @@ class RuntimeMatrix:
         """Writes these runs, all or none. Each must keep the status
         invariants, fill an empty cell and agree with its instance's label."""
         runs, cells, labels = self._runs, {}, {}
-        for rec in records:
+        for rec in map(self.check, records):
             sid, iid = rec.solver_id, rec.instance_id
-            if rec.status == "timeout" and rec.runtime_seconds != self.cutoff_seconds:
-                raise ValueError("timeout records must carry the cutoff as runtime")
-            if rec.solved and rec.runtime_seconds > self.cutoff_seconds:
-                raise ValueError("solved runtime exceeds the cutoff")
             cell = runs.solver_index.get(sid, -1), runs.instance_index.get(iid, -1)
             if (sid, iid) in cells or (min(cell) >= 0 and runs.status.item(cell) != MISSING):
                 raise ValueError(f"solver {sid!r} already has a run on instance {iid!r}")
@@ -139,7 +136,8 @@ class RuntimeMatrix:
                 known = labels.setdefault(iid, self.sat_label(iid) or rec.status)
                 if known != rec.status:
                     raise DataConsistencyError(
-                        f"instance {iid!r} labeled both {known} and {rec.status}")
+                        f"solver {sid!r} on instance {iid!r}: {rec.status}, where another "
+                        f"solver found {known}")
         new_solvers = {s for s, _ in cells} - runs.solver_index.keys()
         new_instances = {i for _, i in cells} - runs.instance_index.keys()
         # new ids grow the arrays; arrays that dense() handed out stay unchanged
@@ -155,6 +153,18 @@ class RuntimeMatrix:
         cols = [runs.instance_index[i] for _, i in cells]
         runs.runtime[rows, cols] = [rec.runtime_seconds for rec in cells.values()]
         runs.status[rows, cols] = [STATUS_CODES[rec.status] for rec in cells.values()]
+
+    def check(self, rec: RunRecord) -> RunRecord:
+        """`rec`, if its runtime agrees with the cutoff; otherwise a ValueError
+        that names its solver and instance."""
+        cutoff, runtime = self.cutoff_seconds, rec.runtime_seconds
+        if rec.status == "timeout" and runtime != cutoff:
+            fault = f"a timeout must carry the cutoff {cutoff!r} as runtime, not {runtime!r}"
+        elif rec.solved and runtime > cutoff:
+            fault = f"solved runtime {runtime!r} exceeds the cutoff {cutoff!r}"
+        else:
+            return rec
+        raise ValueError(f"solver {rec.solver_id!r} on instance {rec.instance_id!r}: {fault}")
 
     def dense(self) -> DenseRuns:
         """Every cell, as read-only arrays."""
@@ -234,37 +244,58 @@ def located(path, fault, line=None) -> ValueError:
 
 
 def read_csv_table(path, columns, convert, key_width=1) -> dict:
-    """{key: convert(*cells)} over the rows of a CSV table, in file order.
+    """{key: convert(*cells)} over the rows of a UTF-8 CSV table, in file order.
 
     `cells` are a row's cells under `columns`, found by name in the header;
-    `key` is the first cell, or the tuple of the first `key_width`. Blank rows
-    are skipped. No header row, a missing or repeated column, a row whose
-    width differs from the header's, a second row for a key, and a ValueError
-    from `convert` raise a ValueError that names the file and the line."""
-    with open(path, newline="") as fh:
+    `key` is the first cell, the tuple of the first `key_width`, or with
+    `key_width=0` the row's line, so that no cell is a key. Blank rows are
+    skipped. No header row, a missing or repeated column, a row whose width
+    differs from the header's, a second row for a key, a byte that is not
+    UTF-8, a row that `csv` cannot read and a ValueError from `convert` raise
+    a ValueError that names the file and the line."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next((row for row in reader if row), None)
-        if header is None:
-            raise located(path, "no header row")
-        for name in columns:
-            if header.count(name) != 1:
-                raise located(path, f"{'a repeated' if name in header else 'no'} {name!r} column")
-        index = [header.index(name) for name in columns]
-        table = {}
-        for row in filter(None, reader):
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                cells = [row[i] for i in index]
-                key = cells[0] if key_width == 1 else tuple(cells[:key_width])
-                if key in table:
-                    raise ValueError("a second row for " + " and ".join(
-                        f"{name.removesuffix('_id')} {cell!r}"
-                        for name, cell in zip(columns, cells[:key_width])))
-                table[key] = convert(*cells)
-            except ValueError as exc:
-                raise located(path, exc, reader.line_num) from None
+        try:
+            header = next((row for row in reader if row), None)
+            if header is None:
+                raise located(path, "no header row")
+            for name in columns:
+                if header.count(name) != 1:
+                    fault = "a repeated" if name in header else "no"
+                    raise located(path, f"{fault} {name!r} column")
+            index = [header.index(name) for name in columns]
+            table = {}
+            for row in filter(None, reader):
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    cells = [row[i] for i in index]
+                    key = (tuple(cells[:key_width]) if key_width > 1 else
+                           cells[0] if key_width else reader.line_num)
+                    if key in table:
+                        raise ValueError("a second row for " + " and ".join(
+                            f"{name.removesuffix('_id')} {cell!r}"
+                            for name, cell in zip(columns, cells[:key_width])))
+                    table[key] = convert(*cells)
+                except ValueError as exc:
+                    raise located(path, exc, reader.line_num) from None
+        except csv.Error as exc:
+            raise located(path, exc, reader.line_num) from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     return table
+
+
+def _not_utf8(path) -> ValueError:
+    """The first byte of a file that is not UTF-8, located by its line: a text
+    reader decodes a block of lines at a time, so it cannot tell which."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        return located(path, f"byte {data[exc.start]:#04x} is not UTF-8",
+                       data.count(b"\n", 0, exc.start) + 1)
+    return located(path, "not UTF-8")
 
 
 def load_json(path, convert):
@@ -281,9 +312,14 @@ def load_json(path, convert):
 
 
 def load_runtime_csv(path, cutoff_seconds: float) -> RuntimeMatrix:
-    """The runs of a CSV table, read by read_csv_table, a row per cell."""
-    records = read_csv_table(path, CSV_HEADER, lambda iid, sid, runtime, status: RunRecord(
-        sid, iid, parse_number("runtime", runtime), status), key_width=2)
+    """The runs of a CSV table, read by read_csv_table, a row per cell. A row
+    that disagrees with the cutoff is named by its line, and two rows that
+    label an instance both sat and unsat by the file."""
     matrix = RuntimeMatrix(cutoff_seconds)
-    matrix.add(*records.values())
+    records = read_csv_table(path, CSV_HEADER, lambda iid, sid, runtime, status: matrix.check(
+        RunRecord(sid, iid, parse_number("runtime", runtime), status)), key_width=2)
+    try:
+        matrix.add(*records.values())
+    except DataConsistencyError as exc:
+        raise DataConsistencyError(f"{path}: {exc}") from None
     return matrix

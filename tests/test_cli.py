@@ -125,6 +125,17 @@ def test_split_puts_a_repeated_id_in_one_part(tmp_path, text):
     assert sorted(doc["train"] + doc["validation"] + doc["test"]) == list("abcde")
 
 
+def test_split_reads_the_instance_id_column_of_a_runs_csv_by_name(tmp_path, capsys):
+    src = tmp_path / "runtimes.csv"
+    src.write_text("solver_id,instance_id,runtime,status\n"
+                   + "".join(f"{s},i{k},1.0,sat\n" for s in "ab" for k in range(3)))
+    out = tmp_path / "split.json"
+    assert main(["split", str(src), "--seed", "1", "-o", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("split 3 instances into ")
+    doc = json.loads(out.read_text())
+    assert sorted(doc["train"] + doc["validation"] + doc["test"]) == ["i0", "i1", "i2"]
+
+
 def test_synth_train_evaluate_pipeline(tmp_path):
     bench_dir = tmp_path / "bench"
     rc = main(["synth-bench", "--instances", "120", "--seed", "4",

@@ -72,3 +72,12 @@ def test_every_numeric_constant_is_documented():
     missing = sorted(name for name in found - SENTINELS
                      if not re.search(rf"\b{name}\b", section))
     assert not missing, f"not in README's constants section: {missing}"
+
+
+def test_each_feature_name_is_written_once():
+    written = {}
+    for path in SOURCES:
+        for name in re.findall(r"\bf\d\d_\w+", path.read_text()):
+            written.setdefault(name, []).append(path.name)
+    repeated = {name: files for name, files in written.items() if len(files) > 1}
+    assert len(written) >= 40 and not repeated, f"written more than once: {repeated}"

@@ -236,6 +236,63 @@ def test_static_features_bit_identical_to_the_clause_loop():
             formula
 
 
+# the 48 names in feature-number order, as written in every feature CSV
+EXPECTED_NAMES = (
+    "f01_nclauses",
+    "f02_nvars",
+    "f03_clause_var_ratio",
+    "f04_vcg_var_deg_mean",
+    "f05_vcg_var_deg_cv",
+    "f06_vcg_var_deg_min",
+    "f07_vcg_var_deg_max",
+    "f08_vcg_var_deg_entropy",
+    "f09_vcg_cls_deg_mean",
+    "f10_vcg_cls_deg_cv",
+    "f11_vcg_cls_deg_min",
+    "f12_vcg_cls_deg_max",
+    "f13_vcg_cls_deg_entropy",
+    "f14_vg_deg_mean",
+    "f15_vg_deg_cv",
+    "f16_vg_deg_min",
+    "f17_vg_deg_max",
+    "f18_pos_ratio_cls_mean",
+    "f19_pos_ratio_cls_cv",
+    "f20_pos_ratio_cls_entropy",
+    "f21_pos_ratio_var_mean",
+    "f22_pos_ratio_var_cv",
+    "f23_pos_ratio_var_min",
+    "f24_pos_ratio_var_max",
+    "f25_pos_ratio_var_entropy",
+    "f26_binary_frac",
+    "f27_ternary_frac",
+    "f28_horn_frac",
+    "f29_horn_var_mean",
+    "f30_horn_var_cv",
+    "f31_horn_var_min",
+    "f32_horn_var_max",
+    "f33_horn_var_entropy",
+    "f34_up_depth1",
+    "f35_up_depth4",
+    "f36_up_depth16",
+    "f37_up_depth64",
+    "f38_up_depth256",
+    "f39_dpll_mean_depth",
+    "f40_dpll_log_nodes",
+    "f41_saps_beststep_mean",
+    "f42_saps_beststep_median",
+    "f43_saps_beststep_q10",
+    "f44_saps_beststep_q90",
+    "f45_saps_improve_per_step",
+    "f46_saps_first_lm_frac",
+    "f47_gsat_first_lm_frac",
+    "f48_saps_cv_unsat",
+)
+
+
+def test_feature_names_are_the_48_in_feature_number_order():
+    assert FEATURE_NAMES == EXPECTED_NAMES
+
+
 class TestExtractAll:
     def test_small_formula_completes(self):
         fv = extract_all(make(2, [[1, -2], [2]]), TEST_BUDGET, seed=0)

@@ -117,6 +117,44 @@ class TestRuntimeMatrix:
             load_runtime_csv(path, CUTOFF)
         assert str(exc.value) == f"{path}{fault}"
 
+    @pytest.mark.parametrize("data, fault", [
+        (f"{RUNS_HEADER}\ni0,a,1.0,sat\ni1,a,2.0,sat\xff\n", ", line 3: byte 0xff is not UTF-8"),
+        (f"{RUNS_HEADER}\xff\ni0,a,1.0,sat\n", ", line 1: byte 0xff is not UTF-8"),
+        # past the first block that the text reader decodes
+        (f"{RUNS_HEADER}\n" + "".join(f"i{k},a,1.0,sat\n" for k in range(1500))
+         + "j\xe9,a,1.0,sat\n",
+         ", line 1502: byte 0xe9 is not UTF-8"),
+        (f'{RUNS_HEADER}\ni0,a,1.0,"{"x" * 131073}"\n',
+         ", line 2: field larger than field limit (131072)"),
+    ], ids=["row", "header", "late-row", "csv-error"])
+    def test_csv_that_cannot_be_read_names_the_line(self, tmp_path, data, fault):
+        path = tmp_path / "runs.csv"
+        path.write_bytes(data.encode("latin-1"))
+        with pytest.raises(ValueError) as exc:
+            load_runtime_csv(path, CUTOFF)
+        assert str(exc.value) == f"{path}{fault}"
+
+    @pytest.mark.parametrize("rows, fault", [
+        ("i0,a,5.0,timeout\n", ", line 2: solver 'a' on instance 'i0': a timeout must carry "
+                                "the cutoff 1200.0 as runtime, not 5.0"),
+        ("i0,a,1.0,sat\ni1,a,1300.5,unsat\n",
+         ", line 3: solver 'a' on instance 'i1': solved runtime 1300.5 exceeds the cutoff 1200.0"),
+    ], ids=["timeout", "solved"])
+    def test_csv_run_off_the_cutoff_names_the_line_and_cell(self, tmp_path, rows, fault):
+        path = tmp_path / "runs.csv"
+        path.write_text(f"{RUNS_HEADER}\n{rows}")
+        with pytest.raises(ValueError) as exc:
+            load_runtime_csv(path, CUTOFF)
+        assert str(exc.value) == f"{path}{fault}"
+
+    def test_csv_labelling_an_instance_sat_and_unsat_names_the_file_and_cell(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(f"{RUNS_HEADER}\ni0,a,5.0,sat\ni0,b,6.0,unsat\n")
+        with pytest.raises(DataConsistencyError) as exc:
+            load_runtime_csv(path, CUTOFF)
+        assert str(exc.value) == (
+            f"{path}: solver 'b' on instance 'i0': unsat, where another solver found sat")
+
     def test_csv_columns_are_found_by_name_and_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text(f"{RUNS_HEADER}\n")

@@ -12,7 +12,10 @@ from zfolio import probes
 from zfolio.cnf import CnfFormula
 from zfolio.features import extract_all
 from zfolio.probes import (
+    DPLL_NAMES,
+    GSAT_NAMES,
     GSAT_STALL_LIMIT,
+    SAPS_NAMES,
     Assignment,
     ProbeBudget,
     PropagationEngine,
@@ -191,6 +194,16 @@ class TestGsatProbe:
         f = random_3cnf(15, 60, rng)
         feats = gsat_probe(f, small_budget(), seed=4)
         assert 0.0 <= feats["f47_gsat_first_lm_frac"] <= 1.0
+
+
+@pytest.mark.parametrize("probe, names", [(saps_probe, SAPS_NAMES), (gsat_probe, GSAT_NAMES),
+                                          (dpll_probe, DPLL_NAMES)], ids=["saps", "gsat", "dpll"])
+@pytest.mark.parametrize("passed", [False, True], ids=["values", "zeros"])
+def test_probe_returns_its_names_in_order(probe, names, passed, rng):
+    f = random_3cnf(30, 120, rng)
+    feats = probe(f, small_budget(), seed=3, deadline=time.perf_counter() if passed else None)
+    assert tuple(feats) == names
+    assert any(feats.values()) != passed  # all zero once the deadline has passed
 
 
 class TestPassedDeadline:

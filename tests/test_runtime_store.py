@@ -34,16 +34,18 @@ class RecordMatrix:
         self._sat_label = {}
 
     def add(self, record):
-        if record.status == "timeout" and record.runtime_seconds != self.cutoff_seconds:
-            raise ValueError("timeout records must carry the cutoff as runtime")
-        if record.solved and record.runtime_seconds > self.cutoff_seconds:
-            raise ValueError("solved runtime exceeds the cutoff")
+        cell = f"solver {record.solver_id!r} on instance {record.instance_id!r}"
+        cutoff, runtime = self.cutoff_seconds, record.runtime_seconds
+        if record.status == "timeout" and runtime != cutoff:
+            raise ValueError(f"{cell}: a timeout must carry the cutoff {cutoff!r} as runtime, "
+                             f"not {runtime!r}")
+        if record.solved and runtime > cutoff:
+            raise ValueError(f"{cell}: solved runtime {runtime!r} exceeds the cutoff {cutoff!r}")
         if record.solved:
             known = self._sat_label.get(record.instance_id)
             if known is not None and known != record.status:
                 raise DataConsistencyError(
-                    f"instance {record.instance_id!r} labeled both {known} and {record.status}"
-                )
+                    f"{cell}: {record.status}, where another solver found {known}")
             self._sat_label[record.instance_id] = record.status
         self._records[(record.solver_id, record.instance_id)] = record
 
@@ -216,15 +218,28 @@ def test_invalid_records_raise_what_the_reference_raises(tmp_path):
         assert_same(got, want, tmp_path)
 
 
+@pytest.mark.parametrize("record, fault", [
+    (RunRecord("a", "i", 5.0, "timeout"),
+     "a timeout must carry the cutoff 20.0 as runtime, not 5.0"),
+    (RunRecord("a", "i", 21.0, "sat"), "solved runtime 21.0 exceeds the cutoff 20.0"),
+], ids=["timeout", "solved"])
+def test_a_run_off_the_cutoff_names_its_cell(record, fault):
+    with pytest.raises(ValueError) as exc:
+        RuntimeMatrix(CUTOFF).add(record)
+    assert str(exc.value) == f"solver 'a' on instance 'i': {fault}"
+
+
 def test_consensus_and_duplicates_within_one_call():
     m = RuntimeMatrix(CUTOFF)
-    with pytest.raises(DataConsistencyError, match="'i' labeled both sat and unsat"):
+    with pytest.raises(DataConsistencyError,
+                       match="^solver 'b' on instance 'i': unsat, where another solver found sat$"):
         m.add(RunRecord("a", "i", 1.0, "sat"), RunRecord("b", "i", 2.0, "unsat"))
     with pytest.raises(ValueError, match="'a' already has a run on instance 'i'"):
         m.add(RunRecord("a", "i", 1.0, "sat"), RunRecord("a", "i", 1.0, "sat"))
     assert len(m) == 0 and m.solvers == [] and m.instances == []
     m.add(RunRecord("a", "i", 1.0, "sat"), RunRecord("b", "i", CUTOFF, "timeout"))
-    with pytest.raises(DataConsistencyError, match="'i' labeled both sat and unsat"):
+    with pytest.raises(DataConsistencyError,
+                       match="^solver 'c' on instance 'i': unsat, where another solver found sat$"):
         m.add(RunRecord("c", "i", 2.0, "unsat"))
     assert m.sat_label("i") == "sat" and len(m) == 2
 
