@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -23,9 +22,9 @@ from pathlib import Path
 from . import evaluation, execution, features as features_mod, portfolio as portfolio_mod
 from .cnf import DimacsError
 from .probes import ProbeBudget
-from .runners import ExternalRunner, SimulatedRunner
+from .runners import ExternalRunner
 from .runtimes import (SolverDescriptor, load_json, load_runtime_csv, read_csv_table,
-                       save_runtime_csv, solver_descriptors)
+                       read_utf8, save_runtime_csv, solver_descriptors)
 from .scoring import PurseConfig, load_purse_config, save_purse_config, singleton_series
 from .synthetic import generate_benchmark
 
@@ -98,9 +97,9 @@ def cmd_collect(args) -> int:
 def _read_instance_ids(path) -> list[str]:
     """Each instance id once: from the instance_id column of a CSV table, read
     by read_csv_table without keys (a runs CSV repeats ids), when the first
-    nonblank line names that column; else from a list of one id a line, blank
-    lines skipped."""
-    lines = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    nonblank line names that column; else from a UTF-8 list of one id a line,
+    blank lines skipped."""
+    lines = [line.strip() for line in read_utf8(path).splitlines() if line.strip()]
     if lines and "instance_id" in next(csv.reader(lines[:1])):
         return sorted(set(read_csv_table(path, ("instance_id",), str, key_width=0).values()))
     return sorted(set(lines))

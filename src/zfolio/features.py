@@ -172,8 +172,16 @@ def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
     too), the result has timed_out=True and no values (callers then fall
     back to the backup solver); the elapsed time is still recorded.
     """
+    return _extract(lambda: formula, budget, seed)
+
+
+def _extract(read_formula, budget: ProbeBudget | None, seed: int) -> FeatureVector:
+    """`extract_all` of the formula `read_formula()` returns, with the clock
+    started before the call, so reading the formula counts in the feature
+    time and against the total budget."""
     budget = budget or ProbeBudget()
     start = time.perf_counter()
+    formula = read_formula()
     deadline = start + budget.total_seconds
     rng = random.Random(seed)
     sub_seeds = [rng.randrange(2**32) for _ in range(3)]
@@ -204,9 +212,10 @@ def extract_all(formula: CnfFormula, budget: ProbeBudget | None = None,
 
 def extract_file(path, budget: ProbeBudget, seed: int) -> FeatureVector:
     """Features of a CNF file for `zfolio features` and the online solve alike,
-    probed with `seed` mixed with the file's stem, its instance id."""
+    probed with `seed` mixed with the file's stem, its instance id. Parsing
+    the file counts in the feature time and against `budget.total_seconds`."""
     digest = hashlib.sha256(f"{seed}:{Path(path).stem}".encode()).digest()
-    return extract_all(read_dimacs_file(path), budget, int.from_bytes(digest[:8], "big"))
+    return _extract(lambda: read_dimacs_file(path), budget, int.from_bytes(digest[:8], "big"))
 
 
 CSV_HEADER = ("instance_id",) + FEATURE_NAMES + ("feature_time", "timed_out")

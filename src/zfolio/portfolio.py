@@ -216,6 +216,9 @@ class PortfolioConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if not self.subset:
             raise ValueError("subset must be nonempty")
+        cutoff = self.cutoff_seconds
+        if not (math.isfinite(cutoff) and cutoff > 0):
+            raise ValueError(f"cutoff_seconds must be finite and positive, got {cutoff!r}")
         for sid in self.subset:
             if sid not in self.models:
                 raise ValueError(f"subset member {sid!r} has no model")

@@ -11,10 +11,13 @@ SAPS runs with the published default parameters of Hutter, Tompkins & Hoos
 
 from __future__ import annotations
 
+import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
+from numbers import Integral
 
 import numpy as np
 
@@ -44,11 +47,11 @@ class ProbeBudget:
     values are reproducible; `total_seconds` still applies in both modes,
     as a backstop that times the extraction out. Each group checks it
     between runs and inside each run: every 256 local-search steps and
-    every 256 DPLL decisions. No check interrupts `base_features`, the
-    formula's occurrence lists, `_SlsState` or `PropagationEngine`, so each
-    can overrun the budget by its own time; on a 200 k-variable random
-    3-CNF they take 0.8, 1.2, 3.5 and 0.02 s. Parsing (2.6 s there) ends
-    before `extract_all` starts its clock.
+    every 256 DPLL decisions. No check interrupts parsing, `base_features`,
+    the formula's occurrence lists, `_SlsState` or `PropagationEngine`, so
+    each can overrun the budget by its own time; on a 200 k-variable random
+    3-CNF they take 2.6, 0.8, 1.2, 1.1 and 0.02 s. Parsing counts against
+    the budget in `extract_file`, which starts the clock before it reads.
     """
 
     per_probe_seconds: float = 1.0
@@ -59,9 +62,14 @@ class ProbeBudget:
     deterministic: bool = True
 
     def __post_init__(self):
-        for name in ("per_probe_seconds", "total_seconds", "max_ls_steps", "ls_runs", "dpll_runs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("per_probe_seconds", "total_seconds"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("max_ls_steps", "ls_runs", "dpll_runs"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value > 0):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class Assignment:
@@ -90,6 +98,7 @@ class PropagationEngine:
     Per clause we track the number of satisfied literal occurrences and the
     number of unassigned occurrences; duplicates count once per occurrence,
     so a clause like [x, x] is only unit once one occurrence is falsified.
+    `free` lists the unassigned variables in increasing order.
     """
 
     def __init__(self, formula: CnfFormula):
@@ -108,16 +117,15 @@ class PropagationEngine:
         self.num_unsat = len(self.clauses)
         self.conflict = False
         self._unit_queue = list(self._units)
+        self.free = list(range(1, self.num_vars + 1))
 
     def satisfied(self) -> bool:
         return self.num_unsat == 0
 
-    def unassigned_vars(self) -> list[int]:
-        return [v for v in range(1, self.num_vars + 1) if self.assign[v] == UNASSIGNED]
-
     def assign_var(self, var: int, value: bool) -> None:
-        """Assign a variable and update clause counters."""
+        """Assign an unassigned variable and update clause counters."""
         self.assign[var] = TRUE if value else FALSE
+        del self.free[bisect_left(self.free, var)]
         sat_side = self.pos_occ[var] if value else self.neg_occ[var]
         false_side = self.neg_occ[var] if value else self.pos_occ[var]
         true_count = self.true_count
@@ -187,7 +195,7 @@ def _dive(engine: PropagationEngine, rng: random.Random, deadline: float | None)
     props = engine.propagate()
     depth, reached = 0, []
     while not engine.conflict and not engine.satisfied():
-        free = engine.unassigned_vars()
+        free = engine.free
         if not free:
             break
         var = free[rng.randrange(len(free))]
@@ -240,7 +248,7 @@ def dpll_tree_size(formula: CnfFormula, seed: int = 0, max_nodes: int = 10_000_0
     def explore() -> int:
         if engine.conflict or engine.satisfied():
             return 1
-        free = engine.unassigned_vars()
+        free = engine.free
         if not free:
             return 1
         var = free[rng.randrange(len(free))]
@@ -250,6 +258,7 @@ def dpll_tree_size(formula: CnfFormula, seed: int = 0, max_nodes: int = 10_000_0
                 list(engine.assign),
                 list(engine.true_count),
                 list(engine.free_count),
+                list(engine.free),
                 engine.num_unsat,
                 engine.conflict,
             )
@@ -259,7 +268,7 @@ def dpll_tree_size(formula: CnfFormula, seed: int = 0, max_nodes: int = 10_000_0
             total += explore()
             if total > max_nodes:
                 raise RuntimeError("DPLL tree too large for the oracle")
-            (engine.assign, engine.true_count, engine.free_count,
+            (engine.assign, engine.true_count, engine.free_count, engine.free,
              engine.num_unsat, engine.conflict) = saved
         return total
 
@@ -272,21 +281,25 @@ class _SlsState:
     """Clause bookkeeping and exact flip scores shared by the local-search probes.
 
     Built once per formula, and shared by the SAPS and GSAT probes of one
-    `extract_all`: each clause's variables once per occurrence (`_occ_vars`)
-    and per variable and flip direction the change of each of its clauses'
-    true counts (`_moves`). It reads the formula's occurrence lists and flat
-    literal index, from which `random_init` computes a run's start with
-    `np.bincount`. Per clause, `true_count` counts the true literal
-    occurrences and `true_sum` adds up their variables, so while the count
-    is 1 the sum is the variable of the one true literal.
+    `extract_all`: each clause's variables once per occurrence (`_occ_vars`).
+    It reads the formula's occurrence lists and flat literal index, from
+    which `random_init` computes a run's start with `np.bincount`. Per
+    clause, `true_count` counts the true literal occurrences and `true_sum`
+    adds up their variables, so while the count is 1 the sum is the
+    variable of the one true literal.
 
     A variable's integer score is +1 for each of its true occurrences in a
     clause with true count 1 and -1 for each of its false occurrences in a
     clause with true count 0 (the change in unsatisfied clauses if it were
     flipped, with a variable that occurs twice in a clause counted per
-    occurrence). A flip changes scores only in the clauses whose true count
-    moves to or from 0 or 1, and it acts on those alone, in one pass over
-    the flipped variable's clauses. What it keeps up depends on the mode:
+    occurrence). A flip walks the flipped variable's occurrence lists one
+    literal occurrence at a time: first the occurrences it makes true, then
+    those it makes false, each in clause order. Each step moves one clause's
+    true count by exactly 1, so a literal written twice is two steps, and a
+    clause with both x and -x rises and falls back without becoming
+    unsatisfied. Scores change only at the steps that move a count to or
+    from 0 or 1, and a flip acts on those alone. What it keeps up depends on
+    the mode:
     - exact (`weights` None), used by GSAT and by SAPS until it first
       changes a weight: `score` stays exact, by taking each such clause's old
       contributions away and adding its new ones, and `buckets` maps each
@@ -294,54 +307,41 @@ class _SlsState:
     - weighted, from `weigh` on: `score` holds weighted scores and `stale`
       the variables whose score may be out of date. A clause that becomes
       satisfied or unsatisfied marks all its variables, one whose true count
-      moves between 1 and 2 the variables of its true literals, and the
+      moves between 1 and 2 the variable of its lone true literal, and the
       flipped variable is always marked; a SAPS run also marks the
       variables of each clause whose weight it changes. Stale scores are
       recomputed with `weighted_flip_delta` before use, so a score not
       marked stale equals a fresh one bit for bit. `cand` is the set of
       variables of unsatisfied clauses, kept through `cand_count`, each
       variable's number of occurrences in unsatisfied clauses.
-    `unsat` sees the same `discard` and `add` calls, in the same order, as a
-    flip that first walks the occurrence lists for clauses that become
-    satisfied and then for those that become unsatisfied, because SAPS's
-    walk step draws from `tuple(unsat)`.
+    `unsat` sees its `discard` calls before its `add` calls, each group in
+    clause order, because SAPS's walk step draws from `tuple(unsat)`.
     """
 
     def __init__(self, formula: CnfFormula):
-        self.num_vars = n = formula.num_vars
-        m = formula.num_clauses
+        self.num_vars = formula.num_vars
         lits, occ_clause = formula.literals, formula.literal_clause
         occ_var = np.abs(lits)
         self.pos_occ, self.neg_occ = formula.occurrences
         self._occ_var, self._occ_pos, self._occ_clause = occ_var, lits > 0, occ_clause
         # each clause's variables once per occurrence
-        self._occ_vars = split_flat(occ_var.tolist(), np.bincount(occ_clause, minlength=m))
-        # _moves[new_value][var] lists, for each distinct clause of var, the
-        # clause and the change of its true count: c0, d0, c1, d1, ... The
-        # clauses whose count goes up come first, each group in clause order,
-        # so a flip discards from `unsat` before it adds to it
-        _, first, inverse = np.unique(occ_var * m + occ_clause, return_index=True,
-                                      return_inverse=True)
-        up = np.bincount(inverse, weights=np.where(lits > 0, 1, -1)).astype(np.int64)
-        var, clause = occ_var[first], occ_clause[first]
-        per_var = 2 * np.bincount(var, minlength=n + 1)
-        self._moves = tuple(
-            split_flat(np.column_stack([clause, dt])[np.lexsort((dt < 0, var))].ravel().tolist(),
-                       per_var)
-            for dt in (-up, up))
+        self._occ_vars = split_flat(occ_var.tolist(),
+                                    np.bincount(occ_clause, minlength=formula.num_clauses))
 
     def random_init(self, rng: random.Random) -> None:
         """Start a run in exact mode from a random assignment."""
         n = self.num_vars
         m = len(self._occ_vars)
-        self.assign = [False] + [rng.random() < 0.5 for _ in range(n)]
+        assign = np.fromiter(chain((False,), (rng.random() < 0.5 for _ in range(n))), bool, n + 1)
         occ_var, occ_clause = self._occ_var, self._occ_clause
-        occ_true = np.array(self.assign)[occ_var] == self._occ_pos
-        true_count = np.bincount(occ_clause[occ_true], minlength=m)
-        true_sum = np.bincount(occ_clause[occ_true], weights=occ_var[occ_true], minlength=m)
+        occ_true = assign[occ_var] == self._occ_pos
+        true_count = np.bincount(occ_clause, weights=occ_true, minlength=m).astype(np.int64)
+        true_sum = np.bincount(occ_clause, weights=occ_var * occ_true, minlength=m)
         occ_tc = true_count[occ_clause]
         cand_count = np.bincount(occ_var[occ_tc == 0], minlength=n + 1)
-        score = np.bincount(occ_var[occ_true & (occ_tc == 1)], minlength=n + 1) - cand_count
+        score = np.bincount(occ_var, weights=occ_true & (occ_tc == 1), minlength=n + 1)
+        score = score.astype(np.int64) - cand_count
+        self.assign = assign.tolist()
         self.true_count = true_count.tolist()
         self.true_sum = true_sum.astype(np.int64).tolist()
         self.unsat = set(np.flatnonzero(true_count == 0).tolist())
@@ -349,11 +349,11 @@ class _SlsState:
         self.score: list = score.tolist()
         self.stale: set[int] = set()
         self.weights: list[float] | None = None
-        self.file_buckets()
+        self.file_buckets(score)
 
-    def file_buckets(self) -> None:
-        """File every variable in the bucket of its integer score."""
-        score = np.array(self.score)
+    def file_buckets(self, score: np.ndarray) -> None:
+        """File every variable in the bucket of its integer score, `score` as
+        an array that equals `self.score`."""
         order = np.argsort(score[1:]) + 1
         keys, starts = np.unique(score[order], return_index=True)
         members = split_flat(order.tolist(), np.diff(starts, append=self.num_vars))
@@ -379,35 +379,41 @@ class _SlsState:
     def flip(self, var: int) -> None:
         new_value = not self.assign[var]
         self.assign[var] = new_value
+        rising, falling = ((self.pos_occ[var], self.neg_occ[var]) if new_value
+                           else (self.neg_occ[var], self.pos_occ[var]))
         true_count = self.true_count
         true_sum = self.true_sum
         unsat = self.unsat
         occ_vars = self._occ_vars
-        pairs = iter(self._moves[new_value][var])
         if self.weights is None:
             score = self.score
             touched = []
-            for ci, dt in zip(pairs, pairs):
-                t0 = true_count[ci]
-                s0 = true_sum[ci]
-                t1 = true_count[ci] = t0 + dt
-                s1 = true_sum[ci] = s0 + dt * var
-                if t0 == 0:
+            for ci in rising:
+                t = true_count[ci]
+                s = true_sum[ci]
+                true_count[ci] = t + 1
+                true_sum[ci] = s + var
+                if t == 0:  # satisfied now, by var alone
                     unsat.discard(ci)
                     for u in occ_vars[ci]:
                         score[u] += 1
+                    score[var] += 1
                     touched += occ_vars[ci]
-                elif t0 == 1:  # the one true literal's variable is the true sum
-                    score[s0] -= 1
-                    touched.append(s0)
-                if t1 == 0:
+                elif t == 1:  # the one true literal's variable is the true sum
+                    score[s] -= 1
+                    touched.append(s)
+            for ci in falling:
+                t = true_count[ci] = true_count[ci] - 1
+                s = true_sum[ci] = true_sum[ci] - var
+                if t == 0:  # unsatisfied now, var was its one true literal
                     unsat.add(ci)
                     for u in occ_vars[ci]:
                         score[u] -= 1
+                    score[var] -= 1
                     touched += occ_vars[ci]
-                elif t1 == 1:
-                    score[s1] += 1
-                    touched.append(s1)
+                elif t == 1:
+                    score[s] += 1
+                    touched.append(s)
             buckets = self.buckets
             filed = self._filed
             for u in touched:
@@ -417,36 +423,41 @@ class _SlsState:
                     bucket.discard(u)
                     if not bucket:
                         del buckets[old]
-                    buckets.setdefault(s, set()).add(u)
+                    if s in buckets:
+                        buckets[s].add(u)
+                    else:
+                        buckets[s] = {u}
                     filed[u] = s
             return
         stale = self.stale
         cand = self.cand
         count = self.cand_count
-        for ci, dt in zip(pairs, pairs):
-            t0 = true_count[ci]
-            s0 = true_sum[ci]
-            t1 = true_count[ci] = t0 + dt
-            s1 = true_sum[ci] = s0 + dt * var
-            if t0 == 0:
+        for ci in rising:
+            t = true_count[ci]
+            s = true_sum[ci]
+            true_count[ci] = t + 1
+            true_sum[ci] = s + var
+            if t == 0:
                 unsat.discard(ci)
                 stale.update(occ_vars[ci])
                 for u in occ_vars[ci]:
                     count[u] -= 1
                     if not count[u]:
                         cand.discard(u)
-            elif t1 == 0:
+            elif t == 1:
+                stale.add(s)
+        for ci in falling:
+            t = true_count[ci] = true_count[ci] - 1
+            s = true_sum[ci] = true_sum[ci] - var
+            if t == 0:
                 unsat.add(ci)
                 stale.update(occ_vars[ci])
                 for u in occ_vars[ci]:
                     if not count[u]:
                         cand.add(u)
                     count[u] += 1
-            else:  # between 1 and 2, only the lone true literal's score moves
-                if t0 == 1:
-                    stale.add(s0)
-                if t1 == 1:
-                    stale.add(s1)
+            elif t == 1:
+                stale.add(s)
         stale.add(var)
 
     def weighted_flip_delta(self, var: int, weights: list[float]) -> float:
@@ -542,13 +553,11 @@ def _saps_run(state: _SlsState, rng: random.Random, max_steps: int,
                     stale.update(occ_vars[ci])
                 if rescale:
                     # a power of two scales every weight and score exactly
-                    for ci in range(len(weights)):
-                        weights[ci] /= SAPS_WEIGHT_LIMIT
+                    weights[:] = [w / SAPS_WEIGHT_LIMIT for w in weights]
                     stale.update(range(1, state.num_vars + 1))
                 if rng.random() < SAPS_P_SMOOTH:
                     mean_w = sum(weights) / len(weights)
-                    for ci in range(len(weights)):
-                        weights[ci] = weights[ci] * SAPS_RHO + (1 - SAPS_RHO) * mean_w
+                    weights[:] = [w * SAPS_RHO + (1 - SAPS_RHO) * mean_w for w in weights]
                     stale.update(range(1, state.num_vars + 1))
         if len(unsat) < best_unsat:
             best_unsat = len(unsat)

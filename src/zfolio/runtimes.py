@@ -282,20 +282,22 @@ def read_csv_table(path, columns, convert, key_width=1) -> dict:
         except csv.Error as exc:
             raise located(path, exc, reader.line_num) from None
         except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+            # a text reader decodes a block of lines at a time, so it cannot
+            # tell the line; read_utf8 raises naming it
+            read_utf8(path)
+            raise located(path, "not UTF-8") from None
     return table
 
 
-def _not_utf8(path) -> ValueError:
-    """The first byte of a file that is not UTF-8, located by its line: a text
-    reader decodes a block of lines at a time, so it cannot tell which."""
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file. Its first byte that is not UTF-8 raises a
+    ValueError that names the file and the byte's line."""
     data = Path(path).read_bytes()
     try:
-        data.decode()
+        return data.decode()
     except UnicodeDecodeError as exc:
-        return located(path, f"byte {data[exc.start]:#04x} is not UTF-8",
-                       data.count(b"\n", 0, exc.start) + 1)
-    return located(path, "not UTF-8")
+        raise located(path, f"byte {data[exc.start]:#04x} is not UTF-8",
+                      data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def load_json(path, convert):

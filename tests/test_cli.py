@@ -136,6 +136,14 @@ def test_split_reads_the_instance_id_column_of_a_runs_csv_by_name(tmp_path, caps
     assert sorted(doc["train"] + doc["validation"] + doc["test"]) == ["i0", "i1", "i2"]
 
 
+def test_split_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    src = tmp_path / "ids.txt"
+    src.write_bytes(b"a\nb\xff\nc\n")
+    with pytest.raises(ValueError) as exc:
+        main(["split", str(src), "-o", str(tmp_path / "split.json")])
+    assert str(exc.value) == f"{src}, line 2: byte 0xff is not UTF-8"
+
+
 def test_synth_train_evaluate_pipeline(tmp_path):
     bench_dir = tmp_path / "bench"
     rc = main(["synth-bench", "--instances", "120", "--seed", "4",
@@ -197,10 +205,10 @@ def test_train_stores_the_budget_features_extract_under(tmp_path, cnf_dir, monke
     monkeypatch.setenv("ZF_WORKERS", "1")
     budgets = []
 
-    def extract(formula, budget, seed):
+    def extract(path, budget, seed):
         budgets.append(budget)
         return FeatureVector(np.zeros(len(FEATURE_NAMES)), 0.0, False)
-    monkeypatch.setattr(cli.features_mod, "extract_all", extract)
+    monkeypatch.setattr(cli.features_mod, "extract_file", extract)
     assert main(["features", str(cnf_dir), "-o", str(tmp_path / "features.csv")]) == 0
     assert budgets and all(b == budgets[0] for b in budgets)
 

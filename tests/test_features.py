@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -11,6 +12,7 @@ from zfolio.features import (
     FeatureVector,
     base_features,
     extract_all,
+    extract_file,
     load_feature_csv,
     save_feature_csv,
 )
@@ -342,6 +344,35 @@ class TestExtractAll:
         a = extract_all(f, TEST_BUDGET, seed=42)
         b = extract_all(f, TEST_BUDGET, seed=42)
         assert np.array_equal(a.values, b.values)
+
+
+class TestExtractFile:
+    """Parsing is part of computing a file's features: its time counts in the
+    feature time and against the total budget."""
+
+    @pytest.fixture
+    def slow_read(self, monkeypatch):
+        import zfolio.features as features_mod
+
+        real_read = features_mod.read_dimacs_file
+
+        def read(path):
+            time.sleep(0.2)
+            return real_read(path)
+        monkeypatch.setattr(features_mod, "read_dimacs_file", read)
+
+    def test_parsing_counts_in_the_feature_time(self, tmp_path, slow_read):
+        path = tmp_path / "tiny.cnf"
+        path.write_text("p cnf 2 2\n1 -2 0\n2 0\n")
+        fv = extract_file(path, TEST_BUDGET, seed=0)
+        assert fv.timed_out is False and fv.feature_time_seconds >= 0.2
+
+    def test_parsing_counts_against_the_total_budget(self, tmp_path, slow_read):
+        path = tmp_path / "tiny.cnf"
+        path.write_text("p cnf 2 2\n1 -2 0\n2 0\n")
+        budget = dataclasses.replace(TEST_BUDGET, total_seconds=0.1)
+        fv = extract_file(path, budget, seed=0)
+        assert fv.timed_out is True and fv.values is None and fv.feature_time_seconds >= 0.2
 
 
 FEATURES_HEADER = ",".join(["instance_id", *FEATURE_NAMES, "feature_time", "timed_out"])

@@ -1146,3 +1146,28 @@ class TestPortfolioPersistence:
             with pytest.raises(ValueError, match="no descriptor"):
                 portfolio_from_doc(bad)
         portfolio_from_doc(doc)
+
+    @pytest.mark.parametrize("field, value, fault", [
+        ("cutoff_seconds", float("nan"), "cutoff_seconds must be finite and positive, got nan"),
+        ("cutoff_seconds", float("inf"), "cutoff_seconds must be finite and positive, got inf"),
+        ("cutoff_seconds", 0.0, "cutoff_seconds must be finite and positive, got 0.0"),
+        ("total_seconds", float("nan"), "total_seconds must be finite and positive, got nan"),
+        ("per_probe_seconds", float("-inf"),
+         "per_probe_seconds must be finite and positive, got -inf"),
+        ("max_ls_steps", 2.5, "max_ls_steps must be a positive integer, got 2.5"),
+    ], ids=["cutoff-nan", "cutoff-inf", "cutoff-zero", "total-nan", "per-probe-inf",
+            "steps-fraction"])
+    def test_a_number_out_of_its_domain_names_the_file(self, built, tmp_path, field, value,
+                                                        fault):
+        import json
+
+        doc = portfolio_to_doc(built[0])
+        if field in doc:
+            doc[field] = value
+        else:
+            doc["feature_budget"][field] = value
+        path = tmp_path / "portfolio.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_portfolio(path)
+        assert str(exc.value) == f"{path}: {fault}"

@@ -46,6 +46,17 @@ def small_budget(**kw):
     return ProbeBudget(**defaults)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("total_seconds", float("nan")), ("total_seconds", float("inf")),
+    ("per_probe_seconds", float("nan")), ("per_probe_seconds", float("-inf")),
+    ("max_ls_steps", 2.5), ("ls_runs", 4.0), ("dpll_runs", "10"),
+])
+def test_probe_budget_refuses_a_value_out_of_its_domain(field, value):
+    # a nan budget would be no budget: every `perf_counter() > nan` is False
+    with pytest.raises(ValueError, match=field):
+        ProbeBudget(**{field: value})
+
+
 class TestUnitPropagate:
     def test_single_unit_clause(self):
         f = make(2, [[2]])
@@ -218,15 +229,15 @@ class TestPassedDeadline:
         # to satisfy; the clock passes the deadline at the 300th
         f = make(2000, [[2 * k + 1, 2 * k + 2] for k in range(1000)])
         now, decisions = [0.0], []
-        unassigned_vars = PropagationEngine.unassigned_vars
 
-        def draw(engine):  # called once per decision
-            decisions.append(None)
-            if len(decisions) == 300:
-                now[0] = 2.0
-            return unassigned_vars(engine)
+        class Draws(random.Random):
+            def randrange(self, *args):  # called once per decision, to pick its variable
+                decisions.append(None)
+                if len(decisions) == 300:
+                    now[0] = 2.0
+                return super().randrange(*args)
         monkeypatch.setattr(probes, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-        monkeypatch.setattr(PropagationEngine, "unassigned_vars", draw)
+        monkeypatch.setattr(probes, "random", SimpleNamespace(Random=Draws))
         feats = dpll_probe(f, small_budget(), seed=3, deadline=1.0)
         assert 300 < len(decisions) <= 300 + 256
         assert all(v == 0.0 for v in feats.values())  # the interrupted dive is dropped
@@ -338,6 +349,9 @@ def _cache_formulas():
     out = [
         make(3, [[1, 1, 2], [1, -1], [-2], [2, 3], [-1, -3, 3], [-3, -3]]),
         make(4, [[1], [-1], [2, -3], [3, 4, 4], [-4, 2, -2], [-2, -3, 1]]),
+        # a flip steps once per occurrence: through 0 -> 1 -> 2 -> 3 on [-2, -2, -2]
+        # and [1, 1, 1, 3], and up and back down on [4, -4, 4], never unsatisfied
+        make(4, [[-2, -2, -2], [1, 1, 1, 3], [4, -4, 4], [-1, 2], [-3, -4, 2], [3, -1, -1]]),
     ]
     for k in range(4):
         rng = random.Random(100 + k)
@@ -624,6 +638,104 @@ class TestSapsDescent:
             saps_probe(PERFBENCH_SHAPES[shape](), small_budget(max_ls_steps=2000, ls_runs=20),
                        seed=1)
         assert calls[0] > 0
+
+
+@pytest.mark.parametrize("shape", sorted(PERFBENCH_SHAPES))
+def test_gsat_perfbench_shaped_runs(shape):
+    f = PERFBENCH_SHAPES[shape]()
+    new = _ls_trace(lambda st, rng, n: _gsat_run(st, rng, n, None), f, seed=1, runs=20, steps=100)
+    assert new == _ls_trace(lambda st, rng, n: _gsat_run_reference(st, rng, n, None), f, seed=1,
+                            runs=20, steps=100)
+
+
+# -- DPLL dives ---------------------------------------------------------
+#
+# The dive and the tree oracle as they were before `PropagationEngine.free`:
+# the unassigned variables are rebuilt, in increasing order, before every
+# decision. They are the reference the dives on `free` must reproduce.
+
+def _unassigned(engine):
+    return [v for v in range(1, engine.num_vars + 1) if engine.assign[v] == probes.UNASSIGNED]
+
+
+def _dive_reference(engine, rng, deadline):
+    engine.reset()
+    props = engine.propagate()
+    depth, reached = 0, []
+    while not engine.conflict and not engine.satisfied():
+        free = _unassigned(engine)
+        if not free:
+            break
+        var = free[rng.randrange(len(free))]
+        engine.assign_var(var, rng.random() < 0.5)
+        depth += 1
+        if not engine.conflict:
+            props += engine.propagate()
+        if len(reached) < len(probes.DPLL_DEPTHS) and depth == probes.DPLL_DEPTHS[len(reached)]:
+            reached.append(props)
+    return [*reached, *[props] * (len(probes.DPLL_DEPTHS) - len(reached)), depth]
+
+
+def _tree_size_reference(formula, seed):
+    rng = random.Random(seed)
+    engine = PropagationEngine(formula)
+
+    def explore():
+        if engine.conflict or engine.satisfied():
+            return 1
+        free = _unassigned(engine)
+        if not free:
+            return 1
+        var = free[rng.randrange(len(free))]
+        total = 1
+        for value in (True, False):
+            saved = (list(engine.assign), list(engine.true_count), list(engine.free_count),
+                     list(engine.free), engine.num_unsat, engine.conflict)
+            engine.assign_var(var, value)
+            if not engine.conflict:
+                engine.propagate()
+            total += explore()
+            (engine.assign, engine.true_count, engine.free_count, engine.free,
+             engine.num_unsat, engine.conflict) = saved
+        return total
+
+    engine.reset()
+    engine.propagate()
+    return explore()
+
+
+DPLL_FORMULAS = {
+    "random": lambda: random_3cnf(40, 170, random.Random(41)),
+    "unsat": lambda: random_3cnf(20, 140, random.Random(42)),
+    "mixed": lambda: mixed_cnf(50, 160, random.Random(43)),
+    "units": lambda: make(30, random_3cnf(30, 100, random.Random(44)).clauses
+                          + [[3], [-7], [11], [5, 5], [-20]]),
+    "duplicates": lambda: make(8, [[1, 1, -2], [2, -2, 3], [-3, -3], [4, 5, 4], [-1, -5, -5],
+                                   [6, 7, -8], [-6, -6, -6], [8, -7, 1, 1], [2, 3, 4]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DPLL_FORMULAS))
+def test_dives_match_the_rebuild_per_decision_reference(name, monkeypatch):
+    f = DPLL_FORMULAS[name]()
+    engine, ref_engine = PropagationEngine(f), PropagationEngine(f)
+    for seed in range(3):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert probes._dive(engine, rng, None) == _dive_reference(ref_engine, ref_rng, None)
+            assert engine.free == _unassigned(engine)
+        assert rng.random() == ref_rng.random()
+    budget = small_budget(dpll_runs=25)
+    feats = dpll_probe(f, budget, seed=9)
+    monkeypatch.setattr(probes, "_dive", _dive_reference)
+    assert dpll_probe(f, budget, seed=9) == feats
+
+
+@pytest.mark.parametrize("name", ["unsat", "duplicates"])
+def test_tree_size_matches_the_rebuild_per_decision_reference(name):
+    f = DPLL_FORMULAS[name]()
+    for seed in range(3):
+        assert dpll_tree_size(f, seed=seed) == _tree_size_reference(f, seed)
 
 
 def test_extract_all_shares_one_local_search_index_and_frees_it_before_dpll(monkeypatch):
