@@ -10,8 +10,8 @@ random sign. It is written as DIMACS text and parsed back, and the probes
 run under one deterministic budget: one 2,000-step run per local-search
 probe and 10 DPLL dives. One JSON object is printed with the seconds of
 each layer, the budgeted local-search steps per second, the 33 static
-feature values and the SAPS and GSAT feature values, so two checkouts can
-be compared for speed and for identical features. The layers are parse
+feature values and the DPLL, SAPS and GSAT feature values, so two checkouts
+can be compared for speed and for identical features. The layers are parse
 (which builds the formula's flat literal index too), static, index (the
 formula's occurrence lists, which SAPS, GSAT and DPLL then read), SAPS, GSAT
 and DPLL.
@@ -62,7 +62,7 @@ def main(argv=None) -> dict:
     _, index_s = timed(lambda: formula.occurrences)
     saps, saps_s = timed(saps_probe, formula, BUDGET, SEED)
     gsat, gsat_s = timed(gsat_probe, formula, BUDGET, SEED)
-    _, dpll_s = timed(dpll_probe, formula, BUDGET, SEED)
+    dpll, dpll_s = timed(dpll_probe, formula, BUDGET, SEED)
     steps = BUDGET.ls_runs * (BUDGET.max_ls_steps // BUDGET.ls_runs)
     report = {
         "vars": formula.num_vars,
@@ -78,7 +78,7 @@ def main(argv=None) -> dict:
         "saps_steps_per_s": steps / saps_s,
         "gsat_steps_per_s": steps / gsat_s,
         "static_features": static,
-        "features": {**saps, **gsat},
+        "features": {**dpll, **saps, **gsat},
     }
     print(json.dumps(report))
     return report

@@ -558,7 +558,7 @@ def truncated_normal_mean(mu, sigma, lower):
     return float(out) if out.ndim == 0 else out
 
 
-def censored_fit(data, basis, target: str = TARGET_LOG_RUNTIME):
+def censored_fit(data, basis, target: str = TARGET_LOG_RUNTIME, capped: list | None = None):
     """Schmee-Hahn censored regression for a batch of fits.
 
     `data` is a sequence of LabeledDatasets and `basis` one BasisSpec per
@@ -573,10 +573,11 @@ def censored_fit(data, basis, target: str = TARGET_LOG_RUNTIME):
     CENSORED_MAX_ITER iterations are reached. These fits iterate in
     lockstep, in the input-order chunks _run_chunks cuts (see _lockstep); a
     fit leaves its chunk at its own convergence, so it stops at the
-    iteration it would stop at alone.
+    iteration it would stop at alone. A list passed as `capped` gets the
+    model of each fit that stopped at CENSORED_MAX_ITER.
     """
     if isinstance(data, LabeledDataset):
-        return censored_fit([data], [basis], target)[0]
+        return censored_fit([data], [basis], target, capped)[0]
     data, bases = list(data), list(basis)
     if len(bases) != len(data):
         raise ValueError(f"{len(bases)} bases for {len(data)} datasets")
@@ -592,13 +593,13 @@ def censored_fit(data, basis, target: str = TARGET_LOG_RUNTIME):
     chunks = _run_chunks([fits[i] for i in censored], lambda _: None,
                          lambda fit: (fit[0].n, fit[1].dim),
                          lambda _, count, shape: count * shape[0] * (3 * shape[1] + 14),
-                         lambda _, chunk: _lockstep(chunk, target))
+                         lambda _, chunk: _lockstep(chunk, target, capped))
     for i, model in zip(censored, chunks):
         models[i] = model
     return models
 
 
-def _lockstep(fits, target) -> list[RidgeModel]:
+def _lockstep(fits, target, capped=None) -> list[RidgeModel]:
     """Schmee-Hahn iterations of one chunk of censored_fit, (dataset, basis)
     pairs, all at once from each fit's ridge model; the models come back in
     chunk order. The designs Phi and operators K = (Phi^T Phi + delta*I)^-1
@@ -651,17 +652,18 @@ def _lockstep(fits, target) -> list[RidgeModel]:
         change = np.maximum(np.abs(new_W - W).max(axis=1, initial=0.0), np.abs(new_b - b))
         W, b = new_W, new_b
 
-        done = change < CENSORED_TOL
-        if step == CENSORED_MAX_ITER:
-            for f in np.flatnonzero(~done):
+        converged = change < CENSORED_TOL
+        done = converged | (step == CENSORED_MAX_ITER)
+        for f in np.flatnonzero(done):
+            m = models[live[f]]
+            models[live[f]] = m = RidgeModel(m.basis, W[f, :m.basis.dim].copy(), DEFAULT_DELTA,
+                                             float(sigma[f]), target, float(b[f]))
+            if not converged[f]:
                 log.debug("Schmee-Hahn stopped at max_iter=%d without converging: "
                           "last change %.3g >= tol %.3g", CENSORED_MAX_ITER, change[f],
                           CENSORED_TOL)
-            done[:] = True
-        for f in np.flatnonzero(done):
-            m = models[live[f]]
-            models[live[f]] = RidgeModel(m.basis, W[f, :m.basis.dim].copy(), DEFAULT_DELTA,
-                                         float(sigma[f]), target, float(b[f]))
+                if capped is not None:
+                    capped.append(m)
         if done.all():
             break
         live, Phi, K, Y, cens, unc, W, b, sigma, cutoff, rows, kept, fitted = _keep(

@@ -21,13 +21,15 @@ phases, each doing its distinct work once:
    b. fit every problem of the build in one censored_fit batch;
    c. assemble the flat models, and fit the gates of all the hierarchical
       models in one hierarchy.train_hierarchical batch;
-3. per behaviour, take the backup solver of its pool (chosen once per
-   distinct pool) and search solver subsets for the best simulated
-   validation performance, scoring all subsets in one array pass.
+3. take each behaviour's backup solver, that of its pool (chosen once per
+   distinct pool), and score every (behaviour, subset) pair's simulated
+   validation performance in one table of one stacked simulator; each
+   behaviour keeps its best subset.
 
 The build's summary INFO line gives the wall seconds of each phase and of
-steps 2a-2c, and the number of gates with their median and largest Newton
-iteration counts and how many stopped at the cap.
+steps 2a-2c, how many Schmee-Hahn fits stopped at their iteration cap, the
+gates' count, median and largest Newton iterations and cap hits, and how
+many (behaviour, subset) rows phase 3 scored.
 
 The best behaviour wins, represented by its first schedule in enumeration
 order.
@@ -284,8 +286,8 @@ class SimulationRows:
     """The schedule-independent inputs of a simulation over some instances:
     their runs, their feature rows and, under max_score, the score context.
 
-    A build makes one for the validation set and hands it to each of its
-    simulators, so each fitted model is predicted on the rows once.
+    A build makes one for the validation set, for phase 1's replay, the
+    backup pools and its simulator.
     """
 
     def __init__(self, matrix: RuntimeMatrix, features: dict[str, FeatureVector],
@@ -312,21 +314,14 @@ class SimulationRows:
             if purse is None:
                 raise ValueError("score objective needs a purse configuration")
             self.score_ctx = ScoreContext(self.runs, purse, series or singleton_series(self.ids))
-        self._columns: dict[int, tuple] = {}  # id(model) -> (model, predictions)
 
-    def predict(self, models) -> np.ndarray:
+    def predict(self, models: list) -> np.ndarray:
         """(instances, models): each model's prediction on each instance with
-        usable features, NaN on the others. The models without a column yet
-        are predicted in one ModelStack pass, and each model object's column
-        is kept for later calls."""
-        new = list({id(m): m for m in models if id(m) not in self._columns}.values())
-        if new:
-            cols = np.full((len(self.ids), len(new)), np.nan)
-            if self.feature_ok.any():
-                cols[self.feature_ok] = ModelStack(new).predict(self.X[self.feature_ok])
-            for model, col in zip(new, cols.T):
-                self._columns[id(model)] = (model, col)
-        return np.column_stack([self._columns[id(m)][1] for m in models])
+        usable features, NaN on the others, in one ModelStack pass."""
+        cols = np.full((len(self.ids), len(models)), np.nan)
+        if self.feature_ok.any():
+            cols[self.feature_ok] = ModelStack(models).predict(self.X[self.feature_ok])
+        return cols
 
 
 class PortfolioSimulator:
@@ -337,22 +332,23 @@ class PortfolioSimulator:
     instance cutoff; crashes cascade to the next-best prediction. Used for
     subset search, schedule ranking and test-set evaluation.
 
-    The members (the models' solvers) are sorted by id and ranked once per
-    instance with a stable sort of their predictions. A subset's own stable
-    ranking is that ranking restricted to the subset, so every subset's
-    choice and crash cascade walk the same ranking, masked by membership,
-    and performances() scores many subsets in one array pass.
+    A simulator holds one schedule behaviour, or a stack of them, when
+    `schedule`, `backup` and `models` are lists with an item per behaviour.
+    Its members, the solvers with a model in any behaviour sorted by id,
+    are ranked once per distinct model set and instance by a stable sort of
+    their predictions, the members without a model last. A subset's own
+    stable ranking is that ranking restricted to the subset, so table()
+    scores many (behaviour, subset) pairs in one array pass. simulate,
+    records, performance and performances read the first behaviour.
 
     A build passes `rows`, made from the same matrix, features, instance
-    ids, objective, purse and series, to share it among its simulators, and
-    `presolved`, the schedule's row of replay_presolving on `rows.runs` as
-    it is: solved, finish time, the winner's row in `rows.runs` (-1 if
-    none) and elapsed time. Without it the schedule is replayed alone.
+    ids, objective, purse and series, and `presolved`, the behaviours' rows
+    of replay_presolving on `rows.runs` as they are (one behaviour's without
+    the leading axis). Without it the schedules are replayed here.
     """
 
     def __init__(self, matrix: RuntimeMatrix, features: dict[str, FeatureVector],
-                 instance_ids, schedule: PresolverSchedule, backup: str,
-                 models: dict, objective: str, cutoff: float,
+                 instance_ids, schedule, backup, models, objective: str, cutoff: float,
                  purse: PurseConfig | None = None, series=None, *,
                  rows: SimulationRows | None = None, presolved: tuple | None = None):
         if rows is None:
@@ -362,12 +358,17 @@ class PortfolioSimulator:
         self.score_ctx = rows.score_ctx
         self.objective = objective
         self.cutoff = cutoff
-        self.backup = backup
-        self.schedule = schedule
+        self.stacked = not isinstance(schedule, PresolverSchedule)
+        if not self.stacked:
+            schedule, backup, models = [schedule], [backup], [models]
+            if presolved is not None:
+                presolved = tuple(a[None] for a in presolved)
+        self.schedules, self.backups = list(schedule), list(backup)
+        self.scored = 0  # the (behaviour, subset) rows _scores has scored
         n = len(self.ids)
 
         if presolved is None:
-            presolved = [a[0] for a in replay_presolving(runs, [schedule], cutoff)]
+            presolved = replay_presolving(runs, self.schedules, cutoff)
         pre_solved, pre_time, self._winner, pre_elapsed = presolved
         # what does not depend on the subset: pre-solved and backup rows
         self._solved = pre_solved.copy()
@@ -375,25 +376,33 @@ class PortfolioSimulator:
         self._elapsed = pre_elapsed + rows.feature_time
         self._backup_rows = ~pre_solved & ~rows.feature_ok
         if self._backup_rows.any():
-            rt = runs.runtime[runs.solver_index[backup]]
-            ok = runs.solved[runs.solver_index[backup]]
-            win = self._backup_rows & ok & (self._elapsed + rt <= cutoff)
-            self._total[win] = (self._elapsed + rt)[win]
+            k = [runs.solver_index[sid] for sid in self.backups]
+            end = self._elapsed + runs.runtime[k]
+            win = self._backup_rows & runs.solved[k] & (end <= cutoff)
+            self._total[win] = end[win]
             self._solved |= win
         self._model_rows = ~pre_solved & rows.feature_ok
 
-        self.members = sorted(models)
+        self.members = sorted(set().union(*models))
         self._member_index = {sid: m for m, sid in enumerate(self.members)}
-        pred = rows.predict([models[sid] for sid in self.members])
-        # per instance, the members from best to worst predicted, and the
-        # runtime, solved and crash flags of the member at each rank
-        self._ranking = np.argsort(pred if objective == OBJECTIVE_RUNTIME else -pred,
-                                   axis=1, kind="stable")
+        self._present = np.array([[sid in own for sid in self.members] for own in models])
+        # per distinct model set (one row of model ids, the first behaviour
+        # with it in `firsts`) and instance, the members from best to worst
+        # predicted, and the runtime, solved and crash flags of the member at
+        # each rank
+        keys = np.array([[id(own.get(sid)) for sid in self.members] for own in models])
+        _, firsts, self._set = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        self._ranking = np.empty((len(firsts), n, len(self.members)), dtype=np.intp)
+        for ranking, b in zip(self._ranking, firsts):
+            own = np.flatnonzero(self._present[b])
+            pred = rows.predict([models[b][self.members[m]] for m in own])
+            ranking[:, :len(own)] = own[np.argsort(
+                pred if objective == OBJECTIVE_RUNTIME else -pred, axis=1, kind="stable")]
+            ranking[:, len(own):] = np.flatnonzero(~self._present[b])
         cells = np.arange(n)[:, None], self._ranking
         member_rows = [runs.solver_index[sid] for sid in self.members]
-        self._ranked_rt = runs.runtime[member_rows].T[cells]
-        self._ranked_ok = runs.solved[member_rows].T[cells]
-        self._ranked_crash = rows.crashed[member_rows].T[cells]
+        self._ranked_rt, self._ranked_ok, self._ranked_crash = (
+            a[member_rows].T[cells] for a in (runs.runtime, runs.solved, rows.crashed))
 
     def _membership(self, subsets) -> np.ndarray:
         """(subsets, members) flags; KeyError for a solver without a model."""
@@ -402,65 +411,82 @@ class PortfolioSimulator:
               [self._member_index[sid] for subset in subsets for sid in subset]] = True
         return flags
 
-    def _cascade(self, membership: np.ndarray):
-        """The simulation of each subset in `membership`: (solved, total
-        time, chosen member index or -1), each a C-contiguous (subsets,
+    def _cascade(self, membership: np.ndarray, behaviours: slice, choose: bool = False):
+        """The simulation of each subset in `membership` under each of the
+        `behaviours`: (solved, total time, and with `choose` the chosen
+        member index or -1), each a C-contiguous (subsets, behaviours,
         instances) array."""
-        shape = (len(membership), len(self.ids))
-        solved = np.broadcast_to(self._solved, shape).copy()
-        total = np.broadcast_to(self._total, shape).copy()
-        chosen = np.full(shape, -1)
-        active = np.broadcast_to(self._model_rows, shape).copy()
-        el = np.broadcast_to(self._elapsed, shape).copy()
+        sets = self._set[behaviours]
+        shape = (len(membership), len(sets), len(self.ids))
+        solved, total, active, el = (np.broadcast_to(a[behaviours], shape).copy() for a in (
+            self._solved, self._total, self._model_rows, self._elapsed))
+        chosen = np.full(shape, -1) if choose else None
         for rank in range(len(self.members)):
             if not active.any():
                 break
-            sel = self._ranking[:, rank]
+            sel = self._ranking[sets, :, rank]
             take = active & membership[:, sel]
-            end = el + self._ranked_rt[:, rank]
+            end = el + self._ranked_rt[sets, :, rank]
             fits = end <= self.cutoff
-            win = take & self._ranked_ok[:, rank] & fits
-            total[win] = end[win]
+            win = take & self._ranked_ok[sets, :, rank] & fits
+            np.copyto(total, end, where=win)
             solved |= win
-            np.copyto(chosen, sel, where=take)
+            if choose:
+                np.copyto(chosen, sel, where=take)
             # a crash within the remaining time moves on to the next best
-            step = take & self._ranked_crash[:, rank] & fits
-            el[step] = end[step]
+            step = take & self._ranked_crash[sets, :, rank] & fits
+            np.copyto(el, end, where=step)
             active &= ~take | step
         return solved, total, chosen
 
     def simulate(self, subset):
         """Returns (solved mask, total time, chosen (kind, solver) pairs)."""
-        solved, total, chosen = (a[0] for a in self._cascade(self._membership([subset])))
+        solved, total, chosen = (a[0, 0] for a in self._cascade(self._membership([subset]),
+                                                                 slice(0, 1), choose=True))
         pairs = [("presolver", self.runs.solvers[w]) if w >= 0 else
-                 ("backup", self.backup) if b else
+                 ("backup", self.backups[0]) if b else
                  ("main", self.members[c]) if c >= 0 else ("", None)
-                 for w, b, c in zip(self._winner.tolist(), self._backup_rows.tolist(),
+                 for w, b, c in zip(self._winner[0].tolist(), self._backup_rows[0].tolist(),
                                     chosen.tolist())]
         return solved, total, pairs
 
-    def performances(self, subsets: list) -> np.ndarray:
-        """Validation performance of each subset; higher is better. Subsets
-        are scored in batches that peak within learning.FIT_BATCH_CELLS
-        float64 cells, the fit kernels' budget; a larger subset runs alone."""
-        # _scores's peak per (subset, instance): 7 cells under min_runtime
+    def table(self, subsets: list) -> np.ndarray:
+        """(behaviours, subsets): the validation performance of each pair,
+        higher is better; -inf where the subset holds a solver without a
+        model in the behaviour. Pairs are scored in batches that peak within
+        learning.FIT_BATCH_CELLS float64 cells, the fit kernels' budget,
+        whole behaviours while every subset fits in one; a larger pair runs
+        alone."""
+        # _scores's peak per (pair, instance): 7 cells under min_runtime
         # (_cascade's float64 arrays, a rank's gathered times and the masks), 11
         # under max_score (virtual_scores's reordered copies, terms and shares);
         # tracemalloc reads 6.0-7.1 and 10.4-10.9 on bench600's splits
         cells = (7 if self.objective == OBJECTIVE_RUNTIME else 11) * len(self.ids)
         per_batch = max(1, learning.FIT_BATCH_CELLS // max(1, cells))
-        out = np.empty(len(subsets))
-        for at in range(0, len(subsets), per_batch):
-            out[at:at + per_batch] = self._scores(subsets[at:at + per_batch])
+        by_s = min(per_batch, max(1, len(subsets)))
+        by_b = max(1, per_batch // by_s)
+        membership = self._membership(subsets)
+        out = np.empty((len(self.schedules), len(subsets)))
+        for b in range(0, len(out), by_b):
+            for s in range(0, len(subsets), by_s):
+                out[b:b + by_b, s:s + by_s] = self._scores(membership[s:s + by_s],
+                                                           slice(b, b + by_b)).T
+        out[(membership & ~self._present[:, None]).any(axis=2)] = -np.inf
         return out
 
-    def _scores(self, subsets) -> np.ndarray:
-        """performances of one batch of subsets."""
-        solved, total, _ = self._cascade(self._membership(subsets))
+    def _scores(self, membership, behaviours) -> np.ndarray:
+        """table() of one batch, as a (subsets, behaviours) array."""
+        solved, total = (a.reshape(-1, len(self.ids))
+                         for a in self._cascade(membership, behaviours)[:2])
+        self.scored += len(total)
         if self.objective == OBJECTIVE_RUNTIME:
-            return -total.mean(axis=1)
+            return -total.mean(axis=1).reshape(len(membership), -1)
         solution, speed, series = self.score_ctx.virtual_scores(solved, total)
-        return solution + speed + series
+        return (solution + speed + series).reshape(len(membership), -1)
+
+    def performances(self, subsets: list) -> np.ndarray:
+        """Validation performance of each subset; higher is better."""
+        return self.table(subsets)[0]
 
     def performance(self, subset) -> float:
         """Scalar validation performance; higher is better."""
@@ -488,7 +514,9 @@ def _iter_subsets(solver_ids):
 
 def subset_search_exhaustive(solver_ids, simulator: PortfolioSimulator):
     """Best subset by simulated validation performance, trying all of them
-    (at most EXHAUSTIVE_LIMIT solvers) in one batch.
+    (at most EXHAUSTIVE_LIMIT solvers) in one table. Returns (subset,
+    performance); from a stacked simulator, a list of them, one per
+    behaviour.
 
     Ties go to smaller subsets, then lexicographically smaller ones.
     """
@@ -498,11 +526,10 @@ def subset_search_exhaustive(solver_ids, simulator: PortfolioSimulator):
     if not solver_ids:
         raise ValueError("need at least one solver")
     subsets = list(_iter_subsets(solver_ids))
-    best_subset, best_perf = None, -math.inf
-    for subset, perf in zip(subsets, simulator.performances(subsets).tolist()):
-        if perf > best_perf:
-            best_subset, best_perf = list(subset), perf
-    return best_subset, best_perf
+    table = simulator.table(subsets)
+    # argmax takes the first of equal maxima: the smallest, then lexicographic
+    picks = [(list(subsets[k]), perf[k]) for perf, k in zip(table.tolist(), table.argmax(axis=1))]
+    return picks if simulator.stacked else picks[0]
 
 
 def subset_search_local(solver_ids, simulator: PortfolioSimulator, seed: int = 0):
@@ -623,8 +650,9 @@ class _ModelTrainer:
     those instances' feature rows, and every candidate's targets (score
     labels under max_score, else log runtimes) and censoring flags on them
     are gathered once; each fit reads its rows from them. `seconds` holds
-    the wall seconds of the last fit's steps 2a, 2b and 2c, and `gate_fits`
-    the GateFit of each gate it fitted.
+    the wall seconds of the last fit's steps 2a, 2b and 2c, `capped` the
+    models of its Schmee-Hahn fits that stopped at CENSORED_MAX_ITER, and
+    `gate_fits` the GateFit of each gate it fitted.
     """
 
     def __init__(self, matrix, features, settings, candidate_ids, train_ids, usable,
@@ -728,8 +756,9 @@ class _ModelTrainer:
                              max_expanded_terms=s.max_expanded_terms)
         selected = time.perf_counter()
         target = "score" if s.objective == OBJECTIVE_SCORE else "log_runtime"
+        self.capped = []
         fitted = dict(zip(problems, censored_fit(list(problems.values()), basis=bases,
-                                                 target=target)))
+                                                 target=target, capped=self.capped)))
         del problems  # their feature rows, copied per problem, are not needed past 2b
         fitted_at = time.perf_counter()
 
@@ -843,53 +872,60 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
 
     stamps.append(time.perf_counter())
 
-    # Phase 3: per behaviour, in order of their first schedule, which stands
-    # for them, a backup and a subset search; with the strict > the earliest
-    # of the best schedules wins. A backup depends only on its pool, so it is
-    # chosen once per distinct pool
-    best = None  # (perf, schedule, backup, subset, models)
+    # Phase 3: each behaviour with models, in order of its first schedule,
+    # which stands for it, with the backup of its pool (chosen once per
+    # distinct pool). One stacked simulator scores every (behaviour, subset)
+    # pair; each behaviour keeps its best subset, and max keeps the earliest
+    # of the best behaviours
+    kept = []  # (schedule, backup, models, first index)
     backups: dict[bytes, str] = {}  # pool mask bytes -> backup
     for remaining, first, group in behaviours.values():
-        schedule = group[0]
         models = {sid: fits[sid, remaining] for sid in candidate_ids
                   if (sid, remaining) in fits}
         if not models:
             skipped += len(group)
             continue
-
         pool = ~replayed[0][first] & ~rows.feature_ok
         if pool.tobytes() not in backups:
             backups[pool.tobytes()] = choose_backup(
                 rows.runs, pool, s.objective, candidate_ids, s.cutoff_seconds, purse, series)
-        backup = backups[pool.tobytes()]
-        simulator = PortfolioSimulator(
-            matrix, features, valid_ids, schedule, backup, models, s.objective, s.cutoff_seconds,
-            purse, series, rows=rows, presolved=tuple(a[first] for a in replayed))
-        if len(models) <= EXHAUSTIVE_LIMIT:
-            subset, perf = subset_search_exhaustive(models.keys(), simulator)
-        else:
-            subset, perf = subset_search_local(models.keys(), simulator, seed=s.seed)
-        if best is None or perf > best[0]:
-            best = (perf, schedule, backup, subset, {k: models[k] for k in subset})
+        kept.append((group[0], backups[pool.tobytes()], models, first))
+    members = set().union(*(models for _, _, models, _ in kept))
+    # above the exhaustive limit, a stack per behaviour
+    stacks = [kept] if kept and len(members) <= EXHAUSTIVE_LIMIT else [[k] for k in kept]
+    simulators, picks = [], []
+    for stack in stacks:
+        schedule, backup, models, first = (list(column) for column in zip(*stack))
+        simulators.append(PortfolioSimulator(
+            matrix, features, valid_ids, schedule, backup, models, s.objective,
+            s.cutoff_seconds, purse, series, rows=rows,
+            presolved=tuple(a[first] for a in replayed)))
+        own = simulators[-1].members
+        picks += (subset_search_exhaustive(own, simulators[-1]) if len(own) <= EXHAUSTIVE_LIMIT
+                  else [subset_search_local(own, simulators[-1], seed=s.seed)])
+    best = max(range(len(picks)), key=lambda b: picks[b][1], default=None)
 
     stamps.append(time.perf_counter())
     spent = np.diff(stamps)
     iterations = [fit.iterations for fit in trainer.gate_fits] or [0]
     log.info("%s build: %d schedules enumerated, %d skipped, %d distinct behaviours, "
-             "%d fits, %d refused fits, %d gates (Newton iterations median %g, max %d; "
-             "%d at the cap); seconds by phase: 0 %.3f, 1 %.3f, 2a %.3f, 2b %.3f, 2c %.3f, "
-             "3 %.3f", s.objective, len(schedules), skipped, len(behaviours), len(fits),
-             len(pairs) - len(fits), len(trainer.gate_fits), np.median(iterations),
-             max(iterations), sum(not fit.converged for fit in trainer.gate_fits), spent[0],
-             spent[1], *(trainer.seconds[k] for k in ("2a", "2b", "2c")), spent[3])
+             "%d fits, %d refused fits, %d Schmee-Hahn fits stopped at %d iterations, "
+             "%d gates (Newton iterations median %g, max %d; %d at the cap), "
+             "%d (behaviour, subset) rows scored; seconds by phase: 0 %.3f, 1 %.3f, "
+             "2a %.3f, 2b %.3f, 2c %.3f, 3 %.3f", s.objective, len(schedules), skipped,
+             len(behaviours), len(fits), len(pairs) - len(fits), len(trainer.capped),
+             learning.CENSORED_MAX_ITER, len(trainer.gate_fits), np.median(iterations),
+             max(iterations), sum(not fit.converged for fit in trainer.gate_fits),
+             sum(sim.scored for sim in simulators), spent[0], spent[1],
+             *(trainer.seconds[k] for k in ("2a", "2b", "2c")), spent[3])
     if best is None:
         raise InsufficientData("no schedule produced a usable portfolio")
-    _, schedule, backup, subset, models = best
+    (schedule, backup, models, _), (subset, _) = kept[best], picks[best]
     return PortfolioConfig(
         presolvers=schedule,
         backup_solver=backup,
         subset=subset,
-        models=models,
+        models={sid: models[sid] for sid in subset},
         objective=s.objective,
         descriptors=descriptors,
         cutoff_seconds=s.cutoff_seconds,

@@ -5,6 +5,7 @@ at a time through get(), on random matrices with crashes and timeouts;
 matrices with a missing cell must make the strict consumers raise.
 """
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -21,9 +22,12 @@ from zfolio.portfolio import (
     PortfolioSimulator,
     PresolverEntry,
     PresolverSchedule,
+    SimulationRows,
     _ModelTrainer,
     choose_backup,
+    replay_presolving,
     select_presolver_candidates,
+    subset_search_exhaustive,
 )
 from zfolio.runners import SimulatedRunner
 from zfolio.runtimes import MISSING, STATUSES, RunRecord, RuntimeMatrix, SolverDescriptor
@@ -676,10 +680,11 @@ class TestPortfolioConsumers:
                 monkeypatch.undo()
 
     def test_each_batch_peaks_within_the_budget(self, monkeypatch):
-        # the traced peak of every batch of more than one subset stays within
-        # FIT_BATCH_CELLS float64 cells (and a quarter for numpy's own
-        # buffers), on a validation set of bench600's size: 6 solvers, 63
-        # subsets, 180 instances
+        # the traced peak of every batch of more than one (behaviour, subset)
+        # pair stays within FIT_BATCH_CELLS float64 cells (and a quarter for
+        # numpy's own buffers), on a validation set of bench600's size: 6
+        # solvers, 63 subsets, 180 instances; for one behaviour, and for a
+        # stack of four whose batches span whole behaviours
         rng = random.Random(12)
         matrix = random_matrix(rng, n_solvers=6, n_instances=180, cutoff=CUTOFF)
         series = random_series(rng, matrix)
@@ -688,31 +693,97 @@ class TestPortfolioConsumers:
         peaks = []
         scores = PortfolioSimulator._scores
 
-        def traced(self, batch):
+        def traced(self, batch, behaviours):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            out = scores(self, batch)
-            peaks.append((self.objective, len(batch), tracemalloc.get_traced_memory()[1] - start))
+            out = scores(self, batch, behaviours)
+            peaks.append((self.objective, out.size, tracemalloc.get_traced_memory()[1] - start))
             return out
-        for objective in ("min_runtime", "max_score"):
-            sim = PortfolioSimulator(matrix, features, matrix.instances,
-                                     random_schedule(rng, matrix), matrix.solvers[0], models,
-                                     objective, CUTOFF, PurseConfig(time_limit=CUTOFF), series)
-            whole = sim.performances(subsets)
+        for objective, budget, stack in (("min_runtime", 1 << 14, 1), ("max_score", 1 << 14, 1),
+                                         ("min_runtime", 1 << 18, 4), ("max_score", 1 << 18, 4)):
+            schedules = [random_schedule(rng, matrix) for _ in range(stack)]
+            sim = PortfolioSimulator(matrix, features, matrix.instances, schedules,
+                                     matrix.solvers[:stack], [models] * stack, objective,
+                                     CUTOFF, PurseConfig(time_limit=CUTOFF), series)
+            whole = sim.table(subsets)
+            peaks.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(PortfolioSimulator, "_scores", traced)
-                patch.setattr(learning, "FIT_BATCH_CELLS", 1 << 14)
+                patch.setattr(learning, "FIT_BATCH_CELLS", budget)
                 tracemalloc.start()
                 try:
-                    batched = sim.performances(subsets)
+                    batched = sim.table(subsets)
                 finally:
                     tracemalloc.stop()
-                shared = [peak for obj, size, peak in peaks if obj == objective and size > 1]
-                assert len(shared) > 2, objective
-                assert max(shared) <= 1.25 * 8 * learning.FIT_BATCH_CELLS, objective
+                shared = [(size, peak) for obj, size, peak in peaks if size > 1]
+                assert len(shared) > (2 if stack == 1 else 1), objective
+                assert stack == 1 or max(shared)[0] > len(subsets), objective
+                assert max(p for _, p in shared) <= 1.25 * 8 * budget, objective
             assert np.array_equal(batched, whole)
 
+    def test_stacked_table_rows_equal_one_behaviour_simulators(self, monkeypatch):
+        """Each row of a stacked simulator's table equals, bit for bit, the
+        performances of a simulator made for its behaviour alone, and is
+        -inf where a subset holds a solver without a model in the behaviour;
+        the stacked search picks each behaviour's subset as a strict > scan
+        of that simulator's subsets does, in size and then lexicographic
+        order. Behaviours lack candidates and share model sets, rows lack
+        features or have unusable ones, two members may predict alike, so
+        that subsets tie, and the table is the same in batches of whole
+        behaviours and of a few pairs."""
+        lacking = shared = ties = 0
+        for rng, matrix, series in cases(30, seed=3):
+            purse = PurseConfig(time_limit=CUTOFF)
+            features, models = self.simulator_inputs(rng, matrix)
+            if rng.random() < 0.5:  # two members with equal predictions
+                a, b = rng.sample(matrix.solvers, 2)
+                models[b] = models[a]
+            ids = rng.sample(matrix.instances, rng.randint(1, len(matrix.instances)))
+            owns = []
+            for _ in range(rng.randint(1, 6)):
+                if owns and rng.random() < 0.3:  # another schedule, a model set seen before
+                    owns.append(rng.choice(owns))
+                    continue
+                if rng.random() < 0.3:  # refits: equal models, other objects
+                    models = {s: dataclasses.replace(m) for s, m in models.items()}
+                size = rng.randint(1, len(matrix.solvers))
+                owns.append({s: models[s] for s in rng.sample(matrix.solvers, size)})
+            schedules = [random_schedule(rng, matrix) for _ in owns]
+            backups = [rng.choice(matrix.solvers) for _ in owns]
+            for objective in ("min_runtime", "max_score"):
+                rows = SimulationRows(matrix, features, ids, objective, purse, series)
+                stacked = PortfolioSimulator(
+                    matrix, features, ids, schedules, backups, owns, objective, CUTOFF,
+                    rows=rows, presolved=replay_presolving(rows.runs, schedules, CUTOFF))
+                subsets = [list(c) for c in portfolio._iter_subsets(stacked.members)]
+                table = stacked.table(subsets)
+                picks = subset_search_exhaustive(stacked.members, stacked)
+                pair = (7 if objective == "min_runtime" else 11) * len(ids)
+                for budget in (2 * len(subsets) * pair, 2 * pair + 1):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(learning, "FIT_BATCH_CELLS", budget)
+                        assert table.tobytes() == stacked.table(subsets).tobytes()
+                for b, (schedule, backup, own) in enumerate(zip(schedules, backups, owns)):
+                    alone = PortfolioSimulator(matrix, features, ids, schedule, backup, own,
+                                               objective, CUTOFF, purse, series)
+                    inside = np.array([set(subset) <= set(own) for subset in subsets])
+                    own_subsets = [sub for sub, ok in zip(subsets, inside) if ok]
+                    want = alone.performances(own_subsets)
+                    assert table[b, inside].tobytes() == want.tobytes()
+                    assert (table[b, ~inside] == -np.inf).all()
+                    best = None
+                    for subset, perf in zip(own_subsets, want.tolist()):
+                        if best is None or perf > best[1]:
+                            best = (subset, perf)
+                    assert picks[b] == best
+                    lacking += len(own) < len(stacked.members)
+                    ties += (want == best[1]).sum() > 1
+            shared += len(set(map(id, owns))) < len(owns)
+        assert lacking > 10 and shared > 5 and ties > 10
+
     def test_shared_rows_predict_each_model_once(self, monkeypatch):
+        # a stacked simulator predicts each distinct model set of its
+        # behaviours in one ModelStack pass, however many behaviours share it
         rng = random.Random(4)
         matrix = random_matrix(rng, n_solvers=3, n_instances=10, cutoff=CUTOFF)
         features, models = self.simulator_inputs(rng, matrix)
@@ -726,21 +797,24 @@ class TestPortfolioConsumers:
                 self.stacked = list(stacked)
 
             def predict(self, X):
-                calls.extend(self.stacked)
+                calls.append(self.stacked)
                 return super().predict(X)
         monkeypatch.setattr(portfolio, "ModelStack", Counted)
         rows = portfolio.SimulationRows(matrix, features, matrix.instances, "min_runtime")
-        schedules = [random_schedule(rng, matrix) for _ in range(4)]
-        sims = [PortfolioSimulator(matrix, features, matrix.instances, schedule,
-                                   matrix.solvers[0], models, "min_runtime", CUTOFF, rows=rows)
-                for schedule in schedules]
-        assert sorted(map(id, calls)) == sorted(map(id, models.values()))
+        first, second, third = matrix.solvers
+        owns = [models, {first: models[first], second: models[second]}, models,
+                {third: models[third]}]
+        schedules = [random_schedule(rng, matrix) for _ in owns]
+        sim = PortfolioSimulator(matrix, features, matrix.instances, schedules,
+                                 [first] * len(owns), owns, "min_runtime", CUTOFF, rows=rows)
+        assert sorted(list(map(id, call)) for call in calls) == sorted(
+            list(map(id, own.values())) for own in (owns[0], owns[1], owns[3]))
         monkeypatch.undo()
-        subsets = list(portfolio._iter_subsets(matrix.solvers))
-        for schedule, sim in zip(schedules, sims):
-            alone = PortfolioSimulator(matrix, features, matrix.instances, schedule,
-                                       matrix.solvers[0], models, "min_runtime", CUTOFF)
-            assert np.array_equal(sim.performances(subsets), alone.performances(subsets))
+        for schedule, own, row in zip(schedules, owns, sim.table([[first], [third]])):
+            alone = PortfolioSimulator(matrix, features, matrix.instances, schedule, first, own,
+                                       "min_runtime", CUTOFF)
+            assert row.tolist() == [alone.performance([sid]) if sid in own else -np.inf
+                                    for sid in (first, third)]
 
     def test_model_trainer_fits_what_the_records_say(self, monkeypatch):
         got = {}

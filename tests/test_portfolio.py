@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import logging
+import random
 import re
 import time
 
@@ -500,8 +501,9 @@ class TestBuildPortfolio:
 
 
 class TestBehaviourGrouping:
-    """The build runs one simulator and one subset search per distinct
-    schedule behaviour (training remainder and validation pre-solving)."""
+    """The build simulates each distinct schedule behaviour (training
+    remainder and validation pre-solving) once, all of them in one stacked
+    simulator and one subset search."""
 
     @pytest.fixture
     def split(self, bench):
@@ -511,8 +513,8 @@ class TestBehaviourGrouping:
 
     def build(self, bench, split, monkeypatch, schedules=lambda listed: listed, **settings):
         """Builds with the enumeration passed through `schedules`; returns
-        the portfolio, the schedules enumerated and those the simulators
-        were made for."""
+        the portfolio, the schedules enumerated and, per simulator made, the
+        schedules it stacks."""
         listed, built_for = [], []
         init = PortfolioSimulator.__init__
 
@@ -536,7 +538,7 @@ class TestBehaviourGrouping:
             bench, split, monkeypatch, presolver_top=2,
             schedules=lambda listed: [s for s in listed if not s.active()])
         assert len(listed) == 8
-        assert built_for == [listed[0]] and portfolio.presolvers == listed[0]
+        assert built_for == [[listed[0]]] and portfolio.presolvers == listed[0]
 
     def test_simulators_follow_behaviours_not_schedules(self, bench, split, monkeypatch,
                                                         caplog):
@@ -549,8 +551,9 @@ class TestBehaviourGrouping:
             r"(\d+) (schedules enumerated|skipped|distinct behaviours|fits|refused fits)",
             summary[0])}
         assert counts["schedules enumerated"] == len(listed) == 288  # criterion 7's count
-        assert len(built_for) == counts["distinct behaviours"] < 288 - counts["skipped"]
-        assert len(set(built_for)) == len(built_for)
+        [stacked] = built_for
+        assert len(stacked) == counts["distinct behaviours"] < 288 - counts["skipped"]
+        assert len(set(stacked)) == len(stacked)
         candidates = [d.id for d in bench.descriptors if d.kind == "complete"]
         assert counts["fits"] < len(candidates) * counts["distinct behaviours"]
 
@@ -566,6 +569,25 @@ class TestBehaviourGrouping:
         seconds = [float(v) for _, v in spent]
         assert min(seconds) >= 0 and sum(seconds) <= wall + 0.01
         assert seconds[2] > 0 and seconds[3] > 0  # bases selected, models fitted
+
+    def test_summary_counts_capped_fits_and_scored_rows(self, bench, split, monkeypatch,
+                                                         caplog):
+        # the summary line counts the Schmee-Hahn fits that stopped at the
+        # iteration cap, each of them also a DEBUG line, and the (behaviour,
+        # subset) rows phase 3 scored: every subset of the members, for each
+        # behaviour of the one stacked simulator
+        caplog.set_level(logging.DEBUG, logger="zfolio")
+        portfolio, _, [stacked] = self.build(bench, split, monkeypatch, presolver_top=2)
+        [summary] = [r.getMessage() for r in caplog.records
+                     if "schedules enumerated" in r.getMessage()]
+        capped = re.search(r"(\d+) Schmee-Hahn fits stopped at (\d+) iterations", summary)
+        debug = [r for r in caplog.records if r.getMessage().startswith(
+            "Schmee-Hahn stopped at max_iter")]
+        assert int(capped[1]) == len(debug) > 0
+        assert int(capped[2]) == learning_module.CENSORED_MAX_ITER
+        scored = re.search(r"(\d+) \(behaviour, subset\) rows scored", summary)
+        members = {d.id for d in bench.descriptors if d.kind == "complete"}
+        assert int(scored[1]) == len(stacked) * (2 ** len(members) - 1)
 
     def test_fits_come_first_and_once(self, bench, split, monkeypatch):
         # phase 2 fits each (solver, training rows) pair once, in one
@@ -650,7 +672,7 @@ class TestBehaviourGrouping:
         monkeypatch.setattr(portfolio_module, "replay_presolving", spy)
         _, listed, built_for = self.build(bench, split, monkeypatch, objective=objective,
                                           presolver_top=2)
-        assert len(built_for) > 1
+        assert len(built_for) == 1 and len(built_for[0]) > 1
         assert replays == [listed]
 
     def test_backup_pool_follows_the_behaviour(self, bench, split, monkeypatch):
@@ -668,9 +690,9 @@ class TestBehaviourGrouping:
             pools.append(pool.tobytes())
             return backup(runs, pool, *args)
 
-        def spy_init(self, matrix, features, ids, schedule, chosen, *args, **kw):
-            built.append((kw["rows"].runs, schedule, chosen))
-            init(self, matrix, features, ids, schedule, chosen, *args, **kw)
+        def spy_init(self, matrix, features, ids, schedules, chosen, *args, **kw):
+            built.extend((kw["rows"].runs, schedule, c) for schedule, c in zip(schedules, chosen))
+            init(self, matrix, features, ids, schedules, chosen, *args, **kw)
         monkeypatch.setattr(portfolio_module, "choose_backup", spy_backup)
         monkeypatch.setattr(PortfolioSimulator, "__init__", spy_init)
         settings = small_settings(presolver_top=2)
@@ -697,17 +719,86 @@ class TestBehaviourGrouping:
         def cost(schedule):
             return abs(sum(e.cutoff_seconds for e in schedule.active()) - 2.0)
 
-        monkeypatch.setattr(PortfolioSimulator, "performances",
-                            lambda self, subsets: np.full(len(subsets), -cost(self.schedule)))
+        monkeypatch.setattr(PortfolioSimulator, "table", lambda self, subsets: np.array(
+            [[-cost(schedule)] * len(subsets) for schedule in self.schedules]))
         winners = []
         for order in (list, reversed):
-            portfolio, listed, built_for = self.build(
+            portfolio, listed, [stacked] = self.build(
                 bench, split, monkeypatch, presolver_top=2,
                 schedules=lambda listed, order=order: list(order(listed)))
-            assert len([s for s in built_for if cost(s) == 0]) >= 2
+            assert len([s for s in stacked if cost(s) == 0]) >= 2
             assert portfolio.presolvers == next(s for s in listed if cost(s) == 0)
             winners.append(portfolio.presolvers)
         assert winners[0] != winners[1]
+
+
+class TestStackedSelection:
+    """Phase 3 picks what the per-behaviour loop it replaced picks."""
+
+    @pytest.mark.parametrize("objective, limit", [("min_runtime", 12), ("max_score", 12),
+                                                  ("min_runtime", 2)])
+    def test_choices_equal_a_per_behaviour_search(self, bench, monkeypatch, objective, limit):
+        # the oracle is the loop the stacked table replaced: per behaviour, in
+        # order of its first schedule, choose_backup on its pool, a simulator
+        # of its own and a search of its own models (local above the
+        # exhaustive limit), the strict > keeping the earliest of the best.
+        # complete-a crashes on 70% of the instances, so under min_runtime
+        # some training remainders leave it fewer than 10 rows and some
+        # behaviours lack its model; a quarter of the validation instances
+        # have unusable features
+        rng = random.Random(7)
+        matrix = RuntimeMatrix(CUTOFF)
+        for sid in bench.matrix.solvers:
+            for iid in bench.matrix.instances:
+                rec = bench.matrix.get(sid, iid)
+                if sid == "complete-a" and rng.random() < 0.7:
+                    rec = RunRecord(sid, iid, rec.runtime_seconds, "crash")
+                matrix.add(rec)
+        kept, _ = drop_unsolvable(matrix)
+        train, valid, _ = split_data(kept, seed=1)
+        features = dict(bench.features)
+        for iid in sorted(valid)[::4]:
+            features[iid] = FeatureVector(None, 1.0, True)
+        made = []
+        init = PortfolioSimulator.__init__
+
+        def spy(self, *args, **kw):
+            made.append((args, kw))
+            init(self, *args, **kw)
+        monkeypatch.setattr(PortfolioSimulator, "__init__", spy)
+        monkeypatch.setattr(portfolio_module, "EXHAUSTIVE_LIMIT", limit)
+        settings = small_settings(objective, presolver_top=2, min_training_rows=10)
+        matrix = matrix.restrict(instances=[*train, *valid])
+        portfolio = build_portfolio(train, valid, features, matrix, bench.descriptors,
+                                    settings, bench.purse, bench.series)
+        monkeypatch.setattr(PortfolioSimulator, "__init__", init)
+
+        # one stacked simulator, or above the limit one per behaviour
+        schedules = [schedule for args, _ in made for schedule in args[3]]
+        models = [own for args, _ in made for own in args[5]]
+        assert len(made) == (1 if limit == 12 else len(schedules))
+        rows = made[0][1]["rows"]
+        presolved = [np.vstack([kw["presolved"][k] for _, kw in made]) for k in range(4)]
+        candidates = sorted(d.id for d in bench.descriptors
+                            if objective == "max_score" or d.kind == "complete")
+        best = None
+        for b, (schedule, own) in enumerate(zip(schedules, models)):
+            pool = ~presolved[0][b] & ~rows.feature_ok
+            backup = choose_backup(rows.runs, pool, objective, candidates, CUTOFF,
+                                   bench.purse, bench.series)
+            sim = PortfolioSimulator(matrix, features, valid, schedule, backup, own, objective,
+                                     CUTOFF, bench.purse, bench.series, rows=rows,
+                                     presolved=tuple(a[b] for a in presolved))
+            if len(own) <= limit:
+                subset, perf = subset_search_exhaustive(own.keys(), sim)
+            else:
+                subset, perf = subset_search_local(own.keys(), sim, seed=settings.seed)
+            if best is None or perf > best[0]:
+                best = (perf, schedule, backup, subset)
+        assert (portfolio.presolvers, portfolio.backup_solver, portfolio.subset) == best[1:]
+        assert len(schedules) > 1 and (~rows.feature_ok).any()
+        lacking = sum(len(own) < len(candidates) for own in models)
+        assert (lacking > 0) == (objective == "min_runtime")
 
 
 class TestBuildSettings:

@@ -1,4 +1,5 @@
-"""scripts/probe_scale.py runs end to end on a small formula."""
+"""scripts/probe_scale.py runs end to end on a small formula and reports the
+static, DPLL, SAPS and GSAT feature values."""
 
 import json
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 from zfolio.features import FEATURE_NAMES
+from zfolio.probes import DPLL_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,5 +22,5 @@ def test_reports_every_layer_and_the_local_search_features():
         assert report[f"{layer}_s"] > 0
     assert report["saps_steps_per_s"] > 0 and report["gsat_steps_per_s"] > 0
     local_search = {name for name in FEATURE_NAMES if "saps" in name or "gsat" in name}
-    assert set(report["features"]) == local_search
+    assert set(report["features"]) == local_search | set(DPLL_NAMES)
     assert list(report["static_features"]) == list(FEATURE_NAMES[:33])
