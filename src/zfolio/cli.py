@@ -5,7 +5,8 @@ of CNF files, runtime collection for external solvers, dataset splitting,
 portfolio training, solving a single instance, evaluation reports, and
 synthetic benchmark generation. Randomized commands take --seed; the
 ZF_WORKERS environment variable sets parallelism for feature extraction
-and runtime collection.
+and runtime collection. --log-level (default WARNING) sets which log
+messages go to stderr; at INFO a build writes its summary line.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -275,6 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zfolio",
         description="Per-instance SAT solver portfolios from learned models",
     )
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+                        help="the least severe log messages written to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("features", help="extract instance features from CNF files")
@@ -352,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level, stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
     return args.func(args)
 
 

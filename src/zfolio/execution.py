@@ -54,6 +54,12 @@ def _parse_status(returncode: int, output_path: str) -> str | None:
     return None
 
 
+def instance_id(instance_path) -> str:
+    """The id a run on this instance file is recorded under: its file name
+    without the extension."""
+    return os.path.splitext(os.path.basename(str(instance_path)))[0]
+
+
 def run_external(descriptor: SolverDescriptor, instance_path: str,
                  cutoff_seconds: float) -> RunRecord:
     """Run one solver on one instance under the CPU-time cutoff."""
@@ -68,7 +74,7 @@ def run_external(descriptor: SolverDescriptor, instance_path: str,
     def set_limits():
         resource.setrlimit(resource.RLIMIT_CPU, (cpu_limit, cpu_limit + 2))
 
-    instance_id = os.path.splitext(os.path.basename(str(instance_path)))[0]
+    iid = instance_id(instance_path)
     with tempfile.NamedTemporaryFile(prefix="zfolio-run-", suffix=".out") as out:
         try:
             proc = subprocess.Popen(
@@ -96,19 +102,26 @@ def run_external(descriptor: SolverDescriptor, instance_path: str,
         cpu = rusage.ru_utime + rusage.ru_stime
 
         if killed_by_wall.is_set() or cpu > cutoff_seconds:
-            return RunRecord(descriptor.id, instance_id, cutoff_seconds, "timeout")
+            return RunRecord(descriptor.id, iid, cutoff_seconds, "timeout")
         if proc.returncode < 0:  # killed by a signal
             if -proc.returncode == signal.SIGXCPU:
-                return RunRecord(descriptor.id, instance_id, cutoff_seconds, "timeout")
-            return RunRecord(descriptor.id, instance_id, cpu, "crash")
+                return RunRecord(descriptor.id, iid, cutoff_seconds, "timeout")
+            return RunRecord(descriptor.id, iid, cpu, "crash")
         status = _parse_status(proc.returncode, out.name)
         if status is None:
-            return RunRecord(descriptor.id, instance_id, cpu, "crash")
-        return RunRecord(descriptor.id, instance_id, min(cpu, cutoff_seconds), status)
+            return RunRecord(descriptor.id, iid, cpu, "crash")
+        return RunRecord(descriptor.id, iid, min(cpu, cutoff_seconds), status)
 
 
 def collect_runtimes(descriptors, instance_paths, cutoff_seconds: float) -> RuntimeMatrix:
-    """Run every solver on every instance, worker_count() at a time."""
+    """Run every solver on every instance, worker_count() at a time. Two
+    instance paths with one id are refused before any solver runs."""
+    paths = {}
+    for path in instance_paths:
+        iid = instance_id(path)
+        if iid in paths:
+            raise ValueError(f"instances {paths[iid]} and {path} share the id {iid!r}")
+        paths[iid] = path
     matrix = RuntimeMatrix(cutoff_seconds)
     jobs = [(d, p) for d in descriptors for p in instance_paths]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:

@@ -25,10 +25,12 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .learning import (DimensionMismatch, RidgeModel, _keep, _run_chunks, _standardize_columns,
                        contract, expand_terms, model_from_doc, model_to_doc, stacked_terms)
+
+# scipy.optimize is imported inside train_classifier, its one user: `zfolio
+# features` and `zfolio solve` predict with numpy alone and never load it.
 
 
 CLASSIFIER_PENALTY = 1e-2  # L2 penalty of the class probability model's feature weights
@@ -108,6 +110,7 @@ def train_classifier(features: np.ndarray, class_labels) -> ClassifierModel:
     are not penalized, so in the large-penalty limit outputs approach the
     class priors.
     """
+    import scipy.optimize
     X = np.asarray(features, dtype=float)
     labels = list(class_labels)
     classes = sorted(set(labels))
@@ -136,7 +139,7 @@ def train_classifier(features: np.ndarray, class_labels) -> ClassifierModel:
         return -(ll - pen), G.ravel()
 
     w0 = np.zeros((k - 1) * (m + 1))
-    res = optimize.minimize(
+    res = scipy.optimize.minimize(
         negloglik, w0, jac=True, method="L-BFGS-B",
         options={"maxiter": 500, "gtol": 1e-6, "ftol": 0.0},
     )

@@ -36,7 +36,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, special
+
+# scipy.linalg and scipy.special are imported inside the fitting functions that
+# use them: `zfolio features` and `zfolio solve` predict with numpy alone and
+# never load them.
 
 TARGET_LOG_RUNTIME = "log_runtime"
 TARGET_SCORE = "score"
@@ -160,18 +163,20 @@ def contract(A, W) -> np.ndarray:
 
 def _ridge_factor(phi: np.ndarray, delta: float):
     """Cholesky factor of delta*I + Phi^T Phi, or None for an empty basis."""
+    import scipy.linalg
     if delta <= 0:
         raise ValueError("delta must be positive")
     d = phi.shape[1]
     if d == 0:
         return None
-    return linalg.cho_factor(phi.T @ phi + delta * np.eye(d))
+    return scipy.linalg.cho_factor(phi.T @ phi + delta * np.eye(d))
 
 
 def _ridge_solve(factor, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    import scipy.linalg
     if factor is None:
         return np.zeros(0)
-    return linalg.cho_solve(factor, phi.T @ y)
+    return scipy.linalg.cho_solve(factor, phi.T @ y)
 
 
 def ridge_fit(phi: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
@@ -544,6 +549,7 @@ def truncated_normal_mean(mu, sigma, lower):
     below it); at or above it the scaled complementary error function keeps
     the upper tail accurate far beyond 8 sigma, where pdf/sf would degrade.
     """
+    import scipy.special
     mu, sigma, lower = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                              for v in (mu, sigma, lower)))
     if np.any(sigma <= 0):
@@ -552,8 +558,8 @@ def truncated_normal_mean(mu, sigma, lower):
     lam = np.empty_like(a)
     below = a < 0
     ab = a[below]
-    lam[below] = np.exp(-ab**2 / 2.0) / math.sqrt(2 * math.pi) / special.ndtr(-ab)
-    lam[~below] = math.sqrt(2 / math.pi) / special.erfcx(a[~below] / math.sqrt(2))
+    lam[below] = np.exp(-ab**2 / 2.0) / math.sqrt(2 * math.pi) / scipy.special.ndtr(-ab)
+    lam[~below] = math.sqrt(2 / math.pi) / scipy.special.erfcx(a[~below] / math.sqrt(2))
     out = np.maximum(mu + sigma * lam, lower)
     return float(out) if out.ndim == 0 else out
 
@@ -610,6 +616,7 @@ def _lockstep(fits, target, capped=None) -> list[RidgeModel]:
     (a fit with sigma 0 takes max(pred, cutoff)) and gives every new weight
     vector in one batched product.
     """
+    import scipy.linalg
     F = len(fits)
     N = max(d.n for d, _ in fits)
     D = max(b.dim for _, b in fits)
@@ -627,7 +634,7 @@ def _lockstep(fits, target, capped=None) -> list[RidgeModel]:
         models.append(m)
         n, dim = phi.shape
         Phi[f, :n, :dim] = phi
-        K[f, :dim, :n] = linalg.cho_solve(factor, phi.T) if factor is not None else 0.0
+        K[f, :dim, :n] = scipy.linalg.cho_solve(factor, phi.T) if factor is not None else 0.0
         Y[f, :n], cens[f, :n], unc[f, :n] = d.targets, d.censored, ~d.censored
         W[f, :dim], b[f], sigma[f], cutoff[f] = m.weights, m.intercept, m.sigma, d.cutoff_log
         rows[f] = n

@@ -37,8 +37,16 @@ class SolverDescriptor:
 
 
 def solver_descriptors(doc) -> list[SolverDescriptor]:
-    """The solvers of a JSON list of objects as asdict writes them."""
-    return [SolverDescriptor(d["id"], d.get("kind", "complete"), d.get("command")) for d in doc]
+    """The solvers of a JSON list of objects as asdict writes them, each id
+    once."""
+    descriptors = [SolverDescriptor(d["id"], d.get("kind", "complete"), d.get("command"))
+                   for d in doc]
+    ids = set()
+    for d in descriptors:
+        if d.id in ids:
+            raise ValueError(f"solver id {d.id!r} is repeated")
+        ids.add(d.id)
+    return descriptors
 
 
 @dataclass(frozen=True)

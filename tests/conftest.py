@@ -1,8 +1,12 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from zfolio.cnf import CnfFormula
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # collected by the acceptance suite; echoed after the run so the
 # per-criterion lines show even under output capture
@@ -53,3 +57,20 @@ def mixed_cnf(num_vars: int, num_clauses: int, rng: random.Random) -> CnfFormula
         else:
             clauses.append([lit(v) for v in rng.sample(range(1, num_vars + 1), 3)])
     return CnfFormula(num_vars=num_vars, clauses=clauses)
+
+
+def small_train_flags(bench_dir):
+    """`zfolio train` on a synth-bench directory, at small fitting settings."""
+    return ["train", "--features", str(bench_dir / "features.csv"),
+            "--runtimes", str(bench_dir / "runtimes.csv"),
+            "--solvers", str(bench_dir / "solvers.json"),
+            "--cv-folds", "3", "--max-raw-terms", "3", "--max-expanded-terms", "4",
+            "--presolver-top", "1", "--min-training-rows", "5"]
+
+
+def package_env(**variables) -> dict:
+    """The environment, with these variables set, for a fresh interpreter
+    that imports the package from this checkout's src/."""
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env

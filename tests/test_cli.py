@@ -2,6 +2,8 @@ import csv
 import json
 import random
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from zfolio.runners import ExternalRunner
 from zfolio.runtimes import SolverDescriptor, load_runtime_csv
 from zfolio.scoring import load_purse_config
 from zfolio.synthetic import generate_benchmark
-from conftest import random_3cnf
+from conftest import package_env, random_3cnf, small_train_flags
 
 
 @pytest.fixture
@@ -191,14 +193,6 @@ def test_synth_train_evaluate_pipeline(tmp_path):
     assert "oracle" in text
 
 
-def small_train_flags(bench_dir):
-    return ["train", "--features", str(bench_dir / "features.csv"),
-            "--runtimes", str(bench_dir / "runtimes.csv"),
-            "--solvers", str(bench_dir / "solvers.json"),
-            "--cv-folds", "3", "--max-raw-terms", "3", "--max-expanded-terms", "4",
-            "--presolver-top", "1", "--min-training-rows", "5"]
-
-
 def test_train_stores_the_budget_features_extract_under(tmp_path, cnf_dir, monkeypatch):
     # solve extracts under the portfolio's budget, so it must be the one the
     # training features were extracted under by default
@@ -217,6 +211,23 @@ def test_train_stores_the_budget_features_extract_under(tmp_path, cnf_dir, monke
     out = tmp_path / "portfolio.json"
     assert main([*small_train_flags(bench_dir), "-o", str(out)]) == 0
     assert load_portfolio(out).feature_budget == budgets[0]
+
+
+@pytest.mark.parametrize("level, shown", [([], False), (["--log-level", "INFO"], True)],
+                         ids=["default", "info"])
+def test_log_level_shows_the_build_summary_on_stderr(tmp_path, level, shown):
+    # a fresh interpreter, as a test run's own log handlers would make
+    # logging.basicConfig a no-op in-process
+    bench_dir = tmp_path / "bench"
+    assert main(["synth-bench", "--instances", "60", "--seed", "4", "-o", str(bench_dir)]) == 0
+    done = subprocess.run([sys.executable, "-m", "zfolio.cli", *level,
+                           *small_train_flags(bench_dir), "-o", str(tmp_path / "portfolio.json")],
+                          env=package_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    summary = [line for line in done.stderr.splitlines()
+               if line.startswith("INFO zfolio.portfolio: min_runtime build: ")]
+    assert len(summary) == int(shown)
+    assert not shown or "seconds by phase" in summary[0]
 
 
 def test_series_map_may_omit_instances(tmp_path):
@@ -319,14 +330,16 @@ def test_labels_csv_reads_each_instances_category(tmp_path):
 @pytest.mark.parametrize("load, text, fault", [
     (cli.load_solvers_config, '[{"id": "a"}, {"kind": "complete"}]', "no 'id' field"),
     (cli.load_solvers_config, '[{"id": "a", "kind": "fast"}]', "unknown solver kind 'fast'"),
+    (cli.load_solvers_config, '[{"id": "a"}, {"id": "b"}, {"id": "a"}]',
+     "solver id 'a' is repeated"),
     (load_purse_config, '{"solution_purse": 1, "series_purse": 1, "time_limit": 9}',
      "no 'speed_purse' field"),
     (load_purse_config, '{"solution_purse": 1, "speed_purse": "fast", "series_purse": 1, '
                         '"time_limit": 9}', "speed_purse 'fast' is not a number"),
     (load_portfolio, '{"format": "%s"}' % FORMAT_TAG, "no 'solvers' field"),
     (load_portfolio, '{"format": ', "Expecting value: line 1 column 12 (char 11)"),
-], ids=["solvers-id", "solvers-kind", "purse-missing", "purse-malformed", "portfolio",
-        "invalid-json"])
+], ids=["solvers-id", "solvers-kind", "solvers-repeated", "purse-missing", "purse-malformed",
+        "portfolio", "invalid-json"])
 def test_json_input_faults_name_the_file_and_field(tmp_path, load, text, fault):
     path = tmp_path / "input.json"
     path.write_text(text)

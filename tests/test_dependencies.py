@@ -1,12 +1,22 @@
 """The package imports nothing at runtime beyond the standard library,
-numpy and scipy, and README documents each of its numeric constants."""
+numpy and scipy, loads scipy's fitting modules only when it fits a model,
+and README documents each of its numeric constants."""
 
 import ast
+import json
+import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from zfolio.cli import main
+from zfolio.cnf import write_dimacs
+from zfolio.hierarchy import HierarchicalModel
+from zfolio.portfolio import load_portfolio
+from conftest import package_env, random_3cnf, small_train_flags
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "zfolio"}
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,3 +91,75 @@ def test_each_feature_name_is_written_once():
             written.setdefault(name, []).append(path.name)
     repeated = {name: files for name, files in written.items() if len(files) > 1}
     assert len(written) >= 40 and not repeated, f"written more than once: {repeated}"
+
+
+FITTING_MODULES = ("scipy.linalg", "scipy.special", "scipy.optimize")
+
+# Run in a fresh interpreter by run_fresh: the extraction and the solves
+# that `zfolio features` and `zfolio solve` make, in-process (ZF_WORKERS=1).
+SOLVE_SCRIPT = """
+import sys
+import zfolio, zfolio.cli
+from zfolio import SimulatedRunner, load_feature_csv, load_portfolio, load_runtime_csv, solve
+bench, cnf_dir, out, *portfolios = sys.argv[1:]
+assert zfolio.cli.main(["features", cnf_dir, "-o", out, "--deterministic",
+                        "--max-ls-steps", "200"]) == 0
+features = load_feature_csv(bench + "/features.csv")
+predicted = []  # per portfolio, the solves that reached its models' predictions
+for path in portfolios:
+    built = load_portfolio(path)
+    runner = SimulatedRunner(features, load_runtime_csv(bench + "/runtimes.csv",
+                                                        built.cutoff_seconds))
+    traces = [solve(built, iid, runner).trace for iid in sorted(features)]
+    predicted.append(sum(any(step["phase"] == "predict" for step in t) for t in traces))
+print(predicted)
+"""
+
+
+def run_fresh(script, *args):
+    """Run `script` in a fresh interpreter with ZF_WORKERS=1; return its last
+    line of output and the fitting modules it left loaded."""
+    probe = f"\nimport json\nprint(json.dumps([m for m in {FITTING_MODULES} if m in sys.modules]))"
+    done = subprocess.run([sys.executable, "-c", script + probe, *map(str, args)], cwd=ROOT,
+                          env=package_env(ZF_WORKERS="1"), capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    *lines, loaded = done.stdout.strip().splitlines()
+    return lines[-1] if lines else "", set(json.loads(loaded))
+
+
+def train_flags(bench, *flags):
+    return [*small_train_flags(bench), "--purse", str(bench / "purse.json"), *flags]
+
+
+@pytest.fixture(scope="module")
+def bench(tmp_path_factory):
+    bench = tmp_path_factory.mktemp("bench")
+    assert main(["synth-bench", "--instances", "120", "--seed", "4", "-o", str(bench)]) == 0
+    return bench
+
+
+def test_features_and_solve_never_load_the_fitting_modules(bench, tmp_path):
+    cnf_dir = tmp_path / "cnfs"
+    cnf_dir.mkdir()
+    (cnf_dir / "small.cnf").write_text(write_dimacs(random_3cnf(30, 120, random.Random(3))))
+    portfolios = []
+    for name, flags in [("runtime-none", ["--objective", "runtime", "--hierarchy", "none"]),
+                        ("score-sat2", ["--objective", "score", "--hierarchy", "sat2"])]:
+        portfolios.append(tmp_path / f"{name}.json")
+        assert main([*train_flags(bench, *flags), "-o", str(portfolios[-1])]) == 0
+    gated = load_portfolio(portfolios[1]).models.values()
+    assert any(isinstance(model, HierarchicalModel) for model in gated)
+    predicted, loaded = run_fresh(SOLVE_SCRIPT, bench, cnf_dir, tmp_path / "features.csv",
+                                  *portfolios)
+    assert all(json.loads(predicted))
+    assert (tmp_path / "features.csv").read_text().count("\n") == 2
+    assert not loaded, f"loaded {sorted(loaded)}"
+
+
+def test_a_flat_runtime_build_never_loads_the_optimizer(bench, tmp_path):
+    script = "import sys, zfolio.cli\nassert zfolio.cli.main(sys.argv[1:]) == 0"
+    _, loaded = run_fresh(script, *train_flags(bench, "--objective", "runtime", "--hierarchy",
+                                               "none", "-o", tmp_path / "portfolio.json"))
+    assert "scipy.optimize" not in loaded
+    assert "scipy.linalg" in loaded  # loaded by the first fit, where it is used

@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from zfolio import execution
 from zfolio.evaluation import drop_unsolvable, evaluate, split_data
 from zfolio.execution import SpawnFailure, collect_runtimes, run_external
 from zfolio.runtimes import (
@@ -242,6 +243,15 @@ class TestRunExternal:
         matrix = collect_runtimes([a, b], [instance_file], 10.0)
         assert matrix.dense().complete
         assert len(matrix) == 2
+
+    def test_collect_runtimes_refuses_two_paths_with_one_id(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(execution, "run_external", lambda *job: calls.append(job))
+        paths = [str(tmp_path / part / "x.cnf") for part in ("a", "b")]
+        with pytest.raises(ValueError) as exc:
+            collect_runtimes([SolverDescriptor("s")], paths, 10.0)
+        assert str(exc.value) == f"instances {paths[0]} and {paths[1]} share the id 'x'"
+        assert calls == []
 
 
 class TestRunSynthetic:
