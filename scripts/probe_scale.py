@@ -12,7 +12,7 @@ probe and 10 DPLL dives. One JSON object is printed with the seconds of
 each layer, the budgeted local-search steps per second, the 33 static
 feature values and the DPLL, SAPS and GSAT feature values, so two checkouts
 can be compared for speed and for identical features. The layers are parse
-(which builds the formula's flat literal index too), static, index (the
+(which fills and checks the formula's clause arena), static, index (the
 formula's occurrence lists, which SAPS, GSAT and DPLL then read), SAPS, GSAT
 and DPLL.
 """

@@ -4,19 +4,25 @@ Formulas are kept exactly as written: duplicate literals and tautological
 clauses are preserved, because instance features must reflect the input as
 given, not a simplified form.
 
-`CnfFormula` checks and indexes its clauses once, for every feature layer.
-`parse_dimacs` leaves empty clauses and literal ranges to it, so a text
+A `CnfFormula` is one flat clause arena, as in MiniSat: every literal in
+clause order and each clause's length, checked once for every feature
+layer. `parse_dimacs` fills the arena from the text a bounded chunk at a
+time, with one numpy conversion per chunk and no Python list per clause.
+It leaves empty clauses and literal ranges to the arena's check, so a text
 with both kinds of fault raises the parser's error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+
+from .runtimes import read_utf8
+
+CHUNK_CHARS = 1 << 20  # the text is parsed about this many characters at a time
 
 
 class DimacsError(ValueError):
@@ -49,50 +55,63 @@ def split_flat(flat: list, counts) -> list[list]:
     return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-@dataclass
 class CnfFormula:
     """A propositional formula in conjunctive normal form.
 
-    `clauses` is an ordered list of clauses, each an ordered list of nonzero
-    signed integers; positive k is the positive literal of variable k.
-    `source_id` is an opaque instance identifier and does not take part in
-    equality.
-
-    The constructor checks the literals in one numpy pass over the index it
-    keeps, outside equality and repr: `literals`, every literal occurrence
-    in clause order, and `literal_clause`, its clause's index. The clauses
-    must not change afterwards.
+    `CnfFormula(num_vars, clauses)` takes an ordered list of clauses, each
+    an ordered list of nonzero signed integers; positive k is the positive
+    literal of variable k. It keeps them only as a flat arena:
+    `literals`, every literal occurrence in clause order (int64), and
+    `clause_lengths`. `clauses` rebuilds the lists on each access.
+    Equality compares `num_vars` and the arena; `source_id` is an opaque
+    instance identifier and does not take part in it.
     """
 
-    num_vars: int
-    clauses: list[list[int]]
-    source_id: str = field(default="", compare=False)
-    literals: np.ndarray = field(init=False, compare=False, repr=False)
-    literal_clause: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        nv = self.num_vars
-        if nv < 1:
-            raise ValueError(f"num_vars must be positive, got {nv}")
-        lengths = np.fromiter(map(len, self.clauses), dtype=np.int64, count=len(self.clauses))
+    def __init__(self, num_vars: int, clauses: list[list[int]], source_id: str = ""):
+        lengths = np.fromiter(map(len, clauses), np.int64, len(clauses))
         try:
-            lits = np.fromiter(chain.from_iterable(self.clauses), np.int64, int(lengths.sum()))
-            valid = lengths.all() and not ((lits == 0) | (lits > nv) | (lits < -nv)).any()
-        except OverflowError:  # a literal beyond int64
-            valid = False
-        if not valid:  # the first fault in clause order
-            for idx, clause in enumerate(self.clauses):
-                if not clause:
-                    raise EmptyClause(f"clause {idx + 1} is empty")
-                for lit in clause:
-                    if lit == 0 or abs(lit) > nv:
-                        raise LiteralOutOfRange(f"literal {lit} in clause {idx + 1}, num_vars={nv}")
-        self.literals = lits
-        self.literal_clause = np.repeat(np.arange(len(self.clauses)), lengths)
+            literals = np.fromiter(chain.from_iterable(clauses), np.int64, int(lengths.sum()))
+        except OverflowError:  # a literal beyond int64, which the check names
+            literals = np.array(list(chain.from_iterable(clauses)), dtype=object)
+        self._fill(num_vars, literals, lengths, source_id)
+
+    @classmethod
+    def _from_arena(cls, num_vars, literals, clause_lengths, source_id: str) -> CnfFormula:
+        formula = cls.__new__(cls)
+        formula._fill(num_vars, literals, clause_lengths, source_id)
+        return formula
+
+    def _fill(self, num_vars, literals, clause_lengths, source_id) -> None:
+        """Keep the arena once it is checked: the first empty clause or
+        literal out of range, in clause order, raises."""
+        if num_vars < 1:
+            raise ValueError(f"num_vars must be positive, got {num_vars}")
+        bad = np.flatnonzero((literals == 0) | (literals > num_vars) | (literals < -num_vars))[:1]
+        empty = np.flatnonzero(clause_lengths == 0)[:1]
+        bad_clause = np.searchsorted(np.cumsum(clause_lengths), bad, side="right")
+        if empty.size and not (bad.size and bad_clause[0] < empty[0]):
+            raise EmptyClause(f"clause {empty[0] + 1} is empty")
+        if bad.size:
+            raise LiteralOutOfRange(
+                f"literal {literals[bad[0]]} in clause {bad_clause[0] + 1}, num_vars={num_vars}")
+        self.num_vars = num_vars
+        self.literals = np.asarray(literals, dtype=np.int64)
+        self.clause_lengths = clause_lengths
+        self.source_id = source_id
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.clause_lengths)
+
+    @property
+    def clauses(self) -> list[list[int]]:
+        """The clauses as new lists, built from the arena on each access."""
+        return split_flat(self.literals.tolist(), self.clause_lengths)
+
+    @cached_property
+    def literal_clause(self) -> np.ndarray:
+        """Each literal occurrence's clause index, built on first use and kept."""
+        return np.repeat(np.arange(self.num_clauses), self.clause_lengths)
 
     @cached_property
     def occurrences(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -105,6 +124,34 @@ class CnfFormula:
                            np.bincount(key, minlength=2 * self.num_vars + 2))
         return lists[0::2], lists[1::2]
 
+    def __eq__(self, other):
+        if not isinstance(other, CnfFormula):
+            return NotImplemented
+        return (self.num_vars == other.num_vars
+                and np.array_equal(self.clause_lengths, other.clause_lengths)
+                and np.array_equal(self.literals, other.literals))
+
+    def __repr__(self) -> str:
+        return (f"CnfFormula(num_vars={self.num_vars!r}, clauses={self.clauses!r}, "
+                f"source_id={self.source_id!r})")
+
+
+def _integers(tokens: list[str]) -> np.ndarray:
+    """The tokens as int64, in one conversion. Only after that fails,
+    token by token: the first that is not an integer raises, and integers
+    beyond int64 stay Python ints, for the arena's check to name."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise MalformedToken(f"non-integer token {tok!r}") from None
+    return np.array(values, dtype=object)
+
 
 def parse_dimacs(text: str, source_id: str = "") -> CnfFormula:
     """Parse DIMACS CNF text into a CnfFormula.
@@ -114,55 +161,61 @@ def parse_dimacs(text: str, source_id: str = "") -> CnfFormula:
     Everything after a lone "%" line is ignored (a known competition file
     convention). A bad problem line or token, an unterminated clause or a
     wrong clause count raises here; an empty clause or a literal out of
-    range, from the `CnfFormula` constructor. No partial formula escapes.
+    range, from the arena's check. No partial formula escapes.
+
+    The text is read in chunks of whole lines. A chunk without a "c", "p"
+    or "%" holds only clause data, whose tokens convert at once; any other
+    is read line by line first.
     """
-    num_vars = None
-    declared_clauses = None
-    clauses: list[list[int]] = []
-    current: list[int] = []
-
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line[0] == "c":
-            continue
-        if line == "%":
+    num_vars = declared_clauses = None
+    pieces, ends, count, pos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0, 0
+    while pos < len(text):
+        cut = text.find("\n", pos + CHUNK_CHARS)
+        chunk = text[pos:len(text) if cut < 0 else cut + 1]
+        pos += len(chunk)
+        data, stop = [chunk], None
+        if num_vars is None or "c" in chunk or "p" in chunk or "%" in chunk:
+            data = []
+            for raw_line in chunk.splitlines():
+                line = raw_line.strip()
+                if not line or line[0] == "c":
+                    continue
+                if line[0] == "p" and num_vars is None:
+                    parts = line.split()
+                    if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                        raise MalformedToken(f"bad problem line: {line!r}")
+                    try:
+                        num_vars, declared_clauses = int(parts[2]), int(parts[3])
+                    except ValueError:
+                        raise MalformedToken(f"bad problem line: {line!r}") from None
+                    if num_vars < 1 or declared_clauses < 0:
+                        raise MalformedToken(f"bad problem line counts: {line!r}")
+                elif line == "%" or line[0] == "p":
+                    stop = line
+                    break
+                elif num_vars is None:
+                    raise MissingHeader("clause data before the problem line")
+                else:
+                    data.append(line)
+        values = _integers(" ".join(data).split())
+        zeros = np.flatnonzero(values == 0)
+        pieces.append(values[values != 0])
+        ends.append(count + zeros - np.arange(len(zeros)))  # literals before each 0
+        count += len(pieces[-1])
+        if stop == "%":
             break
-        if line[0] == "p":
-            if num_vars is not None:
-                raise MalformedToken("duplicate problem line")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise MalformedToken(f"bad problem line: {line!r}")
-            try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise MalformedToken(f"bad problem line: {line!r}") from None
-            if num_vars < 1 or declared_clauses < 0:
-                raise MalformedToken(f"bad problem line counts: {line!r}")
-            continue
-        if num_vars is None:
-            raise MissingHeader("clause data before the problem line")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise MalformedToken(f"non-integer token {tok!r}") from None
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-
+        if stop:
+            raise MalformedToken("duplicate problem line")
     if num_vars is None:
         raise MissingHeader("no problem line found")
-    if current:
+    ends = np.concatenate(ends)
+    if count > (ends[-1] if len(ends) else 0):
         raise MalformedToken("unterminated clause at end of input")
-    if len(clauses) != declared_clauses:
+    if len(ends) != declared_clauses:
         raise HeaderMismatch(
-            f"header declares {declared_clauses} clauses, parsed {len(clauses)}"
-        )
-    return CnfFormula(num_vars=num_vars, clauses=clauses, source_id=source_id)
+            f"header declares {declared_clauses} clauses, parsed {len(ends)}")
+    return CnfFormula._from_arena(num_vars, np.concatenate(pieces), np.diff(ends, prepend=0),
+                                  source_id)
 
 
 def write_dimacs(formula: CnfFormula) -> str:
@@ -174,5 +227,7 @@ def write_dimacs(formula: CnfFormula) -> str:
 
 
 def read_dimacs_file(path) -> CnfFormula:
+    """The formula of a DIMACS file, read as UTF-8 (`runtimes.read_utf8`
+    names the file and line of a byte that is not)."""
     p = Path(path)
-    return parse_dimacs(p.read_text(), source_id=p.stem)
+    return parse_dimacs(read_utf8(p), source_id=p.stem)

@@ -21,7 +21,7 @@ import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from .runtimes import RunRecord, RuntimeMatrix, SolverDescriptor
+from .runtimes import RunRecord, RuntimeMatrix, SolverDescriptor, check_solver_ids
 
 WALL_CLOCK_FACTOR = 2.0
 
@@ -32,9 +32,11 @@ class SpawnFailure(RuntimeError):
 
 def worker_count() -> int:
     env = os.environ.get("ZF_WORKERS", "")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"ZF_WORKERS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _parse_status(returncode: int, output_path: str) -> str | None:
@@ -115,13 +117,15 @@ def run_external(descriptor: SolverDescriptor, instance_path: str,
 
 def collect_runtimes(descriptors, instance_paths, cutoff_seconds: float) -> RuntimeMatrix:
     """Run every solver on every instance, worker_count() at a time. Two
-    instance paths with one id are refused before any solver runs."""
+    instance paths with one id, or two solvers with one id, are refused
+    before any solver runs."""
     paths = {}
     for path in instance_paths:
         iid = instance_id(path)
         if iid in paths:
             raise ValueError(f"instances {paths[iid]} and {path} share the id {iid!r}")
         paths[iid] = path
+    check_solver_ids(descriptors)
     matrix = RuntimeMatrix(cutoff_seconds)
     jobs = [(d, p) for d in descriptors for p in instance_paths]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:

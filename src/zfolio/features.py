@@ -7,12 +7,11 @@ throughout; the variable graph is a simple graph (co-occurrence in at least
 one clause, no self loops).
 
 The static features are computed without a loop over clauses, from the
-formula's flat index of literal occurrences (`CnfFormula.literals` and
-`literal_clause`, built with the formula and read by the probes too):
-degrees, positive and Horn occurrence counts and clause lengths are
-`np.bincount`s of it, and the variable-graph degree is the number of
-nonzeros in each row of AᵀA, for the sparse clause-variable incidence
-matrix A, less the self loop.
+formula's clause arena (`CnfFormula.literals`, `clause_lengths` and the
+`literal_clause` view, which the probes read too): degrees and positive
+and Horn occurrence counts are `np.bincount`s of it, and the
+variable-graph degree is the number of nonzeros in each row of AᵀA, for
+the sparse clause-variable incidence matrix A, less the self loop.
 
 Conventions for degenerate inputs: statistics of an empty collection are 0;
 the variation coefficient (sample standard deviation / mean) is 0 when the
@@ -136,7 +135,7 @@ def base_features(formula: CnfFormula) -> dict[str, float]:
     occ_var = np.abs(lits) - 1
     pos = lits > 0
 
-    clause_len = np.bincount(occ_clause, minlength=nc)
+    clause_len = formula.clause_lengths
     clause_pos = np.bincount(occ_clause[pos], minlength=nc)
     horn = clause_pos <= 1
     var_deg = np.bincount(occ_var, minlength=nv)  # duplicates included

@@ -50,7 +50,7 @@ class ProbeBudget:
     every 256 DPLL decisions. No check interrupts parsing, `base_features`,
     the formula's occurrence lists, `_SlsState` or `PropagationEngine`, so
     each can overrun the budget by its own time; on a 200 k-variable random
-    3-CNF they take 2.6, 0.8, 1.2, 1.1 and 0.02 s. Parsing counts against
+    3-CNF they take 0.4, 0.8, 1.2, 1.1 and 0.02 s. Parsing counts against
     the budget in `extract_file`, which starts the clock before it reads.
     """
 
@@ -98,23 +98,25 @@ class PropagationEngine:
     Per clause we track the number of satisfied literal occurrences and the
     number of unassigned occurrences; duplicates count once per occurrence,
     so a clause like [x, x] is only unit once one occurrence is falsified.
+    A unit clause's literals are read from the formula's arena.
     `free` lists the unassigned variables in increasing order.
     """
 
     def __init__(self, formula: CnfFormula):
-        self.num_vars = formula.num_vars
-        self.clauses = formula.clauses
+        self.num_vars, self.num_clauses = formula.num_vars, formula.num_clauses
+        self._literals = memoryview(formula.literals)  # slices iterate as Python ints
         self.pos_occ, self.neg_occ = formula.occurrences
-        lengths = np.bincount(formula.literal_clause, minlength=formula.num_clauses)
+        lengths = formula.clause_lengths
         self._initial_free = lengths.tolist()
+        self._starts = (np.cumsum(lengths) - lengths).tolist()
         self._units = np.flatnonzero(lengths == 1).tolist()
         self.reset()
 
     def reset(self) -> None:
         self.assign = [UNASSIGNED] * (self.num_vars + 1)
-        self.true_count = [0] * len(self.clauses)
+        self.true_count = [0] * self.num_clauses
         self.free_count = list(self._initial_free)
-        self.num_unsat = len(self.clauses)
+        self.num_unsat = self.num_clauses
         self.conflict = False
         self._unit_queue = list(self._units)
         self.free = list(range(1, self.num_vars + 1))
@@ -145,7 +147,8 @@ class PropagationEngine:
                     self._unit_queue.append(ci)
 
     def _forced_literal(self, ci: int) -> int:
-        for lit in self.clauses[ci]:
+        start = self._starts[ci]
+        for lit in self._literals[start:start + self._initial_free[ci]]:
             if self.assign[abs(lit)] == UNASSIGNED:
                 return lit
         raise AssertionError("unit clause without an unassigned literal")
@@ -325,8 +328,7 @@ class _SlsState:
         self.pos_occ, self.neg_occ = formula.occurrences
         self._occ_var, self._occ_pos, self._occ_clause = occ_var, lits > 0, occ_clause
         # each clause's variables once per occurrence
-        self._occ_vars = split_flat(occ_var.tolist(),
-                                    np.bincount(occ_clause, minlength=formula.num_clauses))
+        self._occ_vars = split_flat(occ_var.tolist(), formula.clause_lengths)
 
     def random_init(self, rng: random.Random) -> None:
         """Start a run in exact mode from a random assignment."""

@@ -39,8 +39,12 @@ class SolverDescriptor:
 def solver_descriptors(doc) -> list[SolverDescriptor]:
     """The solvers of a JSON list of objects as asdict writes them, each id
     once."""
-    descriptors = [SolverDescriptor(d["id"], d.get("kind", "complete"), d.get("command"))
-                   for d in doc]
+    return check_solver_ids([SolverDescriptor(d["id"], d.get("kind", "complete"), d.get("command"))
+                             for d in doc])
+
+
+def check_solver_ids(descriptors: list[SolverDescriptor]) -> list[SolverDescriptor]:
+    """`descriptors`, after refusing a solver id that they repeat."""
     ids = set()
     for d in descriptors:
         if d.id in ids:

@@ -253,6 +253,28 @@ class TestRunExternal:
         assert str(exc.value) == f"instances {paths[0]} and {paths[1]} share the id 'x'"
         assert calls == []
 
+    def test_collect_runtimes_refuses_two_solvers_with_one_id(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(execution, "run_external", lambda *job: calls.append(job))
+        paths = [str(tmp_path / f"{name}.cnf") for name in ("x", "y")]
+        with pytest.raises(ValueError, match="^solver id 's' is repeated$"):
+            collect_runtimes([SolverDescriptor("s"), SolverDescriptor("s")], paths, 10.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("value", ["two", "-3", "0", "1.5", "+4", " "])
+    def test_worker_count_refuses_a_value_that_is_not_a_positive_integer(self, monkeypatch,
+                                                                          value):
+        monkeypatch.setenv("ZF_WORKERS", value)
+        with pytest.raises(ValueError) as exc:
+            execution.worker_count()
+        assert str(exc.value) == f"ZF_WORKERS must be a positive integer, got {value!r}"
+
+    def test_worker_count_reads_zf_workers_or_the_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("ZF_WORKERS", "3")
+        assert execution.worker_count() == 3
+        monkeypatch.delenv("ZF_WORKERS")
+        assert execution.worker_count() == (os.cpu_count() or 1)
+
 
 class TestRunSynthetic:
     def model(self, kind="complete", mu=0.0, sigma=1.0):
