@@ -2,14 +2,9 @@
 
 Formulas are kept exactly as written: duplicate literals and tautological
 clauses are preserved, because instance features must reflect the input as
-given, not a simplified form.
-
-A `CnfFormula` is one flat clause arena, as in MiniSat: every literal in
-clause order and each clause's length, checked once for every feature
-layer. `parse_dimacs` fills the arena from the text a bounded chunk at a
-time, with one numpy conversion per chunk and no Python list per clause.
-It leaves empty clauses and literal ranges to the arena's check, so a text
-with both kinds of fault raises the parser's error.
+given, not a simplified form. A `CnfFormula` is one flat clause arena, as in
+MiniSat, checked once for every feature layer; `parse_dimacs` fills it a
+bounded chunk of lines at a time, with one numpy conversion per chunk.
 """
 
 from __future__ import annotations
@@ -62,24 +57,13 @@ class CnfFormula:
     an ordered list of nonzero signed integers; positive k is the positive
     literal of variable k. It keeps them only as a flat arena:
     `literals`, every literal occurrence in clause order (int64), and
-    `clause_lengths`. `clauses` rebuilds the lists on each access.
-    Equality compares `num_vars` and the arena; `source_id` is an opaque
-    instance identifier and does not take part in it.
+    `clause_lengths`. Equality compares `num_vars` and the arena;
+    `source_id` is an opaque instance identifier and does not take part in it.
     """
 
     def __init__(self, num_vars: int, clauses: list[list[int]], source_id: str = ""):
-        lengths = np.fromiter(map(len, clauses), np.int64, len(clauses))
-        try:
-            literals = np.fromiter(chain.from_iterable(clauses), np.int64, int(lengths.sum()))
-        except OverflowError:  # a literal beyond int64, which the check names
-            literals = np.array(list(chain.from_iterable(clauses)), dtype=object)
-        self._fill(num_vars, literals, lengths, source_id)
-
-    @classmethod
-    def _from_arena(cls, num_vars, literals, clause_lengths, source_id: str) -> CnfFormula:
-        formula = cls.__new__(cls)
-        formula._fill(num_vars, literals, clause_lengths, source_id)
-        return formula
+        self._fill(num_vars, _integers(list(chain.from_iterable(clauses))),
+                   np.fromiter(map(len, clauses), np.int64, len(clauses)), source_id)
 
     def _fill(self, num_vars, literals, clause_lengths, source_id) -> None:
         """Keep the arena once it is checked: the first empty clause or
@@ -105,7 +89,8 @@ class CnfFormula:
 
     @property
     def clauses(self) -> list[list[int]]:
-        """The clauses as new lists, built from the arena on each access."""
+        """The clauses as new lists, rebuilt from the arena on each access at
+        a cost linear in the literals: a caller that reads them twice keeps them."""
         return split_flat(self.literals.tolist(), self.clause_lengths)
 
     @cached_property
@@ -136,16 +121,16 @@ class CnfFormula:
                 f"source_id={self.source_id!r})")
 
 
-def _integers(tokens: list[str]) -> np.ndarray:
-    """The tokens as int64, in one conversion. Only after that fails,
-    token by token: the first that is not an integer raises, and integers
+def _integers(items: list) -> np.ndarray:
+    """Integers or integer tokens as int64, in one conversion; after that
+    fails, one by one: a token that is not an integer raises, and integers
     beyond int64 stay Python ints, for the arena's check to name."""
     try:
-        return np.array(tokens, dtype=np.int64)
+        return np.array(items, dtype=np.int64)
     except (ValueError, OverflowError):
         pass
     values = []
-    for tok in tokens:
+    for tok in items:
         try:
             values.append(int(tok))
         except ValueError:
@@ -163,59 +148,54 @@ def parse_dimacs(text: str, source_id: str = "") -> CnfFormula:
     wrong clause count raises here; an empty clause or a literal out of
     range, from the arena's check. No partial formula escapes.
 
-    The text is read in chunks of whole lines. A chunk without a "c", "p"
-    or "%" holds only clause data, whose tokens convert at once; any other
-    is read line by line first.
+    The text is read in chunks of whole lines; the clause lines of a chunk
+    are converted to int64 at once and split at their zeros.
     """
     num_vars = declared_clauses = None
-    pieces, ends, count, pos = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0, 0
+    chunks, pos = [np.zeros(0, np.int64)], 0
     while pos < len(text):
         cut = text.find("\n", pos + CHUNK_CHARS)
         chunk = text[pos:len(text) if cut < 0 else cut + 1]
         pos += len(chunk)
-        data, stop = [chunk], None
-        if num_vars is None or "c" in chunk or "p" in chunk or "%" in chunk:
-            data = []
-            for raw_line in chunk.splitlines():
-                line = raw_line.strip()
-                if not line or line[0] == "c":
-                    continue
-                if line[0] == "p" and num_vars is None:
-                    parts = line.split()
-                    if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                        raise MalformedToken(f"bad problem line: {line!r}")
-                    try:
-                        num_vars, declared_clauses = int(parts[2]), int(parts[3])
-                    except ValueError:
-                        raise MalformedToken(f"bad problem line: {line!r}") from None
-                    if num_vars < 1 or declared_clauses < 0:
-                        raise MalformedToken(f"bad problem line counts: {line!r}")
-                elif line == "%" or line[0] == "p":
-                    stop = line
-                    break
-                elif num_vars is None:
-                    raise MissingHeader("clause data before the problem line")
-                else:
-                    data.append(line)
-        values = _integers(" ".join(data).split())
-        zeros = np.flatnonzero(values == 0)
-        pieces.append(values[values != 0])
-        ends.append(count + zeros - np.arange(len(zeros)))  # literals before each 0
-        count += len(pieces[-1])
+        data, stop = [], None
+        for raw_line in chunk.splitlines():
+            line = raw_line.strip()
+            if not line or line[0] == "c":
+                continue
+            if line == "%" or (line[0] == "p" and num_vars is not None):
+                stop = line
+                break
+            if line[0] == "p":
+                parts = line.split()
+                if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                    raise MalformedToken(f"bad problem line: {line!r}")
+                try:
+                    num_vars, declared_clauses = int(parts[2]), int(parts[3])
+                except ValueError:
+                    raise MalformedToken(f"bad problem line: {line!r}") from None
+                if num_vars < 1 or declared_clauses < 0:
+                    raise MalformedToken(f"bad problem line counts: {line!r}")
+            elif num_vars is None:
+                raise MissingHeader("clause data before the problem line")
+            else:
+                data.append(line)
+        chunks.append(_integers(" ".join(data).split()))
         if stop == "%":
             break
         if stop:
             raise MalformedToken("duplicate problem line")
     if num_vars is None:
         raise MissingHeader("no problem line found")
-    ends = np.concatenate(ends)
-    if count > (ends[-1] if len(ends) else 0):
+    values = np.concatenate(chunks)
+    zeros = np.flatnonzero(values == 0)
+    if len(values) > (zeros[-1] + 1 if len(zeros) else 0):
         raise MalformedToken("unterminated clause at end of input")
-    if len(ends) != declared_clauses:
+    if len(zeros) != declared_clauses:
         raise HeaderMismatch(
-            f"header declares {declared_clauses} clauses, parsed {len(ends)}")
-    return CnfFormula._from_arena(num_vars, np.concatenate(pieces), np.diff(ends, prepend=0),
-                                  source_id)
+            f"header declares {declared_clauses} clauses, parsed {len(zeros)}")
+    formula = CnfFormula.__new__(CnfFormula)  # the arena, with no clause lists on the way
+    formula._fill(num_vars, values[values != 0], np.diff(zeros, prepend=-1) - 1, source_id)
+    return formula
 
 
 def write_dimacs(formula: CnfFormula) -> str:
@@ -227,7 +207,11 @@ def write_dimacs(formula: CnfFormula) -> str:
 
 
 def read_dimacs_file(path) -> CnfFormula:
-    """The formula of a DIMACS file, read as UTF-8 (`runtimes.read_utf8`
-    names the file and line of a byte that is not)."""
+    """The formula of a DIMACS file, read as UTF-8: a byte that is not is a
+    `DimacsError` naming the file and its line (`runtimes.read_utf8`)."""
     p = Path(path)
-    return parse_dimacs(read_utf8(p), source_id=p.stem)
+    try:
+        text = read_utf8(p)
+    except ValueError as exc:
+        raise DimacsError(str(exc)) from None
+    return parse_dimacs(text, source_id=p.stem)

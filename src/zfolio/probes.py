@@ -50,7 +50,7 @@ class ProbeBudget:
     every 256 DPLL decisions. No check interrupts parsing, `base_features`,
     the formula's occurrence lists, `_SlsState` or `PropagationEngine`, so
     each can overrun the budget by its own time; on a 200 k-variable random
-    3-CNF they take 0.4, 0.8, 1.2, 1.1 and 0.02 s. Parsing counts against
+    3-CNF they take 0.7, 0.8, 1.2, 1.1 and 0.02 s. Parsing counts against
     the budget in `extract_file`, which starts the clock before it reads.
     """
 

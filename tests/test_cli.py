@@ -77,6 +77,20 @@ def test_features_command_skips_a_failing_instance(tmp_path, cnf_dir, monkeypatc
     assert "skipping inst2" in err and "RuntimeError: probe exploded" in err
 
 
+def test_features_command_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.setenv("ZF_WORKERS", "1")
+    (tmp_path / "cnf").mkdir()
+    (tmp_path / "cnf" / "bad.cnf").write_bytes(b"p cnf 2 1\n1 \xff2 0\n")
+    (tmp_path / "cnf" / "good.cnf").write_text("p cnf 2 1\n1 -2 0\n")
+    out = tmp_path / "features.csv"
+    assert main(["features", str(tmp_path / "cnf"), "-o", str(out), "--deterministic",
+                 "--max-ls-steps", "100"]) == 0
+    assert sorted(load_feature_csv(out)) == ["good"]
+    assert capsys.readouterr().err == (
+        f"skipping bad: {tmp_path / 'cnf' / 'bad.cnf'}, line 2: byte 0xff is not UTF-8\n")
+
+
 def test_collect_command(tmp_path, cnf_dir, monkeypatch):
     monkeypatch.setenv("ZF_WORKERS", "2")
     a = script_solver(tmp_path, "sat-solver", 'echo "s SATISFIABLE"\nexit 10\n')

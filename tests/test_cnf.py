@@ -5,6 +5,7 @@ import pytest
 from zfolio import cnf
 from zfolio.cnf import (
     CnfFormula,
+    DimacsError,
     EmptyClause,
     HeaderMismatch,
     LiteralOutOfRange,
@@ -168,7 +169,7 @@ def test_formula_keeps_no_per_clause_list():
 def test_read_dimacs_file_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path = tmp_path / "bad.cnf"
     path.write_bytes(b"p cnf 2 1\n1 \xff2 0\n")
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(DimacsError) as exc:
         read_dimacs_file(path)
     assert str(exc.value) == f"{path}, line 2: byte 0xff is not UTF-8"
     path.write_bytes("c é\np cnf 2 1\n1 -2 0\n".encode())

@@ -438,15 +438,16 @@ def _start_from_scratch(formula, rng):
     """A run's start computed clause by clause: the assignment, true counts,
     unsatisfied clauses in insertion order, each variable's occurrences in
     them and scores."""
+    clauses = formula.clauses  # rebuilt on each access
     assign = [False] + [rng.random() < 0.5 for _ in range(formula.num_vars)]
-    true_count = [sum(assign[abs(lit)] == (lit > 0) for lit in c) for c in formula.clauses]
+    true_count = [sum(assign[abs(lit)] == (lit > 0) for lit in c) for c in clauses]
     unsat = {ci for ci, tc in enumerate(true_count) if tc == 0}
     cand_count = [0] * (formula.num_vars + 1)
     for ci in unsat:
-        for lit in formula.clauses[ci]:
+        for lit in clauses[ci]:
             cand_count[abs(lit)] += 1
     score = [0] * (formula.num_vars + 1)
-    for clause, tc in zip(formula.clauses, true_count):
+    for clause, tc in zip(clauses, true_count):
         for lit in clause:
             true = assign[abs(lit)] == (lit > 0)
             if true and tc == 1:
