@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
 import traceback
@@ -25,8 +24,8 @@ from . import evaluation, execution, features as features_mod, portfolio as port
 from .cnf import DimacsError
 from .probes import ProbeBudget
 from .runners import ExternalRunner
-from .runtimes import (SolverDescriptor, load_json, load_runtime_csv, read_csv_table,
-                       read_utf8, save_runtime_csv, solver_descriptors)
+from .runtimes import (SolverDescriptor, csv_text, load_json, load_runtime_csv, read_csv_table,
+                       read_utf8, save_json, save_runtime_csv, solver_descriptors, write_utf8)
 from .scoring import PurseConfig, load_purse_config, save_purse_config, singleton_series
 from .synthetic import generate_benchmark
 
@@ -107,16 +106,21 @@ def _read_instance_ids(path) -> list[str]:
     return sorted(set(lines))
 
 
+def split_ratios(text) -> tuple[float, float, float]:
+    """A --ratios value: three comma-separated numbers."""
+    ratios = tuple(map(float, text.split(",")))
+    if len(ratios) != 3:
+        raise argparse.ArgumentTypeError(f"expected 3 comma-separated numbers, got {text!r}")
+    return ratios
+
+
 def cmd_split(args) -> int:
     ids = _read_instance_ids(args.source)
-    ratios = tuple(float(r) for r in args.ratios.split(","))
-    train, valid, test = evaluation.split_data(ids, ratios, args.seed)
-    doc = {
-        "ratios": list(ratios), "seed": args.seed,
+    train, valid, test = evaluation.split_data(ids, args.ratios, args.seed)
+    save_json(args.output, {
+        "ratios": list(args.ratios), "seed": args.seed,
         "train": train, "validation": valid, "test": test,
-    }
-    with open(args.output, "w") as fh:
-        json.dump(doc, fh, indent=1)
+    })
     print(f"split {len(ids)} instances into {len(train)}/{len(valid)}/{len(test)}")
     return 0
 
@@ -155,8 +159,7 @@ def cmd_train(args) -> int:
         train, valid = load_json(args.split, lambda doc: [kept_part(doc, "train"),
                                                           kept_part(doc, "validation")])
     else:
-        ratios = tuple(float(r) for r in args.ratios.split(","))
-        train, valid, _ = evaluation.split_data(kept, ratios, args.seed)
+        train, valid, _ = evaluation.split_data(kept, args.ratios, args.seed)
 
     purse, series = _load_purse(args.purse, kept) if args.purse else (None, None)
 
@@ -242,7 +245,7 @@ def cmd_evaluate(args) -> int:
     report = evaluation.evaluate(matrix, purse, series)
     text = report.to_csv()
     if args.output:
-        Path(args.output).write_text(text)
+        write_utf8(args.output, text)
         print(f"wrote {args.output}")
     else:
         print(text, end="")
@@ -258,15 +261,12 @@ def cmd_synth_bench(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     features_mod.save_feature_csv(outdir / "features.csv", bench.features)
     save_runtime_csv(outdir / "runtimes.csv", bench.matrix)
-    with open(outdir / "solvers.json", "w") as fh:
-        json.dump([asdict(d) for d in bench.descriptors], fh, indent=1)
+    save_json(outdir / "solvers.json", [asdict(d) for d in bench.descriptors])
     save_purse_config(outdir / "purse.json", bench.purse, bench.series)
-    with open(outdir / "labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "satisfiable", "category"])
-        for inst in bench.instances:
-            writer.writerow([inst.id, "sat" if inst.satisfiable else "unsat",
-                             inst.category])
+    write_utf8(outdir / "labels.csv", csv_text(
+        ("instance_id", "satisfiable", "category"),
+        ([inst.id, "sat" if inst.satisfiable else "unsat", inst.category]
+         for inst in bench.instances)))
     print(f"wrote synthetic benchmark ({args.instances} instances, "
           f"{len(bench.descriptors)} solvers) to {outdir}")
     return 0
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="split instances into train/validation/test")
     p.add_argument("source", help="features.csv, runtimes.csv or an id list")
-    p.add_argument("--ratios", default="0.4,0.3,0.3")
+    p.add_argument("--ratios", type=split_ratios, default="0.4,0.3,0.3")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_split)
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=["runtime", "score"], default="runtime")
     p.add_argument("--hierarchy", choices=["none", "sat2", "general6"], default="none")
     p.add_argument("--split", help="split JSON from the split command")
-    p.add_argument("--ratios", default="0.4,0.3,0.3")
+    p.add_argument("--ratios", type=split_ratios, default="0.4,0.3,0.3")
     p.add_argument("--purse", help="purse/series JSON (needed for score)")
     p.add_argument("--labels", help="labels CSV (categories for general6)")
     p.add_argument("--cutoff", type=float, default=settings.cutoff_seconds)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .runtimes import read_utf8
+from .runtimes import integer, read_utf8
 
 CHUNK_CHARS = 1 << 20  # the text is parsed about this many characters at a time
 
@@ -59,10 +59,15 @@ class CnfFormula:
     `literals`, every literal occurrence in clause order (int64), and
     `clause_lengths`. Equality compares `num_vars` and the arena;
     `source_id` is an opaque instance identifier and does not take part in it.
+    A `num_vars` or literal that is not an int (a float or a bool) raises.
     """
 
     def __init__(self, num_vars: int, clauses: list[list[int]], source_id: str = ""):
-        self._fill(num_vars, _integers(list(chain.from_iterable(clauses))),
+        integer("num_vars", num_vars)
+        literals = list(chain.from_iterable(clauses))
+        for kind in dict.fromkeys(map(type, literals)):  # one check per type, in order
+            integer("literal", next(lit for lit in literals if type(lit) is kind))
+        self._fill(num_vars, _integers(literals),
                    np.fromiter(map(len, clauses), np.int64, len(clauses)), source_id)
 
     def _fill(self, num_vars, literals, clause_lengths, source_id) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .runtimes import RuntimeMatrix
+from .runtimes import RuntimeMatrix, csv_text
 from .scoring import PurseConfig, ScoreBreakdown, ScoreContext, SeriesMap, competition_score
 
 
@@ -22,8 +22,11 @@ def split_data(instance_ids, ratios=(0.4, 0.3, 0.3), seed: int = 0):
 
     Sizes use largest-remainder rounding; the shuffle is seeded and applied
     to a sorted copy, so the partition is independent of input order. An id
-    given twice raises a ValueError, as it would land in two parts.
+    given twice raises a ValueError, as it would land in two parts, and so
+    do ratios that are negative, not finite or do not sum to 1.
     """
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise ValueError(f"ratios must be finite and nonnegative, got {list(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
     ids = sorted(instance_ids)
@@ -78,11 +81,11 @@ class EvaluationReport:
         return next(r for r in self.rows if r.solver_id == solver_id)
 
     def to_csv(self) -> str:
-        lines = ["solver_id,avg_runtime,pct_solved,solution,speed,series,total"]
-        for r in [*self.rows, self.oracle]:
-            lines.append(f"{r.solver_id},{r.avg_runtime!r},{r.pct_solved!r},{r.score.solution!r},"
-                         f"{r.score.speed!r},{r.score.series!r},{r.score.total!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("solver_id", "avg_runtime", "pct_solved", "solution", "speed", "series", "total"),
+            ([r.solver_id, *map(repr, (r.avg_runtime, r.pct_solved, r.score.solution,
+                                       r.score.speed, r.score.series, r.score.total))]
+             for r in [*self.rows, self.oracle]))
 
 
 def _summary(solver_id, solved_times, n_total, cutoff, score) -> SolverSummary:

@@ -22,7 +22,6 @@ for ratio data. All feature values are finite.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import random
 import time
@@ -35,7 +34,7 @@ from scipy import sparse
 from .cnf import CnfFormula, read_dimacs_file
 from .probes import (DPLL_NAMES, GSAT_NAMES, SAPS_NAMES, ProbeBudget, _SlsState, dpll_probe,
                      gsat_probe, saps_probe)
-from .runtimes import parse_number, read_csv_table
+from .runtimes import csv_text, parse_number, read_csv_table, write_utf8
 
 STATIC_NAMES = (
     "f01_nclauses",
@@ -222,16 +221,10 @@ CSV_HEADER = ("instance_id",) + FEATURE_NAMES + ("feature_time", "timed_out")
 
 def save_feature_csv(path, table: dict[str, FeatureVector]) -> None:
     """Write a feature matrix; timed-out rows carry empty feature cells."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for iid in sorted(table):
-            fv = table[iid]
-            if fv.values is None:
-                cells = [""] * NUM_FEATURES
-            else:
-                cells = [repr(float(v)) for v in fv.values]
-            writer.writerow([iid, *cells, repr(fv.feature_time_seconds), int(fv.timed_out)])
+    write_utf8(path, csv_text(CSV_HEADER, (
+        [iid, *([""] * NUM_FEATURES if fv.values is None else [repr(float(v)) for v in fv.values]),
+         repr(fv.feature_time_seconds), int(fv.timed_out)]
+        for iid, fv in sorted(table.items()))))
 
 
 def _feature_row(iid, *cells) -> FeatureVector:

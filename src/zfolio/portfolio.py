@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import logging
 import math
 import time
@@ -76,8 +75,10 @@ from .runtimes import (
     RunRecord,
     RuntimeMatrix,
     SolverDescriptor,
+    integer,
     load_json,
     parse_number,
+    save_json,
     solver_descriptors,
 )
 from .scoring import (
@@ -635,12 +636,14 @@ class BuildSettings:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.hierarchy not in ("none", "sat2", "general6"):
             raise ValueError(f"unknown hierarchy mode {self.hierarchy!r}")
-        if self.cutoff_seconds <= 0:
-            raise ValueError("cutoff_seconds must be positive")
+        cutoff = self.cutoff_seconds
+        if not (math.isfinite(cutoff) and cutoff > 0):
+            raise ValueError(f"cutoff_seconds must be finite and positive, got {cutoff!r}")
         for name, least in (("cv_folds", 2), ("max_raw_terms", 1), ("presolver_top", 1),
                             ("min_training_rows", 2)):
-            if getattr(self, name) < least:
+            if integer(name, getattr(self, name)) < least:
                 raise ValueError(f"{name} must be at least {least}")
+        integer("seed", self.seed)  # stored in the portfolio, which load_portfolio checks
 
 
 class _ModelTrainer:
@@ -1062,13 +1065,12 @@ def portfolio_from_doc(doc: dict) -> PortfolioConfig:
         descriptors=descriptors,
         cutoff_seconds=parse_number("cutoff_seconds", doc["cutoff_seconds"]),
         feature_budget=ProbeBudget(**doc["feature_budget"]),
-        seed=int(doc["seed"]),
+        seed=integer("seed", doc["seed"]),
     )
 
 
 def save_portfolio(portfolio: PortfolioConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(portfolio_to_doc(portfolio), fh, indent=1)
+    save_json(path, portfolio_to_doc(portfolio))
 
 
 def load_portfolio(path) -> PortfolioConfig:

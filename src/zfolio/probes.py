@@ -68,7 +68,7 @@ class ProbeBudget:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("max_ls_steps", "ls_runs", "dpll_runs"):
             value = getattr(self, name)
-            if not (isinstance(value, Integral) and value > 0):
+            if isinstance(value, bool) or not (isinstance(value, Integral) and value > 0):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 

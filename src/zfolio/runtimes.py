@@ -1,13 +1,16 @@
-"""Run records, the solver-by-instance runtime matrix, and the readers that
-name the file and line of each fault in the CSV and JSON inputs."""
+"""Run records, the solver-by-instance runtime matrix, and one UTF-8 writer
+and reader per file format (CSV, JSON); the readers name each fault's line."""
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -129,8 +132,8 @@ class RuntimeMatrix:
     """
 
     def __init__(self, cutoff_seconds: float):
-        if cutoff_seconds <= 0:
-            raise ValueError("cutoff must be positive")
+        if not (math.isfinite(cutoff_seconds) and cutoff_seconds > 0):
+            raise ValueError(f"cutoff must be finite and positive, got {cutoff_seconds!r}")
         self.cutoff_seconds = float(cutoff_seconds)
         self._runs = DenseRuns([], [], np.empty((0, 0)), np.empty((0, 0), dtype=np.int8))
 
@@ -233,13 +236,11 @@ CSV_HEADER = ("instance_id", "solver_id", "runtime", "status")
 
 
 def save_runtime_csv(path, matrix: RuntimeMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        runs = matrix.dense()
-        for j, k in np.argwhere(runs.status.T != MISSING).tolist():
-            writer.writerow([runs.instances[j], runs.solvers[k],
-                             repr(runs.runtime.item(k, j)), STATUSES[runs.status.item(k, j)]])
+    runs = matrix.dense()
+    write_utf8(path, csv_text(CSV_HEADER, (
+        [runs.instances[j], runs.solvers[k], repr(runs.runtime.item(k, j)),
+         STATUSES[runs.status.item(k, j)]]
+        for j, k in np.argwhere(runs.status.T != MISSING).tolist())))
 
 
 def parse_number(field: str, value) -> float:
@@ -248,6 +249,14 @@ def parse_number(field: str, value) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{field} {value!r} is not a number") from None
+
+
+def integer(field: str, value) -> int:
+    """A JSON value or setting that is an integer, not a bool, or a ValueError
+    naming its field."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{field} {value!r} is not an integer")
+    return value
 
 
 def located(path, fault, line=None) -> ValueError:
@@ -265,45 +274,39 @@ def read_csv_table(path, columns, convert, key_width=1) -> dict:
     differs from the header's, a second row for a key, a byte that is not
     UTF-8, a row that `csv` cannot read and a ValueError from `convert` raise
     a ValueError that names the file and the line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next((row for row in reader if row), None)
-            if header is None:
-                raise located(path, "no header row")
-            for name in columns:
-                if header.count(name) != 1:
-                    fault = "a repeated" if name in header else "no"
-                    raise located(path, f"{fault} {name!r} column")
-            index = [header.index(name) for name in columns]
-            table = {}
-            for row in filter(None, reader):
-                try:
-                    if len(row) != len(header):
-                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                    cells = [row[i] for i in index]
-                    key = (tuple(cells[:key_width]) if key_width > 1 else
-                           cells[0] if key_width else reader.line_num)
-                    if key in table:
-                        raise ValueError("a second row for " + " and ".join(
-                            f"{name.removesuffix('_id')} {cell!r}"
-                            for name, cell in zip(columns, cells[:key_width])))
-                    table[key] = convert(*cells)
-                except ValueError as exc:
-                    raise located(path, exc, reader.line_num) from None
-        except csv.Error as exc:
-            raise located(path, exc, reader.line_num) from None
-        except UnicodeDecodeError:
-            # a text reader decodes a block of lines at a time, so it cannot
-            # tell the line; read_utf8 raises naming it
-            read_utf8(path)
-            raise located(path, "not UTF-8") from None
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        header = next((row for row in reader if row), None)
+        if header is None:
+            raise located(path, "no header row")
+        for name in columns:
+            if header.count(name) != 1:
+                fault = "a repeated" if name in header else "no"
+                raise located(path, f"{fault} {name!r} column")
+        index = [header.index(name) for name in columns]
+        table = {}
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                cells = [row[i] for i in index]
+                key = (tuple(cells[:key_width]) if key_width > 1 else
+                       cells[0] if key_width else reader.line_num)
+                if key in table:
+                    raise ValueError("a second row for " + " and ".join(
+                        f"{name.removesuffix('_id')} {cell!r}"
+                        for name, cell in zip(columns, cells[:key_width])))
+                table[key] = convert(*cells)
+            except ValueError as exc:
+                raise located(path, exc, reader.line_num) from None
+    except csv.Error as exc:
+        raise located(path, exc, reader.line_num) from None
     return table
 
 
 def read_utf8(path) -> str:
-    """The text of a UTF-8 file. Its first byte that is not UTF-8 raises a
-    ValueError that names the file and the byte's line."""
+    """The text of a UTF-8 file, line endings as written. Its first byte that
+    is not UTF-8 raises a ValueError that names the file and the byte's line."""
     data = Path(path).read_bytes()
     try:
         return data.decode()
@@ -312,17 +315,34 @@ def read_utf8(path) -> str:
                       data.count(b"\n", 0, exc.start) + 1) from None
 
 
+def write_utf8(path, text: str) -> None:
+    """Write `text` to a file as UTF-8, line endings as given."""
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+def csv_text(header, rows) -> str:
+    """A table in the csv module's default dialect, each row ending in \\r\\n."""
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *rows])
+    return out.getvalue()
+
+
+def save_json(path, doc) -> None:
+    """Write a JSON document, indented one space a level."""
+    write_utf8(path, json.dumps(doc, indent=1))
+
+
 def load_json(path, convert):
-    """convert(the JSON document in `path`). Invalid JSON, and a field that
-    `convert` finds missing (KeyError) or malformed (TypeError, ValueError),
-    raise a ValueError that names the file and the fault."""
-    with open(path) as fh:
-        try:
-            return convert(json.load(fh))
-        except KeyError as exc:
-            raise located(path, f"no {exc.args[0]!r} field") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise located(path, exc) from None
+    """convert(the JSON document in a UTF-8 file). A byte that is not UTF-8,
+    invalid JSON, and a field that `convert` finds missing (KeyError) or malformed
+    (TypeError, ValueError), raise a ValueError that names the file and the fault."""
+    text = read_utf8(path)
+    try:
+        return convert(json.loads(text))
+    except KeyError as exc:
+        raise located(path, f"no {exc.args[0]!r} field") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise located(path, exc) from None
 
 
 def load_runtime_csv(path, cutoff_seconds: float) -> RuntimeMatrix:

@@ -11,12 +11,12 @@ SeriesP / (N * n), a conservative lower bound on the exact share.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .runtimes import DenseRuns, RuntimeMatrix, load_json, parse_number
+from .runtimes import DenseRuns, RuntimeMatrix, csv_text, load_json, parse_number, save_json
 
 
 class MissingReferenceRuns(ValueError):
@@ -38,10 +38,11 @@ class PurseConfig:
     time_limit: float = 1200.0
 
     def __post_init__(self):
-        if min(self.solution_purse, self.speed_purse, self.series_purse) < 0:
-            raise ValueError("purse values must be nonnegative")
-        if self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        for f in fields(self):
+            value, positive = getattr(self, f.name), f.name == "time_limit"
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                raise ValueError(f"{f.name} must be finite and "
+                                 f"{'positive' if positive else 'nonnegative'}, got {value!r}")
 
 
 # instance_id -> series_id; a trivial map puts each instance in its own series
@@ -239,19 +240,16 @@ class ScoreContext:
 
 
 def score_report_csv(totals: dict[str, ScoreBreakdown]) -> str:
-    lines = ["solver_id,solution,speed,series,total"]
-    for s in sorted(totals):
-        b = totals[s]
-        lines.append(f"{s},{b.solution!r},{b.speed!r},{b.series!r},{b.total!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("solver_id", "solution", "speed", "series", "total"), (
+        [s, *map(repr, (b.solution, b.speed, b.series, b.total))]
+        for s, b in sorted(totals.items())))
 
 
 def save_purse_config(path, purse: PurseConfig, series: SeriesMap) -> None:
     doc = {**asdict(purse), "series": {}}
     for sid, members in series_groups(series, list(series)).items():
         doc["series"][sid] = sorted(members)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+    save_json(path, doc)
 
 
 def load_purse_config(path) -> tuple[PurseConfig, SeriesMap]:

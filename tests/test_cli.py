@@ -17,7 +17,8 @@ from zfolio.portfolio import (FORMAT_TAG, BuildSettings, build_portfolio, load_p
                               save_portfolio)
 from zfolio.probes import ProbeBudget
 from zfolio.runners import ExternalRunner
-from zfolio.runtimes import SolverDescriptor, load_runtime_csv
+from zfolio.runtimes import (RunRecord, RuntimeMatrix, SolverDescriptor, load_runtime_csv,
+                             save_runtime_csv)
 from zfolio.scoring import load_purse_config
 from zfolio.synthetic import generate_benchmark
 from conftest import package_env, random_3cnf, small_train_flags
@@ -158,6 +159,51 @@ def test_split_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     with pytest.raises(ValueError) as exc:
         main(["split", str(src), "-o", str(tmp_path / "split.json")])
     assert str(exc.value) == f"{src}, line 2: byte 0xff is not UTF-8"
+
+
+@pytest.mark.parametrize("command", ["split", "train"])
+@pytest.mark.parametrize("ratios, fault", [
+    ("0.5,0.5", "expected 3 comma-separated numbers, got '0.5,0.5'"),
+    ("0.4,0.3,0.2,0.1", "expected 3 comma-separated numbers, got '0.4,0.3,0.2,0.1'"),
+    ("0.4,x,0.6", "invalid split_ratios value: '0.4,x,0.6'"),
+], ids=["two", "four", "word"])
+def test_ratios_flag_names_a_value_that_is_not_three_numbers(tmp_path, capsys, command, ratios,
+                                                            fault):
+    source = [str(tmp_path / "ids.txt")] if command == "split" else small_train_flags(tmp_path)[1:]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--ratios", ratios, "-o", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --ratios: {fault}\n")
+
+
+def test_split_refuses_a_negative_ratio(tmp_path):
+    src = tmp_path / "ids.txt"
+    src.write_text("a\nb\n")
+    with pytest.raises(ValueError, match="ratios must be finite and nonnegative"):
+        main(["split", str(src), "--ratios", "1.5,-0.5,0", "-o", str(tmp_path / "split.json")])
+
+
+def test_train_refuses_a_cutoff_that_is_not_finite(tmp_path):
+    bench_dir = tmp_path / "bench"
+    assert main(["synth-bench", "--instances", "60", "--seed", "4", "-o", str(bench_dir)]) == 0
+    with pytest.raises(ValueError) as exc:
+        main([*small_train_flags(bench_dir), "--cutoff", "nan", "-o", str(tmp_path / "p.json")])
+    assert str(exc.value) == "cutoff must be finite and positive, got nan"
+
+
+def test_evaluate_report_rows_keep_the_header_width(tmp_path):
+    matrix = RuntimeMatrix(10.0)
+    ids = ["a,b", 'say "x"', " lead", "caf\u00e9"]
+    matrix.add(*(RunRecord(sid, iid, 1.0 + k, "sat") for k, sid in enumerate(ids)
+                 for iid in ids))
+    runs, report = tmp_path / "runs.csv", tmp_path / "report.csv"
+    save_runtime_csv(runs, matrix)
+    assert main(["evaluate", "--runtimes", str(runs), "--cutoff", "10", "-o", str(report)]) == 0
+    with open(report, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 7 and all(len(row) == 7 for row in rows)
+    assert [row[0] for row in rows] == [*sorted(ids), "oracle"]
+    assert report.read_bytes().count(b"\r\n") == len(ids) + 2
 
 
 def test_synth_train_evaluate_pipeline(tmp_path):
@@ -350,16 +396,44 @@ def test_labels_csv_reads_each_instances_category(tmp_path):
      "no 'speed_purse' field"),
     (load_purse_config, '{"solution_purse": 1, "speed_purse": "fast", "series_purse": 1, '
                         '"time_limit": 9}', "speed_purse 'fast' is not a number"),
+    (load_purse_config, '{"solution_purse": 1, "speed_purse": "nan", "series_purse": 1, '
+                        '"time_limit": 9}', "speed_purse must be finite and nonnegative, got nan"),
+    (load_purse_config, '{"solution_purse": 1, "speed_purse": 1, "series_purse": -1, '
+                        '"time_limit": 9}',
+     "series_purse must be finite and nonnegative, got -1.0"),
+    (load_purse_config, '{"solution_purse": 1, "speed_purse": 1, "series_purse": 1, '
+                        '"time_limit": "inf"}', "time_limit must be finite and positive, got inf"),
     (load_portfolio, '{"format": "%s"}' % FORMAT_TAG, "no 'solvers' field"),
     (load_portfolio, '{"format": ', "Expecting value: line 1 column 12 (char 11)"),
 ], ids=["solvers-id", "solvers-kind", "solvers-repeated", "purse-missing", "purse-malformed",
-        "portfolio", "invalid-json"])
+        "purse-nan", "purse-negative", "purse-inf", "portfolio", "invalid-json"])
 def test_json_input_faults_name_the_file_and_field(tmp_path, load, text, fault):
     path = tmp_path / "input.json"
     path.write_text(text)
     with pytest.raises(ValueError) as exc:
         load(path)
     assert str(exc.value) == f"{path}: {fault}"
+
+
+@pytest.mark.parametrize("load", [cli.load_solvers_config, load_purse_config, load_portfolio],
+                         ids=["solvers", "purse", "portfolio"])
+def test_json_input_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, load):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{\n "caf\xe9": 1,\n "x": "\xff"\n}\n')
+    with pytest.raises(ValueError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}, line 2: byte 0xe9 is not UTF-8"
+
+
+def test_split_file_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    bench_dir = tmp_path / "bench"
+    assert main(["synth-bench", "--instances", "60", "--seed", "4", "-o", str(bench_dir)]) == 0
+    split = tmp_path / "split.json"
+    split.write_bytes(b'{"train": [],\n "validation": [],\n\n "test": ["\xff"]}')
+    with pytest.raises(ValueError) as exc:
+        main([*small_train_flags(bench_dir), "--split", str(split),
+              "-o", str(tmp_path / "portfolio.json")])
+    assert str(exc.value) == f"{split}, line 4: byte 0xff is not UTF-8"
 
 
 @pytest.mark.parametrize("doc, fault", [

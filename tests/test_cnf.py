@@ -135,6 +135,18 @@ def test_literal_beyond_int64_is_out_of_range():
         CnfFormula(num_vars=2, clauses=[[-(2**63)]])  # int64's minimum has no absolute value
 
 
+@pytest.mark.parametrize("num_vars, clauses, fault", [
+    (2, [[1.9, -2]], "literal 1.9 is not an integer"),
+    (2, [[1, -2], [True]], "literal True is not an integer"),
+    (3, [[1, 2.0, "3"]], "literal 2.0 is not an integer"),
+    (2.0, [[1]], "num_vars 2.0 is not an integer"),
+    (True, [[1]], "num_vars True is not an integer"),
+], ids=["float", "bool", "first-in-order", "num-vars-float", "num-vars-bool"])
+def test_constructor_refuses_what_is_not_an_int(num_vars, clauses, fault):
+    with pytest.raises(ValueError, match=f"^{fault}$"):
+        CnfFormula(num_vars, clauses)
+
+
 def test_constructor_raises_the_first_fault_in_clause_order():
     with pytest.raises(LiteralOutOfRange):
         CnfFormula(num_vars=2, clauses=[[1, 0], []])

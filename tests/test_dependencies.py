@@ -1,6 +1,7 @@
 """The package imports nothing at runtime beyond the standard library,
-numpy and scipy, loads scipy's fitting modules only when it fits a model,
-and README documents each of its numeric constants."""
+numpy and scipy, opens its files only through runtimes.read_utf8 and
+write_utf8, loads scipy's fitting modules only when it fits a model, and
+README documents each of its numeric constants."""
 
 import ast
 import json
@@ -43,6 +44,52 @@ def test_sources_found():
 def test_imports_only_numpy_scipy_and_the_standard_library(path):
     outside = set(imported(ast.parse(path.read_text(), str(path)))) - ALLOWED
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+# (module, function) pairs that may open a file: the two UTF-8 helpers, and the
+# status parser that reads a solver's own output
+FILE_ACCESS_ALLOWED = {("runtimes.py", "read_utf8"), ("runtimes.py", "write_utf8"),
+                       ("execution.py", "_parse_status")}
+
+
+def file_access(node, function=None):
+    """(innermost enclosing function, call) for each call under `node` that
+    opens, reads or writes a file: open, a Path's read_/write_text and
+    read_/write_bytes, json.dump and json.load."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from file_access(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            on_json = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json"
+            if name in FILE_CALLS or (on_json and name in ("dump", "load")):
+                yield function, name
+        yield from file_access(child, function)
+
+
+def test_files_are_opened_only_by_the_utf8_helpers():
+    found = {(path.name, function, call) for path in SOURCES
+             for function, call in file_access(ast.parse(path.read_text(), str(path)))}
+    assert {("runtimes.py", "read_utf8", "read_bytes"),
+            ("runtimes.py", "write_utf8", "write_text"),
+            ("execution.py", "_parse_status", "open")} <= found
+    outside = sorted(access for access in found if access[:2] not in FILE_ACCESS_ALLOWED)
+    assert not outside, f"file access outside runtimes.read_utf8/write_utf8: {outside}"
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(p):\n    return open(p).read()", [("f", "open")]),
+    ("def f(p):\n    p.write_bytes(b'')", [("f", "write_bytes")]),
+    ("def f(d, fh):\n    json.dump(d, fh)", [("f", "dump")]),
+    ("class C:\n    def f(self, p):\n        return json.load(p.open())",
+     [("f", "load"), ("f", "open")]),
+    ("x = json.dumps(Path('a').read_text())", [(None, "read_text")]),
+], ids=["open", "write_bytes", "json.dump", "method", "module-level"])
+def test_the_file_access_scan_finds_each_kind_of_call(source, expected):
+    assert list(file_access(ast.parse(source))) == expected
 
 
 def numeric(node) -> bool:

@@ -437,3 +437,19 @@ def test_feature_csv_round_trip(tmp_path, rng):
         else:
             assert np.array_equal(got.values, fv.values)
         assert got.feature_time_seconds == fv.feature_time_seconds
+
+
+def test_feature_csv_round_trip_keeps_ids_that_need_quoting(tmp_path):
+    values = np.arange(len(FEATURE_NAMES)) / 7
+    table = {iid: FeatureVector(values + k, 0.5 + k, False)
+             for k, iid in enumerate(["a,b", 'say "x"', " lead", "café"])}
+    table['slow, "late"'] = FeatureVector(None, 61.0, True)
+    path = tmp_path / "features.csv"
+    save_feature_csv(path, table)
+    loaded = load_feature_csv(path)
+    assert list(loaded) == sorted(table)
+    for iid, fv in table.items():
+        got = loaded[iid]
+        assert (got.feature_time_seconds, got.timed_out) == (fv.feature_time_seconds, fv.timed_out)
+        assert (got.values is None if fv.values is None
+                else got.values.tobytes() == fv.values.tobytes())

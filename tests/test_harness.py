@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import stat
@@ -26,6 +27,8 @@ from zfolio.synthetic import (
 
 CUTOFF = 1200.0
 RUNS_HEADER = "instance_id,solver_id,runtime,status"
+# ids that a CSV writer must quote or keep as they are
+AWKWARD_IDS = ["a,b", 'say "x"', " lead", "caf\u00e9"]
 
 
 class TestRunRecord:
@@ -91,6 +94,23 @@ class TestRuntimeMatrix:
             for i in m.instances:
                 assert loaded.get(s, i) == m.get(s, i)
 
+    def test_csv_round_trip_keeps_ids_that_need_quoting(self, tmp_path):
+        m = RuntimeMatrix(CUTOFF)
+        for k, sid in enumerate(AWKWARD_IDS):
+            for j, iid in enumerate(AWKWARD_IDS):
+                m.add(RunRecord(sid, iid, 1.0 + k + j, "sat"))
+        path = tmp_path / "runs.csv"
+        save_runtime_csv(path, m)
+        loaded = load_runtime_csv(path, CUTOFF)
+        assert loaded.solvers == m.solvers == sorted(AWKWARD_IDS)
+        assert loaded.instances == m.instances
+        assert all(loaded.get(s, i) == m.get(s, i) for s in m.solvers for i in m.instances)
+
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), 0.0])
+    def test_a_cutoff_that_is_not_finite_and_positive_is_refused(self, cutoff):
+        with pytest.raises(ValueError, match=f"cutoff must be finite and positive, got {cutoff}"):
+            RuntimeMatrix(cutoff)
+
     @pytest.mark.parametrize("runtime", ["nan", "inf"])
     def test_csv_with_a_non_finite_runtime_is_refused(self, tmp_path, runtime):
         path = tmp_path / "runs.csv"
@@ -121,7 +141,7 @@ class TestRuntimeMatrix:
     @pytest.mark.parametrize("data, fault", [
         (f"{RUNS_HEADER}\ni0,a,1.0,sat\ni1,a,2.0,sat\xff\n", ", line 3: byte 0xff is not UTF-8"),
         (f"{RUNS_HEADER}\xff\ni0,a,1.0,sat\n", ", line 1: byte 0xff is not UTF-8"),
-        # past the first block that the text reader decodes
+        # far past the first line
         (f"{RUNS_HEADER}\n" + "".join(f"i{k},a,1.0,sat\n" for k in range(1500))
          + "j\xe9,a,1.0,sat\n",
          ", line 1502: byte 0xe9 is not UTF-8"),
@@ -337,6 +357,13 @@ class TestSplitData:
         with pytest.raises(ValueError, match="'a' is given more than once"):
             split_data(["a", "b", "a", "c", "d", "e"], seed=1)
 
+    @pytest.mark.parametrize("ratios", [(1.5, -0.5, 0.0), (math.nan, 0.5, 0.5),
+                                        (math.inf, -math.inf, 1.0)],
+                             ids=["negative", "nan", "inf"])
+    def test_a_negative_or_non_finite_ratio_is_refused(self, ratios):
+        with pytest.raises(ValueError, match="ratios must be finite and nonnegative"):
+            split_data([f"i{k}" for k in range(10)], ratios)
+
 
 class TestDropUnsolvable:
     def test_identity_when_all_solved(self):
@@ -429,6 +456,17 @@ class TestEvaluate:
         text = report.to_csv()
         assert text.startswith("solver_id,avg_runtime,pct_solved,")
         assert "oracle" in text
+
+    def test_csv_rows_read_back_with_the_header_width(self):
+        m = RuntimeMatrix(CUTOFF)
+        for k, sid in enumerate(AWKWARD_IDS):
+            m.add(RunRecord(sid, "i0", 1.0 + k, "sat"))
+        report = evaluate(m, PurseConfig(time_limit=CUTOFF), singleton_series(m.instances))
+        header, *rows = csv.reader(report.to_csv().splitlines())
+        assert len(header) == 7 and all(len(row) == 7 for row in rows)
+        assert [row[0] for row in rows] == [*sorted(AWKWARD_IDS), "oracle"]
+        assert [float(row[1]) for row in rows] == [r.avg_runtime for r in [*report.rows,
+                                                                           report.oracle]]
 
 
 class TestGenerateBenchmark:

@@ -803,8 +803,10 @@ class TestStackedSelection:
 
 class TestBuildSettings:
     @pytest.mark.parametrize("name, value", [
-        ("cutoff_seconds", 0.0), ("cutoff_seconds", -1.0), ("cv_folds", 1),
+        ("cutoff_seconds", 0.0), ("cutoff_seconds", -1.0), ("cutoff_seconds", float("nan")),
+        ("cutoff_seconds", float("inf")), ("cv_folds", 1), ("cv_folds", 2.5),
         ("max_raw_terms", 0), ("presolver_top", 0), ("min_training_rows", 1),
+        ("seed", 3.7), ("seed", True),
     ])
     def test_values_no_build_can_use_are_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -1213,6 +1215,19 @@ class TestPortfolioPersistence:
             b = loaded.models[sid].predict_matrix(X)
             assert np.array_equal(a, b)
 
+    def test_round_trip_keeps_solver_ids_that_need_quoting(self, built, tmp_path):
+        import json
+
+        text = json.dumps(portfolio_to_doc(built[0]))
+        for k, sid in enumerate(sorted(built[0].descriptors)):
+            text = text.replace(json.dumps(sid), json.dumps(f' {sid},"caf\u00e9{k}"'))
+        portfolio = portfolio_from_doc(json.loads(text))
+        path = tmp_path / "portfolio.json"
+        save_portfolio(portfolio, path)
+        loaded = load_portfolio(path)
+        assert portfolio_to_doc(loaded) == portfolio_to_doc(portfolio) == json.loads(text)
+        assert loaded.subset == portfolio.subset and loaded.subset[0].startswith(" ")
+
     def test_format_tag_checked(self, tmp_path, bench, built):
         import json
 
@@ -1246,8 +1261,12 @@ class TestPortfolioPersistence:
         ("per_probe_seconds", float("-inf"),
          "per_probe_seconds must be finite and positive, got -inf"),
         ("max_ls_steps", 2.5, "max_ls_steps must be a positive integer, got 2.5"),
+        ("ls_runs", True, "ls_runs must be a positive integer, got True"),
+        ("seed", 3.7, "seed 3.7 is not an integer"),
+        ("seed", True, "seed True is not an integer"),
+        ("seed", "5", "seed '5' is not an integer"),
     ], ids=["cutoff-nan", "cutoff-inf", "cutoff-zero", "total-nan", "per-probe-inf",
-            "steps-fraction"])
+            "steps-fraction", "runs-bool", "seed-fraction", "seed-bool", "seed-string"])
     def test_a_number_out_of_its_domain_names_the_file(self, built, tmp_path, field, value,
                                                         fault):
         import json

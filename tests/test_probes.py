@@ -49,7 +49,7 @@ def small_budget(**kw):
 @pytest.mark.parametrize("field, value", [
     ("total_seconds", float("nan")), ("total_seconds", float("inf")),
     ("per_probe_seconds", float("nan")), ("per_probe_seconds", float("-inf")),
-    ("max_ls_steps", 2.5), ("ls_runs", 4.0), ("dpll_runs", "10"),
+    ("max_ls_steps", 2.5), ("ls_runs", 4.0), ("dpll_runs", "10"), ("ls_runs", True),
 ])
 def test_probe_budget_refuses_a_value_out_of_its_domain(field, value):
     # a nan budget would be no budget: every `perf_counter() > nan` is False

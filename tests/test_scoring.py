@@ -1,3 +1,4 @@
+import csv
 import os
 import random
 import subprocess
@@ -418,8 +419,23 @@ def test_purse_config_round_trip(tmp_path):
     assert series2 == series
 
 
+def test_purse_config_round_trip_keeps_ids_that_need_quoting(tmp_path):
+    series = {"a,b": 'say "x"', " lead": 'say "x"', "caf\u00e9": "caf\u00e9"}
+    path = tmp_path / "purse.json"
+    save_purse_config(path, PurseConfig(), series)
+    assert load_purse_config(path) == (PurseConfig(), series)
+
+
 def test_score_report_csv():
     totals = {"a": ScoreBreakdown(1.0, 2.0, 3.0)}
     text = score_report_csv(totals)
     assert text.splitlines()[0] == "solver_id,solution,speed,series,total"
     assert text.splitlines()[1].startswith("a,1.0,2.0,3.0,6.0")
+
+
+def test_score_report_rows_read_back_with_the_header_width():
+    totals = {sid: ScoreBreakdown(k, 2.0, 3.0) for k, sid in enumerate(
+        ["a,b", 'say "x"', " lead", "caf\u00e9"])}
+    header, *rows = csv.reader(score_report_csv(totals).splitlines())
+    assert len(header) == 5 and all(len(row) == 5 for row in rows)
+    assert {row[0]: float(row[4]) for row in rows} == {s: b.total for s, b in totals.items()}
