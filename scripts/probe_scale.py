@@ -14,14 +14,20 @@ feature values and the DPLL, SAPS and GSAT feature values, so two checkouts
 can be compared for speed and for identical features. The layers are parse
 (which fills and checks the formula's clause arena), static, index (the
 formula's occurrence lists, which SAPS, GSAT and DPLL then read), SAPS, GSAT
-and DPLL.
+and DPLL. `peak_rss_mb` is the process's peak resident set after them
+(`ru_maxrss`, formula text included). `static_peak_mb` is the tracemalloc
+peak of one more `base_features` call, made after the timed layers so that
+tracing slows none of them (the formula's cached `literal_clause` is not
+rebuilt in it).
 """
 
 import argparse
 import json
 import random
+import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -63,6 +69,11 @@ def main(argv=None) -> dict:
     saps, saps_s = timed(saps_probe, formula, BUDGET, SEED)
     gsat, gsat_s = timed(gsat_probe, formula, BUDGET, SEED)
     dpll, dpll_s = timed(dpll_probe, formula, BUDGET, SEED)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    tracemalloc.start()
+    base_features(formula)
+    static_peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     steps = BUDGET.ls_runs * (BUDGET.max_ls_steps // BUDGET.ls_runs)
     report = {
         "vars": formula.num_vars,
@@ -77,6 +88,8 @@ def main(argv=None) -> dict:
         "dpll_s": dpll_s,
         "saps_steps_per_s": steps / saps_s,
         "gsat_steps_per_s": steps / gsat_s,
+        "peak_rss_mb": peak_rss_mb,
+        "static_peak_mb": static_peak_mb,
         "static_features": static,
         "features": {**dpll, **saps, **gsat},
     }

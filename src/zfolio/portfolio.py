@@ -1041,6 +1041,28 @@ def portfolio_to_doc(portfolio: PortfolioConfig) -> dict:
     }
 
 
+def _check_usable(field: str, model) -> None:
+    """Refuse a loaded model that `solve` cannot apply to a feature vector:
+    a basis term outside the features, or a classifier or gate weight that
+    is not finite."""
+    experts = [(field, model)]
+    if isinstance(model, HierarchicalModel):
+        experts = [(f"{field}.conditional_models[{k}]", m)
+                   for k, m in enumerate(model.conditional_models)]
+        for name, weights in (("classifier.weights", model.classifier.weights),
+                              ("gating_weights", model.gating_weights)):
+            if not np.all(np.isfinite(weights)):
+                raise ValueError(f"{field}.{name} must be finite")
+    for name, expert in experts:
+        basis = expert.basis
+        for part, indices in (("raw_indices", basis.raw_indices),
+                              ("product_pairs", itertools.chain(*basis.product_pairs))):
+            bad = [i for i in indices if not 0 <= i < len(FEATURE_NAMES)]
+            if bad:
+                raise ValueError(f"{name}.basis.{part}: {bad[0]} is not a feature index "
+                                 f"(0 to {len(FEATURE_NAMES) - 1})")
+
+
 def portfolio_from_doc(doc: dict) -> PortfolioConfig:
     if doc.get("format") != FORMAT_TAG:
         raise ValueError(f"unsupported portfolio format {doc.get('format')!r}")
@@ -1052,6 +1074,7 @@ def portfolio_from_doc(doc: dict) -> PortfolioConfig:
             models[sid] = hier_from_doc(mdoc, classifiers)
         else:
             models[sid] = model_from_doc(mdoc)
+        _check_usable(f"models[{sid!r}]", models[sid])
     schedule = PresolverSchedule(tuple(
         PresolverEntry(e["solver_id"], e["kind"], parse_number("cutoff", e["cutoff"]))
         for e in doc["presolvers"]

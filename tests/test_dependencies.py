@@ -1,7 +1,7 @@
 """The package imports nothing at runtime beyond the standard library,
 numpy and scipy, opens its files only through runtimes.read_utf8 and
-write_utf8, loads scipy's fitting modules only when it fits a model, and
-README documents each of its numeric constants."""
+write_utf8, loads scipy only when it fits a model, and README documents
+each of its numeric constants."""
 
 import ast
 import json
@@ -140,8 +140,6 @@ def test_each_feature_name_is_written_once():
     assert len(written) >= 40 and not repeated, f"written more than once: {repeated}"
 
 
-FITTING_MODULES = ("scipy.linalg", "scipy.special", "scipy.optimize")
-
 # Run in a fresh interpreter by run_fresh: the extraction and the solves
 # that `zfolio features` and `zfolio solve` make, in-process (ZF_WORKERS=1).
 SOLVE_SCRIPT = """
@@ -165,8 +163,9 @@ print(predicted)
 
 def run_fresh(script, *args):
     """Run `script` in a fresh interpreter with ZF_WORKERS=1; return its last
-    line of output and the fitting modules it left loaded."""
-    probe = f"\nimport json\nprint(json.dumps([m for m in {FITTING_MODULES} if m in sys.modules]))"
+    line of output and the scipy modules it left loaded."""
+    probe = ("\nimport json, sys\nprint(json.dumps([m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy']))")
     done = subprocess.run([sys.executable, "-c", script + probe, *map(str, args)], cwd=ROOT,
                           env=package_env(ZF_WORKERS="1"), capture_output=True, text=True,
                           timeout=300)
@@ -202,6 +201,10 @@ def test_features_and_solve_never_load_the_fitting_modules(bench, tmp_path):
     assert all(json.loads(predicted))
     assert (tmp_path / "features.csv").read_text().count("\n") == 2
     assert not loaded, f"loaded {sorted(loaded)}"
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    assert run_fresh("import zfolio") == ("", set())
 
 
 def test_a_flat_runtime_build_never_loads_the_optimizer(bench, tmp_path):

@@ -10,6 +10,7 @@ from zfolio.cnf import CnfFormula
 from zfolio.features import (
     FEATURE_NAMES,
     FeatureVector,
+    _vg_degrees,
     base_features,
     extract_all,
     extract_file,
@@ -133,6 +134,16 @@ def test_random_formula_properties():
         assert f["f03_clause_var_ratio"] == f["f01_nclauses"] / f["f02_nvars"]
 
 
+def _reference_vg_degrees(formula):
+    """Per variable, the number of other variables it shares a clause with."""
+    neighbours = [set() for _ in range(formula.num_vars + 1)]
+    for clause in formula.clauses:
+        distinct = {abs(lit) for lit in clause}
+        for v in distinct:
+            neighbours[v] |= distinct - {v}
+    return [len(n) for n in neighbours[1:]]
+
+
 def _reference_base_features(formula):
     """Features 1-33 computed clause by clause, as zfolio did before it
     computed them from the flat literal index: the oracle of the test below."""
@@ -168,7 +179,6 @@ def _reference_base_features(formula):
     var_deg = np.zeros(nv, dtype=int)
     pos_occ = np.zeros(nv, dtype=int)
     horn_occ = np.zeros(nv, dtype=int)
-    vg_neighbors = [set() for _ in range(nv + 1)]
     clause_len = np.zeros(nc, dtype=int)
     clause_pos_ratio = np.zeros(nc, dtype=float)
     horn_clauses = binary = ternary = 0
@@ -190,10 +200,7 @@ def _reference_base_features(formula):
             horn_clauses += 1
             for lit in clause:
                 horn_occ[abs(lit) - 1] += 1
-        distinct = {abs(lit) for lit in clause}
-        for v in distinct:
-            vg_neighbors[v].update(distinct)
-    vg_deg = np.array([len(vg_neighbors[v] - {v}) for v in range(1, nv + 1)], dtype=int)
+    vg_deg = np.array(_reference_vg_degrees(formula), dtype=int)
     occurring = var_deg > 0
     var_pos_ratio = pos_occ[occurring] / var_deg[occurring] if occurring.any() else np.zeros(0)
     cr = stats(clause_pos_ratio, entropy_ratio)
@@ -217,11 +224,14 @@ def _wild_cnf(rng):
     return CnfFormula(nv, clauses)
 
 
+_LONG = random.Random(31)
 EDGE_CASES = [
     CnfFormula(3, []),
     CnfFormula(1, [[1, -1, 1]]),
     CnfFormula(3, [[2, 2, 2], [-3]]),
     CnfFormula(1, [[1], [-1]]),
+    CnfFormula(300, [[_LONG.choice((1, -1)) * _LONG.randint(1, 250) for _ in range(200)],
+                     [1, 2], [260], [-260, 299]]),  # one 200-literal clause
 ]
 
 
@@ -236,6 +246,14 @@ def test_static_features_bit_identical_to_the_clause_loop():
         assert [type(v) for v in got.values()] == [float] * 33
         assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}, \
             formula
+
+
+def test_variable_graph_degree_matches_the_neighbour_sets():
+    # features 14-17 are its statistics, checked bit for bit above
+    rng = random.Random(31)
+    for formula in EDGE_CASES + [_wild_cnf(rng) for _ in range(600)]:
+        got = _vg_degrees(np.abs(formula.literals) - 1, formula.clause_lengths, formula.num_vars)
+        assert got.tolist() == _reference_vg_degrees(formula), formula
 
 
 # the 48 names in feature-number order, as written in every feature CSV

@@ -1191,6 +1191,37 @@ class TestSolve:
         assert budgets[-1] == dataclasses.replace(
             long.feature_budget, total_seconds=long.cutoff_seconds - presolved)
 
+    def at_the_boundary(self, bench, built, presolvers=(), feature_time=0.0):
+        """Solve one instance with a 10.5 s cutoff, where every solver but
+        `presolvers[0]` solves in 0.3 s and that one times out."""
+        portfolio = dataclasses.replace(built[0], presolvers=PresolverSchedule(presolvers),
+                                        cutoff_seconds=10.5)
+        slow = presolvers[0].solver_id if presolvers else None
+        matrix = RuntimeMatrix(10.5)
+        matrix.add(*(RunRecord(sid, "x", 10.5, "timeout") if sid == slow else
+                     RunRecord(sid, "x", 0.3, "sat") for sid in portfolio.descriptors))
+        values = next(fv.values for fv in bench.features.values() if fv.usable)
+        runner = SimulatedRunner({"x": FeatureVector(values, feature_time, False)}, matrix)
+        return solve(portfolio, "x", runner)
+
+    def test_a_presolver_with_half_a_second_left_still_runs(self, bench, built):
+        # the first pre-solver times out at 10 s of the 10.5 s cutoff; the
+        # second then runs with 0.5 s and solves in 0.3 s
+        first, second = sorted(built[0].descriptors)[:2]
+        outcome = self.at_the_boundary(bench, built, (PresolverEntry(first, "complete", 10.0),
+                                                      PresolverEntry(second, "local_search", 2.0)))
+        assert outcome.trace[1]["budget"] == 0.5
+        assert (outcome.status, outcome.chosen_solver) == ("sat", f"presolver:{second}")
+        assert outcome.total_time_seconds == pytest.approx(10.3)
+
+    def test_a_main_run_with_half_a_second_left_still_runs(self, bench, built):
+        # features take 10 s of the 10.5 s cutoff; the best predicted solver
+        # then runs with 0.5 s and solves in 0.3 s
+        outcome = self.at_the_boundary(bench, built, feature_time=10.0)
+        assert [t["phase"] for t in outcome.trace] == ["features", "predict", "main"]
+        assert outcome.status == "sat" and outcome.chosen_solver in built[0].subset
+        assert outcome.total_time_seconds == pytest.approx(10.3)
+
     def test_time_accounting(self, bench, built):
         portfolio = built[0]
         runner = SimulatedRunner(bench.features, bench.matrix)
@@ -1252,6 +1283,64 @@ class TestPortfolioPersistence:
             with pytest.raises(ValueError, match="no descriptor"):
                 portfolio_from_doc(bad)
         portfolio_from_doc(doc)
+
+    @pytest.fixture(scope="class")
+    def gated_doc(self):
+        """The document of a small max_score/sat2 build: hierarchical models."""
+        bench = generate_benchmark(num_instances=30, seed=1)
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, valid, _ = split_data(kept, seed=1)
+        portfolio = build_portfolio(
+            train, valid, bench.features, bench.matrix.restrict(instances=[*train, *valid]),
+            bench.descriptors, small_settings("max_score", hierarchy="sat2"), bench.purse,
+            bench.series)
+        return portfolio_to_doc(portfolio)
+
+    @staticmethod
+    def set_raw_index(model, value):
+        model["conditional_models"][0]["basis"]["raw_indices"][0] = value
+
+    @staticmethod
+    def set_product_factor(model, value):
+        basis = model["conditional_models"][1]["basis"]
+        basis["product_pairs"] = [*basis["product_pairs"], [0, value]]
+        basis["means"].append(0.0)
+        basis["scales"].append(1.0)
+        model["conditional_models"][1]["weights"].append(0.0)
+
+    @staticmethod
+    def set_gate_weight(model, value):
+        model["gating_weights"][0][-1] = value
+
+    @staticmethod
+    def set_classifier_weight(model, value):
+        model["classifier"]["weights"][0][1] = value
+
+    @pytest.mark.parametrize("mutate, value, fault", [
+        (set_raw_index, 184, "conditional_models[0].basis.raw_indices: 184 is not a feature"
+                             " index (0 to 47)"),
+        (set_raw_index, -1, "conditional_models[0].basis.raw_indices: -1 is not a feature"
+                            " index (0 to 47)"),
+        (set_product_factor, 48, "conditional_models[1].basis.product_pairs: 48 is not a"
+                                 " feature index (0 to 47)"),
+        (set_gate_weight, float("inf"), "gating_weights must be finite"),
+        (set_classifier_weight, float("nan"), "classifier.weights must be finite"),
+    ], ids=["raw-index-184", "raw-index-negative", "product-factor", "gate-inf",
+            "classifier-nan"])
+    def test_a_model_solve_cannot_apply_is_refused(self, gated_doc, tmp_path, mutate, value,
+                                                   fault):
+        import copy
+        import json
+
+        doc = copy.deepcopy(gated_doc)
+        sid = doc["subset"][0]
+        assert doc["models"][sid]["type"] == "hierarchical"
+        mutate(doc["models"][sid], value)
+        path = tmp_path / "portfolio.json"
+        path.write_text(json.dumps(doc))  # inf and nan as JSON's Infinity and NaN
+        with pytest.raises(ValueError) as exc:
+            load_portfolio(path)
+        assert str(exc.value) == f"{path}: models[{sid!r}].{fault}"
 
     @pytest.mark.parametrize("field, value, fault", [
         ("cutoff_seconds", float("nan"), "cutoff_seconds must be finite and positive, got nan"),

@@ -1,5 +1,5 @@
 """scripts/probe_scale.py runs end to end on a small formula and reports the
-static, DPLL, SAPS and GSAT feature values."""
+static, DPLL, SAPS and GSAT feature values and its memory peaks."""
 
 import json
 import subprocess
@@ -21,6 +21,8 @@ def test_reports_every_layer_and_the_local_search_features():
     for layer in ("parse", "static", "index", "saps", "gsat", "dpll"):
         assert report[f"{layer}_s"] > 0
     assert report["saps_steps_per_s"] > 0 and report["gsat_steps_per_s"] > 0
+    assert report["peak_rss_mb"] > 10  # numpy alone is more
+    assert 0 < report["static_peak_mb"] < report["peak_rss_mb"]
     local_search = {name for name in FEATURE_NAMES if "saps" in name or "gsat" in name}
     assert set(report["features"]) == local_search | set(DPLL_NAMES)
     assert list(report["static_features"]) == list(FEATURE_NAMES[:33])
