@@ -99,8 +99,10 @@ class BasisSpec:
         self.scales = np.asarray(self.scales, dtype=float)
         if self.means.shape != (self.dim,) or self.scales.shape != (self.dim,):
             raise ValueError("normalization length must equal basis dimension")
-        if np.any(self.scales <= 0):
-            raise ValueError("scales must be positive")
+        if not np.isfinite(self.means).all():
+            raise ValueError("means must be finite")
+        if not (np.isfinite(self.scales) & (self.scales > 0)).all():
+            raise ValueError("scales must be finite and positive")
         # raw features a row must have; pairs have j <= k
         self._width = 1 + max([*self.raw_indices, *(k for _, k in pairs)], default=-1)
         # the terms are columns; a product term is then multiplied by its second factor

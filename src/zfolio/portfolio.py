@@ -22,9 +22,10 @@ phases, each doing its distinct work once:
    c. assemble the flat models, and fit the gates of all the hierarchical
       models in one hierarchy.train_hierarchical batch;
 3. take each behaviour's backup solver, that of its pool (chosen once per
-   distinct pool), and score every (behaviour, subset) pair's simulated
-   validation performance in one table of one stacked simulator; each
-   behaviour keeps its best subset.
+   distinct pool), and search each behaviour's subsets on one stacked
+   simulator: all of them in one batch where its own members fit
+   EXHAUSTIVE_LIMIT, else by local searches in lockstep, each step's
+   proposals in one batch; each behaviour keeps its best subset.
 
 The build's summary INFO line gives the wall seconds of each phase and of
 steps 2a-2c, how many Schmee-Hahn fits stopped at their iteration cap, the
@@ -49,6 +50,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import random
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -96,7 +98,7 @@ OBJECTIVE_SCORE = "max_score"
 
 PRESOLVER_CUTOFFS = (0.0, 2.0, 5.0, 10.0)
 PRESOLVER_CANDIDATE_CAP = 10.0
-EXHAUSTIVE_LIMIT = 12  # larger candidate sets get the local subset search
+EXHAUSTIVE_LIMIT = 12  # a behaviour with more members gets the local subset search
 LOCAL_ACCEPT_PROB = 0.05
 LOCAL_STALL_STEPS = 100
 LOCAL_RUNS = 10
@@ -334,13 +336,14 @@ class PortfolioSimulator:
     subset search, schedule ranking and test-set evaluation.
 
     A simulator holds one schedule behaviour, or a stack of them, when
-    `schedule`, `backup` and `models` are lists with an item per behaviour.
+    `schedule`, `backup` and `models` are lists with an item per behaviour;
+    a build makes one stack of all its behaviours, whatever their number.
     Its members, the solvers with a model in any behaviour sorted by id,
     are ranked once per distinct model set and instance by a stable sort of
     their predictions, the members without a model last. A subset's own
-    stable ranking is that ranking restricted to the subset, so table()
-    scores many (behaviour, subset) pairs in one array pass. simulate,
-    records, performance and performances read the first behaviour.
+    stable ranking is that ranking restricted to the subset, so scores()
+    scores any list of (behaviour, subset) pairs in one array pass.
+    simulate and records read the first behaviour.
 
     A build passes `rows`, made from the same matrix, features, instance
     ids, objective, purse and series, and `presolved`, the behaviours' rows
@@ -386,64 +389,64 @@ class PortfolioSimulator:
 
         self.members = sorted(set().union(*models))
         self._member_index = {sid: m for m, sid in enumerate(self.members)}
+        # member bits, in the least unsigned type holding them (Python ints past 64)
+        dtype = np.min_scalar_type(1 << max(0, len(self.members) - 1))
+        self._bit = np.left_shift(np.ones((), dtype), np.arange(len(self.members)).astype(dtype))
         self._present = np.array([[sid in own for sid in self.members] for own in models])
-        # per distinct model set (one row of model ids, the first behaviour
-        # with it in `firsts`) and instance, the members from best to worst
-        # predicted, and the runtime, solved and crash flags of the member at
-        # each rank
+        # per rank, distinct model set (one row of model ids, the first
+        # behaviour with it in `firsts`) and instance: the member there in
+        # the order from best to worst predicted, its bit, runtime, and
+        # solved and crash flags
         keys = np.array([[id(own.get(sid)) for sid in self.members] for own in models])
         _, firsts, self._set = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        self._ranking = np.empty((len(firsts), n, len(self.members)), dtype=np.intp)
-        for ranking, b in zip(self._ranking, firsts):
+        self._ranking = np.empty((len(self.members), len(firsts), n), dtype=np.intp)
+        for k, b in enumerate(firsts):
             own = np.flatnonzero(self._present[b])
             pred = rows.predict([models[b][self.members[m]] for m in own])
-            ranking[:, :len(own)] = own[np.argsort(
-                pred if objective == OBJECTIVE_RUNTIME else -pred, axis=1, kind="stable")]
-            ranking[:, len(own):] = np.flatnonzero(~self._present[b])
-        cells = np.arange(n)[:, None], self._ranking
+            self._ranking[:len(own), k] = own[np.argsort(
+                pred if objective == OBJECTIVE_RUNTIME else -pred, axis=1, kind="stable").T]
+            self._ranking[len(own):, k] = np.flatnonzero(~self._present[b])[:, None]
         member_rows = [runs.solver_index[sid] for sid in self.members]
-        self._ranked_rt, self._ranked_ok, self._ranked_crash = (
-            a[member_rows].T[cells] for a in (runs.runtime, runs.solved, rows.crashed))
+        self._ranked = [self._bit[self._ranking]] + [
+            a[member_rows][self._ranking, np.arange(n)]
+            for a in (runs.runtime, runs.solved, rows.crashed)]
 
-    def _membership(self, subsets) -> np.ndarray:
-        """(subsets, members) flags; KeyError for a solver without a model."""
+    def _masks(self, subsets) -> np.ndarray:
+        """Each subset as a mask of its members' bits; KeyError for a non-member."""
         flags = np.zeros((len(subsets), len(self.members)), dtype=bool)
         flags[np.repeat(np.arange(len(subsets)), [len(subset) for subset in subsets]),
               [self._member_index[sid] for subset in subsets for sid in subset]] = True
-        return flags
+        return flags @ self._bit
 
-    def _cascade(self, membership: np.ndarray, behaviours: slice, choose: bool = False):
-        """The simulation of each subset in `membership` under each of the
-        `behaviours`: (solved, total time, and with `choose` the chosen
-        member index or -1), each a C-contiguous (subsets, behaviours,
-        instances) array."""
+    def _cascade(self, masks: np.ndarray, behaviours: np.ndarray, choose: bool = False):
+        """The simulation of each pair of an item of `behaviours` and the
+        subset mask beside it in `masks`: (solved, total time, and with
+        `choose` the chosen member index or -1), each (pairs, instances)."""
         sets = self._set[behaviours]
-        shape = (len(membership), len(sets), len(self.ids))
-        solved, total, active, el = (np.broadcast_to(a[behaviours], shape).copy() for a in (
+        solved, total, active, el = (a[behaviours] for a in (
             self._solved, self._total, self._model_rows, self._elapsed))
-        chosen = np.full(shape, -1) if choose else None
-        for rank in range(len(self.members)):
+        chosen = np.full(total.shape, -1) if choose else None
+        for sel, bit, rt, ok, crash in zip(self._ranking, *self._ranked):
             if not active.any():
                 break
-            sel = self._ranking[sets, :, rank]
-            take = active & membership[:, sel]
-            end = el + self._ranked_rt[sets, :, rank]
+            take = active & ((bit[sets] & masks[:, None]) != 0)
+            end = el + rt[sets]
             fits = end <= self.cutoff
-            win = take & self._ranked_ok[sets, :, rank] & fits
+            win = take & ok[sets] & fits
             np.copyto(total, end, where=win)
             solved |= win
             if choose:
-                np.copyto(chosen, sel, where=take)
+                np.copyto(chosen, sel[sets], where=take)
             # a crash within the remaining time moves on to the next best
-            step = take & self._ranked_crash[sets, :, rank] & fits
+            step = take & crash[sets] & fits
             np.copyto(el, end, where=step)
             active &= ~take | step
         return solved, total, chosen
 
     def simulate(self, subset):
         """Returns (solved mask, total time, chosen (kind, solver) pairs)."""
-        solved, total, chosen = (a[0, 0] for a in self._cascade(self._membership([subset]),
-                                                                 slice(0, 1), choose=True))
+        solved, total, chosen = (a[0] for a in self._cascade(
+            self._masks([subset]), np.zeros(1, dtype=np.intp), choose=True))
         pairs = [("presolver", self.runs.solvers[w]) if w >= 0 else
                  ("backup", self.backups[0]) if b else
                  ("main", self.members[c]) if c >= 0 else ("", None)
@@ -451,47 +454,39 @@ class PortfolioSimulator:
                                     chosen.tolist())]
         return solved, total, pairs
 
-    def table(self, subsets: list) -> np.ndarray:
-        """(behaviours, subsets): the validation performance of each pair,
+    def scores(self, pairs) -> np.ndarray:
+        """The validation performance of each (behaviour index, subset) pair,
         higher is better; -inf where the subset holds a solver without a
         model in the behaviour. Pairs are scored in batches that peak within
-        learning.FIT_BATCH_CELLS float64 cells, the fit kernels' budget,
-        whole behaviours while every subset fits in one; a larger pair runs
-        alone."""
-        # _scores's peak per (pair, instance): 7 cells under min_runtime
-        # (_cascade's float64 arrays, a rank's gathered times and the masks), 11
-        # under max_score (virtual_scores's reordered copies, terms and shares);
-        # tracemalloc reads 6.0-7.1 and 10.4-10.9 on bench600's splits
+        learning.FIT_BATCH_CELLS float64 cells, the fit kernels' budget; a
+        pair's score does not depend on its batch."""
+        return self._scores_of(np.array([b for b, _ in pairs], dtype=np.intp),
+                               self._masks([subset for _, subset in pairs]))
+
+    def _scores_of(self, behaviours, masks) -> np.ndarray:
+        """scores() of the pairs of an item of `behaviours` and the subset
+        mask beside it in `masks`."""
+        # a batch's peak per (pair, instance): 7 cells under min_runtime
+        # (_cascade's float64 arrays, a rank's gathered members, times and
+        # masks), 11 under max_score (virtual_scores's reordered copies, terms
+        # and shares); tracemalloc reads 4.8 and 9.4 on bench600's splits
         cells = (7 if self.objective == OBJECTIVE_RUNTIME else 11) * len(self.ids)
         per_batch = max(1, learning.FIT_BATCH_CELLS // max(1, cells))
-        by_s = min(per_batch, max(1, len(subsets)))
-        by_b = max(1, per_batch // by_s)
-        membership = self._membership(subsets)
-        out = np.empty((len(self.schedules), len(subsets)))
-        for b in range(0, len(out), by_b):
-            for s in range(0, len(subsets), by_s):
-                out[b:b + by_b, s:s + by_s] = self._scores(membership[s:s + by_s],
-                                                           slice(b, b + by_b)).T
-        out[(membership & ~self._present[:, None]).any(axis=2)] = -np.inf
+        out = np.empty(len(masks))
+        for at in range(0, len(masks), per_batch):
+            batch = slice(at, at + per_batch)
+            out[batch] = self._scores(masks[batch], behaviours[batch])
+        out[(masks & ~(self._present @ self._bit)[behaviours]) != 0] = -np.inf
         return out
 
-    def _scores(self, membership, behaviours) -> np.ndarray:
-        """table() of one batch, as a (subsets, behaviours) array."""
-        solved, total = (a.reshape(-1, len(self.ids))
-                         for a in self._cascade(membership, behaviours)[:2])
+    def _scores(self, masks, behaviours) -> np.ndarray:
+        """scores() of one batch of pairs."""
+        solved, total, _ = self._cascade(masks, behaviours)
         self.scored += len(total)
         if self.objective == OBJECTIVE_RUNTIME:
-            return -total.mean(axis=1).reshape(len(membership), -1)
+            return -total.mean(axis=1)
         solution, speed, series = self.score_ctx.virtual_scores(solved, total)
-        return (solution + speed + series).reshape(len(membership), -1)
-
-    def performances(self, subsets: list) -> np.ndarray:
-        """Validation performance of each subset; higher is better."""
-        return self.table(subsets)[0]
-
-    def performance(self, subset) -> float:
-        """Scalar validation performance; higher is better."""
-        return float(self.performances([subset])[0])
+        return solution + speed + series
 
     def records(self, subset):
         """Run records of the simulated portfolio, as virtual solver "portfolio"."""
@@ -514,79 +509,106 @@ def _iter_subsets(solver_ids):
 
 
 def subset_search_exhaustive(solver_ids, simulator: PortfolioSimulator):
-    """Best subset by simulated validation performance, trying all of them
-    (at most EXHAUSTIVE_LIMIT solvers) in one table. Returns (subset,
-    performance); from a stacked simulator, a list of them, one per
-    behaviour.
+    """Best subset by simulated validation performance, trying all of them,
+    those of the behaviours with one member set in one batch. Returns
+    (subset, performance) over `solver_ids`, at most EXHAUSTIVE_LIMIT of
+    them; from a stacked simulator, a list with one per behaviour, over the
+    subsets of its own members among `solver_ids`, and None for a behaviour
+    with more than the limit.
 
     Ties go to smaller subsets, then lexicographically smaller ones.
     """
     solver_ids = sorted(solver_ids)
-    if len(solver_ids) > EXHAUSTIVE_LIMIT:
-        raise TooManySolvers(f"{len(solver_ids)} solvers exceed the exhaustive guard")
     if not solver_ids:
         raise ValueError("need at least one solver")
-    subsets = list(_iter_subsets(solver_ids))
-    table = simulator.table(subsets)
-    # argmax takes the first of equal maxima: the smallest, then lexicographic
-    picks = [(list(subsets[k]), perf[k]) for perf, k in zip(table.tolist(), table.argmax(axis=1))]
+    if not simulator.stacked and len(solver_ids) > EXHAUSTIVE_LIMIT:
+        raise TooManySolvers(f"{len(solver_ids)} solvers exceed the exhaustive guard")
+    present = simulator._present[:, [simulator._member_index[sid] for sid in solver_ids]]
+    groups: dict[tuple, list] = {}  # own members among solver_ids -> their behaviours
+    for b, row in enumerate(present.tolist()):
+        if sum(row) <= EXHAUSTIVE_LIMIT:
+            groups.setdefault(tuple(itertools.compress(solver_ids, row)), []).append(b)
+    picks = [None] * len(present)
+    for own, behaviours in groups.items():
+        subsets = list(_iter_subsets(own))
+        table = simulator._scores_of(np.repeat(behaviours, len(subsets)), np.tile(
+            simulator._masks(subsets), len(behaviours))).reshape(len(behaviours), -1)
+        # argmax takes the first of equal maxima: the smallest, then lexicographic
+        for b, perf, k in zip(behaviours, table.tolist(), table.argmax(axis=1).tolist()):
+            picks[b] = (list(subsets[k]), perf[k])
     return picks if simulator.stacked else picks[0]
 
 
+def _local_search(solver_ids, seed: int):
+    """subset_search_local's search as a _lockstep generator, holding each
+    subset as a bit mask over the sorted `solver_ids`."""
+    rng = random.Random(seed)
+    cache: dict[int, float] = {}
+
+    def members(mask: int) -> list:
+        return [sid for k, sid in enumerate(solver_ids) if mask >> k & 1]
+
+    best, best_perf = 0, -math.inf
+    for _ in range(LOCAL_RUNS):
+        current = 0
+        while not current:
+            current = sum(1 << k for k in range(len(solver_ids)) if rng.random() < 0.5)
+        if current not in cache:
+            cache[current] = yield members(current)
+        current_perf = cache[current]
+        if current_perf > best_perf:
+            best, best_perf = current, current_perf
+        since_improvement = 0
+        while since_improvement < LOCAL_STALL_STEPS:
+            neighbour = current ^ 1 << rng.randrange(len(solver_ids))
+            if not neighbour:
+                since_improvement += 1
+                continue
+            if neighbour not in cache:
+                cache[neighbour] = yield members(neighbour)
+            neighbour_perf = cache[neighbour]
+            if neighbour_perf > current_perf:
+                current, current_perf = neighbour, neighbour_perf
+                since_improvement = 0
+                if current_perf > best_perf:
+                    best, best_perf = current, current_perf
+                continue
+            if rng.random() < LOCAL_ACCEPT_PROB:
+                current, current_perf = neighbour, neighbour_perf
+            since_improvement += 1
+    return members(best), best_perf
+
+
+def _lockstep(simulator: PortfolioSimulator, searches: dict) -> dict:
+    """Runs searches (behaviour index -> generator) in lockstep; each round
+    scores every subset one of them yields in one scores call and sends it
+    its performance. Returns each search's pick by behaviour."""
+    picks, perfs = {}, dict.fromkeys(searches)
+    while perfs:
+        asked = {}
+        for b, perf in perfs.items():
+            try:
+                asked[b] = searches[b].send(perf)
+            except StopIteration as stop:
+                picks[b] = stop.value
+        perfs = dict(zip(asked, simulator.scores(list(asked.items())).tolist()))
+    return picks
+
+
 def subset_search_local(solver_ids, simulator: PortfolioSimulator, seed: int = 0):
-    """Randomized iterative improvement over solver subsets.
+    """Randomized iterative improvement over solver subsets, for the first
+    behaviour of `simulator`.
 
     From a random nonempty subset, each step proposes a uniformly random
     single add/drop neighbour (never the empty set) and accepts it on
     improvement, or anyway with 5% probability. A run restarts after 100
     steps without an improving step; after 10 runs the best subset ever
-    seen is returned.
+    seen is returned, with its performance.
     """
-    import random as _random
-
     solver_ids = sorted(solver_ids)
     if not solver_ids:
         raise ValueError("need at least one solver")
-    if len(solver_ids) == 1:
-        return list(solver_ids), simulator.performance(solver_ids)
-    rng = _random.Random(seed)
-    cache: dict[frozenset, float] = {}
-
-    def perf(subset: frozenset) -> float:
-        if subset not in cache:
-            cache[subset] = simulator.performance(sorted(subset))
-        return cache[subset]
-
-    def random_subset() -> frozenset:
-        while True:
-            s = frozenset(sid for sid in solver_ids if rng.random() < 0.5)
-            if s:
-                return s
-
-    best_subset, best_perf = None, -math.inf
-    for _ in range(LOCAL_RUNS):
-        current = random_subset()
-        current_perf = perf(current)
-        if current_perf > best_perf:
-            best_subset, best_perf = current, current_perf
-        since_improvement = 0
-        while since_improvement < LOCAL_STALL_STEPS:
-            sid = solver_ids[rng.randrange(len(solver_ids))]
-            neighbour = current ^ {sid}
-            if not neighbour:
-                since_improvement += 1
-                continue
-            neighbour_perf = perf(neighbour)
-            if neighbour_perf > current_perf:
-                current, current_perf = neighbour, neighbour_perf
-                since_improvement = 0
-                if current_perf > best_perf:
-                    best_subset, best_perf = current, current_perf
-                continue
-            if rng.random() < LOCAL_ACCEPT_PROB:
-                current, current_perf = neighbour, neighbour_perf
-            since_improvement += 1
-    return sorted(best_subset), best_perf
+    return _lockstep(simulator, {0: _local_search(solver_ids, seed)})[0]
 
 
 def choose_backup(runs: DenseRuns, pool: np.ndarray, objective: str,
@@ -877,9 +899,9 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
 
     # Phase 3: each behaviour with models, in order of its first schedule,
     # which stands for it, with the backup of its pool (chosen once per
-    # distinct pool). One stacked simulator scores every (behaviour, subset)
-    # pair; each behaviour keeps its best subset, and max keeps the earliest
-    # of the best behaviours
+    # distinct pool), and its best subset on one stacked simulator, by the
+    # search its own members' count calls for; max keeps the earliest of the
+    # best behaviours
     kept = []  # (schedule, backup, models, first index)
     backups: dict[bytes, str] = {}  # pool mask bytes -> backup
     for remaining, first, group in behaviours.values():
@@ -893,19 +915,18 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
             backups[pool.tobytes()] = choose_backup(
                 rows.runs, pool, s.objective, candidate_ids, s.cutoff_seconds, purse, series)
         kept.append((group[0], backups[pool.tobytes()], models, first))
-    members = set().union(*(models for _, _, models, _ in kept))
-    # above the exhaustive limit, a stack per behaviour
-    stacks = [kept] if kept and len(members) <= EXHAUSTIVE_LIMIT else [[k] for k in kept]
-    simulators, picks = [], []
-    for stack in stacks:
-        schedule, backup, models, first = (list(column) for column in zip(*stack))
-        simulators.append(PortfolioSimulator(
+    picks, scored = [], 0
+    if kept:
+        schedule, backup, models, first = (list(column) for column in zip(*kept))
+        simulator = PortfolioSimulator(
             matrix, features, valid_ids, schedule, backup, models, s.objective,
             s.cutoff_seconds, purse, series, rows=rows,
-            presolved=tuple(a[first] for a in replayed)))
-        own = simulators[-1].members
-        picks += (subset_search_exhaustive(own, simulators[-1]) if len(own) <= EXHAUSTIVE_LIMIT
-                  else [subset_search_local(own, simulators[-1], seed=s.seed)])
+            presolved=tuple(a[first] for a in replayed))
+        picks = subset_search_exhaustive(simulator.members, simulator)
+        local = _lockstep(simulator, {b: _local_search(sorted(models[b]), s.seed)
+                                      for b, pick in enumerate(picks) if pick is None})
+        picks = [local.get(b, pick) for b, pick in enumerate(picks)]
+        scored = simulator.scored
     best = max(range(len(picks)), key=lambda b: picks[b][1], default=None)
 
     stamps.append(time.perf_counter())
@@ -919,7 +940,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
              len(behaviours), len(fits), len(pairs) - len(fits), len(trainer.capped),
              learning.CENSORED_MAX_ITER, len(trainer.gate_fits), np.median(iterations),
              max(iterations), sum(not fit.converged for fit in trainer.gate_fits),
-             sum(sim.scored for sim in simulators), spent[0], spent[1],
+             scored, spent[0], spent[1],
              *(trainer.seconds[k] for k in ("2a", "2b", "2c")), spent[3])
     if best is None:
         raise InsufficientData("no schedule produced a usable portfolio")
@@ -1043,8 +1064,8 @@ def portfolio_to_doc(portfolio: PortfolioConfig) -> dict:
 
 def _check_usable(field: str, model) -> None:
     """Refuse a loaded model that `solve` cannot apply to a feature vector:
-    a basis term outside the features, or a classifier or gate weight that
-    is not finite."""
+    a basis term outside the features, or a classifier, gate or ridge
+    weight or a ridge intercept that is not finite."""
     experts = [(field, model)]
     if isinstance(model, HierarchicalModel):
         experts = [(f"{field}.conditional_models[{k}]", m)
@@ -1054,6 +1075,9 @@ def _check_usable(field: str, model) -> None:
             if not np.all(np.isfinite(weights)):
                 raise ValueError(f"{field}.{name} must be finite")
     for name, expert in experts:
+        for part in ("weights", "intercept"):
+            if not np.all(np.isfinite(getattr(expert, part))):
+                raise ValueError(f"{name}.{part} must be finite")
         basis = expert.basis
         for part, indices in (("raw_indices", basis.raw_indices),
                               ("product_pairs", itertools.chain(*basis.product_pairs))):

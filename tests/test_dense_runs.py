@@ -465,6 +465,13 @@ class TestEvaluationConsumers:
                 evaluate(holed, PurseConfig(time_limit=CUTOFF), series)
 
 
+def table(sim, subsets):
+    """(behaviours, subsets): sim.scores of every pair of the cross product."""
+    behaviours = range(len(sim.schedules))
+    return sim.scores([(b, subset) for b in behaviours for subset in subsets]).reshape(
+        len(behaviours), len(subsets))
+
+
 class TestPortfolioConsumers:
     def descriptors(self, matrix):
         return [SolverDescriptor(s, "complete" if k % 2 == 0 else "local_search")
@@ -573,7 +580,7 @@ class TestPortfolioConsumers:
             for objective in ("min_runtime", "max_score"):
                 sim = PortfolioSimulator(matrix, features, ids, schedule, backup, models,
                                          objective, CUTOFF, purse, series)
-                perfs = sim.performances(subsets)
+                perfs = sim.scores([(0, subset) for subset in subsets])
                 first_hits = {}
                 for subset, perf in zip(subsets, perfs.tolist()):
                     solved, total, chosen = sim.simulate(subset)
@@ -590,7 +597,7 @@ class TestPortfolioConsumers:
                     else:
                         outcomes = {iid: (ok, t) for iid, (ok, t, _) in zip(ids, want)}
                         want_perf = ref_virtual_total(matrix, purse, series, outcomes).total
-                    assert perf == want_perf and sim.performance(subset) == want_perf
+                    assert perf == want_perf and sim.scores([(0, subset)])[0] == want_perf
                     self.coverage(seen, first_hits, matrix, features, models, objective,
                                   series, ids, subset, want)
                 seen["series first hit differs"] += sum(
@@ -660,9 +667,31 @@ class TestPortfolioConsumers:
         sim = PortfolioSimulator(matrix, features, matrix.instances, PresolverSchedule(),
                                  matrix.solvers[0], models, "min_runtime", CUTOFF)
         subsets = list(portfolio._iter_subsets(matrix.solvers))
-        for subset, perf in zip(subsets, sim.performances(subsets)):
+        for subset, perf in zip(subsets, table(sim, subsets)[0]):
             total = sim.simulate(subset)[1]
             assert perf == -total.mean()
+
+    def test_more_members_than_a_machine_word(self):
+        # past 64 members a subset's mask is a Python int: scores, simulate
+        # and the -inf of a subset outside a behaviour's models still follow
+        # the reference replay
+        rng = random.Random(21)
+        matrix = random_matrix(rng, n_solvers=70, n_instances=12, cutoff=CUTOFF)
+        features, models = self.simulator_inputs(rng, matrix)
+        schedule, backup = random_schedule(rng, matrix), matrix.solvers[0]
+        fewer = dict(list(models.items())[1:])
+        sim = PortfolioSimulator(matrix, features, matrix.instances, [schedule] * 2,
+                                 [backup] * 2, [models, fewer], "min_runtime", CUTOFF)
+        subsets = [rng.sample(matrix.solvers, rng.randint(1, 70)) for _ in range(30)]
+        perfs = table(sim, subsets)
+        for subset, perf, other in zip(subsets, *perfs.tolist()):
+            want = ref_simulation(matrix, features, matrix.instances, schedule, backup, models,
+                                  "min_runtime", CUTOFF, subset)
+            assert perf == -np.array([t for _, t, _ in want]).mean()
+            assert other == (perf if set(subset) <= set(fewer) else -np.inf)
+            solved, total, chosen = sim.simulate(subset)
+            assert [(bool(a), float(b), c) for a, b, c in zip(solved, total, chosen)] == want
+        assert (perfs == -np.inf).any() and np.isfinite(perfs).sum() > 30
 
     def test_performances_do_not_depend_on_the_batch_size(self, monkeypatch):
         for rng, matrix, series in cases(10):
@@ -673,10 +702,10 @@ class TestPortfolioConsumers:
                 sim = PortfolioSimulator(matrix, features, matrix.instances,
                                          random_schedule(rng, matrix), matrix.solvers[0],
                                          models, objective, CUTOFF, purse, series)
-                whole = sim.performances(subsets)
+                whole = table(sim, subsets)
                 # two subsets a batch under max_score, three under min_runtime
                 monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 22 * len(matrix.instances) + 1)
-                assert np.array_equal(sim.performances(subsets), whole)
+                assert np.array_equal(table(sim, subsets), whole)
                 monkeypatch.undo()
 
     def test_each_batch_peaks_within_the_budget(self, monkeypatch):
@@ -705,14 +734,14 @@ class TestPortfolioConsumers:
             sim = PortfolioSimulator(matrix, features, matrix.instances, schedules,
                                      matrix.solvers[:stack], [models] * stack, objective,
                                      CUTOFF, PurseConfig(time_limit=CUTOFF), series)
-            whole = sim.table(subsets)
+            whole = table(sim, subsets)
             peaks.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(PortfolioSimulator, "_scores", traced)
                 patch.setattr(learning, "FIT_BATCH_CELLS", budget)
                 tracemalloc.start()
                 try:
-                    batched = sim.table(subsets)
+                    batched = table(sim, subsets)
                 finally:
                     tracemalloc.stop()
                 shared = [(size, peak) for obj, size, peak in peaks if size > 1]
@@ -756,21 +785,21 @@ class TestPortfolioConsumers:
                     matrix, features, ids, schedules, backups, owns, objective, CUTOFF,
                     rows=rows, presolved=replay_presolving(rows.runs, schedules, CUTOFF))
                 subsets = [list(c) for c in portfolio._iter_subsets(stacked.members)]
-                table = stacked.table(subsets)
+                whole = table(stacked, subsets)
                 picks = subset_search_exhaustive(stacked.members, stacked)
                 pair = (7 if objective == "min_runtime" else 11) * len(ids)
                 for budget in (2 * len(subsets) * pair, 2 * pair + 1):
                     with monkeypatch.context() as patch:
                         patch.setattr(learning, "FIT_BATCH_CELLS", budget)
-                        assert table.tobytes() == stacked.table(subsets).tobytes()
+                        assert whole.tobytes() == table(stacked, subsets).tobytes()
                 for b, (schedule, backup, own) in enumerate(zip(schedules, backups, owns)):
                     alone = PortfolioSimulator(matrix, features, ids, schedule, backup, own,
                                                objective, CUTOFF, purse, series)
                     inside = np.array([set(subset) <= set(own) for subset in subsets])
                     own_subsets = [sub for sub, ok in zip(subsets, inside) if ok]
-                    want = alone.performances(own_subsets)
-                    assert table[b, inside].tobytes() == want.tobytes()
-                    assert (table[b, ~inside] == -np.inf).all()
+                    want = table(alone, own_subsets)[0]
+                    assert whole[b, inside].tobytes() == want.tobytes()
+                    assert (whole[b, ~inside] == -np.inf).all()
                     best = None
                     for subset, perf in zip(own_subsets, want.tolist()):
                         if best is None or perf > best[1]:
@@ -810,10 +839,10 @@ class TestPortfolioConsumers:
         assert sorted(list(map(id, call)) for call in calls) == sorted(
             list(map(id, own.values())) for own in (owns[0], owns[1], owns[3]))
         monkeypatch.undo()
-        for schedule, own, row in zip(schedules, owns, sim.table([[first], [third]])):
+        for schedule, own, row in zip(schedules, owns, table(sim, [[first], [third]])):
             alone = PortfolioSimulator(matrix, features, matrix.instances, schedule, first, own,
                                        "min_runtime", CUTOFF)
-            assert row.tolist() == [alone.performance([sid]) if sid in own else -np.inf
+            assert row.tolist() == [alone.scores([(0, [sid])])[0] if sid in own else -np.inf
                                     for sid in (first, third)]
 
     def test_model_trainer_fits_what_the_records_say(self, monkeypatch):

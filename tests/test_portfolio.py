@@ -261,7 +261,15 @@ class TestSubsetSearchExhaustive:
 
         for size in (1, 2):
             for subset in itertools.combinations(sorted(models), size):
-                assert sim.performance(subset) <= best_perf + 1e-12
+                assert sim.scores([(0, subset)])[0] <= best_perf + 1e-12
+
+    def test_guard_admits_exactly_the_limit(self, monkeypatch):
+        sim, models = self.make_simulator()
+        monkeypatch.setattr(portfolio_module, "EXHAUSTIVE_LIMIT", 2)
+        assert subset_search_exhaustive(models.keys(), sim)[0] == ["fast-a", "fast-b"]
+        monkeypatch.setattr(portfolio_module, "EXHAUSTIVE_LIMIT", 1)
+        with pytest.raises(TooManySolvers):
+            subset_search_exhaustive(models.keys(), sim)
 
     def test_guard(self):
         sim, models = self.make_simulator()
@@ -332,7 +340,7 @@ class TestSubsetSearchLocal:
     def test_never_below_visited_initials(self):
         sim, solver_ids = six_solver_fixture(seed=7)
         subset, perf = subset_search_local(solver_ids, sim, seed=1)
-        assert perf >= sim.performance(subset) - 1e-12
+        assert perf >= sim.scores([(0, subset)])[0] - 1e-12
 
 
 class TestBuildPortfolio:
@@ -589,6 +597,56 @@ class TestBehaviourGrouping:
         members = {d.id for d in bench.descriptors if d.kind == "complete"}
         assert int(scored[1]) == len(stacked) * (2 ** len(members) - 1)
 
+    def test_summary_of_a_flat_build(self, bench, split, monkeypatch, caplog):
+        # a build without gates reads 0 Newton iterations, and its rows
+        # scored are those of its one simulator
+        made = []
+        init = PortfolioSimulator.__init__
+
+        def spy(self, *args, **kw):
+            made.append(self)
+            init(self, *args, **kw)
+        monkeypatch.setattr(PortfolioSimulator, "__init__", spy)
+        caplog.set_level(logging.INFO, logger="zfolio.portfolio")
+        train, valid, matrix = split
+        build_portfolio(train, valid, bench.features, matrix, bench.descriptors,
+                        small_settings(presolver_top=2), bench.purse, bench.series)
+        [summary] = [r.getMessage() for r in caplog.records
+                     if "schedules enumerated" in r.getMessage()]
+        assert "0 gates (Newton iterations median 0, max 0; 0 at the cap)" in summary
+        [simulator] = made
+        scored = re.search(r"(\d+) \(behaviour, subset\) rows scored", summary)
+        assert int(scored[1]) == simulator.scored > 0
+
+    @pytest.mark.parametrize("limit", [3, 2])
+    def test_the_exhaustive_limit_admits_a_behaviour_of_its_size(self, bench, split,
+                                                                 monkeypatch, limit):
+        # every behaviour here has the 3 complete solvers' models: at
+        # EXHAUSTIVE_LIMIT 3 each is searched over all its subsets, at 2 each
+        # runs the local search from the build's seed
+        searched = []
+        local = portfolio_module._local_search
+
+        def spy(solver_ids, seed):
+            searched.append((solver_ids, seed))
+            return local(solver_ids, seed)
+        monkeypatch.setattr(portfolio_module, "_local_search", spy)
+        monkeypatch.setattr(portfolio_module, "EXHAUSTIVE_LIMIT", limit)
+        exhaustive = portfolio_module.subset_search_exhaustive
+        picks = []
+
+        def spy_exhaustive(solver_ids, simulator):
+            picks.extend(exhaustive(solver_ids, simulator))
+            return list(picks)
+        monkeypatch.setattr(portfolio_module, "subset_search_exhaustive", spy_exhaustive)
+        _, _, [stacked] = self.build(bench, split, monkeypatch, presolver_top=2)
+        members = sorted(d.id for d in bench.descriptors if d.kind == "complete")
+        assert len(picks) == len(stacked) > 1
+        if limit == 3:
+            assert searched == [] and None not in picks
+        else:
+            assert searched == [(members, 3)] * len(stacked) and picks == [None] * len(stacked)
+
     def test_fits_come_first_and_once(self, bench, split, monkeypatch):
         # phase 2 fits each (solver, training rows) pair once, in one
         # select_basis and one censored_fit batch, before phase 3 makes its
@@ -719,8 +777,8 @@ class TestBehaviourGrouping:
         def cost(schedule):
             return abs(sum(e.cutoff_seconds for e in schedule.active()) - 2.0)
 
-        monkeypatch.setattr(PortfolioSimulator, "table", lambda self, subsets: np.array(
-            [[-cost(schedule)] * len(subsets) for schedule in self.schedules]))
+        monkeypatch.setattr(PortfolioSimulator, "_scores_of", lambda self, behaviours, _: np.array(
+            [-cost(self.schedules[b]) for b in behaviours]))
         winners = []
         for order in (list, reversed):
             portfolio, listed, [stacked] = self.build(
@@ -736,16 +794,17 @@ class TestStackedSelection:
     """Phase 3 picks what the per-behaviour loop it replaced picks."""
 
     @pytest.mark.parametrize("objective, limit", [("min_runtime", 12), ("max_score", 12),
-                                                  ("min_runtime", 2)])
+                                                  ("min_runtime", 2), ("max_score", 5)])
     def test_choices_equal_a_per_behaviour_search(self, bench, monkeypatch, objective, limit):
-        # the oracle is the loop the stacked table replaced: per behaviour, in
-        # order of its first schedule, choose_backup on its pool, a simulator
-        # of its own and a search of its own models (local above the
-        # exhaustive limit), the strict > keeping the earliest of the best.
-        # complete-a crashes on 70% of the instances, so under min_runtime
-        # some training remainders leave it fewer than 10 rows and some
-        # behaviours lack its model; a quarter of the validation instances
-        # have unusable features
+        # the oracle is the loop the stacked simulator replaced: per
+        # behaviour, in order of its first schedule, choose_backup on its
+        # pool, a simulator of its own and a search of its own models (local
+        # above the exhaustive limit), the strict > keeping the earliest of
+        # the best. complete-a crashes on 70% of the instances, so under
+        # min_runtime some training remainders leave it fewer than 10 rows
+        # and some behaviours lack its model; a quarter of the validation
+        # instances have unusable features. Under max_score at limit 5
+        # every behaviour has 6 members and runs the local search
         rng = random.Random(7)
         matrix = RuntimeMatrix(CUTOFF)
         for sid in bench.matrix.solvers:
@@ -773,12 +832,10 @@ class TestStackedSelection:
                                     settings, bench.purse, bench.series)
         monkeypatch.setattr(PortfolioSimulator, "__init__", init)
 
-        # one stacked simulator, or above the limit one per behaviour
-        schedules = [schedule for args, _ in made for schedule in args[3]]
-        models = [own for args, _ in made for own in args[5]]
-        assert len(made) == (1 if limit == 12 else len(schedules))
-        rows = made[0][1]["rows"]
-        presolved = [np.vstack([kw["presolved"][k] for _, kw in made]) for k in range(4)]
+        # one stacked simulator at every limit
+        [(args, kw)] = made
+        schedules, models = args[3], args[5]
+        rows, presolved = kw["rows"], kw["presolved"]
         candidates = sorted(d.id for d in bench.descriptors
                             if objective == "max_score" or d.kind == "complete")
         best = None
@@ -799,6 +856,7 @@ class TestStackedSelection:
         assert len(schedules) > 1 and (~rows.feature_ok).any()
         lacking = sum(len(own) < len(candidates) for own in models)
         assert (lacking > 0) == (objective == "min_runtime")
+        assert (min(map(len, models)) > limit) == (limit == 5)
 
 
 class TestBuildSettings:
@@ -1316,6 +1374,14 @@ class TestPortfolioPersistence:
     def set_classifier_weight(model, value):
         model["classifier"]["weights"][0][1] = value
 
+    @staticmethod
+    def set_expert_weight(model, value):
+        model["conditional_models"][1]["weights"][0] = value
+
+    @staticmethod
+    def set_expert_intercept(model, value):
+        model["conditional_models"][0]["intercept"] = value
+
     @pytest.mark.parametrize("mutate, value, fault", [
         (set_raw_index, 184, "conditional_models[0].basis.raw_indices: 184 is not a feature"
                              " index (0 to 47)"),
@@ -1325,8 +1391,10 @@ class TestPortfolioPersistence:
                                  " feature index (0 to 47)"),
         (set_gate_weight, float("inf"), "gating_weights must be finite"),
         (set_classifier_weight, float("nan"), "classifier.weights must be finite"),
+        (set_expert_weight, float("inf"), "conditional_models[1].weights must be finite"),
+        (set_expert_intercept, float("nan"), "conditional_models[0].intercept must be finite"),
     ], ids=["raw-index-184", "raw-index-negative", "product-factor", "gate-inf",
-            "classifier-nan"])
+            "classifier-nan", "weight-inf", "intercept-nan"])
     def test_a_model_solve_cannot_apply_is_refused(self, gated_doc, tmp_path, mutate, value,
                                                    fault):
         import copy
@@ -1341,6 +1409,30 @@ class TestPortfolioPersistence:
         with pytest.raises(ValueError) as exc:
             load_portfolio(path)
         assert str(exc.value) == f"{path}: models[{sid!r}].{fault}"
+
+    @pytest.mark.parametrize("part, value, fault", [
+        ("scales", float("nan"), "scales must be finite and positive"),
+        ("scales", float("inf"), "scales must be finite and positive"),
+        ("means", float("-inf"), "means must be finite"),
+    ])
+    def test_a_basis_that_is_not_finite_is_refused(self, gated_doc, built, tmp_path, part,
+                                                    value, fault):
+        # a NaN scale passes a `scales <= 0` test, and solve would then rank
+        # NaN predictions; hierarchical experts and flat models alike
+        import copy
+        import json
+
+        flat = portfolio_to_doc(built[0])
+        for doc in (gated_doc, flat):
+            doc = copy.deepcopy(doc)
+            model = doc["models"][doc["subset"][0]]
+            model = model["conditional_models"][0] if "conditional_models" in model else model
+            model["basis"][part][0] = value
+            path = tmp_path / "portfolio.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError) as exc:
+                load_portfolio(path)
+            assert str(exc.value) == f"{path}: {fault}"
 
     @pytest.mark.parametrize("field, value, fault", [
         ("cutoff_seconds", float("nan"), "cutoff_seconds must be finite and positive, got nan"),
