@@ -707,8 +707,5 @@ def model_from_doc(doc: dict) -> RidgeModel:
         np.array(b["means"], dtype=float),
         np.array(b["scales"], dtype=float),
     )
-    weights = np.array(doc["weights"], dtype=float)
-    if weights.shape != (basis.dim,):
-        raise DimensionMismatch("weight length disagrees with basis dimension")
-    return RidgeModel(basis, weights, float(doc["delta"]), float(doc["sigma"]),
-                      doc["target"], float(doc["intercept"]))
+    return RidgeModel(basis, np.array(doc["weights"], dtype=float), float(doc["delta"]),
+                      float(doc["sigma"]), doc["target"], float(doc["intercept"]))

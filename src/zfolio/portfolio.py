@@ -4,11 +4,12 @@ Offline: pick pre-solver candidates from validation scores and enumerate
 every (two pre-solvers x cutoffs x order) schedule. The build then runs in
 phases, each doing its distinct work once:
 
-0. gather the validation rows every simulator shares, and the training
-   runs, feature rows, score labels and classifier;
-1. replay every schedule's pre-solvers in one array pass on the training
-   runs and one on the validation runs, and group the schedules by
-   behaviour: the training instances a schedule leaves unsolved, and its
+0. make one SimulationRows view of the training instances and one of the
+   validation set, and from the training view the targets, score labels
+   and classifier;
+1. replay every schedule's pre-solvers in one array pass on each view's
+   runs, and group the schedules by behaviour: the training instances with
+   usable features that a schedule leaves unsolved, a row mask, and its
    pre-solve outcome on the validation set: its replay_presolving row,
    which phase 3's simulator reads as it is;
 2. fit each candidate's model on each distinct training remainder:
@@ -286,19 +287,20 @@ def replay_presolving(runs: DenseRuns, schedules, cutoff: float):
 
 
 class SimulationRows:
-    """The schedule-independent inputs of a simulation over some instances:
-    their runs, their feature rows and, under max_score, the score context.
+    """One build's view of an instance set: every solver's runs on it, their
+    cutoff and crash flags, and the instances' feature rows, feature seconds
+    and usable flags. A cell without a record raises KeyError.
 
-    A build makes one for the validation set, for phase 1's replay, the
-    backup pools and its simulator.
+    A build makes two: of the training instances, for the model trainer and
+    phase 1's training replay, and of the validation set, for phase 1's
+    validation replay, the backup pools and the simulator.
     """
 
-    def __init__(self, matrix: RuntimeMatrix, features: dict[str, FeatureVector],
-                 instance_ids, objective: str, purse: PurseConfig | None = None,
-                 series=None):
+    def __init__(self, matrix: RuntimeMatrix, features: dict[str, FeatureVector], instance_ids):
         self.ids = list(instance_ids)
         n = len(self.ids)
         self.runs = matrix.dense().block(instance_ids=self.ids)
+        self.cutoff = matrix.cutoff_seconds
         self.crashed = self.runs.status == STATUS_CODES["crash"]
         self.feature_ok = np.zeros(n, dtype=bool)
         self.feature_time = np.zeros(n)
@@ -311,12 +313,6 @@ class SimulationRows:
             if fv.usable:
                 self.feature_ok[j] = True
                 self.X[j] = fv.values
-
-        self.score_ctx = None
-        if objective == OBJECTIVE_SCORE:
-            if purse is None:
-                raise ValueError("score objective needs a purse configuration")
-            self.score_ctx = ScoreContext(self.runs, purse, series or singleton_series(self.ids))
 
     def predict(self, models: list) -> np.ndarray:
         """(instances, models): each model's prediction on each instance with
@@ -345,9 +341,9 @@ class PortfolioSimulator:
     scores any list of (behaviour, subset) pairs in one array pass.
     simulate and records read the first behaviour.
 
-    A build passes `rows`, made from the same matrix, features, instance
-    ids, objective, purse and series, and `presolved`, the behaviours' rows
-    of replay_presolving on `rows.runs` as they are (one behaviour's without
+    A build passes `rows`, its SimulationRows of the same matrix, features
+    and instance ids, and `presolved`, the behaviours' rows of
+    replay_presolving on `rows.runs` as they are (one behaviour's without
     the leading axis). Without it the schedules are replayed here.
     """
 
@@ -355,11 +351,14 @@ class PortfolioSimulator:
                  instance_ids, schedule, backup, models, objective: str, cutoff: float,
                  purse: PurseConfig | None = None, series=None, *,
                  rows: SimulationRows | None = None, presolved: tuple | None = None):
+        if objective == OBJECTIVE_SCORE and purse is None:
+            raise ValueError("score objective needs a purse configuration")
         if rows is None:
-            rows = SimulationRows(matrix, features, instance_ids, objective, purse, series)
+            rows = SimulationRows(matrix, features, instance_ids)
         self.ids = rows.ids
         self.runs = runs = rows.runs
-        self.score_ctx = rows.score_ctx
+        self.score_ctx = (ScoreContext(runs, purse, series or singleton_series(self.ids))
+                          if objective == OBJECTIVE_SCORE else None)
         self.objective = objective
         self.cutoff = cutoff
         self.stacked = not isinstance(schedule, PresolverSchedule)
@@ -671,54 +670,54 @@ class BuildSettings:
 class _ModelTrainer:
     """Per-solver model fitting on subsets of the training instances.
 
-    The candidates' runs on the training instances with usable features,
-    those instances' feature rows, and every candidate's targets (score
-    labels under max_score, else log runtimes) and censoring flags on them
-    are gathered once; each fit reads its rows from them. `seconds` holds
-    the wall seconds of the last fit's steps 2a, 2b and 2c, `capped` the
-    models of its Schmee-Hahn fits that stopped at CENSORED_MAX_ITER, and
-    `gate_fits` the GateFit of each gate it fitted.
+    Reads from the training view, on its instances with usable features
+    (`ids`), their feature rows and every solver's targets (score labels
+    under max_score, else log runtimes), censoring and crash flags, and
+    their classes (sat unless a run says unsat); each fit reads its rows
+    from them. A remainder is the bytes of a boolean mask over `ids`.
+    `seconds` holds the wall seconds of the last fit's steps 2a, 2b and 2c,
+    `capped` the models of its Schmee-Hahn fits that stopped at
+    CENSORED_MAX_ITER, and `gate_fits` the GateFit of each gate it fitted.
     """
 
-    def __init__(self, matrix, features, settings, candidate_ids, train_ids, usable,
-                 purse, series, category_labels):
+    def __init__(self, train: SimulationRows, settings, purse, series, category_labels):
         s = self.settings = settings
-        rows = [iid for iid in train_ids if iid in usable]
-        if not rows:
+        usable = train.feature_ok
+        if not usable.any():
             raise InsufficientData("no training instance has usable features")
-        runs = self.runs = matrix.dense().block(candidate_ids, rows)
-        self.X = np.vstack([features[iid].values for iid in rows])
-        self.cutoff_log = float(np.log(matrix.cutoff_seconds))
+        runs = train.runs
+        self.ids = [iid for iid, ok in zip(train.ids, usable.tolist()) if ok]
+        self.solver_index = runs.solver_index
+        self.X, self.crashed = train.X[usable], train.crashed[:, usable]
+        self.cutoff_log = float(np.log(train.cutoff))
+        status = runs.status[:, usable]
         if s.objective == OBJECTIVE_SCORE:
             # labels score each instance against every solver on all the
             # training instances, whether their features are usable or not
-            everyone = matrix.dense().block(instance_ids=train_ids)
-            labels = score_labels(everyone, purse, series)
-            self.y = labels[np.ix_([everyone.solver_index[sid] for sid in candidate_ids],
-                                   [everyone.instance_index[iid] for iid in rows])]
+            self.y = score_labels(runs, purse, series)[:, usable]
             self.censored = np.zeros(self.y.shape, dtype=bool)
         else:
-            self.censored = runs.status == STATUS_CODES["timeout"]
-            self.y = np.where(self.censored, self.cutoff_log, log_runtime(runs.runtime))
+            self.censored = status == STATUS_CODES["timeout"]
+            self.y = np.where(self.censored, self.cutoff_log, log_runtime(runs.runtime[:, usable]))
         self.seconds: dict[str, float] = {}
         self.gate_fits: list = []
         self.classifier = None
         if s.hierarchy != "none":
-            classes = [matrix.sat_label(iid) or "sat" for iid in rows]
+            classes = np.where((status == STATUS_CODES["unsat"]).any(axis=0), "unsat", "sat")
             if s.hierarchy == "general6":
-                classes = [f"{category_labels[iid]}:{sat}" for iid, sat in zip(rows, classes)]
+                classes = [f"{category_labels[iid]}:{sat}" for iid, sat in zip(self.ids, classes)]
             self.classes = np.asarray(classes)
-            self.classifier = train_classifier(self.X, classes)
+            self.classifier = train_classifier(self.X, self.classes.tolist())
 
-    def _columns(self, sid: str, row_ids) -> np.ndarray:
-        """The instance columns a model of `sid` on these training rows learns
+    def _columns(self, sid: str, remainder: bytes) -> np.ndarray:
+        """The instance columns a model of `sid` on this remainder learns
         from; raises InsufficientData when they cannot support one."""
-        runs, s = self.runs, self.settings
-        k = runs.solver_index[sid]
-        cols = np.array([runs.instance_index[iid] for iid in row_ids])
+        s = self.settings
+        k = self.solver_index[sid]
+        cols = np.flatnonzero(np.frombuffer(remainder, dtype=bool))
         if s.objective == OBJECTIVE_SCORE:
             return cols
-        cols = cols[runs.status[k, cols] != STATUS_CODES["crash"]]
+        cols = cols[~self.crashed[k, cols]]
         if len(cols) < s.min_training_rows:
             raise InsufficientData(f"{sid}: {len(cols)} usable rows")
         if self.censored[k, cols].all():
@@ -739,7 +738,7 @@ class _ModelTrainer:
         return out
 
     def fit(self, pairs):
-        """The models of (solver, training rows) pairs, in three steps:
+        """The models of (solver, remainder) pairs, in three steps:
 
         a. list the distinct problems, each the instance columns a model
            learns from (a flat model's or a class expert's own, or the whole
@@ -761,13 +760,13 @@ class _ModelTrainer:
         start = time.perf_counter()
         refused, plans = {}, {}
         problems: dict[tuple, LabeledDataset] = {}
-        for sid, row_ids in pairs:
+        for sid, remainder in pairs:
             try:
-                cols = self._columns(sid, row_ids)
+                cols = self._columns(sid, remainder)
             except InsufficientData as exc:
-                refused[sid, row_ids] = str(exc)
+                refused[sid, remainder] = str(exc)
                 continue
-            k = self.runs.solver_index[sid]
+            k = self.solver_index[sid]
             experts = []
             for c in self._expert_columns(k, cols):
                 problem = (c.tobytes(), self.y[k, c].tobytes(), self.censored[k, c].tobytes())
@@ -775,7 +774,7 @@ class _ModelTrainer:
                     problems[problem] = LabeledDataset(self.X[c], self.y[k, c],
                                                        self.censored[k, c], self.cutoff_log)
                 experts.append(problem)
-            plans[sid, row_ids] = (k, cols, experts)
+            plans[sid, remainder] = (k, cols, experts)
         bases = select_basis(list(problems.values()), folds=s.cv_folds,
                              max_raw_terms=s.max_raw_terms,
                              max_expanded_terms=s.max_expanded_terms)
@@ -816,7 +815,9 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
 
     Instances unsolvable by every candidate must already be dropped.
     Local-search solvers are pre-solver material under min_runtime but only
-    become subset candidates when optimizing score.
+    become subset candidates when optimizing score. `matrix` must hold a run
+    of every solver on every training and validation instance; a missing
+    cell raises the KeyError that names it.
     """
     s = settings
     descriptors = {d.id: d for d in descriptors}
@@ -833,20 +834,15 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     if not candidate_ids:
         raise ValueError("no candidate solvers for this objective")
 
-    train_ids = sorted(train_ids)
-    valid_ids = sorted(valid_ids)
-    usable = {iid for iid, fv in features.items() if fv.usable}
-
     # Phase 0: the inputs of every later phase, gathered once
     stamps = [time.perf_counter()]  # the start and the end of each phase
-    rows = SimulationRows(matrix, features, valid_ids, s.objective, purse, series)
+    train = SimulationRows(matrix, features, sorted(train_ids))
+    rows = SimulationRows(matrix, features, sorted(valid_ids))
     complete_cands, local_cands = select_presolver_candidates(
         rows.runs, descriptors.values(), purse, series, top=s.presolver_top
     )
     schedules = enumerate_presolver_configs(complete_cands, local_cands)
-    trainer = _ModelTrainer(matrix, features, s, candidate_ids, train_ids, usable,
-                            purse, series, category_labels)
-    train_runs = matrix.dense().block(complete_cands + local_cands, train_ids)
+    trainer = _ModelTrainer(train, s, purse, series, category_labels)
 
     stamps.append(time.perf_counter())
 
@@ -854,13 +850,13 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     # instances they leave for the models and what they do on the validation
     # set. Models, backup, simulation and subset search follow from it alone;
     # each behaviour keeps the index of its first schedule, which stands for
-    # it, into the one replay of every schedule on the validation runs.
-    left = ~replay_presolving(train_runs, schedules, s.cutoff_seconds)[0]
-    left &= np.array([iid in usable for iid in train_ids])
+    # it, into the one replay of every schedule on the validation runs. A
+    # remainder is a mask over the training instances with usable features.
+    left = ~replay_presolving(train.runs, schedules, s.cutoff_seconds)[0][:, train.feature_ok]
     replayed = replay_presolving(rows.runs, schedules, s.cutoff_seconds)
     keys = np.hstack([left, replayed[0], replayed[1].view(np.uint8),
                       replayed[3].view(np.uint8)])
-    behaviours: dict[bytes, tuple] = {}  # key -> (remaining, first index, schedules)
+    behaviours: dict[bytes, tuple] = {}  # key -> (remainder bytes, first index, schedules)
     skipped = 0
     for k, (schedule, keep) in enumerate(zip(schedules, left.any(axis=1).tolist())):
         if not keep:
@@ -870,8 +866,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
             continue
         key = keys[k].tobytes()
         if key not in behaviours:
-            remaining = tuple(itertools.compress(train_ids, left[k].tolist()))
-            behaviours[key] = (remaining, k, [])
+            behaviours[key] = (left[k].tobytes(), k, [])
         behaviours[key][2].append(schedule)
 
     stamps.append(time.perf_counter())
@@ -881,19 +876,20 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     # the trainer's three steps: 2a lists the distinct problems and selects
     # their bases, 2b fits them all in one censored_fit batch, 2c assembles
     # the flat models and fits every gate of the hierarchical ones in one batch
-    remainders: dict[tuple, PresolverSchedule] = {}
-    for remaining, _, group in behaviours.values():
-        remainders.setdefault(remaining, group[0])
+    remainders: dict[bytes, int] = {}  # remainder -> the first schedule leaving it
+    for remaining, first, _ in behaviours.values():
+        remainders.setdefault(remaining, first)
     pairs = []
-    for remaining, schedule in remainders.items():
-        if len(remaining) < s.min_training_rows:
+    for remaining, first in remainders.items():
+        count = np.count_nonzero(left[first])
+        if count < s.min_training_rows:
             log.info("schedule %s: only %d training rows; no models fitted",
-                     schedule.describe(), len(remaining))
+                     schedules[first].describe(), count)
             continue
         pairs += [(sid, remaining) for sid in candidate_ids]
     fits, refused = trainer.fit(pairs)
     for (_, remaining), reason in refused.items():
-        log.info("schedule %s: %s", remainders[remaining].describe(), reason)
+        log.info("schedule %s: %s", schedules[remainders[remaining]].describe(), reason)
 
     stamps.append(time.perf_counter())
 
@@ -919,7 +915,7 @@ def build_portfolio(train_ids, valid_ids, features: dict[str, FeatureVector],
     if kept:
         schedule, backup, models, first = (list(column) for column in zip(*kept))
         simulator = PortfolioSimulator(
-            matrix, features, valid_ids, schedule, backup, models, s.objective,
+            matrix, features, rows.ids, schedule, backup, models, s.objective,
             s.cutoff_seconds, purse, series, rows=rows,
             presolved=tuple(a[first] for a in replayed))
         picks = subset_search_exhaustive(simulator.members, simulator)

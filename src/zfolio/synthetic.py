@@ -83,32 +83,18 @@ def default_solver_models(clusters: int, seed: int) -> tuple[list[SolverDescript
     are more clusters) and three local-search solvers that are fast on
     satisfiable instances but useless on unsatisfiable ones."""
     rng = random.Random(seed)
-    descriptors = []
-    models = {}
-    for j in range(3):
-        sid = f"complete-{chr(ord('a') + j)}"
-        descriptors.append(SolverDescriptor(sid, "complete"))
-        mu, sigma = {}, {}
-        for k in range(clusters):
-            if k % 3 == j:
-                mu[k] = math.log(5.0) + rng.uniform(-0.2, 0.2)
-                sigma[k] = 0.5
-            else:
-                mu[k] = math.log(4000.0) + rng.uniform(-0.3, 0.3)
-                sigma[k] = 1.0
-        models[sid] = SyntheticSolverModel(sid, "complete", mu, sigma)
-    for j in range(3):
-        sid = f"local-{chr(ord('a') + j)}"
-        descriptors.append(SolverDescriptor(sid, "local_search"))
-        mu, sigma = {}, {}
-        for k in range(clusters):
-            if k % 3 == j:
-                mu[k] = math.log(1.5) + rng.uniform(-0.2, 0.2)
-                sigma[k] = 0.6
-            else:
-                mu[k] = math.log(40.0) + rng.uniform(-0.3, 0.3)
-                sigma[k] = 0.8
-        models[sid] = SyntheticSolverModel(sid, "local_search", mu, sigma)
+    descriptors, models = [], {}
+    # per kind: (median seconds, spread of the log median, log sigma) where fast, and elsewhere
+    for kind, fast, slow in (("complete", (5.0, 0.2, 0.5), (4000.0, 0.3, 1.0)),
+                             ("local_search", (1.5, 0.2, 0.6), (40.0, 0.3, 0.8))):
+        for j in range(3):
+            sid = f"{kind.split('_')[0]}-{'abc'[j]}"
+            mu, sigma = {}, {}
+            for k in range(clusters):
+                centre, spread, sigma[k] = fast if k % 3 == j else slow
+                mu[k] = math.log(centre) + rng.uniform(-spread, spread)
+            descriptors.append(SolverDescriptor(sid, kind))
+            models[sid] = SyntheticSolverModel(sid, kind, mu, sigma)
     return descriptors, models
 
 

@@ -780,10 +780,10 @@ class TestPortfolioConsumers:
             schedules = [random_schedule(rng, matrix) for _ in owns]
             backups = [rng.choice(matrix.solvers) for _ in owns]
             for objective in ("min_runtime", "max_score"):
-                rows = SimulationRows(matrix, features, ids, objective, purse, series)
+                rows = SimulationRows(matrix, features, ids)
                 stacked = PortfolioSimulator(
                     matrix, features, ids, schedules, backups, owns, objective, CUTOFF,
-                    rows=rows, presolved=replay_presolving(rows.runs, schedules, CUTOFF))
+                    purse, series, rows=rows, presolved=replay_presolving(rows.runs, schedules, CUTOFF))
                 subsets = [list(c) for c in portfolio._iter_subsets(stacked.members)]
                 whole = table(stacked, subsets)
                 picks = subset_search_exhaustive(stacked.members, stacked)
@@ -829,7 +829,7 @@ class TestPortfolioConsumers:
                 calls.append(self.stacked)
                 return super().predict(X)
         monkeypatch.setattr(portfolio, "ModelStack", Counted)
-        rows = portfolio.SimulationRows(matrix, features, matrix.instances, "min_runtime")
+        rows = portfolio.SimulationRows(matrix, features, matrix.instances)
         first, second, third = matrix.solvers
         owns = [models, {first: models[first], second: models[second]}, models,
                 {third: models[third]}]
@@ -869,30 +869,32 @@ class TestPortfolioConsumers:
             series = random_series(rng, matrix)
             purse = PurseConfig(time_limit=CUTOFF)
             features, _ = self.simulator_inputs(rng, matrix)
-            usable = {iid for iid, fv in features.items() if fv.usable}
             train_ids = sorted(rng.sample(matrix.instances, 18))
-            usable_train = [i for i in train_ids if i in usable]
+            train = SimulationRows(matrix, features, train_ids)
             for objective in ("min_runtime", "max_score"):
                 settings = BuildSettings(objective=objective, cv_folds=2, max_raw_terms=2,
                                          max_expanded_terms=3, min_training_rows=6)
-                trainer = _ModelTrainer(matrix, features, settings, matrix.solvers,
-                                        train_ids, usable, purse, series, None)
+                trainer = _ModelTrainer(train, settings, purse, series, None)
+                assert trainer.ids == [i for i in train_ids if i in features
+                                       and features[i].usable]
                 for _ in range(3):
                     keep = rng.uniform(0.3, 1.0)
-                    rows = tuple(i for i in usable_train if rng.random() < keep)
+                    mask = np.array([rng.random() < keep for _ in trainer.ids])
+                    rows = [i for i, inside in zip(trainer.ids, mask) if inside]
                     if len(rows) < settings.min_training_rows:
                         continue  # the build fits no smaller row set
+                    remainder = mask.tobytes()
                     for sid in matrix.solvers:
                         want = ref_fit_inputs(matrix, features, sid, rows, settings, purse,
                                               series, train_ids)
                         got.clear()
-                        models, reasons = trainer.fit([(sid, rows)])
+                        models, reasons = trainer.fit([(sid, remainder)])
                         if want is None:
                             refused += 1
-                            assert not models and list(reasons) == [(sid, rows)]
+                            assert not models and list(reasons) == [(sid, remainder)]
                             continue
                         fits += 1
-                        assert list(models) == [(sid, rows)] and not reasons
+                        assert list(models) == [(sid, remainder)] and not reasons
                         for key, value in zip(("X", "y", "censored"), want):
                             assert len(got[key]) == 1, key
                             assert np.array_equal(got[key][0], value), key

@@ -20,6 +20,7 @@ from zfolio.portfolio import (
     PortfolioSimulator,
     PresolverEntry,
     PresolverSchedule,
+    SimulationRows,
     TooManySolvers,
     build_portfolio,
     choose_backup,
@@ -34,6 +35,7 @@ from zfolio.portfolio import (
     subset_search_exhaustive,
     subset_search_local,
 )
+from zfolio.probes import ProbeBudget
 from zfolio.runners import SimulatedRunner
 from zfolio.runtimes import RunRecord, RuntimeMatrix, SolverDescriptor
 from zfolio.scoring import PurseConfig, singleton_series
@@ -344,6 +346,21 @@ class TestSubsetSearchLocal:
 
 
 class TestBuildPortfolio:
+    @pytest.mark.parametrize("solver", ["local-a", "local-b", "local-c"])
+    def test_a_missing_training_cell_is_named(self, bench, solver):
+        # the training view reads every (solver, training instance) cell, as
+        # the validation view does, whether a fit or a replay reads it or not
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, valid, _ = split_data(kept, seed=1)
+        hole = (solver, sorted(train)[0])
+        matrix = RuntimeMatrix(bench.matrix.cutoff_seconds)
+        matrix.add(*(bench.matrix.get(sid, iid) for sid in bench.matrix.solvers
+                     for iid in [*train, *valid] if (sid, iid) != hole))
+        with pytest.raises(KeyError) as exc:
+            build_portfolio(train, valid, bench.features, matrix, bench.descriptors,
+                            small_settings(), bench.purse, bench.series)
+        assert exc.value.args == (hole,)
+
     def test_runtime_objective_excludes_local_search(self, bench, built):
         portfolio, *_ = built
         kinds = {d.id: d.kind for d in bench.descriptors}
@@ -874,6 +891,23 @@ class TestBuildSettings:
         BuildSettings(cutoff_seconds=0.5, cv_folds=2, max_raw_terms=1, presolver_top=1,
                       min_training_rows=2)
 
+    def test_defaults_follow_the_methodology(self):
+        # the method's defaults: the competition cutoff, 10-fold validation,
+        # at most 30 raw and 40 expanded basis terms, 3 pre-solver candidates
+        # per kind and 10 rows before a model (or a class expert) is fitted
+        assert dataclasses.asdict(BuildSettings()) == {
+            "objective": "min_runtime", "hierarchy": "none", "cutoff_seconds": 1200.0,
+            "cv_folds": 10, "max_raw_terms": 30, "max_expanded_terms": 40,
+            "presolver_top": 3, "min_training_rows": 10, "seed": 0,
+            "feature_budget": dataclasses.asdict(ProbeBudget())}
+
+    def test_a_portfolio_defaults_to_seed_0(self, built):
+        portfolio = built[0]
+        fields = {f.name for f in dataclasses.fields(PortfolioConfig) if f.init}
+        rebuilt = PortfolioConfig(**{name: getattr(portfolio, name)
+                                     for name in fields - {"seed"}})
+        assert rebuilt.seed == 0
+
 
 class TestExpertRows:
     """Each hierarchical expert learns from its class's rows, and the
@@ -895,18 +929,22 @@ class TestExpertRows:
         """The training split and a max_score trainer over it (minimum 5 rows)."""
         kept, _ = drop_unsolvable(bench.matrix)
         train, _, _ = split_data(kept, seed=1)
-        usable = {iid for iid, fv in bench.features.items() if fv.usable}
         categories = {inst.id: inst.category for inst in bench.instances}
         return train, portfolio_module._ModelTrainer(
-            bench.matrix, bench.features, small_settings("max_score", hierarchy=hierarchy),
-            [d.id for d in bench.descriptors], train, usable, bench.purse, bench.series,
+            SimulationRows(bench.matrix, bench.features, sorted(train)),
+            small_settings("max_score", hierarchy=hierarchy), bench.purse, bench.series,
             categories)
 
     @staticmethod
-    def fit_one(trainer, sid, rows):
-        models, refused = trainer.fit([(sid, rows)])
+    def remainder(trainer, rows) -> bytes:
+        """The remainder of these training instances: their mask's bytes."""
+        return np.isin(trainer.ids, list(rows)).tobytes()
+
+    def fit_one(self, trainer, sid, rows):
+        remainder = self.remainder(trainer, rows)
+        models, refused = trainer.fit([(sid, remainder)])
         assert not refused
-        return models[sid, rows]
+        return models[sid, remainder]
 
     def test_small_classes_share_one_expert(self, bench, spied):
         train, trainer = self.trainer(bench, "sat2")
@@ -938,7 +976,7 @@ class TestExpertRows:
         train, trainer = self.trainer(bench, "sat2")
         sat = [i for i in train if bench.matrix.sat_label(i) == "sat"]
         unsat = [i for i in train if bench.matrix.sat_label(i) == "unsat"]
-        rows = tuple(sorted(sat[:6] + unsat[:6]))
+        rows = self.remainder(trainer, sat[:6] + unsat[:6])
         local = [d.id for d in bench.descriptors if d.kind == "local_search"]
         models, _ = trainer.fit([(sid, rows) for sid in local])
         k = trainer.classifier.classes.index("unsat")
@@ -960,11 +998,10 @@ class TestExpertRows:
                      for i in bench.matrix.instances if (s, i) != ("complete-a", crashed)),
                    RunRecord("complete-a", crashed, 1.0, "crash"))
         trainer = portfolio_module._ModelTrainer(
-            matrix, bench.features, small_settings(hierarchy=hierarchy),
-            ["complete-a", "complete-b"], train, set(usable), bench.purse, bench.series,
-            None)
-        rows = tuple(usable[1:21])
-        both = (crashed, *rows)
+            SimulationRows(matrix, bench.features, train), small_settings(hierarchy=hierarchy),
+            bench.purse, bench.series, None)
+        rows = self.remainder(trainer, usable[1:21])
+        both = self.remainder(trainer, usable[:21])
         models, refused = trainer.fit([(sid, r) for r in (rows, both)
                                        for sid in ("complete-a", "complete-b")])
         assert not refused
@@ -975,6 +1012,36 @@ class TestExpertRows:
             assert one is other
         b_rows, b_both = models["complete-b", rows], models["complete-b", both]
         assert b_rows.predict_matrix(X).tobytes() != b_both.predict_matrix(X).tobytes()
+
+    def test_a_gate_with_the_minimum_of_observed_rows_fits_on_them_alone(self, bench,
+                                                                         monkeypatch):
+        # a gate learns from a pair's observed (uncensored) rows once they
+        # number min_training_rows, and from all its rows below that
+        gates = []
+        original = hierarchy_module.train_hierarchical
+
+        def spy(classifier, X, listed):
+            listed = list(listed)
+            gates.extend(rows.tolist() for _, rows, _ in listed)
+            return original(classifier, X, listed)
+        monkeypatch.setattr(hierarchy_module, "train_hierarchical", spy)
+        kept, _ = drop_unsolvable(bench.matrix)
+        train, _, _ = split_data(kept, seed=1)
+        settings = small_settings(hierarchy="sat2")
+        trainer = portfolio_module._ModelTrainer(
+            SimulationRows(bench.matrix, bench.features, sorted(train)), settings,
+            bench.purse, bench.series, None)
+        status = [bench.matrix.get("complete-a", iid).status for iid in trainer.ids]
+        solved = [j for j, st in enumerate(status) if st in ("sat", "unsat")]
+        timeouts = [j for j, st in enumerate(status) if st == "timeout"]
+        minimum = settings.min_training_rows
+        for observed in (minimum, minimum - 1):
+            gates.clear()
+            cols = sorted(solved[:observed] + timeouts[:8])
+            mask = np.isin(np.arange(len(trainer.ids)), cols)
+            _, refused = trainer.fit([("complete-a", mask.tobytes())])
+            assert not refused and len(timeouts) >= 8
+            assert gates == [solved[:observed] if observed == minimum else cols]
 
     def test_general6_fits_all_rows_at_most_once(self, bench, spied):
         train, trainer = self.trainer(bench, "general6")
@@ -1068,8 +1135,7 @@ class TestPredictionsAgree:
 
     def test_solve_predicts_the_simulator_columns(self, bench, hierarchy_built):
         portfolio, test, matrix = hierarchy_built
-        rows = portfolio_module.SimulationRows(matrix, bench.features, test,
-                                               portfolio.objective, bench.purse, bench.series)
+        rows = SimulationRows(matrix, bench.features, test)
         sim = PortfolioSimulator(matrix, bench.features, test, portfolio.presolvers,
                                  portfolio.backup_solver, portfolio.models, portfolio.objective,
                                  portfolio.cutoff_seconds, bench.purse, bench.series, rows=rows)
@@ -1341,6 +1407,18 @@ class TestPortfolioPersistence:
             with pytest.raises(ValueError, match="no descriptor"):
                 portfolio_from_doc(bad)
         portfolio_from_doc(doc)
+
+    def test_weights_one_short_are_refused(self, built, tmp_path):
+        import json
+
+        doc = portfolio_to_doc(built[0])
+        sid = doc["subset"][0]
+        doc["models"][sid]["weights"].pop()
+        path = tmp_path / "portfolio.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_portfolio(path)
+        assert str(exc.value).startswith(f"{path}: weight length")
 
     @pytest.fixture(scope="class")
     def gated_doc(self):
