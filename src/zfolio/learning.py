@@ -143,11 +143,7 @@ def expand_terms(X, width, columns, products, factors, means, scales) -> np.ndar
     elementwise, so a basis's terms have the same bits whether they are
     expanded alone (BasisSpec.expand_matrix) or beside other bases'
     (stacked_terms, hierarchy.ModelStack)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.ndim != 2 or X.shape[1] < width:
-        raise DimensionMismatch(
-            f"raw rows of shape {X.shape[1:]} do not fit a basis over {width} raw features"
-        )
+    X = _fits(np.atleast_2d(np.asarray(X, dtype=float)), width)
     phi = X.take(columns, axis=1)
     phi[:, products] *= X.take(factors, axis=1)
     return (phi - means) / scales
@@ -163,22 +159,40 @@ def contract(A, W) -> np.ndarray:
     return (A * W).sum(axis=-1)
 
 
+def _fits(X: np.ndarray, width: int) -> np.ndarray:
+    """X, checked to be raw rows with at least `width` features."""
+    if X.ndim != 2 or X.shape[1] < width:
+        raise DimensionMismatch(
+            f"raw rows of shape {X.shape[1:]} do not fit a basis over {width} raw features"
+        )
+    return X
+
+
 def _ridge_factor(phi: np.ndarray, delta: float):
-    """Cholesky factor of delta*I + Phi^T Phi, or None for an empty basis."""
-    import scipy.linalg
+    """Upper Cholesky factor of delta*I + Phi^T Phi, or None for an empty
+    basis: LAPACK's dpotrf (and dpotrs in _ridge_solve) with cho_factor's
+    (and cho_solve's) flags and finiteness check, without scipy's wrappers."""
+    from scipy.linalg.lapack import dpotrf
     if delta <= 0:
         raise ValueError("delta must be positive")
-    d = phi.shape[1]
-    if d == 0:
+    if phi.shape[1] == 0:
         return None
-    return scipy.linalg.cho_factor(phi.T @ phi + delta * np.eye(d))
+    A = np.asarray_chkfinite(phi.T @ phi + delta * np.eye(phi.shape[1]))
+    factor, info = dpotrf(A, lower=0, clean=0, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dpotrf failed with info {info}")
+    return factor
 
 
-def _ridge_solve(factor, phi: np.ndarray, y: np.ndarray) -> np.ndarray:
-    import scipy.linalg
+def _ridge_solve(factor, b: np.ndarray) -> np.ndarray:
+    """(delta*I + Phi^T Phi)^-1 b for a _ridge_factor."""
+    from scipy.linalg.lapack import dpotrs
     if factor is None:
-        return np.zeros(0)
-    return scipy.linalg.cho_solve(factor, phi.T @ y)
+        return np.zeros((0, *b.shape[1:]))
+    x, info = dpotrs(factor, np.asarray_chkfinite(b), lower=0, overwrite_b=0)
+    if info:
+        raise ValueError(f"dpotrs failed with info {info}")
+    return x
 
 
 def ridge_fit(phi: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
@@ -187,7 +201,7 @@ def ridge_fit(phi: np.ndarray, y: np.ndarray, delta: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if phi.ndim != 2 or phi.shape[0] != y.shape[0]:
         raise DimensionMismatch("design matrix and targets disagree")
-    return _ridge_solve(_ridge_factor(phi, delta), phi, y)
+    return _ridge_solve(_ridge_factor(phi, delta), phi.T @ y)
 
 
 @dataclass
@@ -248,7 +262,10 @@ class LabeledDataset:
         if self.censored.any():
             if self.cutoff_log is None:
                 raise ValueError("censored rows require cutoff_log")
-            if not np.allclose(self.targets[self.censored], self.cutoff_log):
+            # np.allclose's test and tolerances, in one comparison
+            t, cut = self.targets[self.censored], float(self.cutoff_log)
+            close = math.isfinite(cut) and np.abs(t - cut) <= 1e-8 + 1e-5 * abs(cut)
+            if not ((t == cut) | close).all():
                 raise ValueError("censored targets must sit at cutoff_log")
 
     @property
@@ -263,37 +280,45 @@ def _standardize_columns(M: np.ndarray):
     return means, scales
 
 
+def _bases(problems) -> list[BasisSpec]:
+    """The BasisSpec of each (X, raw_indices, product_pairs) problem,
+    standardized on its raw rows X as make_basis does, in _run_chunks' chunks."""
+    def cells(_, count, largest):  # the chunk's stacked terms, one problem's columns
+        n, d = largest
+        return count * (n + 1) * d + 2 * n * d
+    return _run_chunks(problems, lambda _: None, lambda p: (p[0].shape[0], len(p[1]) + len(p[2])),
+                       cells, lambda _, chunk: _standardize_chunk(chunk))
+
+
+def _standardize_chunk(problems) -> list[BasisSpec]:
+    """The bases of one chunk of _bases. Columns of two or more terms are
+    summed row by row, so the zero padding keeps their bits; numpy sums a
+    lone column pairwise, so a one-term basis takes _standardize_columns of
+    its own rows."""
+    dims = [len(raw) + len(pairs) for _, raw, pairs in problems]
+    n = np.array([X.shape[0] for X, _, _ in problems])
+    T = np.zeros((len(problems), n.max() + 1, max(dims)))
+    for p, (X, raw, pairs) in enumerate(problems):
+        _fits(X, 1 + max([*raw, *(i for pair in pairs for i in pair)], default=-1))
+        T[p, :n[p], :dims[p]] = X.take([*raw, *(j for j, _ in pairs)], axis=1)
+        T[p, :n[p], len(raw):dims[p]] *= X.take([k for _, k in pairs], axis=1)
+    lone = {p: _standardize_columns(T[p, :n[p], :1]) for p, d in enumerate(dims) if d == 1}
+    rows = np.maximum(n, 1)[:, None]
+    means = T.sum(axis=1) / rows
+    T -= means[:, None, :]
+    T *= (np.arange(T.shape[1]) < n[:, None])[:, :, None]
+    T *= T
+    stds = np.sqrt(T.sum(axis=1) / rows)
+    scales = np.where(stds > 0, stds, 1.0)
+    return [BasisSpec(list(raw), list(pairs), *lone.get(p, (means[p, :d], scales[p, :d])))
+            for p, ((_, raw, pairs), d) in enumerate(zip(problems, dims))]
+
+
 def make_basis(X: np.ndarray, raw_indices, product_pairs=()) -> BasisSpec:
-    """Basis over the given terms, standardized on the training matrix X."""
-    spec = BasisSpec.identity(raw_indices, product_pairs)
-    phi = spec.expand_matrix(X)
-    means, scales = _standardize_columns(phi)
-    return BasisSpec(list(raw_indices), list(product_pairs), means, scales)
-
-
-def _content_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Canonical row order independent of storage order: by the last column
-    of X, ties broken by the column before it, and so on, then by y."""
-    if X.shape[1]:
-        # without ties the last column alone decides, and one sort suffices
-        order = np.argsort(X[:, -1], kind="stable")
-        if np.all(np.diff(X[order, -1]) > 0):
-            return order
-    return np.lexsort((y, *X.T))
-
-
-def _product_pairs(raw) -> list[tuple[int, int]]:
-    """The distinct products of two of the raw features `raw`, as sorted pairs."""
-    return sorted({(min(j, k), max(j, k)) for i, j in enumerate(raw) for k in raw[i:]})
-
-
-def _candidates(X: np.ndarray, raw) -> np.ndarray:
-    """The candidate columns of a greedy pass: every column of X, or the
-    raw features `raw` followed by their _product_pairs products."""
-    if raw is None:
-        return X
-    j, k = np.array(_product_pairs(raw)).T
-    return np.column_stack([X[:, raw], X[:, j] * X[:, k]])
+    """Basis over the given terms, standardized on the training matrix X: a
+    batch of one of select_basis's standardization."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return _bases([(X, list(raw_indices), list(product_pairs))])[0]
 
 
 def _run_chunks(problems, key, size, cells, run) -> list:
@@ -338,14 +363,14 @@ def _greedy_lockstep(problems, folds: int, max_terms: int) -> list[list[int]]:
 
     Each problem is (X, y, raw): with raw None, the candidates C are the
     columns of X; given r raw features, they are those r columns, pinned
-    into every fit but not reported, and their r(r+1)/2 products (see
-    _candidates), built only when the problem's chunk runs. Returns, per
-    problem in input order, the indices of the columns of C it selects, in
-    selection order, up to max_terms columns pinned ones included. Columns
-    are standardized and y centered per problem; fold k tests the rows at
-    positions k, k + folds, ... of the content order (one row per fold when
-    there are fewer rows than folds), so results do not change under row
-    permutation.
+    into every fit but not reported, and the products of their r(r+1)/2
+    pairs (j, k), j <= k, in sorted order, built only when the problem's
+    chunk runs. Returns, per problem in input order, the indices of the
+    columns of C it selects, in selection order, up to max_terms columns
+    pinned ones included. Columns are standardized and y centered per
+    problem; fold k tests the rows at positions k, k + folds, ... of the
+    content order (one row per fold when there are fewer rows than folds),
+    so results do not change under row permutation.
 
     Each step scores every available column by the CV RMSE of the ridge fit
     that adds it. With r_min the lowest score, it takes the lowest-index
@@ -358,7 +383,7 @@ def _greedy_lockstep(problems, folds: int, max_terms: int) -> list[list[int]]:
     def key(problem):
         X, _, raw = problem
         pinned = 0 if raw is None else len(raw)
-        n, m = X.shape[0], X.shape[1] if raw is None else pinned + len(_product_pairs(raw))
+        n, m = X.shape[0], X.shape[1] if raw is None else pinned + pinned * (pinned + 1) // 2
         if m == 0:
             raise EmptyCandidates("no candidate columns")
         if min(folds, n) < 2:
@@ -366,16 +391,54 @@ def _greedy_lockstep(problems, folds: int, max_terms: int) -> list[list[int]]:
         return min(folds, n), m, pinned
 
     def cells(group, count, largest):
-        # _select_chunk's stacks Z, D, buf, M and train; the largest
-        # temporary, the size of one of them (Z * Z, the weighted copy of
-        # train in a step, or _keep's copy of a stack); and five row vectors
-        f, m, _ = group
+        # the greater of _chunk_rows' stacks (Z, the raw sets sorted by
+        # feature and y) and _select_chunk's: Z, D, buf, M and train; the
+        # largest temporary, the size of one of them (Z * Z, the weighted copy
+        # of train in a step, or _keep's copy of a stack); five row vectors
+        f, m, pinned = group
         n = largest[0] + 1
         stacks = (n * m, f * -(-largest[0] // f) * m, f * min(m, max_terms) * m, f * n)
-        return count * (sum(stacks) + stacks[1] + max(stacks) + 5 * n)
+        return count * max(n * (m + pinned + 1), sum(stacks) + stacks[1] + max(stacks) + 5 * n)
 
     return _run_chunks(problems, key, lambda problem: (problem[0].shape[0],), cells,
                        lambda group, chunk: _select_chunk(chunk, *group, max_terms))
+
+
+def _chunk_rows(problems, f: int, m: int, pinned: int) -> tuple:
+    """_select_chunk's stacks before standardizing: each problem's candidates
+    Z and targets, zero past its rows (row N, past every problem's, is read
+    by the padded test slots); the row counts; and each fold's test slots
+    and training weights."""
+    P, N = len(problems), max(X.shape[0] for X, _, _ in problems)
+    Z, yc = np.zeros((P, N + 1, m)), np.zeros((P, N + 1))
+    by_feature, n = np.zeros((P, N + 1, pinned)), np.empty(P, dtype=int)
+    for p, (X, y, raw) in enumerate(problems):
+        k = n[p] = X.shape[0]
+        Z[p, :k, :m - pinned * (pinned + 1) // 2] = X if raw is None else X.take(raw, axis=1)
+        by_feature[p, :k], yc[p, :k] = X.take(sorted(raw or []), axis=1), y
+    # the products of each raw set sorted by feature, of position pairs
+    # (a, b), a <= b, in sorted order: one slice of the chunk per a
+    for a in range(pinned):
+        t = m - (pinned - a) * (pinned - a + 1) // 2
+        np.multiply(by_feature[:, :, a, None], by_feature[:, :, a:], out=Z[:, :, t:t + pinned - a])
+    real = np.arange(N + 1) < n[:, None]
+    # the content order of each problem's rows: by the last candidate, one
+    # stable sort for the chunk (NaN pads sort last); a problem with ties
+    # there takes the full order, ties broken by the column before it, and
+    # so on, then by y
+    last = np.where(real[:, :N], Z[:, :N, -1], np.nan)
+    order = np.argsort(last, axis=1, kind="stable")
+    rising = np.diff(np.take_along_axis(last, order, axis=1), axis=1) > 0
+    for p in np.flatnonzero(~(rising | ~real[:, 1:N]).all(axis=1)):
+        order[p, :n[p]] = np.lexsort((yc[p, :n[p]], *Z[p, :n[p]].T))
+    # fold k tests the rows at positions k, k + f, ... of the order
+    who, pos = np.nonzero(real[:, :N])
+    test = np.full((P, f, -(-N // f)), N)
+    test[who, pos % f, pos // f] = order[who, pos]
+    train = np.zeros((P, f, N + 1))
+    train[:, :, :N] = real[:, None, :N]
+    train[who, pos % f, order[who, pos]] = 0.0
+    return Z, yc, n, test, train
 
 
 def _select_chunk(problems, f: int, m: int, pinned: int, max_terms: int) -> list[list[int]]:
@@ -399,22 +462,10 @@ def _select_chunk(problems, f: int, m: int, pinned: int, max_terms: int) -> list
     """
     steps = min(m, max_terms)
     P = len(problems)
-    N = max(X.shape[0] for X, _, _ in problems)
-    Z = np.zeros((P, N + 1, m))  # row N stays zero: the padded test slots read it
-    yc = np.zeros((P, N + 1))
-    test = np.full((P, f, -(-N // f)), N)
-    train = np.zeros((P, f, N + 1))
-    n = np.empty(P)
-    for p, (X, y, raw) in enumerate(problems):
-        k = n[p] = X.shape[0]
-        Z[p, :k], yc[p, :k] = _candidates(X, raw), y
-        pos, order = np.arange(k), _content_order(Z[p, :k], y)
-        test[p, pos % f, pos // f] = order
-        train[p, :, :k] = 1.0
-        train[p, pos % f, order] = 0.0
+    Z, yc, n, test, train = _chunk_rows(problems, f, m, pinned)
     # standardize the columns and center y over each problem's own rows, as
     # _standardize_columns does, keeping the padded rows zero
-    real = (np.arange(N + 1) < n[:, None])[:, :, None]
+    real = (np.arange(Z.shape[1]) < n[:, None])[:, :, None]
     Z -= Z.sum(axis=1, keepdims=True) / n[:, None, None]
     Z *= real
     std = np.sqrt((Z * Z).sum(axis=1, keepdims=True) / n[:, None, None])
@@ -514,22 +565,30 @@ def select_basis(data, y=None, folds: int = 10, max_raw_terms: int = 30,
             _greedy_lockstep([(X, y, None) for X, y in problems], folds, max_raw_terms)]
     picks = _greedy_lockstep([(X, y, raw) for (X, y), raw in zip(problems, raws)],
                              folds, max_expanded_terms)
-    bases = []
+    # candidate r + t is the product of the sorted raw set's positions
+    # triangle[r][t]; the bases are standardized in one batch
+    triangle = {r: np.array(np.triu_indices(r)).T.tolist() for r in set(map(len, raws))}
+    chosen = []
     for (X, _), raw, picked in zip(problems, raws, picks):
-        pairs = _product_pairs(raw)
-        bases.append(make_basis(X, raw, [pairs[j - len(raw)] for j in picked]))
-    return bases
+        s, pairs = sorted(raw), triangle[len(raw)]
+        chosen.append((X, raw, [(s[a], s[b]) for a, b in (pairs[j - len(raw)] for j in picked)]))
+    return _bases(chosen)
 
 
 def _ridge_model(phi: np.ndarray, y: np.ndarray, basis: BasisSpec, factor,
                  delta: float, target: str, residual_rows=None) -> RidgeModel:
-    """RidgeModel on an expanded, factored design: centered target, residual sigma."""
-    intercept = float(y.mean())
-    w = _ridge_solve(factor, phi, y - intercept)
+    """RidgeModel on an expanded, factored design: centered target, residual
+    sigma. The mean and sigma have the bits of y.mean() and
+    np.std(resid, ddof=1): the same pairwise sums over each vector alone."""
+    intercept = float(np.add.reduce(y) / y.size)
+    w = _ridge_solve(factor, phi.T @ (y - intercept))
     resid = y - (intercept + phi @ w)
     if residual_rows is not None:
         resid = resid[residual_rows]
-    sigma = float(np.std(resid, ddof=1)) if resid.size > 1 else 0.0
+    sigma = 0.0
+    if resid.size > 1:
+        dev = resid - np.add.reduce(resid) / resid.size
+        sigma = math.sqrt(np.add.reduce(dev * dev) / (resid.size - 1))
     return RidgeModel(basis, w, delta, sigma, target, intercept)
 
 
@@ -618,7 +677,6 @@ def _lockstep(fits, target, capped=None) -> list[RidgeModel]:
     (a fit with sigma 0 takes max(pred, cutoff)) and gives every new weight
     vector in one batched product.
     """
-    import scipy.linalg
     F = len(fits)
     N = max(d.n for d, _ in fits)
     D = max(b.dim for _, b in fits)
@@ -636,7 +694,7 @@ def _lockstep(fits, target, capped=None) -> list[RidgeModel]:
         models.append(m)
         n, dim = phi.shape
         Phi[f, :n, :dim] = phi
-        K[f, :dim, :n] = scipy.linalg.cho_solve(factor, phi.T) if factor is not None else 0.0
+        K[f, :dim, :n] = _ridge_solve(factor, phi.T)
         Y[f, :n], cens[f, :n], unc[f, :n] = d.targets, d.censored, ~d.censored
         W[f, :dim], b[f], sigma[f], cutoff[f] = m.weights, m.intercept, m.sigma, d.cutoff_log
         rows[f] = n

@@ -1,7 +1,8 @@
 """The package imports nothing at runtime beyond the standard library,
 numpy and scipy, opens its files only through runtimes.read_utf8 and
-write_utf8, loads scipy only when it fits a model, and README documents
-each of its numeric constants."""
+write_utf8, loads scipy only when it fits a model, factors its ridge
+systems only through LAPACK's dpotrf and dpotrs, and README documents each
+of its numeric constants."""
 
 import ast
 import json
@@ -90,6 +91,30 @@ def test_files_are_opened_only_by_the_utf8_helpers():
 ], ids=["open", "write_bytes", "json.dump", "method", "module-level"])
 def test_the_file_access_scan_finds_each_kind_of_call(source, expected):
     assert list(file_access(ast.parse(source))) == expected
+
+
+def names_used(tree):
+    """Every name, attribute and imported name in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def test_ridge_fits_factor_only_through_lapack():
+    # the learning layer calls LAPACK's dpotrf and dpotrs itself; no module
+    # calls or imports scipy.linalg's cho_factor or cho_solve wrappers
+    wrappers = {"cho_factor", "cho_solve"}
+    assert wrappers <= set(names_used(ast.parse(
+        "import scipy.linalg\nfrom scipy.linalg import cho_solve\nscipy.linalg.cho_factor(a)")))
+    used = {path.name: set(names_used(ast.parse(path.read_text(), str(path))))
+            for path in SOURCES}
+    assert {"dpotrf", "dpotrs"} <= used["learning.py"]
+    found = sorted((name, wrapper) for name, names in used.items() for wrapper in names & wrappers)
+    assert not found, f"Cholesky through scipy's wrappers: {found}"
 
 
 def numeric(node) -> bool:

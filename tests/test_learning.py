@@ -163,6 +163,17 @@ class TestRidgePredict:
             assert math.exp(model.predict(x)) > 0
 
 
+def reference_content_order(X, y):
+    """Canonical row order independent of storage order: by the last column
+    of X, ties broken by the column before it, and so on, then by y."""
+    if X.shape[1]:
+        # without ties the last column alone decides, and one sort suffices
+        order = np.argsort(X[:, -1], kind="stable")
+        if np.all(np.diff(X[order, -1]) > 0):
+            return order
+    return np.lexsort((y, *X.T))
+
+
 def reference_greedy_cv_select(C, y, folds, max_terms, delta, base=()):
     """The per-candidate loop: one fresh solve per candidate per fold.
 
@@ -175,7 +186,7 @@ def reference_greedy_cv_select(C, y, folds, max_terms, delta, base=()):
     means, scales = learning._standardize_columns(C)
     Z = (C - means) / scales
     yc = y - y.mean()
-    order = learning._content_order(C, y)
+    order = reference_content_order(C, y)
     masks = []
     for k in range(folds):
         test = np.zeros(n, dtype=bool)
@@ -370,6 +381,159 @@ class TestBatchedSelection:
                              max_expanded_terms=6)
         assert basis.raw_indices == [0]
         assert basis.product_pairs == []
+
+
+def reference_chunk_rows(problems, f, m):
+    """The per-problem setup loop that learning._chunk_rows batches: each
+    problem's candidates (every column, or the raw set and its products)
+    and content order, written into zero-padded stacks."""
+    P, N = len(problems), max(X.shape[0] for X, _, _ in problems)
+    Z, yc = np.zeros((P, N + 1, m)), np.zeros((P, N + 1))
+    test, train = np.full((P, f, -(-N // f)), N), np.zeros((P, f, N + 1))
+    n = np.empty(P, dtype=int)
+    for p, (X, y, raw) in enumerate(problems):
+        k = n[p] = X.shape[0]
+        Z[p, :k], yc[p, :k] = X if raw is None else reference_product_pass(X, raw)[0], y
+        pos, order = np.arange(k), reference_content_order(Z[p, :k], y)
+        test[p, pos % f, pos // f] = order
+        train[p, :, :k] = 1.0
+        train[p, pos % f, order] = 0.0
+    return Z, yc, n, test, train
+
+
+def reference_make_basis(X, raw, pairs):
+    """make_basis as one problem: its terms expanded, then standardized."""
+    means, scales = learning._standardize_columns(BasisSpec.identity(raw, pairs).expand_matrix(X))
+    return BasisSpec(list(raw), list(pairs), means, scales)
+
+
+def reference_ridge_model(X, y, basis, delta=1e-3, residual_rows=None):
+    """fit_ridge_model through scipy.linalg's cho_factor and cho_solve, and
+    the operator (Phi^T Phi + delta*I)^-1 Phi^T that _lockstep stacks."""
+    import scipy.linalg
+    phi = basis.expand_matrix(X)
+    factor = scipy.linalg.cho_factor(phi.T @ phi + delta * np.eye(phi.shape[1]))
+    intercept = float(y.mean())
+    w = scipy.linalg.cho_solve(factor, phi.T @ (y - intercept))
+    resid = y - (intercept + phi @ w)
+    if residual_rows is not None:
+        resid = resid[residual_rows]
+    sigma = float(np.std(resid, ddof=1)) if resid.size > 1 else 0.0
+    K = scipy.linalg.cho_solve(factor, phi.T)
+    return RidgeModel(basis, w, delta, sigma, "log_runtime", intercept), K
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedSetup:
+    """The batched setup of select_basis and censored_fit gives the bits of
+    the per-problem code it replaces."""
+
+    @staticmethod
+    def scaled(rng, n, m):
+        return rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3, size=m)
+
+    def test_candidates_and_folds_match_the_per_problem_loop(self):
+        rng = np.random.default_rng(340)
+        chunks = []
+        for f, rows in ((2, (2, 7, 8, 9, 31)), (5, (5, 12, 60)), (3, (40, 3))):
+            X = [self.scaled(rng, n, 6) for n in rows]
+            chunks.append(([(x, rng.normal(size=len(x)), None) for x in X], f, 6, 0))
+            for pinned in (1, 2, 4):
+                raws = [[int(j) for j in rng.permutation(6)[:pinned]] for _ in rows]
+                chunks.append(([(x, rng.normal(size=len(x)), r) for x, r in zip(X, raws)],
+                               f, pinned + pinned * (pinned + 1) // 2, pinned))
+        # ties in the last candidate, whose full order differs from one
+        # stable sort by it: rows 0 and 1 tie on the last column and are
+        # ordered by the column before it
+        X = np.array([[0.0, 5.0, 1.0], [0.0, 3.0, 1.0], [0.0, 0.0, 0.0], [1.0, 4.0, 2.0]])
+        y = np.arange(4.0)
+        assert not np.array_equal(np.argsort(X[:, -1], kind="stable"), np.lexsort((y, *X.T)))
+        tied = [(X, y, None), (self.scaled(rng, 9, 3), rng.normal(size=9), None)]
+        chunks.append((tied, 2, 3, 0))
+        chunks.append(([(x, y, [2, 0]) for x, y, _ in tied], 2, 5, 2))
+        for problems, f, m, pinned in chunks:
+            got = learning._chunk_rows(problems, f, m, pinned)
+            want = reference_chunk_rows(problems, f, m)
+            for name, a, b in zip(("Z", "y", "n", "test", "train"), got, want):
+                assert same_bits(a, b), (name, f, m, pinned)
+
+    def test_batch_standardization_matches_make_basis_alone(self):
+        # single-term bases (whose lone column numpy sums pairwise, unlike a
+        # stack's), row counts below and above 8, raw sets of mixed lengths,
+        # an all -0.0 column and a basis on no rows
+        rng = np.random.default_rng(341)
+        problems = []
+        for n in (1, 2, 5, 8, 9, 17, 40, 130, 257):
+            X = self.scaled(rng, n, 7)
+            X[:, 6] = -0.0
+            for raw, pairs in (([3], []), ([], [(1, 4)]), ([5, 2], [(2, 5)]), ([6, 0, 1], []),
+                               ([4, 1, 0, 6], [(0, 0), (1, 6), (0, 4)])):
+                problems.append((X, raw, pairs))
+        problems.append((np.zeros((0, 7)), [0, 1], [(0, 1)]))
+        problems.append((np.zeros((0, 7)), [2], []))
+        got = learning._bases(problems)
+        assert learning._bases([]) == []
+        for (X, raw, pairs), basis in zip(problems, got):
+            want = reference_make_basis(X, raw, pairs)
+            alone = make_basis(X, raw, pairs)
+            for b in (basis, alone):
+                assert (b.raw_indices, b.product_pairs) == (want.raw_indices, want.product_pairs)
+                assert same_bits(b.means, want.means), (len(X), raw, pairs)
+                assert same_bits(b.scales, want.scales), (len(X), raw, pairs)
+
+    def test_ridge_starts_match_cho_factor_and_cho_solve(self, monkeypatch):
+        # the uncensored fits, and _lockstep's starting models (all it
+        # returns when no iteration is allowed) and operators
+        rng = np.random.default_rng(342)
+        data, bases = [], []
+        for n in (3, 8, 9, 40, 130):
+            X = self.scaled(rng, n, 6)
+            y = X[:, :2] @ rng.normal(size=2) + rng.normal(size=n)
+            censored = np.arange(n) % 3 == 1
+            for raw, pairs in (([1], []), ([0, 3], [(0, 3), (3, 3)]), ([], [])):
+                basis = make_basis(X, raw, pairs)
+                want, K = reference_ridge_model(X, y, basis)
+                got = fit_ridge_model(X, y, basis)
+                assert same_bits(got.weights, want.weights), (n, raw, pairs)
+                assert (got.intercept, got.sigma) == (want.intercept, want.sigma)
+                phi = basis.expand_matrix(X)
+                assert same_bits(learning._ridge_solve(learning._ridge_factor(phi, 1e-3), phi.T), K)
+                data.append(LabeledDataset(X, np.where(censored, 4.0, y), censored, 4.0))
+                bases.append(basis)
+        monkeypatch.setattr(learning, "CENSORED_MAX_ITER", 0)
+        for d, b, got in zip(data, bases, censored_fit(data, bases)):
+            want, _ = reference_ridge_model(d.features, d.targets, b, residual_rows=~d.censored)
+            assert same_bits(got.weights, want.weights)
+            assert (got.intercept, got.sigma) == (want.intercept, want.sigma)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            learning._ridge_factor(np.array([[1.0, np.nan]]), 1e-3)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            learning._ridge_solve(learning._ridge_factor(np.eye(2), 1e-3), np.array([np.inf, 0]))
+
+    def test_censored_targets_sit_at_the_cutoff_within_allclose(self):
+        cut = math.log(300.0)
+        X = np.zeros((4, 1))
+        censored = np.array([True, True, False, True])
+        for gap in (0.0, 1e-8, 0.99e-5 * cut, -1e-6, 2e-5 * cut, np.nan, np.inf):
+            targets = np.array([cut, cut + gap, 1.0, cut])
+            ok = np.allclose(targets[censored], cut)
+            if ok:
+                LabeledDataset(X, targets, censored, cut)
+            else:
+                with pytest.raises(ValueError, match="cutoff_log"):
+                    LabeledDataset(X, targets, censored, cut)
+        for cutoff, target, ok in ((np.inf, np.inf, True), (np.inf, 5.0, False),
+                                   (np.nan, np.nan, False), (-np.inf, -np.inf, True)):
+            assert np.allclose([target], cutoff) == ok
+            if ok:
+                LabeledDataset(X[:1], [target], [True], cutoff)
+            else:
+                with pytest.raises(ValueError, match="cutoff_log"):
+                    LabeledDataset(X[:1], [target], [True], cutoff)
 
 
 class TestForwardSelect:
@@ -746,7 +910,9 @@ def test_log_runtime_clamps_zero():
 class TestChunkBudget:
     def test_each_chunk_peaks_within_the_budget(self, monkeypatch):
         # the traced peak of every chunk of more than one problem, from the
-        # chunk's first allocation to its last, stays within FIT_BATCH_CELLS
+        # chunk's first allocation to its last (its candidates, fold order and
+        # steps, its bases' standardization, its Schmee-Hahn iterations from
+        # their ridge starts, or its gates), stays within FIT_BATCH_CELLS
         # float64 cells (and a quarter for numpy's own buffers), on problems
         # shaped like a portfolio build's: 48 raw features, 10 folds, up to
         # 240 rows, expanded bases of up to 40 terms and gates of 2 classes
@@ -778,8 +944,8 @@ class TestChunkBudget:
                 peaks.setdefault(name, []).append((len(chunk), peak))
                 return result
             monkeypatch.setattr(owner, name, wrapper)
-        for owner, name in ((learning, "_select_chunk"), (learning, "_lockstep"),
-                            (hierarchy, "_gate_chunk")):
+        for owner, name in ((learning, "_select_chunk"), (learning, "_standardize_chunk"),
+                            (learning, "_lockstep"), (hierarchy, "_gate_chunk")):
             traced(owner, name)
         monkeypatch.setattr(learning, "FIT_BATCH_CELLS", 1 << 17)
         tracemalloc.start()
@@ -793,4 +959,4 @@ class TestChunkBudget:
             shared = [peak for size, peak in chunks if size > 1]
             assert shared, name
             assert max(shared) <= 1.25 * 8 * learning.FIT_BATCH_CELLS, name
-        assert len(peaks) == 3
+        assert len(peaks) == 4
